@@ -25,19 +25,13 @@ Mirrors the GraphIt compiler's command-line workflow:
 - ``last-run`` — inspect the crash flight recorder's forensics dump from
   the most recent failed invocation.
 - ``trace-diff`` — attribute the wall-time delta between two trace /
-  profile artifacts to compiler and runtime phases.
-- ``bench-native`` — benchmark the native compiled-kernel path against the
-  sequential scalar oracle (requires a C++ toolchain).
+  profile / benchmark span artifacts to compiler and runtime phases.
 - ``serve`` — long-running query service: load a graph once, answer
   concurrent point queries over HTTP/JSON with a result cache, request
   coalescing, admission control, and ``/mutate`` support.
-- ``bench-serve`` — closed-loop load test against a live query server
-  (Zipf-skewed sources, latency percentiles + throughput), writing
-  ``BENCH_serve.json``.
-- ``bench-check`` — re-run the checked-in benchmarks and fail when a
-  fresh run regresses past a tolerance (the CI perf gate);
-  ``--attribute`` prints the per-phase diff against the baseline's
-  embedded phase profile.
+
+Performance is measured outside this CLI, by ``python3 bench/run.py``
+(see ``bench/README.md``).
 
 Examples::
 
@@ -52,10 +46,8 @@ Examples::
     python -m repro metrics sssp social.el 0 --format prom
     python -m repro metrics sssp --workload profile.json
     python -m repro last-run
-    python -m repro trace-diff baseline_trace.json fresh_trace.json
+    python -m repro trace-diff bench/.out/spans-A.json bench/.out/spans-B.json
     python -m repro serve --graph social.el --port 8732
-    python -m repro bench-serve --clients 8 --enforce-floors
-    python -m repro bench-check --tolerance 0.2 --attribute
 """
 
 from __future__ import annotations
@@ -625,1023 +617,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    """Re-run the checked-in benchmarks and compare against their baselines.
-
-    Each fresh run reuses the baseline's own parameters (graph scale, delta,
-    workers, ...) so the comparison is like-for-like.  Two kinds of checks:
-
-    * **perf**: the fresh speedup must not fall more than ``tolerance``
-      below the baseline's (``fresh/baseline - 1 >= -tolerance``),
-    * **exact**: deterministic counters (relaxations, priority updates,
-      parallel rounds) must match bit-for-bit — any drift means the
-      *behaviour* changed, not the machine.
-    """
-    import json
-    import tempfile
-
-    def load(path: str) -> dict:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except OSError as error:
-            raise GraphItError(f"cannot read baseline {path!r}: {error}")
-
-    rows: list[list[str]] = []
-    failures: list[str] = []
-    # (bench, baseline record, fresh record) pairs for --attribute.
-    profiled: list[tuple[str, dict, dict]] = []
-
-    def check_perf(bench: str, metric: str, base: float, fresh: float, tol: float):
-        delta = fresh / base - 1.0 if base else float("inf")
-        ok = delta >= -tol
-        rows.append(
-            [
-                bench,
-                metric,
-                f"{base:.2f}",
-                f"{fresh:.2f}",
-                f"{delta:+.1%}",
-                f"-{tol:.0%}",
-                "ok" if ok else "FAIL",
-            ]
-        )
-        if not ok:
-            failures.append(
-                f"{bench}: {metric} regressed {delta:+.1%} "
-                f"(baseline {base:.2f}, fresh {fresh:.2f}, "
-                f"tolerance -{tol:.0%})"
-            )
-
-    def check_ceiling(bench: str, metric: str, base: float, fresh: float, tol: float):
-        """Perf check for lower-is-better metrics (latencies): the fresh
-        value must not rise more than ``tolerance`` above the baseline."""
-        delta = fresh / base - 1.0 if base else float("inf")
-        ok = delta <= tol
-        rows.append(
-            [
-                bench,
-                metric,
-                f"{base:.2f}",
-                f"{fresh:.2f}",
-                f"{delta:+.1%}",
-                f"+{tol:.0%}",
-                "ok" if ok else "FAIL",
-            ]
-        )
-        if not ok:
-            failures.append(
-                f"{bench}: {metric} regressed {delta:+.1%} "
-                f"(baseline {base:.2f}, fresh {fresh:.2f}, "
-                f"tolerance +{tol:.0%})"
-            )
-
-    def check_floor(bench: str, metric: str, floor: float, fresh: float, *,
-                    ceiling: bool = False):
-        """Absolute budget check: the fresh value must stay on the right
-        side of the checked-in floor/ceiling regardless of the baseline."""
-        ok = fresh <= floor if ceiling else fresh >= floor
-        bound = "<=" if ceiling else ">="
-        rows.append(
-            [
-                bench,
-                metric,
-                f"{floor:.2f}",
-                f"{fresh:.2f}",
-                "budget",
-                bound,
-                "ok" if ok else "FAIL",
-            ]
-        )
-        if not ok:
-            failures.append(
-                f"{bench}: {metric} {fresh:.2f} violates the absolute "
-                f"budget ({bound} {floor:.2f})"
-            )
-
-    def check_exact(bench: str, metric: str, base, fresh):
-        ok = base == fresh
-        rows.append(
-            [bench, metric, str(base), str(fresh), "exact", "=", "ok" if ok else "FAIL"]
-        )
-        if not ok:
-            # Same shape as the perf failure line: metric, baseline,
-            # measured value, percent delta — everything needed to triage
-            # from the CI log alone.
-            drift = ""
-            if isinstance(base, (int, float)) and isinstance(
-                fresh, (int, float)
-            ) and base:
-                drift = f", delta {fresh / base - 1.0:+.1%}"
-            failures.append(
-                f"{bench}: deterministic counter {metric} drifted "
-                f"(baseline {base}, fresh {fresh}{drift})"
-            )
-
-    out_dir = args.out_dir or tempfile.mkdtemp(prefix="bench-check-")
-    os.makedirs(out_dir, exist_ok=True)
-    tol_kernels = (
-        args.tolerance_kernels
-        if args.tolerance_kernels is not None
-        else args.tolerance
-    )
-    tol_parallel = (
-        args.tolerance_parallel
-        if args.tolerance_parallel is not None
-        else args.tolerance
-    )
-
-    # -- bench-kernels ------------------------------------------------
-    base_k = load(args.kernels_baseline)
-    fresh_k_path = os.path.join(out_dir, "BENCH_apply.fresh.json")
-    rc = _cmd_bench_kernels(
-        argparse.Namespace(
-            scale=base_k["graph"]["scale"],
-            edge_factor=base_k["graph"]["edge_factor"],
-            seed=base_k["graph"]["seed"],
-            delta=base_k["delta"],
-            threads=base_k["num_threads"],
-            repeats=args.repeats or base_k["repeats"],
-            min_speedup=None,
-            output=fresh_k_path,
-        )
-    )
-    if rc != 0:
-        print("bench-check: fresh bench-kernels run failed")
-        return rc
-    fresh_k = load(fresh_k_path)
-    profiled.append(("kernels", base_k, fresh_k))
-    check_perf(
-        "kernels", "speedup", base_k["speedup"], fresh_k["speedup"], tol_kernels
-    )
-    for metric in ("relaxations", "priority_updates", "frontier_vertices"):
-        check_exact("kernels", metric, base_k[metric], fresh_k[metric])
-
-    # -- bench-parallel -----------------------------------------------
-    base_p = load(args.parallel_baseline)
-    fresh_p_path = os.path.join(out_dir, "BENCH_parallel.fresh.json")
-    rc = _cmd_bench_parallel(
-        argparse.Namespace(
-            scale=base_p["graph"]["scale"],
-            edge_factor=base_p["graph"]["edge_factor"],
-            seed=base_p["graph"]["seed"],
-            delta=base_p["delta"],
-            workers=base_p["workers"],
-            strategy=base_p["strategy"],
-            repeats=args.repeats or base_p["repeats"],
-            min_speedup=None,
-            output=fresh_p_path,
-        )
-    )
-    if rc != 0:
-        print("bench-check: fresh bench-parallel run failed")
-        return rc
-    fresh_p = load(fresh_p_path)
-    profiled.append(("parallel", base_p, fresh_p))
-    check_perf(
-        "parallel",
-        "speedup_vs_oracle",
-        base_p["speedup_vs_oracle"],
-        fresh_p["speedup_vs_oracle"],
-        tol_parallel,
-    )
-    for metric in ("parallel_rounds", "barrier_waits"):
-        check_exact("parallel", metric, base_p[metric], fresh_p[metric])
-
-    # -- bench-native -------------------------------------------------
-    # Skips gracefully (not a failure) when the machine has no C++
-    # toolchain — the native path itself degrades the same way (N101).
-    from .backend.native import discover_toolchain
-
-    tol_native = (
-        args.tolerance_native
-        if args.tolerance_native is not None
-        else args.tolerance
-    )
-    base_n = (
-        load(args.native_baseline)
-        if os.path.exists(args.native_baseline)
-        else None
-    )
-    if base_n is None:
-        print(
-            f"bench-check: no native baseline at {args.native_baseline!r}; "
-            "skipping the native benchmark"
-        )
-    elif discover_toolchain() is None:
-        print(
-            "bench-check: no C++ toolchain on this machine; skipping the "
-            "native benchmark (the runtime falls back the same way: N101)"
-        )
-    else:
-        fresh_n_path = os.path.join(out_dir, "BENCH_native.fresh.json")
-        rc = _cmd_bench_native(
-            argparse.Namespace(
-                scale=base_n["graph"]["scale"],
-                edge_factor=base_n["graph"]["edge_factor"],
-                seed=base_n["graph"]["seed"],
-                delta=base_n["delta"],
-                threads=base_n["num_threads"],
-                strategy=base_n["strategy"],
-                repeats=args.repeats or base_n["repeats"],
-                min_speedup=None,
-                output=fresh_n_path,
-            )
-        )
-        if rc != 0:
-            print("bench-check: fresh bench-native run failed")
-            return rc
-        fresh_n = load(fresh_n_path)
-        check_perf(
-            "native",
-            "speedup_vs_oracle",
-            base_n["speedup_vs_oracle"],
-            fresh_n["speedup_vs_oracle"],
-            tol_native,
-        )
-        for name, base_sum in base_n["vector_checksums"].items():
-            check_exact(
-                "native",
-                f"checksum[{name}]",
-                base_sum,
-                fresh_n["vector_checksums"].get(name),
-            )
-
-    # -- bench-incremental --------------------------------------------
-    tol_incremental = (
-        args.tolerance_incremental
-        if args.tolerance_incremental is not None
-        else args.tolerance
-    )
-    base_i = (
-        load(args.incremental_baseline)
-        if os.path.exists(args.incremental_baseline)
-        else None
-    )
-    if base_i is None:
-        print(
-            f"bench-check: no incremental baseline at "
-            f"{args.incremental_baseline!r}; skipping the incremental "
-            "benchmark"
-        )
-    else:
-        fresh_i_path = os.path.join(out_dir, "BENCH_incremental.fresh.json")
-        rc = _cmd_bench_incremental(
-            argparse.Namespace(
-                scale=base_i["graph"]["scale"],
-                edge_factor=base_i["graph"]["edge_factor"],
-                seed=base_i["graph"]["seed"],
-                delta=base_i["delta"],
-                algorithm=base_i["algorithm"],
-                strategy=base_i["strategy"],
-                batches=base_i["num_batches"],
-                batch_size=base_i["batch_size"],
-                repeats=args.repeats or base_i["repeats"],
-                min_speedup=None,
-                output=fresh_i_path,
-            )
-        )
-        if rc != 0:
-            print("bench-check: fresh bench-incremental run failed")
-            return rc
-        fresh_i = load(fresh_i_path)
-        check_perf(
-            "incremental",
-            "speedup_vs_full",
-            base_i["speedup"],
-            fresh_i["speedup"],
-            tol_incremental,
-        )
-        for metric in (
-            "incremental_seeds",
-            "incremental_invalidated",
-            "incremental_vertices_touched",
-        ):
-            check_exact("incremental", metric, base_i[metric], fresh_i[metric])
-
-    # -- bench-serve ---------------------------------------------------
-    tol_serve = (
-        args.tolerance_serve if args.tolerance_serve is not None else args.tolerance
-    )
-    base_s = (
-        load(args.serve_baseline) if os.path.exists(args.serve_baseline) else None
-    )
-    if base_s is None:
-        print(
-            f"bench-check: no serve baseline at {args.serve_baseline!r}; "
-            "skipping the query-service benchmark"
-        )
-    else:
-        fresh_s_path = os.path.join(out_dir, "BENCH_serve.fresh.json")
-        rc = _cmd_bench_serve(
-            argparse.Namespace(
-                scale=base_s["graph"]["scale"],
-                edge_factor=base_s["graph"]["edge_factor"],
-                seed=base_s["graph"]["seed"],
-                clients=base_s["clients"],
-                requests=base_s["requests_per_client"],
-                pool_size=base_s["pool_size"],
-                zipf_s=base_s["zipf_s"],
-                program=base_s["program"],
-                delta=base_s["schedule"]["delta"],
-                cached_requests=base_s["cached_requests"],
-                max_pending=base_s["max_pending"],
-                output=fresh_s_path,
-                enforce_floors=False,
-            )
-        )
-        if rc != 0:
-            print("bench-check: fresh bench-serve run failed")
-            return rc
-        fresh_s = load(fresh_s_path)
-        profiled.append(("serve", base_s, fresh_s))
-        check_perf(
-            "serve",
-            "throughput_qps",
-            base_s["throughput_qps"],
-            fresh_s["throughput_qps"],
-            tol_serve,
-        )
-        check_ceiling(
-            "serve", "p95_ms", base_s["p95_ms"], fresh_s["p95_ms"], tol_serve
-        )
-        check_ceiling(
-            "serve",
-            "cached_p95_ms",
-            base_s["cached_p95_ms"],
-            fresh_s["cached_p95_ms"],
-            tol_serve,
-        )
-        # The acceptance floors are absolute: however the baseline drifts,
-        # the fresh run must clear them on its own.
-        floors = base_s.get("floors", {})
-        if "throughput_qps" in floors:
-            check_floor(
-                "serve",
-                "floor[throughput_qps]",
-                floors["throughput_qps"],
-                fresh_s["throughput_qps"],
-            )
-        if "p95_ms" in floors:
-            check_floor(
-                "serve",
-                "floor[p95_ms]",
-                floors["p95_ms"],
-                fresh_s["p95_ms"],
-                ceiling=True,
-            )
-        if "cached_p95_ms" in floors:
-            check_floor(
-                "serve",
-                "floor[cached_p95_ms]",
-                floors["cached_p95_ms"],
-                fresh_s["cached_p95_ms"],
-                ceiling=True,
-            )
-        for metric in ("unique_sources", "responses_ok", "total_requests"):
-            check_exact("serve", metric, base_s[metric], fresh_s[metric])
-
-    from .eval.harness import format_table
-
-    print(
-        format_table(
-            ["bench", "metric", "baseline", "fresh", "delta", "tolerance", "status"],
-            rows,
-            title="bench-check: fresh runs vs checked-in baselines",
-        )
-    )
-    if getattr(args, "attribute", False):
-        # Per-phase attribution of each benchmark's wall-time change,
-        # against the phase profile embedded in the baseline record.
-        from .obs import format_trace_diff, trace_diff
-
-        for bench, base_record, fresh_record in profiled:
-            print()
-            if "phase_profile" not in base_record:
-                print(
-                    f"bench-check: {bench} baseline has no embedded phase "
-                    "profile; re-generate the baseline to enable "
-                    "attribution"
-                )
-                continue
-            print(f"bench-check attribution ({bench}):")
-            print(
-                format_trace_diff(
-                    trace_diff(base_record, fresh_record), top=8
-                )
-            )
-
-    if failures:
-        print()
-        for failure in failures:
-            print(f"bench-check FAIL: {failure}")
-        return 1
-    print("\nbench-check: all checks passed")
-    return 0
-
-
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    """Micro-benchmark the vectorized apply operators against the scalar
-    reference interpreter from identical state, and write the results.
-
-    The two paths run the same ``applyUpdatePriority`` (SSSP relaxation)
-    over a full-graph frontier on a deterministic R-MAT input; the stats
-    dumps and output vectors must be bit-identical (the benchmark aborts
-    otherwise), so the speedup measures pure interpreter overhead.
-    """
-    import dataclasses
-    import json
-    import time
-
-    from .backend.runtime_support import Context
-    from .buckets.lazy import LazyBucketQueue
-    from .graph.properties import INT_MAX
-
-    graph = rmat(args.scale, args.edge_factor, seed=args.seed, weights=(1, 4))
-    n = graph.num_vertices
-    schedule = Schedule(
-        priority_update="lazy", delta=args.delta, num_threads=args.threads
-    )
-
-    def make_closures(context, dist):
-        queue = LazyBucketQueue(
-            dist,
-            direction="lower_first",
-            delta=args.delta,
-            num_open_buckets=schedule.num_buckets,
-            stats=context.stats,
-            initial_vertices=np.empty(0, dtype=np.int64),
-        )
-
-        def udf(src, dst, weight):
-            new_dist = dist[src] + weight
-            queue.update_priority_min(dst, new_dist)
-
-        kernel = dict(
-            kind="write_min",
-            value=lambda src, dst, weight, k_cur: dist[src] + weight,
-            hazard=lambda: [dist],
-        )
-        return queue, udf, kernel
-
-    # Capture a genuine mid-execution state: run SSSP with the scalar
-    # interpreter and snapshot (distances, frontier, current bucket) at the
-    # round touching the most edges — the state the paper's apply operator
-    # spends its time in.
-    degrees = graph.out_degrees()
-    source = int(np.argmax(degrees))
-    warm_context = Context(argv=["bench"], schedule=schedule)
-    warm_dist = np.full(n, INT_MAX, dtype=np.int64)
-    warm_dist[source] = 0
-    warm_queue = LazyBucketQueue(
-        warm_dist,
-        direction="lower_first",
-        delta=args.delta,
-        num_open_buckets=schedule.num_buckets,
-        stats=warm_context.stats,
-        initial_vertices=np.array([source], dtype=np.int64),
-    )
-
-    def warm_udf(src, dst, weight):
-        warm_queue.update_priority_min(dst, warm_dist[src] + weight)
-
-    snapshot = None
-    while True:
-        bucket = warm_queue.dequeue_ready_set()
-        if bucket.size == 0:
-            break
-        touched = int(degrees[bucket].sum())
-        if snapshot is None or touched > snapshot[3]:
-            snapshot = (warm_dist.copy(), bucket.copy(), warm_queue._cur_order, touched)
-        warm_context.apply_update_priority(graph, bucket, warm_udf, warm_queue)
-    snap_dist, frontier, snap_order, touched_edges = snapshot
-
-    def make_state():
-        context = Context(argv=["bench"], schedule=schedule)
-        dist = snap_dist.copy()
-        queue, udf, kernel = make_closures(context, dist)
-        queue._cur_order = snap_order
-        return context, dist, queue, udf, kernel
-
-    def dump(stats):
-        d = dataclasses.asdict(stats)
-        d.pop("_current_work", None)
-        return d
-
-    def run_once(vectorized):
-        context, dist, queue, udf, kernel = make_state()
-        context.vectorize = vectorized
-        started = time.perf_counter()
-        context.apply_update_priority(
-            graph, frontier, udf, queue, kernel=kernel
-        )
-        elapsed = time.perf_counter() - started
-        return elapsed, dist, dump(context.stats), context
-
-    # Correctness gate first: one run per path, bit-identical or abort.
-    _, scalar_dist, scalar_stats, _ = run_once(False)
-    _, vector_dist, vector_stats, vector_ctx = run_once(True)
-    if not np.array_equal(scalar_dist, vector_dist) or scalar_stats != vector_stats:
-        print("bench-kernels: scalar and vectorized runs diverged; aborting")
-        return 1
-    if vector_ctx.vectorized_applies == 0:
-        print("bench-kernels: kernel descriptor was not used; aborting")
-        return 1
-
-    scalar_time = min(run_once(False)[0] for _ in range(args.repeats))
-    vector_time = min(run_once(True)[0] for _ in range(args.repeats))
-    speedup = scalar_time / vector_time if vector_time > 0 else float("inf")
-
-    # One extra traced run, outside the timed section, embeds a per-phase
-    # profile in the record so ``bench-check --attribute`` can say *which*
-    # phase moved when the speedup regresses.
-    from .obs import phase_profile, tracing
-
-    with tracing() as tracer:
-        run_once(True)
-
-    record = {
-        "benchmark": "apply_update_priority (SSSP relaxation, SparsePush, lazy)",
-        "graph": {
-            "kind": "rmat",
-            "scale": args.scale,
-            "edge_factor": args.edge_factor,
-            "seed": args.seed,
-            "num_vertices": int(n),
-            "num_edges": int(graph.num_edges),
-        },
-        "delta": args.delta,
-        "num_threads": args.threads,
-        "repeats": args.repeats,
-        "frontier_vertices": int(frontier.size),
-        "frontier_edges": int(touched_edges),
-        "scalar_seconds": scalar_time,
-        "vectorized_seconds": vector_time,
-        "speedup": speedup,
-        "stats_identical": True,
-        "relaxations": scalar_stats["relaxations"],
-        "priority_updates": scalar_stats["priority_updates"],
-        "phase_profile": phase_profile(tracer.events),
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"{touched_edges} frontier edges ({frontier.size} vertices): "
-        f"scalar {scalar_time:.4f}s, vectorized {vector_time:.4f}s, "
-        f"speedup {speedup:.1f}x -> {args.output}"
-    )
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"bench-kernels: speedup {speedup:.1f}x is below the required "
-            f"{args.min_speedup:.1f}x"
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    """End-to-end benchmark of the parallel execution engine.
-
-    Runs the same compiled program from identical inputs three ways:
-
-    * ``oracle``   — the scalar reference interpreter (``vectorize=False``),
-      the sequential oracle every parallel run is differentially tested
-      against;
-    * ``serial``   — vectorized kernels on the serial execution engine;
-    * ``parallel`` — vectorized kernels driven by the real-thread
-      produce/commit engine at ``--workers`` workers.
-
-    Correctness gates first: the parallel run must be bit-identical to the
-    oracle (output vectors and all deterministic stats counters) or the
-    benchmark aborts.  The headline ratio is parallel vs the scalar oracle —
-    the sequential-baseline methodology of the paper's scalability study
-    (Figure 11).  Parallel vs serial-vectorized is recorded as well; on a
-    single-core container it hovers near 1x (threads cannot mint cores, the
-    engine can only overlap GIL-releasing kernel gathers) and is
-    informational, not gated.
-    """
-    import dataclasses
-    import json
-    import time
-
-    cpu_count = os.cpu_count() or 1
-    if args.workers > cpu_count:
-        print(
-            f"bench-parallel: warning: {args.workers} workers on "
-            f"{cpu_count} CPU core(s); threads cannot mint cores, so the "
-            "parallel-vs-serial ratio will hover near 1x on this machine",
-            file=sys.stderr,
-        )
-    source = ALL_PROGRAMS["sssp"]
-    graph = rmat(args.scale, args.edge_factor, seed=args.seed, weights=(1, 4))
-    # Start from the max-out-degree vertex so the traversal covers the giant
-    # component (R-MAT leaves many low-numbered vertices isolated).
-    start_vertex = int(np.argmax(graph.out_degrees()))
-    base = Schedule(
-        priority_update=args.strategy,
-        delta=args.delta,
-        num_threads=args.workers,
-    )
-    oracle_prog = compile_program(source, base)
-    parallel_prog = compile_program(source, base.with_(execution="parallel"))
-
-    parallel_only = {
-        "execution",
-        "parallel_rounds",
-        "barrier_waits",
-        "barrier_wait_time",
-        "worker_wall_time",
-    }
-
-    def dump(stats):
-        d = dataclasses.asdict(stats)
-        d.pop("_current_work", None)
-        for key in parallel_only:
-            d.pop(key, None)
-        return d
-
-    def run_once(program, vectorize):
-        started = time.perf_counter()
-        result = program.run(
-            ["bench", "-", str(start_vertex)], graph=graph, vectorize=vectorize
-        )
-        return time.perf_counter() - started, result
-
-    # Correctness gate: parallel output and deterministic stats must match
-    # the sequential oracle bit for bit before any timing is trusted.
-    _, oracle_res = run_once(oracle_prog, False)
-    _, parallel_res = run_once(parallel_prog, True)
-    for name, value in oracle_res.globals.items():
-        if isinstance(value, np.ndarray) and not np.array_equal(
-            value, parallel_res.globals[name]
-        ):
-            print(
-                f"bench-parallel: vector {name} diverged from the oracle; "
-                "aborting"
-            )
-            return 1
-    if dump(oracle_res.stats) != dump(parallel_res.stats):
-        print("bench-parallel: stats diverged from the oracle; aborting")
-        return 1
-    if args.workers > 1 and parallel_res.stats.parallel_rounds == 0:
-        print("bench-parallel: the parallel engine never engaged; aborting")
-        return 1
-
-    oracle_time = min(run_once(oracle_prog, False)[0] for _ in range(args.repeats))
-    serial_time = min(run_once(oracle_prog, True)[0] for _ in range(args.repeats))
-    parallel_time = min(
-        run_once(parallel_prog, True)[0] for _ in range(args.repeats)
-    )
-    speedup = oracle_time / parallel_time if parallel_time > 0 else float("inf")
-    vs_serial = serial_time / parallel_time if parallel_time > 0 else float("inf")
-
-    # Traced run outside the timed section: embeds the per-phase profile
-    # ``bench-check --attribute`` diffs against the baseline's.
-    from .obs import phase_profile, tracing
-
-    with tracing() as tracer:
-        run_once(parallel_prog, True)
-
-    summary = parallel_res.stats.parallel_summary()
-    record = {
-        "benchmark": (
-            f"sssp end-to-end ({args.strategy}, delta={args.delta}, "
-            "parallel engine vs sequential scalar oracle)"
-        ),
-        "graph": {
-            "kind": "rmat",
-            "scale": args.scale,
-            "edge_factor": args.edge_factor,
-            "seed": args.seed,
-            "num_vertices": int(graph.num_vertices),
-            "num_edges": int(graph.num_edges),
-        },
-        "strategy": args.strategy,
-        "delta": args.delta,
-        "workers": args.workers,
-        "cpu_count": os.cpu_count(),
-        "repeats": args.repeats,
-        "oracle_seconds": oracle_time,
-        "serial_vectorized_seconds": serial_time,
-        "parallel_seconds": parallel_time,
-        "speedup_vs_oracle": speedup,
-        "speedup_vs_serial_vectorized": vs_serial,
-        "parallel_rounds": int(parallel_res.stats.parallel_rounds),
-        "barrier_waits": int(parallel_res.stats.barrier_waits),
-        "barrier_wait_seconds": float(parallel_res.stats.barrier_wait_time),
-        "worker_busy_seconds": summary["worker_busy_time"],
-        "outputs_identical": True,
-        "stats_identical": True,
-        "phase_profile": phase_profile(tracer.events),
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"{args.workers} workers on {graph.num_edges} edges: "
-        f"oracle {oracle_time:.4f}s, serial-vectorized {serial_time:.4f}s, "
-        f"parallel {parallel_time:.4f}s; {speedup:.1f}x vs oracle, "
-        f"{vs_serial:.2f}x vs serial-vectorized -> {args.output}"
-    )
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"bench-parallel: speedup {speedup:.1f}x vs the oracle is below "
-            f"the required {args.min_speedup:.1f}x"
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_native(args: argparse.Namespace) -> int:
-    """End-to-end benchmark of the native (compiled shared-library) path.
-
-    Runs the same compiled program from identical inputs two ways:
-
-    * ``oracle`` — the scalar reference interpreter (``vectorize=False``),
-      the sequential oracle the native kernel is differentially tested
-      against;
-    * ``native`` — the C++ backend compiled into a cached ``.so`` and
-      invoked in-process through the stable C ABI.
-
-    Correctness gates first: the native output vectors must be bit-identical
-    to the oracle or the benchmark aborts (interpreter statistics are
-    *interpreter-only* by design and are not compared).  The first native run
-    pays the compile (recorded as ``compile_seconds``); timed runs then hit
-    the kernel cache, so the headline ``speedup_vs_oracle`` measures warm
-    query time — the paper's steady-state methodology.
-    """
-    import json
-    import time
-
-    from .backend.native import (
-        build_kernel,
-        discover_toolchain,
-        generate_native_cpp,
-        kernel_cache_dir,
-        kernel_key,
-    )
-
-    toolchain = discover_toolchain()
-    if toolchain is None:
-        print(
-            "bench-native: no C++ toolchain found (install g++ or clang++, "
-            "or set REPRO_NATIVE_CXX); nothing to benchmark"
-        )
-        return 1
-
-    source = ALL_PROGRAMS["sssp"]
-    graph = rmat(args.scale, args.edge_factor, seed=args.seed, weights=(1, 4))
-    start_vertex = int(np.argmax(graph.out_degrees()))
-    base = Schedule(
-        priority_update=args.strategy, delta=args.delta, num_threads=args.threads
-    )
-    oracle_prog = compile_program(source, base)
-    native_prog = compile_program(source, base.with_(execution="native"))
-    argv = ["bench", "-", str(start_vertex)]
-
-    # Build (or reuse) the kernel explicitly so the compile cost is measured
-    # apart from the query time.
-    try:
-        kernel_source = generate_native_cpp(native_prog.plan)
-    except Exception as exc:  # CompileError: unlowerable program shape
-        print(f"bench-native: cannot lower program to native: {exc}")
-        return 1
-    key = kernel_key(kernel_source, toolchain)
-    cache_hit = (kernel_cache_dir() / f"{key}.so").exists()
-    build_start = time.perf_counter()
-    build_kernel(kernel_source, toolchain)
-    compile_seconds = time.perf_counter() - build_start
-
-    def run_once(program, vectorize):
-        started = time.perf_counter()
-        result = program.run(argv, graph=graph, vectorize=vectorize)
-        return time.perf_counter() - started, result
-
-    # Correctness gate: native output vectors must equal the scalar oracle
-    # bit for bit before any timing is trusted.
-    _, oracle_res = run_once(oracle_prog, False)
-    _, native_res = run_once(native_prog, True)
-    if native_prog.native_fallback_reason is not None:
-        print(
-            "bench-native: native execution fell back to Python "
-            f"({native_prog.native_fallback_reason}); aborting"
-        )
-        return 1
-    vectors_checked = 0
-    checksums: dict[str, int] = {}
-    for name, value in sorted(oracle_res.globals.items()):
-        if not isinstance(value, np.ndarray):
-            continue
-        fresh = native_res.globals.get(name)
-        if fresh is None or not np.array_equal(value, fresh):
-            print(f"bench-native: vector {name} diverged from the oracle; aborting")
-            return 1
-        vectors_checked += 1
-        finite = value[np.abs(value) < 2**62]
-        checksums[name] = int(finite.sum())
-    if vectors_checked == 0:
-        print("bench-native: program produced no output vectors; aborting")
-        return 1
-
-    oracle_time = min(run_once(oracle_prog, False)[0] for _ in range(args.repeats))
-    native_time = min(run_once(native_prog, True)[0] for _ in range(args.repeats))
-    speedup = oracle_time / native_time if native_time > 0 else float("inf")
-
-    record = {
-        "benchmark": (
-            f"sssp end-to-end ({args.strategy}, delta={args.delta}, "
-            "native compiled kernel vs sequential scalar oracle)"
-        ),
-        "graph": {
-            "kind": "rmat",
-            "scale": args.scale,
-            "edge_factor": args.edge_factor,
-            "seed": args.seed,
-            "num_vertices": int(graph.num_vertices),
-            "num_edges": int(graph.num_edges),
-        },
-        "strategy": args.strategy,
-        "delta": args.delta,
-        "num_threads": args.threads,
-        "repeats": args.repeats,
-        "toolchain": {
-            "cxx": toolchain.cxx,
-            "version": toolchain.version,
-            "openmp": toolchain.openmp,
-        },
-        "kernel_key": key,
-        "kernel_cache_hit": cache_hit,
-        "compile_seconds": compile_seconds,
-        "oracle_seconds": oracle_time,
-        "native_seconds": native_time,
-        "speedup_vs_oracle": speedup,
-        "outputs_identical": True,
-        "vector_checksums": checksums,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"{graph.num_edges} edges: oracle {oracle_time:.4f}s, native "
-        f"{native_time:.4f}s (compile {compile_seconds:.2f}s"
-        f"{', cached' if cache_hit else ''}); "
-        f"{speedup:.1f}x vs oracle -> {args.output}"
-    )
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"bench-native: speedup {speedup:.1f}x vs the oracle is below "
-            f"the required {args.min_speedup:.1f}x"
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_incremental(args: argparse.Namespace) -> int:
-    """Benchmark incremental resume against full recomputation.
-
-    Converges once, then applies deterministic small mutation batches.
-    After every batch the resumed vector is compared bit-for-bit against a
-    from-scratch run on the mutated graph (the benchmark aborts on any
-    mismatch), and both paths are timed: the incremental apply once (its
-    state is consumed), the full re-run as a min over ``--repeats`` — the
-    stable-timing bias favours the *full* path, so the reported speedup is
-    conservative.
-    """
-    import json
-    import time
-
-    from .graph.mutations import Mutation
-    from .incremental import IncrementalSession
-
-    if args.algorithm == "kcore":
-        if args.strategy not in ("lazy_constant_sum", "lazy", "eager_no_fusion"):
-            raise GraphItError(
-                "k-core supports lazy_constant_sum, lazy, or eager_no_fusion"
-            )
-        graph = rmat(args.scale, args.edge_factor, seed=args.seed).symmetrized()
-        schedule = Schedule(priority_update=args.strategy, delta=1)
-        source = 0
-    else:
-        if args.strategy == "lazy_constant_sum":
-            raise GraphItError(
-                f"{args.algorithm} is a min/max program; lazy_constant_sum "
-                f"only applies to constant-sum updates"
-            )
-        graph = rmat(args.scale, args.edge_factor, seed=args.seed, weights=(1, 8))
-        schedule = Schedule(priority_update=args.strategy, delta=args.delta)
-        source = int(np.argmax(graph.out_degrees()))
-
-    rng = np.random.default_rng(args.seed)
-    n = graph.num_vertices
-
-    def make_batch():
-        """One deterministic batch: distinct (src, dst) pairs per kind."""
-        srcs, dsts, _ = graph.edge_list()
-        chosen = rng.choice(srcs.size, size=min(args.batch_size, srcs.size), replace=False)
-        batch: list[Mutation] = []
-        seen: set[tuple[int, int]] = set()
-        for i in chosen:
-            src, dst = int(srcs[i]), int(dsts[i])
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
-            roll = rng.random()
-            if roll < 0.4:
-                batch.append(
-                    Mutation.add(
-                        int(rng.integers(n)),
-                        int(rng.integers(n)),
-                        int(rng.integers(1, 9)),
-                    )
-                )
-            elif roll < 0.7 or args.algorithm == "kcore":
-                batch.append(Mutation.remove(src, dst))
-            else:
-                batch.append(Mutation.update(src, dst, int(rng.integers(1, 9))))
-        return batch
-
-    session = IncrementalSession(graph, args.algorithm, source=source, schedule=schedule)
-    session.run()
-
-    incremental_seconds = 0.0
-    full_seconds = 0.0
-    seeds_total = 0
-    invalidated_total = 0
-    touched_total = 0
-    for index in range(args.batches):
-        batch = make_batch()
-        started = time.perf_counter()
-        result = session.apply(batch)
-        incremental_seconds += time.perf_counter() - started
-        seeds_total += result.seeds
-        invalidated_total += result.invalidated
-        touched_total += result.vertices_touched
-
-        # Full-recompute oracle on the mutated graph: correctness gate and
-        # the baseline timing in one.
-        times = []
-        oracle_values = None
-        for _ in range(args.repeats):
-            fresh = IncrementalSession(
-                session.graph, args.algorithm, source=source, schedule=schedule
-            )
-            started = time.perf_counter()
-            oracle_values = fresh.run().values
-            times.append(time.perf_counter() - started)
-        full_seconds += min(times)
-        if not np.array_equal(result.values, oracle_values):
-            print(
-                f"bench-incremental: batch {index} diverged from the "
-                f"full-recompute oracle; aborting"
-            )
-            return 1
-
-    speedup = full_seconds / incremental_seconds if incremental_seconds > 0 else float("inf")
-    record = {
-        "benchmark": (
-            f"incremental resume vs full recompute "
-            f"({args.algorithm}, {args.strategy})"
-        ),
-        "graph": {
-            "kind": "rmat",
-            "scale": args.scale,
-            "edge_factor": args.edge_factor,
-            "seed": args.seed,
-            "num_vertices": int(n),
-            "num_edges": int(graph.num_edges),
-        },
-        "algorithm": args.algorithm,
-        "strategy": args.strategy,
-        "delta": schedule.delta,
-        "num_batches": args.batches,
-        "batch_size": args.batch_size,
-        "repeats": args.repeats,
-        "full_seconds": full_seconds,
-        "incremental_seconds": incremental_seconds,
-        "speedup": speedup,
-        "bit_exact": True,
-        "incremental_seeds": seeds_total,
-        "incremental_invalidated": invalidated_total,
-        "incremental_vertices_touched": touched_total,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"{args.batches} batches x {args.batch_size} mutations: "
-        f"full {full_seconds:.4f}s, incremental {incremental_seconds:.4f}s, "
-        f"speedup {speedup:.1f}x -> {args.output}"
-    )
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"bench-incremental: speedup {speedup:.1f}x is below the "
-            f"required {args.min_speedup:.1f}x"
-        )
-        return 1
-    return 0
-
-
 def _resolve_serve_graph(spec: str):
     """A graph for the query service: a file path or an ``rmat:`` spec.
 
@@ -1710,65 +685,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("serve: shutting down")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """``repro bench-serve``: the closed-loop load test (CI perf gate)."""
-    import json
-
-    from .obs import phase_profile, tracing
-    from .serve.bench import check_floors, run_serve_bench
-    from .serve.client import ServeClient
-    from .serve.server import start_in_thread
-
-    record = run_serve_bench(
-        scale=args.scale,
-        edge_factor=args.edge_factor,
-        seed=args.seed,
-        clients=args.clients,
-        requests=args.requests,
-        pool_size=args.pool_size,
-        zipf_s=args.zipf_s,
-        program=args.program,
-        delta=args.delta,
-        cached_requests=args.cached_requests,
-        max_pending=args.max_pending,
-    )
-
-    # A short traced pass on a fresh (cold-cache) server embeds the phase
-    # profile `bench-check --attribute` diffs on regression.
-    with tracing() as tracer:
-        handle = start_in_thread(rmat(args.scale, args.edge_factor,
-                                      seed=args.seed, weights=(1, 4)))
-        try:
-            with ServeClient(*handle.address) as client:
-                for source in (0, 1, 0):
-                    client.query(
-                        args.program,
-                        source=source,
-                        schedule={"priority_update": "lazy", "delta": args.delta},
-                    )
-        finally:
-            handle.stop()
-    record["phase_profile"] = phase_profile(tracer.events)
-
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"{record['total_requests']} requests from {args.clients} clients: "
-        f"{record['throughput_qps']:.0f} qps, "
-        f"p50 {record['p50_ms']:.2f}ms p95 {record['p95_ms']:.2f}ms "
-        f"p99 {record['p99_ms']:.2f}ms, "
-        f"cached p95 {record['cached_p95_ms']:.2f}ms -> {args.output}"
-    )
-    if args.enforce_floors:
-        problems = check_floors(record)
-        for problem in problems:
-            print(f"bench-serve FAIL: {problem}")
-        if problems:
-            return 1
     return 0
 
 
@@ -1930,119 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.set_defaults(handler=_cmd_analyze)
 
-    bench_parser = commands.add_parser(
-        "bench-kernels",
-        help="benchmark the vectorized apply operators vs the scalar "
-        "interpreter and write BENCH_apply.json",
-    )
-    bench_parser.add_argument("--scale", type=int, default=13)
-    bench_parser.add_argument("--edge-factor", type=int, default=16)
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument("--delta", type=int, default=3)
-    bench_parser.add_argument("--threads", type=int, default=8)
-    bench_parser.add_argument("--repeats", type=int, default=3)
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero when the vectorized path is below this speedup",
-    )
-    bench_parser.add_argument("-o", "--output", default="BENCH_apply.json")
-    bench_parser.set_defaults(handler=_cmd_bench_kernels)
-
-    par_parser = commands.add_parser(
-        "bench-parallel",
-        help="benchmark the parallel execution engine end-to-end against the "
-        "sequential scalar oracle and write BENCH_parallel.json",
-    )
-    par_parser.add_argument("--scale", type=int, default=13)
-    par_parser.add_argument("--edge-factor", type=int, default=16)
-    par_parser.add_argument("--seed", type=int, default=0)
-    par_parser.add_argument("--delta", type=int, default=3)
-    par_parser.add_argument("--workers", type=int, default=4)
-    par_parser.add_argument(
-        "--strategy",
-        default="eager_with_fusion",
-        choices=("eager_with_fusion", "eager_no_fusion", "lazy"),
-    )
-    par_parser.add_argument("--repeats", type=int, default=3)
-    par_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero when the parallel engine is below this speedup "
-        "over the sequential scalar oracle",
-    )
-    par_parser.add_argument("-o", "--output", default="BENCH_parallel.json")
-    par_parser.set_defaults(handler=_cmd_bench_parallel)
-
-    native_parser = commands.add_parser(
-        "bench-native",
-        help="benchmark the native compiled kernel end-to-end against the "
-        "sequential scalar oracle and write BENCH_native.json",
-    )
-    native_parser.add_argument("--scale", type=int, default=13)
-    native_parser.add_argument("--edge-factor", type=int, default=16)
-    native_parser.add_argument("--seed", type=int, default=0)
-    native_parser.add_argument("--delta", type=int, default=3)
-    native_parser.add_argument("--threads", type=int, default=4)
-    native_parser.add_argument(
-        "--strategy",
-        default="eager_with_fusion",
-        choices=("eager_with_fusion", "eager_no_fusion", "lazy"),
-    )
-    native_parser.add_argument("--repeats", type=int, default=3)
-    native_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero when the native kernel is below this speedup "
-        "over the sequential scalar oracle",
-    )
-    native_parser.add_argument("-o", "--output", default="BENCH_native.json")
-    native_parser.set_defaults(handler=_cmd_bench_native)
-
-    incr_parser = commands.add_parser(
-        "bench-incremental",
-        help="benchmark incremental resume against full recomputation on "
-        "small mutation batches and write BENCH_incremental.json",
-    )
-    incr_parser.add_argument("--scale", type=int, default=13)
-    incr_parser.add_argument("--edge-factor", type=int, default=16)
-    incr_parser.add_argument("--seed", type=int, default=0)
-    incr_parser.add_argument("--delta", type=int, default=3)
-    incr_parser.add_argument(
-        "--algorithm",
-        default="sssp",
-        choices=("sssp", "widest_path", "kcore"),
-    )
-    incr_parser.add_argument(
-        "--strategy",
-        default="lazy",
-        choices=("eager_with_fusion", "eager_no_fusion", "lazy", "lazy_constant_sum"),
-    )
-    incr_parser.add_argument(
-        "--batches", type=int, default=5, help="number of mutation batches"
-    )
-    incr_parser.add_argument(
-        "--batch-size", type=int, default=8, help="mutations per batch"
-    )
-    incr_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="full-recompute timing repeats (min is used)",
-    )
-    incr_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero when incremental resume is below this speedup "
-        "over full recomputation",
-    )
-    incr_parser.add_argument("-o", "--output", default="BENCH_incremental.json")
-    incr_parser.set_defaults(handler=_cmd_bench_incremental)
-
     trace_parser = commands.add_parser(
         "trace",
         help="run a program under the tracer and write Chrome-trace JSON "
@@ -2161,10 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser = commands.add_parser(
         "trace-diff",
         help="attribute the wall-time delta between two runs to phases "
-        "(inputs: chrome traces, phase profiles, or bench records)",
+        "(inputs: chrome traces, phase profiles, or bench/run.py span files)",
     )
     diff_parser.add_argument(
-        "baseline", help="baseline artifact (trace/profile/bench JSON)"
+        "baseline", help="baseline artifact (trace/profile/span JSON)"
     )
     diff_parser.add_argument(
         "fresh", help="fresh artifact to attribute against the baseline"
@@ -2213,134 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache capacity in traversals (default 128)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bserve_parser = commands.add_parser(
-        "bench-serve",
-        help="closed-loop load test against a live query server and write "
-        "BENCH_serve.json (the CI perf gate for repro serve)",
-    )
-    bserve_parser.add_argument("--scale", type=int, default=10)
-    bserve_parser.add_argument("--edge-factor", type=int, default=16)
-    bserve_parser.add_argument("--seed", type=int, default=0)
-    bserve_parser.add_argument(
-        "--clients", type=int, default=8, help="closed-loop client threads"
-    )
-    bserve_parser.add_argument(
-        "--requests", type=int, default=50, help="requests per client"
-    )
-    bserve_parser.add_argument(
-        "--pool-size",
-        type=int,
-        default=24,
-        help="size of the hot-source pool the Zipf draw ranks over",
-    )
-    bserve_parser.add_argument(
-        "--zipf-s", type=float, default=1.2, help="Zipf skew exponent"
-    )
-    bserve_parser.add_argument(
-        "--program", default="sssp", help="servable program to query"
-    )
-    bserve_parser.add_argument("--delta", type=int, default=3)
-    bserve_parser.add_argument(
-        "--cached-requests",
-        type=int,
-        default=200,
-        help="requests in the cached-hit phase (one client, hot source)",
-    )
-    bserve_parser.add_argument("--max-pending", type=int, default=64)
-    bserve_parser.add_argument("-o", "--output", default="BENCH_serve.json")
-    bserve_parser.add_argument(
-        "--enforce-floors",
-        action="store_true",
-        help="fail when the run misses the absolute qps/latency floors",
-    )
-    bserve_parser.set_defaults(handler=_cmd_bench_serve)
-
-    check_parser = commands.add_parser(
-        "bench-check",
-        help="re-run both benchmarks and fail on regressions vs the "
-        "checked-in baselines (the CI perf gate)",
-    )
-    check_parser.add_argument(
-        "--kernels-baseline",
-        default="BENCH_apply.json",
-        help="baseline record for bench-kernels",
-    )
-    check_parser.add_argument(
-        "--parallel-baseline",
-        default="BENCH_parallel.json",
-        help="baseline record for bench-parallel",
-    )
-    check_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed fractional speedup regression (0.2 = -20%%)",
-    )
-    check_parser.add_argument(
-        "--tolerance-kernels",
-        type=float,
-        default=None,
-        help="override --tolerance for the kernels benchmark",
-    )
-    check_parser.add_argument(
-        "--tolerance-parallel",
-        type=float,
-        default=None,
-        help="override --tolerance for the parallel benchmark",
-    )
-    check_parser.add_argument(
-        "--native-baseline",
-        default="BENCH_native.json",
-        help="baseline record for bench-native (skipped when the file or "
-        "a C++ toolchain is missing)",
-    )
-    check_parser.add_argument(
-        "--tolerance-native",
-        type=float,
-        default=None,
-        help="override --tolerance for the native benchmark",
-    )
-    check_parser.add_argument(
-        "--incremental-baseline",
-        default="BENCH_incremental.json",
-        help="baseline record for bench-incremental",
-    )
-    check_parser.add_argument(
-        "--tolerance-incremental",
-        type=float,
-        default=None,
-        help="override --tolerance for the incremental benchmark",
-    )
-    check_parser.add_argument(
-        "--serve-baseline",
-        default="BENCH_serve.json",
-        help="baseline record for bench-serve (skipped when missing)",
-    )
-    check_parser.add_argument(
-        "--tolerance-serve",
-        type=float,
-        default=None,
-        help="override --tolerance for the query-service benchmark",
-    )
-    check_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="override the baselines' repeat count for the fresh runs",
-    )
-    check_parser.add_argument(
-        "--out-dir",
-        default=None,
-        help="directory for the fresh bench JSON (default: a temp dir)",
-    )
-    check_parser.add_argument(
-        "--attribute",
-        action="store_true",
-        help="print a per-phase trace-diff of each benchmark against the "
-        "phase profile embedded in its baseline record",
-    )
-    check_parser.set_defaults(handler=_cmd_bench_check)
 
     return parser
 

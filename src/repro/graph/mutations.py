@@ -8,7 +8,7 @@ the CSR overlay in order, optionally mirroring each change across both
 directions for symmetric (undirected) workloads like k-core.
 
 ``parse_mutation_script`` reads the line format used by
-``repro run --mutations`` / ``repro bench-incremental``::
+``repro run --mutations`` and ``POST /mutate``::
 
     # comment
     add 3 7 5        # insert edge 3 -> 7 with weight 5

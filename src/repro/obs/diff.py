@@ -1,6 +1,6 @@
 """Perf-regression attribution: diff two runs phase by phase.
 
-``repro bench-check`` can tell you *that* a benchmark regressed; this
+``bench/run.py`` can tell you *that* a query time regressed; this
 module answers *where*.  Both runs are reduced to a **phase profile** —
 per-(category, name) self time, total time, and call counts, the same
 aggregation ``repro profile`` prints — and the diff ranks phases by the
@@ -11,9 +11,9 @@ distinction mechanical.
 
 Inputs are deliberately liberal: :func:`load_profile_document` accepts a
 raw Chrome-trace file (as written by ``repro trace``), an already-reduced
-phase-profile document, or a bench-check baseline record with an embedded
-``phase_profile`` — so ``repro trace-diff A B`` works on any pair of
-artifacts the toolchain produces.
+phase-profile document, or a span file written by ``bench/run.py --traced``
+(``bench/.out/spans-*.json``) — so ``repro trace-diff A B`` works on any
+pair of artifacts the toolchain produces.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ def phase_profile(tracer_or_events) -> dict:
 
     The document is ``{"schema": 1, "wall_us": <sum of top-level self
     time>, "phases": [{"cat", "name", "count", "total_us", "self_us"},
-    ...]}`` with phases sorted by self time descending — small enough to
-    embed in benchmark baselines, rich enough to diff.
+    ...]}`` with phases sorted by self time descending.
     """
     rows = self_profile(tracer_or_events)
     return {
@@ -67,8 +66,10 @@ def load_profile_document(source) -> dict:
     - a Chrome-trace document (``traceEvents`` key) — reduced via
       :func:`phase_profile`;
     - a phase-profile document (``phases`` key) — used as-is;
-    - any record embedding one under a ``phase_profile`` key (bench-check
-      baselines) — unwrapped.
+    - a benchmark span document (``spans`` key: ``[{"layer", "name",
+      "start_us", "end_us", "self_us", ...}]`` as written by
+      ``bench/common.SpanLog.write``) — aggregated per (layer, name) with
+      the layer as the category.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
@@ -78,20 +79,43 @@ def load_profile_document(source) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(
             "expected a JSON object (chrome trace, phase profile, or "
-            f"bench record), got {type(payload).__name__}"
+            f"span document), got {type(payload).__name__}"
         )
     if "phases" in payload:
         return payload
-    if "phase_profile" in payload and isinstance(
-        payload["phase_profile"], dict
-    ):
-        return load_profile_document(payload["phase_profile"])
+    if "spans" in payload:
+        return _profile_from_spans(payload["spans"])
     if "traceEvents" in payload:
         return phase_profile(payload["traceEvents"])
     raise ValueError(
-        "document has none of 'traceEvents', 'phases', or 'phase_profile' "
-        "- not a trace or profile artifact"
+        "document has none of 'traceEvents', 'phases', or 'spans' "
+        "- not a trace, profile, or span artifact"
     )
+
+
+def _profile_from_spans(spans: list[dict]) -> dict:
+    """Aggregate benchmark span rows into a phase-profile document."""
+    phases: dict[tuple[str, str], dict] = {}
+    for span in spans:
+        phase = phases.setdefault(
+            (span["layer"], span["name"]),
+            {
+                "cat": span["layer"],
+                "name": span["name"],
+                "count": 0,
+                "total_us": 0.0,
+                "self_us": 0.0,
+            },
+        )
+        phase["count"] += 1
+        phase["total_us"] += span["end_us"] - span["start_us"]
+        phase["self_us"] += span["self_us"]
+    rows = sorted(phases.values(), key=lambda phase: -phase["self_us"])
+    return {
+        "schema": PHASE_PROFILE_SCHEMA,
+        "wall_us": sum(phase["self_us"] for phase in rows),
+        "phases": rows,
+    }
 
 
 def trace_diff(baseline, fresh) -> dict:

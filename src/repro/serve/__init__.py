@@ -13,9 +13,8 @@ Layers, bottom up:
   cache-invalidation-on-mutation, traversal execution;
 - :mod:`repro.serve.server` — the asyncio server and its four endpoints
   (``/healthz``, ``/metrics``, ``/query``, ``/mutate``);
-- :mod:`repro.serve.client` — a blocking client for tests and benches;
-- :mod:`repro.serve.bench` — the closed-loop load-test harness behind
-  ``repro bench-serve`` and the CI perf gate (``BENCH_serve.json``).
+- :mod:`repro.serve.client` — a blocking client for tests and the
+  ``serve_mixed`` benchmark workload (``bench/wl_serve.py``).
 
 Semantics are documented in DESIGN.md §14; every response bit-matches a
 solo run of the same program on the current (post-mutation) graph.

@@ -1,7 +1,7 @@
 """A small blocking client for the query service.
 
-Built on :mod:`http.client` (stdlib), used by the load-test harness
-(``repro bench-serve``), the concurrency test suite, and anything that
+Built on :mod:`http.client` (stdlib), used by the ``serve_mixed``
+benchmark workload, the concurrency test suite, and anything that
 wants to talk to ``repro serve`` without hand-writing HTTP.  One
 :class:`ServeClient` holds one keep-alive connection and is **not**
 thread-safe — give each closed-loop client thread its own instance.

@@ -260,7 +260,7 @@ class QueryServer:
 
 
 class ServerHandle:
-    """A server running on a daemon thread (tests and the bench harness)."""
+    """A server running on a daemon thread (used by the serve tests)."""
 
     def __init__(self, server: QueryServer, loop: asyncio.AbstractEventLoop, thread):
         self.server = server

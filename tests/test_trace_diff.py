@@ -2,7 +2,8 @@
 
 The contract: injecting a slowdown into one phase of an otherwise
 identical run must put that phase at the top of the diff, with the delta
-it caused — that is what makes ``bench-check --attribute`` actionable.
+it caused — that is what makes a ``bench/run.py`` regression explainable
+from the span files it already wrote.
 """
 
 from __future__ import annotations
@@ -46,6 +47,32 @@ def synthetic_events(reduce_us=200):
     ]
 
 
+def span_document(reduce_us=200):
+    """The same run shape as ``bench/common.SpanLog.write`` records it."""
+    total = 100 + 300 + reduce_us + 300
+    shape = [  # (layer, name, parent, start, duration, self)
+        ("runtime", "program.run", -1, 0, total, 100),
+        ("buckets", "bucket.advance", 0, 100, 300, 300),
+        ("buckets", "bucket.reduce", 0, 400, reduce_us, reduce_us),
+        ("buckets", "bucket.advance", 0, 400 + reduce_us, 300, 300),
+    ]
+    spans = [
+        {
+            "id": index,
+            "parent": parent,
+            "query": None,
+            "layer": layer,
+            "name": name,
+            "start_us": float(start),
+            "end_us": float(start + duration),
+            "self_us": float(self_us),
+        }
+        for index, (layer, name, parent, start, duration, self_us) in enumerate(shape)
+    ]
+    by_layer = {"runtime": 100.0, "buckets": 600.0 + reduce_us}
+    return {"schema": 1, "self_us_by_layer": by_layer, "spans": spans}
+
+
 class TestPhaseProfile:
     def test_profile_shape_and_self_time(self):
         doc = phase_profile(synthetic_events())
@@ -65,17 +92,27 @@ class TestPhaseProfile:
             "metadata": {},
         }
         profile = phase_profile(synthetic_events())
-        bench_record = {"benchmark": "x", "speedup": 2.0, "phase_profile": profile}
-        for payload in (chrome, profile, bench_record):
+        for payload in (chrome, profile, span_document()):
             doc = load_profile_document(payload)
             assert doc["wall_us"] == 900
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(chrome))
         assert load_profile_document(str(path))["wall_us"] == 900
 
+    def test_span_document_maps_layer_to_category(self):
+        doc = load_profile_document(span_document())
+        by_key = {(p["cat"], p["name"]): p for p in doc["phases"]}
+        advance = by_key[("buckets", "bucket.advance")]
+        assert (advance["count"], advance["self_us"]) == (2, 600)
+        run = by_key[("runtime", "program.run")]
+        assert (run["total_us"], run["self_us"]) == (900, 100)
+
     def test_load_rejects_unknown_documents(self):
-        with pytest.raises(ValueError, match="not a trace or profile"):
+        with pytest.raises(ValueError, match="not a trace, profile, or span"):
             load_profile_document({"something": "else"})
+        # The shape the deleted in-CLI harnesses embedded is gone with them.
+        with pytest.raises(ValueError, match="not a trace, profile, or span"):
+            load_profile_document({"phase_profile": phase_profile([])})
 
 
 class TestTraceDiff:
@@ -92,6 +129,14 @@ class TestTraceDiff:
         # Other phases did not move.
         for row in diff["rows"][1:]:
             assert row["delta_us"] == 0
+
+    def test_span_documents_attribute_slowdown_to_its_layer(self):
+        diff = trace_diff(span_document(200), span_document(900))
+        top = diff["rows"][0]
+        assert (top["cat"], top["name"]) == ("buckets", "bucket.reduce")
+        assert top["delta_us"] == 700
+        assert diff["wall_us"]["delta"] == 700
+        assert sum(r["delta_us"] for r in diff["rows"]) == 700
 
     def test_deltas_sum_to_wall_delta(self):
         diff = trace_diff(
