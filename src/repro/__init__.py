@@ -53,7 +53,7 @@ from .errors import (
     SchedulingError,
     TypeCheckError,
 )
-from .graph import CSRGraph, GraphBuilder, VertexSet, VertexVector
+from .graph import CSRGraph, GraphBuilder, VertexSet
 from .midend import Schedule, SchedulingProgram
 from .runtime.sanitizer import SanitizerError
 
@@ -82,7 +82,6 @@ __all__ = [
     "CSRGraph",
     "GraphBuilder",
     "VertexSet",
-    "VertexVector",
     "GraphItError",
     "GraphError",
     "ParseError",

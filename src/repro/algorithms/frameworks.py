@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..buckets.lazy import LazyBucketQueue
-from ..core.executors import make_min_relaxer, run_lazy
+from ..core.executors import run_lazy
 from ..errors import GraphError
 from ..graph.csr import CSRGraph
 from ..graph.properties import INT_MAX
@@ -263,7 +263,7 @@ def _run_julienne_sssp_family(
     direction optimization (Section 6.2); the reduction is one unit of work
     per frontier vertex, charged through the executor's round-overhead hook.
     """
-    from .common import ShortestPathResult
+    from .common import ShortestPathResult, make_relaxer
 
     wbfs_delta = 1 if algorithm == "wbfs" else delta
     schedule = Schedule(
@@ -306,7 +306,7 @@ def _run_julienne_sssp_family(
             bound = best if heuristic is None else best + heuristic[target]
             return queue.get_current_priority() >= bound
 
-    relax = make_min_relaxer(graph, distances, queue, stats, heuristic)
+    relax = make_relaxer(graph, distances, queue, stats, heuristic=heuristic)
 
     def degree_reduction(frontier: np.ndarray) -> int:
         # One unit per frontier vertex: the out-degree sum reduce.

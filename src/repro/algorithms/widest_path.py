@@ -6,7 +6,9 @@ and SetCover use sums; the shortest-path family uses min).  Widest path is
 the natural sixth-plus-one: maximize, over all paths from the source, the
 minimum edge weight (capacity) along the path.  It is Δ-stepping mirrored —
 buckets are processed from the *highest* capacity down, priorities only
-increase, and priority coarsening applies unchanged.
+increase, and priority coarsening applies unchanged — so it is the
+:data:`~repro.algorithms.common.MAX` instance of the one extremal engine
+in :mod:`repro.algorithms.common`, not a copy of it.
 
 ``widest_path`` runs under the eager (± fusion) and lazy schedules;
 ``widest_path_reference`` is the max-heap Dijkstra-variant oracle.
@@ -18,63 +20,13 @@ import heapq
 
 import numpy as np
 
-from ..buckets.eager import EagerBucketQueue
-from ..buckets.interface import NULL_PRIORITY_HIGHER
-from ..buckets.lazy import LazyBucketQueue
-from ..core.executors import run_eager, run_lazy
-from ..errors import SchedulingError
 from ..graph.csr import CSRGraph
 from ..midend.schedule import Schedule
-from ..runtime.frontier import gather_out_edges
-from ..runtime.stats import RuntimeStats
-from ..runtime.threads import VirtualThreadPool
-from .common import ShortestPathResult, check_source
+from .common import MAX, ShortestPathResult, check_source, resume_extremal
 
-__all__ = [
-    "widest_path",
-    "widest_path_reference",
-    "resume_widest_path",
-    "DEFAULT_WIDEST_SCHEDULE",
-    "SOURCE_WIDTH",
-]
+__all__ = ["widest_path", "widest_path_reference", "DEFAULT_WIDEST_SCHEDULE"]
 
 DEFAULT_WIDEST_SCHEDULE = Schedule(priority_update="eager_with_fusion", delta=8)
-
-# A source capacity larger than any edge weight ("infinite" bottleneck).
-_SOURCE_WIDTH = np.int64(2**40)
-# Public alias: the incremental engine pins the source at this capacity.
-SOURCE_WIDTH = _SOURCE_WIDTH
-
-
-def _make_max_relaxer(graph: CSRGraph, widths: np.ndarray, queue, stats: RuntimeStats):
-    """Vectorized bottleneck relaxation with write-max semantics.
-
-    For each out-edge (src, dst, w) of the chunk, propose
-    ``min(width[src], w)`` and keep the maximum — the ``updatePriorityMax``
-    lowering, mirrored from :func:`make_min_relaxer`.
-    """
-    eager = isinstance(queue, EagerBucketQueue)
-
-    def relax(chunk: np.ndarray, thread_id: int) -> int:
-        sources, dests, weights = gather_out_edges(graph, chunk)
-        if sources.size == 0:
-            return 0
-        stats.relaxations += int(sources.size)
-        candidates = np.minimum(widths[sources], weights)
-        old = widths[dests].copy()
-        np.maximum.at(widths, dests, candidates)
-        stats.atomic_ops += int(dests.size)
-        improved = widths[dests] > old
-        changed = np.unique(dests[improved])
-        if changed.size:
-            stats.priority_updates += int(changed.size)
-            if eager:
-                queue.insert_changed_batch(thread_id, changed)
-            else:
-                queue.buffer_changed_batch(changed)
-        return int(sources.size) + int(changed.size)
-
-    return relax
 
 
 def widest_path(
@@ -89,125 +41,24 @@ def widest_path(
     hold 0).  Edge weights must be positive.
     """
     check_source(graph, source)
-    if schedule is None:
-        schedule = DEFAULT_WIDEST_SCHEDULE
-    if schedule.uses_histogram:
-        raise SchedulingError(
-            "widest path performs write-max updates, not constant sums"
-        )
-    if schedule.direction != "SparsePush":
-        raise SchedulingError(
-            "widest path currently supports push traversal only"
-        )
-
-    n = graph.num_vertices
-    stats = RuntimeStats(num_threads=schedule.num_threads)
-    pool = VirtualThreadPool(
-        schedule.num_threads,
-        schedule.parallelization,
-        schedule.chunk_size,
-        execution=schedule.execution,
+    result = resume_extremal(
+        graph,
+        source,
+        schedule or DEFAULT_WIDEST_SCHEDULE,
+        MAX,
+        MAX.fresh(graph.num_vertices, source),
+        [source],
     )
-    stats.execution = schedule.execution
-    widths = np.full(n, NULL_PRIORITY_HIGHER, dtype=np.int64)
-    widths[source] = _SOURCE_WIDTH
-
-    _drive_max_relaxation(graph, widths, [source], schedule, stats, pool)
-
-    # Normalize: unreachable vertices report width 0.
-    widths[widths == NULL_PRIORITY_HIGHER] = 0
-    return ShortestPathResult(
-        distances=widths, stats=stats, schedule=schedule, source=source
-    )
-
-
-def resume_widest_path(
-    graph: CSRGraph,
-    source: int,
-    schedule: Schedule,
-    widths: np.ndarray,
-    seeds: np.ndarray,
-    stats: RuntimeStats | None = None,
-) -> ShortestPathResult:
-    """Resume widest path from a partially-converged width vector.
-
-    ``widths`` must be in *internal* form: ``NULL_PRIORITY_HIGHER`` for
-    unreachable vertices and :data:`SOURCE_WIDTH` at the source (the
-    normalized 0-for-unreachable form is ambiguous once zero-weight edges
-    exist).  The vector is mutated in place and returned *normalized* in
-    the result, mirroring :func:`widest_path`.
-    """
-    check_source(graph, source)
-    if schedule is None:
-        schedule = DEFAULT_WIDEST_SCHEDULE
-    if schedule.uses_histogram:
-        raise SchedulingError(
-            "widest path performs write-max updates, not constant sums"
-        )
-    if schedule.direction != "SparsePush":
-        raise SchedulingError(
-            "widest path currently supports push traversal only"
-        )
-    if stats is None:
-        stats = RuntimeStats(num_threads=schedule.num_threads)
-    pool = VirtualThreadPool(
-        schedule.num_threads,
-        schedule.parallelization,
-        schedule.chunk_size,
-        execution=schedule.execution,
-    )
-    stats.execution = schedule.execution
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.size:
-        _drive_max_relaxation(graph, widths, seeds, schedule, stats, pool)
-    normalized = widths.copy()
-    normalized[normalized == NULL_PRIORITY_HIGHER] = 0
-    return ShortestPathResult(
-        distances=normalized, stats=stats, schedule=schedule, source=source
-    )
-
-
-def _drive_max_relaxation(
-    graph: CSRGraph,
-    widths: np.ndarray,
-    initial_vertices,
-    schedule: Schedule,
-    stats: RuntimeStats,
-    pool: VirtualThreadPool,
-) -> None:
-    """Build the higher-first queue seeded at current widths and drive the
-    scheduled executor to the fixpoint."""
-    if schedule.is_eager:
-        queue = EagerBucketQueue(
-            widths,
-            direction="higher_first",
-            delta=schedule.delta,
-            num_threads=schedule.num_threads,
-            stats=stats,
-            initial_vertices=initial_vertices,
-        )
-        relax = _make_max_relaxer(graph, widths, queue, stats)
-        threshold = schedule.bucket_fusion_threshold if schedule.uses_fusion else 0
-        run_eager(graph, queue, relax, pool, stats, threshold)
-    else:
-        queue = LazyBucketQueue(
-            widths,
-            direction="higher_first",
-            delta=schedule.delta,
-            num_open_buckets=schedule.num_buckets,
-            stats=stats,
-            initial_vertices=initial_vertices,
-        )
-        relax = _make_max_relaxer(graph, widths, queue, stats)
-        run_lazy(graph, queue, relax, pool, stats)
+    result.distances = MAX.publish(result.distances)
+    return result
 
 
 def widest_path_reference(graph: CSRGraph, source: int) -> np.ndarray:
     """Max-heap Dijkstra-variant oracle for widest path."""
     check_source(graph, source)
     widths = np.zeros(graph.num_vertices, dtype=np.int64)
-    widths[source] = _SOURCE_WIDTH
-    heap = [(-int(_SOURCE_WIDTH), source)]
+    widths[source] = MAX.source_value
+    heap = [(-int(MAX.source_value), source)]
     while heap:
         negative_width, v = heapq.heappop(heap)
         width = -negative_width

@@ -13,10 +13,16 @@ statistics, and the runtime entry points the compiler emits calls to:
 - ``ordered_process_eager`` — the ordered processing operator the eager
   transform substitutes for the whole while loop (Section 5.2).
 
-This backend favours fidelity over speed: edges are processed one at a time
-through the generated UDF exactly as the emitted C++ would, so its behaviour
-(including statistics) is the reference the vectorized library algorithms
-are tested against.
+This module owns *apply kernels*, not loops: the lazy operators are called
+once per round by the generated ``while`` loop, and the eager operator only
+builds the UDF's chunk relaxer and hands it to the one ordered-processing
+loop in :mod:`repro.core.executors` (shared with the hand-written
+algorithms).
+
+This backend favours fidelity over speed: with ``vectorize=False`` edges are
+processed one at a time through the generated UDF exactly as the emitted C++
+would, so its behaviour (including statistics) is the reference the batch
+kernels and the vectorized library algorithms are tested against.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from ..buckets.eager import EagerBucketQueue
 from ..buckets.lazy import LazyBucketQueue
+from ..core import executors
 from ..errors import (
     CompileError,
     GraphItError,
@@ -41,7 +48,6 @@ from ..graph.io import load_edge_list, load_npz
 from ..graph.properties import INT_MAX
 from ..midend.schedule import Schedule
 from ..obs import metrics
-from ..obs import span as trace_span
 from ..obs import stat_span as trace_stat_span
 from ..runtime.frontier import (
     gather_in_edges,
@@ -731,14 +737,7 @@ class Context:
                     orders = np.maximum(orders, cur)
             queue.insert_batch_at(thread_id, vertices, orders)
         else:
-            buffer_local = getattr(queue, "buffer_attempts_local", None)
-            if buffer_local is not None:
-                # Lazy: appends go to the committing worker's private buffer
-                # (Figure 5); merged into the shared pending list at the
-                # round barrier with identical accounting.
-                buffer_local(thread_id, vertices)
-            else:
-                queue.buffer_attempts_batch(vertices)
+            queue.buffer_attempts_batch(vertices)
 
     # -- stream processors ---------------------------------------------
     def _run_minmax_stream(
@@ -971,11 +970,7 @@ class Context:
                     orders = np.maximum(orders, cur)
             queue.insert_batch_at(thread_id, rep_v, orders)
         else:
-            buffer_local = getattr(queue, "buffer_attempts_local", None)
-            if buffer_local is not None:
-                buffer_local(thread_id, rep_v)
-            else:
-                queue.buffer_attempts_batch(rep_v)
+            queue.buffer_attempts_batch(rep_v)
 
     def _run_plain_stream(self, kernel, src, dst, wgt) -> None:
         """Batch plain write-min into an arbitrary vector (``apply_edges``),
@@ -1208,91 +1203,57 @@ class Context:
         fusion_threshold: int = 0,
         kernel: dict | None = None,
     ) -> None:
-        degrees = edges.out_degrees()
+        """Build the UDF's chunk relaxer and hand it to the shared eager loop
+        (:func:`repro.core.executors.run_eager`): rounds, partitioning, the
+        bucket-fusion drain and the produce/commit split all live there."""
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
         effect_name = self._effect_udf_name(udf)
-
+        weighted = not vectorized and self._udf_arity(udf) == 3
         if vectorized:
             self.vectorized_applies += 1
-
-            def process_chunk(
-                chunk: np.ndarray, thread_id: int, prefetched=None
-            ) -> int:
-                queue.set_thread(thread_id)
-                if prefetched is None:
-                    src, dst, wgt = gather_out_edges(edges, chunk)
-                else:
-                    src, dst, wgt = prefetched
-                n = int(dst.size)
-                self.stats.relaxations += n
-                self.stats.atomic_ops += n
-                # Each chunk (initial relaxation or fused local bucket) is
-                # its own sanitizer scope: writes must stay within the
-                # chunk's out-neighborhood.
-                with self._effect_scope(effect_name, frontier=chunk, edges=edges):
-                    self._dispatch_stream(
-                        kernel, queue, src, dst, wgt, thread_id, True
-                    )
-                return n
-
         else:
             self.scalar_applies += 1
-            weighted = self._udf_arity(udf) == 3
 
-            def process_chunk(
-                chunk: np.ndarray, thread_id: int, prefetched=None
-            ) -> int:
-                # Scalar interpreter path: never runs on worker threads
-                # (``prefetched`` is unused; the pool is serial whenever
-                # vectorize=False).
-                queue.set_thread(thread_id)
+        def gather(chunk: np.ndarray, thread_id: int):
+            # Pure CSR gather (runs on worker threads under the parallel
+            # engine).  The scalar interpreter walks edges itself and never
+            # runs on workers: the pool is serial whenever vectorize=False.
+            return gather_out_edges(edges, chunk) if vectorized else None
+
+        def relax(chunk: np.ndarray, thread_id: int, prefetched) -> int:
+            queue.set_thread(thread_id)
+            # Each chunk (initial relaxation or fused local bucket) is its
+            # own sanitizer scope: writes must stay within the chunk's
+            # out-neighborhood.
+            with trace_stat_span(
+                "apply.push",
+                "runtime",
+                self.stats,
+                frontier=int(chunk.size),
+                vectorized=bool(vectorized),
+            ), self._effect_scope(effect_name, frontier=chunk, edges=edges):
+                if vectorized:
+                    src, dst, wgt = (
+                        gather(chunk, thread_id) if prefetched is None else prefetched
+                    )
+                    work = int(dst.size)
+                    self.stats.relaxations += work
+                    self.stats.atomic_ops += work
+                    self._dispatch_stream(kernel, queue, src, dst, wgt, thread_id, True)
+                    return work
                 work = 0
-                with self._effect_scope(effect_name, frontier=chunk, edges=edges):
-                    for source in chunk.tolist():
-                        for destination, weight in edges.out_edges(source):
-                            self.stats.relaxations += 1
-                            self.stats.atomic_ops += 1
-                            if weighted:
-                                udf(source, destination, weight)
-                            else:
-                                udf(source, destination)
-                            work += 1
+                for source in chunk.tolist():
+                    for destination, weight in edges.out_edges(source):
+                        self.stats.relaxations += 1
+                        self.stats.atomic_ops += 1
+                        if weighted:
+                            udf(source, destination, weight)
+                        else:
+                            udf(source, destination)
+                        work += 1
                 return work
 
-        parallel = vectorized and self.pool.is_parallel
-        fused_box = [0]
-
-        def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-            """One thread's slice of the round: initial relaxation plus its
-            bucket-fusion drain, in serial order.  Only the initial gather was
-            prefetched on a worker; a fused run's local bucket does not exist
-            until this commit runs, so its gathers stay on the coordinator —
-            matching Figure 7's contract that a fused run needs no global
-            synchronization."""
-            self.stats.add_thread_work(
-                thread_id, process_chunk(chunk, thread_id, prefetched)
-            )
-            if fusion_threshold > 0:
-                while True:
-                    local = queue.pop_local_bucket(thread_id, fusion_threshold)
-                    if local is None:
-                        break
-                    fused_box[0] += 1
-                    # A fused run (Figure 7): the thread keeps draining its
-                    # own small local bucket without synchronizing.
-                    with trace_span(
-                        "eager.fused_run",
-                        "runtime",
-                        worker=thread_id,
-                        size=int(local.size),
-                    ):
-                        self.stats.add_thread_work(
-                            thread_id, process_chunk(local, thread_id)
-                        )
-
-        def produce(chunk: np.ndarray, thread_id: int):
-            return gather_out_edges(edges, chunk)
-
+        relax.gather = gather
         with trace_stat_span(
             "ordered_process_eager",
             "runtime",
@@ -1300,27 +1261,6 @@ class Context:
             fusion_threshold=int(fusion_threshold),
             vectorized=bool(vectorized),
         ):
-            while True:
-                frontier = queue.dequeue_ready_set()
-                if frontier.size == 0:
-                    break
-                if stop_condition is not None and stop_condition():
-                    break
-                with trace_span(
-                    "eager.round", "runtime", frontier=int(frontier.size)
-                ) as sp:
-                    self.stats.begin_round()
-                    fused_box[0] = 0
-                    chunks = self.pool.partition(
-                        frontier, degrees=degrees[frontier]
-                    )
-                    if parallel:
-                        self.pool.run_round(chunks, produce, commit, ordered=True)
-                    else:
-                        for thread_id, chunk in enumerate(chunks):
-                            if chunk.size == 0:
-                                continue
-                            commit(chunk, thread_id, None)
-                    self.stats.end_round(syncs=1, fused=fused_box[0])
-                    if sp is not None:
-                        sp["fused_runs"] = int(fused_box[0])
+            executors.run_eager(
+                edges, queue, relax, self.pool, self.stats, fusion_threshold, stop_condition
+            )

@@ -76,13 +76,6 @@ class LazyBucketQueue(AbstractPriorityQueue):
         # Update buffer with per-vertex dedup flags.
         self._pending: list[np.ndarray] = []
         self._pending_flags = np.zeros(self.num_vertices, dtype=bool)
-        # Per-worker private update buffers (Figure 5): under the parallel
-        # engine each worker appends into its own buffer during the round and
-        # the buffers are merged into the shared pending list at the round
-        # barrier, just before the reduce — two synchronizations per round,
-        # not one per update.  The dedup flags stay shared (Figure 9(a) keeps
-        # one CAS-guarded ``dedup_flags`` array for all threads).
-        self._local_pending: dict[int, list[np.ndarray]] = {}
 
         if self._initial_vertices.size:
             orders = self.order_of_value(
@@ -96,8 +89,6 @@ class LazyBucketQueue(AbstractPriorityQueue):
     # ------------------------------------------------------------------
     def finished(self) -> bool:
         if self._pending:
-            return False
-        if any(self._local_pending.values()):
             return False
         if self._overflow:
             return False
@@ -200,11 +191,6 @@ class LazyBucketQueue(AbstractPriorityQueue):
         *attempt* instead — use :meth:`buffer_attempts_batch` when the
         scalar path's counters must be reproduced exactly.
         """
-        return self._buffer_changed_into(vertices, self._pending)
-
-    def _buffer_changed_into(
-        self, vertices: np.ndarray, sink: list[np.ndarray]
-    ) -> int:
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
             return 0
@@ -213,7 +199,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         self.stats.dedup_hits += int(vertices.size - fresh.size)
         if fresh.size:
             self._pending_flags[fresh] = True
-            sink.append(fresh)
+            self._pending.append(fresh)
             self.stats.buffer_appends += int(fresh.size)
         return int(fresh.size)
 
@@ -231,11 +217,6 @@ class LazyBucketQueue(AbstractPriorityQueue):
 
         Returns how many distinct vertices were freshly appended.
         """
-        return self._buffer_attempts_into(vertices, self._pending)
-
-    def _buffer_attempts_into(
-        self, vertices: np.ndarray, sink: list[np.ndarray]
-    ) -> int:
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return 0
@@ -253,53 +234,8 @@ class LazyBucketQueue(AbstractPriorityQueue):
         self.stats.dedup_hits += int(vertices.size - fresh.size)
         if fresh.size:
             self._pending_flags[fresh] = True
-            sink.append(fresh)
+            self._pending.append(fresh)
         return int(fresh.size)
-
-    # ------------------------------------------------------------------
-    # Per-worker private buffers (parallel engine, Figure 5)
-    # ------------------------------------------------------------------
-    def buffer_changed_local(self, thread_id: int, vertices: np.ndarray) -> int:
-        """Per-worker variant of :meth:`buffer_changed_batch`.
-
-        Appends land in worker ``thread_id``'s private buffer (the
-        per-thread update buffers of Figure 5) instead of the shared pending
-        list; the dedup flags stay shared, so the accounting
-        (``buffer_appends`` / ``dedup_hits``) is bit-identical to the shared
-        path.  The private buffers are folded back into the shared pending
-        list at the next round barrier by :meth:`merge_local_buffers`.
-        """
-        sink = self._local_pending.setdefault(int(thread_id), [])
-        return self._buffer_changed_into(vertices, sink)
-
-    def buffer_attempts_local(self, thread_id: int, vertices: np.ndarray) -> int:
-        """Per-worker variant of :meth:`buffer_attempts_batch` (same
-        scalar-exact per-attempt accounting, private per-worker sink)."""
-        sink = self._local_pending.setdefault(int(thread_id), [])
-        return self._buffer_attempts_into(vertices, sink)
-
-    def merge_local_buffers(self) -> int:
-        """Merge the per-worker private buffers into the shared pending list.
-
-        Runs at the round barrier — the first of the two synchronizations
-        per round in Figure 5 (the second is the bulk bucket update in
-        :meth:`dequeue_ready_set`).  Buffers are merged in thread-id order,
-        which is exactly the order the coordinator commits chunks in, so the
-        merged stream matches what shared global appends would have produced.
-        The subsequent reduce sorts and dedups anyway, making the result
-        independent of merge order by construction.
-
-        Returns the number of buffered arrays moved.
-        """
-        if not self._local_pending:
-            return 0
-        moved = 0
-        for thread_id in sorted(self._local_pending):
-            chunks = self._local_pending[thread_id]
-            self._pending.extend(chunks)
-            moved += len(chunks)
-        self._local_pending.clear()
-        return moved
 
     def apply_histogram_updates(
         self,
@@ -374,7 +310,6 @@ class LazyBucketQueue(AbstractPriorityQueue):
 
     def _flush_pending(self) -> None:
         """Reduce the buffer and bulk-update buckets (Figure 5, lines 12-13)."""
-        self.merge_local_buffers()
         if not self._pending:
             return
         _REDUCE_BATCHES.inc()

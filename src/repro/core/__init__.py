@@ -1,21 +1,5 @@
 """Core ordered-processing runtime: the compiled form of applyUpdatePriority."""
 
-from .executors import (
-    make_min_relaxer,
-    make_min_relaxer_pull,
-    run_eager,
-    run_lazy,
-    run_lazy_histogram,
-    run_lazy_pull,
-    run_relaxed,
-)
+from .executors import Relaxer, run_eager, run_lazy, run_lazy_pull, run_relaxed
 
-__all__ = [
-    "make_min_relaxer",
-    "make_min_relaxer_pull",
-    "run_eager",
-    "run_lazy",
-    "run_lazy_pull",
-    "run_lazy_histogram",
-    "run_relaxed",
-]
+__all__ = ["Relaxer", "run_eager", "run_lazy", "run_lazy_pull", "run_relaxed"]

@@ -7,47 +7,41 @@ Section 5.2 of the paper describes how the compiler replaces the user's
         edges.from(bucket).applyUpdatePriority(udf);
 
 loop with an *ordered processing operator* backed by an optimized runtime
-library.  These functions are that library.  Each drives one bucketing
-strategy:
+library.  These functions are that library, and they are *the* loop for both
+runtimes: the hand-written algorithms (``repro.algorithms``) and the code the
+Python backend generates (``Context.ordered_process_eager``) hand their
+relaxers to the same executors.  Each drives one bucketing strategy:
 
 - :func:`run_eager` — thread-local buckets, optional **bucket fusion**
   (Figure 7): after draining its share of the global bucket, a thread keeps
   processing its own local bucket for the current priority, with no global
   synchronization, while that bucket stays under the size threshold.
-- :func:`run_lazy` — buffered bucket updates reduced once per round
-  (Figure 5); costs two global synchronizations per round (buffer reduction
-  + round barrier).
-- :func:`run_lazy_histogram` — the lazy-with-constant-sum strategy
-  (Figure 10): per-round neighbour histogram, one transformed update per
-  vertex.
+- :func:`run_lazy` / :func:`run_lazy_pull` — buffered bucket updates reduced
+  once per round (Figure 5), push or DensePull traversal (Figure 9(b));
+  costs two global synchronizations per round (buffer reduction + round
+  barrier).
 - :func:`run_relaxed` — approximate priority ordering (Galois emulation):
   chunked processing with synchronization only at priority-window advances.
 
-Executors are generic over a *relaxer*: a callable
-``relax(chunk, thread_id) -> work_units`` that processes the out-edges of the
-chunk's vertices and routes priority changes into the queue.  The relaxers
-for min-updates (SSSP/wBFS/PPSP/A*) are built by :func:`make_min_relaxer`.
+Executors are generic over a :class:`Relaxer`, which owns everything about
+*how* a chunk's edges update priorities; the executors own only round
+structure, work partitioning and accounting.
 
-Real parallelism (PR 3)
------------------------
-When the :class:`VirtualThreadPool` is constructed with
-``execution="parallel"``, every executor splits each round into a pure
-*produce* phase (the CSR edge gathers, which read only immutable topology and
-run concurrently on real worker threads — numpy releases the GIL there) and a
-mutating *commit* phase (candidate evaluation, ``np.minimum.at``, queue
-routing, statistics).  For the deterministic strategies the commits are
-replayed in chunk order on the coordinating thread, which makes the committed
-instruction sequence — and therefore the outputs *and every stats counter* —
-bit-identical to ``execution="serial"``.  The relaxed strategy commits in
-completion order under a lock instead (priority inversions allowed).  A
-relaxer advertises the split by exposing a ``gather`` attribute and accepting
-the pre-gathered edge stream via ``prefetched``; relaxers without ``gather``
-fall back to the serial inline loop even under ``execution="parallel"``.
+Every round goes through ``pool.run_round(chunks, relax.gather, commit)``:
+a pure *produce* phase (``gather``: CSR edge gathers, which read only
+immutable topology) and a mutating *commit* phase (the relaxer proper).
+Under ``execution="serial"`` that is the inline per-chunk loop; under
+``execution="parallel"`` the gathers run on real worker threads and the
+deterministic strategies replay commits in chunk order on the coordinating
+thread, which makes the committed instruction sequence — and therefore the
+outputs *and every stats counter* — bit-identical to serial.  The relaxed
+strategy commits in completion order under a lock instead (priority
+inversions allowed).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -56,124 +50,56 @@ from ..buckets.lazy import LazyBucketQueue
 from ..buckets.relaxed import RelaxedPriorityQueue
 from ..errors import CompileError
 from ..graph.csr import CSRGraph
-from ..runtime.frontier import gather_out_edges
-from ..runtime.histogram import histogram_counts
+from ..obs import span as trace_span
 from ..runtime.stats import RuntimeStats
 from ..runtime.threads import VirtualThreadPool
 
 __all__ = [
     "Relaxer",
-    "make_min_relaxer",
-    "make_min_relaxer_pull",
     "run_eager",
     "run_lazy",
     "run_lazy_pull",
-    "run_lazy_histogram",
     "run_relaxed",
 ]
 
 
 class Relaxer(Protocol):
-    """Processes the out-edges of ``chunk`` as virtual thread ``thread_id``.
+    """How one chunk of a round updates priorities.
 
-    Returns the number of work units performed (edges traversed plus bucket
+    ``gather(chunk, thread_id)`` is the read-only produce phase; whatever it
+    returns is handed back as ``prefetched``.  ``relax(chunk, thread_id,
+    prefetched)`` applies the updates as virtual thread ``thread_id`` and
+    returns the work units performed (edges traversed plus bucket
     operations), which the executor charges to the thread for the
-    simulated-time cost model.
+    simulated-time cost model.  ``prefetched`` is ``None`` for chunks that did
+    not exist at produce time (fused local buckets): the relaxer gathers
+    those itself.
     """
 
-    def __call__(self, chunk: np.ndarray, thread_id: int) -> int: ...
+    def __call__(self, chunk: np.ndarray, thread_id: int, prefetched: Any) -> int: ...
 
-
-def make_min_relaxer(
-    graph: CSRGraph,
-    distances: np.ndarray,
-    queue,
-    stats: RuntimeStats,
-    heuristic: np.ndarray | None = None,
-) -> Relaxer:
-    """Vectorized edge relaxation with write-min semantics.
-
-    Implements the ``updateEdge`` UDF of Figure 3: for each out-edge
-    ``(src, dst, w)`` of the chunk, propose ``dist[src] + w`` and keep the
-    minimum.  Destinations whose distance improved are routed into the
-    queue's buckets — eagerly into the calling thread's local bins for an
-    :class:`EagerBucketQueue`, or through the dedup-flagged update buffer for
-    a :class:`LazyBucketQueue`.
-
-    Parameters
-    ----------
-    heuristic:
-        Optional per-vertex lower bound to the target (A* search): the
-        queue's priority vector is then ``dist + heuristic`` rather than
-        ``dist`` itself, and is refreshed for every improved vertex.
-    """
-    eager = isinstance(queue, EagerBucketQueue)
-    relaxed = isinstance(queue, RelaxedPriorityQueue)
-    priorities = queue.priority_vector
-    # Lazy-style queues grow per-worker private update buffers (Figure 5);
-    # resolved once here so the hot relax closure pays no getattr per chunk.
-    buffer_local = (
-        None if (eager or relaxed) else getattr(queue, "buffer_changed_local", None)
-    )
-
-    def gather(chunk: np.ndarray, thread_id: int):
-        # Pure produce phase: reads only the immutable CSR topology/weights,
-        # so it is safe to run concurrently with other produces and with the
-        # coordinator's commits.
-        return gather_out_edges(graph, chunk)
-
-    def relax(chunk: np.ndarray, thread_id: int, prefetched=None) -> int:
-        if prefetched is None:
-            sources, dests, weights = gather_out_edges(graph, chunk)
-        else:
-            sources, dests, weights = prefetched
-        if sources.size == 0:
-            return 0
-        stats.relaxations += int(sources.size)
-        candidates = distances[sources] + weights
-        old = distances[dests].copy()
-        np.minimum.at(distances, dests, candidates)
-        stats.atomic_ops += int(dests.size)
-        improved = distances[dests] < old
-        changed = np.unique(dests[improved])
-        if changed.size:
-            stats.priority_updates += int(changed.size)
-            if heuristic is not None:
-                priorities[changed] = distances[changed] + heuristic[changed]
-            if eager:
-                queue.insert_changed_batch(thread_id, changed)
-            elif relaxed:
-                queue.insert_changed_batch(changed)
-            elif buffer_local is not None:
-                buffer_local(thread_id, changed)
-            else:
-                queue.buffer_changed_batch(changed)
-        return int(sources.size) + int(changed.size)
-
-    relax.gather = gather
-    return relax
+    def gather(self, chunk: np.ndarray, thread_id: int) -> Any: ...
 
 
 StopCondition = Callable[[], bool]
 
 
-def _filter_prefetched(prefetched, live: np.ndarray, num_vertices: int):
-    """Restrict a pre-gathered edge stream to edges whose source is live.
+def _frontiers(queue, should_stop: StopCondition | None) -> Iterator[np.ndarray]:
+    """Dequeue ready sets until the queue drains or ``should_stop`` fires."""
+    while True:
+        frontier = queue.dequeue_ready_set()
+        if frontier.size == 0 or (should_stop is not None and should_stop()):
+            return
+        yield frontier
 
-    ``live`` must preserve the chunk's vertex order (it is produced by a
-    boolean mask over the chunk), so the filtered stream is element-for-element
-    identical to what ``gather_out_edges(graph, live)`` would return — the
-    property the bit-exactness contract rests on.
-    """
-    sources, dests, weights = prefetched
-    if live.size == 0:
-        return sources[:0], dests[:0], weights[:0]
-    keep = np.zeros(num_vertices, dtype=bool)
-    keep[live] = True
-    mask = keep[sources]
-    if mask.all():
-        return prefetched
-    return sources[mask], dests[mask], weights[mask]
+
+def _charged(relax: Relaxer, stats: RuntimeStats):
+    """The commit of a strategy without fusion: relax, charge the work."""
+
+    def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
+        stats.add_thread_work(thread_id, relax(chunk, thread_id, prefetched))
+
+    return commit
 
 
 def run_eager(
@@ -196,41 +122,20 @@ def run_eager(
         )
     pool.bind_stats(stats)
     degrees = graph.out_degrees()
-    gather = getattr(relax, "gather", None)
-    parallel = pool.is_parallel and gather is not None
-    fused_boxes: list[int] = [0]
+    fused = 0
 
-    def commit_chunk(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-        """Serial-order commit for one thread's share of the round.
-
-        Runs the thread's initial relaxation *and* its bucket-fusion drain —
-        exactly the slice of work the serial loop body performs for this
+    def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
+        """One thread's slice of the round — its initial relaxation *and* its
+        bucket-fusion drain, exactly what the serial loop body does for this
         thread — so replaying commits in chunk order reproduces the serial
         instruction sequence bit-for-bit.  Only the initial relaxation's edge
         gather was prefetched concurrently; a fused run's local bucket does
         not exist until the preceding commit, so its gathers stay on the
-        coordinator (the paper's fused runs need no synchronization either —
-        Figure 7 keeps them entirely thread-local).
+        coordinator (Figure 7 keeps fused runs entirely thread-local, with no
+        synchronization, either).
         """
-        if hasattr(queue, "set_thread"):
-            queue.set_thread(thread_id)
-        # Re-filter against the current priority: another thread of this
-        # round may have already improved a vertex past this bucket
-        # (the dist >= Δ * bucket check in GAPBS).
-        live = chunk[
-            np.asarray(queue.order_of_value(queue.priority_vector[chunk]))
-            == queue.current_order
-        ]
-        if prefetched is None:
-            # Serial path, or a legacy relaxer without produce support (such
-            # relaxers may not accept the ``prefetched`` keyword at all).
-            stats.add_thread_work(thread_id, relax(live, thread_id))
-        else:
-            if live.size != chunk.size:
-                prefetched = _filter_prefetched(prefetched, live, graph.num_vertices)
-            stats.add_thread_work(
-                thread_id, relax(live, thread_id, prefetched=prefetched)
-            )
+        nonlocal fused
+        stats.add_thread_work(thread_id, relax(chunk, thread_id, prefetched))
         if fusion_threshold > 0:
             # Figure 7, lines 14-20: keep draining this thread's local
             # bucket for the current priority without synchronizing.
@@ -238,26 +143,21 @@ def run_eager(
                 local = queue.pop_local_bucket(thread_id, fusion_threshold)
                 if local is None:
                     break
-                fused_boxes[0] += 1
-                stats.add_thread_work(thread_id, relax(local, thread_id))
+                fused += 1
+                with trace_span(
+                    "eager.fused_run", "runtime", worker=thread_id, size=int(local.size)
+                ):
+                    stats.add_thread_work(thread_id, relax(local, thread_id, None))
 
-    while True:
-        frontier = queue.dequeue_ready_set()
-        if frontier.size == 0:
-            break
-        if should_stop is not None and should_stop():
-            break
-        stats.begin_round()
-        fused_boxes[0] = 0
-        chunks = pool.partition(frontier, degrees=degrees[frontier])
-        if parallel:
-            pool.run_round(chunks, gather, commit_chunk, ordered=True)
-        else:
-            for thread_id, chunk in enumerate(chunks):
-                if chunk.size == 0:
-                    continue
-                commit_chunk(chunk, thread_id, None)
-        stats.end_round(syncs=1, fused=fused_boxes[0])
+    for frontier in _frontiers(queue, should_stop):
+        with trace_span("eager.round", "runtime", frontier=int(frontier.size)) as sp:
+            stats.begin_round()
+            fused = 0
+            chunks = pool.partition(frontier, degrees=degrees[frontier])
+            pool.run_round(chunks, relax.gather, commit, ordered=True)
+            stats.end_round(syncs=1, fused=fused)
+            if sp is not None:
+                sp["fused_runs"] = fused
 
 
 def run_lazy(
@@ -280,30 +180,15 @@ def run_lazy(
     stats.num_threads = pool.num_threads
     pool.bind_stats(stats)
     degrees = graph.out_degrees()
-    gather = getattr(relax, "gather", None)
-    parallel = pool.is_parallel and gather is not None
-
-    def commit_chunk(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-        stats.add_thread_work(thread_id, relax(chunk, thread_id, prefetched=prefetched))
-
-    while True:
-        frontier = queue.dequeue_ready_set()
-        if frontier.size == 0:
-            break
-        if should_stop is not None and should_stop():
-            break
+    commit = _charged(relax, stats)
+    for frontier in _frontiers(queue, should_stop):
         stats.begin_round()
         if round_overhead is not None:
             _charge_evenly(stats, pool.num_threads, round_overhead(frontier))
         chunks = pool.partition(frontier, degrees=degrees[frontier])
-        if parallel:
-            # Fig. 5's round protocol: private produces, then a barrier, then
-            # the reduction/commit — the two syncs charged below.
-            pool.run_round(chunks, gather, commit_chunk, ordered=True)
-        else:
-            for thread_id, chunk in enumerate(chunks):
-                if chunk.size:
-                    stats.add_thread_work(thread_id, relax(chunk, thread_id))
+        # Fig. 5's round protocol: private produces, then a barrier, then
+        # the reduction/commit — the two syncs charged below.
+        pool.run_round(chunks, relax.gather, commit, ordered=True)
         stats.end_round(syncs=2)
 
 
@@ -314,66 +199,6 @@ def _charge_evenly(stats: RuntimeStats, num_threads: int, units: int) -> None:
     per_thread = units // num_threads + 1
     for thread_id in range(num_threads):
         stats.add_thread_work(thread_id, per_thread)
-
-
-def make_min_relaxer_pull(
-    graph: CSRGraph,
-    distances: np.ndarray,
-    queue: LazyBucketQueue,
-    stats: RuntimeStats,
-    frontier_map: np.ndarray,
-    heuristic: np.ndarray | None = None,
-):
-    """Pull-direction write-min relaxation (Figure 9(b), DensePull).
-
-    Each virtual thread owns a chunk of *destination* vertices and scans
-    their in-edges, accepting contributions only from frontier sources.  No
-    atomics are needed: a destination is written exclusively by its owner
-    (the paper's dependence analysis drops the ``atomicWriteMin`` here).
-    ``frontier_map`` is a persistent boolean array the executor refreshes
-    each round.
-    """
-    from ..runtime.frontier import gather_in_edges
-
-    priorities = queue.priority_vector
-    buffer_local = getattr(queue, "buffer_changed_local", None)
-
-    def gather(dest_chunk: np.ndarray, thread_id: int):
-        # Pure produce phase (in-edge topology only); the frontier-map test
-        # and all distance reads happen in the commit below.
-        return gather_in_edges(graph, dest_chunk)
-
-    def relax(dest_chunk: np.ndarray, thread_id: int, prefetched=None) -> int:
-        if prefetched is None:
-            sources, dests, weights = gather_in_edges(graph, dest_chunk)
-        else:
-            sources, dests, weights = prefetched
-        if sources.size == 0:
-            return 0
-        stats.relaxations += int(sources.size)
-        on_frontier = frontier_map[sources]
-        sources = sources[on_frontier]
-        dests = dests[on_frontier]
-        weights = weights[on_frontier]
-        if sources.size == 0:
-            return int(on_frontier.size)
-        candidates = distances[sources] + weights
-        old = distances[dests].copy()
-        np.minimum.at(distances, dests, candidates)
-        improved = distances[dests] < old
-        changed = np.unique(dests[improved])
-        if changed.size:
-            stats.priority_updates += int(changed.size)
-            if heuristic is not None:
-                priorities[changed] = distances[changed] + heuristic[changed]
-            if buffer_local is not None:
-                buffer_local(thread_id, changed)
-            else:
-                queue.buffer_changed_batch(changed)
-        return int(on_frontier.size) + int(changed.size)
-
-    relax.gather = gather
-    return relax
 
 
 def run_lazy_pull(
@@ -396,97 +221,13 @@ def run_lazy_pull(
     pool.bind_stats(stats)
     all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
     in_degrees = graph.in_degrees()
-    gather = getattr(relax_pull, "gather", None)
-    parallel = pool.is_parallel and gather is not None
-
-    def commit_chunk(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-        stats.add_thread_work(
-            thread_id, relax_pull(chunk, thread_id, prefetched=prefetched)
-        )
-
-    while True:
-        frontier = queue.dequeue_ready_set()
-        if frontier.size == 0:
-            break
-        if should_stop is not None and should_stop():
-            break
+    commit = _charged(relax_pull, stats)
+    for frontier in _frontiers(queue, should_stop):
         frontier_map.fill(False)
         frontier_map[frontier] = True
         stats.begin_round()
         chunks = pool.partition(all_vertices, degrees=in_degrees)
-        if parallel:
-            pool.run_round(chunks, gather, commit_chunk, ordered=True)
-        else:
-            for thread_id, chunk in enumerate(chunks):
-                if chunk.size:
-                    stats.add_thread_work(thread_id, relax_pull(chunk, thread_id))
-        stats.end_round(syncs=2)
-
-
-def run_lazy_histogram(
-    graph: CSRGraph,
-    queue: LazyBucketQueue,
-    stats: RuntimeStats,
-    pool: VirtualThreadPool,
-    constant: int,
-    on_bucket: Callable[[np.ndarray, int], None] | None = None,
-    should_stop: StopCondition | None = None,
-    round_overhead: Callable[[np.ndarray], int] | None = None,
-) -> None:
-    """Drive the lazy-with-constant-sum loop (Section 5.1, Figure 10).
-
-    For every dequeued bucket, gathers the out-neighbours of its vertices,
-    histograms them, and applies the transformed constant-sum update
-    ``priority = clamp(priority + constant * count, current_priority)`` once
-    per distinct neighbour.  ``on_bucket(bucket, priority)`` lets algorithms
-    record results (k-core stores coreness = current priority).
-    """
-    stats.num_threads = pool.num_threads
-    pool.bind_stats(stats)
-    degrees = graph.out_degrees()
-    while True:
-        bucket = queue.dequeue_ready_set()
-        if bucket.size == 0:
-            break
-        if should_stop is not None and should_stop():
-            break
-        current_priority = queue.get_current_priority()
-        if on_bucket is not None:
-            on_bucket(bucket, current_priority)
-        stats.begin_round()
-        if round_overhead is not None:
-            _charge_evenly(stats, pool.num_threads, round_overhead(bucket))
-        if pool.is_parallel:
-            # Gather each thread's share of the bucket's out-neighbours
-            # concurrently (pure topology reads), then reduce once at the
-            # barrier.  The histogram is a multiset reduction (np.unique),
-            # so per-chunk concatenation order does not affect the counts —
-            # the sequential oracle's results are reproduced exactly.
-            chunks = pool.partition(bucket, degrees=degrees[bucket])
-            gathered: list[np.ndarray] = []
-
-            def produce(chunk: np.ndarray, thread_id: int) -> np.ndarray:
-                return gather_out_edges(graph, chunk)[1]
-
-            def collect(chunk: np.ndarray, thread_id: int, part: np.ndarray) -> None:
-                gathered.append(part)
-
-            pool.run_round(chunks, produce, collect, ordered=True)
-            neighbors = (
-                np.concatenate(gathered)
-                if gathered
-                else np.empty(0, dtype=np.int64)
-            )
-        else:
-            _, neighbors, _ = gather_out_edges(graph, bucket)
-        stats.relaxations += int(neighbors.size)
-        vertices, counts = histogram_counts(neighbors, stats)
-        queue.apply_histogram_updates(vertices, counts, constant, current_priority)
-        # The histogram build and the per-vertex application parallelize
-        # across threads; charge the work as evenly distributed.
-        per_thread = (int(neighbors.size) + int(vertices.size)) // pool.num_threads + 1
-        for thread_id in range(pool.num_threads):
-            stats.add_thread_work(thread_id, per_thread)
+        pool.run_round(chunks, relax_pull.gather, commit, ordered=True)
         stats.end_round(syncs=2)
 
 
@@ -508,31 +249,16 @@ def run_relaxed(
     stats.num_threads = pool.num_threads
     pool.bind_stats(stats)
     degrees = graph.out_degrees()
-    gather = getattr(relax, "gather", None)
-    parallel = pool.is_parallel and gather is not None
-
-    def commit_chunk(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-        stats.add_thread_work(thread_id, relax(chunk, thread_id, prefetched=prefetched))
-
+    commit = _charged(relax, stats)
     previous_order: int | None = None
     rounds_since_sync = 0
-    while True:
-        frontier = queue.dequeue_ready_set()
-        if frontier.size == 0:
-            break
-        if should_stop is not None and should_stop():
-            break
+    for frontier in _frontiers(queue, should_stop):
         stats.begin_round()
         chunks = pool.partition(frontier, degrees=degrees[frontier])
-        if parallel:
-            # Galois emulation: no per-round commit order — commits apply in
-            # completion order under the engine's lock, so priority
-            # inversions across workers are possible (and admissible).
-            pool.run_round(chunks, gather, commit_chunk, ordered=False)
-        else:
-            for thread_id, chunk in enumerate(chunks):
-                if chunk.size:
-                    stats.add_thread_work(thread_id, relax(chunk, thread_id))
+        # Galois emulation: no per-round commit order — under the parallel
+        # engine commits apply in completion order under its lock, so
+        # priority inversions across workers are possible (and admissible).
+        pool.run_round(chunks, relax.gather, commit, ordered=False)
         # A synchronization is charged when the priority window advances and
         # periodically for distributed termination detection (Galois'
         # scheduler is cheap but not free).

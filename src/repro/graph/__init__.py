@@ -23,7 +23,7 @@ from .io import (
     save_npz,
 )
 from .mutations import Mutation, apply_mutations, parse_mutation_script
-from .properties import INT_MAX, VertexVector
+from .properties import INT_MAX
 from .vertexset import VertexSet
 
 __all__ = [
@@ -50,6 +50,5 @@ __all__ = [
     "load_npz",
     "save_npz",
     "VertexSet",
-    "VertexVector",
     "INT_MAX",
 ]

@@ -1,66 +1,14 @@
-"""Per-vertex property vectors.
+"""Per-vertex property sentinels.
 
-The DSL's ``vector{Vertex}(int)`` maps to :class:`VertexVector`: a thin,
-typed wrapper over a numpy array with a named fill value.  Generated code and
-the runtime operate on the raw ``.values`` array for speed; the wrapper exists
-so the public API (examples, tests) has an explicit, bounds-checked surface.
+The DSL's ``vector{Vertex}(int)`` is a plain int64 numpy array; this module
+holds the sentinel the runtime and the algorithms share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GraphError
-
-__all__ = ["VertexVector", "INT_MAX"]
+__all__ = ["INT_MAX"]
 
 # Matches the paper's use of INT_MAX as the "infinity" distance sentinel.
 INT_MAX = np.iinfo(np.int64).max
-
-
-class VertexVector:
-    """A dense per-vertex vector of int64 values."""
-
-    def __init__(self, num_vertices: int, fill: int = 0):
-        if num_vertices < 0:
-            raise GraphError("num_vertices must be non-negative")
-        self._values = np.full(num_vertices, fill, dtype=np.int64)
-        self._fill = int(fill)
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "VertexVector":
-        vector = cls(0)
-        vector._values = np.asarray(values, dtype=np.int64).copy()
-        vector._fill = 0
-        return vector
-
-    @property
-    def values(self) -> np.ndarray:
-        """The underlying numpy array (mutable)."""
-        return self._values
-
-    @property
-    def fill_value(self) -> int:
-        """The value this vector was initialized with."""
-        return self._fill
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __getitem__(self, vertex: int) -> int:
-        self._check(vertex)
-        return int(self._values[vertex])
-
-    def __setitem__(self, vertex: int, value: int) -> None:
-        self._check(vertex)
-        self._values[vertex] = value
-
-    def copy(self) -> "VertexVector":
-        return VertexVector.from_array(self._values)
-
-    def _check(self, vertex: int) -> None:
-        if not 0 <= vertex < self._values.size:
-            raise GraphError(f"vertex {vertex} out of range [0, {self._values.size})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VertexVector(size={self._values.size})"

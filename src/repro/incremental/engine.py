@@ -41,16 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.common import (
-    UNREACHABLE,
-    resume_delta_stepping,
-)
-from ..algorithms.widest_path import (
-    DEFAULT_WIDEST_SCHEDULE,
-    SOURCE_WIDTH,
-    resume_widest_path,
-)
-from ..buckets.interface import NULL_PRIORITY_HIGHER
+from ..algorithms.common import MAX, MIN, resume_extremal
+from ..algorithms.widest_path import DEFAULT_WIDEST_SCHEDULE
 from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..graph.mutations import Mutation
@@ -61,9 +53,6 @@ from ..runtime.stats import RuntimeStats
 __all__ = ["INCREMENTAL_ALGORITHMS", "IncrementalResult", "IncrementalSession"]
 
 INCREMENTAL_ALGORITHMS = ("sssp", "wbfs", "widest_path", "kcore")
-
-_MIN_KIND = "min"
-_MAX_KIND = "max"
 
 _BATCHES = metrics.counter("incremental.batches")
 _SEEDS = metrics.histogram("incremental.seeds")
@@ -139,34 +128,19 @@ class IncrementalSession:
                 "'parallel')"
             )
         self.schedule = schedule
-        if algorithm == "kcore":
-            self._kind = None
-        elif algorithm == "widest_path":
-            self._kind = _MAX_KIND
-        else:
-            self._kind = _MIN_KIND
+        # The path algorithms' value semantics (identity, edge offer, which
+        # way "better" points); k-core is degree-based and has none.
+        self._extremum = {"kcore": None, "widest_path": MAX}.get(algorithm, MIN)
         # Internal (un-normalized) converged value vector; ``None`` until
         # the first run().
         self._values: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Value semantics per kind
+    # Mutation classification
     # ------------------------------------------------------------------
-    @property
-    def _identity(self) -> int:
-        return int(UNREACHABLE) if self._kind == _MIN_KIND else int(NULL_PRIORITY_HIGHER)
-
-    def _edge_value(self, source_value: int, weight: int) -> int:
-        """The value an edge offers its head given its tail's value."""
-        if self._kind == _MIN_KIND:
-            return source_value + weight
-        return min(source_value, weight)
-
     def _is_improving(self, new_weight: int, old_effective: int) -> bool:
         """Does moving the edge weight to ``new_weight`` only help heads?"""
-        if self._kind == _MIN_KIND:
-            return new_weight <= old_effective
-        return new_weight >= old_effective
+        return self._extremum.reduce(new_weight, old_effective) == new_weight
 
     def _effective_weight(self, src: int, dst: int) -> int | None:
         """The best weight over all live parallel copies of ``src -> dst``."""
@@ -175,7 +149,7 @@ class IncrementalSession:
         copies = weights[neighbors == dst]
         if copies.size == 0:
             return None
-        return int(copies.min() if self._kind == _MIN_KIND else copies.max())
+        return int(self._extremum.reduce.reduce(copies))
 
     def _is_tight(self, src: int, dst: int, vals: np.ndarray) -> bool:
         """Could any live copy of ``src -> dst`` be supporting ``dst``?"""
@@ -183,12 +157,13 @@ class IncrementalSession:
             return False  # the source's value is pinned, not edge-derived
         src_value = int(vals[src])
         dst_value = int(vals[dst])
-        if src_value == self._identity or dst_value == self._identity:
+        identity = self._extremum.identity
+        if src_value == identity or dst_value == identity:
             return False
         neighbors = self.graph.out_neighbors(src)
         weights = self.graph.out_weights(src)
         for weight in weights[neighbors == dst]:
-            if self._edge_value(src_value, int(weight)) == dst_value:
+            if self._extremum.offer(src_value, int(weight)) == dst_value:
                 return True
         return False
 
@@ -203,10 +178,9 @@ class IncrementalSession:
         return self._publish(self._values)
 
     def _publish(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        if self._kind == _MAX_KIND:
-            out[out == NULL_PRIORITY_HIGHER] = 0
-        return out
+        if self._extremum is None:
+            return values.copy()
+        return self._extremum.publish(values)
 
     def run(self) -> IncrementalResult:
         """The from-scratch converged run establishing the resume state."""
@@ -216,30 +190,27 @@ class IncrementalSession:
             values, stats = initial_coreness(self.graph, self.schedule)
             self._values = values
             return IncrementalResult(values=values.copy(), stats=stats, incremental=False)
-        n = self.graph.num_vertices
         # The resume state includes the reverse adjacency: build it once
         # here so no later apply() pays the O(E log E) construction.
         self.graph.ensure_in_base()
-        values = np.full(n, self._identity, dtype=np.int64)
-        if self._kind == _MIN_KIND:
-            values[self.source] = 0
-            result = resume_delta_stepping(
-                self.graph,
-                self.source,
-                self.schedule,
-                values,
-                np.asarray([self.source], dtype=np.int64),
-                relaxed_ordering=self.relaxed_ordering,
-            )
-        else:
-            values[self.source] = SOURCE_WIDTH
-            result = resume_widest_path(
-                self.graph, self.source, self.schedule, values,
-                np.asarray([self.source], dtype=np.int64),
-            )
+        values = self._extremum.fresh(self.graph.num_vertices, self.source)
+        result = self._resume(values, [self.source])
         self._values = values
         return IncrementalResult(
             values=self._publish(values), stats=result.stats, incremental=False
+        )
+
+    def _resume(self, values: np.ndarray, seeds, stats: RuntimeStats | None = None):
+        """Drive the scheduled ordered engine from ``seeds`` to the fixpoint."""
+        return resume_extremal(
+            self.graph,
+            self.source,
+            self.schedule,
+            self._extremum,
+            values,
+            seeds,
+            stats=stats,
+            relaxed_ordering=self.relaxed_ordering,
         )
 
     def apply(self, mutations: list[Mutation]) -> IncrementalResult:
@@ -256,7 +227,8 @@ class IncrementalSession:
     def _apply_extremal(self, mutations: list[Mutation]) -> IncrementalResult:
         graph, vals = self.graph, self._values
         n = graph.num_vertices
-        identity = self._identity
+        extremum = self._extremum
+        identity = extremum.identity
         pre_values = vals.copy()
 
         # Pre-mutation adjacency snapshot: the cone walks *old* tight
@@ -337,7 +309,7 @@ class IncrementalSession:
                     x = int(x)
                     if cone[x] or x == self.source or vals[x] == identity:
                         continue
-                    if self._edge_value(v_value, int(w)) == int(vals[x]):
+                    if extremum.offer(v_value, int(w)) == int(vals[x]):
                         stack.append(x)
             cone_vertices = np.flatnonzero(cone)
             if sp is not None:
@@ -356,12 +328,8 @@ class IncrementalSession:
                 live = ~cone[tails] & (vals[tails] != identity)
                 if not np.any(live):
                     continue
-                tail_vals = vals[tails[live]]
-                edge_weights = edge_weights[live]
-                if self._kind == _MIN_KIND:
-                    vals[v] = int((tail_vals + edge_weights).min())
-                else:
-                    vals[v] = int(np.minimum(tail_vals, edge_weights).max())
+                offers = extremum.offer(vals[tails[live]], edge_weights[live])
+                vals[v] = int(extremum.reduce.reduce(offers))
 
         # Phase 4: seed and resume.  Seeds are the recomputed cone members
         # plus the improving endpoints — every tense edge's tail is one of
@@ -380,20 +348,7 @@ class IncrementalSession:
             algorithm=self.algorithm,
             seeds=int(seeds.size),
         ):
-            if self._kind == _MIN_KIND:
-                result = resume_delta_stepping(
-                    graph,
-                    self.source,
-                    self.schedule,
-                    vals,
-                    seeds,
-                    relaxed_ordering=self.relaxed_ordering,
-                    stats=stats,
-                )
-            else:
-                result = resume_widest_path(
-                    graph, self.source, self.schedule, vals, seeds, stats=stats
-                )
+            self._resume(vals, seeds, stats)
 
         touched = cone | seeds_mask | (vals != pre_values)
         _BATCHES.inc()

@@ -71,7 +71,6 @@ from .metrics import (
     deterministic_snapshot,
     escape_label_value,
     merge_shards,
-    metrics_enabled,
     prometheus_text,
     reset_metrics,
     snapshot,
@@ -114,7 +113,6 @@ __all__ = [
     "format_profile",
     "metrics",
     "MetricsRegistry",
-    "metrics_enabled",
     "merge_shards",
     "reset_metrics",
     "snapshot",

@@ -52,7 +52,6 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "metrics_enabled",
     "enable",
     "disable",
     "merge_shards",
@@ -68,11 +67,6 @@ __all__ = [
 HISTOGRAM_BUCKETS = 64
 
 _enabled = os.environ.get("REPRO_METRICS", "1") != "0"
-
-
-def metrics_enabled() -> bool:
-    """Whether hook sites are currently recording."""
-    return _enabled
 
 
 def enable() -> None:

@@ -1,7 +1,6 @@
-"""Parallel-runtime substrate: stats, atomics, virtual threads, frontiers,
-and the schedule sanitizer."""
+"""Parallel-runtime substrate: stats, virtual threads, frontiers, and the
+schedule sanitizer."""
 
-from .atomics import AtomicOps
 from .frontier import (
     TOMBSTONE,
     compact_frontier,
@@ -10,14 +9,13 @@ from .frontier import (
     gather_segments,
     output_buffer_offsets,
 )
-from .histogram import apply_constant_sum, histogram_counts
+from .histogram import histogram_counts
 from .parallel import EXECUTION_MODES, ParallelExecutionEngine, shutdown_executors
 from .sanitizer import SanitizedVector, Sanitizer, SanitizerError
 from .stats import DEFAULT_COST_MODEL, CostModel, RuntimeStats
 from .threads import PARALLELIZATION_POLICIES, VirtualThreadPool
 
 __all__ = [
-    "AtomicOps",
     "RuntimeStats",
     "CostModel",
     "DEFAULT_COST_MODEL",
@@ -33,7 +31,6 @@ __all__ = [
     "gather_out_edges",
     "gather_in_edges",
     "histogram_counts",
-    "apply_constant_sum",
     "Sanitizer",
     "SanitizedVector",
     "SanitizerError",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .stats import RuntimeStats
 
-__all__ = ["histogram_counts", "apply_constant_sum"]
+__all__ = ["histogram_counts"]
 
 
 def histogram_counts(
@@ -34,32 +34,3 @@ def histogram_counts(
         return empty, empty.copy()
     vertices, counts = np.unique(targets, return_counts=True)
     return vertices, counts.astype(np.int64)
-
-
-def apply_constant_sum(
-    priorities: np.ndarray,
-    vertices: np.ndarray,
-    counts: np.ndarray,
-    constant: int,
-    floor_value: int | None = None,
-) -> np.ndarray:
-    """Apply ``priority[v] += constant * count`` with an optional floor/ceiling.
-
-    This is the vectorized body of the transformed user-defined function in
-    Figure 10: for k-core, ``constant = -1`` and ``floor_value = k`` (the
-    current bucket's priority), producing
-    ``new = max(priority + (-1) * count, k)``.
-
-    Returns the new priority values aligned with ``vertices``; the caller is
-    responsible for routing changed vertices to their new buckets.
-    """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    new_values = priorities[vertices] + constant * counts
-    if floor_value is not None:
-        if constant < 0:
-            new_values = np.maximum(new_values, floor_value)
-        else:
-            new_values = np.minimum(new_values, floor_value)
-    priorities[vertices] = new_values
-    return new_values

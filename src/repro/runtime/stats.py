@@ -308,18 +308,6 @@ class RuntimeStats:
             )
         self.phase_timings.extend(other.phase_timings)
 
-    def parallel_summary(self) -> dict[str, float]:
-        """Headline numbers for the real-parallel engine (zeros when serial)."""
-        worker_busy = sum(self.worker_wall_time.values())
-        return {
-            "execution_workers": self.num_threads,
-            "parallel_rounds": self.parallel_rounds,
-            "barrier_waits": self.barrier_waits,
-            "barrier_wait_time": self.barrier_wait_time,
-            "worker_busy_time": worker_busy,
-            "max_worker_busy_time": max(self.worker_wall_time.values(), default=0.0),
-        }
-
     def summary(self) -> dict[str, float]:
         """A flat dictionary of the headline numbers, for reports."""
         return {

@@ -221,6 +221,21 @@ class TestLazyBucketQueue:
         assert priorities[0] == 0  # untouched
         assert priorities[2] == 4
 
+    def test_apply_histogram_updates_clamps_at_floor(self):
+        priorities = make_priorities([10, 10, 10])
+        queue = LazyBucketQueue(priorities)
+        changed = queue.apply_histogram_updates(
+            np.array([0, 1]), np.array([3, 20]), -1, 5
+        )
+        assert changed.tolist() == [0, 1]
+        assert priorities.tolist() == [7, 5, 10]
+
+    def test_apply_histogram_updates_clamps_at_ceiling(self):
+        priorities = make_priorities([1])
+        queue = LazyBucketQueue(priorities, direction="higher_first")
+        queue.apply_histogram_updates(np.array([0]), np.array([10]), 2, 15)
+        assert priorities[0] == 15
+
     def test_invalid_configs(self):
         with pytest.raises(PriorityQueueError):
             LazyBucketQueue(make_priorities([0]), num_open_buckets=0)

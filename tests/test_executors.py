@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.common import make_relaxer
 from repro.buckets import EagerBucketQueue, LazyBucketQueue, RelaxedPriorityQueue
-from repro.core.executors import (
-    make_min_relaxer,
-    make_min_relaxer_pull,
-    run_eager,
-    run_lazy,
-    run_lazy_histogram,
-    run_lazy_pull,
-    run_relaxed,
-)
+from repro.core.executors import run_eager, run_lazy, run_lazy_pull, run_relaxed
 from repro.errors import CompileError
-from repro.graph import from_edges, rmat
+from repro.graph import rmat
 from repro.graph.properties import INT_MAX
 from repro.runtime import RuntimeStats, VirtualThreadPool
 
@@ -50,7 +43,7 @@ class TestRunEager:
             graph, source, EagerBucketQueue, delta=8, num_threads=2
         )
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         run_eager(graph, queue, relax, pool, stats)
         assert np.array_equal(distances, reference)
         assert stats.global_syncs == stats.rounds
@@ -60,7 +53,7 @@ class TestRunEager:
             graph, source, EagerBucketQueue, delta=8, num_threads=2
         )
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         run_eager(graph, queue, relax, pool, stats, fusion_threshold=1000)
         assert np.array_equal(distances, reference)
         assert stats.fused_rounds > 0
@@ -70,7 +63,7 @@ class TestRunEager:
             graph, source, EagerBucketQueue, delta=8, num_threads=2
         )
         pool = VirtualThreadPool(3)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         with pytest.raises(CompileError):
             run_eager(graph, queue, relax, pool, stats)
 
@@ -79,7 +72,7 @@ class TestRunEager:
             graph, source, EagerBucketQueue, delta=8, num_threads=2
         )
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         calls = []
 
         def stop():
@@ -94,7 +87,7 @@ class TestRunLazy:
     def test_basic(self, graph, source, reference):
         distances, stats, queue = setup_sssp(graph, source, LazyBucketQueue, delta=8)
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         run_lazy(graph, queue, relax, pool, stats)
         assert np.array_equal(distances, reference)
         assert stats.global_syncs == 2 * stats.rounds
@@ -105,7 +98,7 @@ class TestRunLazy:
                 graph, source, LazyBucketQueue, delta=8
             )
             pool = VirtualThreadPool(2)
-            relax = make_min_relaxer(graph, distances, queue, stats)
+            relax = make_relaxer(graph, distances, queue, stats)
             run_lazy(graph, queue, relax, pool, stats, round_overhead=overhead)
             return stats
 
@@ -117,44 +110,13 @@ class TestRunLazy:
         distances, stats, queue = setup_sssp(graph, source, LazyBucketQueue, delta=8)
         pool = VirtualThreadPool(2)
         frontier_map = np.zeros(graph.num_vertices, dtype=bool)
-        relax = make_min_relaxer_pull(graph, distances, queue, stats, frontier_map)
+        relax = make_relaxer(
+            graph, distances, queue, stats, frontier_map=frontier_map
+        )
         run_lazy_pull(graph, queue, relax, pool, stats, frontier_map)
         assert np.array_equal(distances, reference)
         # Pull never counts atomics (Figure 9(b)).
         assert stats.atomic_ops == 0
-
-
-class TestRunLazyHistogram:
-    def test_decrement_cascade(self):
-        # A 4-clique: peeling cascades entirely within bucket 3.
-        edges = [(u, v) for u in range(4) for v in range(4) if u != v]
-        graph = from_edges(4, edges)
-        degrees = graph.out_degrees().astype(np.int64)
-        stats = RuntimeStats(num_threads=2)
-        queue = LazyBucketQueue(degrees, delta=1, stats=stats)
-        pool = VirtualThreadPool(2)
-        seen = []
-        run_lazy_histogram(
-            graph,
-            queue,
-            stats,
-            pool,
-            constant=-1,
-            on_bucket=lambda bucket, k: seen.append((k, sorted(bucket.tolist()))),
-        )
-        assert seen == [(3, [0, 1, 2, 3])]
-        assert stats.histogram_updates > 0
-
-    def test_stop_condition(self):
-        graph = from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-        degrees = graph.out_degrees().astype(np.int64)
-        stats = RuntimeStats(num_threads=1)
-        queue = LazyBucketQueue(degrees, delta=1, stats=stats)
-        pool = VirtualThreadPool(1)
-        run_lazy_histogram(
-            graph, queue, stats, pool, constant=-1, should_stop=lambda: True
-        )
-        assert stats.rounds == 0
 
 
 class TestRunRelaxed:
@@ -163,7 +125,7 @@ class TestRunRelaxed:
             graph, source, RelaxedPriorityQueue, delta=8
         )
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         run_relaxed(graph, queue, relax, pool, stats)
         assert np.array_equal(distances, reference)
 
@@ -172,7 +134,7 @@ class TestRunRelaxed:
             graph, source, RelaxedPriorityQueue, delta=8, chunk_size=16
         )
         pool = VirtualThreadPool(2)
-        relax = make_min_relaxer(graph, distances, queue, stats)
+        relax = make_relaxer(graph, distances, queue, stats)
         run_relaxed(graph, queue, relax, pool, stats)
         assert stats.global_syncs < stats.rounds
 

@@ -1,4 +1,4 @@
-"""Small-surface tests: errors, VertexVector, package exports."""
+"""Small-surface tests: errors, sentinels, package exports."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from repro.errors import (
     SchedulingError,
     TypeCheckError,
 )
-from repro.graph import INT_MAX, VertexVector
+from repro.graph import INT_MAX
 
 
 class TestErrors:
@@ -44,39 +44,7 @@ class TestErrors:
         assert "line 2" in str(ParseError("bad", line=2))
 
 
-class TestVertexVector:
-    def test_fill_and_access(self):
-        vector = VertexVector(4, fill=9)
-        assert len(vector) == 4
-        assert vector[2] == 9
-        assert vector.fill_value == 9
-        vector[2] = 1
-        assert vector[2] == 1
-        assert vector.values[2] == 1
-
-    def test_bounds_checked(self):
-        vector = VertexVector(3)
-        with pytest.raises(GraphError):
-            vector[3]
-        with pytest.raises(GraphError):
-            vector[-1] = 0
-
-    def test_from_array_copies(self):
-        source = np.array([1, 2, 3], dtype=np.int64)
-        vector = VertexVector.from_array(source)
-        source[0] = 99
-        assert vector[0] == 1
-
-    def test_copy_is_independent(self):
-        vector = VertexVector(2, fill=5)
-        clone = vector.copy()
-        clone[0] = 7
-        assert vector[0] == 5
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(GraphError):
-            VertexVector(-1)
-
+class TestSentinels:
     def test_int_max_sentinel(self):
         assert INT_MAX == np.iinfo(np.int64).max
 

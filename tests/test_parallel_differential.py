@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.algorithms import ppsp, sssp
+from repro.algorithms import ppsp, sssp, widest_path
 from repro.backend.program import compile_program
 from repro.graph.generators import rmat, road_grid
 from repro.lang.programs import ALL_PROGRAMS
@@ -130,6 +130,7 @@ CASES = [
     ("ppsp", "eager_with_fusion", "weighted", ["0", "99"], None),
     ("widest", "lazy", "weighted", ["0"], None),
     ("widest", "eager_no_fusion", "weighted", ["0"], None),
+    ("widest", "eager_with_fusion", "weighted", ["0"], None),
     ("wbfs", "lazy", "weighted", ["0"], None),
     ("wbfs", "eager_with_fusion", "unweighted", ["0"], None),
     ("kcore", "lazy", "symmetric", [], None),
@@ -163,6 +164,14 @@ def test_parallel_matches_oracle(
         externs=externs,
     )
     assert_bit_identical(oracle, parallel, workers)
+    if program == "widest":
+        # The library's widest path shares the Δ-stepping relaxer, so it
+        # must honour execution="parallel" too (it used to stay serial).
+        serial = widest_path(graph, 0, schedule)
+        threaded = widest_path(graph, 0, schedule.with_(execution="parallel"))
+        assert np.array_equal(serial.distances, threaded.distances)
+        assert serial.stats.deterministic_dict() == threaded.stats.deterministic_dict()
+        assert (threaded.stats.parallel_rounds > 0) == (workers > 1)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +206,8 @@ def test_sanitized_parallel_matches_oracle(weighted, workers):
 
 
 # ----------------------------------------------------------------------
-# Lazy stats invariant: the private per-worker update buffers (Figure 5)
-# must not change round structure or relaxation totals.
+# Lazy stats invariant: the produce/commit split must not change round
+# structure, relaxation totals or update-buffer traffic (Figure 5).
 # ----------------------------------------------------------------------
 
 

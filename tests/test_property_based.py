@@ -18,7 +18,6 @@ from repro.graph import GraphBuilder
 from repro.graph.properties import INT_MAX
 from repro.midend import Schedule
 from repro.runtime import VirtualThreadPool, gather_out_edges
-from repro.runtime.histogram import apply_constant_sum
 
 pytestmark = pytest.mark.slow
 
@@ -164,7 +163,7 @@ def test_histogram_equals_serialized_decrements(targets, floor):
         vertices, counts = np.unique(
             np.array(targets, dtype=np.int64), return_counts=True
         )
-        apply_constant_sum(actual, vertices, counts.astype(np.int64), -1, floor)
+        LazyBucketQueue(actual).apply_histogram_updates(vertices, counts, -1, floor)
     assert np.array_equal(actual, expected)
 
 

@@ -54,6 +54,28 @@ class TestCompiledSSSP:
         result = program.run(["sssp", "-", str(source)], graph=graph)
         assert np.array_equal(result.vector("dist"), reference)
 
+    def test_eager_operator_drives_the_shared_loop(self, social, monkeypatch):
+        """The compiled ordered-processing operator owns no loop of its own:
+        one program run is exactly one call of ``core.executors.run_eager``."""
+        from repro.core import executors
+
+        calls = []
+        real_run_eager = executors.run_eager
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_run_eager(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "run_eager", spy)
+        graph, source, reference = social
+        program = compile_program(
+            ALL_PROGRAMS["sssp"],
+            Schedule(priority_update="eager_with_fusion", delta=16, num_threads=4),
+        )
+        result = program.run(["sssp", "-", str(source)], graph=graph)
+        assert len(calls) == 1
+        assert np.array_equal(result.vector("dist"), reference)
+
     def test_densepull_matches(self, social):
         graph, source, reference = social
         program = compile_program(

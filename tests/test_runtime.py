@@ -1,4 +1,4 @@
-"""Unit tests for the runtime substrate: stats, atomics, threads, frontiers."""
+"""Unit tests for the runtime substrate: stats, threads, frontiers."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from repro.errors import SchedulingError
 from repro.graph import from_edges, rmat
 from repro.runtime import (
-    AtomicOps,
     CostModel,
     RuntimeStats,
     VirtualThreadPool,
-    apply_constant_sum,
     compact_frontier,
     gather_in_edges,
     gather_out_edges,
@@ -98,60 +96,6 @@ class TestRuntimeStats:
         assert summary["threads"] == 2
         assert "simulated_time" in summary
         assert "rounds" in summary
-
-
-class TestAtomicOps:
-    def test_write_min(self):
-        stats = RuntimeStats()
-        ops = AtomicOps(stats)
-        array = np.array([10, 20], dtype=np.int64)
-        assert ops.write_min(array, 0, 5)
-        assert not ops.write_min(array, 0, 7)
-        assert array[0] == 5
-        assert stats.atomic_ops == 2
-
-    def test_write_max(self):
-        ops = AtomicOps()
-        array = np.array([10], dtype=np.int64)
-        assert ops.write_max(array, 0, 15)
-        assert not ops.write_max(array, 0, 12)
-        assert array[0] == 15
-
-    def test_cas(self):
-        ops = AtomicOps()
-        array = np.array([3], dtype=np.int64)
-        assert ops.cas(array, 0, 3, 9)
-        assert not ops.cas(array, 0, 3, 11)
-        assert array[0] == 9
-
-    def test_fetch_add(self):
-        ops = AtomicOps()
-        array = np.array([7], dtype=np.int64)
-        assert ops.fetch_add(array, 0, 2) == 7
-        assert array[0] == 9
-
-    def test_write_min_batch_duplicates(self):
-        ops = AtomicOps()
-        array = np.array([100, 100], dtype=np.int64)
-        indices = np.array([0, 0, 1], dtype=np.int64)
-        values = np.array([50, 30, 200], dtype=np.int64)
-        winners = ops.write_min_batch(array, indices, values)
-        assert array.tolist() == [30, 100]
-        # The 30-write wins; the 50-write improved-then-lost; 200 never won.
-        assert winners.tolist() == [False, True, False]
-
-    def test_write_min_batch_empty(self):
-        ops = AtomicOps()
-        array = np.array([1], dtype=np.int64)
-        assert ops.write_min_batch(array, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).size == 0
-
-    def test_batch_charges_per_element(self):
-        stats = RuntimeStats()
-        ops = AtomicOps(stats)
-        array = np.zeros(4, dtype=np.int64)
-        ops.fetch_add_batch(array, np.array([0, 1, 1]), np.array([1, 1, 1]))
-        assert stats.atomic_ops == 3
-        assert array.tolist() == [1, 2, 0, 0]
 
 
 class TestVirtualThreadPool:
@@ -276,16 +220,3 @@ class TestHistogram:
         vertices, counts = histogram_counts(np.empty(0, dtype=np.int64))
         assert vertices.size == 0
         assert counts.size == 0
-
-    def test_apply_constant_sum_with_floor(self):
-        priorities = np.array([10, 10, 10], dtype=np.int64)
-        new_values = apply_constant_sum(
-            priorities, np.array([0, 1]), np.array([3, 20]), -1, floor_value=5
-        )
-        assert new_values.tolist() == [7, 5]
-        assert priorities.tolist() == [7, 5, 10]
-
-    def test_apply_constant_sum_positive_ceiling(self):
-        priorities = np.array([1], dtype=np.int64)
-        apply_constant_sum(priorities, np.array([0]), np.array([10]), 2, floor_value=15)
-        assert priorities[0] == 15

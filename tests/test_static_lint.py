@@ -1,7 +1,7 @@
 """Tests for the in-repo stdlib-ast static linter (tools/static_lint.py).
 
-Covers each rule on synthetic snippets, the exemptions that keep the
-unused-import rule honest, and the cleanliness gate: the shipped source
+Covers each rule on synthetic snippets and trees, the exemptions that keep
+the unused-import rule honest, and the cleanliness gate: the shipped source
 tree must produce zero findings.
 """
 
@@ -109,6 +109,54 @@ class TestMutableDefaults:
         assert (
             _lint_snippet(tmp_path, "def f(b=()):\n    return b\n") == []
         )
+
+
+class TestDeadPublicNames:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        """A source root with one live, one dead and one private name, a
+        class that only refers to itself, and a caller under bench/."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(
+            "from .lib import dead, live, bench_only, SelfRef\n"
+        )
+        (package / "lib.py").write_text(
+            "__all__ = ['dead', 'live']\n"
+            "def live():\n    return _private()\n"
+            "def dead():\n    return 1\n"
+            "def bench_only():\n    return 2\n"
+            "def _private():\n    return 3\n"
+            "class SelfRef:\n"
+            "    def copy(self):\n        return SelfRef()\n"
+        )
+        (package / "user.py").write_text(
+            "from .lib import live\n_x = live()\n"
+        )
+        (tmp_path / "bench").mkdir()
+        (tmp_path / "bench" / "run.py").write_text(
+            "from repro import lib\nlib.bench_only()\n"
+        )
+        return tmp_path / "src"
+
+    def test_flags_names_only_reexported_or_self_referenced(self, tree):
+        findings = static_lint.lint_paths([tree])
+        assert all("L004" in finding for finding in findings), findings
+        flagged = sorted(f.split("'")[1] for f in findings)
+        assert flagged == ["SelfRef", "dead"]
+
+    def test_allowlisted_name_is_clean(self, tree, monkeypatch):
+        monkeypatch.setitem(
+            static_lint.DEAD_NAME_ALLOWLIST, "lib.py:dead", "kept for the test"
+        )
+        monkeypatch.setitem(
+            static_lint.DEAD_NAME_ALLOWLIST, "lib.py:SelfRef", "kept for the test"
+        )
+        assert static_lint.lint_paths([tree]) == []
+
+    def test_every_allowlist_entry_carries_a_reason(self):
+        for key, reason in static_lint.DEAD_NAME_ALLOWLIST.items():
+            assert ":" in key and reason.strip(), key
 
 
 class TestDriver:

@@ -62,6 +62,19 @@ class TestWidestPath:
         assert result.stats.rounds > 0
         assert result.stats.priority_updates > 0
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_is_resume_from_the_source(self, social, strategy):
+        """A from-scratch run and an incremental session's first run are the
+        same call (resume seeded with the source): same widths, same work."""
+        from repro.incremental import IncrementalSession
+
+        graph, source, _ = social
+        schedule = Schedule(priority_update=strategy, delta=8, num_threads=4)
+        direct = widest_path(graph, source, schedule)
+        session = IncrementalSession(graph, "widest_path", source, schedule).run()
+        assert np.array_equal(session.values, direct.distances)
+        assert session.stats.deterministic_dict() == direct.stats.deterministic_dict()
+
     def test_histogram_schedule_rejected(self, social):
         graph, source, _ = social
         with pytest.raises(SchedulingError):

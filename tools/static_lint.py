@@ -2,7 +2,7 @@
 """A dependency-free static linter for the repro source tree.
 
 The container deliberately ships no third-party lint toolchain, so CI runs
-this stdlib-``ast`` checker instead.  Three rule families, chosen because
+this stdlib-``ast`` checker instead.  Four rule families, chosen because
 each has bitten real compiler code:
 
 - ``L001`` unused import — an import whose bound name is never referenced
@@ -14,6 +14,14 @@ each has bitten real compiler code:
   ``SystemExit``; catch ``Exception`` (or something narrower) instead.
 - ``L003`` mutable default argument — a ``list``/``dict``/``set`` literal
   or constructor call as a parameter default is shared across calls.
+- ``L004`` dead public name — a public top-level function or class of the
+  ``repro`` package that nothing references: not its own module (outside
+  the definition itself), not another module under the linted source root
+  (``__init__.py`` re-exports do not count), and not ``bench/``,
+  ``benchmarks/``, ``examples/`` or ``tools/`` next to it.  Code only tests
+  call is how ``run_lazy_histogram``, ``AtomicOps`` and ``VertexVector``
+  outlived their last caller.  Runs whenever a linted path contains a
+  ``repro/`` package; :data:`DEAD_NAME_ALLOWLIST` names what stays and why.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -30,6 +38,63 @@ import sys
 from pathlib import Path
 
 MUTABLE_CALLS = {"list", "dict", "set"}
+
+# Sibling directories of the source root whose code counts as a caller.
+REFERENCE_DIRS = ("bench", "benchmarks", "examples", "tools")
+
+_USER_INPUT = "user-facing input: callers build or load their graphs with it"
+_TEST_SEAM = "test seam: lets a test swap or reset process-wide state"
+_TEST_ONLY = "only tests call it today; delete together with those tests"
+
+# L004 exemptions, ``<path under repro/>:<name>`` -> the reason it stays.
+DEAD_NAME_ALLOWLIST = {
+    "graph/builder.py:from_edges": _USER_INPUT,
+    "graph/generators.py:erdos_renyi": _USER_INPUT,
+    "graph/generators.py:random_geometric": _USER_INPUT,
+    "graph/generators.py:path_graph": _USER_INPUT,
+    "graph/generators.py:cycle_graph": _USER_INPUT,
+    "graph/generators.py:star_graph": _USER_INPUT,
+    "graph/generators.py:complete_graph": _USER_INPUT,
+    "graph/io.py:load_dimacs": _USER_INPUT,
+    "graph/io.py:save_dimacs": _USER_INPUT,
+    "algorithms/widest_path.py:widest_path": (
+        "library entry point of the updatePriorityMax extension; serve and "
+        "the CLI reach the same engine through IncrementalSession"
+    ),
+    "algorithms/widest_path.py:widest_path_reference": (
+        "reference oracle the widest-path tests compare against"
+    ),
+    "backend/extern_library.py:astar_externs": (
+        "extern bindings a caller passes to Program.run for the A* program"
+    ),
+    "backend/extern_library.py:setcover_externs": (
+        "extern bindings a caller passes to Program.run for SetCover"
+    ),
+    "backend/extern_library.py:collect_setcover_result": (
+        "reads the SetCover externs' answer back out of a finished run"
+    ),
+    "obs/exporters.py:load_chrome_trace": (
+        "documented way to validate a trace file `repro trace` wrote"
+    ),
+    "obs/metrics.py:enable": _TEST_SEAM,
+    "obs/metrics.py:disable": _TEST_SEAM,
+    "obs/metrics.py:reset_metrics": _TEST_SEAM,
+    "obs/metrics.py:deterministic_snapshot": (
+        "the scheduling-independent view the metrics determinism tests pin"
+    ),
+    "obs/flight.py:set_recorder": _TEST_SEAM,
+    "backend/native/toolchain.py:reset_toolchain_cache": _TEST_SEAM,
+    "serve/server.py:start_in_thread": (
+        "in-process server harness for the serve tests (bench uses a subprocess)"
+    ),
+    "analyze.py:analyze_source": _TEST_ONLY,
+    "graph/mutations.py:mutation_endpoints": _TEST_ONLY,
+    "graph/vertexset.py:VertexSet": _TEST_ONLY,
+    "lang/ast_nodes.py:NodeTransformer": _TEST_ONLY,
+    "obs/flight.py:flight_enabled": _TEST_ONLY,
+    "runtime/frontier.py:output_buffer_offsets": _TEST_ONLY,
+    "runtime/frontier.py:compact_frontier": _TEST_ONLY,
+}
 
 
 def _finding(path: Path, node: ast.AST, code: str, message: str) -> str:
@@ -168,6 +233,68 @@ def _check_mutable_defaults(path: Path, tree: ast.Module) -> list[str]:
     return findings
 
 
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under ``tree``."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def check_dead_public_names(source_root: Path) -> list[str]:
+    """L004 over the ``repro`` package under ``source_root``."""
+    package = source_root / "repro"
+    files = sorted(source_root.rglob("*.py"))
+    for name in REFERENCE_DIRS:
+        files += sorted((source_root.parent / name).rglob("*.py"))
+    # Per file, the identifiers of each top-level statement: a definition
+    # does not keep itself alive, every other statement can.
+    statements: dict[Path, list[tuple[ast.stmt, set[str]]]] = {}
+    for file in files:
+        if file.name == "__init__.py" and package in file.parents:
+            continue  # re-exports are not callers
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        statements[file] = [(node, _identifiers(node)) for node in tree.body]
+    findings = []
+    for file, body in statements.items():
+        if package not in file.parents:
+            continue
+        for node, _ in body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            key = f"{file.relative_to(package).as_posix()}:{node.name}"
+            if key in DEAD_NAME_ALLOWLIST:
+                continue
+            if any(
+                node.name in names
+                for other_body in statements.values()
+                for other, names in other_body
+                if other is not node
+            ):
+                continue
+            findings.append(
+                _finding(
+                    file,
+                    node,
+                    "L004",
+                    f"public name {node.name!r} has no caller outside its own "
+                    "definition, __init__ re-exports and tests; delete it, make "
+                    "it private, or allowlist it with a reason",
+                )
+            )
+    return findings
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -189,6 +316,8 @@ def lint_paths(paths: list[Path]) -> list[str]:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for file in files:
             findings += lint_file(file)
+        if (root / "repro").is_dir():
+            findings += check_dead_public_names(root)
     return findings
 
 
