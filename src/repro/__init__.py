@@ -3,7 +3,7 @@ Algorithms with GraphIt" (CGO 2020).
 
 The package provides (see DESIGN.md for the full inventory):
 
-- :mod:`repro.graph` — CSR graphs, generators, I/O, vertex sets;
+- :mod:`repro.graph` — CSR graphs, generators, I/O;
 - :mod:`repro.buckets` — lazy (Julienne-style), eager (GAPBS-style with
   bucket fusion), and relaxed (Galois-style) priority-bucket structures;
 - :mod:`repro.algorithms` — the six ordered algorithms of the paper plus
@@ -53,7 +53,7 @@ from .errors import (
     SchedulingError,
     TypeCheckError,
 )
-from .graph import CSRGraph, GraphBuilder, VertexSet
+from .graph import CSRGraph, GraphBuilder
 from .midend import Schedule, SchedulingProgram
 from .runtime.sanitizer import SanitizerError
 
@@ -81,7 +81,6 @@ __all__ = [
     "SchedulingProgram",
     "CSRGraph",
     "GraphBuilder",
-    "VertexSet",
     "GraphItError",
     "GraphError",
     "ParseError",

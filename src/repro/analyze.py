@@ -26,11 +26,7 @@ from .midend.analysis.effects import (
 from .midend.schedule import Schedule
 from .midend.transforms.lowering import plan_program
 
-__all__ = [
-    "analyze_source",
-    "build_analysis_document",
-    "render_analysis_text",
-]
+__all__ = ["build_analysis_document", "render_analysis_text"]
 
 
 def _plan_source(source: str, schedule: Schedule | None, filename: str | None):
@@ -52,16 +48,6 @@ def _plan_source(source: str, schedule: Schedule | None, filename: str | None):
     if plan.effects is None:  # pragma: no cover - plan_program always fills it
         raise CompileError("midend produced no effect summary")
     return plan
-
-
-def analyze_source(
-    source: str,
-    schedule: Schedule | None = None,
-    filename: str | None = None,
-) -> tuple[ProgramEffectSummary, Schedule]:
-    """Compile ``source`` through the midend and return its effect summary."""
-    plan = _plan_source(source, schedule, filename)
-    return plan.effects, plan.schedule
 
 
 def build_analysis_document(

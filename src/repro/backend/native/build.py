@@ -71,9 +71,8 @@ def build_kernel(source_text: str, toolchain: Toolchain) -> Path:
     library = cache / f"{key}.so"
     with trace_span("native.compile", "native") as sp:
         hit = library.exists()
-        if sp is not None:
-            sp["cache_hit"] = hit
-            sp["key"] = key
+        sp["cache_hit"] = hit
+        sp["key"] = key
         if hit:
             _CACHE_HITS.inc()
             return library

@@ -34,7 +34,6 @@ from ...graph.io import load_edge_list
 from ...lang.types import VectorType
 from ...obs import metrics
 from ...obs import span as trace_span
-from ...obs import stat_span as trace_stat_span
 from ...runtime.stats import RuntimeStats
 from .abi import ABI_VERSION, generate_native_cpp
 from .build import build_kernel
@@ -191,10 +190,9 @@ def execute_native(program, args, graph: CSRGraph | None = None):
 
     stats = RuntimeStats()
     execute_start = time.perf_counter()
-    with trace_stat_span(
+    with trace_span(
         "native.execute",
         "native",
-        stats,
         argv=list(args),
         kernel=str(library_path),
         num_threads=int(program.plan.schedule.num_threads),

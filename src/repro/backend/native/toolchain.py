@@ -112,8 +112,7 @@ def discover_toolchain() -> Toolchain | None:
                 openmp=_supports_openmp(resolved),
             )
             break
-        if sp is not None:
-            sp["toolchain"] = found.describe() if found else "none"
+        sp["toolchain"] = found.describe() if found else "none"
     _cached = found
     return found
 

@@ -23,7 +23,6 @@ from ..graph.csr import CSRGraph
 from ..lang.parser import parse
 from ..obs import metrics, note_run
 from ..obs import span as trace_span
-from ..obs import stat_span as trace_stat_span
 from ..midend.schedule import Schedule, SchedulingProgram
 from ..midend.transforms.lowering import CompilationPlan, plan_program
 from ..runtime.stats import RuntimeStats
@@ -99,7 +98,7 @@ class CompiledProgram:
                 # The span makes the native path visible to ``repro
                 # profile``: it is the top-level phase the compile/cache/
                 # dispatch/execute spans nest under, like the Python path's
-                # program.run stat_span below.
+                # program.run span below.
                 with trace_span(
                     "program.run", "runtime", argv=list(args), execution="native"
                 ):
@@ -130,10 +129,9 @@ class CompiledProgram:
             vectorize=vectorize,
         )
         try:
-            with trace_stat_span(
+            with trace_span(
                 "program.run",
                 "runtime",
-                context.stats,
                 argv=list(args),
                 execution=self.plan.schedule.execution,
                 vectorize=bool(vectorize),
@@ -172,8 +170,7 @@ def compile_program(
         if backend == "python":
             with trace_span("codegen.python", "compiler") as sp:
                 text = generate_python(plan)
-                if sp is not None:
-                    sp["lines"] = text.count("\n") + 1
+                sp["lines"] = text.count("\n") + 1
             with trace_span("load_module", "compiler"):
                 namespace: dict[str, object] = {}
                 code = compile(text, filename="<generated>", mode="exec")
@@ -188,7 +185,6 @@ def compile_program(
 
             with trace_span("codegen.cpp", "compiler") as sp:
                 text = generate_cpp(plan)
-                if sp is not None:
-                    sp["lines"] = text.count("\n") + 1
+                sp["lines"] = text.count("\n") + 1
             return CompiledProgram(plan=plan, backend=backend, source_text=text)
     raise CompileError(f"unknown backend {backend!r}; expected 'python' or 'cpp'")

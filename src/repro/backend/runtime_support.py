@@ -48,7 +48,7 @@ from ..graph.io import load_edge_list, load_npz
 from ..graph.properties import INT_MAX
 from ..midend.schedule import Schedule
 from ..obs import metrics
-from ..obs import stat_span as trace_stat_span
+from ..obs import span as trace_span
 from ..runtime.frontier import (
     gather_in_edges,
     gather_out_edges,
@@ -72,13 +72,6 @@ _APPLY_CALLS = metrics.counter("apply.calls")
 _APPLY_VECTORIZED = metrics.counter("apply.vectorized_calls")
 _APPLY_SCALAR = metrics.counter("apply.scalar_calls")
 _APPLY_FRONTIER = metrics.histogram("apply.frontier_size")
-
-
-def _note_apply(vectorized: bool, frontier_size: int) -> None:
-    """One metrics sample per apply-operator invocation."""
-    _APPLY_CALLS.inc()
-    (_APPLY_VECTORIZED if vectorized else _APPLY_SCALAR).inc()
-    _APPLY_FRONTIER.observe(frontier_size)
 
 
 def _segment_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
@@ -444,11 +437,10 @@ class Context:
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
         pull = self.schedule.direction == "DensePull"
         name = "apply.pull" if pull else "apply.push"
-        _note_apply(vectorized, len(bucket))
-        with trace_stat_span(
+        self._note_apply(vectorized, len(bucket))
+        with trace_span(
             name,
             "runtime",
-            self.stats,
             frontier=int(len(bucket)),
             vectorized=bool(vectorized),
         ), self._effect_scope(
@@ -460,13 +452,11 @@ class Context:
             edges=edges,
         ):
             if vectorized:
-                self.vectorized_applies += 1
                 if pull:
                     self._apply_pull_vectorized(edges, bucket, kernel, queue)
                 else:
                     self._apply_push_vectorized(edges, bucket, kernel, queue)
                 return
-            self.scalar_applies += 1
             if pull:
                 self._apply_pull(edges, bucket, udf)
             else:
@@ -478,6 +468,20 @@ class Context:
             and kernel is not None
             and kernel.get("kind") in kinds
         )
+
+    def _note_apply(self, vectorized: bool, frontier_size: int | None) -> None:
+        """Count one apply-operator invocation — the only place the
+        per-context and the registry apply counts move, so they agree.
+        The eager operator drains the whole queue in one invocation and
+        has no single frontier to report (``frontier_size=None``)."""
+        if vectorized:
+            self.vectorized_applies += 1
+        else:
+            self.scalar_applies += 1
+        _APPLY_CALLS.inc()
+        (_APPLY_VECTORIZED if vectorized else _APPLY_SCALAR).inc()
+        if frontier_size is not None:
+            _APPLY_FRONTIER.observe(frontier_size)
 
     def _udf_arity(self, udf: Callable) -> int:
         """Number of positional parameters ``udf`` accepts.
@@ -1039,11 +1043,10 @@ class Context:
         Every edge is processed once per call, in arbitrary order — the
         building block of the unordered baselines (Bellman-Ford).
         """
-        _note_apply(self._use_kernel(kernel, ("plain_min",)), edges.num_edges)
-        with trace_stat_span(
+        self._note_apply(self._use_kernel(kernel, ("plain_min",)), edges.num_edges)
+        with trace_span(
             "apply.edges",
             "runtime",
-            self.stats,
             vectorized=self._use_kernel(kernel, ("plain_min",)),
         ), self._effect_scope(self._effect_udf_name(udf), edges=edges):
             # Whole-edgeset apply: every vertex is a legal write target, so
@@ -1054,7 +1057,6 @@ class Context:
         self, edges: CSRGraph, udf: Callable, kernel: dict | None = None
     ) -> None:
         if self._use_kernel(kernel, ("plain_min",)):
-            self.vectorized_applies += 1
             self.stats.begin_round()
             all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
             chunks = self.pool.partition(all_vertices, degrees=edges.out_degrees())
@@ -1072,7 +1074,6 @@ class Context:
             self.pool.run_round(chunks, produce, commit, ordered=True)
             self.stats.end_round(syncs=1)
             return
-        self.scalar_applies += 1
         weighted = self._udf_arity(udf) == 3
         self.stats.begin_round()
         all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
@@ -1101,11 +1102,10 @@ class Context:
         queue: LazyBucketQueue,
         kernel: dict | None = None,
     ) -> None:
-        _note_apply(self._use_kernel(kernel, ("sum_hist",)), len(bucket))
-        with trace_stat_span(
+        self._note_apply(self._use_kernel(kernel, ("sum_hist",)), len(bucket))
+        with trace_span(
             "apply.histogram",
             "runtime",
-            self.stats,
             frontier=int(len(bucket)),
             vectorized=self._use_kernel(kernel, ("sum_hist",)),
         ), self._effect_scope(
@@ -1148,10 +1148,8 @@ class Context:
         self.stats.relaxations += int(neighbors.size)
         vertices, counts = histogram_counts(neighbors, self.stats)
         if self._use_kernel(kernel, ("sum_hist",)):
-            self.vectorized_applies += 1
             changed = self._run_histogram_kernel(kernel, queue, vertices, counts)
         else:
-            self.scalar_applies += 1
             changed_list: list[int] = []
             for vertex, count in zip(vertices.tolist(), counts.tolist()):
                 if transformed_udf(vertex, count) is not None:
@@ -1209,10 +1207,7 @@ class Context:
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
         effect_name = self._effect_udf_name(udf)
         weighted = not vectorized and self._udf_arity(udf) == 3
-        if vectorized:
-            self.vectorized_applies += 1
-        else:
-            self.scalar_applies += 1
+        self._note_apply(vectorized, None)
 
         def gather(chunk: np.ndarray, thread_id: int):
             # Pure CSR gather (runs on worker threads under the parallel
@@ -1225,10 +1220,9 @@ class Context:
             # Each chunk (initial relaxation or fused local bucket) is its
             # own sanitizer scope: writes must stay within the chunk's
             # out-neighborhood.
-            with trace_stat_span(
+            with trace_span(
                 "apply.push",
                 "runtime",
-                self.stats,
                 frontier=int(chunk.size),
                 vectorized=bool(vectorized),
             ), self._effect_scope(effect_name, frontier=chunk, edges=edges):
@@ -1254,10 +1248,9 @@ class Context:
                 return work
 
         relax.gather = gather
-        with trace_stat_span(
+        with trace_span(
             "ordered_process_eager",
             "runtime",
-            self.stats,
             fusion_threshold=int(fusion_threshold),
             vectorized=bool(vectorized),
         ):

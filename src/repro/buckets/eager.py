@@ -22,17 +22,11 @@ import threading
 import numpy as np
 
 from ..errors import PriorityQueueError
-from ..obs import metrics
 from ..obs import span as trace_span
 from ..runtime.stats import RuntimeStats
 from .interface import AbstractPriorityQueue, PriorityDirection
 
 __all__ = ["EagerBucketQueue"]
-
-_DEQUEUES = metrics.counter("bucket.dequeues")
-_FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
-_OCCUPANCY = metrics.histogram("bucket.occupancy")
-_DELTA = metrics.gauge("bucket.delta")
 
 
 class EagerBucketQueue(AbstractPriorityQueue):
@@ -165,16 +159,7 @@ class EagerBucketQueue(AbstractPriorityQueue):
                     members = self._gather_order(order)
                     live = self._filter_and_mark_live(members, order)
                     if live.size:
-                        self.stats.vertices_processed += int(live.size)
-                        self.stats.frontier_per_round.append(int(live.size))
-                        self.stats.bucket_occupancy_per_round.append(occupancy)
-                        _DEQUEUES.inc()
-                        _FRONTIER_SIZE.observe(live.size)
-                        _OCCUPANCY.observe(occupancy)
-                        _DELTA.set(self.delta)
-                        if sp is not None:
-                            sp["order"] = int(order)
-                            sp["frontier"] = int(live.size)
+                        self._note_dequeue(sp, order, live.size, occupancy)
                         return live
 
     def pop_local_bucket(self, thread_id: int, max_size: int) -> np.ndarray | None:

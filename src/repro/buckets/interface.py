@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import PriorityQueueError
 from ..graph.properties import INT_MAX
+from ..obs import metrics
 from ..runtime.stats import RuntimeStats
 
 __all__ = ["PriorityDirection", "AbstractPriorityQueue", "NULL_PRIORITY_LOWER", "NULL_PRIORITY_HIGHER"]
@@ -38,6 +39,11 @@ __all__ = ["PriorityDirection", "AbstractPriorityQueue", "NULL_PRIORITY_LOWER", 
 # not tracked by the queue until an update gives it a real priority.
 NULL_PRIORITY_LOWER = INT_MAX
 NULL_PRIORITY_HIGHER = np.int64(-(2**62))
+
+_DEQUEUES = metrics.counter("bucket.dequeues")
+_FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
+_OCCUPANCY = metrics.histogram("bucket.occupancy")
+_DELTA = metrics.gauge("bucket.delta")
 
 
 class PriorityDirection(enum.Enum):
@@ -197,6 +203,26 @@ class AbstractPriorityQueue(ABC):
     # ------------------------------------------------------------------
     # Shared helpers for implementations
     # ------------------------------------------------------------------
+    def _note_dequeue(
+        self, sp: dict, order: int, frontier_size: int, occupancy: int | None = None
+    ) -> None:
+        """Record one non-empty dequeue: stats, registry, and the span's
+        late args.  ``occupancy`` (open buckets at the dequeue) also turns
+        on the per-round series; the relaxed queue passes none because its
+        chunk order is scheduling-dependent (sums stay deterministic,
+        sequences would not)."""
+        frontier_size = int(frontier_size)
+        self.stats.vertices_processed += frontier_size
+        if occupancy is not None:
+            self.stats.frontier_per_round.append(frontier_size)
+            self.stats.bucket_occupancy_per_round.append(occupancy)
+            _OCCUPANCY.observe(occupancy)
+        _DEQUEUES.inc()
+        _FRONTIER_SIZE.observe(frontier_size)
+        _DELTA.set(self.delta)
+        sp["order"] = int(order)
+        sp["frontier"] = frontier_size
+
     def _clamped_order(self, order: int) -> int:
         """Clamp a target order into the unprocessed range, counting inversions."""
         if self._cur_order is not None and order < self._cur_order:

@@ -26,12 +26,8 @@ from .interface import AbstractPriorityQueue, PriorityDirection
 
 __all__ = ["LazyBucketQueue"]
 
-_DEQUEUES = metrics.counter("bucket.dequeues")
-_FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
-_OCCUPANCY = metrics.histogram("bucket.occupancy")
 _REBUCKETS = metrics.counter("bucket.rebucket_overflows")
 _REDUCE_BATCHES = metrics.counter("bucket.reduce_batches")
-_DELTA = metrics.gauge("bucket.delta")
 
 
 class LazyBucketQueue(AbstractPriorityQueue):
@@ -114,16 +110,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
                 occupancy = 1 + sum(
                     1 for bucket in self._buckets if bucket
                 ) + (1 if self._overflow else 0)
-                self.stats.vertices_processed += int(live.size)
-                self.stats.frontier_per_round.append(int(live.size))
-                self.stats.bucket_occupancy_per_round.append(occupancy)
-                _DEQUEUES.inc()
-                _FRONTIER_SIZE.observe(live.size)
-                _OCCUPANCY.observe(occupancy)
-                _DELTA.set(self.delta)
-                if sp is not None:
-                    sp["order"] = int(order)
-                    sp["frontier"] = int(live.size)
+                self._note_dequeue(sp, order, live.size, occupancy)
                 return live
 
     # ------------------------------------------------------------------
@@ -316,10 +303,9 @@ class LazyBucketQueue(AbstractPriorityQueue):
         with trace_span("bucket.reduce", "bucket", strategy="lazy") as sp:
             self._flush_pending_traced(sp)
 
-    def _flush_pending_traced(self, sp: dict | None) -> None:
+    def _flush_pending_traced(self, sp: dict) -> None:
         pending = np.unique(np.concatenate(self._pending))
-        if sp is not None:
-            sp["buffered"] = int(pending.size)
+        sp["buffered"] = int(pending.size)
         self._pending.clear()
         self._pending_flags[pending] = False
         self.stats.buffer_reductions += int(pending.size)
@@ -372,11 +358,10 @@ class LazyBucketQueue(AbstractPriorityQueue):
         with trace_span("bucket.rebucket_overflow", "bucket", strategy="lazy") as sp:
             self._rebucket_overflow_traced(sp)
 
-    def _rebucket_overflow_traced(self, sp: dict | None) -> None:
+    def _rebucket_overflow_traced(self, sp: dict) -> None:
         overflow = np.concatenate(self._overflow)
-        if sp is not None:
-            sp["overflow"] = int(overflow.size)
-            sp["old_base"] = int(self._base)
+        sp["overflow"] = int(overflow.size)
+        sp["old_base"] = int(self._base)
         self._overflow.clear()
         priorities = self.priority_vector[overflow]
         live = overflow[priorities != self.null_priority]
@@ -387,8 +372,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         if live.size == 0:
             return
         self._base = int(orders.min())
-        if sp is not None:
-            sp["new_base"] = self._base
+        sp["new_base"] = self._base
         self._buckets = [[] for _ in range(self.num_open_buckets)]
         self._bulk_insert(live, orders)
 

@@ -30,13 +30,7 @@ from .interface import AbstractPriorityQueue, PriorityDirection
 
 __all__ = ["RelaxedPriorityQueue"]
 
-# The relaxed queue records aggregate metrics only — chunk order under the
-# parallel engine is scheduling-dependent by design, so there are no
-# per-round stats lists here (sums stay deterministic, sequences would not).
-_DEQUEUES = metrics.counter("bucket.dequeues")
-_FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
 _WINDOW_ADVANCES = metrics.counter("bucket.window_advances")
-_DELTA = metrics.gauge("bucket.delta")
 
 
 class RelaxedPriorityQueue(AbstractPriorityQueue):
@@ -128,14 +122,10 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
             members = (
                 np.concatenate(popped) if popped else np.empty(0, dtype=np.int64)
             )
-            self.stats.vertices_processed += int(members.size)
             if members.size:
-                _DEQUEUES.inc()
-                _FRONTIER_SIZE.observe(members.size)
-                _DELTA.set(self.delta)
-            if sp is not None:
-                sp["order"] = int(self._cur_order)
-                sp["chunk"] = int(members.size)
+                # Aggregate metrics only (no occupancy, so no per-round
+                # series): chunk order is scheduling-dependent by design.
+                self._note_dequeue(sp, self._cur_order, members.size)
             return members
 
     def update_priority_min(self, vertex: int, new_value: int) -> bool:

@@ -486,7 +486,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     print(
         f"rounds={stats.rounds} relaxations={stats.relaxations} "
-        f"execution={schedule.execution} phases={len(stats.phase_timings)}"
+        f"execution={schedule.execution}"
     )
     return 0
 
@@ -510,11 +510,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """``repro metrics``: run once, print the always-on metrics registry.
 
-    The registry is process-wide and always on (``REPRO_METRICS=0``
-    disables), so the snapshot covers the compile and the run the command
-    just performed — no tracer needed.  ``--workload`` additionally writes
-    the run's workload profile (frontier shape, bucket occupancy,
-    redundant-update ratio — the crossover axes) for the autotuner.
+    The registry is process-wide and always on, so the snapshot covers the
+    compile and the run the command just performed — no tracer needed.
+    ``--workload`` additionally writes the run's workload profile (frontier
+    shape, bucket occupancy, redundant-update ratio — the crossover axes)
+    for the autotuner.
     """
     import json
 
@@ -555,7 +555,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_last_run(args: argparse.Namespace) -> int:
-    """``repro last-run``: show the flight recorder's last forensics dump."""
+    """``repro last-run``: show the last crash dump (a Chrome trace of the
+    always-on span ring plus the error, run context and metrics)."""
     import json
 
     from .obs import last_run_path
@@ -564,7 +565,7 @@ def _cmd_last_run(args: argparse.Namespace) -> int:
     if not os.path.exists(path):
         print(
             f"no forensics dump at {path!r} (written when a repro command "
-            "fails with the flight recorder enabled)"
+            "fails)"
         )
         return 1
     with open(path, "r", encoding="utf-8") as handle:
@@ -580,14 +581,18 @@ def _cmd_last_run(args: argparse.Namespace) -> int:
     context = document.get("context") or {}
     if context:
         print(f"context: {json.dumps(context, sort_keys=True)}")
-    events = document.get("events") or []
+    events = [
+        event
+        for event in document.get("traceEvents") or []
+        if event.get("ph") != "M"
+    ]
     print(f"{len(events)} recorded span(s); most recent last:")
     for event in events[-args.tail:]:
         name = f"{event.get('cat')}:{event.get('name')}"
-        mark = " [raised]" if event.get("error") else ""
+        mark = " [raised]" if (event.get("args") or {}).get("error") else ""
         print(
-            f"  {event.get('ts_us', 0):>10.0f}us "
-            f"{name:<34} {event.get('dur_us', 0):>9.0f}us{mark}"
+            f"  {event.get('ts', 0):>10.0f}us "
+            f"{name:<34} {event.get('dur', 0):>9.0f}us{mark}"
         )
     trace = error.get("traceback") or ""
     if isinstance(trace, list):

@@ -156,8 +156,7 @@ def run_eager(
             chunks = pool.partition(frontier, degrees=degrees[frontier])
             pool.run_round(chunks, relax.gather, commit, ordered=True)
             stats.end_round(syncs=1, fused=fused)
-            if sp is not None:
-                sp["fused_runs"] = fused
+            sp["fused_runs"] = fused
 
 
 def run_lazy(

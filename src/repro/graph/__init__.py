@@ -1,4 +1,4 @@
-"""Graph substrate: CSR storage, builders, generators, I/O, vertex sets."""
+"""Graph substrate: CSR storage, builders, generators, I/O."""
 
 from .builder import GraphBuilder, from_edges
 from .csr import CSRGraph
@@ -24,7 +24,6 @@ from .io import (
 )
 from .mutations import Mutation, apply_mutations, parse_mutation_script
 from .properties import INT_MAX
-from .vertexset import VertexSet
 
 __all__ = [
     "CSRGraph",
@@ -49,6 +48,5 @@ __all__ = [
     "save_dimacs",
     "load_npz",
     "save_npz",
-    "VertexSet",
     "INT_MAX",
 ]

@@ -25,7 +25,7 @@ grouped updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import GraphError
 from .csr import CSRGraph
@@ -159,12 +159,3 @@ def parse_mutation_script(text: str) -> list[list[Mutation]]:
     while batches and not batches[-1]:
         batches.pop()
     return batches
-
-
-def mutation_endpoints(mutations: Sequence[Mutation]) -> set[int]:
-    """Every vertex id named by a batch (both endpoints of every change)."""
-    endpoints: set[int] = set()
-    for mutation in mutations:
-        endpoints.add(mutation.src)
-        endpoints.add(mutation.dst)
-    return endpoints

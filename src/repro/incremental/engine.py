@@ -312,8 +312,7 @@ class IncrementalSession:
                     if extremum.offer(v_value, int(w)) == int(vals[x]):
                         stack.append(x)
             cone_vertices = np.flatnonzero(cone)
-            if sp is not None:
-                sp["invalidated"] = int(cone_vertices.size)
+            sp["invalidated"] = int(cone_vertices.size)
 
         # Phase 3: recompute cone members from the cone boundary over the
         # *new* graph.  Members only reachable through the cone stay at the

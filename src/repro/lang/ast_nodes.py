@@ -49,7 +49,6 @@ __all__ = [
     "Program",
     # Visitors
     "NodeVisitor",
-    "NodeTransformer",
     "walk",
 ]
 
@@ -292,28 +291,3 @@ class NodeVisitor:
         for child in _child_nodes(node):
             self.visit(child)
         return None
-
-
-class NodeTransformer(NodeVisitor):
-    """Visitor whose visit methods return replacement nodes.
-
-    ``generic_visit`` rebuilds child lists; returning a different node from a
-    ``visit_X`` method replaces the original in its parent.
-    """
-
-    def generic_visit(self, node: Node) -> Node:
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, Node):
-                setattr(node, f.name, self.visit(value))
-            elif isinstance(value, list):
-                new_items = []
-                for item in value:
-                    if isinstance(item, Node):
-                        replacement = self.visit(item)
-                        if replacement is not None:
-                            new_items.append(replacement)
-                    else:
-                        new_items.append(item)
-                setattr(node, f.name, new_items)
-        return node

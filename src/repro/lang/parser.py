@@ -54,8 +54,7 @@ def parse(source: str, filename: str | None = None) -> ast.Program:
     """
     with trace_span("lex", "compiler", file=filename or "<string>") as sp:
         tokens = tokenize(source, filename)
-        if sp is not None:
-            sp["tokens"] = len(tokens)
+        sp["tokens"] = len(tokens)
     with trace_span("parse", "compiler", file=filename or "<string>"):
         program = Parser(tokens, filename).parse_program()
     program.source_file = filename

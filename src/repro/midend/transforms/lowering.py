@@ -154,10 +154,9 @@ def plan_program(
 
     with trace_span("midend.resolve_schedule", "compiler") as sp:
         resolved = _resolve_schedule(program, schedule, loop)
-        if sp is not None:
-            sp["priority_update"] = resolved.priority_update
-            sp["delta"] = resolved.delta
-            sp["execution"] = resolved.execution
+        sp["priority_update"] = resolved.priority_update
+        sp["delta"] = resolved.delta
+        sp["execution"] = resolved.execution
 
     udf: ast.FuncDecl | None = None
     dependence: DependenceInfo | None = None
@@ -284,8 +283,7 @@ def plan_program(
         vectorize = analyze_vectorization(
             program, queue_names, resolved, source_file=program.source_file
         )
-        if sp is not None:
-            sp["udfs"] = sorted(vectorize)
+        sp["udfs"] = sorted(vectorize)
 
     return CompilationPlan(
         program=program,

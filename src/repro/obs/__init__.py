@@ -1,32 +1,27 @@
-"""Observability: end-to-end tracing and profiling for the whole stack.
+"""Observability: three mechanisms, and pure views over them.
 
-The subsystem threads **zero-overhead-when-off** trace hooks through every
-layer — compiler phases (lex/parse/typecheck/midend passes/codegen), the
-bucket runtimes (advance, rebucket, window moves), the apply operators, and
-the parallel engine (per-worker produce spans, barrier waits, commit
-replay) — and exports Chrome-trace JSON plus a self-profile table.
+1. **Per-run counters** — :class:`~repro.runtime.stats.RuntimeStats`, the
+   paper's Table 6/7 quantities (rounds, syncs, bucket inserts, ...),
+   plain ints on the hot path.
+2. **The process-wide metrics registry** — :mod:`repro.obs.metrics`:
+   declared counters / gauges / log2 histograms with per-thread shards
+   merged deterministically at round barriers.
+3. **One tracer** — :mod:`repro.obs.tracer`: every layer's hook sites
+   (compiler phases, bucket runtimes, apply operators, the parallel
+   engine, native, incremental, serve) call :func:`span` /
+   :func:`instant`, which record Chrome-trace events into the active
+   :class:`Tracer` when one was opted in (:func:`tracing`) and into a
+   bounded always-on ring otherwise.  A crash dump
+   (:mod:`repro.obs.flight`) is that ring written as a Chrome trace.
 
-The paper's evaluation attributes cost to schedule decisions (rounds,
-synchronizations, bucket traffic); this package makes that attribution
-observable on a timeline instead of only in aggregate counters.
+Views: :func:`self_profile` (hot-phase table), :func:`phase_profile` /
+:func:`trace_diff` (attribute a wall-time delta to phases),
+:func:`workload_profile` (the paper's crossover axes from one run's
+stats).  :mod:`repro.obs.events` holds the event schema and the span /
+metric name registry with their validators.
 
-Entry points:
-
-- ``repro trace <prog> --out trace.json`` — run under the tracer, write a
-  Perfetto-loadable trace;
-- ``repro profile <prog>`` — same run, print the hot-phase table;
-- ``repro metrics <prog>`` — run once and print the always-on metrics
-  registry (JSON or Prometheus text exposition);
-- ``repro last-run`` — inspect the crash flight recorder's forensics dump;
-- ``repro trace-diff A B`` — attribute a wall-time delta between two runs
-  to compiler/runtime phases;
-- :func:`tracing` / :func:`span` — the library API the hook sites use;
-- :mod:`repro.obs.metrics` — always-on counters/gauges/histograms with
-  per-worker shards merged deterministically at round barriers;
-- :mod:`repro.obs.flight` — the bounded flight recorder behind the
-  forensics dump;
-- :mod:`repro.obs.events` — the event schema, the span/metric name
-  registry, and their validators.
+CLI entry points: ``repro trace``, ``repro profile``, ``repro metrics``,
+``repro last-run``, ``repro trace-diff``.
 
 Tracing never mutates algorithm state: a traced run computes bit-identical
 results and deterministic statistics to an untraced run (asserted by
@@ -57,15 +52,7 @@ from .exporters import (
     self_profile,
     write_chrome_trace,
 )
-from .flight import (
-    FlightRecorder,
-    dump_forensics,
-    flight_enabled,
-    get_recorder,
-    last_run_path,
-    note_run,
-    set_recorder,
-)
+from .flight import dump_forensics, last_run_path, note_run
 from .metrics import (
     MetricsRegistry,
     deterministic_snapshot,
@@ -79,12 +66,10 @@ from .workload import workload_profile, write_workload_profile
 from .tracer import (
     Tracer,
     activate,
-    counter,
     deactivate,
     get_tracer,
     instant,
     span,
-    stat_span,
     tracing,
 )
 
@@ -95,9 +80,7 @@ __all__ = [
     "deactivate",
     "get_tracer",
     "span",
-    "stat_span",
     "instant",
-    "counter",
     "CATEGORIES",
     "PHASES",
     "SPAN_NAMES",
@@ -119,10 +102,6 @@ __all__ = [
     "deterministic_snapshot",
     "prometheus_text",
     "escape_label_value",
-    "FlightRecorder",
-    "get_recorder",
-    "set_recorder",
-    "flight_enabled",
     "note_run",
     "dump_forensics",
     "last_run_path",

@@ -7,7 +7,7 @@ here:
 
 ============  =====================================================
 ``ph``        phase: ``"X"`` complete span, ``"i"`` instant,
-              ``"C"`` counter, ``"M"`` metadata (thread names)
+              ``"M"`` metadata (thread names)
 ``name``      event name (``"bucket.advance"``, ``"lex"``, ...)
 ``cat``       category — one of :data:`CATEGORIES`; maps a span to
               the layer that emitted it
@@ -59,16 +59,16 @@ CATEGORIES = frozenset(
 )
 
 # Event phases this tracer emits.
-PHASES = frozenset({"X", "i", "C", "M"})
+PHASES = frozenset({"X", "i", "M"})
 
 # ---------------------------------------------------------------------------
 # Name registries
 # ---------------------------------------------------------------------------
-# Every span/instant name the tracer, flight recorder, or any hook site may
-# emit, mapped to the category it belongs to.  A name not in this table is a
-# typo: ``tests/test_name_registry.py`` scans the source tree for literal
-# hook-site names and fails on anything undeclared, so a misspelled span
-# name breaks CI instead of silently fragmenting the profile.
+# Every span/instant name a hook site may emit (into the active tracer or
+# the always-on ring), mapped to the category it belongs to.  A name not in
+# this table is a typo: ``tests/test_name_registry.py`` scans the source
+# tree for literal hook-site names and fails on anything undeclared, so a
+# misspelled span name breaks CI instead of silently fragmenting the profile.
 SPAN_NAMES: dict[str, str] = {
     # compiler: frontend, midend passes, codegen, module loading
     "compile": "compiler",

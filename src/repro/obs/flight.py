@@ -1,94 +1,54 @@
-"""Crash flight recorder: the last N spans, kept even when tracing is off.
+"""Crash forensics: write the always-on ring as a Chrome trace on failure.
 
-When something blows up in production there is no tracer running — the
-tracer is opt-in per run.  The flight recorder closes that gap: a bounded
-ring buffer (``collections.deque(maxlen=...)``) of the most recent spans and
-instants, fed by the same hook sites the tracer uses (the module-level
-``obs.span``/``instant`` functions route here whenever no tracer is active).
-Being bounded, it costs O(1) memory no matter how long the process runs; a
-span records one clock pair and one dict append.
+When something blows up in production no tracer was opted in.  The span
+hooks cover that gap themselves — with no active tracer they record into
+the bounded ring (:func:`repro.obs.tracer.get_ring`, the last
+``RING_CAPACITY`` events, O(1) memory however long the process runs).
+This module is what remains of the "flight recorder": the run context
+noted so far (:func:`note_run`), where dumps land (:func:`state_dir` /
+:func:`last_run_path`), and :func:`dump_forensics`, which the CLI and the
+query service call on an escaping error.
 
-On an escaping error the CLI calls :func:`dump_forensics`, which writes the
-ring, the exception (type, message, traceback), the run context noted so far
-(program, graph, schedule), and a metrics snapshot to
-``.repro/last_run.json`` (or ``$REPRO_STATE_DIR/last_run.json``).
-``repro last-run`` pretty-prints that file — the post-mortem you read after
-the crash, not the trace you forgot to enable before it.
-
-``REPRO_FLIGHT=0`` disables the recorder entirely (the module-level hooks
-then return the shared null span, restoring the strict PR-4
-zero-overhead-when-off behaviour).
+The dump is a **Chrome-trace document** — ``traceEvents`` + ``metadata``,
+the shape ``repro trace`` writes — extended with ``schema``,
+``written_at``, ``argv``, ``error`` (type, message, traceback),
+``context`` and a ``metrics`` snapshot.  So ``.repro/last_run.json`` (or
+``$REPRO_STATE_DIR/last_run.json``) opens in Perfetto, passes
+:func:`~repro.obs.exporters.load_chrome_trace`, feeds ``repro trace-diff``
+as-is, and ``repro last-run`` pretty-prints it — the post-mortem you read
+after the crash, not the trace you forgot to enable before it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import traceback as traceback_module
-from collections import deque
 from typing import Any
 
 from . import metrics
+from .tracer import get_ring
 
 __all__ = [
-    "FlightRecorder",
-    "get_recorder",
-    "set_recorder",
-    "flight_enabled",
+    "FORENSICS_SCHEMA",
     "state_dir",
     "last_run_path",
     "dump_forensics",
     "note_run",
 ]
 
-DEFAULT_CAPACITY = 512
+#: Bumped when the forensics document shape changes (2: a Chrome trace).
+FORENSICS_SCHEMA = 2
 
-#: Bumped when the forensics document shape changes.
-FORENSICS_SCHEMA = 1
-
-
-class _FlightSpan:
-    """Context manager recording one ring entry on exit.
-
-    Mirrors the tracer's span contract: ``__enter__`` yields the args dict
-    so hook sites can add late args (``sp["frontier"] = ...``), and an
-    exception escaping the body is recorded (type name) without being
-    swallowed.
-    """
-
-    __slots__ = ("_recorder", "_name", "_cat", "_args", "_start")
-
-    def __init__(self, recorder: "FlightRecorder", name: str, cat: str, args: dict):
-        self._recorder = recorder
-        self._name = name
-        self._cat = cat
-        self._args = args
-
-    def __enter__(self) -> dict:
-        self._start = time.perf_counter()
-        return self._args
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
-        entry = {
-            "name": self._name,
-            "cat": self._cat,
-            "ph": "X",
-            "ts_us": (self._start - self._recorder.origin) * 1e6,
-            "dur_us": (end - self._start) * 1e6,
-            "thread": threading.current_thread().name,
-            "args": _jsonable(self._args),
-        }
-        if exc_type is not None:
-            entry["error"] = exc_type.__name__
-        self._recorder.record(entry)
-        return False
+# Run context (program, graph, schedule) attached to the next dump.
+_CONTEXT: dict = {}
 
 
 def _jsonable(value: Any):
-    """Best-effort JSON coercion for span args (numpy ints, paths, ...)."""
+    """Best-effort JSON coercion for span args (numpy ints, paths, ...).
+
+    Runs when a dump is written, never on the span hot path."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):
@@ -101,91 +61,9 @@ def _jsonable(value: Any):
         return repr(value)
 
 
-class FlightRecorder:
-    """Bounded ring of recent spans/instants plus noted run context."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = int(capacity)
-        # deque.append is atomic under the GIL; no lock on the hot path.
-        self._ring: deque[dict] = deque(maxlen=self.capacity)
-        self._context: dict = {}
-        self.origin = time.perf_counter()
-        self.recorded = 0
-
-    # -- recording -------------------------------------------------------
-
-    def span(self, name: str, cat: str, **args: Any) -> _FlightSpan:
-        return _FlightSpan(self, name, cat, dict(args))
-
-    def instant(self, name: str, cat: str, **args: Any) -> None:
-        self.record(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "i",
-                "ts_us": (time.perf_counter() - self.origin) * 1e6,
-                "thread": threading.current_thread().name,
-                "args": _jsonable(dict(args)),
-            }
-        )
-
-    def record(self, entry: dict) -> None:
-        self._ring.append(entry)
-        self.recorded += 1
-
-    def note(self, **context: Any) -> None:
-        """Attach run context (program, graph, schedule) to future dumps."""
-        self._context.update(_jsonable(context))
-
-    # -- inspection ------------------------------------------------------
-
-    def events(self) -> list[dict]:
-        return list(self._ring)
-
-    def context(self) -> dict:
-        return dict(self._context)
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self._context.clear()
-        self.recorded = 0
-
-
-# ---------------------------------------------------------------------------
-# Module-level recorder (on by default; REPRO_FLIGHT=0 disables)
-# ---------------------------------------------------------------------------
-
-_RECORDER: FlightRecorder | None = (
-    FlightRecorder() if os.environ.get("REPRO_FLIGHT", "1") != "0" else None
-)
-
-
-def get_recorder() -> FlightRecorder | None:
-    """The active flight recorder, or None when disabled."""
-    return _RECORDER
-
-
-def set_recorder(recorder: FlightRecorder | None) -> FlightRecorder | None:
-    """Install (or, with None, disable) the recorder; returns the old one."""
-    global _RECORDER
-    old = _RECORDER
-    _RECORDER = recorder
-    return old
-
-
-def flight_enabled() -> bool:
-    return _RECORDER is not None
-
-
 def note_run(**context: Any) -> None:
-    """Note run context on the active recorder (no-op when disabled)."""
-    if _RECORDER is not None:
-        _RECORDER.note(**context)
-
-
-# ---------------------------------------------------------------------------
-# Forensics dump
-# ---------------------------------------------------------------------------
+    """Attach run context (argv, schedule knobs) to future dumps."""
+    _CONTEXT.update(context)
 
 
 def state_dir() -> str:
@@ -202,13 +80,10 @@ def dump_forensics(
 ) -> str | None:
     """Write the forensics document for ``error``; returns its path.
 
-    Returns None when the recorder is disabled (``REPRO_FLIGHT=0``) — no
-    ring means no post-mortem.  Never raises: a failing dump must not mask
-    the original error, so filesystem problems are swallowed.
+    Never raises: a failing dump must not mask the original error, so
+    filesystem problems are swallowed (the result is then None).
     """
-    recorder = _RECORDER
-    if recorder is None:
-        return None
+    ring = get_ring()
     document = {
         "schema": FORENSICS_SCHEMA,
         "written_at": time.time(),
@@ -222,9 +97,12 @@ def dump_forensics(
                 )
             ),
         },
-        "context": recorder.context(),
-        "events": recorder.events(),
+        # Copied first: another thread may note_run() while this one dumps.
+        "context": _jsonable(dict(_CONTEXT)),
         "metrics": metrics.snapshot(),
+        "traceEvents": _jsonable(ring.events),
+        "displayTimeUnit": "ms",
+        "metadata": {"kind": "crash-forensics", "ring_capacity": ring.capacity},
     }
     path = last_run_path()
     try:

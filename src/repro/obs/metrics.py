@@ -1,12 +1,11 @@
 """Always-on metrics: counters, gauges, and log-scale histograms.
 
-Unlike the tracer (opt-in, per-run), the metrics registry is live for the
-whole process and cheap enough to leave on everywhere: a hook site costs one
-module-global check plus one dict write.  The paper's crossover analysis
-(lazy vs eager vs fusion as a function of bucket occupancy, frontier sizes,
-and redundant updates) needs these signals on *every* run — the workload
-profile and autotuner v2 consume them — so they cannot hide behind
-``repro trace``.
+The metrics registry is live for the whole process and cheap enough to
+leave on everywhere: a hook site costs one dict write.  The paper's
+crossover analysis (lazy vs eager vs fusion as a function of bucket
+occupancy, frontier sizes, and redundant updates) needs these signals on
+*every* run — the workload profile and autotuner v2 consume them — so they
+cannot hide behind ``repro trace``.
 
 Design:
 
@@ -30,14 +29,12 @@ Design:
   :meth:`MetricsRegistry.deterministic_snapshot`, mirroring
   ``WALL_CLOCK_FIELDS`` on :class:`~repro.runtime.stats.RuntimeStats`.
 
-``REPRO_METRICS=0`` in the environment disables collection at import time;
-:func:`enable` / :func:`disable` flip it at runtime (the overhead-budget
-test measures exactly this toggle).
+There is no off switch: per-thread shards, the declared-names check and
+the barrier merge are synchronisation and input checking, not options.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Iterator
 
@@ -52,8 +49,6 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "enable",
-    "disable",
     "merge_shards",
     "reset_metrics",
     "snapshot",
@@ -65,21 +60,6 @@ __all__ = [
 # Histogram bucket count: covers every non-negative int64 (bit_length <= 63)
 # plus bucket 0 for the value 0.
 HISTOGRAM_BUCKETS = 64
-
-_enabled = os.environ.get("REPRO_METRICS", "1") != "0"
-
-
-def enable() -> None:
-    """Turn collection on (the default unless ``REPRO_METRICS=0``)."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn collection off; hook sites become a single boolean check."""
-    global _enabled
-    _enabled = False
-
 
 def _check_declared(name: str, kind: str) -> dict:
     spec = METRICS.get(name)
@@ -110,8 +90,6 @@ class Counter:
         self._shards: dict[int | None, int] = {}
 
     def inc(self, amount: int = 1) -> None:
-        if not _enabled:
-            return
         shards = self._shards
         ident = threading.get_ident()
         shards[ident] = shards.get(ident, 0) + amount
@@ -149,8 +127,6 @@ class Gauge:
         self._value: float | int | None = None
 
     def set(self, value: float | int) -> None:
-        if not _enabled:
-            return
         self._value = value
 
     def merge(self) -> None:  # symmetry with Counter/Histogram
@@ -190,8 +166,6 @@ class Histogram:
         return shard
 
     def observe(self, value: int | float) -> None:
-        if not _enabled:
-            return
         v = int(value)
         index = v.bit_length() if v > 0 else 0
         if index >= HISTOGRAM_BUCKETS:

@@ -1,23 +1,22 @@
-"""The tracer: structured spans with a zero-overhead-when-off fast path.
+"""The tracer: one span implementation, unbounded when opted in, a ring otherwise.
 
-Design constraints (in priority order):
+A :class:`Tracer` collects Chrome-trace events into a sink — a ``list``
+for an opted-in tracing session (``obs.tracing()``, ``repro trace``), a
+``deque(maxlen=capacity)`` for the process-wide always-on ring that the
+crash dump (:mod:`repro.obs.flight`) is written from.  Both are the same
+class recording the same event shape, so a crash dump *is* a trace.
 
-1. **Off is free.**  Tracing is off by default and the repository's
-   correctness story — the differential oracle tests — must hold
-   bit-identically whether or not the ``obs`` package is imported.  Every
-   hook site calls the module-level :func:`span` / :func:`instant`
-   functions, which read one module global and return a shared no-op
-   context manager when no tracer is active: no allocation, no clock
-   read, no branch inside the traced code.
-2. **Deterministic state stays untouched.**  The tracer only ever appends
-   to its own event list (and, for :func:`stat_span`, to
-   ``RuntimeStats.phase_timings``, a field that is empty whenever tracing
-   is off).  It never reads or writes algorithm state, so a traced run
-   computes exactly what an untraced run computes.
-3. **Thread safe.**  The parallel engine's workers emit produce spans
-   concurrently with the coordinator's barrier/commit spans.  Event
-   appends take a lock; span stacks are per-OS-thread, so strict nesting
-   is enforced per thread with no cross-thread coordination.
+Every hook site calls the module-level :func:`span` / :func:`instant`,
+which route to the active tracer if there is one and to the ring
+otherwise — there is no "off".  The cost of that is one clock pair and one
+dict append per span (no lock, no JSON coercion, no thread-name lookup:
+``list.append`` / ``deque.append`` are atomic under the GIL, args are
+coerced when a dump is written, and thread names live in the tid table
+and are emitted when :attr:`Tracer.events` is read).
+
+The tracer only ever appends to its own sink.  It never reads or writes
+algorithm state, so a traced run computes exactly what an untraced run
+computes (asserted by ``tests/test_tracing.py``).
 
 Usage::
 
@@ -32,8 +31,7 @@ Hook sites look like::
 
     with obs.span("bucket.advance", "bucket", strategy="lazy") as sp:
         ...
-        if sp is not None:
-            sp["order"] = order        # late args, recorded at span end
+        sp["order"] = order        # late args, recorded at span end
 """
 
 from __future__ import annotations
@@ -41,193 +39,163 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from . import flight
-
 __all__ = [
     "Tracer",
+    "RING_CAPACITY",
     "span",
-    "stat_span",
     "instant",
-    "counter",
     "get_tracer",
     "activate",
     "deactivate",
     "tracing",
+    "get_ring",
+    "set_ring",
 ]
 
+#: Events the always-on ring keeps (the most recent ones).
+RING_CAPACITY = 512
 
-class _NullSpan:
-    """Shared no-op context manager returned by :func:`span` when tracing
-    is off.  Stateless, hence safely reentrant and thread-safe."""
 
-    __slots__ = ()
+class _Span:
+    """Context manager recording one complete (ph=X) event on exit.
 
-    def __enter__(self) -> None:
-        return None
+    ``__enter__`` yields the args dict so hook sites can add late args
+    (``sp["frontier"] = ...``); an exception escaping the body is recorded
+    as ``args["error"]`` (its type name) and never swallowed.
+    """
 
-    def __exit__(self, *exc: object) -> bool:
+    __slots__ = ("_tracer", "_name", "_cat", "_args", "_start")
+
+    def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
+        self._tracer = tracer
+        self._name = name
+        self._cat = cat
+        self._args = args
+
+    def __enter__(self) -> dict:
+        self._start = self._tracer._clock()
+        return self._args
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tracer = self._tracer
+        end = tracer._clock()
+        if exc_type is not None:
+            self._args["error"] = exc_type.__name__
+        event = tracer._event("X", self._name, self._cat, self._start, self._args)
+        event["dur"] = (end - self._start) * 1e6
+        tracer._sink.append(event)
         return False
 
 
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
-    """Collects trace events for one tracing session.
+    """Collects trace events: all of them, or the last ``capacity``.
 
     Timestamps are microseconds relative to the tracer's construction
     (``time.perf_counter`` based by default; inject ``clock`` for
     deterministic tests).  OS threads are mapped to small stable ``tid``
-    integers in first-seen order — 0 is the constructing thread — and a
-    ``thread_name`` metadata event is emitted per thread so Perfetto shows
-    readable track names.
+    integers in first-seen order — 0 is the constructing thread — and
+    :attr:`events` leads with one ``thread_name`` metadata event per
+    thread so Perfetto shows readable track names.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None):
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        capacity: int | None = None,
+    ):
         self._clock = clock or time.perf_counter
         self._origin = self._clock()
-        self._lock = threading.Lock()
-        self._events: list[dict] = []
-        self._tids: dict[int, int] = {}
-        self._stacks: dict[int, list[tuple[str, float, dict]]] = {}
+        self.capacity = capacity
+        self._sink: list[dict] | deque[dict] = (
+            [] if capacity is None else deque(maxlen=capacity)
+        )
+        # thread ident -> (tid, thread name at first sight)
+        self._tids: dict[int, tuple[int, str]] = {}
+        self._tid_lock = threading.Lock()
         self.pid = os.getpid()
-
-    # -- time & identity -------------------------------------------------
-
-    def _now_us(self) -> float:
-        return (self._clock() - self._origin) * 1e6
+        self._tid()
 
     def _tid(self) -> int:
         ident = threading.get_ident()
-        tid = self._tids.get(ident)
-        if tid is None:
-            with self._lock:
-                tid = self._tids.get(ident)
-                if tid is None:
-                    tid = len(self._tids)
-                    self._tids[ident] = tid
-                    name = threading.current_thread().name
-                    self._events.append(
-                        {
-                            "name": "thread_name",
-                            "cat": "meta",
-                            "ph": "M",
-                            "ts": 0,
-                            "pid": self.pid,
-                            "tid": tid,
-                            "args": {"name": name},
-                        }
-                    )
-        return tid
+        entry = self._tids.get(ident)
+        if entry is None:
+            # First event from this thread: the only locked path.
+            with self._tid_lock:
+                entry = self._tids[ident] = (
+                    len(self._tids),
+                    threading.current_thread().name,
+                )
+        return entry[0]
 
-    def _append(self, event: dict) -> None:
-        with self._lock:
-            self._events.append(event)
+    def _event(self, ph: str, name: str, cat: str, at: float, args: dict) -> dict:
+        return {
+            "name": name,
+            "cat": cat,
+            "ph": ph,
+            "ts": (at - self._origin) * 1e6,
+            "pid": self.pid,
+            "tid": self._tid(),
+            "args": args,
+        }
 
-    # -- emission --------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, cat: str, **args: Any) -> Iterator[dict]:
-        """A complete (ph=X) span around the ``with`` body.
-
-        Yields the args dictionary; entries added inside the body are
-        recorded at span end (late args such as frontier sizes).
-        Strict per-thread nesting is enforced: the span closes in LIFO
-        order by construction of ``with``, and each thread keeps its own
-        stack so ``depth`` is recorded per event.
-        """
-        tid = self._tid()
-        payload = dict(args)
-        stack = self._stacks.setdefault(threading.get_ident(), [])
-        start = self._now_us()
-        stack.append((name, start, payload))
-        try:
-            yield payload
-        finally:
-            stack.pop()
-            end = self._now_us()
-            self._append(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": start,
-                    "dur": end - start,
-                    "pid": self.pid,
-                    "tid": tid,
-                    "args": payload,
-                }
-            )
-
-    @contextmanager
-    def stat_span(self, name: str, cat: str, stats: Any, **args: Any) -> Iterator[dict]:
-        """A span that additionally records a timestamped phase timing into
-        ``stats.phase_timings`` (see :class:`~repro.runtime.stats.RuntimeStats`).
-
-        Only ever runs when tracing is on — the module-level
-        :func:`stat_span` short-circuits otherwise — so ``phase_timings``
-        stays empty (and stat dumps stay bit-identical) for untraced runs.
-        """
-        start_us = self._now_us()
-        with self.span(name, cat, **args) as payload:
-            yield payload
-        stats.record_phase(name, start_us, self._now_us() - start_us)
+    def span(self, name: str, cat: str, **args: Any) -> _Span:
+        """A complete (ph=X) span around the ``with`` body."""
+        return _Span(self, name, cat, args)
 
     def instant(self, name: str, cat: str, **args: Any) -> None:
         """A point-in-time (ph=i) event."""
-        self._append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "i",
-                "ts": self._now_us(),
-                "pid": self.pid,
-                "tid": self._tid(),
-                "args": dict(args),
-            }
-        )
-
-    def counter(self, name: str, cat: str, **values: float) -> None:
-        """A counter (ph=C) sample; Perfetto renders these as tracks."""
-        self._append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "C",
-                "ts": self._now_us(),
-                "pid": self.pid,
-                "tid": self._tid(),
-                "args": dict(values),
-            }
-        )
-
-    # -- inspection ------------------------------------------------------
+        self._sink.append(self._event("i", name, cat, self._clock(), args))
 
     @property
     def events(self) -> list[dict]:
-        """Snapshot of the events recorded so far."""
-        with self._lock:
-            return list(self._events)
-
-    def open_spans(self) -> int:
-        """Number of spans currently open across all threads."""
-        return sum(len(stack) for stack in self._stacks.values())
+        """Snapshot: thread-name metadata, then the recorded events."""
+        names = [
+            {
+                "name": "thread_name",
+                "cat": "meta",
+                "ph": "M",
+                "ts": 0,
+                "pid": self.pid,
+                "tid": tid,
+                "args": {"name": name},
+            }
+            for tid, name in sorted(self._tids.values())
+        ]
+        return names + list(self._sink)
 
 
 # ---------------------------------------------------------------------------
-# Module-level current tracer (the hook sites' fast path)
+# Module-level routing: the active tracer, else the always-on ring
 # ---------------------------------------------------------------------------
 
+_RING = Tracer(capacity=RING_CAPACITY)
 _ACTIVE: Tracer | None = None
 _ACTIVATION_LOCK = threading.Lock()
 
 
 def get_tracer() -> Tracer | None:
-    """The active tracer, or None when tracing is off."""
+    """The active (opted-in) tracer, or None when only the ring records."""
     return _ACTIVE
+
+
+def get_ring() -> Tracer:
+    """The always-on bounded tracer crash dumps are written from."""
+    return _RING
+
+
+def set_ring(ring: Tracer) -> Tracer:
+    """Install ``ring`` as the always-on tracer; returns the previous one.
+
+    A test seam: a test installs a fresh small ``Tracer(capacity=16)`` to
+    observe exactly what untraced hook sites record.
+    """
+    global _RING
+    old, _RING = _RING, ring
+    return old
 
 
 def activate(tracer: Tracer) -> Tracer:
@@ -257,51 +225,11 @@ def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
         deactivate()
 
 
-def span(name: str, cat: str, **args: Any):
-    """Module-level span hook.
-
-    Routes to the active tracer when tracing is on; otherwise to the crash
-    flight recorder's bounded ring (so the last N spans survive for the
-    post-mortem even on untraced runs); otherwise (``REPRO_FLIGHT=0``) to
-    the shared no-op span — the strict zero-overhead-when-off path.
-    """
-    tracer = _ACTIVE
-    if tracer is not None:
-        return tracer.span(name, cat, **args)
-    recorder = flight.get_recorder()
-    if recorder is not None:
-        return recorder.span(name, cat, **args)
-    return _NULL_SPAN
-
-
-def stat_span(name: str, cat: str, stats: Any, **args: Any):
-    """Like :func:`span`, additionally logging into ``stats.phase_timings``
-    when tracing is on.  With only the flight recorder active the span lands
-    in the ring but ``stats`` is untouched, so ``phase_timings`` stays empty
-    and untraced stat dumps remain bit-identical."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        return tracer.stat_span(name, cat, stats, **args)
-    recorder = flight.get_recorder()
-    if recorder is not None:
-        return recorder.span(name, cat, **args)
-    return _NULL_SPAN
+def span(name: str, cat: str, **args: Any) -> _Span:
+    """Module-level span hook: the active tracer, else the ring."""
+    return (_ACTIVE or _RING).span(name, cat, **args)
 
 
 def instant(name: str, cat: str, **args: Any) -> None:
-    """Module-level instant-event hook (rings the flight recorder when
-    tracing is off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.instant(name, cat, **args)
-        return
-    recorder = flight.get_recorder()
-    if recorder is not None:
-        recorder.instant(name, cat, **args)
-
-
-def counter(name: str, cat: str, **values: float) -> None:
-    """Module-level counter hook (no-op when tracing is off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.counter(name, cat, **values)
+    """Module-level instant-event hook: the active tracer, else the ring."""
+    (_ACTIVE or _RING).instant(name, cat, **args)

@@ -1,14 +1,7 @@
 """Parallel-runtime substrate: stats, virtual threads, frontiers, and the
 schedule sanitizer."""
 
-from .frontier import (
-    TOMBSTONE,
-    compact_frontier,
-    gather_in_edges,
-    gather_out_edges,
-    gather_segments,
-    output_buffer_offsets,
-)
+from .frontier import gather_in_edges, gather_out_edges, gather_segments
 from .histogram import histogram_counts
 from .parallel import EXECUTION_MODES, ParallelExecutionEngine, shutdown_executors
 from .sanitizer import SanitizedVector, Sanitizer, SanitizerError
@@ -24,9 +17,6 @@ __all__ = [
     "ParallelExecutionEngine",
     "EXECUTION_MODES",
     "shutdown_executors",
-    "TOMBSTONE",
-    "output_buffer_offsets",
-    "compact_frontier",
     "gather_segments",
     "gather_out_edges",
     "gather_in_edges",

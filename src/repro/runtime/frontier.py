@@ -1,9 +1,5 @@
-"""Frontier construction helpers.
-
-These correspond to the runtime-library entry points the compiler emits calls
-to in the lazy code path (Figure 9(a)): ``setupOutputBufferOffsets`` (prefix
-sums over out-degrees), ``setupFrontier`` (compacting a sparse output buffer
-with tombstones), and edge gathering for vectorized traversal.
+"""Frontier construction helpers: edge gathering for vectorized traversal
+and the segmented scans behind the sequential-exact batch kernels.
 """
 
 from __future__ import annotations
@@ -13,37 +9,11 @@ import numpy as np
 from ..graph.csr import CSRGraph
 
 __all__ = [
-    "TOMBSTONE",
-    "output_buffer_offsets",
-    "compact_frontier",
     "gather_segments",
     "gather_out_edges",
     "gather_in_edges",
     "segmented_running_extrema",
 ]
-
-# Sentinel marking an unused slot in a sparse output buffer, playing the role
-# of UINT_MAX in the generated C++.
-TOMBSTONE = np.int64(-1)
-
-
-def output_buffer_offsets(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum of the frontier's out-degrees.
-
-    Gives each frontier vertex a private slice of the output buffer, which is
-    how the generated lazy code writes destinations without contention.
-    """
-    frontier = np.asarray(frontier, dtype=np.int64)
-    degrees = graph.out_degrees()[frontier]
-    offsets = np.zeros(frontier.size + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return offsets
-
-
-def compact_frontier(out_edges: np.ndarray) -> np.ndarray:
-    """Drop tombstones from a sparse output buffer (``setupFrontier``)."""
-    return out_edges[out_edges != TOMBSTONE]
-
 
 def gather_segments(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Flattened index array covering ``[starts[i], ends[i])`` for every i.

@@ -20,6 +20,7 @@ rounds, fewer synchronizations, balanced thread work).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 __all__ = [
@@ -30,20 +31,45 @@ __all__ = [
     "WALL_CLOCK_FIELDS",
 ]
 
-# Fields only the real-parallel engine populates.  Excluded (together with
-# the wall-clock fields) from oracle comparisons: a parallel run is compared
-# to the sequential oracle on every *deterministic* counter.
-PARALLEL_ONLY_FIELDS = (
-    "execution",
-    "parallel_rounds",
-    "barrier_waits",
-    "barrier_wait_time",
-    "worker_wall_time",
-)
 
-# Fields derived from wall-clock measurements — inherently nondeterministic,
-# never part of any bit-identical comparison.
-WALL_CLOCK_FIELDS = ("barrier_wait_time", "worker_wall_time", "phase_timings")
+def _sum_by_key(mine: dict, theirs: dict) -> dict:
+    for key, value in theirs.items():
+        mine[key] = mine.get(key, 0.0) + float(value)
+    return mine
+
+
+# How two runs' values of one field combine: ``rule(mine, theirs) -> merged``.
+_MERGES = {
+    "sum": operator.add,
+    "extend": operator.iadd,
+    "sum-by-key": _sum_by_key,
+    "keep": lambda mine, theirs: mine,
+}
+_KINDS = ("deterministic", "parallel_only", "wall_clock")
+
+
+def _stat(default=0, *, merge: str = "sum", kind: str = "deterministic"):
+    """Declare one :class:`RuntimeStats` field: its default, how two runs'
+    values combine in :meth:`RuntimeStats.merge`, and what it is —
+    ``deterministic`` (a pure function of program, schedule and graph; part
+    of every oracle comparison), ``parallel_only`` (deterministic, but only
+    the real-parallel engine populates it) or ``wall_clock`` (derived from
+    clock reads, never compared)."""
+    metadata = {"merge": merge, "kind": kind}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _declared_fields(cls) -> dict[str, dict]:
+    """``{public field: its _stat metadata}`` in declaration order.  A field
+    without a valid declaration is an error, so ``merge()`` and the
+    serializers can never silently skip a counter."""
+    table = {f.name: f.metadata for f in fields(cls) if not f.name.startswith("_")}
+    for name, meta in table.items():
+        if meta.get("merge") not in _MERGES or meta.get("kind") not in _KINDS:
+            raise TypeError(f"{cls.__name__}.{name} must be declared with _stat()")
+    return table
 
 
 @dataclass(frozen=True)
@@ -80,30 +106,28 @@ DEFAULT_COST_MODEL = CostModel()
 class RuntimeStats:
     """Counters collected during one algorithm execution."""
 
-    num_threads: int = 1
-    rounds: int = 0
-    fused_rounds: int = 0
-    global_syncs: int = 0
-    relaxations: int = 0
-    priority_updates: int = 0
-    bucket_inserts: int = 0
-    buffer_appends: int = 0
-    buffer_reductions: int = 0
-    histogram_updates: int = 0
-    dedup_hits: int = 0
-    atomic_ops: int = 0
-    vertices_processed: int = 0
+    num_threads: int = _stat(1, merge="keep")
+    rounds: int = _stat()
+    fused_rounds: int = _stat()
+    global_syncs: int = _stat()
+    relaxations: int = _stat()
+    priority_updates: int = _stat()
+    bucket_inserts: int = _stat()
+    buffer_appends: int = _stat()
+    buffer_reductions: int = _stat()
+    histogram_updates: int = _stat()
+    dedup_hits: int = _stat()
+    atomic_ops: int = _stat()
+    vertices_processed: int = _stat()
     # --- incremental recomputation (mutation resume) ------------------
-    # All stay 0 for from-scratch runs, keeping historical stat dumps
-    # byte-identical.  Populated by the incremental engine; deterministic,
-    # so they participate in oracle comparisons.
-    incremental_runs: int = 0
-    incremental_mutations: int = 0
-    incremental_seeds: int = 0
-    incremental_invalidated: int = 0
-    incremental_vertices_touched: int = 0
-    max_work_per_round: list[int] = field(default_factory=list)
-    total_work_per_round: list[int] = field(default_factory=list)
+    # Populated by the incremental engine; all stay 0 for from-scratch runs.
+    incremental_runs: int = _stat()
+    incremental_mutations: int = _stat()
+    incremental_seeds: int = _stat()
+    incremental_invalidated: int = _stat()
+    incremental_vertices_touched: int = _stat()
+    max_work_per_round: list[int] = _stat(list, merge="extend")
+    total_work_per_round: list[int] = _stat(list, merge="extend")
     # --- workload telemetry (crossover axes) --------------------------
     # Frontier size and open-bucket occupancy recorded at each lazy/eager
     # ``dequeue_ready_set`` — the per-round shape of the traversal, the
@@ -111,23 +135,18 @@ class RuntimeStats:
     # appended only at coordinator-driven dequeues (deterministic under
     # the parallel engine, like ``vertices_processed``); the relaxed queue
     # skips them (its chunk order is scheduling-dependent by design).
-    frontier_per_round: list[int] = field(default_factory=list)
-    bucket_occupancy_per_round: list[int] = field(default_factory=list)
-    # --- real-parallel observables (PR 3) -----------------------------
+    frontier_per_round: list[int] = _stat(list, merge="extend")
+    bucket_occupancy_per_round: list[int] = _stat(list, merge="extend")
+    # --- real-parallel observables ------------------------------------
     # All of these stay at their defaults under ``execution=serial`` so
-    # serial stat dumps remain byte-identical across releases (the
-    # differential tests compare ``dataclasses.asdict`` dumps).
-    execution: str = "serial"
-    parallel_rounds: int = 0
-    barrier_waits: int = 0
-    barrier_wait_time: float = 0.0
-    worker_wall_time: dict[int, float] = field(default_factory=dict)
-    # Timestamped phase timings (tracing subsystem).  Each entry is
-    # {"phase": str, "start_us": float, "dur_us": float}, appended only
-    # while a tracer is active (obs.stat_span), so untraced runs — the
-    # differential oracle included — keep this empty and their stat dumps
-    # bit-identical across releases.
-    phase_timings: list[dict] = field(default_factory=list)
+    # serial stat dumps remain byte-identical across releases.
+    execution: str = _stat("serial", merge="keep", kind="parallel_only")
+    parallel_rounds: int = _stat(kind="parallel_only")
+    barrier_waits: int = _stat(kind="parallel_only")
+    barrier_wait_time: float = _stat(0.0, kind="wall_clock")
+    worker_wall_time: dict[int, float] = _stat(
+        dict, merge="sum-by-key", kind="wall_clock"
+    )
     _current_work: list[int] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -180,21 +199,7 @@ class RuntimeStats:
         self.parallel_rounds += 1
         self.barrier_waits += 1
         self.barrier_wait_time += float(barrier_wait)
-        for thread_id, seconds in worker_times.items():
-            self.worker_wall_time[thread_id] = (
-                self.worker_wall_time.get(thread_id, 0.0) + float(seconds)
-            )
-
-    def record_phase(self, phase: str, start_us: float, dur_us: float) -> None:
-        """Append one timestamped phase timing (tracing-on runs only).
-
-        Called by :func:`repro.obs.stat_span`; the timestamps are
-        microseconds on the active tracer's clock, so phase timings line up
-        with the Chrome-trace spans of the same run.
-        """
-        self.phase_timings.append(
-            {"phase": phase, "start_us": float(start_us), "dur_us": float(dur_us)}
-        )
+        _sum_by_key(self.worker_wall_time, worker_times)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -204,50 +209,31 @@ class RuntimeStats:
 
         Keys follow field declaration order (stable across calls and
         processes); ``worker_wall_time`` serializes with *string* keys in
-        ascending numeric order, because JSON objects cannot carry int keys
-        and a round-trip through ``json.dumps``/``loads`` must be lossless.
+        ascending numeric order, because JSON objects cannot carry int keys.
         The private ``_current_work`` accumulator is never serialized.
         """
         out: dict = {}
-        for spec in fields(self):
-            if spec.name.startswith("_"):
-                continue
-            value = getattr(self, spec.name)
-            if spec.name == "worker_wall_time":
-                value = {
-                    str(tid): float(value[tid]) for tid in sorted(value)
-                }
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                value = {str(key): float(value[key]) for key in sorted(value)}
             elif isinstance(value, list):
                 value = list(value)
-            out[spec.name] = value
+            out[name] = value
         return out
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RuntimeStats":
-        """Inverse of :meth:`to_dict` (tolerates missing newer fields)."""
-        known = {spec.name for spec in fields(cls) if not spec.name.startswith("_")}
-        kwargs = {key: value for key, value in payload.items() if key in known}
-        if "worker_wall_time" in kwargs:
-            kwargs["worker_wall_time"] = {
-                int(tid): float(seconds)
-                for tid, seconds in kwargs["worker_wall_time"].items()
-            }
-        return cls(**kwargs)
-
     def deterministic_dict(self) -> dict:
-        """The oracle-comparison dump: every deterministic counter, no
-        wall-clock-dependent and no parallel-only fields.
+        """The oracle-comparison dump: every ``deterministic`` field.
 
         A parallel run and the sequential oracle must agree on this dict
         bit for bit (the contract the differential test layer enforces);
         the excluded fields are exactly :data:`PARALLEL_ONLY_FIELDS` and
         :data:`WALL_CLOCK_FIELDS`.
         """
-        excluded = set(PARALLEL_ONLY_FIELDS) | set(WALL_CLOCK_FIELDS)
         return {
             key: value
             for key, value in self.to_dict().items()
-            if key not in excluded
+            if _FIELDS[key]["kind"] == "deterministic"
         }
 
     # ------------------------------------------------------------------
@@ -277,48 +263,17 @@ class RuntimeStats:
         )
 
     def merge(self, other: "RuntimeStats") -> None:
-        """Accumulate another run's counters into this one (for averaging)."""
-        self.rounds += other.rounds
-        self.fused_rounds += other.fused_rounds
-        self.global_syncs += other.global_syncs
-        self.relaxations += other.relaxations
-        self.priority_updates += other.priority_updates
-        self.bucket_inserts += other.bucket_inserts
-        self.buffer_appends += other.buffer_appends
-        self.buffer_reductions += other.buffer_reductions
-        self.histogram_updates += other.histogram_updates
-        self.dedup_hits += other.dedup_hits
-        self.atomic_ops += other.atomic_ops
-        self.vertices_processed += other.vertices_processed
-        self.incremental_runs += other.incremental_runs
-        self.incremental_mutations += other.incremental_mutations
-        self.incremental_seeds += other.incremental_seeds
-        self.incremental_invalidated += other.incremental_invalidated
-        self.incremental_vertices_touched += other.incremental_vertices_touched
-        self.max_work_per_round.extend(other.max_work_per_round)
-        self.total_work_per_round.extend(other.total_work_per_round)
-        self.frontier_per_round.extend(other.frontier_per_round)
-        self.bucket_occupancy_per_round.extend(other.bucket_occupancy_per_round)
-        self.parallel_rounds += other.parallel_rounds
-        self.barrier_waits += other.barrier_waits
-        self.barrier_wait_time += other.barrier_wait_time
-        for thread_id, seconds in other.worker_wall_time.items():
-            self.worker_wall_time[thread_id] = (
-                self.worker_wall_time.get(thread_id, 0.0) + seconds
-            )
-        self.phase_timings.extend(other.phase_timings)
+        """Accumulate another run's counters into this one (for averaging),
+        each field by its declared ``merge`` rule."""
+        for name, meta in _FIELDS.items():
+            rule = _MERGES[meta["merge"]]
+            setattr(self, name, rule(getattr(self, name), getattr(other, name)))
 
-    def summary(self) -> dict[str, float]:
-        """A flat dictionary of the headline numbers, for reports."""
-        return {
-            "threads": self.num_threads,
-            "rounds": self.rounds,
-            "fused_rounds": self.fused_rounds,
-            "global_syncs": self.global_syncs,
-            "relaxations": self.relaxations,
-            "bucket_inserts": self.bucket_inserts,
-            "buffer_appends": self.buffer_appends,
-            "total_work": self.total_work,
-            "critical_path_work": self.critical_path_work,
-            "simulated_time": self.simulated_time(),
-        }
+
+_FIELDS = _declared_fields(RuntimeStats)
+
+# What :meth:`RuntimeStats.deterministic_dict` leaves out of oracle comparisons.
+PARALLEL_ONLY_FIELDS, WALL_CLOCK_FIELDS = (
+    tuple(name for name, meta in _FIELDS.items() if meta["kind"] == kind)
+    for kind in ("parallel_only", "wall_clock")
+)

@@ -16,7 +16,7 @@ Layers, bottom up:
 - :mod:`repro.serve.client` — a blocking client for tests and the
   ``serve_mixed`` benchmark workload (``bench/wl_serve.py``).
 
-Semantics are documented in DESIGN.md §14; every response bit-matches a
+Semantics are documented in DESIGN.md §13; every response bit-matches a
 solo run of the same program on the current (post-mutation) graph.
 """
 

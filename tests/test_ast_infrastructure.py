@@ -69,28 +69,6 @@ class TestNodeVisitor:
         assert visitor.count == 1
 
 
-class TestNodeTransformer:
-    def test_replace_literals(self):
-        class Doubler(ast.NodeTransformer):
-            def visit_IntLiteral(self, node):
-                return ast.IntLiteral(node.value * 2, line=node.line)
-
-        program = parse("func main()\n var x : int = 21;\nend")
-        Doubler().visit(program)
-        assert program.functions[0].body[0].initializer.value == 42
-
-    def test_remove_statement_by_returning_none(self):
-        class DropPrints(ast.NodeTransformer):
-            def visit_Print(self, node):
-                return None
-
-        program = parse("func main()\n print 1;\n var x : int = 0;\nend")
-        DropPrints().visit(program)
-        body = program.functions[0].body
-        assert len(body) == 1
-        assert isinstance(body[0], ast.VarDecl)
-
-
 class TestScope:
     def test_lookup_walks_parents(self):
         outer = Scope()

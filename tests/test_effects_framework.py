@@ -8,12 +8,9 @@ audit: every diagnostic the toolchain can emit carries a resolvable span.
 
 import pytest
 
-from repro.analyze import (
-    analyze_source,
-    build_analysis_document,
-    render_analysis_text,
-)
+from repro.analyze import build_analysis_document, render_analysis_text
 from repro.errors import CompileError, SchedulingError
+from repro.lang.parser import parse
 from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.analysis.diagnostics import Severity, lint_program
 from repro.midend.analysis.effects import (
@@ -21,6 +18,7 @@ from repro.midend.analysis.effects import (
     fusion_matrix,
 )
 from repro.midend.schedule import Schedule
+from repro.midend.transforms.lowering import plan_program
 
 # kcore with a sign-varying priority delta: `k - 1` depends on the current
 # priority, so the update is provably non-monotone for a lower_first queue.
@@ -32,8 +30,15 @@ assert NON_MONOTONE != ALL_PROGRAMS["kcore"]
 
 
 def _effects(name):
-    effects, _ = analyze_source(ALL_PROGRAMS[name])
-    return effects
+    # Lazy is the one strategy every built-in admits (setcover's extern
+    # bucket processing rejects the eager default).
+    plan = plan_program(parse(ALL_PROGRAMS[name]), Schedule(priority_update="lazy"))
+    return plan.effects
+
+
+def _effects_json(name, source=None):
+    document = build_analysis_document({name: source or ALL_PROGRAMS[name]})
+    return document["programs"][name]["effects"]
 
 
 class TestEffectSummaries:
@@ -60,27 +65,25 @@ class TestEffectSummaries:
 
     def test_every_builtin_analyzes(self):
         for name in sorted(ALL_PROGRAMS):
-            effects, resolved = analyze_source(ALL_PROGRAMS[name])
+            effects = _effects_json(name)
             # Unordered baselines (bellman_ford) have no priority queue;
             # everything else must surface one.
-            if effects.has_ordered_loop:
-                assert effects.queues, name
+            if effects["ordered_loop"]["recognized"]:
+                assert effects["queues"], name
                 # Extern bucket processing has no analyzable apply UDF.
-                if not effects.uses_extern_processing:
-                    assert effects.udfs, name
+                if not effects["ordered_loop"]["extern_processing"]:
+                    assert effects["udfs"], name
 
 
 class TestMonotonicity:
     def test_every_builtin_is_monotone_and_admissible(self):
         for name in sorted(ALL_PROGRAMS):
-            effects, _ = analyze_source(ALL_PROGRAMS[name])
-            for verdict in effects.monotonicity:
-                assert verdict.to_json()["verdict"] != "non-monotone", name
-                assert verdict.to_json()["admissible"], name
+            for verdict in _effects_json(name)["monotonicity"]:
+                assert verdict["verdict"] != "non-monotone", name
+                assert verdict["admissible"], name
 
     def test_non_monotone_negative_case(self):
-        effects, _ = analyze_source(NON_MONOTONE, filename="nm.gt")
-        verdicts = [v.to_json() for v in effects.monotonicity]
+        verdicts = _effects_json("nm.gt", NON_MONOTONE)["monotonicity"]
         assert len(verdicts) == 1
         assert verdicts[0]["verdict"] == "non-monotone"
         assert verdicts[0]["admissible"] is False
@@ -163,13 +166,14 @@ class TestAnalyzeDocument:
         assert document["fusion"][0]["fusable"]
 
     def test_extern_fallback_resolves_lazy(self):
-        _, resolved = analyze_source(ALL_PROGRAMS["setcover"])
-        assert resolved.priority_update == "lazy"
+        document = build_analysis_document({"setcover": ALL_PROGRAMS["setcover"]})
+        resolved = document["programs"]["setcover"]["schedule"]
+        assert resolved["priority_update"] == "lazy"
 
     def test_explicit_infeasible_schedule_raises(self):
         with pytest.raises((SchedulingError, CompileError)):
-            analyze_source(
-                ALL_PROGRAMS["setcover"],
+            build_analysis_document(
+                {"setcover": ALL_PROGRAMS["setcover"]},
                 schedule=Schedule(priority_update="eager_with_fusion"),
             )
 

@@ -1,6 +1,6 @@
 """The span/metric name registry check (the typo guard).
 
-Every literal name passed to a ``span``/``stat_span``/``instant`` hook or a
+Every literal name passed to a ``span``/``instant`` hook or a
 ``metrics.counter``/``gauge``/``histogram`` accessor anywhere under
 ``src/repro`` must be declared in ``repro.obs.events`` — and vice versa,
 every declared name must actually be referenced somewhere.  A misspelled
@@ -18,9 +18,9 @@ from repro.obs.events import CATEGORIES, METRIC_KINDS, METRICS, SPAN_NAMES
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 # with trace_span("bucket.advance", "bucket", ...) / obs.span(...) /
-# trace_stat_span(\n    "program.run", "runtime", ...)
+# trace_span(\n    "program.run", "runtime", ...)
 SPAN_CALL = re.compile(
-    r'\b(?:obs\.)?(?:trace_)?(?:stat_)?span\(\s*"([^"]+)"\s*,\s*"([^"]+)"'
+    r'\b(?:obs\.)?(?:trace_)?span\(\s*"([^"]+)"\s*,\s*"([^"]+)"'
 )
 INSTANT_CALL = re.compile(
     r'\b(?:obs\.)?(?:trace_)?instant\(\s*"([^"]+)"\s*,\s*"([^"]+)"'

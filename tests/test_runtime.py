@@ -9,13 +9,10 @@ from repro.runtime import (
     CostModel,
     RuntimeStats,
     VirtualThreadPool,
-    compact_frontier,
     gather_in_edges,
     gather_out_edges,
     gather_segments,
     histogram_counts,
-    output_buffer_offsets,
-    TOMBSTONE,
 )
 
 
@@ -89,13 +86,6 @@ class TestRuntimeStats:
         assert a.rounds == 2
         assert a.relaxations == 12
         assert a.max_work_per_round == [3, 3]
-
-    def test_summary_keys(self):
-        stats = RuntimeStats(num_threads=2)
-        summary = stats.summary()
-        assert summary["threads"] == 2
-        assert "simulated_time" in summary
-        assert "rounds" in summary
 
 
 class TestVirtualThreadPool:
@@ -198,14 +188,6 @@ class TestFrontierHelpers:
             for u, w in graph.out_edges(int(v))
         ]
         assert list(zip(sources.tolist(), dests.tolist(), weights.tolist())) == expected
-
-    def test_output_buffer_offsets(self, diamond_graph):
-        offsets = output_buffer_offsets(diamond_graph, np.array([0, 1, 4]))
-        assert offsets.tolist() == [0, 2, 4, 4]
-
-    def test_compact_frontier(self):
-        buffer = np.array([3, TOMBSTONE, 5, TOMBSTONE], dtype=np.int64)
-        assert compact_frontier(buffer).tolist() == [3, 5]
 
 
 class TestHistogram:

@@ -159,6 +159,31 @@ class TestDeadPublicNames:
             assert ":" in key and reason.strip(), key
 
 
+class TestEnvironmentSwitches:
+    def test_flags_undeclared_repro_variables_only(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "_config.py").write_text(
+            "import os\n"
+            "_ON = os.environ.get('REPRO_COUNTERS', '1') != '0'\n"
+            "_RING = None if os.environ['REPRO_RING'] == '0' else 1\n"
+            "_DIR = os.environ.get('REPRO_STATE_DIR') or '.repro'\n"
+            "_HOME = os.getenv('HOME')\n"
+            "_TEXT = 'REPRO_OUTPUT'  # a literal nobody reads from the env\n"
+        )
+        findings = static_lint.lint_paths([tmp_path / "src"])
+        assert all("L005" in finding for finding in findings), findings
+        flagged = sorted(f.split("'")[1] for f in findings)
+        assert flagged == ["REPRO_COUNTERS", "REPRO_RING"]
+
+    def test_allowlist_holds_deployment_paths_with_reasons(self):
+        assert sorted(static_lint.ENV_ALLOWLIST) == [
+            "REPRO_KERNEL_CACHE", "REPRO_NATIVE_CXX", "REPRO_STATE_DIR",
+        ]
+        assert all(r.strip() for r in static_lint.ENV_ALLOWLIST.values())
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint_snippet(tmp_path, "def f(:\n")

@@ -1,15 +1,20 @@
 """Serialization contract of :class:`RuntimeStats`.
 
-The satellite fix this pins down: the parallel-only fields must serialize
-deterministically — stable key order, string-keyed ``worker_wall_time`` that
-survives a JSON round trip losslessly — and the oracle-comparison dump
-(``deterministic_dict``) must exclude every wall-clock-dependent field.
+The parallel-only fields must serialize deterministically — stable key
+order, string-keyed ``worker_wall_time`` that survives JSON — the
+oracle-comparison dump (``deterministic_dict``) must exclude every
+wall-clock-dependent field, and every field must declare how it merges and
+what it is, so ``merge()`` and the dumps are derived, never restated.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
+import pytest
+
+from repro.runtime import stats as stats_module
 from repro.runtime.stats import (
     PARALLEL_ONLY_FIELDS,
     WALL_CLOCK_FIELDS,
@@ -27,7 +32,6 @@ def populated_stats() -> RuntimeStats:
     stats.priority_updates = 5
     stats.execution = "parallel"
     stats.record_parallel_round({2: 0.5, 0: 0.25}, barrier_wait=0.125)
-    stats.record_phase("apply.push", 10.0, 250.0)
     return stats
 
 
@@ -61,23 +65,8 @@ class TestToDict:
         assert all(isinstance(k, str) for k in dumped)
 
     def test_json_round_trip_lossless(self):
-        stats = populated_stats()
-        restored = RuntimeStats.from_dict(
-            json.loads(json.dumps(stats.to_dict()))
-        )
-        assert restored.to_dict() == stats.to_dict()
-        # int keys restored on the live object
-        assert restored.worker_wall_time == {0: 0.25, 2: 0.5}
-        assert restored.phase_timings == stats.phase_timings
-
-    def test_from_dict_tolerates_missing_and_unknown_fields(self):
-        restored = RuntimeStats.from_dict(
-            {"rounds": 3, "not_a_field": 99, "relaxations": 7}
-        )
-        assert restored.rounds == 3
-        assert restored.relaxations == 7
-        assert restored.phase_timings == []
-        assert restored.worker_wall_time == {}
+        dumped = populated_stats().to_dict()
+        assert json.loads(json.dumps(dumped)) == dumped
 
 
 class TestDeterministicDict:
@@ -93,7 +82,6 @@ class TestDeterministicDict:
         # Perturb only nondeterministic observables.
         parallel.barrier_wait_time += 1.0
         parallel.worker_wall_time[2] += 9.0
-        parallel.record_phase("apply.push", 99.0, 1.0)
         parallel.parallel_rounds += 5
         assert oracle.deterministic_dict() == parallel.deterministic_dict()
 
@@ -104,10 +92,30 @@ class TestDeterministicDict:
         assert a.deterministic_dict() != b.deterministic_dict()
 
 
-class TestMerge:
-    def test_merge_extends_phase_timings(self):
+class TestDeclaredOnce:
+    def test_merge_follows_each_fields_declared_rule(self):
         a = populated_stats()
         b = populated_stats()
         a.merge(b)
-        assert len(a.phase_timings) == 2
-        assert a.worker_wall_time == {0: 0.5, 2: 1.0}
+        assert a.rounds == 2 and a.relaxations == 34  # sum
+        assert a.max_work_per_round == [10, 10]  # extend
+        assert a.worker_wall_time == {0: 0.5, 2: 1.0}  # sum-by-key
+        assert a.barrier_wait_time == 0.25
+        assert a.num_threads == 4 and a.execution == "parallel"  # keep
+
+    def test_exported_field_tuples_are_derived_from_the_declarations(self):
+        assert PARALLEL_ONLY_FIELDS == (
+            "execution", "parallel_rounds", "barrier_waits",
+        )
+        assert WALL_CLOCK_FIELDS == ("barrier_wait_time", "worker_wall_time")
+
+    def test_field_without_merge_and_kind_metadata_is_refused(self):
+        """The check that runs on RuntimeStats at import: a bare field
+        would be silently skipped by merge() and the dumps."""
+
+        @dataclass
+        class Extended(RuntimeStats):
+            cas_failures: int = 0
+
+        with pytest.raises(TypeError, match="cas_failures"):
+            stats_module._declared_fields(Extended)

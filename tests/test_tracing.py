@@ -4,9 +4,9 @@ The three load-bearing contracts:
 
 1. **Spans strictly nest per thread** and the Chrome-trace JSON round-trips
    through disk and validates against the event schema.
-2. **Off is free and invisible**: with no active tracer the hook sites add
-   zero events, ``phase_timings`` stays empty, and the differential-oracle
-   statistics of an untraced run are bit-identical to a baseline run.
+2. **Untraced is invisible**: with no active tracer the hook sites feed
+   only the bounded always-on ring, and the differential-oracle statistics
+   of an untraced run are bit-identical to a baseline run.
 3. **On is non-perturbing**: a traced run computes the same output vectors
    and the same deterministic statistics as an untraced run.
 """
@@ -67,7 +67,6 @@ class TestTracerMechanics:
     def test_spans_strictly_nest_per_thread(self, graph):
         with obs.tracing() as tracer:
             run_sssp(graph)
-        assert tracer.open_spans() == 0
         by_tid: dict[int, list[dict]] = {}
         for event in tracer.events:
             if event["ph"] == "X":
@@ -109,9 +108,12 @@ class TestTracerMechanics:
     def test_instant_and_counter_events(self):
         with obs.tracing() as tracer:
             obs.instant("tick", "meta", k=1)
-            obs.counter("frontier", "meta", size=7)
-        phases = [e["ph"] for e in tracer.events if e["ph"] != "M"]
-        assert phases == ["i", "C"]
+        (tick,) = [e for e in tracer.events if e["ph"] != "M"]
+        assert tick["ph"] == "i" and tick["args"] == {"k": 1}
+        # Counter (ph=C) samples are not part of the schema: the metrics
+        # registry carries counters, the tracer carries spans and instants.
+        assert "C" not in obs.PHASES
+        assert obs.validate_event(dict(tick, ph="C"))
 
     def test_parallel_run_emits_worker_and_barrier_spans(self, graph):
         with obs.tracing() as tracer:
@@ -198,50 +200,30 @@ class TestChromeTraceExport:
 
 
 # ----------------------------------------------------------------------
-# Zero overhead / non-perturbation
+# Non-perturbation
 # ----------------------------------------------------------------------
 class TestTracingInvisibility:
-    def test_off_by_default_and_null_span_shared(self):
-        from repro.obs import flight
-
-        assert obs.get_tracer() is None
-        # With both the tracer and the flight recorder off, the hooks fall
-        # through to one shared stateless null span.
-        saved = flight.get_recorder()
-        flight.set_recorder(None)
-        try:
-            first = obs.span("anything", "meta", x=1)
-            second = obs.span("other", "bucket")
-            assert first is second  # the shared stateless null span
-            with first as sp:
-                assert sp is None
-        finally:
-            flight.set_recorder(saved)
-
     def test_untraced_spans_feed_the_flight_recorder(self):
-        """With tracing off but the recorder on, span() still records —
-        the always-on forensics ring the crash dump is built from."""
-        from repro.obs import flight
+        """With tracing off, span() still records — into the always-on
+        bounded ring the crash dump is built from."""
+        from repro.obs import tracer as tracer_module
 
-        saved = flight.get_recorder()
-        recorder = flight.FlightRecorder(capacity=8)
-        flight.set_recorder(recorder)
+        ring = obs.Tracer(capacity=8)
+        saved = tracer_module.set_ring(ring)
         try:
             assert obs.get_tracer() is None
             with obs.span("bucket.advance", "bucket", order=3) as sp:
-                assert sp is not None  # args dict, mutable like a tracer span
-            events = recorder.events()
-            assert [e["name"] for e in events] == ["bucket.advance"]
-            assert events[0]["args"]["order"] == 3
+                sp["frontier"] = 5  # args dict, mutable like any span's
+            (event,) = [e for e in ring.events if e["ph"] == "X"]
+            assert event["name"] == "bucket.advance"
+            assert event["args"] == {"order": 3, "frontier": 5}
         finally:
-            flight.set_recorder(saved)
+            tracer_module.set_ring(saved)
 
     def test_untraced_run_keeps_stats_bit_identical(self, graph):
         baseline = run_sssp(graph)
         again = run_sssp(graph)
         assert oracle_dump(baseline.stats) == oracle_dump(again.stats)
-        assert baseline.stats.phase_timings == []
-        assert again.stats.phase_timings == []
 
     def test_traced_run_does_not_perturb_outputs_or_counters(self, graph):
         untraced = run_sssp(graph)
@@ -250,13 +232,8 @@ class TestTracingInvisibility:
         assert np.array_equal(
             untraced.vector("dist"), traced.vector("dist")
         )
-        untraced_dump = oracle_dump(untraced.stats)
-        traced_dump = oracle_dump(traced.stats)
-        # The ONLY divergence a tracer may introduce is phase_timings
-        # (timestamps exist only while tracing).
-        assert traced_dump.pop("phase_timings")
-        untraced_dump.pop("phase_timings")
-        assert untraced_dump == traced_dump
+        # A tracer introduces no divergence at all: it never touches stats.
+        assert oracle_dump(untraced.stats) == oracle_dump(traced.stats)
 
     def test_differential_oracle_unaffected_by_prior_tracing(self, graph):
         """A tracing session must leave no residue: the parallel-vs-oracle
@@ -290,13 +267,3 @@ class TestTracingInvisibility:
         # The framework presets drive the library algorithms directly, so
         # the trace carries harness + bucket spans (no compiler spans).
         assert "cell.run" in names and "bucket.advance" in names
-
-    def test_stat_span_records_phases_only_under_tracer(self, graph):
-        with obs.tracing():
-            traced = run_sssp(graph)
-        phases = [entry["phase"] for entry in traced.stats.phase_timings]
-        assert "program.run" in phases
-        assert all(
-            entry["dur_us"] >= 0 and entry["start_us"] >= 0
-            for entry in traced.stats.phase_timings
-        )

@@ -2,7 +2,7 @@
 """A dependency-free static linter for the repro source tree.
 
 The container deliberately ships no third-party lint toolchain, so CI runs
-this stdlib-``ast`` checker instead.  Four rule families, chosen because
+this stdlib-``ast`` checker instead.  Five rule families, chosen because
 each has bitten real compiler code:
 
 - ``L001`` unused import — an import whose bound name is never referenced
@@ -22,6 +22,13 @@ each has bitten real compiler code:
   call is how ``run_lazy_histogram``, ``AtomicOps`` and ``VertexVector``
   outlived their last caller.  Runs whenever a linted path contains a
   ``repro/`` package; :data:`DEAD_NAME_ALLOWLIST` names what stays and why.
+- ``L005`` undeclared environment switch — a ``REPRO_*`` variable read
+  from ``os.environ`` inside the ``repro`` package that is not in
+  :data:`ENV_ALLOWLIST`.  The allowlist holds deployment paths only: an
+  environment variable that turns a subsystem off is an option nobody
+  tests (the metrics and flight-recorder off-switches were never set by
+  any caller, CI job or benchmark before they were deleted).  Runs
+  alongside L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -34,6 +41,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -44,7 +52,6 @@ REFERENCE_DIRS = ("bench", "benchmarks", "examples", "tools")
 
 _USER_INPUT = "user-facing input: callers build or load their graphs with it"
 _TEST_SEAM = "test seam: lets a test swap or reset process-wide state"
-_TEST_ONLY = "only tests call it today; delete together with those tests"
 
 # L004 exemptions, ``<path under repro/>:<name>`` -> the reason it stays.
 DEAD_NAME_ALLOWLIST = {
@@ -76,25 +83,25 @@ DEAD_NAME_ALLOWLIST = {
     "obs/exporters.py:load_chrome_trace": (
         "documented way to validate a trace file `repro trace` wrote"
     ),
-    "obs/metrics.py:enable": _TEST_SEAM,
-    "obs/metrics.py:disable": _TEST_SEAM,
     "obs/metrics.py:reset_metrics": _TEST_SEAM,
     "obs/metrics.py:deterministic_snapshot": (
         "the scheduling-independent view the metrics determinism tests pin"
     ),
-    "obs/flight.py:set_recorder": _TEST_SEAM,
+    "obs/tracer.py:set_ring": _TEST_SEAM,
     "backend/native/toolchain.py:reset_toolchain_cache": _TEST_SEAM,
     "serve/server.py:start_in_thread": (
         "in-process server harness for the serve tests (bench uses a subprocess)"
     ),
-    "analyze.py:analyze_source": _TEST_ONLY,
-    "graph/mutations.py:mutation_endpoints": _TEST_ONLY,
-    "graph/vertexset.py:VertexSet": _TEST_ONLY,
-    "lang/ast_nodes.py:NodeTransformer": _TEST_ONLY,
-    "obs/flight.py:flight_enabled": _TEST_ONLY,
-    "runtime/frontier.py:output_buffer_offsets": _TEST_ONLY,
-    "runtime/frontier.py:compact_frontier": _TEST_ONLY,
 }
+
+# L005: the only ``REPRO_*`` variables the package may read, each a
+# deployment path (where something lives), never a behaviour switch.
+ENV_ALLOWLIST = {
+    "REPRO_KERNEL_CACHE": "directory the compiled native kernels are cached in",
+    "REPRO_STATE_DIR": "directory crash dumps (last_run.json) are written to",
+    "REPRO_NATIVE_CXX": "path of the C++ compiler that builds native kernels",
+}
+_ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 
 
 def _finding(path: Path, node: ast.AST, code: str, message: str) -> str:
@@ -295,6 +302,44 @@ def check_dead_public_names(source_root: Path) -> list[str]:
     return findings
 
 
+def check_env_reads(package: Path) -> list[str]:
+    """L005 over every module of the ``repro`` package at ``package``."""
+    findings = []
+    for file in sorted(package.rglob("*.py")):
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        reported: set[ast.AST] = set()  # a literal sits under nested reads
+        for node in ast.walk(tree):
+            # os.environ.get("X") / os.environ["X"] / "X" in os.environ /
+            # os.getenv("X"): an expression naming environ or getenv.
+            if not isinstance(node, (ast.Call, ast.Subscript, ast.Compare)):
+                continue
+            if not _identifiers(node) & {"environ", "getenv"}:
+                continue
+            for literal in ast.walk(node):
+                if (
+                    isinstance(literal, ast.Constant)
+                    and isinstance(literal.value, str)
+                    and _ENV_NAME.fullmatch(literal.value)
+                    and literal.value not in ENV_ALLOWLIST
+                    and literal not in reported
+                ):
+                    reported.add(literal)
+                    findings.append(
+                        _finding(
+                            file,
+                            literal,
+                            "L005",
+                            f"environment variable {literal.value!r} is not in "
+                            "ENV_ALLOWLIST; the package reads deployment paths "
+                            "from the environment, not behaviour switches",
+                        )
+                    )
+    return findings
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -318,6 +363,7 @@ def lint_paths(paths: list[Path]) -> list[str]:
             findings += lint_file(file)
         if (root / "repro").is_dir():
             findings += check_dead_public_names(root)
+            findings += check_env_reads(root / "repro")
     return findings
 
 
