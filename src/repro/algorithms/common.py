@@ -30,7 +30,7 @@ from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..graph.properties import INT_MAX
 from ..midend.schedule import Schedule
-from ..runtime.frontier import gather_in_edges, gather_out_edges
+from ..runtime.frontier import gather_in_edges, gather_out_edges, scatter_extremum
 from ..runtime.stats import RuntimeStats
 from ..runtime.threads import VirtualThreadPool
 
@@ -68,8 +68,8 @@ class Extremum:
     source_value: int
     # The value an edge of weight ``w`` offers its head given its tail's value.
     offer: Callable
-    # The numpy ufunc that keeps the better of two values (``.at`` scatters,
-    # ``.reduce`` folds an array).
+    # The numpy ufunc that keeps the better of two values (what
+    # ``scatter_extremum`` scatters with; ``.reduce`` folds an array).
     reduce: np.ufunc
     # Bucket processing order of the priority queue.
     direction: str
@@ -223,12 +223,9 @@ def make_relaxer(
                 return scanned
         else:
             stats.atomic_ops += scanned
-        candidates = extremum.offer(values[sources], weights)
-        old = values[dests]
-        extremum.reduce.at(values, dests, candidates)
-        # The scatter only ever moves a value toward the extremum, so
-        # "changed" is "improved".
-        changed = np.unique(dests[values[dests] != old])
+        changed = scatter_extremum(
+            values, dests, extremum.offer(values[sources], weights), extremum.reduce
+        )
         if changed.size:
             stats.priority_updates += int(changed.size)
             if heuristic is not None:

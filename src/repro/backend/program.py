@@ -141,6 +141,15 @@ class CompiledProgram:
             _RUNS_FAILED.inc()
             raise
         _RUNS_COMPLETED.inc()
+        if context.inverted_batches:
+            print(
+                f"V102: {context.inverted_batches} batch min/max update(s) "
+                "landed below the current bucket (a negative weight?): the "
+                "program breaks the monotone-priority contract, under which "
+                "alone vectorized outputs are guaranteed to equal scalar "
+                "order; run(..., vectorize=False) gives scalar order",
+                file=sys.stderr,
+            )
         context.globals.update(program_globals)
         return RunResult(
             globals=program_globals, stats=context.stats, context=context

@@ -318,8 +318,7 @@ class _PythonEmitter(ast.NodeVisitor):
             # Whole-edgeset unordered apply (original GraphIt): no frontier,
             # no priority queue involvement.
             udf = expression.arguments[0].identifier
-            kernel = self._kernel_arg(udf)
-            return f"ctx.apply_edges({chain.identifier}, {udf}{kernel})"
+            return f"ctx.apply_edges({chain.identifier}, {udf})"
         if not (
             isinstance(chain, ast.MethodCall)
             and chain.method == "from"
@@ -365,21 +364,13 @@ class _PythonEmitter(ast.NodeVisitor):
                 f", kernel=dict(kind={kernel.kind!r}, "
                 f"constant={kernel.constant})"
             )
-        parts = [f"kind={kernel.kind!r}"]
+        parts = [
+            f"kind={kernel.kind!r}",
+            f"value=lambda src, dst, weight, k_cur: {kernel.value}",
+        ]
         if kernel.kind == "guarded_write_min":
             parts.append(f"aux=lambda: {kernel.aux}")
-        if kernel.kind == "plain_min":
-            parts.append(f"target=lambda: {kernel.target}")
-        parts.append(f"value=lambda src, dst, weight, k_cur: {kernel.value}")
-        if kernel.kind == "guarded_write_min":
-            parts.append(
-                f"priority=lambda src, dst, weight, k_cur, new_val: "
-                f"{kernel.priority}"
-            )
-        if kernel.guard is not None:
-            parts.append(f"guard=lambda src, dst, weight, k_cur: {kernel.guard}")
-        hazards = ", ".join(kernel.hazard)
-        parts.append(f"hazard=lambda: [{hazards}]")
+            parts.append(f"priority=lambda dst, k_cur, new_val: {kernel.priority}")
         return ", kernel=dict(" + ", ".join(parts) + ")"
 
     def _queue_name(self) -> str:

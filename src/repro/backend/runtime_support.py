@@ -19,10 +19,17 @@ builds the UDF's chunk relaxer and hands it to the one ordered-processing
 loop in :mod:`repro.core.executors` (shared with the hand-written
 algorithms).
 
-This backend favours fidelity over speed: with ``vectorize=False`` edges are
-processed one at a time through the generated UDF exactly as the emitted C++
-would, so its behaviour (including statistics) is the reference the batch
-kernels and the vectorized library algorithms are tested against.
+With ``vectorize=False`` edges are processed one at a time through the
+generated UDF exactly as the emitted C++ would: that run is the *output*
+oracle every batch kernel is tested against, and its per-edge counters are
+its own.  The batch kernels for the extremal updates scatter through the
+same :func:`repro.runtime.frontier.scatter_extremum` as the hand-written
+library and charge what it charges (one priority update per vertex improved
+in a chunk); only the constant-sum kernels still reproduce the scalar
+counters.  Outputs equal the oracle's while no update lands below the
+current bucket (the paper's monotone-priority contract; a run that breaks
+it is reported as ``V102``); the guarded A* kernel replays scalar order
+where it matters and is exact for any heuristic.
 """
 
 from __future__ import annotations
@@ -49,21 +56,13 @@ from ..graph.properties import INT_MAX
 from ..midend.schedule import Schedule
 from ..obs import metrics
 from ..obs import span as trace_span
-from ..runtime.frontier import (
-    gather_in_edges,
-    gather_out_edges,
-    segmented_running_extrema,
-)
+from ..runtime.frontier import gather_in_edges, gather_out_edges, scatter_extremum
 from ..runtime.histogram import histogram_counts
 from ..runtime.sanitizer import SanitizedVector, Sanitizer
 from ..runtime.stats import RuntimeStats
 from ..runtime.threads import VirtualThreadPool
 
 __all__ = ["Context", "INT_MAX"]
-
-# Sentinel for "no write yet" in the first-write position buffer used by the
-# vectorized hazard-restart loop (larger than any stream position).
-_NO_WRITE = np.int64(2**62)
 
 # Batch-kernel kinds each vectorized operator accepts.
 _PRIORITY_KINDS = ("write_min", "write_max", "guarded_write_min", "sum_const")
@@ -72,80 +71,6 @@ _APPLY_CALLS = metrics.counter("apply.calls")
 _APPLY_VECTORIZED = metrics.counter("apply.vectorized_calls")
 _APPLY_SCALAR = metrics.counter("apply.scalar_calls")
 _APPLY_FRONTIER = metrics.histogram("apply.frontier_size")
-
-
-def _segment_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
-    """Boundary mask (True at the first position of each contiguous run)."""
-    boundary = np.empty(sorted_keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    return boundary
-
-
-def _last_in_run(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask that is True at the last position of each contiguous run."""
-    mask = np.empty(sorted_keys.size, dtype=bool)
-    mask[-1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=mask[:-1])
-    return mask
-
-
-def _sort_by_dst(dst: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Stable argsort of a destination stream.
-
-    Vertex ids that fit in 16 bits take numpy's radix path (an order of
-    magnitude faster than the comparison sort used for wider integers).
-    """
-    key = dst.astype(np.uint16) if num_vertices <= 2**16 else dst
-    return np.argsort(key, kind="stable")
-
-
-def _clamp_seed_values(seeds, svals, queue, cur, maximum):
-    """Pull scan seeds toward the stream's value range (fast-path enabler).
-
-    Sentinel seeds (null priorities such as INT_MAX) blow up the value span
-    the biased running-extrema scan needs, forcing it onto the np.unique
-    rank-compression path.  A seed strictly beyond every stream value loses
-    every extremum comparison regardless of its magnitude, and the clamp
-    bound is kept beyond the freeze threshold (its order is >= cur + 1), so
-    no success or freeze decision changes.  Streams whose own values reach
-    sentinel magnitude (int64 wraparound territory) are left unclamped.
-    """
-    if maximum:
-        lo = int(svals.min())
-        if lo <= -(2**61):
-            return seeds
-        bound = lo - 1
-        if cur is not None:
-            bound = min(bound, int(queue.value_of_order(cur + 1)))
-        return np.maximum(seeds, bound)
-    hi = int(svals.max())
-    if hi >= 2**61:
-        return seeds
-    bound = hi + 1
-    if cur is not None:
-        bound = max(bound, int(queue.value_of_order(cur + 1)))
-    return np.minimum(seeds, bound)
-
-
-def _prefix_extrema(
-    seeds: np.ndarray,
-    svals: np.ndarray,
-    boundary: np.ndarray,
-    maximum: bool,
-) -> np.ndarray:
-    """Per position, the extrema of (segment seed, earlier segment values).
-
-    This is exactly the value the scalar interpreter's write-min/-max loop
-    observes as the "old" value just before processing each position: the
-    running extrema over every earlier *attempt* equals the running extrema
-    over the successful writes, because failed attempts never improve on the
-    current value.
-    """
-    pre = np.empty_like(svals)
-    pre[1:] = svals[:-1]
-    pre[boundary] = seeds
-    return segmented_running_extrema(pre, boundary, maximum=maximum)
 
 
 class Context:
@@ -191,16 +116,21 @@ class Context:
         self.sanitizer: Sanitizer | None = None
         # UDF vectorization: the midend classifies each apply UDF; when it
         # emitted a batch-kernel descriptor and ``vectorize`` is on, the
-        # operators below run the numpy batch path (bit-identical statistics
-        # to the scalar interpreter).  ``vectorize=False`` forces the scalar
-        # reference path for every apply — the differential-testing oracle.
+        # operators below run the numpy batch path (outputs bit-identical
+        # to the scalar interpreter's while no update lands below the
+        # current bucket; see ``inverted_batches``).  ``vectorize=False``
+        # forces the scalar reference path for every apply — the
+        # differential-testing oracle.
         self.vectorize = bool(vectorize)
         self.vectorized_applies = 0
         self.scalar_applies = 0
+        # Write-min / write-max chunks in which an update landed below the
+        # current bucket: the run left the monotone-priority contract under
+        # which chunk-snapshot reads are guaranteed to equal scalar order
+        # (reported as V102 by ``CompiledProgram.run``).
+        self.inverted_batches = 0
         self._arity_cache: dict = {}
-        # Reusable scratch: first-write positions for the hazard-restart
-        # loop, and the pull frontier membership mask.
-        self._fw_buffer: np.ndarray | None = None
+        # Reusable scratch: the pull frontier membership mask.
         self._mask_buffer: np.ndarray | None = None
         self._mask_set = np.empty(0, dtype=np.int64)
 
@@ -587,9 +517,13 @@ class Context:
     #
     # When the midend's vectorization pass recognized the UDF's shape it
     # emits a kernel descriptor alongside the scalar closure; these
-    # operators execute whole edge streams through numpy while charging
-    # every RuntimeStats counter bit-identically to the scalar
-    # interpreter above (the differential tests assert this).
+    # operators execute whole edge streams through numpy.  The sum kinds
+    # reproduce the scalar interpreter above exactly, counters included.
+    # The extremal kinds read a chunk snapshot and charge RuntimeStats as
+    # the library's ``make_relaxer`` does; their outputs are bit-identical
+    # to the scalar interpreter's under the monotone-priority contract (no
+    # update lands below the current bucket), and the guarded A* kind for
+    # any heuristic — see ``_relax_stream``.
     # ------------------------------------------------------------------
     def _apply_push_vectorized(
         self, edges: CSRGraph, bucket: np.ndarray, kernel: dict, queue
@@ -614,8 +548,10 @@ class Context:
             n = int(dst.size)
             self.stats.relaxations += n
             self.stats.atomic_ops += n
-            self._dispatch_stream(kernel, queue, src, dst, wgt, thread_id, eager)
-            self.stats.add_thread_work(thread_id, n)
+            routed = self._dispatch_stream(
+                kernel, queue, src, dst, wgt, thread_id, eager
+            )
+            self.stats.add_thread_work(thread_id, n + routed)
 
         self.pool.run_round(chunks, produce, commit, ordered=True)
         self.stats.end_round(syncs=2)
@@ -636,14 +572,12 @@ class Context:
             n = int(dst.size)
             self.stats.relaxations += n
             # Pull direction: only edges whose source is on the frontier run
-            # the UDF (and no atomics, Figure 9(b)).  The gather is
-            # destination-major, so the filtered stream preserves the scalar
-            # interpreter's processing order.
+            # the UDF (and no atomics, Figure 9(b)).
             mask = on_frontier[src]
-            self._dispatch_stream(
+            routed = self._dispatch_stream(
                 kernel, queue, src[mask], dst[mask], wgt[mask], thread_id, False
             )
-            self.stats.add_thread_work(thread_id, n)
+            self.stats.add_thread_work(thread_id, n + routed)
 
         self.pool.run_round(chunks, produce, commit, ordered=True)
         self.stats.end_round(syncs=2)
@@ -657,250 +591,109 @@ class Context:
         wgt: np.ndarray,
         thread_id: int,
         eager: bool,
-    ) -> None:
-        kind = kernel["kind"]
-        if kind in ("write_min", "write_max"):
-            self._run_minmax_stream(kernel, queue, src, dst, wgt, thread_id, eager)
-        elif kind == "guarded_write_min":
-            self._run_guarded_stream(kernel, queue, src, dst, wgt, thread_id, eager)
-        elif kind == "sum_const":
+    ) -> int:
+        """Run one chunk's edge stream through its batch kernel.
+
+        Returns the bucket operations to charge on top of the edges
+        traversed (the :class:`repro.core.executors.Relaxer` work unit): one
+        per improved vertex for the extremal kinds, routed exactly as the
+        library's relaxer routes them.  The sum kernel charges edges only,
+        which is what the scalar interpreter it mirrors charges.
+        """
+        if kernel["kind"] == "sum_const":
             self._run_sum_stream(kernel, queue, dst, thread_id, eager)
-        else:  # pragma: no cover - guarded by _use_kernel
-            raise GraphItError(f"unknown batch kernel kind {kind!r}")
+            return 0
+        if dst.size == 0:
+            return 0
+        improved = self._relax_stream(kernel, queue, src, dst, wgt)
+        if improved.size:
+            self.stats.priority_updates += int(improved.size)
+            if eager:
+                queue.insert_changed_batch(thread_id, improved)
+            else:
+                queue.buffer_changed_batch(improved)
+        return int(improved.size)
 
     # -- shared batch helpers ------------------------------------------
     @staticmethod
-    def _current_priority(queue):
-        """Current bucket priority, or None before the first dequeue."""
-        try:
-            return queue.get_current_priority()
-        except PriorityQueueError:
-            return None
-
-    @staticmethod
-    def _batch_values(fn, src, dst, wgt, k_cur, new_val=None):
-        """Evaluate a kernel expression over a whole edge stream as int64."""
-        if new_val is None:
-            out = fn(src, dst, wgt, k_cur)
-        else:
-            out = fn(src, dst, wgt, k_cur, new_val)
+    def _as_stream(out, size: int) -> np.ndarray:
+        """A kernel expression's result as one int64 per stream position."""
         out = np.asarray(out)
         if out.ndim == 0:
-            out = np.full(src.size, int(out), dtype=np.int64)
+            out = np.full(size, int(out), dtype=np.int64)
         return out.astype(np.int64, copy=False)
 
-    def _first_write_buffer(self, size: int) -> np.ndarray:
-        fw = self._fw_buffer
-        if fw is None or fw.size < size:
-            fw = self._fw_buffer = np.full(size, _NO_WRITE, dtype=np.int64)
-        return fw
-
-    def _first_hazard(
-        self,
-        src: np.ndarray,
-        write_dst: np.ndarray,
-        write_pos: np.ndarray,
-        length: int,
-    ) -> int | None:
-        """First stream position whose source was written at an earlier
-        position (a read-after-write hazard invalidating its batch value).
-
-        Returns None when the whole stream is hazard-free.  The result is
-        always >= 1, so the restart loop makes progress.
-        """
-        if write_dst.size == 0:
-            return None
-        needed = max(int(src.max()), int(write_dst.max())) + 1
-        fw = self._first_write_buffer(needed)
-        # Callers pass one (destination, first position) pair per written
-        # vertex, so a plain scatter stores each vertex's earliest write.
-        fw[write_dst] = write_pos
-        hazards = np.flatnonzero(fw[src] < np.arange(length, dtype=np.int64))
-        fw[write_dst] = _NO_WRITE
-        if hazards.size == 0:
-            return None
-        return int(hazards[0])
-
-    def _enqueue_successes(
-        self,
-        queue,
-        vertices: np.ndarray,
-        values: np.ndarray,
-        thread_id: int,
-        eager: bool,
-        cur: int | None,
-    ) -> None:
-        """Register committed priority writes with the queue, exactly as the
-        scalar per-success ``_buffer_vertex``/``_insert`` calls would."""
-        if eager:
-            orders = np.asarray(queue.order_of_value(values), dtype=np.int64)
-            if cur is not None:
-                below = int(np.count_nonzero(orders < cur))
-                if below:
-                    queue.priority_inversions += below
-                    orders = np.maximum(orders, cur)
-            queue.insert_batch_at(thread_id, vertices, orders)
-        else:
-            queue.buffer_attempts_batch(vertices)
-
     # -- stream processors ---------------------------------------------
-    def _run_minmax_stream(
-        self, kernel, queue, src, dst, wgt, thread_id, eager
-    ) -> None:
-        """Sequential-exact batch write-min/write-max over an edge stream.
+    def _relax_stream(self, kernel, queue, src, dst, wgt) -> np.ndarray:
+        """``updatePriorityMin`` / ``Max`` over an edge stream; returns the
+        sorted distinct vertices whose priority improved.
 
-        Stable-sorts by destination, reconstructs the value the scalar loop
-        would observe before each edge (seed priority + running extrema of
-        earlier same-destination attempts), and commits the successes.  When
-        the kernel reads a written vector at the source, a hazard scan limits
-        each batch to the prefix that is provably identical to sequential
-        execution and restarts after it (guaranteed progress).
+        What is the DSL operator's contract, not the kernel's, happens here:
+        the UDF's value expression evaluated over the whole stream, the A*
+        guard (``if v < aux[dst]: aux[dst] = v; pq.updatePriorityMin(dst,
+        priority(v))`` — scatter into ``aux``, then one priority offer per
+        guard-passing edge, which the same kernel folds to one update per
+        improved vertex), and Table 1's refusal to update a vertex whose
+        bucket was already processed.  The null priority maps to an order
+        past every bucket in either direction, so an untracked vertex is
+        never refused.
         """
-        if dst.size == 0:
-            return
-        maximum = kernel["kind"] == "write_max"
-        pv = queue.priority_vector
-        null = queue.null_priority
-        cur = queue._cur_order
-        k_cur = self._current_priority(queue)
-        has_hazard = bool(kernel["hazard"]())
-        value_fn = kernel["value"]
-        n = int(dst.size)
-        start = 0
-        while start < n:
-            s = src[start:]
-            d = dst[start:]
-            w = wgt[start:]
-            m = int(d.size)
-            vals = self._batch_values(value_fn, s, d, w, k_cur)
-            sort_idx = _sort_by_dst(d, pv.size)
-            sd = d[sort_idx]
-            svals = vals[sort_idx]
-            boundary = _segment_boundaries(sd)
-            seeds = _clamp_seed_values(
-                pv[sd[boundary]], svals, queue, cur, maximum
+        cur = queue.current_order  # None before the first dequeue
+        k_cur = None if cur is None else queue.get_current_priority()
+        vals = self._as_stream(kernel["value"](src, dst, wgt, k_cur), dst.size)
+        if kernel["kind"] == "guarded_write_min":
+            # The scalar guard has no finalized check of its own.
+            aux = kernel["aux"]()
+            passing = vals < aux[dst]
+            # An extern heuristic need not be consistent, and then the scalar
+            # answer depends on the order of writes: a chunk that improves
+            # ``aux`` at one of its own sources is taken one source at a time,
+            # so every read sees the writes scalar order puts before it.
+            cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
+            if cuts.size and np.isin(dst[passing], src).any():
+                parts = [
+                    self._relax_stream(kernel, queue, *part)
+                    for part in zip(*(np.split(a, cuts) for a in (src, dst, wgt)))
+                ]
+                return np.unique(np.concatenate(parts))
+            scatter_extremum(aux, dst, vals, np.minimum)
+            dst = dst[passing]
+            vals = self._as_stream(
+                kernel["priority"](dst, k_cur, vals[passing]), dst.size
             )
-            observed = _prefix_extrema(seeds, svals, boundary, maximum)
-            if maximum:
-                succ = (observed == null) | (svals > observed)
-            else:
-                succ = svals < observed
-            if cur is not None:
-                succ &= np.asarray(queue.order_of_value(observed)) >= cur
-            idx = np.flatnonzero(succ)
-            cutoff = None
-            if has_hazard and idx.size:
-                kd = sd[idx]
-                first = _segment_boundaries(kd)
-                cutoff = self._first_hazard(
-                    s, kd[first], sort_idx[idx[first]], m
-                )
-            if cutoff is not None:
-                idx = idx[sort_idx[idx] < cutoff]
-                consumed = cutoff
-            else:
-                consumed = m
-            if idx.size:
-                commit_dst = sd[idx]
-                commit_vals = svals[idx]
-                # Successes within a segment strictly improve the priority,
-                # so the last success per run holds the final value.
-                last = _last_in_run(commit_dst)
-                pv[commit_dst[last]] = commit_vals[last]
-                self.stats.priority_updates += int(idx.size)
-                self._enqueue_successes(
-                    queue, commit_dst, commit_vals, thread_id, eager, cur
-                )
-            start += consumed
+        pv = queue.priority_vector
+        reduce = np.maximum if kernel["kind"] == "write_max" else np.minimum
+        if cur is not None:
+            live = np.asarray(queue.order_of_value(pv[dst])) >= cur
+            if not live.all():
+                dst, vals = dst[live], vals[live]
+            # The stream's best offer tells whether any offer is inverted.
+            if dst.size and queue.order_of_value(reduce.reduce(vals)) < cur:
+                if kernel["kind"] != "guarded_write_min":
+                    self.inverted_batches += 1
+                inverted = np.asarray(queue.order_of_value(vals)) < cur
+                dst, vals = self._freeze_at_first_inversion(dst, vals, inverted)
+        return scatter_extremum(pv, dst, vals, reduce)
 
-    def _run_guarded_stream(
-        self, kernel, queue, src, dst, wgt, thread_id, eager
-    ) -> None:
-        """Batch A*-shaped UDF: ``if v < aux[dst]: aux[dst] = v;
-        pq.updatePriorityMin(dst, priority(v))``.
+    @staticmethod
+    def _freeze_at_first_inversion(dst, vals, inverted):
+        """Table 1's refusal, replayed inside one chunk.
 
-        Level 1 resolves the auxiliary-vector guard per destination segment;
-        level 2 replays ``updatePriorityMin`` on the surviving subsequence.
-        The hazard scan conservatively treats every level-1 success as a
-        write event, which can only shorten the exact prefix (never admit a
-        stale read).
+        An offer that lands below the current bucket (a priority inversion:
+        the program broke the monotone-priority contract — an inconsistent
+        A* heuristic, a negative weight) finalizes its vertex the moment it
+        is written, so the scalar interpreter refuses every later offer to
+        that vertex, even a better one.  Such an offer beats every offer
+        that is not inverted, so the vertex ends at its *first* inverted
+        offer in stream order: keep that one, drop the vertex's others.
         """
-        if dst.size == 0:
-            return
-        pv = queue.priority_vector
-        cur = queue._cur_order
-        k_cur = self._current_priority(queue)
-        aux = kernel["aux"]()
-        has_hazard = bool(kernel["hazard"]())
-        value_fn = kernel["value"]
-        priority_fn = kernel["priority"]
-        n = int(dst.size)
-        start = 0
-        while start < n:
-            s = src[start:]
-            d = dst[start:]
-            w = wgt[start:]
-            m = int(d.size)
-            vals = self._batch_values(value_fn, s, d, w, k_cur)
-            sort_idx = _sort_by_dst(d, pv.size)
-            sd = d[sort_idx]
-            svals = vals[sort_idx]
-            boundary = _segment_boundaries(sd)
-            # Level 1: the aux guard.  The guard reads aux at the
-            # destination only, so within a segment the running minimum is
-            # exact; no freeze check (the scalar guard has none).
-            seeds = _clamp_seed_values(
-                aux[sd[boundary]], svals, None, None, False
-            )
-            e_aux = _prefix_extrema(seeds, svals, boundary, False)
-            gsucc = svals < e_aux
-            g_idx = np.flatnonzero(gsucc)
-            cutoff = None
-            if has_hazard and g_idx.size:
-                kd = sd[g_idx]
-                first = _segment_boundaries(kd)
-                cutoff = self._first_hazard(
-                    s, kd[first], sort_idx[g_idx[first]], m
-                )
-            if cutoff is not None:
-                g_idx = g_idx[sort_idx[g_idx] < cutoff]
-                consumed = cutoff
-            else:
-                consumed = m
-            if g_idx.size:
-                gd = sd[g_idx]
-                gv = svals[g_idx]
-                # Level 2: replay updatePriorityMin on the guarded
-                # subsequence (still destination-sorted and in scalar
-                # order within each segment).
-                gidx = sort_idx[g_idx]
-                q = self._batch_values(
-                    priority_fn, s[gidx], gd, w[gidx], k_cur, new_val=gv
-                )
-                gboundary = _segment_boundaries(gd)
-                pseeds = _clamp_seed_values(
-                    pv[gd[gboundary]], q, queue, cur, False
-                )
-                e_pv = _prefix_extrema(pseeds, q, gboundary, False)
-                psucc = q < e_pv
-                if cur is not None:
-                    psucc &= np.asarray(queue.order_of_value(e_pv)) >= cur
-                # The scalar UDF writes aux unconditionally inside the
-                # guard, regardless of the priority update's outcome.
-                # Guard successes strictly improve aux within a segment, so
-                # the last per run is the final value.
-                g_last = _last_in_run(gd)
-                aux[gd[g_last]] = gv[g_last]
-                pd = gd[psucc]
-                pq_vals = q[psucc]
-                if pd.size:
-                    p_last = _last_in_run(pd)
-                    pv[pd[p_last]] = pq_vals[p_last]
-                    self.stats.priority_updates += int(pd.size)
-                    self._enqueue_successes(
-                        queue, pd, pq_vals, thread_id, eager, cur
-                    )
-            start += consumed
+        hit = np.flatnonzero(inverted)
+        frozen, first = np.unique(dst[hit], return_index=True)
+        keep = ~np.isin(dst, frozen)
+        return (
+            np.concatenate([dst[keep], frozen]),
+            np.concatenate([vals[keep], vals[hit[first]]]),
+        )
 
     def _run_sum_stream(self, kernel, queue, dst, thread_id, eager) -> None:
         """Batch ``updatePrioritySum(dst, c, getCurrentPriority())``.
@@ -976,120 +769,36 @@ class Context:
         else:
             queue.buffer_attempts_batch(rep_v)
 
-    def _run_plain_stream(self, kernel, src, dst, wgt) -> None:
-        """Batch plain write-min into an arbitrary vector (``apply_edges``),
-        with an optional source-side guard."""
-        if dst.size == 0:
-            return
-        target = kernel["target"]()
-        value_fn = kernel["value"]
-        guard_fn = kernel.get("guard")
-        has_hazard = bool(kernel["hazard"]())
-        n = int(dst.size)
-        start = 0
-        while start < n:
-            s = src[start:]
-            d = dst[start:]
-            w = wgt[start:]
-            m = int(d.size)
-            if guard_fn is not None:
-                g = np.asarray(guard_fn(s, d, w, None))
-                if g.ndim == 0:
-                    g = np.full(m, bool(g))
-                active = np.flatnonzero(g)
-            else:
-                active = np.arange(m, dtype=np.int64)
-            if active.size == 0:
-                # No guard passes on the current snapshot; with no writes
-                # the snapshot is final, so the rest of the stream is a
-                # no-op.
-                break
-            av = self._batch_values(
-                value_fn, s[active], d[active], w[active], None
-            )
-            sort_idx = _sort_by_dst(d[active], target.size)
-            sd = d[active][sort_idx]
-            svals = av[sort_idx]
-            boundary = _segment_boundaries(sd)
-            seeds = _clamp_seed_values(
-                target[sd[boundary]], svals, None, None, False
-            )
-            observed = _prefix_extrema(seeds, svals, boundary, False)
-            succ = svals < observed
-            idx = np.flatnonzero(succ)
-            cutoff = None
-            if has_hazard and idx.size:
-                kd = sd[idx]
-                first = _segment_boundaries(kd)
-                cutoff = self._first_hazard(
-                    s, kd[first], active[sort_idx[idx[first]]], m
-                )
-            if cutoff is not None:
-                idx = idx[active[sort_idx[idx]] < cutoff]
-                consumed = cutoff
-            else:
-                consumed = m
-            if idx.size:
-                commit_dst = sd[idx]
-                last = _last_in_run(commit_dst)
-                target[commit_dst[last]] = svals[idx[last]]
-            start += consumed
-
-    def apply_edges(
-        self, edges: CSRGraph, udf: Callable, kernel: dict | None = None
-    ) -> None:
+    def apply_edges(self, edges: CSRGraph, udf: Callable) -> None:
         """Whole-edgeset unordered apply (original GraphIt's ``edges.apply``).
 
-        Every edge is processed once per call, in arbitrary order — the
-        building block of the unordered baselines (Bellman-Ford).
+        Every edge is processed once per call, in scalar order — the
+        building block of the unordered baselines (Bellman-Ford).  There is
+        no batch kernel: without a queue's rounds a fixed-iteration apply
+        has no snapshot a batch could read without changing its outputs.
         """
-        self._note_apply(self._use_kernel(kernel, ("plain_min",)), edges.num_edges)
+        self._note_apply(False, edges.num_edges)
         with trace_span(
-            "apply.edges",
-            "runtime",
-            vectorized=self._use_kernel(kernel, ("plain_min",)),
+            "apply.edges", "runtime", vectorized=False
         ), self._effect_scope(self._effect_udf_name(udf), edges=edges):
             # Whole-edgeset apply: every vertex is a legal write target, so
             # only the name-level rules apply (frontier=None).
-            self._apply_edges(edges, udf, kernel)
-
-    def _apply_edges(
-        self, edges: CSRGraph, udf: Callable, kernel: dict | None = None
-    ) -> None:
-        if self._use_kernel(kernel, ("plain_min",)):
+            weighted = self._udf_arity(udf) == 3
             self.stats.begin_round()
             all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
             chunks = self.pool.partition(all_vertices, degrees=edges.out_degrees())
-
-            def produce(chunk: np.ndarray, thread_id: int):
-                return gather_out_edges(edges, chunk)
-
-            def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
-                src, dst, wgt = prefetched
-                n = int(dst.size)
-                self.stats.relaxations += n
-                self._run_plain_stream(kernel, src, dst, wgt)
-                self.stats.add_thread_work(thread_id, n)
-
-            self.pool.run_round(chunks, produce, commit, ordered=True)
+            for thread_id, chunk in enumerate(chunks):
+                work = 0
+                for source in chunk.tolist():
+                    for destination, weight in edges.out_edges(source):
+                        self.stats.relaxations += 1
+                        if weighted:
+                            udf(source, destination, weight)
+                        else:
+                            udf(source, destination)
+                        work += 1
+                self.stats.add_thread_work(thread_id, work)
             self.stats.end_round(syncs=1)
-            return
-        weighted = self._udf_arity(udf) == 3
-        self.stats.begin_round()
-        all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
-        chunks = self.pool.partition(all_vertices, degrees=edges.out_degrees())
-        for thread_id, chunk in enumerate(chunks):
-            work = 0
-            for source in chunk.tolist():
-                for destination, weight in edges.out_edges(source):
-                    self.stats.relaxations += 1
-                    if weighted:
-                        udf(source, destination, weight)
-                    else:
-                        udf(source, destination)
-                    work += 1
-            self.stats.add_thread_work(thread_id, work)
-        self.stats.end_round(syncs=1)
 
     # ------------------------------------------------------------------
     # Lazy with constant sum (Figure 10)
@@ -1233,8 +942,9 @@ class Context:
                     work = int(dst.size)
                     self.stats.relaxations += work
                     self.stats.atomic_ops += work
-                    self._dispatch_stream(kernel, queue, src, dst, wgt, thread_id, True)
-                    return work
+                    return work + self._dispatch_stream(
+                        kernel, queue, src, dst, wgt, thread_id, True
+                    )
                 work = 0
                 for source in chunk.tolist():
                     for destination, weight in edges.out_edges(source):

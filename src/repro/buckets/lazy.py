@@ -172,11 +172,12 @@ class LazyBucketQueue(AbstractPriorityQueue):
         Deduplicates against the pending flags; returns how many entries were
         actually appended.  Accounting is per *vertex*, not per attempt: only
         fresh (previously unflagged) vertices charge a buffer append, and
-        already-flagged vertices count as dedup hits.  This matches the
-        histogram operator (Figure 10), which buffers each changed vertex
-        once per round.  The scalar interpreter charges an append per
-        *attempt* instead — use :meth:`buffer_attempts_batch` when the
-        scalar path's counters must be reproduced exactly.
+        already-flagged vertices count as dedup hits.  This is what every
+        extremal relaxer (library and compiled) and the histogram operator
+        (Figure 10) use: each changed vertex is buffered once per chunk.
+        The scalar interpreter charges an append per *attempt* instead;
+        only the constant-sum batch kernel still reproduces that, through
+        :meth:`buffer_attempts_batch`.
         """
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
@@ -199,8 +200,8 @@ class LazyBucketQueue(AbstractPriorityQueue):
         Figure 9(a)) and every attempt on an already-flagged vertex —
         including the second and later occurrences within this very batch —
         counts as a dedup hit, exactly as if :meth:`_buffer_vertex` had run
-        once per attempt.  This is what the vectorized apply operators use to
-        keep ``RuntimeStats`` bit-identical to the scalar interpreter.
+        once per attempt.  This is what the vectorized constant-sum operator
+        uses to keep ``RuntimeStats`` bit-identical to the scalar interpreter.
 
         Returns how many distinct vertices were freshly appended.
         """

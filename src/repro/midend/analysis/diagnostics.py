@@ -86,6 +86,7 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "I001": "incremental resume requires an extremal (min/max) ordered loop",
     # V1xx: UDF vectorization pass (batch-kernel classification).
     "V101": "apply UDF fell back to the scalar interpreter (not vectorizable)",
+    "V102": "a batch min/max update landed below the current bucket (run time)",
     # N1xx: native execution path.
     "N101": "native execution unavailable; fell back to vectorized Python",
 }

@@ -15,29 +15,37 @@ evaluated algorithms in the typed AST and classifies each apply UDF as
     never an error: the analysis attaches a located reason, surfaced by
     ``repro lint`` as the informational ``V101`` diagnostic.
 
-Recognized kinds (the six evaluated algorithms plus the unordered baseline
-shape):
+Recognized kinds (the six evaluated algorithms):
 
 ``write_min`` / ``write_max``
     A single ``updatePriorityMin``/``Max`` on the destination whose new
     value is a pure batch expression (SSSP, wBFS, PPSP, widest path).
 ``guarded_write_min``
     The A* idiom: a guarded monotonic min-write to an auxiliary vector
-    followed by an ``updatePriorityMin`` with a derived priority value.
+    followed by an ``updatePriorityMin`` whose priority is derived from the
+    written value and destination-indexed reads.
 ``sum_const``
     A single constant-difference ``updatePrioritySum`` clamped at the
     current priority (k-core under the plain lazy/eager schedules).
 ``sum_hist``
     The same UDF under ``lazy_constant_sum``: the Figure 10 histogram
     operator runs one batch update per (vertex, count) pair.
-``plain_min``
-    A guarded monotonic min-write to a plain vector with no queue
-    involvement (whole-edgeset ``apply`` relaxation kernels).
 
-The hard constraint the runtime upholds for every vectorizable kind is
-*bit-identical* ``RuntimeStats`` counters and outputs versus the scalar
-interpreter; the analysis therefore only admits shapes for which the
-sequential-exact batch algorithms in ``runtime_support`` exist, and it
+A whole-edgeset ``edges.apply`` UDF always falls back: it has no queue
+whose rounds could give a batch a snapshot to read, so it runs in scalar
+order.
+
+The contract the runtime upholds for every vectorizable kind is
+*bit-identical outputs* versus the scalar interpreter — for the sum kinds
+and the guarded kind always, for ``write_min`` / ``write_max`` while the
+program keeps the monotone-priority contract (no update lands below the
+current bucket; a run that breaks it is reported as ``V102``).  The extremal
+kinds scatter through :func:`repro.runtime.frontier.scatter_extremum` with
+chunk-snapshot reads and count one priority update per vertex improved in a
+chunk — the library's counters, not the scalar interpreter's per-edge ones;
+the sum kinds still reproduce the scalar counters exactly.  The guarded
+kind's priority expression is assumed nondecreasing in the written value
+(``new_val + h[dst]``), as the guard itself presumes.  The analysis
 consults the race classification: any UDF with an ``unordered_racy`` write
 site falls back (such programs are refused at runtime anyway, diagnostic
 ``R001``).
@@ -75,14 +83,11 @@ __all__ = [
 class VectorKernel:
     """Everything the backend needs to emit one batch kernel descriptor."""
 
-    kind: str  # write_min | write_max | guarded_write_min | sum_const | sum_hist | plain_min
+    kind: str  # write_min | write_max | guarded_write_min | sum_const | sum_hist
     queue_name: str | None = None
     value: str | None = None  # batch expr for the candidate value
-    guard: str | None = None  # plain_min: source-side guard batch expr
     priority: str | None = None  # guarded kind: priority expr (uses new_val)
     aux: str | None = None  # guarded kind: guarded-write target vector
-    target: str | None = None  # plain_min: target vector
-    hazard: tuple[str, ...] = ()  # written vectors the value exprs read at src
     constant: int | None = None  # sum kinds: the constant difference
 
 
@@ -119,12 +124,12 @@ _COMPARE_OPS = {"<", ">", "<=", ">=", "==", "!="}
 class _ExprClassifier:
     """Renders a UDF expression as a numpy batch expression string.
 
-    Tracks which program vectors the expression reads indexed by the source
-    and destination parameters; the kind matchers use those sets to enforce
-    the safety conditions (destination reads of written vectors are only
-    legal through the structural patterns the runtime handles exactly, and
-    source reads of written vectors become hazard arrays for the restart
-    loop).
+    Tracks which program vectors the expression reads at the destination
+    and whether it depends on the edge at all (source or weight); the kind
+    matchers use both to enforce the safety conditions (destination reads
+    of written vectors are only legal through the structural patterns the
+    runtime handles exactly, and the guarded kind's priority is evaluated
+    once per improved vertex, where no edge exists any more).
     """
 
     def __init__(
@@ -146,9 +151,9 @@ class _ExprClassifier:
         self.scalar_names = scalar_names
         self.queue_names = queue_names
         self.new_val_name = new_val_name
-        self.reads_at_src: set[str] = set()
         self.reads_at_dst: set[str] = set()
-        self.uses_k: bool = False
+        # First sub-expression that depends on the edge (source or weight).
+        self.edge_use: ast.Expr | None = None
         self._inlining: set[str] = set()
 
     def classify(self, expression: ast.Expr) -> str:
@@ -180,7 +185,6 @@ class _ExprClassifier:
                 and isinstance(expression.receiver, ast.Name)
                 and expression.receiver.identifier in self.queue_names
             ):
-                self.uses_k = True
                 return "k_cur"
             raise _Fallback(
                 f"method call {expression.method!r} has no batch form",
@@ -193,12 +197,11 @@ class _ExprClassifier:
 
     def _name(self, expression: ast.Name) -> str:
         name = expression.identifier
-        if name == self.src_param:
-            return "src"
         if name == self.dst_param:
             return "dst"
-        if name == self.weight_param:
-            return "weight"
+        if name in (self.src_param, self.weight_param):
+            self.edge_use = self.edge_use or expression
+            return "src" if name == self.src_param else "weight"
         if self.new_val_name is not None and name == self.new_val_name:
             return "new_val"
         if name in self.locals_inline:
@@ -262,7 +265,7 @@ class _ExprClassifier:
                 expression.span,
             )
         if index.identifier == self.src_param:
-            self.reads_at_src.add(base.identifier)
+            self.edge_use = self.edge_use or expression
             return f"{base.identifier}[src]"
         if index.identifier == self.dst_param:
             self.reads_at_dst.add(base.identifier)
@@ -358,9 +361,7 @@ def _flat_statements(
     return decls, rest
 
 
-def _check_scalar_global_writes(
-    udf: ast.FuncDecl, locals_inline: dict[str, ast.Expr], vectors: set[str]
-) -> None:
+def _check_scalar_global_writes(udf: ast.FuncDecl) -> None:
     """Any write to a scalar global is a side effect no batch kernel has."""
     local_names = {name for name, _ in udf.parameters}
     for node in ast.walk(udf):
@@ -375,18 +376,6 @@ def _check_scalar_global_writes(
                     f"outside every recognized batch pattern",
                     node.span,
                 )
-
-
-def _written_vectors(udf: ast.FuncDecl, update: PriorityUpdate | None) -> set[str]:
-    written: set[str] = set()
-    for node in ast.walk(udf):
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.target, ast.Index)
-            and isinstance(node.target.base, ast.Name)
-        ):
-            written.add(node.target.base.identifier)
-    return written
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +420,7 @@ def _match_priority_udf(
     vectors = _program_vectors(program)
     scalars = _program_scalars(program)
     locals_inline = _inlineable_locals(udf)
-    _check_scalar_global_writes(udf, locals_inline, vectors)
+    _check_scalar_global_writes(udf)
 
     def classifier(new_val_name: str | None = None) -> _ExprClassifier:
         return _ExprClassifier(
@@ -495,12 +484,10 @@ def _match_priority_udf(
                 f"the new value reads {sorted(illegal)[0]!r} at the "
                 f"destination, which the kernel itself writes"
             )
-        hazard = tuple(sorted(cls.reads_at_src & written))
         return VectorKernel(
             kind="write_min" if update.op == "min" else "write_max",
             queue_name=update.queue_name,
             value=value,
-            hazard=hazard,
         )
 
     if len(rest) == 1 and isinstance(rest[0], ast.If):
@@ -591,6 +578,13 @@ def _match_guarded(
     )
     priority_cls = classifier(new_val_name=assigned_local)
     priority = priority_cls.classify(update.value_arg)
+    if priority_cls.edge_use is not None:
+        raise _Fallback(
+            "the guarded priority reads the source or the edge weight; the "
+            "batch kernel updates the queue once per improved vertex, from "
+            "the written value and destination-indexed reads only",
+            Span.from_node(priority_cls.edge_use),
+        )
 
     written = {aux, priority_vector}
     for cls in (value_cls, priority_cls):
@@ -600,133 +594,12 @@ def _match_guarded(
                 f"a batch expression reads {sorted(illegal)[0]!r} at the "
                 f"destination, which the kernel writes"
             )
-    hazard = tuple(
-        sorted((value_cls.reads_at_src | priority_cls.reads_at_src) & written)
-    )
     return VectorKernel(
         kind="guarded_write_min",
         queue_name=update.queue_name,
         value=value,
         priority=priority,
         aux=aux,
-        hazard=hazard,
-    )
-
-
-def _match_plain_udf(
-    udf: ast.FuncDecl, program: ast.Program, queue_names: set[str]
-) -> VectorKernel:
-    """Classify a whole-edgeset ``apply`` UDF (no queue), or raise."""
-    parameters = [name for name, _ in udf.parameters]
-    if len(parameters) < 2:
-        raise _Fallback("edge UDF needs (src, dst[, weight]) parameters")
-    src_param, dst_param = parameters[0], parameters[1]
-    weight_param = parameters[2] if len(parameters) > 2 else None
-    if find_priority_updates(udf, queue_names):
-        raise _Fallback("whole-edgeset apply UDF performs priority updates")
-
-    vectors = _program_vectors(program)
-    scalars = _program_scalars(program)
-    locals_inline = _inlineable_locals(udf)
-    _check_scalar_global_writes(udf, locals_inline, vectors)
-
-    def classifier() -> _ExprClassifier:
-        return _ExprClassifier(
-            src_param,
-            dst_param,
-            weight_param,
-            locals_inline,
-            vectors,
-            scalars,
-            queue_names,
-        )
-
-    body = udf.body
-    guard_expr: str | None = None
-    guard_reads_src: set[str] = set()
-    decls, rest = _flat_statements(body)
-    if len(rest) == 1 and isinstance(rest[0], ast.If) and not rest[0].else_body:
-        outer = rest[0]
-        inner_decls, inner_rest = _flat_statements(outer.then_body)
-        if (
-            len(inner_rest) == 1
-            and isinstance(inner_rest[0], ast.If)
-            and _is_min_write(inner_rest[0])
-        ):
-            guard_cls = classifier()
-            guard_expr = guard_cls.classify(outer.condition)
-            if guard_cls.reads_at_dst:
-                raise _Fallback(
-                    "the source guard reads destination-indexed state",
-                    Span.from_node(outer.condition),
-                )
-            guard_reads_src = guard_cls.reads_at_src
-            rest = inner_rest
-        elif _is_min_write(outer):
-            pass  # the single If IS the min-write
-        else:
-            raise _Fallback(
-                "UDF body does not match the guarded min-write shape"
-            )
-    if not (len(rest) == 1 and isinstance(rest[0], ast.If)):
-        raise _Fallback("UDF body does not match the guarded min-write shape")
-    write_if = rest[0]
-    if not _is_min_write(write_if):
-        raise _Fallback("UDF body does not match the guarded min-write shape")
-    assign = write_if.then_body[0]
-    target = assign.target.base.identifier
-    if not (
-        isinstance(assign.target.index, ast.Name)
-        and assign.target.index.identifier == dst_param
-    ):
-        raise _Fallback("min-write is not indexed by the destination")
-    condition = write_if.condition
-    if not (
-        isinstance(condition.right, ast.Index)
-        and isinstance(condition.right.base, ast.Name)
-        and condition.right.base.identifier == target
-        and isinstance(condition.right.index, ast.Name)
-        and condition.right.index.identifier == dst_param
-    ):
-        raise _Fallback(
-            "guard is not the monotonic test `value < target[dst]`"
-        )
-    value_cls = classifier()
-    value = value_cls.classify(assign.value)
-    guard_value_cls = classifier()
-    if guard_value_cls.classify(condition.left) != value:
-        raise _Fallback(
-            "the guarded comparison tests a different value than the one "
-            "written"
-        )
-    written = {target}
-    if value_cls.reads_at_dst & written:
-        raise _Fallback(
-            f"the new value reads {target!r} at the destination outside "
-            f"the guard"
-        )
-    hazard = tuple(
-        sorted((value_cls.reads_at_src | guard_reads_src) & written)
-    )
-    return VectorKernel(
-        kind="plain_min",
-        value=value,
-        guard=guard_expr,
-        target=target,
-        hazard=hazard,
-    )
-
-
-def _is_min_write(statement: ast.Stmt) -> bool:
-    return (
-        isinstance(statement, ast.If)
-        and not statement.else_body
-        and len(statement.then_body) == 1
-        and isinstance(statement.then_body[0], ast.Assign)
-        and isinstance(statement.then_body[0].target, ast.Index)
-        and isinstance(statement.then_body[0].target.base, ast.Name)
-        and isinstance(statement.condition, ast.BinaryOp)
-        and statement.condition.operator == "<"
     )
 
 
@@ -759,10 +632,12 @@ def analyze_udf_vectorization(
             span=first.span,
         )
     try:
-        if is_priority_apply:
-            kernel = _match_priority_udf(udf, program, queue_names, schedule)
-        else:
-            kernel = _match_plain_udf(udf, program, queue_names)
+        if not is_priority_apply:
+            raise _Fallback(
+                "whole-edgeset apply runs in scalar order; only "
+                "priority-queue updates have a batch kernel"
+            )
+        kernel = _match_priority_udf(udf, program, queue_names, schedule)
     except _Fallback as fallback:
         return VectorizeReport(
             udf_name=udf.name,

@@ -1,5 +1,6 @@
 """Frontier construction helpers: edge gathering for vectorized traversal
-and the segmented scans behind the sequential-exact batch kernels.
+and the one extremal relax kernel every write-min / write-max path scatters
+through.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ __all__ = [
     "gather_segments",
     "gather_out_edges",
     "gather_in_edges",
-    "segmented_running_extrema",
+    "scatter_extremum",
 ]
 
 def gather_segments(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -36,66 +37,33 @@ def gather_segments(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     )
 
 
-def segmented_running_extrema(
-    values: np.ndarray, boundary: np.ndarray, maximum: bool = False
+def scatter_extremum(
+    values: np.ndarray, dests: np.ndarray, candidates: np.ndarray, reduce: np.ufunc
 ) -> np.ndarray:
-    """Inclusive running min (or max) of ``values`` within each segment.
+    """*The* write-min / write-max relax kernel: offer ``candidates[i]`` to
+    ``values[dests[i]]``, keep the better under ``reduce`` (``np.minimum`` or
+    ``np.maximum``), and return the sorted distinct vertices that improved.
 
-    Segments are contiguous runs; ``boundary[i]`` is True at the first
-    position of each segment (``boundary[0]`` must be True).  This is the
-    scan primitive behind the sequential-exact vectorized apply operators:
-    feeding it the *previous* value of each position (seeded with the
-    destination's current priority at segment starts) yields, for every
-    position, exactly the value the scalar interpreter would observe just
-    before processing that position.
-
-    Implemented with the rank-bias trick: values are replaced by their ranks
-    (order-isomorphic, so min/max commute with the mapping), each segment's
-    ranks are offset so no segment can leak into the next under a global
-    ``np.minimum.accumulate``/``np.maximum.accumulate``, and the result is
-    mapped back.  Ranks keep the bias products small; an overflow guard
-    falls back to a per-segment Python loop for pathological inputs.
+    Chunk-snapshot semantics: every candidate was computed before any write
+    of this call lands, and a vertex offered several improvements counts
+    once — "vertices whose value changed", the only update accounting a
+    CAS-based native kernel reproduces deterministically.  ``reduce.at``
+    folds the improving offers in a scratch array (every one of them beats
+    the old value, so their best *is* the new value); ``values`` itself is
+    only indexed — one gather, one store of the improved entries — so a
+    ``SanitizedVector`` records the read and the write with their indices
+    like any other access.
     """
-    values = np.asarray(values)
-    if values.size == 0:
-        return values.copy()
-    boundary = np.asarray(boundary, dtype=bool)
-    segment = np.cumsum(boundary, dtype=np.int64) - 1
-    num_segments = int(segment[-1]) + 1
-    # Fast path: bias the raw values directly when the value span is small
-    # enough that per-segment offsets cannot overflow (the common case —
-    # priorities are bounded by the graph's weighted diameter).  Falls back
-    # to rank compression, and from there to a per-segment loop.
-    vmin = int(values.min())
-    vmax = int(values.max())
-    span = vmax - vmin + 1
-    if (num_segments + 1) * span < 2**62:
-        shifted = values.astype(np.int64) - vmin
-        if maximum:
-            biased = shifted + segment * span
-            running = np.maximum.accumulate(biased) - segment * span
-        else:
-            biased = shifted - segment * span
-            running = np.minimum.accumulate(biased) + segment * span
-        return (running + vmin).astype(values.dtype, copy=False)
-    unique, ranks = np.unique(values, return_inverse=True)
-    ranks = ranks.astype(np.int64)
-    stride = int(unique.size) + 1
-    if (num_segments + 1) * stride >= 2**62:  # pragma: no cover - guard
-        out = np.empty_like(values)
-        starts = np.flatnonzero(boundary)
-        ends = np.append(starts[1:], values.size)
-        op = np.maximum if maximum else np.minimum
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            out[start:end] = op.accumulate(values[start:end])
-        return out
-    if maximum:
-        biased = ranks + segment * stride
-        running = np.maximum.accumulate(biased) - segment * stride
-    else:
-        biased = ranks - segment * stride
-        running = np.minimum.accumulate(biased) + segment * stride
-    return unique[running]
+    old = values[dests]
+    improving = reduce(candidates, old) != old
+    touched, slot = np.unique(dests[improving], return_inverse=True)
+    if touched.size:
+        offers = candidates[improving]
+        best = np.empty(touched.size, dtype=values.dtype)
+        best[slot] = offers
+        reduce.at(best, slot, offers)
+        values[touched] = best
+    return touched
 
 
 def gather_out_edges(

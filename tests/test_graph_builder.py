@@ -109,3 +109,30 @@ def test_dedup_sum_large_batch():
     graph = GraphBuilder(10).add_edges(sources, dests, weights).build(deduplicate="sum")
     # Total weight is conserved by sum-dedup.
     assert graph.weights.sum() == 500
+
+
+@pytest.mark.parametrize(
+    "mode,expected",
+    [
+        # (source, dest)-sorted, parallel copies in insertion order.
+        (
+            "none",
+            [(0, 1, 4), (0, 2, 7), (0, 2, 3), (0, 2, 5), (2, 0, 6), (2, 0, 1), (2, 1, 8)],
+        ),
+        ("first", [(0, 1, 4), (0, 2, 7), (2, 0, 6), (2, 1, 8)]),
+        ("min", [(0, 1, 4), (0, 2, 3), (2, 0, 1), (2, 1, 8)]),
+        ("max", [(0, 1, 4), (0, 2, 7), (2, 0, 6), (2, 1, 8)]),
+        ("sum", [(0, 1, 4), (0, 2, 15), (2, 0, 7), (2, 1, 8)]),
+    ],
+)
+def test_parallel_edges_sort_stably_in_every_mode(mode, expected):
+    builder = GraphBuilder(3)
+    builder.add_edges([2, 0, 0], [0, 2, 1], [6, 7, 4])
+    builder.add_edges([0, 2, 2, 0], [2, 1, 0, 2], [3, 8, 1, 5])
+    graph = builder.build(deduplicate=mode)
+    edges = [
+        (source, int(dest), int(weight))
+        for source in range(3)
+        for dest, weight in zip(graph.out_neighbors(source), graph.out_weights(source))
+    ]
+    assert edges == expected

@@ -6,8 +6,9 @@ Three layers of defense:
    empty ones), chains (every frontier is a single vertex, so every round
    takes the engine's single-chunk fast path), duplicate-heavy multigraphs
    (the same destination hammered from one chunk), and zero-weight edges
-   (same-bucket cascades) — each checked bit-identical against the scalar
-   oracle at several worker counts.
+   (same-bucket cascades) — each checked bit-identical (outputs against
+   the scalar oracle, counters against the serial vectorized run) at
+   several worker counts.
 
 2. **Property-based fuzz** (hypothesis, derandomized for CI stability):
    arbitrary small multigraphs under arbitrary strategy/worker
@@ -22,8 +23,6 @@ Three layers of defense:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,39 +35,16 @@ from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.analysis.diagnostics import Severity, lint_program
 from repro.midend.schedule import Schedule
 
+from .test_parallel_differential import assert_bit_identical, run_pair
+
 pytestmark = pytest.mark.slow
-
-PARALLEL_ONLY = {
-    "execution",
-    "parallel_rounds",
-    "barrier_waits",
-    "barrier_wait_time",
-    "worker_wall_time",
-}
-
-
-def deterministic_stats(stats) -> dict:
-    dump = dataclasses.asdict(stats)
-    dump.pop("_current_work", None)
-    for key in PARALLEL_ONLY:
-        dump.pop(key, None)
-    return dump
 
 
 def assert_parallel_matches_oracle(source, schedule, args, graph):
-    oracle = compile_program(source, schedule).run(
-        list(args), graph=graph, vectorize=False
-    )
-    parallel = compile_program(source, schedule.with_(execution="parallel")).run(
-        list(args), graph=graph, vectorize=True
-    )
-    for name, value in oracle.globals.items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(value, parallel.globals[name]), (
-                f"vector {name} diverged on {graph.num_vertices} vertices / "
-                f"{graph.num_edges} edges at {schedule.num_threads} workers"
-            )
-    assert deterministic_stats(oracle.stats) == deterministic_stats(parallel.stats)
+    """The differential suite's contract: outputs against the scalar oracle,
+    counters against the serial vectorized run."""
+    oracle, serial, parallel = run_pair(source, schedule, args, graph)
+    assert_bit_identical(oracle, serial, parallel, schedule.num_threads)
     return oracle, parallel
 
 

@@ -12,6 +12,8 @@ summaries the midend proved.  Three layers are covered here:
   sanitizer catches the write at run time.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,48 @@ class TestSanitizerDifferential:
             plain.vector("dist"), checked.vector("dist")
         )
         assert len(checked.context.sanitizer.log) > 0
+
+    @pytest.mark.parametrize("strategy", ["lazy", "eager_with_fusion"])
+    def test_vectorized_writes_reach_the_sanitizer(
+        self, monkeypatch, diff_graph, strategy
+    ):
+        # The batch kernel must commit through the instrumented vector: a
+        # scatter aimed straight at the buffer would update priorities in
+        # scopes whose log shows no write at all.
+        scopes = []  # (priority updates during the scope, its log entry)
+        original = Context._effect_scope
+
+        @contextmanager
+        def watched(self, *args, **kwargs):
+            before = self.stats.priority_updates
+            with original(self, *args, **kwargs):
+                yield
+            scopes.append(
+                (self.stats.priority_updates - before, self.sanitizer.log[-1])
+            )
+
+        monkeypatch.setattr(Context, "_effect_scope", watched)
+        schedule = Schedule(priority_update=strategy, delta=3, sanitize=True)
+        result = _run("sssp", schedule, ["0"], diff_graph)
+        assert result.context.scalar_applies == 0
+        updating = [entry for rose, entry in scopes if rose]
+        assert updating
+        assert all(entry["writes"] == ["dist"] for entry in updating)
+
+    def test_vectorized_write_outside_the_summary_is_caught(
+        self, monkeypatch, diff_graph
+    ):
+        original = Context.declare_effect_summary
+
+        def doctored(self, summary):
+            summary = {name: dict(contract) for name, contract in summary.items()}
+            summary["updateEdge"]["writes"] = []
+            original(self, summary)
+
+        monkeypatch.setattr(Context, "declare_effect_summary", doctored)
+        schedule = Schedule(priority_update="lazy", delta=3, sanitize=True)
+        with pytest.raises(SanitizerError, match="wrote vector 'dist'"):
+            _run("sssp", schedule, ["0"], diff_graph)
 
     def test_unsanitized_run_has_no_instrumentation(self, diff_graph):
         result = _run("sssp", Schedule(priority_update="lazy"), ["0"], diff_graph)

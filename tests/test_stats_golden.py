@@ -8,12 +8,16 @@ counter that drifts by one fails.  A drift means the *behaviour* of the
 compiler or runtime changed, not the machine; timing lives in
 ``bench/run.py``.
 
-Three things are pinned on ``rmat(10, 16, seed=0, weights=(1, 4))``:
+Four things are pinned on ``rmat(10, 16, seed=0, weights=(1, 4))``:
 
-- the serial run of each compiled cell (SSSP lazy, SSSP eager with
-  fusion, k-core lazy constant-sum);
-- that the real-thread engine at 2 workers reproduces that dict bit for
-  bit, plus its own ``parallel_rounds`` / ``barrier_waits``;
+- the serial vectorized run of each compiled cell (SSSP lazy, SSSP eager
+  with fusion, k-core lazy constant-sum) — for SSSP these are the
+  library's counters, one priority update per vertex improved in a chunk;
+- the ``vectorize=False`` run of the same cell under ``"scalar"``: the
+  scalar interpreter's per-edge counters are its own, and stay pinned
+  (k-core's sum kernels are still scalar-exact, so there the two agree);
+- that the real-thread engine at 2 workers reproduces the serial dict bit
+  for bit, plus its own ``parallel_rounds`` / ``barrier_waits``;
 - the resume profile (seeds, invalidated, vertices touched, and the rest
   of the resumed run's counters) of an incremental SSSP session after
   each batch of one fixed mutation script.
@@ -105,13 +109,15 @@ def test_compiled_cell_counters_match_golden(cell: str) -> None:
     if symmetric:
         graph = graph.symmetrized()
 
-    def run(execution: str):
+    def run(execution: str, vectorize: bool = True):
         program = compile_program(
             ALL_PROGRAMS[program_name], schedule.with_(execution=execution)
         )
-        return program.run(argv, graph=graph).stats
+        return program.run(argv, graph=graph, vectorize=vectorize).stats
 
     serial = run("serial").deterministic_dict()
+    scalar = run("serial", vectorize=False).deterministic_dict()
+    assert (scalar == serial) == (program_name == "kcore")
     parallel = run("parallel")
     assert parallel.deterministic_dict() == serial, (
         f"{cell}: the 2-worker parallel engine diverged from the serial "
@@ -122,6 +128,7 @@ def test_compiled_cell_counters_match_golden(cell: str) -> None:
         cell,
         {
             "serial": serial,
+            "scalar": scalar,
             "parallel": {
                 "parallel_rounds": parallel.parallel_rounds,
                 "barrier_waits": parallel.barrier_waits,
