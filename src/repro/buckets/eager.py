@@ -24,7 +24,12 @@ import numpy as np
 from ..errors import PriorityQueueError
 from ..obs import span as trace_span
 from ..runtime.stats import RuntimeStats
-from .interface import AbstractPriorityQueue, PriorityDirection
+from .interface import (
+    AbstractPriorityQueue,
+    PriorityDirection,
+    sorted_distinct,
+    split_by_order,
+)
 
 __all__ = ["EagerBucketQueue"]
 
@@ -185,64 +190,12 @@ class EagerBucketQueue(AbstractPriorityQueue):
             return None
         del bins[self._cur_order]
         self._note_removal(thread_id, self._cur_order)
-        members = np.unique(np.concatenate(chunks))
+        members = sorted_distinct(np.concatenate(chunks))
         live = self._filter_and_mark_live(members, self._cur_order)
         if live.size == 0:
             return None
         self.stats.vertices_processed += int(live.size)
         return live
-
-    # ------------------------------------------------------------------
-    # Priority update operators (scalar)
-    # ------------------------------------------------------------------
-    def update_priority_min(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if new_value >= old:
-            return False
-        if self._is_finalized(vertex):
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        order = self._clamped_order(int(self.order_of_value(new_value)))
-        self._insert(self._active_thread, vertex, order)
-        return True
-
-    def update_priority_max(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if old != self.null_priority and new_value <= old:
-            return False
-        if self._is_finalized(vertex):
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        order = self._clamped_order(int(self.order_of_value(new_value)))
-        self._insert(self._active_thread, vertex, order)
-        return True
-
-    def update_priority_sum(
-        self, vertex: int, sum_diff: int, min_threshold: int | None = None
-    ) -> bool:
-        self._check_sum_sign(sum_diff)
-        if self._is_finalized(vertex):
-            return False
-        old = int(self.priority_vector[vertex])
-        if old == self.null_priority:
-            raise PriorityQueueError(
-                "updatePrioritySum on a vertex with null priority"
-            )
-        new_value = old + sum_diff
-        if min_threshold is not None:
-            if sum_diff < 0:
-                new_value = max(new_value, min_threshold)
-            else:
-                new_value = min(new_value, min_threshold)
-        if new_value == old:
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        order = self._clamped_order(int(self.order_of_value(new_value)))
-        self._insert(self._active_thread, vertex, order)
-        return True
 
     # ------------------------------------------------------------------
     # Batch update (used by the vectorized executors)
@@ -262,12 +215,7 @@ class EagerBucketQueue(AbstractPriorityQueue):
             below = orders < self._cur_order
             self.priority_inversions += int(np.count_nonzero(below))
             orders = np.maximum(orders, self._cur_order)
-        bins = self._local_bins[thread_id]
-        self.stats.bucket_inserts += int(vertices.size)
-        for order in np.unique(orders):
-            members = vertices[orders == order]
-            bins.setdefault(int(order), []).append(members)
-            self._note_insert(thread_id, int(order))
+        self._insert_split(thread_id, vertices, orders)
 
     def insert_batch_at(
         self, thread_id: int, vertices: np.ndarray, orders: np.ndarray
@@ -280,20 +228,28 @@ class EagerBucketQueue(AbstractPriorityQueue):
         makes eager k-core slow (Table 7).  Callers must pass orders that are
         not below the current bucket.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        orders = np.asarray(orders, dtype=np.int64)
-        if vertices.size == 0:
-            return
-        bins = self._local_bins[thread_id]
-        self.stats.bucket_inserts += int(vertices.size)
-        for order in np.unique(orders):
-            members = vertices[orders == order]
-            bins.setdefault(int(order), []).append(members)
-            self._note_insert(thread_id, int(order))
+        self._insert_split(
+            thread_id,
+            np.asarray(vertices, dtype=np.int64),
+            np.asarray(orders, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _insert_split(
+        self, thread_id: int, vertices: np.ndarray, orders: np.ndarray
+    ) -> None:
+        bins = self._local_bins[thread_id]
+        self.stats.bucket_inserts += int(vertices.size)
+        for order, members in split_by_order(vertices, orders):
+            bins.setdefault(order, []).append(members)
+            self._note_insert(thread_id, order)
+
+    def _enqueue_changed(self, vertex: int, new_value: int) -> None:
+        order = self._clamped_order(int(self.order_of_value(new_value)))
+        self._insert(self._active_thread, vertex, order)
+
     def _insert(self, thread_id: int, vertex: int, order: int) -> None:
         self.stats.bucket_inserts += 1
         self._local_bins[thread_id].setdefault(order, []).append(
@@ -310,4 +266,4 @@ class EagerBucketQueue(AbstractPriorityQueue):
             self._note_removal(thread_id, order)
         if not chunks:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
+        return sorted_distinct(np.concatenate(chunks))

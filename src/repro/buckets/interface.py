@@ -33,7 +33,14 @@ from ..graph.properties import INT_MAX
 from ..obs import metrics
 from ..runtime.stats import RuntimeStats
 
-__all__ = ["PriorityDirection", "AbstractPriorityQueue", "NULL_PRIORITY_LOWER", "NULL_PRIORITY_HIGHER"]
+__all__ = [
+    "PriorityDirection",
+    "AbstractPriorityQueue",
+    "NULL_PRIORITY_LOWER",
+    "NULL_PRIORITY_HIGHER",
+    "sorted_distinct",
+    "split_by_order",
+]
 
 # Null priority sentinels (Section 2's ∅): a vertex with the null priority is
 # not tracked by the queue until an update gives it a real priority.
@@ -44,6 +51,48 @@ _DEQUEUES = metrics.counter("bucket.dequeues")
 _FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
 _OCCUPANCY = metrics.histogram("bucket.occupancy")
 _DELTA = metrics.gauge("bucket.delta")
+
+
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a`` (``numpy.unique``'s result) without
+    the hash or the sort when ``a`` does not need them: a strictly increasing
+    array comes back untouched (not copied), a non-decreasing one only loses
+    its repeats."""
+    if a.size < 2:
+        return a
+    rising = a[1:] > a[:-1]
+    if rising.all():
+        return a
+    if not (a[1:] >= a[:-1]).all():
+        a = np.sort(a)
+        rising = a[1:] > a[:-1]
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = rising
+    return a[keep]
+
+
+def split_by_order(
+    vertices: np.ndarray, orders: np.ndarray
+) -> list[tuple[int, np.ndarray]]:
+    """Group ``vertices`` by ``orders``: ``(order, members)`` pairs in
+    ascending order, members in input order, always fresh arrays — one
+    stable partition instead of one boolean mask per distinct order."""
+    if vertices.size == 0:
+        return []
+    low, high = int(orders.min()), int(orders.max())
+    if low == high:
+        return [(low, vertices.copy())]
+    # A narrow key turns the stable sort into a radix sort.
+    keys = (orders - low).astype(np.uint16) if high - low < 1 << 16 else orders
+    perm = np.argsort(keys, kind="stable")
+    ranked = orders[perm]
+    grouped = vertices[perm]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    return [
+        (int(ranked[lo]), grouped[lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, perm.size])
+    ]
 
 
 class PriorityDirection(enum.Enum):
@@ -174,6 +223,10 @@ class AbstractPriorityQueue(ABC):
             return False
         return self.order_of_value(int(priority)) < self._cur_order
 
+    # The update operators ignore finalized vertices; the relaxed queue,
+    # which finalizes nothing, overrides this.
+    _is_finalized = finished_vertex
+
     @abstractmethod
     def finished(self) -> bool:
         """True when no bucket remains to process (``pq.finished()``)."""
@@ -183,22 +236,55 @@ class AbstractPriorityQueue(ABC):
         """Extract the next ready bucket as an array of vertex ids
         (``pq.dequeueReadySet()``)."""
 
-    @abstractmethod
     def update_priority_min(self, vertex: int, new_value: int) -> bool:
         """Decrease ``vertex``'s priority to ``new_value`` if smaller
         (``pq.updatePriorityMin``).  Returns True when the priority changed."""
+        if new_value >= int(self.priority_vector[vertex]):
+            return False
+        return self._commit_update(vertex, new_value)
 
-    @abstractmethod
     def update_priority_max(self, vertex: int, new_value: int) -> bool:
         """Increase ``vertex``'s priority to ``new_value`` if larger
         (``pq.updatePriorityMax``).  Returns True when the priority changed."""
+        old = int(self.priority_vector[vertex])
+        if old != self.null_priority and new_value <= old:
+            return False
+        return self._commit_update(vertex, new_value)
 
-    @abstractmethod
     def update_priority_sum(
         self, vertex: int, sum_diff: int, min_threshold: int | None = None
     ) -> bool:
         """Add ``sum_diff`` to ``vertex``'s priority, clamped at
         ``min_threshold`` (``pq.updatePrioritySum``)."""
+        self._check_sum_sign(sum_diff)
+        old = int(self.priority_vector[vertex])
+        if old == self.null_priority:
+            raise PriorityQueueError(
+                "updatePrioritySum on a vertex with null priority"
+            )
+        new_value = old + sum_diff
+        if min_threshold is not None:
+            if sum_diff < 0:
+                new_value = max(new_value, min_threshold)
+            else:
+                new_value = min(new_value, min_threshold)
+        if new_value == old:
+            return False
+        return self._commit_update(vertex, new_value)
+
+    def _commit_update(self, vertex: int, new_value: int) -> bool:
+        """Store a changed priority and hand the vertex to the strategy;
+        updates to finalized vertices are ignored (k-core correctness)."""
+        if self._is_finalized(vertex):
+            return False
+        self.priority_vector[vertex] = new_value
+        self.stats.priority_updates += 1
+        self._enqueue_changed(vertex, new_value)
+        return True
+
+    @abstractmethod
+    def _enqueue_changed(self, vertex: int, new_value: int) -> None:
+        """Bucket (eager, relaxed) or buffer (lazy) one changed vertex."""
 
     # ------------------------------------------------------------------
     # Shared helpers for implementations
@@ -252,15 +338,6 @@ class AbstractPriorityQueue(ABC):
         live = members[live_mask]
         self._processed_value[live] = values[live_mask]
         return live
-
-    def _is_finalized(self, vertex: int) -> bool:
-        """Updates to finalized vertices are ignored (k-core correctness)."""
-        if self._cur_order is None:
-            return False
-        priority = self.priority_vector[vertex]
-        if priority == self.null_priority:
-            return False
-        return self.order_of_value(int(priority)) < self._cur_order
 
     _sum_sign: int = 0
 

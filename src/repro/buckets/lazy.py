@@ -22,7 +22,12 @@ from ..errors import PriorityQueueError
 from ..obs import metrics
 from ..obs import span as trace_span
 from ..runtime.stats import RuntimeStats
-from .interface import AbstractPriorityQueue, PriorityDirection
+from .interface import (
+    AbstractPriorityQueue,
+    PriorityDirection,
+    sorted_distinct,
+    split_by_order,
+)
 
 __all__ = ["LazyBucketQueue"]
 
@@ -68,6 +73,8 @@ class LazyBucketQueue(AbstractPriorityQueue):
             [] for _ in range(self.num_open_buckets)
         ]
         self._overflow: list[np.ndarray] = []
+        # Non-empty open slots, kept by _bulk_insert / _pop_bucket.
+        self._open_slots = 0
 
         # Update buffer with per-vertex dedup flags.
         self._pending: list[np.ndarray] = []
@@ -84,11 +91,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
     # Queue state
     # ------------------------------------------------------------------
     def finished(self) -> bool:
-        if self._pending:
-            return False
-        if self._overflow:
-            return False
-        return all(not bucket for bucket in self._buckets)
+        return not (self._pending or self._overflow or self._open_slots)
 
     def dequeue_ready_set(self) -> np.ndarray:
         """Reduce the update buffer, bulk-update buckets, and pop the next
@@ -107,60 +110,9 @@ class LazyBucketQueue(AbstractPriorityQueue):
                 live = self._filter_and_mark_live(members, order)
                 if live.size == 0:
                     continue
-                occupancy = 1 + sum(
-                    1 for bucket in self._buckets if bucket
-                ) + (1 if self._overflow else 0)
+                occupancy = 1 + self._open_slots + (1 if self._overflow else 0)
                 self._note_dequeue(sp, order, live.size, occupancy)
                 return live
-
-    # ------------------------------------------------------------------
-    # Priority update operators (scalar)
-    # ------------------------------------------------------------------
-    def update_priority_min(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if new_value >= old:
-            return False
-        if self._is_finalized(vertex):
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        self._buffer_vertex(vertex)
-        return True
-
-    def update_priority_max(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if old != self.null_priority and new_value <= old:
-            return False
-        if self._is_finalized(vertex):
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        self._buffer_vertex(vertex)
-        return True
-
-    def update_priority_sum(
-        self, vertex: int, sum_diff: int, min_threshold: int | None = None
-    ) -> bool:
-        self._check_sum_sign(sum_diff)
-        if self._is_finalized(vertex):
-            return False
-        old = int(self.priority_vector[vertex])
-        if old == self.null_priority:
-            raise PriorityQueueError(
-                "updatePrioritySum on a vertex with null priority"
-            )
-        new_value = old + sum_diff
-        if min_threshold is not None:
-            if sum_diff < 0:
-                new_value = max(new_value, min_threshold)
-            else:
-                new_value = min(new_value, min_threshold)
-        if new_value == old:
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        self._buffer_vertex(vertex)
-        return True
 
     # ------------------------------------------------------------------
     # Priority update operators (batch, used by vectorized executors)
@@ -179,7 +131,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         only the constant-sum batch kernel still reproduces that, through
         :meth:`buffer_attempts_batch`.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = sorted_distinct(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
             return 0
         fresh_mask = ~self._pending_flags[vertices]
@@ -199,7 +151,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         charges a buffer append (the unconditional append counter of
         Figure 9(a)) and every attempt on an already-flagged vertex —
         including the second and later occurrences within this very batch —
-        counts as a dedup hit, exactly as if :meth:`_buffer_vertex` had run
+        counts as a dedup hit, exactly as if :meth:`_enqueue_changed` had run
         once per attempt.  This is what the vectorized constant-sum operator
         uses to keep ``RuntimeStats`` bit-identical to the scalar interpreter.
 
@@ -209,15 +161,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         if vertices.size == 0:
             return 0
         self.stats.buffer_appends += int(vertices.size)
-        if vertices.size > 1 and bool(np.all(vertices[1:] >= vertices[:-1])):
-            # Destination-sorted streams (the common case for the vectorized
-            # operators) dedupe with a boundary mask instead of a full sort.
-            first = np.empty(vertices.size, dtype=bool)
-            first[0] = True
-            np.not_equal(vertices[1:], vertices[:-1], out=first[1:])
-            unique = vertices[first]
-        else:
-            unique = np.unique(vertices)
+        unique = sorted_distinct(vertices)
         fresh = unique[~self._pending_flags[unique]]
         self.stats.dedup_hits += int(vertices.size - fresh.size)
         if fresh.size:
@@ -286,7 +230,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _buffer_vertex(self, vertex: int) -> None:
+    def _enqueue_changed(self, vertex: int, new_value: int) -> None:
         """Append once per round, guarded by the dedup flag (the CAS in
         Figure 9(a), line 21)."""
         self.stats.buffer_appends += 1
@@ -305,13 +249,21 @@ class LazyBucketQueue(AbstractPriorityQueue):
             self._flush_pending_traced(sp)
 
     def _flush_pending_traced(self, sp: dict) -> None:
-        pending = np.unique(np.concatenate(self._pending))
+        # The dedup flags made the chunks disjoint and a bucket is sorted
+        # when it is popped, so the reduce is a concatenation; only the
+        # lambda interface is owed ascending call order.
+        pending = self._pending[0]
+        if len(self._pending) > 1:
+            pending = np.concatenate(self._pending)
+        if self.priority_fn is not None:
+            pending = np.sort(pending)
         sp["buffered"] = int(pending.size)
         self._pending.clear()
         self._pending_flags[pending] = False
         self.stats.buffer_reductions += int(pending.size)
         priorities = self.priority_vector[pending]
-        live = pending[priorities != self.null_priority]
+        alive = priorities != self.null_priority
+        live = pending[alive]
         if self.priority_fn is not None:
             # Lambda interface: one Python call per vertex per reduction.
             orders = np.fromiter(
@@ -323,7 +275,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
                 count=live.size,
             )
         else:
-            orders = self.order_of_value(self.priority_vector[live])
+            orders = self.order_of_value(priorities[alive])
         if self._cur_order is not None:
             below = orders < self._cur_order
             self.priority_inversions += int(np.count_nonzero(below))
@@ -336,15 +288,14 @@ class LazyBucketQueue(AbstractPriorityQueue):
         self.stats.bucket_inserts += int(vertices.size)
         window_end = self._base + self.num_open_buckets
         in_window = (orders >= self._base) & (orders < window_end)
-        overflow = vertices[~in_window]
-        if overflow.size:
-            self._overflow.append(overflow)
-        window_vertices = vertices[in_window]
-        window_orders = orders[in_window]
-        if window_vertices.size:
-            for order in np.unique(window_orders):
-                members = window_vertices[window_orders == order]
-                self._buckets[int(order) - self._base].append(members)
+        if not in_window.all():
+            self._overflow.append(vertices[~in_window])
+            vertices, orders = vertices[in_window], orders[in_window]
+        for order, members in split_by_order(vertices, orders):
+            bucket = self._buckets[order - self._base]
+            if not bucket:
+                self._open_slots += 1
+            bucket.append(members)
 
     def _next_nonempty_order(self) -> int | None:
         start = self._base if self._cur_order is None else max(self._base, self._cur_order)
@@ -365,8 +316,9 @@ class LazyBucketQueue(AbstractPriorityQueue):
         sp["old_base"] = int(self._base)
         self._overflow.clear()
         priorities = self.priority_vector[overflow]
-        live = overflow[priorities != self.null_priority]
-        orders = np.asarray(self.order_of_value(self.priority_vector[live]))
+        alive = priorities != self.null_priority
+        live = overflow[alive]
+        orders = np.asarray(self.order_of_value(priorities[alive]))
         if self._cur_order is not None:
             keep = orders >= self._cur_order
             live, orders = live[keep], orders[keep]
@@ -375,12 +327,15 @@ class LazyBucketQueue(AbstractPriorityQueue):
         self._base = int(orders.min())
         sp["new_base"] = self._base
         self._buckets = [[] for _ in range(self.num_open_buckets)]
+        self._open_slots = 0
         self._bulk_insert(live, orders)
 
     def _pop_bucket(self, order: int) -> np.ndarray:
         slot = order - self._base
-        if not self._buckets[slot]:
+        chunks = self._buckets[slot]
+        if not chunks:
             return np.empty(0, dtype=np.int64)
-        members = np.concatenate(self._buckets[slot])
         self._buckets[slot] = []
-        return np.unique(members)
+        self._open_slots -= 1
+        members = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return sorted_distinct(members)

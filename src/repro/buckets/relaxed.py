@@ -26,7 +26,7 @@ from ..obs import instant as trace_instant
 from ..obs import metrics
 from ..obs import span as trace_span
 from ..runtime.stats import RuntimeStats
-from .interface import AbstractPriorityQueue, PriorityDirection
+from .interface import AbstractPriorityQueue, PriorityDirection, split_by_order
 
 __all__ = ["RelaxedPriorityQueue"]
 
@@ -75,9 +75,8 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
             orders = np.asarray(
                 self.order_of_value(self.priority_vector[self._initial_vertices])
             )
-            for order in np.unique(orders):
-                members = self._initial_vertices[orders == order]
-                self._bins.setdefault(int(order), []).append(members)
+            for order, members in split_by_order(self._initial_vertices, orders):
+                self._bins[order] = [members]
 
     def finished(self) -> bool:
         return not self._bins
@@ -128,23 +127,8 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
                 self._note_dequeue(sp, self._cur_order, members.size)
             return members
 
-    def update_priority_min(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if new_value >= old:
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        self._insert(vertex, int(self.order_of_value(new_value)))
-        return True
-
-    def update_priority_max(self, vertex: int, new_value: int) -> bool:
-        old = int(self.priority_vector[vertex])
-        if old != self.null_priority and new_value <= old:
-            return False
-        self.priority_vector[vertex] = new_value
-        self.stats.priority_updates += 1
-        self._insert(vertex, int(self.order_of_value(new_value)))
-        return True
+    def _is_finalized(self, vertex: int) -> bool:
+        return False  # no strict order, so nothing is ever final
 
     def update_priority_sum(
         self, vertex: int, sum_diff: int, min_threshold: int | None = None
@@ -163,13 +147,12 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
         orders = np.asarray(self.order_of_value(self.priority_vector[vertices]))
         with self._window_lock:
             self.stats.bucket_inserts += int(vertices.size)
-            for order in np.unique(orders):
-                members = vertices[orders == order]
-                self._bins.setdefault(int(order), []).append(members)
+            for order, members in split_by_order(vertices, orders):
+                self._bins.setdefault(order, []).append(members)
 
-    def _insert(self, vertex: int, order: int) -> None:
+    def _enqueue_changed(self, vertex: int, new_value: int) -> None:
         with self._window_lock:
             self.stats.bucket_inserts += 1
-            self._bins.setdefault(order, []).append(
+            self._bins.setdefault(int(self.order_of_value(new_value)), []).append(
                 np.array([vertex], dtype=np.int64)
             )

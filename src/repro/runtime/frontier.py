@@ -30,11 +30,7 @@ def gather_segments(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     out_offsets = np.zeros(lengths.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=out_offsets[1:])
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_offsets, lengths)
-        + np.repeat(starts, lengths)
-    )
+    return np.repeat(starts - out_offsets, lengths) + np.arange(total, dtype=np.int64)
 
 
 def scatter_extremum(

@@ -1,8 +1,6 @@
 """Tests for the AST visitor/transformer infrastructure and small frontend
 pieces the analyses are built on."""
 
-import pytest
-
 from repro.lang import ALL_PROGRAMS, parse
 from repro.lang import ast_nodes as ast
 from repro.lang.symbols import Scope

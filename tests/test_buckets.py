@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buckets import (
     EagerBucketQueue,
@@ -9,6 +11,7 @@ from repro.buckets import (
     PriorityDirection,
     RelaxedPriorityQueue,
 )
+from repro.buckets.interface import sorted_distinct, split_by_order
 from repro.errors import PriorityQueueError
 from repro.graph.properties import INT_MAX
 
@@ -406,3 +409,189 @@ class TestUpdatePriorityMax:
             priorities.copy(), delta=4, direction="higher_first"
         )
         assert higher.value_of_order(higher.order_of_value(12)) == 12
+
+
+def _drain(queue):
+    rounds = []
+    while not queue.finished():
+        ready = queue.dequeue_ready_set()
+        if ready.size:
+            rounds.append((queue.current_order, ready.tolist()))
+    return rounds
+
+
+class TestSortFreeHelpers:
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [1, 2, 5, 9], [9, 5, 2, 1], [3, 3, 3], [1, 1, 2, 4, 4], [4, 1, 4, 0, 1]],
+    )
+    def test_sorted_distinct_named_cases(self, values):
+        array = np.array(values, dtype=np.int64)
+        assert np.array_equal(sorted_distinct(array), np.unique(array))
+        assert array.tolist() == values  # the input is never reordered in place
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 50), max_size=40))
+    def test_sorted_distinct_equals_np_unique(self, values):
+        array = np.array(values, dtype=np.int64)
+        result = sorted_distinct(array)
+        assert result.dtype == np.int64
+        assert np.array_equal(result, np.unique(array))
+
+    def test_sorted_distinct_returns_increasing_input_untouched(self):
+        array = np.array([2, 3, 11], dtype=np.int64)
+        assert sorted_distinct(array) is array
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 99),
+                # one window, a wide spread, and the null sentinels' extremes
+                st.integers(-3, 3)
+                | st.integers(0, 1 << 17)
+                | st.sampled_from([-(2**62), 2**62]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_split_by_order_equals_the_mask_loop(self, pairs):
+        vertices = np.array([v for v, _ in pairs], dtype=np.int64)
+        orders = np.array([o for _, o in pairs], dtype=np.int64)
+        expected = [
+            (int(order), vertices[orders == order].tolist())
+            for order in np.unique(orders)
+        ]
+        groups = split_by_order(vertices, orders)
+        assert [(o, m.tolist()) for o, m in groups] == expected
+        assert all(type(o) is int for o, _ in groups)
+        assert not any(np.shares_memory(m, vertices) for _, m in groups)
+
+
+class TestQueuesOwnTheirArrays:
+    """A queue never keeps an alias of an array its caller owns."""
+
+    @pytest.mark.parametrize("targets", [[5, 5, 5], [5, 9, 700]])
+    def test_lazy_buffer_changed_batch(self, targets):
+        priorities = make_priorities([0, INT_MAX, INT_MAX, INT_MAX])
+        queue = LazyBucketQueue(priorities, initial_vertices=[0], num_open_buckets=4)
+        queue.dequeue_ready_set()
+        changed = np.array([1, 2, 3], dtype=np.int64)
+        priorities[changed] = targets
+        queue.buffer_changed_batch(changed)
+        changed[:] = 0
+        assert sorted(v for _, r in _drain(queue) for v in r) == [1, 2, 3]
+
+    @pytest.mark.parametrize("targets", [[5, 5, 5], [5, 9, 700]])
+    def test_eager_insert_changed_batch(self, targets):
+        priorities = make_priorities([0, INT_MAX, INT_MAX, INT_MAX])
+        queue = EagerBucketQueue(priorities, initial_vertices=[0], num_threads=2)
+        queue.dequeue_ready_set()
+        changed = np.array([1, 2, 3], dtype=np.int64)
+        priorities[changed] = targets
+        queue.insert_changed_batch(1, changed)
+        changed[:] = 0
+        assert sorted(v for _, r in _drain(queue) for v in r) == [1, 2, 3]
+
+    @pytest.mark.parametrize("orders", [[4, 4, 4], [6, 4, 5]])
+    def test_eager_insert_batch_at(self, orders):
+        priorities = make_priorities([0, 4, 4, 4])
+        queue = EagerBucketQueue(priorities, initial_vertices=[0], num_threads=1)
+        queue.dequeue_ready_set()
+        vertices = np.array([1, 2, 3], dtype=np.int64)
+        at = np.array(orders, dtype=np.int64)
+        queue.insert_batch_at(0, vertices, at)
+        vertices[:] = 0
+        at[:] = 0
+        assert sorted(v for _, r in _drain(queue) for v in r) == [1, 2, 3]
+
+    @pytest.mark.parametrize("targets", [[5, 5, 5], [5, 9, 700]])
+    def test_relaxed_insert_and_initial_vertices(self, targets):
+        priorities = make_priorities([0, 0, INT_MAX, INT_MAX, INT_MAX])
+        initial = np.array([0, 1], dtype=np.int64)
+        queue = RelaxedPriorityQueue(priorities, initial_vertices=initial)
+        initial[:] = 4
+        changed = np.array([2, 3, 4], dtype=np.int64)
+        priorities[changed] = targets
+        queue.insert_changed_batch(changed)
+        changed[:] = 0
+        assert sorted(v for _, r in _drain(queue) for v in r) == [0, 1, 2, 3, 4]
+
+
+class TestSortFreeQueues:
+    def test_priority_fn_called_once_per_vertex_in_ascending_order(self):
+        priorities = make_priorities([0] + [INT_MAX] * 9)
+        calls = []
+
+        def priority_of(vertex):
+            calls.append(vertex)
+            return int(priorities[vertex])
+
+        queue = LazyBucketQueue(
+            priorities, initial_vertices=[0], priority_fn=priority_of
+        )
+        queue.dequeue_ready_set()
+        # Three disjoint chunks, buffered out of order, one vertex offered twice.
+        for chunk, value in (([7, 9], 3), ([2], 5), ([4, 8, 9], 3)):
+            priorities[chunk] = value
+            queue.buffer_changed_batch(np.array(chunk, dtype=np.int64))
+        queue.update_priority_min(1, 4)
+        assert queue.dequeue_ready_set().tolist() == [4, 7, 8, 9]
+        assert calls == [1, 2, 4, 7, 8, 9]
+        assert queue.stats.buffer_reductions == 6
+        assert queue.stats.dedup_hits == 1
+
+    def test_lazy_eager_relaxed_drain_a_multi_order_batch_alike(self):
+        # Orders 1, 2, 3 are in the lazy queue's first window of four;
+        # 40 and 41 overflow and come back through a re-bucket.
+        batch = np.array([9, 3, 7, 1, 8, 2, 6, 4, 5], dtype=np.int64)
+        values = np.array([41, 2, 40, 1, 3, 41, 1, 2, 40], dtype=np.int64)
+
+        def fresh():
+            return make_priorities([0] + [INT_MAX] * 9)
+
+        lazy = LazyBucketQueue(fresh(), initial_vertices=[0], num_open_buckets=4)
+        eager = EagerBucketQueue(fresh(), initial_vertices=[0], num_threads=3)
+        relaxed = RelaxedPriorityQueue(
+            fresh(), initial_vertices=[0], slack=1, chunk_size=100
+        )
+        for queue in (lazy, eager, relaxed):
+            assert queue.dequeue_ready_set().tolist() == [0]
+            queue.priority_vector[batch] = values
+        lazy.buffer_changed_batch(batch[:4])
+        lazy.buffer_changed_batch(batch[4:])
+        eager.insert_changed_batch(2, batch[:4])
+        eager.insert_changed_batch(0, batch[4:])
+        relaxed.insert_changed_batch(batch[:4])
+        relaxed.insert_changed_batch(batch[4:])
+
+        expected = [(1, [1, 6]), (2, [3, 4]), (3, [8]), (40, [5, 7]), (41, [2, 9])]
+        assert _drain(lazy) == expected
+        assert _drain(eager) == expected
+        # The relaxed queue sorts nothing: same buckets, members in arrival
+        # order, the most recent chunk popped first.
+        assert [(o, sorted(r)) for o, r in _drain(relaxed)] == expected
+        # 1 initial + 9 changed; the lazy queue pays 4 more to re-bucket
+        # its overflow (occupancy: open slots + the overflow bucket).
+        assert eager.stats.bucket_inserts == 10
+        assert lazy.stats.bucket_inserts == 14
+        assert lazy.stats.bucket_occupancy_per_round == [1, 4, 3, 2, 2, 1]
+        assert lazy.finished() and eager.finished() and relaxed.finished()
+
+    def test_lazy_occupancy_counts_open_slots_like_a_rescan(self):
+        rng = np.random.default_rng(5)
+        priorities = rng.integers(0, 60, size=200).astype(np.int64)
+        queue = LazyBucketQueue(priorities, num_open_buckets=8)
+        while not queue.finished():
+            ready = queue.dequeue_ready_set()
+            if ready.size == 0:
+                break
+            rescan = sum(1 for bucket in queue._buckets if bucket)
+            assert queue._open_slots == rescan
+            assert queue.stats.bucket_occupancy_per_round[-1] == (
+                1 + rescan + (1 if queue._overflow else 0)
+            )
+            bump = ready[ready % 3 == 0]
+            bump = bump[priorities[bump] < 200]
+            priorities[bump] += 17
+            queue.buffer_changed_batch(bump)

@@ -56,7 +56,7 @@ def _udf(name, source):
     return parse(source).function(name)
 
 
-def _race_report(source, udf_name, schedule, queue_names={"pq"}):
+def _race_report(source, udf_name, schedule, queue_names=("pq",)):
     return analyze_races(
         _udf(udf_name, source), set(queue_names), schedule
     )

@@ -12,7 +12,6 @@ from repro.lang.types import (
     ElementType,
     PriorityQueueType,
     VectorType,
-    VertexSetType,
 )
 
 

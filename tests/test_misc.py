@@ -68,7 +68,7 @@ class TestPackageSurface:
 
 class TestInputValidation:
     def test_negative_weights_rejected(self):
-        from repro import Schedule, sssp, ppsp, astar
+        from repro import Schedule, sssp, ppsp
         from repro.graph import from_edges
 
         graph = from_edges(3, [(0, 1, 5), (1, 2, -2)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.graph import from_edges, rmat
+from repro.graph import rmat
 from repro.runtime import (
     CostModel,
     RuntimeStats,

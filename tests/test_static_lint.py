@@ -6,7 +6,6 @@ tree must produce zero findings.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +181,32 @@ class TestEnvironmentSwitches:
             "REPRO_KERNEL_CACHE", "REPRO_NATIVE_CXX", "REPRO_STATE_DIR",
         ]
         assert all(r.strip() for r in static_lint.ENV_ALLOWLIST.values())
+
+
+class TestBucketSorts:
+    def test_flags_np_unique_inside_buckets_only(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "buckets").mkdir(parents=True)
+        (package / "runtime").mkdir()
+        for directory in (package, package / "buckets", package / "runtime"):
+            (directory / "__init__.py").write_text("")
+        (package / "buckets" / "_queue.py").write_text(
+            "import numpy as np\n"
+            "from .interface import sorted_distinct\n"
+            "def _pop(chunks):\n"
+            "    return np.unique(np.concatenate(chunks))\n"
+            "def _pop_sort_free(chunks):\n"
+            "    return sorted_distinct(np.concatenate(chunks))\n"
+        )
+        (package / "runtime" / "_histogram.py").write_text(
+            "import numpy as np\n"
+            "def _counts(targets):\n"
+            "    return np.unique(targets, return_counts=True)\n"
+        )
+        findings = static_lint.lint_paths([tmp_path / "src"])
+        assert len(findings) == 1, findings
+        assert "_queue.py:4:" in findings[0] and "L006" in findings[0]
+        assert "sorted_distinct / split_by_order" in findings[0]
 
 
 class TestDriver:

@@ -2,7 +2,7 @@
 """A dependency-free static linter for the repro source tree.
 
 The container deliberately ships no third-party lint toolchain, so CI runs
-this stdlib-``ast`` checker instead.  Five rule families, chosen because
+this stdlib-``ast`` checker instead.  Six rule families, chosen because
 each has bitten real compiler code:
 
 - ``L001`` unused import — an import whose bound name is never referenced
@@ -29,6 +29,11 @@ each has bitten real compiler code:
   tests (the metrics and flight-recorder off-switches were never set by
   any caller, CI job or benchmark before they were deleted).  Runs
   alongside L004.
+- ``L006`` ``np.unique`` in ``repro/buckets/`` — the queues' vertex sets
+  are distinct by construction (dedup flags, ``scatter_extremum``'s
+  return) and sorted once, at pop; a hash-and-sort per round is how the
+  bucket layer came to cost more than the relax kernels.  Runs alongside
+  L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -340,6 +345,35 @@ def check_env_reads(package: Path) -> list[str]:
     return findings
 
 
+def check_bucket_sorts(package: Path) -> list[str]:
+    """L006 over ``buckets/`` of the ``repro`` package at ``package``."""
+    findings = []
+    for file in sorted((package / "buckets").rglob("*.py")):
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                findings.append(
+                    _finding(
+                        file,
+                        node,
+                        "L006",
+                        "np.unique in the bucket queues re-hashes and re-sorts "
+                        "a set that is distinct by construction; use "
+                        "sorted_distinct / split_by_order (buckets/interface.py)",
+                    )
+                )
+    return findings
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -364,6 +398,7 @@ def lint_paths(paths: list[Path]) -> list[str]:
         if (root / "repro").is_dir():
             findings += check_dead_public_names(root)
             findings += check_env_reads(root / "repro")
+            findings += check_bucket_sorts(root / "repro")
     return findings
 
 
