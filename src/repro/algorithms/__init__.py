@@ -1,4 +1,12 @@
-"""The six ordered algorithms, unordered baselines, and framework presets."""
+"""The six ordered algorithms, unordered baselines, and framework presets.
+
+``kcore`` and ``setcover`` are wrappers over the ``KCORE`` / ``SETCOVER``
+DSL programs of :mod:`repro.lang.programs`: they check the schedule and run
+the compiled program.  The shortest-path family (``sssp``, ``wbfs``,
+``ppsp``, ``astar``, ``widest_path``) still drives the hand-written
+extremal engine in :mod:`.common`, which incremental resume and the relaxed
+(Galois) queue also use.
+"""
 
 from .astar import astar, euclidean_heuristic
 from .common import UNREACHABLE, ShortestPathResult, run_delta_stepping

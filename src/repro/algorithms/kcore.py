@@ -1,4 +1,5 @@
-"""k-core decomposition (coreness of every vertex) by bucketed peeling.
+"""k-core decomposition (coreness of every vertex): a wrapper over the
+``KCORE`` DSL program.
 
 Section 6.1: the peeling procedure of Matula and Beck — repeatedly remove
 the bucket of minimum-degree vertices; a vertex's *coreness* is the value of
@@ -7,15 +8,13 @@ decrease (clamped at the current ``k``: the ``max(priority - count, k)`` of
 Figure 10), and strict ordering is required, so priority coarsening is not
 allowed.
 
-Three schedules are supported, matching Table 7:
-
-- ``lazy_constant_sum`` (the paper's best): per-round neighbour histogram,
-  one transformed update per distinct neighbour — no atomics, one bucket
-  insertion per vertex per round.
-- ``lazy``: buffered updates with per-edge atomic decrements.
-- ``eager_no_fusion``: every unit decrement immediately moves the vertex
-  between thread-local buckets, leaving stale copies behind — the churn that
-  makes eager k-core several times slower on social networks.
+:func:`kcore` checks the schedule and runs :data:`repro.lang.programs.KCORE`
+through :func:`repro.compile_program`; the program's priority vector ``D``
+ends as the coreness.  The schedule picks the Table 7 strategy the compiler
+lowers to: ``lazy_constant_sum`` (the paper's best: one histogram-transformed
+update per distinct neighbour, no atomics), ``lazy`` (buffered per-edge
+atomic decrements) or ``eager_no_fusion`` (every unit decrement an immediate
+bucket move), and ``execution="native"`` runs the generated C++ kernel.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..buckets.eager import EagerBucketQueue
-from ..buckets.lazy import LazyBucketQueue
+from ..backend.program import compile_program
 from ..errors import SchedulingError
 from ..graph.csr import CSRGraph
+from ..lang.programs import KCORE
 from ..midend.schedule import Schedule
-from ..runtime.frontier import gather_out_edges
-from ..runtime.histogram import histogram_counts
 from ..runtime.stats import RuntimeStats
-from ..runtime.threads import VirtualThreadPool
 
 __all__ = ["kcore", "KCoreResult", "DEFAULT_KCORE_SCHEDULE", "kcore_reference"]
 
@@ -72,159 +68,10 @@ def kcore(graph: CSRGraph, schedule: Schedule | None = None) -> KCoreResult:
             "bucket fusion requires priority coarsening and is not "
             "applicable to k-core"
         )
-
-    n = graph.num_vertices
-    stats = RuntimeStats(num_threads=schedule.num_threads)
-    pool = VirtualThreadPool(
-        schedule.num_threads,
-        schedule.parallelization,
-        schedule.chunk_size,
-        execution=schedule.execution,
+    result = compile_program(KCORE, schedule).run(["kcore", "-"], graph=graph)
+    return KCoreResult(
+        coreness=result.globals["D"], stats=result.stats, schedule=schedule
     )
-    stats.execution = schedule.execution
-    degrees = graph.out_degrees().astype(np.int64)
-    coreness = np.zeros(n, dtype=np.int64)
-    peeled = np.zeros(n, dtype=bool)
-
-    if schedule.is_eager:
-        _kcore_eager(graph, degrees, coreness, peeled, stats, pool, schedule)
-    else:
-        _kcore_lazy(
-            graph,
-            degrees,
-            coreness,
-            peeled,
-            stats,
-            pool,
-            schedule,
-            histogram=schedule.uses_histogram,
-        )
-    return KCoreResult(coreness=coreness, stats=stats, schedule=schedule)
-
-
-def _peel_bucket(
-    bucket: np.ndarray, peeled: np.ndarray, coreness: np.ndarray, k: int
-) -> np.ndarray:
-    """Record coreness for the not-yet-peeled members and mark them peeled.
-
-    Deduplication is required for correctness in k-core (Section 5.1): a
-    vertex must be peeled exactly once even if stale bucket entries remain.
-    """
-    fresh = bucket[~peeled[bucket]]
-    coreness[fresh] = k
-    peeled[fresh] = True
-    return fresh
-
-
-def _kcore_lazy(
-    graph: CSRGraph,
-    degrees: np.ndarray,
-    coreness: np.ndarray,
-    peeled: np.ndarray,
-    stats: RuntimeStats,
-    pool: VirtualThreadPool,
-    schedule: Schedule,
-    histogram: bool,
-) -> None:
-    queue = LazyBucketQueue(
-        degrees,
-        delta=1,
-        allow_coarsening=False,
-        num_open_buckets=schedule.num_buckets,
-        stats=stats,
-    )
-    while True:
-        bucket = queue.dequeue_ready_set()
-        if bucket.size == 0:
-            break
-        k = queue.get_current_priority()
-        fresh = _peel_bucket(bucket, peeled, coreness, k)
-        if fresh.size == 0:
-            continue
-        stats.begin_round()
-        _, neighbors, _ = gather_out_edges(graph, fresh)
-        stats.relaxations += int(neighbors.size)
-        neighbors = neighbors[~peeled[neighbors]]
-        if histogram:
-            # Figure 10: count the updates per vertex, apply once.
-            vertices, counts = histogram_counts(neighbors, stats)
-            queue.apply_histogram_updates(vertices, counts, -1, k)
-            work = int(neighbors.size) + int(vertices.size)
-        else:
-            # Plain lazy: per-edge atomic decrements (the contention the
-            # histogram optimization removes), buffered with dedup flags.
-            # The arithmetic is applied in one reduction — a serialization
-            # of the clamped decrements yields the same final values — but
-            # the costs are charged per edge.
-            vertices, counts = np.unique(neighbors, return_counts=True)
-            stats.atomic_ops += int(neighbors.size)
-            stats.priority_updates += int(neighbors.size)
-            stats.buffer_appends += int(neighbors.size)
-            stats.dedup_hits += int(neighbors.size - vertices.size)
-            queue.apply_histogram_updates(vertices, counts.astype(np.int64), -1, k)
-            work = 2 * int(neighbors.size)
-        per_thread = work // pool.num_threads + 1
-        for thread_id in range(pool.num_threads):
-            stats.add_thread_work(thread_id, per_thread)
-        stats.end_round(syncs=2)
-
-
-def _kcore_eager(
-    graph: CSRGraph,
-    degrees: np.ndarray,
-    coreness: np.ndarray,
-    peeled: np.ndarray,
-    stats: RuntimeStats,
-    pool: VirtualThreadPool,
-    schedule: Schedule,
-) -> None:
-    queue = EagerBucketQueue(
-        degrees,
-        delta=1,
-        allow_coarsening=False,
-        num_threads=schedule.num_threads,
-        stats=stats,
-    )
-    out_degrees = graph.out_degrees()
-    while True:
-        bucket = queue.dequeue_ready_set()
-        if bucket.size == 0:
-            break
-        k = queue.get_current_priority()
-        fresh = _peel_bucket(bucket, peeled, coreness, k)
-        if fresh.size == 0:
-            continue
-        stats.begin_round()
-        chunks = pool.partition(fresh, degrees=out_degrees[fresh])
-        for thread_id, chunk in enumerate(chunks):
-            if chunk.size == 0:
-                continue
-            _, neighbors, _ = gather_out_edges(graph, chunk)
-            stats.relaxations += int(neighbors.size)
-            neighbors = neighbors[~peeled[neighbors]]
-            if neighbors.size == 0:
-                stats.add_thread_work(thread_id, 1)
-                continue
-            vertices, counts = np.unique(neighbors, return_counts=True)
-            old = degrees[vertices]
-            new_values = np.maximum(old - counts, k)
-            stats.atomic_ops += int(neighbors.size)
-            stats.priority_updates += int((old - new_values).sum())
-            # Every unit decrement is an immediate bucket move: the vertex
-            # is inserted into the bin of each intermediate priority,
-            # leaving stale copies behind (filtered at dequeue).
-            max_steps = int(counts.max())
-            inserts = 0
-            for step in range(1, max_steps + 1):
-                moving = (counts >= step) & (old - step >= k)
-                if not np.any(moving):
-                    break
-                step_orders = old[moving] - step
-                queue.insert_batch_at(thread_id, vertices[moving], step_orders)
-                inserts += int(np.count_nonzero(moving))
-            degrees[vertices] = new_values
-            stats.add_thread_work(thread_id, int(neighbors.size) + inserts)
-        stats.end_round(syncs=1)
 
 
 def kcore_reference(graph: CSRGraph) -> np.ndarray:

@@ -1,29 +1,13 @@
-"""Approximate set cover by bucketing (Blelloch et al.; Julienne; Section 6.1).
+"""Approximate set cover (Blelloch et al.; Julienne; Section 6.1): a wrapper
+over the ``SETCOVER`` DSL program.
 
-The instance is derived from a symmetric graph, the convention used in
-Julienne's evaluation: every vertex is simultaneously a *set* (covering its
-closed neighbourhood — itself plus its neighbours) and an *element*.  Costs
-are unit, so a set's cost-per-element is 1 / (number of its still-uncovered
-elements) and "best cost per element" means "most uncovered elements".
-
-Sets are bucketed by ``floor(log2(uncovered elements))`` and processed from
-the *highest* bucket (a ``higher_first`` queue).  Each round:
-
-1. Dequeue the top bucket's candidate sets.
-2. Recompute each candidate's uncovered-element count.  Exhausted sets are
-   retired; sets whose count dropped below the bucket's range are lazily
-   re-bucketed (exactly the rebucketing traffic that favours the lazy
-   update strategy — Section 7 notes Julienne's lazy approach is efficient
-   for SetCover for this reason).
-3. The surviving candidates run one round of randomized "nearly independent
-   set" style conflict resolution: every uncovered element picks one
-   claiming candidate (smallest random rank); a candidate that wins at least
-   half of its uncovered elements joins the cover and covers all of its
-   elements; losers stay in the bucket for the next round with fresh ranks.
-
-The factor-1/2 retention with factor-2 geometric bucketing gives the usual
-``O(log n)``-approximation of greedy up to constant factors; the test suite
-checks full coverage and size against sequential greedy.
+:func:`setcover` checks the schedule and runs
+:data:`repro.lang.programs.SETCOVER` through :func:`repro.compile_program`
+with :func:`repro.backend.extern_library.setcover_externs`, where the round
+body (re-bucketing by ``floor(log2(uncovered elements))`` and the
+randomized claim round) lives.  Unit costs over a symmetric graph instance:
+every vertex is a set covering its closed neighbourhood and an element.
+The test suite checks full coverage and size against sequential greedy.
 """
 
 from __future__ import annotations
@@ -32,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..buckets.lazy import LazyBucketQueue
+from ..backend.extern_library import collect_setcover_result, setcover_externs
+from ..backend.program import compile_program
 from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
+from ..lang.programs import SETCOVER
 from ..midend.schedule import Schedule
-from ..runtime.frontier import gather_out_edges
 from ..runtime.stats import RuntimeStats
-from ..runtime.threads import VirtualThreadPool
 
 __all__ = [
     "setcover",
@@ -68,32 +52,6 @@ class SetCoverResult:
         return bool(self.covered.all())
 
 
-def _closed_neighborhood_uncovered(
-    graph: CSRGraph, sets: np.ndarray, covered: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-set uncovered element count, plus the flat (set-index, element)
-    incidence restricted to uncovered elements."""
-    sources, dests, _ = gather_out_edges(graph, sets)
-    set_index = np.searchsorted(sets, sources)
-    # Closed neighbourhood: each set also covers itself.
-    self_index = np.arange(sets.size, dtype=np.int64)
-    set_index = np.concatenate([set_index, self_index])
-    elements = np.concatenate([dests, sets])
-    uncovered_mask = ~covered[elements]
-    set_index = set_index[uncovered_mask]
-    elements = elements[uncovered_mask]
-    counts = np.bincount(set_index, minlength=sets.size).astype(np.int64)
-    return counts, set_index, elements
-
-
-def _log_bucket(counts: np.ndarray) -> np.ndarray:
-    """floor(log2(count)) for positive counts (bucket of a set's ratio)."""
-    result = np.zeros_like(counts)
-    positive = counts > 0
-    result[positive] = np.floor(np.log2(counts[positive])).astype(np.int64)
-    return result
-
-
 def setcover(
     graph: CSRGraph,
     schedule: Schedule | None = None,
@@ -120,129 +78,15 @@ def setcover(
         )
     if not 0 < retention <= 1:
         raise GraphError("retention must be in (0, 1]")
-
-    n = graph.num_vertices
-    rng = np.random.default_rng(seed)
-    stats = RuntimeStats(num_threads=schedule.num_threads)
-    pool = VirtualThreadPool(
-        schedule.num_threads,
-        schedule.parallelization,
-        schedule.chunk_size,
-        execution=schedule.execution,
+    result = compile_program(SETCOVER, schedule).run(
+        ["setcover", "-"],
+        graph=graph,
+        extern_functions=setcover_externs(seed, retention),
     )
-    stats.execution = schedule.execution
-
-    covered = np.zeros(n, dtype=bool)
-    # Initial ratio: closed-neighbourhood size (degree + 1); all uncovered.
-    priorities = _log_bucket(graph.out_degrees().astype(np.int64) + 1)
-    queue = LazyBucketQueue(
-        priorities,
-        direction="higher_first",
-        delta=1,
-        allow_coarsening=False,
-        num_open_buckets=schedule.num_buckets,
-        stats=stats,
-    )
-    cover: list[np.ndarray] = []
-
-    while True:
-        candidates = queue.dequeue_ready_set()
-        if candidates.size == 0:
-            break
-        bucket_value = queue.get_current_priority()
-        stats.begin_round()
-
-        counts, set_index, elements = _closed_neighborhood_uncovered(
-            graph, candidates, covered
-        )
-        stats.relaxations += int(elements.size)
-
-        exhausted = candidates[counts == 0]
-        if exhausted.size:
-            queue.remove_batch(exhausted)
-
-        buckets = _log_bucket(counts)
-        downgraded_mask = (counts > 0) & (buckets < bucket_value)
-        downgraded = candidates[downgraded_mask]
-        if downgraded.size:
-            # Lazy re-bucketing: write the new (lower) priority and buffer.
-            priorities[downgraded] = buckets[downgraded_mask]
-            stats.priority_updates += int(downgraded.size)
-            queue.buffer_changed_batch(downgraded)
-
-        active_mask = (counts > 0) & (buckets >= bucket_value)
-        active = candidates[active_mask]
-        if active.size:
-            winners = _resolve_conflicts(
-                candidates,
-                active_mask,
-                counts,
-                set_index,
-                elements,
-                retention,
-                rng,
-                stats,
-                n,
-            )
-            chosen = candidates[winners]
-            if chosen.size:
-                cover.append(chosen)
-                # A chosen set covers all of its uncovered elements.
-                chosen_mask = winners[set_index]
-                covered[elements[chosen_mask]] = True
-                queue.remove_batch(chosen)
-            losers = candidates[active_mask & ~winners]
-            if losers.size:
-                # Losers stay at their bucket and retry next round with
-                # fresh random ranks (lazy reinsertion).
-                queue.requeue_batch(losers)
-
-        work = int(elements.size) + int(candidates.size)
-        per_thread = work // pool.num_threads + 1
-        for thread_id in range(pool.num_threads):
-            stats.add_thread_work(thread_id, per_thread)
-        stats.end_round(syncs=2)
-
-    cover_array = (
-        np.sort(np.concatenate(cover)) if cover else np.empty(0, dtype=np.int64)
-    )
+    cover, covered = collect_setcover_result(result)
     return SetCoverResult(
-        cover=cover_array, covered=covered, stats=stats, schedule=schedule
+        cover=cover, covered=covered, stats=result.stats, schedule=schedule
     )
-
-
-def _resolve_conflicts(
-    candidates: np.ndarray,
-    active_mask: np.ndarray,
-    counts: np.ndarray,
-    set_index: np.ndarray,
-    elements: np.ndarray,
-    retention: float,
-    rng: np.random.Generator,
-    stats: RuntimeStats,
-    num_elements: int,
-) -> np.ndarray:
-    """One randomized claim round; returns a winner mask over candidates.
-
-    Every uncovered element picks the incident active candidate with the
-    smallest random rank; a candidate wins if it claims at least
-    ``retention`` of its uncovered elements.
-    """
-    ranks = rng.permutation(candidates.size).astype(np.int64)
-    active_pairs = active_mask[set_index]
-    pair_sets = set_index[active_pairs]
-    pair_elements = elements[active_pairs]
-
-    best_rank = np.full(num_elements, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best_rank, pair_elements, ranks[pair_sets])
-    stats.atomic_ops += int(pair_elements.size)
-
-    won_pairs = ranks[pair_sets] == best_rank[pair_elements]
-    wins = np.bincount(
-        pair_sets[won_pairs], minlength=candidates.size
-    ).astype(np.int64)
-    needed = np.maximum(1, np.ceil(retention * counts).astype(np.int64))
-    return active_mask & (wins >= needed)
 
 
 def greedy_setcover_reference(graph: CSRGraph) -> np.ndarray:

@@ -364,6 +364,8 @@ class Context:
         queue,
         kernel: dict | None = None,
     ) -> None:
+        if len(bucket) == 0:
+            return  # an empty bucket is not a round
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
         pull = self.schedule.direction == "DensePull"
         name = "apply.pull" if pull else "apply.push"
@@ -811,19 +813,22 @@ class Context:
         queue: LazyBucketQueue,
         kernel: dict | None = None,
     ) -> None:
-        self._note_apply(self._use_kernel(kernel, ("sum_hist",)), len(bucket))
+        if len(bucket) == 0:
+            return  # an empty bucket is not a round
+        vectorized = self._use_kernel(kernel, ("sum_hist",))
+        self._note_apply(vectorized, len(bucket))
         with trace_span(
             "apply.histogram",
             "runtime",
             frontier=int(len(bucket)),
-            vectorized=self._use_kernel(kernel, ("sum_hist",)),
+            vectorized=vectorized,
         ), self._effect_scope(
             self._effect_udf_name(transformed_udf),
             frontier=bucket,
             edges=edges,
         ):
             self._apply_update_priority_histogram(
-                edges, bucket, transformed_udf, queue, kernel
+                edges, bucket, transformed_udf, queue, kernel if vectorized else None
             )
 
     def _apply_update_priority_histogram(
@@ -832,7 +837,7 @@ class Context:
         bucket: np.ndarray,
         transformed_udf: Callable,
         queue: LazyBucketQueue,
-        kernel: dict | None = None,
+        kernel: dict | None,
     ) -> None:
         self.stats.begin_round()
         if self.pool.is_parallel:
@@ -855,48 +860,25 @@ class Context:
         else:
             _, neighbors, _ = gather_out_edges(edges, bucket)
         self.stats.relaxations += int(neighbors.size)
+        # The transformed UDF's own ``priority > k`` guard, applied before
+        # binning: a neighbour already peeled (at or below k) is never counted.
+        k = queue.get_current_priority()
+        neighbors = neighbors[queue.priority_vector[neighbors] > k]
         vertices, counts = histogram_counts(neighbors, self.stats)
-        if self._use_kernel(kernel, ("sum_hist",)):
-            changed = self._run_histogram_kernel(kernel, queue, vertices, counts)
+        if kernel is not None:
+            queue.apply_histogram_updates(vertices, counts, int(kernel["constant"]), k)
         else:
-            changed_list: list[int] = []
+            changed: list[int] = []
             for vertex, count in zip(vertices.tolist(), counts.tolist()):
                 if transformed_udf(vertex, count) is not None:
-                    changed_list.append(vertex)
+                    changed.append(vertex)
                     self.stats.priority_updates += 1
-            changed = np.array(changed_list, dtype=np.int64)
-        if changed.size:
-            queue.buffer_changed_batch(changed)
+            queue.buffer_changed_batch(np.array(changed, dtype=np.int64))
         work = int(neighbors.size) + int(vertices.size)
         per_thread = work // self.pool.num_threads + 1
         for thread_id in range(self.pool.num_threads):
             self.stats.add_thread_work(thread_id, per_thread)
         self.stats.end_round(syncs=2)
-
-    def _run_histogram_kernel(
-        self, kernel: dict, queue, vertices: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Batch form of the Figure-10 transformed UDF: apply the whole
-        histogram of decrements at once, clamped at the current priority."""
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        k_cur = int(queue.get_current_priority())
-        constant = int(kernel["constant"])
-        pv = queue.priority_vector
-        pri = pv[vertices]
-        new = pri + counts.astype(np.int64) * constant
-        # The transform guards on ``priority > getCurrentPriority()`` for
-        # either constant sign; only the clamp direction differs.
-        if constant < 0:
-            new = np.maximum(new, k_cur)
-        else:
-            new = np.minimum(new, k_cur)
-        guard = pri > k_cur
-        changed = vertices[guard]
-        if changed.size:
-            pv[changed] = new[guard]
-            self.stats.priority_updates += int(changed.size)
-        return changed
 
     # ------------------------------------------------------------------
     # Eager ordered processing operator (Section 5.2, Figures 6/7/9(c))

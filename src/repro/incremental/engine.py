@@ -121,11 +121,13 @@ class IncrementalSession:
                 )
         if algorithm == "wbfs" and schedule.delta != 1:
             raise SchedulingError("wBFS fixes delta to 1 (it is its defining property)")
-        if schedule.execution == "native":
+        if schedule.execution == "native" and algorithm != "kcore":
+            # k-core's first peel is the compiled program (native runs its
+            # kernel) and its mutations never touch a queue.
             raise SchedulingError(
-                "incremental resume seeds the interpreted engine's queues; "
-                "native execution cannot resume (use execution='serial' or "
-                "'parallel')"
+                "incremental resume of a path algorithm seeds the interpreted "
+                "engine's queues; native execution cannot resume (use "
+                "execution='serial' or 'parallel')"
             )
         self.schedule = schedule
         # The path algorithms' value semantics (identity, edge offer, which

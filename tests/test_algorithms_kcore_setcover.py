@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro import compile_program
 from repro.algorithms import (
+    DEFAULT_SETCOVER_SCHEDULE,
     greedy_setcover_reference,
     kcore,
     kcore_reference,
     setcover,
     unordered_kcore,
 )
+from repro.backend.extern_library import setcover_externs
 from repro.errors import GraphError, SchedulingError
 from repro.graph import complete_graph, from_edges, path_graph, rmat, star_graph
+from repro.lang.programs import KCORE, SETCOVER
 from repro.midend import Schedule
 
 KCORE_STRATEGIES = ["lazy_constant_sum", "lazy", "eager_no_fusion"]
@@ -24,11 +28,32 @@ def symmetric():
 
 
 class TestKCore:
-    @pytest.mark.parametrize("strategy", KCORE_STRATEGIES)
-    def test_matches_reference(self, symmetric, strategy):
+    @pytest.mark.parametrize(
+        "strategy, execution",
+        [
+            pytest.param(s, e, id=s if e == "serial" else f"{s}-{e}")
+            for e in ("serial", "parallel")
+            for s in KCORE_STRATEGIES
+        ],
+    )
+    def test_matches_reference(self, symmetric, strategy, execution):
         graph, reference = symmetric
-        result = kcore(graph, Schedule(priority_update=strategy, num_threads=4))
+        result = kcore(
+            graph,
+            Schedule(priority_update=strategy, num_threads=4, execution=execution),
+        )
         assert np.array_equal(result.coreness, reference)
+
+    @pytest.mark.parametrize("strategy", ["lazy", "lazy_constant_sum"])
+    def test_empty_bucket_is_not_a_round(self, strategy):
+        # The last dequeue of a lazy peel can come back empty (the queue held
+        # only a stale copy of a vertex already peeled at a lower k); the
+        # apply operator must not count it as a round.
+        program = compile_program(KCORE, Schedule(priority_update=strategy))
+        stats = program.run(["kcore", "-"], graph=path_graph(5, symmetric=True)).stats
+        assert stats.frontier_per_round == [2, 2, 1]
+        assert stats.rounds == len(stats.frontier_per_round) == 3
+        assert stats.global_syncs == 6
 
     def test_clique_coreness(self):
         graph = complete_graph(6)
@@ -138,6 +163,15 @@ class TestSetCover:
         # Lazy re-bucketing traffic is the defining workload property.
         assert result.stats.buffer_appends > 0
         assert result.stats.rounds > 1
+
+    def test_compiled_program_charges_rounds(self, symmetric):
+        graph, _ = symmetric
+        run = compile_program(SETCOVER, DEFAULT_SETCOVER_SCHEDULE).run(
+            ["setcover", "-"], graph=graph, extern_functions=setcover_externs(seed=1)
+        )
+        assert run.stats.rounds > 1
+        assert run.stats.priority_updates > 0
+        assert run.stats.global_syncs == 2 * run.stats.rounds
 
     def test_eager_rejected(self, symmetric):
         graph, _ = symmetric

@@ -208,6 +208,41 @@ def test_native_runs_from_graph_file(tmp_path, social, social_start):
     assert_vectors_identical(from_file, oracle)
 
 
+@needs_toolchain
+def test_kcore_session_accepts_native(social, monkeypatch):
+    """``repro.kcore`` runs the compiled program, so a native schedule runs
+    the kernel; a k-core session's mutations use the h-index fixpoint and
+    never touch a queue, so the session accepts the schedule too."""
+    from repro.algorithms import kcore, kcore_reference
+    from repro.backend.program import CompiledProgram
+    from repro.graph.mutations import parse_mutation_script
+    from repro.incremental import IncrementalSession
+
+    schedule = Schedule(priority_update="lazy_constant_sum", execution="native")
+    programs = []
+    real_run = CompiledProgram.run
+
+    def spy(self, *args, **kwargs):
+        programs.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProgram, "run", spy)
+    graph = social.symmetrized()
+    result = kcore(graph, schedule)
+    assert [p.native_fallback_reason for p in programs] == [None]
+    np.testing.assert_array_equal(result.coreness, kcore_reference(graph))
+
+    session = IncrementalSession(social.symmetrized(), "kcore", schedule=schedule)
+    session.run()
+    assert programs[-1].native_fallback_reason is None
+    hub = int(np.argmax(graph.out_degrees()))
+    a, b = (int(v) for v in np.unique(graph.out_neighbors(hub))[-2:])
+    script = f"remove {hub} {a}\nadd 3 5 1\nflush\nremove {hub} {b}\nadd 7 9 1\n"
+    for batch in parse_mutation_script(script):
+        session.apply(batch)
+    np.testing.assert_array_equal(session.values, kcore_reference(session.graph))
+
+
 # ---------------------------------------------------------------------------
 # Degradation ladder (these run with or without a toolchain)
 # ---------------------------------------------------------------------------

@@ -182,10 +182,11 @@ class TestApplyOperators:
         )
         assert distances.tolist() == [0, 2, 5, 6, 7]
 
-    def test_histogram_apply(self):
-        clique = from_edges(4, [(u, v) for u in range(4) for v in range(4) if u != v])
-        context = make_context(Schedule(priority_update="lazy_constant_sum"), graph=clique)
-        degrees = context.out_degrees(clique)
+    @staticmethod
+    def _histogram_round(graph):
+        """One Figure-10 round on the first (lowest-degree) bucket."""
+        context = make_context(Schedule(priority_update="lazy_constant_sum"), graph=graph)
+        degrees = context.out_degrees(graph)
         queue = context.new_priority_queue(False, "lower_first", degrees, -1)
         bucket = queue.dequeue_ready_set()
         k = queue.get_current_priority()
@@ -198,5 +199,25 @@ class TestApplyOperators:
                 return new_priority
             return None
 
-        context.apply_update_priority_histogram(clique, bucket, transformed, queue)
-        assert context.stats.histogram_updates > 0
+        context.apply_update_priority_histogram(graph, bucket, transformed, queue)
+        return context.stats, degrees
+
+    def test_histogram_apply_skips_neighbours_at_k(self):
+        # Every neighbour of the first bucket sits at k and is peeled with it:
+        # the UDF's ``priority > k`` guard runs before binning, so none is binned.
+        clique = from_edges(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+        stats, degrees = self._histogram_round(clique)
+        assert stats.relaxations == 12
+        assert stats.histogram_updates == 0
+        assert stats.priority_updates == 0
+        assert degrees.tolist() == [3, 3, 3, 3]
+
+    def test_histogram_apply(self):
+        # A 4-clique with a pendant path 3-4-5: peeling vertex 5 at k=1 bins
+        # its neighbour 4 (degree 2 > k) and lowers it to 1.
+        edges = [(u, v) for u in range(4) for v in range(4) if u != v]
+        edges += [(3, 4), (4, 3), (4, 5), (5, 4)]
+        stats, degrees = self._histogram_round(from_edges(6, edges))
+        assert stats.histogram_updates > 0
+        assert stats.priority_updates == 1
+        assert degrees.tolist() == [3, 3, 3, 4, 1, 1]

@@ -209,6 +209,39 @@ class TestBucketSorts:
         assert "sorted_distinct / split_by_order" in findings[0]
 
 
+class TestAlgorithmQueues:
+    @pytest.fixture
+    def package(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        for directory in ("algorithms", "buckets", "backend"):
+            (package / directory).mkdir(parents=True)
+            (package / directory / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        return package
+
+    def test_flags_queue_imports_outside_the_owners(self, package):
+        (package / "algorithms" / "_peel.py").write_text(
+            "from ..buckets.lazy import LazyBucketQueue\n"
+            "from .. import buckets\n"
+            "import repro.buckets.eager\n"
+            "_QUEUES = (LazyBucketQueue, buckets, repro.buckets.eager)\n"
+        )
+        findings = static_lint.lint_paths([package.parent])
+        assert [f.split(":")[1] for f in findings] == ["1", "2", "3"], findings
+        assert all("L007" in f and "lang/programs.py" in f for f in findings)
+
+    def test_owners_and_compiled_wrappers_are_clean(self, package):
+        (package / "algorithms" / "common.py").write_text(
+            "from ..buckets.lazy import LazyBucketQueue\n_Q = LazyBucketQueue\n"
+        )
+        (package / "algorithms" / "_wrapper.py").write_text(
+            "from ..backend.program import compile_program\n"
+            "from .common import _Q\n"
+            "_RUN = (compile_program, _Q)\n"
+        )
+        assert static_lint.lint_paths([package.parent]) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint_snippet(tmp_path, "def f(:\n")

@@ -2,7 +2,7 @@
 """A dependency-free static linter for the repro source tree.
 
 The container deliberately ships no third-party lint toolchain, so CI runs
-this stdlib-``ast`` checker instead.  Six rule families, chosen because
+this stdlib-``ast`` checker instead.  Seven rule families, chosen because
 each has bitten real compiler code:
 
 - ``L001`` unused import — an import whose bound name is never referenced
@@ -34,6 +34,11 @@ each has bitten real compiler code:
   return) and sorted once, at pop; a hash-and-sort per round is how the
   bucket layer came to cost more than the relax kernels.  Runs alongside
   L004.
+- ``L007`` ``repro.buckets`` imported by an algorithm — a module under
+  ``repro/algorithms/`` other than :data:`QUEUE_OWNERS` that builds its own
+  queue is a second, hand-written copy of a DSL program; k-core and
+  SetCover each had one beside ``lang/programs.py`` until they became
+  wrappers over the compiled program.  Runs alongside L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -79,12 +84,6 @@ DEAD_NAME_ALLOWLIST = {
     "backend/extern_library.py:astar_externs": (
         "extern bindings a caller passes to Program.run for the A* program"
     ),
-    "backend/extern_library.py:setcover_externs": (
-        "extern bindings a caller passes to Program.run for SetCover"
-    ),
-    "backend/extern_library.py:collect_setcover_result": (
-        "reads the SetCover externs' answer back out of a finished run"
-    ),
     "obs/exporters.py:load_chrome_trace": (
         "documented way to validate a trace file `repro trace` wrote"
     ),
@@ -107,6 +106,11 @@ ENV_ALLOWLIST = {
     "REPRO_NATIVE_CXX": "path of the C++ compiler that builds native kernels",
 }
 _ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
+
+# L007: the only ``algorithms/`` modules that may construct a bucket queue —
+# the shortest-path engine the incremental resume and the Galois relaxed
+# queue still drive, and the framework presets built on it.
+QUEUE_OWNERS = ("common.py", "frameworks.py")
 
 
 def _finding(path: Path, node: ast.AST, code: str, message: str) -> str:
@@ -374,6 +378,46 @@ def check_bucket_sorts(package: Path) -> list[str]:
     return findings
 
 
+def _imported_modules(node: ast.AST, package: list[str]) -> list[list[str]]:
+    """Absolute dotted paths an import statement in ``package`` names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".") for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = package[: len(package) - node.level + 1] if node.level else []
+    if node.module:
+        return [base + node.module.split(".")]
+    return [base + [alias.name] for alias in node.names]
+
+
+def check_algorithm_queues(package: Path) -> list[str]:
+    """L007 over ``algorithms/`` of the ``repro`` package at ``package``."""
+    findings = []
+    for file in sorted((package / "algorithms").glob("*.py")):
+        if file.name in QUEUE_OWNERS:
+            continue
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        for node in ast.walk(tree):
+            if any(
+                path[:2] == ["repro", "buckets"]
+                for path in _imported_modules(node, ["repro", "algorithms"])
+            ):
+                findings.append(
+                    _finding(
+                        file,
+                        node,
+                        "L007",
+                        "an algorithm module builds its own bucket queue; "
+                        "write the algorithm in lang/programs.py and wrap "
+                        "compile_program instead",
+                    )
+                )
+    return findings
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -399,6 +443,7 @@ def lint_paths(paths: list[Path]) -> list[str]:
             findings += check_dead_public_names(root)
             findings += check_env_reads(root / "repro")
             findings += check_bucket_sorts(root / "repro")
+            findings += check_algorithm_queues(root / "repro")
     return findings
 
 
