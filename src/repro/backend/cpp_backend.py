@@ -48,6 +48,10 @@ from .python_backend import _Emitter
 
 __all__ = ["generate_cpp"]
 
+# Every emitted region is guarded by the runtime's one-thread bit, so a
+# one-thread kernel never enters a parallel region (cpp_runtime.py).
+PARALLEL_FOR = "#pragma omp parallel for schedule(dynamic, 64) if(!gSerial)"
+
 
 def generate_cpp(plan: CompilationPlan) -> str:
     """Generate C++ source for ``plan``."""
@@ -232,6 +236,7 @@ class _CppEmitter:
         out.line("int main(int argc, char *argv[]) {")
         out.push()
         out.line("(void)argc;")
+        out.line("detectSerial();")
         self._emit_const_initializers()
         for statement in main.body:
             self._stmt(statement)
@@ -419,7 +424,7 @@ class _CppEmitter:
         src, dst, weight = self._udf_param_names(udf)
         out.line("{")
         out.push()
-        out.line("#pragma omp parallel for schedule(dynamic, 64)")
+        out.line(PARALLEL_FOR)
         out.line(f"for (size_t __i = 0; __i < {bucket}.size(); __i++) {{")
         out.push()
         out.line(f"NodeID {src} = {bucket}[__i];")
@@ -451,7 +456,7 @@ class _CppEmitter:
             f"std::fill(__frontier_map.begin(), __frontier_map.end(), 0);"
         )
         out.line(f"for (NodeID __v : {bucket}) __frontier_map[__v] = 1;")
-        out.line("#pragma omp parallel for schedule(dynamic, 64)")
+        out.line(PARALLEL_FOR)
         out.line(f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++) {{")
         out.push()
         out.line(f"for (WNode __wn : __transposed.out_neigh({dst})) {{")
@@ -485,20 +490,20 @@ class _CppEmitter:
             raise CompileError("histogram schedule lacks a transformed UDF")
         out.line("{")
         out.push()
-        out.line("#pragma omp parallel for schedule(dynamic, 64)")
+        out.line(
+            f"const int64_t __k = {self.queue_name}->getCurrentPriority();"
+        )
+        out.line(PARALLEL_FOR)
         out.line(f"for (size_t __i = 0; __i < {bucket}.size(); __i++) {{")
         out.push()
         out.line(f"for (WNode __wn : {edgeset}.out_neigh({bucket}[__i])) {{")
         out.push()
-        out.line(
-            "if (__atomic_fetch_add(&__count[__wn.v], (int64_t)1, "
-            "__ATOMIC_RELAXED) == 0) {"
-        )
+        # The transformed UDF's own ``priority > k`` guard, applied before
+        # counting: a neighbour already peeled is never counted.
+        out.line(f"if ({self._pv_name}[__wn.v] <= __k) continue;")
+        out.line("if (fetchAdd(&__count[__wn.v], (int64_t)1) == 0) {")
         out.push()
-        out.line(
-            "size_t __slot = __atomic_fetch_add(&__touched_tail, (size_t)1, "
-            "__ATOMIC_RELAXED);"
-        )
+        out.line("size_t __slot = fetchAdd(&__touched_tail, (size_t)1);")
         out.line("__touched[__slot] = __wn.v;")
         out.pop()
         out.line("}")
@@ -506,7 +511,7 @@ class _CppEmitter:
         out.line("}")
         out.pop()
         out.line("}")
-        out.line("#pragma omp parallel for schedule(dynamic, 64)")
+        out.line(PARALLEL_FOR)
         out.line("for (size_t __i = 0; __i < __touched_tail; __i++) {")
         out.push()
         out.line("NodeID __v = __touched[__i];")
@@ -701,7 +706,7 @@ class _CppEmitter:
         out.line("// --- eager ordered processing operator (Figure 9(c)) ---")
         out.line("{")
         out.push()
-        out.line(f"std::vector<NodeID> frontier({edgeset}.num_edges() + 1);")
+        self._emit_eager_frontier(edgeset)
         out.line("size_t shared_indexes[2] = {kMaxBin, kMaxBin};")
         out.line("size_t frontier_tails[2] = {0, 0};")
         out.line("bool stop_flag = false;")
@@ -716,7 +721,7 @@ class _CppEmitter:
                 f"shared_indexes[0] = (size_t)({self._pv_name}"
                 f"[{self._expr(start)}] / delta);"
             )
-        out.line("#pragma omp parallel")
+        out.line("#pragma omp parallel if(!gSerial)")
         out.line("{")
         out.push()
         out.line("std::vector<std::vector<NodeID>> local_bins(0);")
@@ -811,7 +816,7 @@ class _CppEmitter:
         )
         out.line(
             "std::copy(local_bins[next_bin_index].begin(), "
-            "local_bins[next_bin_index].end(), frontier.begin() + copy_start);"
+            "local_bins[next_bin_index].end(), frontier.get() + copy_start);"
         )
         out.line("local_bins[next_bin_index].resize(0);")
         out.pop()
@@ -861,7 +866,7 @@ class _CppEmitter:
         )
         out.line("{")
         out.push()
-        out.line(f"std::vector<NodeID> frontier({edgeset}.num_edges() + 1);")
+        self._emit_eager_frontier(edgeset)
         out.line("int64_t shared_orders[2] = {kIntMax, kIntMax};")
         out.line("size_t frontier_tails[2] = {0, 0};")
         out.line("bool stop_flag = false;")
@@ -875,7 +880,7 @@ class _CppEmitter:
             f"shared_orders[0] = -floorDiv({self._pv_name}"
             f"[{self._expr(start)}], delta);"
         )
-        out.line("#pragma omp parallel")
+        out.line("#pragma omp parallel if(!gSerial)")
         out.line("{")
         out.push()
         out.line("std::map<int64_t, std::vector<NodeID>> local_bins;")
@@ -972,7 +977,7 @@ class _CppEmitter:
         )
         out.line(
             "std::copy(__next_it->second.begin(), __next_it->second.end(), "
-            "frontier.begin() + copy_start);"
+            "frontier.get() + copy_start);"
         )
         out.line("local_bins.erase(__next_it);")
         out.pop()
@@ -987,6 +992,14 @@ class _CppEmitter:
         out.line("}")
         out.pop()
         out.line("}")
+
+    def _emit_eager_frontier(self, edgeset: str) -> None:
+        """The shared frontier, |E| + 1 slots per query.  Uninitialised: a
+        slot is read only below a tail that a copy into it advanced."""
+        self.out.line(
+            f"std::unique_ptr<NodeID[]> frontier("
+            f"new NodeID[{edgeset}.num_edges() + 1]);"
+        )
 
     def _emit_eager_prebinning(self, edgeset: str) -> None:
         """k-core style initialization: every tracked vertex starts in a
@@ -1023,7 +1036,7 @@ class _CppEmitter:
         out.line(
             "std::copy(local_bins[shared_indexes[0]].begin(), "
             "local_bins[shared_indexes[0]].end(), "
-            "frontier.begin() + copy_start);"
+            "frontier.get() + copy_start);"
         )
         out.line("local_bins[shared_indexes[0]].resize(0);")
         out.pop()

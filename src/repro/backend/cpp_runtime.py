@@ -13,7 +13,7 @@ update buckets", Section 5.1).  It provides:
   copying — the zero-copy path the native shared-library ABI uses to run
   directly on numpy buffers,
 - the atomic vocabulary of Figure 9 (``atomicWriteMin``, clamped
-  fetch-add, byte CAS for dedup flags),
+  fetch-add, byte CAS for dedup flags, ``fetchAdd`` for slot counters),
 - ``LazyPriorityQueue``: the lazy bucket structure with a materialized
   window, overflow bucket, dedup-flagged update buffer, and the
   priority-vector + Δ interface (Section 5.1's redesign of Julienne's
@@ -26,8 +26,13 @@ update buckets", Section 5.1).  It provides:
 The eager structure needs no runtime class: as in Figure 9(c) the compiler
 emits its thread-local ``local_bins`` inline in the generated main.
 
-Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional; the pragmas
-degrade to serial execution without it).
+Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional).  The thread
+count is part of the schedule, so one thread means serial code:
+``detectSerial()`` sets ``gSerial`` when ``omp_get_max_threads() == 1`` (always
+without OpenMP), every atomic helper then does a plain load and store, and
+every emitted ``#pragma omp parallel`` carries ``if(!gSerial)`` so no
+parallel region is entered.  At two or more threads the helpers are the
+relaxed atomics.
 """
 
 CPP_RUNTIME = r"""
@@ -40,6 +45,7 @@ CPP_RUNTIME = r"""
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,7 +195,25 @@ struct WGraph {
 };
 
 // ---- atomics (Figure 9's vocabulary) ------------------------------------
+// One thread is serial code: set once per run by detectSerial(), it turns
+// every helper below into a plain load and store and every emitted
+// parallel region off (`#pragma omp parallel ... if(!gSerial)`).
+static bool gSerial = true;
+
+inline void detectSerial() {
+#ifdef _OPENMP
+  gSerial = omp_get_max_threads() == 1;
+#else
+  gSerial = true;
+#endif
+}
+
 inline bool atomicWriteMin(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value >= *addr) return false;
+    *addr = value;
+    return true;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -200,6 +224,11 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value) {
 }
 
 inline bool atomicWriteMax(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value <= *addr) return false;
+    *addr = value;
+    return true;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -213,6 +242,7 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value) {
 // old priority (the 3-argument updatePriorityMin form), so the first CAS
 // attempt starts from that value instead of issuing an extra atomic load.
 inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
+  if (gSerial) return atomicWriteMin(addr, value);
   int64_t old = seed;
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -223,6 +253,7 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
 }
 
 inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
+  if (gSerial) return atomicWriteMax(addr, value);
   int64_t old = seed;
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -245,6 +276,10 @@ inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
     if (diff < 0) desired = std::max(desired, clamp);
     else desired = std::min(desired, clamp);
     if (desired == old) return kIntMax;
+    if (gSerial) {
+      *addr = desired;
+      return desired;
+    }
     if (__atomic_compare_exchange_n(addr, &old, desired, false,
                                     __ATOMIC_RELAXED, __ATOMIC_RELAXED))
       return desired;
@@ -266,11 +301,31 @@ inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
 }
 
 inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
+  if (gSerial) {
+    if (*addr != expected) return false;
+    *addr = desired;
+    return true;
+  }
   return __atomic_compare_exchange_n(addr, &expected, desired, false,
                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED);
 }
 
+// Fetch-add for slot counters (histogram counts, buffer tails).
+template <typename T>
+inline T fetchAdd(T *addr, T value) {
+  if (gSerial) {
+    T old = *addr;
+    *addr = old + value;
+    return old;
+  }
+  return __atomic_fetch_add(addr, value, __ATOMIC_RELAXED);
+}
+
 inline void atomicMinSize(size_t *addr, size_t value) {
+  if (gSerial) {
+    if (value < *addr) *addr = value;
+    return;
+  }
   size_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -282,6 +337,10 @@ inline void atomicMinSize(size_t *addr, size_t value) {
 // Signed variant for the order-space (map-binned) eager region, where bucket
 // orders of higher_first queues are negative and cannot index a dense array.
 inline void atomicMinInt64(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value < *addr) *addr = value;
+    return;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -355,7 +414,7 @@ struct LazyPriorityQueue {
   // Thread-safe buffered bucket update with a dedup-flag CAS (Figure 9(a)).
   void bufferVertex(NodeID v) {
     if (CASByte(&pending_flags[v], 0, 1)) {
-      size_t slot = __atomic_fetch_add(&pending_tail, 1, __ATOMIC_RELAXED);
+      size_t slot = fetchAdd(&pending_tail, (size_t)1);
       pending[slot] = v;
     }
   }
@@ -396,10 +455,11 @@ struct LazyPriorityQueue {
       }
       cur_order = order;
       cur_valid = true;
+      // No sort: a second copy of v at the same priority fails the
+      // processed_value check, and every lazy program's output is a fixpoint
+      // once the bucket drains, so it does not depend on member order.
       std::vector<NodeID> members;
       members.swap(buckets[order - base]);
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()), members.end());
       std::vector<NodeID> live;
       for (NodeID v : members) {
         int64_t p = priorities[v];

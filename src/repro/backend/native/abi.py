@@ -41,7 +41,7 @@ from ...lang.types import (
     VectorType,
 )
 from ...midend.transforms.lowering import CompilationPlan
-from ..cpp_backend import _CppEmitter
+from ..cpp_backend import PARALLEL_FOR, _CppEmitter
 from ..cpp_runtime import CPP_RUNTIME
 
 __all__ = ["ABI_VERSION", "generate_native_cpp"]
@@ -211,6 +211,7 @@ class _NativeEmitter(_CppEmitter):
         )
         out.line("#endif")
         out.line("(void)__repro_num_threads;")
+        out.line("detectSerial();")
         self._emit_entry_reset()
         for index, name in enumerate(self.vector_names):
             out.line(f"{name}.bind(__repro_out[{index}], __repro_num_nodes);")
@@ -263,8 +264,13 @@ class _NativeEmitter(_CppEmitter):
                     isinstance(init, ast.MethodCall)
                     and init.method == "getOutDegrees"
                 ):
+                    # In place: the view is already bound to the caller's
+                    # buffer, so no temporary vector is built and copied.
                     receiver = self._expr(init.receiver)
-                    out.line(f"{const.name} = {receiver}.OutDegrees();")
+                    out.line(
+                        f"for (NodeID __v = 0; __v < {receiver}.num_nodes; "
+                        f"__v++) {const.name}[__v] = {receiver}.out_degree(__v);"
+                    )
                 else:
                     out.line(
                         f"{const.name}.assign(__repro_num_nodes, "
@@ -293,7 +299,7 @@ class _NativeEmitter(_CppEmitter):
             "std::fill(__frontier_map.begin(), __frontier_map.end(), 0);"
         )
         out.line(f"for (NodeID __v : {bucket}) __frontier_map[__v] = 1;")
-        out.line("#pragma omp parallel for schedule(dynamic, 64)")
+        out.line(PARALLEL_FOR)
         out.line(
             f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++) {{"
         )

@@ -69,8 +69,10 @@ class Schedule:
     parallelization:
         Load-balancing policy (``configApplyParallelization``).
     num_threads:
-        Virtual-thread count (an execution parameter in this reproduction;
-        on the paper's testbed this was the machine's core count).
+        For the interpreter, the virtual-thread count frontiers are dealt
+        into.  Under ``execution="native"`` it is the OpenMP thread count,
+        and 1 builds serial code: no atomic read-modify-write and no
+        parallel region.
     chunk_size:
         Work-chunk granularity for dynamic policies (OpenMP's
         ``schedule(dynamic, 64)``).

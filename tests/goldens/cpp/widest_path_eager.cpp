@@ -10,6 +10,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,7 +160,25 @@ struct WGraph {
 };
 
 // ---- atomics (Figure 9's vocabulary) ------------------------------------
+// One thread is serial code: set once per run by detectSerial(), it turns
+// every helper below into a plain load and store and every emitted
+// parallel region off (`#pragma omp parallel ... if(!gSerial)`).
+static bool gSerial = true;
+
+inline void detectSerial() {
+#ifdef _OPENMP
+  gSerial = omp_get_max_threads() == 1;
+#else
+  gSerial = true;
+#endif
+}
+
 inline bool atomicWriteMin(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value >= *addr) return false;
+    *addr = value;
+    return true;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -170,6 +189,11 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value) {
 }
 
 inline bool atomicWriteMax(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value <= *addr) return false;
+    *addr = value;
+    return true;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -183,6 +207,7 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value) {
 // old priority (the 3-argument updatePriorityMin form), so the first CAS
 // attempt starts from that value instead of issuing an extra atomic load.
 inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
+  if (gSerial) return atomicWriteMin(addr, value);
   int64_t old = seed;
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -193,6 +218,7 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
 }
 
 inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
+  if (gSerial) return atomicWriteMax(addr, value);
   int64_t old = seed;
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -215,6 +241,10 @@ inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
     if (diff < 0) desired = std::max(desired, clamp);
     else desired = std::min(desired, clamp);
     if (desired == old) return kIntMax;
+    if (gSerial) {
+      *addr = desired;
+      return desired;
+    }
     if (__atomic_compare_exchange_n(addr, &old, desired, false,
                                     __ATOMIC_RELAXED, __ATOMIC_RELAXED))
       return desired;
@@ -236,11 +266,31 @@ inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
 }
 
 inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
+  if (gSerial) {
+    if (*addr != expected) return false;
+    *addr = desired;
+    return true;
+  }
   return __atomic_compare_exchange_n(addr, &expected, desired, false,
                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED);
 }
 
+// Fetch-add for slot counters (histogram counts, buffer tails).
+template <typename T>
+inline T fetchAdd(T *addr, T value) {
+  if (gSerial) {
+    T old = *addr;
+    *addr = old + value;
+    return old;
+  }
+  return __atomic_fetch_add(addr, value, __ATOMIC_RELAXED);
+}
+
 inline void atomicMinSize(size_t *addr, size_t value) {
+  if (gSerial) {
+    if (value < *addr) *addr = value;
+    return;
+  }
   size_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -252,6 +302,10 @@ inline void atomicMinSize(size_t *addr, size_t value) {
 // Signed variant for the order-space (map-binned) eager region, where bucket
 // orders of higher_first queues are negative and cannot index a dense array.
 inline void atomicMinInt64(int64_t *addr, int64_t value) {
+  if (gSerial) {
+    if (value < *addr) *addr = value;
+    return;
+  }
   int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -325,7 +379,7 @@ struct LazyPriorityQueue {
   // Thread-safe buffered bucket update with a dedup-flag CAS (Figure 9(a)).
   void bufferVertex(NodeID v) {
     if (CASByte(&pending_flags[v], 0, 1)) {
-      size_t slot = __atomic_fetch_add(&pending_tail, 1, __ATOMIC_RELAXED);
+      size_t slot = fetchAdd(&pending_tail, (size_t)1);
       pending[slot] = v;
     }
   }
@@ -366,10 +420,11 @@ struct LazyPriorityQueue {
       }
       cur_order = order;
       cur_valid = true;
+      // No sort: a second copy of v at the same priority fails the
+      // processed_value check, and every lazy program's output is a fixpoint
+      // once the bucket drains, so it does not depend on member order.
       std::vector<NodeID> members;
       members.swap(buckets[order - base]);
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()), members.end());
       std::vector<NodeID> live;
       for (NodeID v : members) {
         int64_t p = priorities[v];
@@ -453,6 +508,7 @@ int64_t delta = 2;
 
 int main(int argc, char *argv[]) {
   (void)argc;
+  detectSerial();
   edges = WGraph::Load(argv[1]);
   width.assign(edges.num_nodes, 0);
   int64_t start_vertex = atoll(argv[2]);
@@ -460,14 +516,14 @@ int main(int argc, char *argv[]) {
   // pq: replaced by the eager ordered-processing operator (thread-local buckets)
   // --- eager ordered processing operator (Figure 9(c), higher_first) ---
   {
-    std::vector<NodeID> frontier(edges.num_edges() + 1);
+    std::unique_ptr<NodeID[]> frontier(new NodeID[edges.num_edges() + 1]);
     int64_t shared_orders[2] = {kIntMax, kIntMax};
     size_t frontier_tails[2] = {0, 0};
     bool stop_flag = false;
     frontier[0] = start_vertex;
     frontier_tails[0] = 1;
     shared_orders[0] = -floorDiv(width[start_vertex], delta);
-    #pragma omp parallel
+    #pragma omp parallel if(!gSerial)
     {
       std::map<int64_t, std::vector<NodeID>> local_bins;
       size_t iter = 0;
@@ -512,7 +568,7 @@ int main(int argc, char *argv[]) {
           auto __next_it = local_bins.find(next_order);
           if (__next_it != local_bins.end() && !__next_it->second.empty()) {
             size_t copy_start = __atomic_fetch_add(&next_frontier_tail, __next_it->second.size(), __ATOMIC_RELAXED);
-            std::copy(__next_it->second.begin(), __next_it->second.end(), frontier.begin() + copy_start);
+            std::copy(__next_it->second.begin(), __next_it->second.end(), frontier.get() + copy_start);
             local_bins.erase(__next_it);
           }
         }

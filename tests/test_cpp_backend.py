@@ -72,7 +72,9 @@ class TestGeneratedStructure:
         text = generate("kcore", Schedule(priority_update="lazy_constant_sum"))
         assert "apply_f_transformed(NodeID vertex, int64_t count)" in text
         assert "__touched" in text
-        assert "__atomic_fetch_add(&__count" in text
+        assert "fetchAdd(&__count" in text
+        # Peeled neighbours are skipped before they are counted.
+        assert "if (D[__wn.v] <= __k) continue;" in text
 
     def test_ppsp_stop_condition_emitted(self):
         text = generate("ppsp", Schedule(priority_update="eager_no_fusion", delta=4))

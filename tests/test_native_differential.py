@@ -100,21 +100,30 @@ MATRIX = [
     ("widest", Schedule(priority_update="eager_no_fusion", delta=2)),
     ("kcore", Schedule(priority_update="lazy_constant_sum", num_buckets=64)),
     ("ppsp", Schedule(priority_update="eager_with_fusion", delta=4)),
+    # Unsorted lazy buckets under an early exit.
+    ("ppsp", Schedule(priority_update="lazy", delta=4)),
 ]
 
 
-def _matrix_id(case):
-    name, schedule = case
-    tag = schedule.priority_update
-    if schedule.direction != "SparsePush":
-        tag += f"-{schedule.direction}"
-    return f"{name}-{tag}"
+def _matrix_params():
+    """Every row at two threads (the atomic path) and at one thread (the
+    serial kernel: no atomic RMW, no parallel region).  The two-thread row
+    keeps the row's plain id."""
+    for name, schedule in MATRIX:
+        tag = schedule.priority_update
+        if schedule.direction != "SparsePush":
+            tag += f"-{schedule.direction}"
+        for threads, suffix in ((2, ""), (1, "-1thread")):
+            yield pytest.param(
+                name,
+                schedule.with_(num_threads=threads),
+                id=f"{name}-{tag}{suffix}",
+            )
 
 
 @needs_toolchain
-@pytest.mark.parametrize("case", MATRIX, ids=_matrix_id)
-def test_native_matches_scalar_oracle(case, social, social_start):
-    name, schedule = case
+@pytest.mark.parametrize("name,schedule", _matrix_params())
+def test_native_matches_scalar_oracle(name, schedule, social, social_start):
     args = ["prog", "-", str(social_start)]
     if name == "ppsp":
         args.append(str((social_start + 7) % social.num_vertices))
