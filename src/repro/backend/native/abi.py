@@ -31,6 +31,7 @@ analysis version part of the kernel-cache key.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from ...errors import CompileError
@@ -111,7 +112,14 @@ class _NativeEmitter(_CppEmitter):
     def emit(self) -> str:
         out = self.out
         out.line("// Generated by repro.backend.native.abi — do not edit.")
-        out.line(f"// schedule: {self.schedule}")
+        # The thread count is a run-time argument, so it stays out of the
+        # text: one cached kernel serves every thread count.
+        shown = ", ".join(
+            f"{f.name}={getattr(self.schedule, f.name)!r}"
+            for f in dataclasses.fields(self.schedule)
+            if f.name != "num_threads"
+        )
+        out.line(f"// schedule: {shown}")
         out.line(f"// abi_version: {ABI_VERSION}")
         self._emit_effect_summary_comment()
         out._lines.append(CPP_RUNTIME)

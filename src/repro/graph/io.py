@@ -3,11 +3,18 @@
 The DIMACS shortest-path format (``.gr`` / ``.co``) is what the paper's road
 graphs (RoadUSA from the 9th DIMACS implementation challenge) ship in, so we
 support both the graph file and the coordinate companion file.
+
+A malformed file of any format raises :class:`~repro.errors.GraphError`
+naming the file, never a bare ``ValueError`` / ``UnicodeDecodeError`` from
+the parser underneath.
 """
 
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +32,26 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _malformed(path, errors: tuple[type[Exception], ...] = (ValueError, OverflowError)):
+    """Re-raise ``errors`` (by default a non-numeric field, bytes that are
+    not UTF-8, or a number past int64) as a GraphError naming the file."""
+    try:
+        yield
+    except errors as error:
+        raise GraphError(f"{path}: malformed graph file: {error}") from None
+
+
+def _build(sources, dests, weights, num_vertices, coordinates=None) -> CSRGraph:
+    builder = GraphBuilder(num_vertices)
+    builder.add_edges(
+        np.array(sources, dtype=np.int64),
+        np.array(dests, dtype=np.int64),
+        np.array(weights, dtype=np.int64),
+    )
+    return builder.build(coordinates=coordinates)
+
+
 def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> CSRGraph:
     """Load a whitespace-separated edge list: ``src dst [weight]`` per line.
 
@@ -34,7 +61,7 @@ def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> 
     sources: list[int] = []
     dests: list[int] = []
     weights: list[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with _malformed(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("#", "%")):
@@ -47,13 +74,8 @@ def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> 
             weights.append(int(parts[2]) if len(parts) == 3 else 1)
     if num_vertices is None:
         num_vertices = max(max(sources, default=-1), max(dests, default=-1)) + 1
-    builder = GraphBuilder(num_vertices)
-    builder.add_edges(
-        np.array(sources, dtype=np.int64),
-        np.array(dests, dtype=np.int64),
-        np.array(weights, dtype=np.int64),
-    )
-    return builder.build()
+    with _malformed(path):
+        return _build(sources, dests, weights, num_vertices)
 
 
 def save_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -77,7 +99,7 @@ def load_dimacs(
     sources: list[int] = []
     dests: list[int] = []
     weights: list[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with _malformed(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("c"):
@@ -102,18 +124,13 @@ def load_dimacs(
     if coordinates_path is not None:
         coordinates = _load_dimacs_coordinates(coordinates_path, num_vertices)
 
-    builder = GraphBuilder(num_vertices)
-    builder.add_edges(
-        np.array(sources, dtype=np.int64),
-        np.array(dests, dtype=np.int64),
-        np.array(weights, dtype=np.int64),
-    )
-    return builder.build(coordinates=coordinates)
+    with _malformed(path):
+        return _build(sources, dests, weights, num_vertices, coordinates)
 
 
 def _load_dimacs_coordinates(path: str | os.PathLike, num_vertices: int) -> np.ndarray:
     coordinates = np.zeros((num_vertices, 2), dtype=np.float64)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _malformed(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("c", "p")):
@@ -163,7 +180,8 @@ def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
 
 def load_npz(path: str | os.PathLike) -> CSRGraph:
     """Load a graph previously written by :func:`save_npz`."""
-    with np.load(path) as data:
+    npz_errors = (ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
+    with _malformed(path, npz_errors), np.load(path) as data:
         coordinates = data["coordinates"] if "coordinates" in data else None
         return CSRGraph(
             data["indptr"], data["indices"], data["weights"], coordinates=coordinates

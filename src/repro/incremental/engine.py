@@ -16,6 +16,8 @@ Per batch, for a min program (max is mirrored):
    current priority is sufficient.  Deletes and weight moves *away* are
    worsening, but only when the old edge was **tight**
    (``vals[src] + w_old == vals[dst]``): a slack edge supported nothing.
+   ``w_old`` is the pre-batch weight, the one ``vals`` converged on, even
+   when an earlier mutation in the batch already moved the edge.
 2. **Invalidate** the dependence cone of every worsened tight head: the
    transitive tight-edge descendants on the pre-mutation graph.  This
    over-approximates the truly affected set on purpose — mutual-support
@@ -153,8 +155,11 @@ class IncrementalSession:
             return None
         return int(self._extremum.reduce.reduce(copies))
 
-    def _is_tight(self, src: int, dst: int, vals: np.ndarray) -> bool:
-        """Could any live copy of ``src -> dst`` be supporting ``dst``?"""
+    def _is_tight(self, src: int, dst: int, vals: np.ndarray, out_edges) -> bool:
+        """Could any copy of ``src -> dst`` in the graph ``vals`` converged
+        on be supporting ``dst``?  ``out_edges(v)`` reads that graph: an
+        earlier mutation in the same batch may already have moved the edge
+        (an improving update, then a removal, must still invalidate)."""
         if dst == self.source:
             return False  # the source's value is pinned, not edge-derived
         src_value = int(vals[src])
@@ -162,8 +167,7 @@ class IncrementalSession:
         identity = self._extremum.identity
         if src_value == identity or dst_value == identity:
             return False
-        neighbors = self.graph.out_neighbors(src)
-        weights = self.graph.out_weights(src)
+        neighbors, weights = out_edges(src)
         for weight in weights[neighbors == dst]:
             if self._extremum.offer(src_value, int(weight)) == dst_value:
                 return True
@@ -276,7 +280,7 @@ class IncrementalSession:
                     improving_seeds.add(mutation.src)
                     graph.add_edge(mutation.src, mutation.dst, mutation.weight)
                 elif mutation.kind == "remove":
-                    if self._is_tight(mutation.src, mutation.dst, vals):
+                    if self._is_tight(mutation.src, mutation.dst, vals, pre_out_edges):
                         worsened_heads.add(mutation.dst)
                     graph.remove_edge(mutation.src, mutation.dst)
                 else:
@@ -287,7 +291,7 @@ class IncrementalSession:
                         )
                     if self._is_improving(mutation.weight, old_effective):
                         improving_seeds.add(mutation.src)
-                    elif self._is_tight(mutation.src, mutation.dst, vals):
+                    elif self._is_tight(mutation.src, mutation.dst, vals, pre_out_edges):
                         worsened_heads.add(mutation.dst)
                     graph.update_weight(mutation.src, mutation.dst, mutation.weight)
 

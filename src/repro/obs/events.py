@@ -189,6 +189,7 @@ METRICS: dict[str, dict] = {
     "serve.errors": {"kind": "counter", "cat": "serve"},
     "serve.mutations": {"kind": "counter", "cat": "serve"},
     "serve.resumes": {"kind": "counter", "cat": "serve"},
+    "serve.sessions_dropped": {"kind": "counter", "cat": "serve"},
     "serve.queue_depth": {"kind": "gauge", "cat": "serve"},
     "serve.latency_us": {
         "kind": "histogram", "cat": "serve", "wallclock": True,

@@ -21,12 +21,15 @@ The request path, in order:
    completes or fails.
 4. **Execute**: under the read lock, on a worker thread.
 
-Mutations (``POST /mutate``) take the write lock, apply the script to the
-main graph *and* to every live incremental session (each session owns its
-own graph copy — sessions mutate their graph on ``apply``, so sharing the
-served graph would double-apply every batch), compact the main graph while
-no reader can observe it, bump the epoch (invalidating the whole cache),
-and repopulate the cache from the resumed sessions at the new epoch.
+Mutations (``POST /mutate``) take the write lock and are all-or-nothing.
+The whole script is applied to a copy of the served graph first, so a
+batch that fails leaves graph, epoch, cache and sessions as they were.
+Then the copy (compacted while no reader can observe it) replaces the
+served graph, the epoch bumps (invalidating the whole cache), and every
+live incremental session resumes on its own graph copy (sessions mutate
+their graph on ``apply``, so sharing the served graph would double-apply
+every batch).  A session whose resume fails is dropped rather than left
+half-applied; the others repopulate the cache at the new epoch.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..graph.mutations import apply_mutations, parse_mutation_script
 from ..incremental import IncrementalSession
 from ..lang.programs import ALL_PROGRAMS
 from ..midend.schedule import Schedule
-from ..obs import metrics, span
+from ..obs import dump_forensics, metrics, span
 from .cache import CacheEntry, ResultCache
 
 __all__ = [
@@ -458,6 +461,7 @@ class ServeEngine:
             self.graph.indptr.copy(),
             self.graph.indices.copy(),
             self.graph.weights.copy(),
+            self.graph.coordinates,
         )
 
     # ------------------------------------------------------------------
@@ -477,31 +481,43 @@ class ServeEngine:
     def _mutate_locked(self, batches: list) -> dict:
         total = sum(len(batch) for batch in batches)
         with span("serve.mutate", "serve", batches=len(batches), mutations=total):
+            graph = self._graph_copy()
             for batch in batches:
-                apply_mutations(self.graph, batch)
-            self.graph.indptr  # noqa: B018 — compact while no reader can see it
-            resumed = 0
-            with self._state_lock:
-                sessions = list(self._sessions.items())
-            for _, session in sessions:
-                for batch in batches:
-                    session.apply(batch)
-                metrics.counter("serve.resumes").inc()
-                resumed += 1
+                apply_mutations(graph, batch)
+            graph.indptr  # noqa: B018 — compact while no reader can see it
+            # Commit point: nothing above touched the served state.
+            self.graph = graph
             self.epoch += 1
             invalidated = self.cache.clear()
-            # Repopulate from the resumed sessions: their converged vectors
-            # are already current for the new epoch, so the first queries
-            # after a mutation hit the cache instead of recomputing.
-            for (program, source, schedule_key), session in sessions:
-                key = (self.epoch, program, source, None, schedule_key)
-                self.cache.put(
-                    key,
-                    CacheEntry(
-                        vectors={SERVABLE_PROGRAMS[program]: session.values.copy()},
-                        engine="incremental",
-                    ),
-                )
+            with self._state_lock:
+                sessions = list(self._sessions.items())
+            resumed = dropped = 0
+            for key, session in sessions:
+                program, source, schedule_key = key
+                try:
+                    for batch in batches:
+                        session.apply(batch)
+                    # Repopulate from the resumed session: its converged
+                    # vector is already current for the new epoch, so the
+                    # first query after a mutation hits the cache.
+                    self.cache.put(
+                        (self.epoch, program, source, None, schedule_key),
+                        CacheEntry(
+                            vectors={SERVABLE_PROGRAMS[program]: session.values.copy()},
+                            engine="incremental",
+                        ),
+                    )
+                except Exception as error:  # noqa: BLE001 — the mutation stands
+                    # A half-resumed session would answer from a graph no
+                    # epoch ever served: drop it; its next query recomputes.
+                    dump_forensics(error, ["serve", "mutate", "resume", program])
+                    with self._state_lock:
+                        self._sessions.pop(key, None)
+                    metrics.counter("serve.sessions_dropped").inc()
+                    dropped += 1
+                    continue
+                metrics.counter("serve.resumes").inc()
+                resumed += 1
             metrics.counter("serve.mutations").inc()
         return {
             "batches": len(batches),
@@ -509,6 +525,7 @@ class ServeEngine:
             "epoch": self.epoch,
             "invalidated": invalidated,
             "resumed_sessions": resumed,
+            "dropped_sessions": dropped,
             "num_vertices": self.graph.num_vertices,
             "num_edges": self.graph.num_edges,
         }

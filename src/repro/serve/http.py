@@ -132,17 +132,23 @@ async def read_request(reader) -> HTTPRequest | None:
     if headers.get("transfer-encoding"):
         raise HTTPError(400, "chunked transfer encoding is not supported")
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    # Digits only: int() would also take "+5", "1_0" and non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
         raise HTTPError(400, f"bad Content-Length: {length_text!r}")
-    if length < 0:
-        raise HTTPError(400, f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise HTTPError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as error:
+        raise HTTPError(
+            400, f"connection closed mid-body ({len(error.partial)} of {length} bytes)"
+        )
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as error:  # e.g. an unbalanced IPv6 bracket
+        raise HTTPError(400, f"malformed request target {target!r}: {error}")
     query = {
         key: value for key, value in parse_qsl(split.query, keep_blank_values=True)
     }

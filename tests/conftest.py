@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def _isolated_state_dir(tmp_path, monkeypatch):
     would land in a ``.repro/`` directory inside the repository.
     """
     monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / ".repro"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_kernel_cache(tmp_path_factory):
+    """Native kernels built by the suite go to a temporary cache, not the
+    user's ``~/.cache/repro/kernels`` (unless a cache is already set)."""
+    if os.environ.get("REPRO_KERNEL_CACHE"):
+        yield
+        return
+    os.environ["REPRO_KERNEL_CACHE"] = str(tmp_path_factory.mktemp("kernels"))
+    yield
+    os.environ.pop("REPRO_KERNEL_CACHE", None)
 
 
 @pytest.fixture

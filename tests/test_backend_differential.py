@@ -1,104 +1,53 @@
-"""Differential fuzzing: Python backend vs C++ backend vs oracle.
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): the standalone
+C++ program vs the Python backend vs the scalar oracle.
 
-Each strategy's C++ program is compiled once and then driven over a family
-of random graphs; its output must match both the Python backend's result
-and the sequential oracle on every input.  This is the strongest
-compiler-correctness check in the suite: the two code generators share only
-the frontend and the plan.
+Each strategy's C++ program is built with g++ once and then driven over a
+family of random graphs at three OpenMP threads; its output, and the
+vectorized Python backend's, must equal the scalar oracle on every input.
+The two code generators share only the frontend and the plan.
 """
 
-import os
-import shutil
-import subprocess
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.algorithms import dijkstra_reference, kcore_reference
-from repro.backend import compile_program
-from repro.graph import rmat, road_grid, save_edge_list
-from repro.lang import ALL_PROGRAMS
+from repro.graph import rmat, road_grid
 from repro.midend import Schedule
 
-GXX = shutil.which("g++")
-pytestmark = [
-    pytest.mark.slow,
-    pytest.mark.skipif(GXX is None, reason="g++ not available"),
-]
+from .oracle_matrix import Cell, check
+
+pytestmark = pytest.mark.slow
 
 SSSP_STRATEGIES = ("lazy", "eager_no_fusion", "eager_with_fusion")
 KCORE_STRATEGIES = ("lazy", "lazy_constant_sum", "eager_no_fusion")
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("diff")
-
-
-def build_binary(workdir, tag, program_name, schedule):
-    program = compile_program(ALL_PROGRAMS[program_name], schedule, backend="cpp")
-    cpp = workdir / f"{tag}.cpp"
-    exe = workdir / tag
-    cpp.write_text(program.source_text)
-    subprocess.run(
-        [GXX, "-O2", "-std=c++17", "-fopenmp", "-o", str(exe), str(cpp)],
-        check=True,
-        capture_output=True,
-    )
-    return exe
-
-
-def run_binary(exe, workdir, graph, args):
-    graph_file = workdir / "input.el"
-    out_file = workdir / "output.txt"
-    save_edge_list(graph, graph_file)
-    env = dict(os.environ, REPRO_OUTPUT=str(out_file), OMP_NUM_THREADS="3")
-    subprocess.run([str(exe), str(graph_file), *map(str, args)], check=True, env=env)
-    vectors = {}
-    for line in out_file.read_text().splitlines():
-        parts = line.split()
-        vectors[parts[0]] = np.array([int(x) for x in parts[1:]], dtype=np.int64)
-    return vectors
+def check_both(cell, graphs):
+    for g in graphs:
+        check(cell, g)
+        check(replace(cell, execution="vectorized"), g)
 
 
 @pytest.mark.parametrize("strategy", SSSP_STRATEGIES)
-def test_sssp_differential_fuzz(workdir, strategy):
-    schedule = Schedule(priority_update=strategy, delta=8, num_threads=2)
-    exe = build_binary(workdir, f"sssp_{strategy}", "sssp", schedule)
-    python_program = compile_program(ALL_PROGRAMS["sssp"], schedule)
-    for seed in range(6):
-        graph = rmat(7, 6, seed=seed)
-        source = int(np.argmax(graph.out_degrees()))
-        oracle = dijkstra_reference(graph, source)
-        cpp_vectors = run_binary(exe, workdir, graph, [source])
-        python_run = python_program.run(["sssp", "-", str(source)], graph=graph)
-        assert np.array_equal(cpp_vectors["dist"], oracle), (strategy, seed)
-        assert np.array_equal(python_run.vector("dist"), oracle), (strategy, seed)
+def test_sssp_differential_fuzz(strategy):
+    schedule = Schedule(priority_update=strategy, delta=8, num_threads=3)
+    check_both(
+        Cell("sssp", schedule, "cpp", args=("hub",)),
+        (rmat(7, 6, seed=seed) for seed in range(6)),
+    )
 
 
 @pytest.mark.parametrize("strategy", KCORE_STRATEGIES)
-def test_kcore_differential_fuzz(workdir, strategy):
-    schedule = Schedule(priority_update=strategy, num_threads=2)
-    exe = build_binary(workdir, f"kcore_{strategy}", "kcore", schedule)
-    python_program = compile_program(ALL_PROGRAMS["kcore"], schedule)
-    for seed in range(6):
-        graph = rmat(6, 6, seed=100 + seed).symmetrized()
-        oracle = kcore_reference(graph)
-        cpp_vectors = run_binary(exe, workdir, graph, [])
-        python_run = python_program.run(["kcore", "-"], graph=graph)
-        assert np.array_equal(cpp_vectors["D"], oracle), (strategy, seed)
-        assert np.array_equal(python_run.vector("D"), oracle), (strategy, seed)
+def test_kcore_differential_fuzz(strategy):
+    check_both(
+        Cell("kcore", Schedule(priority_update=strategy, num_threads=3), "cpp"),
+        (rmat(6, 6, seed=100 + seed).symmetrized() for seed in range(6)),
+    )
 
 
-def test_ppsp_differential_on_roads(workdir):
-    schedule = Schedule(priority_update="eager_with_fusion", delta=256, num_threads=2)
-    exe = build_binary(workdir, "ppsp_fused", "ppsp", schedule)
-    python_program = compile_program(ALL_PROGRAMS["ppsp"], schedule)
-    for seed in range(4):
-        graph = road_grid(9, 11, seed=seed)
-        oracle = dijkstra_reference(graph, 0)
-        target = graph.num_vertices - 1
-        cpp_vectors = run_binary(exe, workdir, graph, [0, target])
-        python_run = python_program.run(["ppsp", "-", "0", str(target)], graph=graph)
-        assert cpp_vectors["dist"][target] == oracle[target], seed
-        assert int(python_run.vector("dist")[target]) == oracle[target], seed
+def test_ppsp_differential_on_roads():
+    schedule = Schedule(priority_update="eager_with_fusion", delta=256, num_threads=3)
+    check_both(
+        Cell("ppsp", schedule, "cpp", args=("0", "last")),
+        (road_grid(9, 11, seed=seed) for seed in range(4)),
+    )

@@ -1,28 +1,20 @@
 """Tests for the C++ backend.
 
 Structural tests verify the generated source reproduces Figure 9's shapes;
-when a C++ compiler is available the generated programs are compiled with
-``g++ -O2 -std=c++17 -fopenmp``, run on real graphs, and their outputs are
-compared against the Python reference oracles (a full differential test of
-the two backends).
+when g++ is available the generated programs are built and run on real
+graphs as the ``cpp`` slice of the oracle matrix (``tests/oracle_matrix.py``):
+their outputs must equal the scalar oracle's.
 """
 
-import os
-import shutil
-import subprocess
-
-import numpy as np
 import pytest
 
-from repro.algorithms import dijkstra_reference, kcore_reference
 from repro.backend import compile_program
 from repro.errors import CompileError
-from repro.graph import rmat, road_grid, save_edge_list
+from repro.graph import rmat, road_grid
 from repro.lang import ALL_PROGRAMS
 from repro.midend import Schedule
 
-GXX = shutil.which("g++")
-needs_gxx = pytest.mark.skipif(GXX is None, reason="g++ not available")
+from .oracle_matrix import Cell, check
 
 pytestmark = pytest.mark.slow
 
@@ -97,95 +89,30 @@ class TestGeneratedStructure:
         assert 'dumpVector(__out, "dist", dist);' in text
 
 
-@needs_gxx
 class TestCompileAndRun:
-    """Differential tests: generated C++ vs the reference oracles."""
-
-    @pytest.fixture(scope="class")
-    def toolchain(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("cpp")
-
-    def _build_and_run(self, tmp, tag, name, schedule, graph, args):
-        program = compile_program(ALL_PROGRAMS[name], schedule, backend="cpp")
-        cpp = tmp / f"{tag}.cpp"
-        exe = tmp / tag
-        out = tmp / f"{tag}.out"
-        graph_file = tmp / f"{tag}.el"
-        save_edge_list(graph, graph_file)
-        cpp.write_text(program.source_text)
-        subprocess.run(
-            [GXX, "-O2", "-std=c++17", "-fopenmp", "-o", str(exe), str(cpp)],
-            check=True,
-            capture_output=True,
-        )
-        env = dict(os.environ, REPRO_OUTPUT=str(out), OMP_NUM_THREADS="3")
-        subprocess.run(
-            [str(exe), str(graph_file), *map(str, args)], check=True, env=env
-        )
-        vectors = {}
-        for line in out.read_text().splitlines():
-            parts = line.split()
-            vectors[parts[0]] = np.array([int(x) for x in parts[1:]], dtype=np.int64)
-        return vectors
+    """The standalone C++ program at three OpenMP threads vs the oracle."""
 
     @pytest.mark.parametrize(
         "strategy", ["lazy", "eager_no_fusion", "eager_with_fusion"]
     )
-    def test_sssp(self, toolchain, strategy):
-        graph = rmat(8, 10, seed=3)
-        source = int(np.argmax(graph.out_degrees()))
-        reference = dijkstra_reference(graph, source)
-        vectors = self._build_and_run(
-            toolchain,
-            f"sssp_{strategy}",
-            "sssp",
-            Schedule(priority_update=strategy, delta=16),
-            graph,
-            [source],
-        )
-        assert np.array_equal(vectors["dist"], reference)
+    def test_sssp(self, strategy):
+        schedule = Schedule(priority_update=strategy, delta=16, num_threads=3)
+        check(Cell("sssp", schedule, "cpp", args=("hub",)), rmat(8, 10, seed=3))
 
-    def test_sssp_densepull(self, toolchain):
-        graph = rmat(8, 10, seed=5)
-        source = int(np.argmax(graph.out_degrees()))
-        reference = dijkstra_reference(graph, source)
-        vectors = self._build_and_run(
-            toolchain,
-            "sssp_pull",
-            "sssp",
-            Schedule(priority_update="lazy", delta=16, direction="DensePull"),
-            graph,
-            [source],
+    def test_sssp_densepull(self):
+        schedule = Schedule(
+            priority_update="lazy", delta=16, direction="DensePull", num_threads=3
         )
-        assert np.array_equal(vectors["dist"], reference)
+        check(Cell("sssp", schedule, "cpp", args=("hub",)), rmat(8, 10, seed=5))
 
     @pytest.mark.parametrize("strategy", ["lazy", "eager_with_fusion"])
-    def test_ppsp(self, toolchain, strategy):
-        graph = road_grid(14, 16, seed=4)
-        reference = dijkstra_reference(graph, 0)
-        target = graph.num_vertices - 1
-        vectors = self._build_and_run(
-            toolchain,
-            f"ppsp_{strategy}",
-            "ppsp",
-            Schedule(priority_update=strategy, delta=512),
-            graph,
-            [0, target],
-        )
-        assert vectors["dist"][target] == reference[target]
+    def test_ppsp(self, strategy):
+        schedule = Schedule(priority_update=strategy, delta=512, num_threads=3)
+        check(Cell("ppsp", schedule, "cpp", args=("0", "last")), road_grid(14, 16, seed=4))
 
     @pytest.mark.parametrize(
         "strategy", ["lazy", "lazy_constant_sum", "eager_no_fusion"]
     )
-    def test_kcore(self, toolchain, strategy):
-        graph = rmat(8, 10, seed=3).symmetrized()
-        reference = kcore_reference(graph)
-        vectors = self._build_and_run(
-            toolchain,
-            f"kcore_{strategy}",
-            "kcore",
-            Schedule(priority_update=strategy),
-            graph,
-            [],
-        )
-        assert np.array_equal(vectors["D"], reference)
+    def test_kcore(self, strategy):
+        schedule = Schedule(priority_update=strategy, num_threads=3)
+        check(Cell("kcore", schedule, "cpp"), rmat(8, 10, seed=3).symmetrized())

@@ -15,17 +15,14 @@ Covers:
 """
 
 import os
-import shutil
-import subprocess
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.algorithms import dijkstra_reference
 from repro.backend import compile_program
 from repro.cli import main
 from repro.errors import GraphItError, IRValidationError
-from repro.graph import from_edges, rmat, save_edge_list
+from repro.graph import from_edges, rmat
 from repro.lang import ALL_PROGRAMS, parse
 from repro.lang import ast_nodes as ast
 from repro.lang.span import Span
@@ -43,6 +40,8 @@ from repro.midend.analysis import (
     validate_ir_or_raise,
 )
 from repro.midend.transforms import plan_program
+
+from .oracle_matrix import Cell, check
 
 RACY_SSSP = ALL_PROGRAMS["sssp"].replace(
     "    pq.updatePriorityMin(dst, dist[dst], new_dist);",
@@ -496,54 +495,20 @@ class TestCppAtomicsRaceDriven:
         assert "atomicWriteMin(&dist[dst], __new_value);" in code
 
 
-GXX = shutil.which("g++")
-
-
-@pytest.mark.skipif(GXX is None, reason="g++ not available")
 class TestSeededCasDifferential:
-    def test_seeded_cas_matches_python_and_oracle(self, tmp_path):
-        schedule = Schedule(priority_update="lazy", delta=4, num_threads=2)
+    def test_seeded_cas_matches_python_and_oracle(self):
+        schedule = Schedule(priority_update="lazy", delta=4, num_threads=3)
         program = compile_program(
             ALL_PROGRAMS["sssp"], schedule, backend="cpp"
         )
         assert "atomicWriteMin(&dist[dst], __new_value, dist[dst]);" in (
             program.source_text
         )
-        cpp = tmp_path / "sssp_seeded.cpp"
-        exe = tmp_path / "sssp_seeded"
-        cpp.write_text(program.source_text)
-        subprocess.run(
-            [GXX, "-O2", "-std=c++17", "-fopenmp", "-o", str(exe), str(cpp)],
-            check=True,
-            capture_output=True,
-        )
-        python_program = compile_program(ALL_PROGRAMS["sssp"], schedule)
+        cell = Cell("sssp", schedule, "cpp", args=("hub",))
         for seed in range(3):
             graph = rmat(7, 6, seed=seed)
-            source = int(np.argmax(graph.out_degrees()))
-            oracle = dijkstra_reference(graph, source)
-            graph_file = tmp_path / "input.el"
-            out_file = tmp_path / "output.txt"
-            save_edge_list(graph, graph_file)
-            env = dict(
-                os.environ, REPRO_OUTPUT=str(out_file), OMP_NUM_THREADS="3"
-            )
-            subprocess.run(
-                [str(exe), str(graph_file), str(source)],
-                check=True,
-                env=env,
-            )
-            vectors = {}
-            for line in out_file.read_text().splitlines():
-                parts = line.split()
-                vectors[parts[0]] = np.array(
-                    [int(x) for x in parts[1:]], dtype=np.int64
-                )
-            python_run = python_program.run(
-                ["sssp", "-", str(source)], graph=graph
-            )
-            assert np.array_equal(vectors["dist"], oracle), seed
-            assert np.array_equal(python_run.vector("dist"), oracle), seed
+            check(cell, graph)
+            check(replace(cell, execution="vectorized"), graph)
 
 
 # ======================================================================

@@ -1,11 +1,10 @@
-"""Differential correctness harness for incremental recomputation.
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): incremental
+recomputation along mutation histories.
 
-Every test follows the same contract: converge a session, apply mutation
-batches, and require the resumed vector to **bit-match a from-scratch
-run** of the same algorithm under the same schedule — both a fresh
-session over the mutated (overlay-carrying) graph and, where asserted, a
-plain runner over a rebuilt clean CSR, so an overlay bug cannot hide by
-affecting both sides identically.
+Every test converges a session, applies mutation batches, and requires the
+resumed vector to **bit-match the scalar oracle** run on a clean CSR
+rebuilt from the mutated graph's edge list (:func:`check_history`), so an
+overlay bug cannot hide by affecting the session and its oracle alike.
 
 Coverage axes:
 
@@ -25,10 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import kcore as kcore_runner
-from repro.algorithms import sssp as sssp_runner
-from repro.algorithms import wbfs as wbfs_runner
-from repro.algorithms import widest_path as widest_runner
 from repro.errors import SchedulingError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
@@ -39,41 +34,29 @@ from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.analysis.diagnostics import Severity, lint_program
 from repro.midend.schedule import Schedule
 
+from .oracle_matrix import check_history
+
 # ---------------------------------------------------------------------------
-# The strategy matrix: (algorithm, label) -> session kwargs
+# The strategy matrix: (algorithm, label) -> (schedule, relaxed_ordering)
 # ---------------------------------------------------------------------------
 
-STRATEGIES: dict[tuple[str, str], dict] = {
-    ("sssp", "lazy"): dict(schedule=Schedule(priority_update="lazy", delta=3)),
-    ("sssp", "eager"): dict(
-        schedule=Schedule(priority_update="eager_no_fusion", delta=3)
+STRATEGIES: dict[tuple[str, str], tuple[Schedule, bool]] = {
+    ("sssp", "lazy"): (Schedule(priority_update="lazy", delta=3), False),
+    ("sssp", "eager"): (Schedule(priority_update="eager_no_fusion", delta=3), False),
+    ("sssp", "relaxed"): (
+        Schedule(priority_update="eager_with_fusion", delta=3, bucket_fusion_threshold=64),
+        True,
     ),
-    ("sssp", "relaxed"): dict(
-        schedule=Schedule(
-            priority_update="eager_with_fusion", delta=3, bucket_fusion_threshold=64
-        ),
-        relaxed_ordering=True,
-    ),
-    ("wbfs", "lazy"): dict(schedule=Schedule(priority_update="lazy", delta=1)),
-    ("wbfs", "eager"): dict(
-        schedule=Schedule(priority_update="eager_no_fusion", delta=1)
-    ),
-    ("widest_path", "lazy"): dict(
-        schedule=Schedule(priority_update="lazy", delta=8)
-    ),
-    ("widest_path", "fusion"): dict(
-        schedule=Schedule(priority_update="eager_with_fusion", delta=8)
-    ),
-    ("kcore", "lazy"): dict(schedule=Schedule(priority_update="lazy", delta=1)),
-    ("kcore", "eager"): dict(
-        schedule=Schedule(priority_update="eager_no_fusion", delta=1)
-    ),
-    ("kcore", "histogram"): dict(
-        schedule=Schedule(priority_update="lazy_constant_sum", delta=1)
-    ),
+    ("wbfs", "lazy"): (Schedule(priority_update="lazy", delta=1), False),
+    ("wbfs", "eager"): (Schedule(priority_update="eager_no_fusion", delta=1), False),
+    ("widest_path", "lazy"): (Schedule(priority_update="lazy", delta=8), False),
+    ("widest_path", "fusion"): (Schedule(priority_update="eager_with_fusion", delta=8), False),
+    ("kcore", "lazy"): (Schedule(priority_update="lazy", delta=1), False),
+    ("kcore", "eager"): (Schedule(priority_update="eager_no_fusion", delta=1), False),
+    ("kcore", "histogram"): (Schedule(priority_update="lazy_constant_sum", delta=1), False),
 }
 
-SOURCE = 0
+LAZY = Schedule(priority_update="lazy")
 
 
 def make_graph(algorithm: str, seed: int = 3) -> CSRGraph:
@@ -84,76 +67,51 @@ def make_graph(algorithm: str, seed: int = 3) -> CSRGraph:
     return rmat(7, 8, seed=seed, weights=(1, 9))
 
 
-def make_session(algorithm: str, label: str, graph: CSRGraph) -> IncrementalSession:
-    return IncrementalSession(
-        graph, algorithm, source=SOURCE, **STRATEGIES[(algorithm, label)]
+def history(algorithm: str, label: str, graph: CSRGraph, batches, also=()):
+    schedule, relaxed = STRATEGIES[(algorithm, label)]
+    return check_history(
+        algorithm, schedule, graph, batches, relaxed_ordering=relaxed, also=also
     )
 
 
-def random_batch(
-    rng: np.random.Generator,
-    graph: CSRGraph,
-    size: int,
-    kinds: tuple[str, ...],
-    unit_weights: bool,
-    symmetric: bool,
-) -> list[Mutation]:
-    """A batch over live edges (for remove/update) and random pairs (add)."""
-    sources, dests, _ = graph.edge_list()
-    batch: list[Mutation] = []
-    seen: set[tuple[int, int]] = set()
-    n = graph.num_vertices
-    while len(batch) < size:
-        kind = kinds[int(rng.integers(len(kinds)))]
-        if kind == "add":
-            weight = 1 if unit_weights else int(rng.integers(1, 10))
-            batch.append(
-                Mutation("add", int(rng.integers(n)), int(rng.integers(n)), weight)
-            )
-            continue
-        i = int(rng.integers(sources.size))
-        src, dst = int(sources[i]), int(dests[i])
-        if (src, dst) in seen or (symmetric and (dst, src) in seen):
-            continue
-        seen.add((src, dst))
-        if kind == "remove":
-            batch.append(Mutation("remove", src, dst))
-        else:
-            batch.append(Mutation("update", src, dst, int(rng.integers(1, 10))))
-    return batch
+def random_batches(rng, sizes, kinds, unit: bool):
+    """Batches over live edges (remove / update) and random pairs (add),
+    drawn from the session's graph as it is when each batch is asked for."""
+
+    def draw(session):
+        for size in sizes:
+            sources, dests, weights = session.graph.edge_list()
+            n = session.graph.num_vertices
+            batch: list[Mutation] = []
+            seen: set[tuple[int, int]] = set()
+            while len(batch) < size:
+                kind = kinds[int(rng.integers(len(kinds)))]
+                if kind in ("add", "insert"):
+                    weight = 1 if unit else int(rng.integers(1, 10))
+                    batch.append(
+                        Mutation("add", int(rng.integers(n)), int(rng.integers(n)), weight)
+                    )
+                    continue
+                i = int(rng.integers(sources.size))
+                src, dst = int(sources[i]), int(dests[i])
+                if (src, dst) in seen or (unit and (dst, src) in seen):
+                    continue
+                seen.add((src, dst))
+                if kind in ("remove", "delete"):
+                    batch.append(Mutation("remove", src, dst))
+                elif kind == "weight_up":
+                    batch.append(Mutation("update", src, dst, int(weights[i]) + 3))
+                elif kind == "weight_down":
+                    batch.append(Mutation("update", src, dst, max(1, int(weights[i]) - 3)))
+                else:
+                    batch.append(Mutation("update", src, dst, int(rng.integers(1, 10))))
+            yield batch
+
+    return draw
 
 
-def rebuilt_clean_graph(graph: CSRGraph) -> CSRGraph:
-    """A fresh CSR built from the mutated graph's edge list (no overlay)."""
-    sources, dests, weights = graph.edge_list()
-    return from_edges(
-        graph.num_vertices,
-        zip(sources.tolist(), dests.tolist(), weights.tolist()),
-    )
-
-
-def from_scratch(algorithm: str, label: str, graph: CSRGraph) -> np.ndarray:
-    """Oracle: an independent converged run on the current graph."""
-    oracle = make_session(algorithm, label, graph)
-    return oracle.run().values
-
-
-def plain_runner_values(algorithm: str, label: str, graph: CSRGraph) -> np.ndarray:
-    """Second oracle: the non-incremental algorithm runner on a clean CSR."""
-    kwargs = STRATEGIES[(algorithm, label)]
-    schedule = kwargs["schedule"]
-    if algorithm == "sssp":
-        return sssp_runner(
-            graph,
-            SOURCE,
-            schedule,
-            relaxed_ordering=kwargs.get("relaxed_ordering", False),
-        ).distances
-    if algorithm == "wbfs":
-        return wbfs_runner(graph, SOURCE, schedule).distances
-    if algorithm == "widest_path":
-        return widest_runner(graph, SOURCE, schedule).distances
-    return kcore_runner(graph, schedule).coreness
+def mixed_kinds(algorithm: str) -> tuple[str, ...]:
+    return ("add", "remove") if algorithm == "kcore" else ("add", "remove", "update")
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +119,13 @@ def plain_runner_values(algorithm: str, label: str, graph: CSRGraph) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "algorithm,label", sorted(STRATEGIES), ids=lambda v: str(v)
-)
+@pytest.mark.parametrize("algorithm,label", sorted(STRATEGIES), ids=lambda v: str(v))
 def test_differential_matrix(algorithm: str, label: str) -> None:
-    graph = make_graph(algorithm)
-    unit = algorithm == "kcore"
-    kinds = ("add", "remove") if unit else ("add", "remove", "update")
-    session = make_session(algorithm, label, graph)
-    session.run()
-    rng = np.random.default_rng(11)
-    for batch_no, size in enumerate((1, 4, 8, 16)):
-        batch = random_batch(
-            rng, session.graph, size, kinds, unit_weights=unit, symmetric=unit
-        )
-        result = session.apply(batch)
-        expected = from_scratch(algorithm, label, session.graph)
-        assert np.array_equal(result.values, expected), (
-            f"{algorithm}/{label}: batch {batch_no} (size {size}) diverged "
-            f"at vertices {np.flatnonzero(result.values != expected)[:10]}"
-        )
-        assert result.incremental
-        assert result.vertices_touched <= session.graph.num_vertices
-        assert np.array_equal(session.values, expected)
+    batches = random_batches(
+        np.random.default_rng(11), (1, 4, 8, 16), mixed_kinds(algorithm), algorithm == "kcore"
+    )
+    _, results = history(algorithm, label, make_graph(algorithm), batches)
+    assert len(results) == 4 and all(result.incremental for result in results)
 
 
 # ---------------------------------------------------------------------------
@@ -196,73 +138,21 @@ def test_differential_matrix(algorithm: str, label: str) -> None:
 def test_single_mutation_kinds(algorithm: str, kind: str) -> None:
     if algorithm == "kcore" and kind.startswith("weight"):
         pytest.skip("k-core is weight-agnostic; update batches are no-ops")
-    label = "lazy"
-    graph = make_graph(algorithm, seed=5)
-    unit = algorithm == "kcore"
-    session = make_session(algorithm, label, graph)
-    session.run()
-    rng = np.random.default_rng(23)
-    for _ in range(4):
-        sources, dests, weights = session.graph.edge_list()
-        batch: list[Mutation] = []
-        seen: set[tuple[int, int]] = set()
-        while len(batch) < 5:
-            if kind == "insert":
-                weight = 1 if unit else int(rng.integers(1, 10))
-                n = session.graph.num_vertices
-                batch.append(
-                    Mutation(
-                        "add", int(rng.integers(n)), int(rng.integers(n)), weight
-                    )
-                )
-                continue
-            i = int(rng.integers(sources.size))
-            src, dst = int(sources[i]), int(dests[i])
-            if (src, dst) in seen or (unit and (dst, src) in seen):
-                continue
-            seen.add((src, dst))
-            if kind == "delete":
-                batch.append(Mutation("remove", src, dst))
-            elif kind == "weight_up":
-                batch.append(Mutation("update", src, dst, int(weights[i]) + 3))
-            else:
-                batch.append(
-                    Mutation("update", src, dst, max(1, int(weights[i]) - 3))
-                )
-        result = session.apply(batch)
-        expected = from_scratch(algorithm, label, session.graph)
-        assert np.array_equal(result.values, expected), (
-            f"{algorithm}/{kind} diverged at "
-            f"{np.flatnonzero(result.values != expected)[:10]}"
-        )
+    batches = random_batches(np.random.default_rng(23), (5,) * 4, (kind,), algorithm == "kcore")
+    history(algorithm, "lazy", make_graph(algorithm, seed=5), batches)
 
 
 # ---------------------------------------------------------------------------
-# 3. The rebuilt-graph oracle: overlay bugs cannot hide
+# 3. The plain runner on the rebuilt graph: overlay bugs cannot hide
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("algorithm", ["sssp", "wbfs", "widest_path", "kcore"])
 def test_matches_plain_runner_on_rebuilt_graph(algorithm: str) -> None:
-    label = "lazy"
-    graph = make_graph(algorithm, seed=9)
-    unit = algorithm == "kcore"
-    kinds = ("add", "remove") if unit else ("add", "remove", "update")
-    session = make_session(algorithm, label, graph)
-    session.run()
-    rng = np.random.default_rng(41)
-    for _ in range(3):
-        batch = random_batch(
-            rng, session.graph, 6, kinds, unit_weights=unit, symmetric=unit
-        )
-        result = session.apply(batch)
-        clean = rebuilt_clean_graph(session.graph)
-        expected = plain_runner_values(algorithm, label, clean)
-        assert np.array_equal(result.values, expected), (
-            f"{algorithm}: resumed vector disagrees with the plain runner "
-            f"on a rebuilt graph at "
-            f"{np.flatnonzero(result.values != expected)[:10]}"
-        )
+    batches = random_batches(
+        np.random.default_rng(41), (6, 6, 6), mixed_kinds(algorithm), algorithm == "kcore"
+    )
+    history(algorithm, "lazy", make_graph(algorithm, seed=9), batches, also=("library",))
 
 
 # ---------------------------------------------------------------------------
@@ -270,130 +160,77 @@ def test_matches_plain_runner_on_rebuilt_graph(algorithm: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def assert_batches_match(
-    session: IncrementalSession, algorithm: str, label: str, batches
-) -> None:
-    for batch_no, batch in enumerate(batches):
-        result = session.apply(list(batch))
-        expected = from_scratch(algorithm, label, session.graph)
-        assert np.array_equal(result.values, expected), (
-            f"batch {batch_no} diverged at "
-            f"{np.flatnonzero(result.values != expected)[:10]}"
-        )
-
-
 class TestAdversarialShapes:
     def test_self_loops(self) -> None:
-        graph = from_edges(
-            6, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 4, 9), (4, 3, 1)]
-        )
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        assert_batches_match(
-            session,
-            "sssp",
-            "lazy",
-            [
-                [Mutation("add", 2, 2, 1)],  # self-loop insert
-                [Mutation("update", 2, 2, 5)],
-                [Mutation("remove", 2, 2)],
-                [Mutation("add", 0, 0, 1), Mutation("remove", 0, 1)],
-            ],
-        )
+        graph = from_edges(6, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 4, 9), (4, 3, 1)])
+        check_history("sssp", LAZY, graph, [
+            [Mutation("add", 2, 2, 1)],  # self-loop insert
+            [Mutation("update", 2, 2, 5)],
+            [Mutation("remove", 2, 2)],
+            [Mutation("add", 0, 0, 1), Mutation("remove", 0, 1)],
+        ])
 
     def test_parallel_edges(self) -> None:
         # Duplicate copies of 1 -> 2; remove deletes *every* copy at once,
         # update rewrites every copy.
-        graph = from_edges(
-            5, [(0, 1, 1), (1, 2, 4), (1, 2, 7), (2, 3, 1), (0, 3, 9)]
-        )
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        assert_batches_match(
-            session,
-            "sssp",
-            "lazy",
-            [
-                [Mutation("add", 1, 2, 2)],  # third parallel copy, tighter
-                [Mutation("update", 1, 2, 6)],  # all copies move to 6
-                [Mutation("remove", 1, 2)],  # every copy disappears
-            ],
-        )
+        graph = from_edges(5, [(0, 1, 1), (1, 2, 4), (1, 2, 7), (2, 3, 1), (0, 3, 9)])
+        check_history("sssp", LAZY, graph, [
+            [Mutation("add", 1, 2, 2)],  # third parallel copy, tighter
+            [Mutation("update", 1, 2, 6)],  # all copies move to 6
+            [Mutation("remove", 1, 2)],  # every copy disappears
+        ])
 
     def test_zero_weight_edges(self) -> None:
         # A zero-weight cycle keeps both members mutually supported: the
         # invalidation cone must clear the whole cycle, not trust it.
-        graph = from_edges(
-            6, [(0, 1, 0), (1, 2, 0), (2, 1, 0), (2, 3, 1), (0, 3, 5)]
-        )
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        assert_batches_match(
-            session,
-            "sssp",
-            "lazy",
-            [
-                [Mutation("remove", 0, 1)],  # cycle loses outside support
-                [Mutation("add", 0, 1, 0)],
-                [Mutation("update", 0, 1, 2)],
-            ],
-        )
+        graph = from_edges(6, [(0, 1, 0), (1, 2, 0), (2, 1, 0), (2, 3, 1), (0, 3, 5)])
+        check_history("sssp", LAZY, graph, [
+            [Mutation("remove", 0, 1)],  # cycle loses outside support
+            [Mutation("add", 0, 1, 0)],
+            [Mutation("update", 0, 1, 2)],
+        ])
 
     def test_disconnecting_mutation(self) -> None:
         # Removing the only bridge must drive the far side back to the
-        # identity (unreachable), not leave stale finite values.
+        # identity (unreachable), not leave stale finite values; then
+        # reconnect through a different bridge.
         graph = from_edges(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        result = session.apply([Mutation("remove", 1, 2)])
-        expected = from_scratch("sssp", "lazy", session.graph)
-        assert np.array_equal(result.values, expected)
-        unreachable = result.values[2]
-        assert result.values[3] == unreachable and result.values[4] == unreachable
-        # Reconnect through a different bridge.
-        result = session.apply([Mutation("add", 0, 2, 7)])
-        expected = from_scratch("sssp", "lazy", session.graph)
-        assert np.array_equal(result.values, expected)
+        _, (cut, _) = check_history("sssp", LAZY, graph, [
+            [Mutation("remove", 1, 2)],
+            [Mutation("add", 0, 2, 7)],
+        ])
+        unreachable = cut.values[2]
+        assert cut.values[3] == unreachable and cut.values[4] == unreachable
 
     def test_mutations_at_the_source(self) -> None:
         graph = from_edges(5, [(0, 1, 3), (1, 2, 3), (0, 2, 9), (3, 0, 2)])
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        assert_batches_match(
-            session,
-            "sssp",
-            "lazy",
-            [
-                [Mutation("add", 1, 0, 1)],  # edge back into the source
-                [Mutation("remove", 0, 1)],  # source loses its tight edge
-                [Mutation("add", 0, 1, 2), Mutation("update", 0, 2, 4)],
-            ],
-        )
+        check_history("sssp", LAZY, graph, [
+            [Mutation("add", 1, 0, 1)],  # edge back into the source
+            [Mutation("remove", 0, 1)],  # source loses its tight edge
+            [Mutation("add", 0, 1, 2), Mutation("update", 0, 2, 4)],
+        ])
 
     def test_add_then_remove_in_one_batch(self) -> None:
         graph = from_edges(4, [(0, 1, 2), (1, 2, 2)])
-        session = IncrementalSession(
-            graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-        )
-        session.run()
-        batch = [
+        check_history("sssp", LAZY, graph, [[
             Mutation("add", 0, 3, 1),
             Mutation("remove", 0, 3),
             Mutation("add", 2, 3, 1),
-        ]
-        result = session.apply(batch)
-        expected = from_scratch("sssp", "lazy", session.graph)
-        assert np.array_equal(result.values, expected)
+        ]])
+
+    @pytest.mark.parametrize("algorithm", ["sssp", "widest_path"])
+    def test_improve_then_remove_in_one_batch(self, algorithm) -> None:
+        # The values were converged on the pre-batch weight: after an
+        # improving update, removing (or worsening) the same edge must
+        # still invalidate its head.
+        graph = from_edges(3, [(0, 1, 4), (1, 2, 4), (2, 0, 1)])
+        better = 2 if algorithm == "sssp" else 9
+        worse = 9 if algorithm == "sssp" else 2
+        check_history(algorithm, LAZY, graph, [
+            [Mutation("update", 0, 1, better), Mutation("remove", 0, 1)],
+            [Mutation("add", 0, 1, 4)],
+            [Mutation("update", 0, 1, better), Mutation("update", 0, 1, worse)],
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +240,11 @@ class TestAdversarialShapes:
 
 def test_stats_counters_accumulate() -> None:
     graph = make_graph("sssp")
-    session = make_session("sssp", "lazy", graph)
-    session.run()
-    batch = random_batch(
-        np.random.default_rng(2),
-        session.graph,
-        8,
-        ("add", "remove", "update"),
-        unit_weights=False,
-        symmetric=False,
-    )
-    result = session.apply(batch)
+    batches = random_batches(np.random.default_rng(2), (8,), mixed_kinds("sssp"), False)
+    _, (result,) = history("sssp", "lazy", graph, batches)
     stats = result.stats
     assert stats.incremental_runs == 1
-    assert stats.incremental_mutations == len(batch)
+    assert stats.incremental_mutations == 8
     assert stats.incremental_seeds == result.seeds
     assert stats.incremental_invalidated == result.invalidated
     assert stats.incremental_vertices_touched == result.vertices_touched
@@ -427,15 +255,9 @@ def test_stats_counters_accumulate() -> None:
 def test_empty_cone_is_a_noop_resume() -> None:
     """Worsening a slack (non-supporting) edge must not invalidate anyone."""
     graph = from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (0, 3, 9)])
-    session = IncrementalSession(
-        graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-    )
-    session.run()
-    result = session.apply([Mutation("update", 0, 3, 10)])  # still slack
+    _, (result,) = check_history("sssp", LAZY, graph, [[Mutation("update", 0, 3, 10)]])
     assert result.invalidated == 0
     assert result.seeds == 0
-    expected = from_scratch("sssp", "lazy", session.graph)
-    assert np.array_equal(result.values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +278,7 @@ def test_mutation_script_batches() -> None:
     batches = parse_mutation_script(script)
     assert [len(b) for b in batches] == [2, 1, 1]
     graph = from_edges(5, [(0, 1, 1), (1, 2, 1), (3, 4, 2)])
-    session = IncrementalSession(
-        graph, "sssp", source=0, schedule=Schedule(priority_update="lazy")
-    )
-    session.run()
-    for batch in batches:
-        result = session.apply(batch)
-        expected = from_scratch("sssp", "lazy", session.graph)
-        assert np.array_equal(result.values, expected)
+    check_history("sssp", LAZY, graph, batches)
 
 
 # ---------------------------------------------------------------------------

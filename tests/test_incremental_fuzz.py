@@ -1,14 +1,12 @@
-"""Property-based fuzz for incremental recomputation (slow tier).
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): property-based
+fuzz of incremental recomputation (slow tier).
 
 Hypothesis (derandomized, so CI sees the same cases every run) generates
 arbitrary small multigraphs, a source, and an arbitrary interleaving of
 single and batched mutations.  After every batch the resumed vector must
-bit-match BOTH oracles:
-
-- a from-scratch session over the same (overlay-carrying) graph, and
-- the plain algorithm runner over a clean CSR rebuilt from the edge
-  list — so a bug in the overlay read paths cannot hide by affecting the
-  incremental run and its oracle identically.
+bit-match the scalar oracle, and the plain algorithm runner, both run over
+a clean CSR rebuilt from the edge list — so a bug in the overlay read paths
+cannot hide by affecting the incremental run and its oracle identically.
 
 The generators deliberately produce the adversarial shapes the engine
 documents: self-loops, duplicate (parallel) edges, zero-weight edges and
@@ -19,20 +17,16 @@ sane: ``incremental_vertices_touched <= |V|`` on every batch.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import kcore as kcore_runner
-from repro.algorithms import sssp as sssp_runner
-from repro.algorithms import wbfs as wbfs_runner
-from repro.algorithms import widest_path as widest_runner
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.mutations import Mutation
-from repro.incremental import IncrementalSession
 from repro.midend.schedule import Schedule
+
+from .oracle_matrix import check_history
 
 pytestmark = pytest.mark.slow
 
@@ -132,51 +126,30 @@ def check_fuzz_case(
     source: int,
     relaxed_ordering: bool = False,
 ) -> None:
-    unit = algorithm == "kcore"
-    symmetric = algorithm == "kcore"
-    graph = build_graph(n, edges, unit=unit, symmetric=symmetric)
-    source = source % n
-    session = IncrementalSession(
-        graph, algorithm, source=source, schedule=schedule,
+    unit = symmetric = algorithm == "kcore"
+    sizes = []  # of the non-empty batches, which are the ones applied
+
+    def batches(session):
+        for specs in split_batches(ops, cuts):
+            batch = resolve_batch(session.graph, specs, unit=unit, symmetric=symmetric)
+            sizes.extend([len(batch)] if batch else [])
+            yield batch
+
+    _, results = check_history(
+        algorithm,
+        schedule,
+        build_graph(n, edges, unit=unit, symmetric=symmetric),
+        batches,
+        source=source % n,
         relaxed_ordering=relaxed_ordering,
+        # The library entry points take no relaxed flag, so the plain
+        # runner is compared on the strict strategies only.
+        also=() if relaxed_ordering else ("library",),
     )
-    session.run()
-    for specs in split_batches(ops, cuts):
-        batch = resolve_batch(session.graph, specs, unit=unit, symmetric=symmetric)
-        if not batch:
-            continue
-        result = session.apply(batch)
-        assert 0 <= result.vertices_touched <= n
+    for result, size in zip(results, sizes, strict=True):
         # k-core resumes once per mutation (each with its own worklist), so
         # its seed count is bounded per mutation, not per batch.
-        assert 0 <= result.seeds <= n * len(batch)
-        # Oracle 1: a fresh session over the same mutated graph.
-        oracle = IncrementalSession(
-            session.graph, algorithm, source=source, schedule=schedule,
-            relaxed_ordering=relaxed_ordering,
-        )
-        expected = oracle.run().values
-        assert np.array_equal(result.values, expected), (
-            f"{algorithm}: resumed vector diverged from the fresh session at "
-            f"{np.flatnonzero(result.values != expected)[:10]}"
-        )
-        # Oracle 2: the plain runner over a rebuilt clean CSR.
-        srcs, dsts, weights = session.graph.edge_list()
-        clean = from_edges(n, zip(srcs.tolist(), dsts.tolist(), weights.tolist()))
-        if algorithm == "sssp":
-            expected = sssp_runner(
-                clean, source, schedule, relaxed_ordering=relaxed_ordering
-            ).distances
-        elif algorithm == "wbfs":
-            expected = wbfs_runner(clean, source, schedule).distances
-        elif algorithm == "widest_path":
-            expected = widest_runner(clean, source, schedule).distances
-        else:
-            expected = kcore_runner(clean, schedule).coreness
-        assert np.array_equal(result.values, expected), (
-            f"{algorithm}: resumed vector diverged from the plain runner at "
-            f"{np.flatnonzero(result.values != expected)[:10]}"
-        )
+        assert 0 <= result.seeds <= n * size
 
 
 @settings(max_examples=40, **FUZZ_SETTINGS)

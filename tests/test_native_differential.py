@@ -1,19 +1,15 @@
-"""Differential tests for the native (compiled shared-library) path.
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): the native
+(compiled shared-library) execution.
 
-The contract under test: for every ordered program × schedule combination,
-``Schedule(execution="native")`` produces output vectors **bit-identical**
-to the sequential scalar oracle (``vectorize=False``), because the output
-of an ordered algorithm is a schedule-independent fixpoint.  Interpreter
-statistics (rounds, relaxations, ...) are interpreter-only by design and
-are never compared.
+Every row runs ``Schedule(execution="native")`` and must produce output
+vectors **bit-identical** to the scalar oracle.  Interpreter statistics
+are interpreter-only by design and are never compared.
 
-Without a C++ toolchain every test here **skips** (never fails) — the same
-machines get the runtime's graceful ``N101`` degradation, which has its own
-tests below that run everywhere.
+Without a C++ toolchain every oracle check here **skips** (never fails) —
+the same machines get the runtime's graceful ``N101`` degradation, which
+has its own tests below that run everywhere.
 """
 
-import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +28,16 @@ from repro.graph import from_edges, rmat
 from repro.lang import ALL_PROGRAMS
 from repro.midend import Schedule
 
-HAS_CXX = any(shutil.which(c) for c in ("g++", "clang++", "c++"))
+from .oracle_matrix import (
+    HAS_CXX,
+    Cell,
+    assert_same_vectors,
+    check,
+    graph,
+    oracle_run,
+    vectors,
+)
+
 needs_toolchain = pytest.mark.skipif(
     not HAS_CXX, reason="no C++ toolchain (g++/clang++/c++); native tests skip"
 )
@@ -40,22 +45,9 @@ needs_toolchain = pytest.mark.skipif(
 pytestmark = pytest.mark.slow
 
 
-@pytest.fixture(scope="module", autouse=True)
-def kernel_cache(tmp_path_factory):
-    """Isolate the on-disk kernel cache from the user's ~/.cache."""
-    path = tmp_path_factory.mktemp("kernels")
-    saved = os.environ.get("REPRO_KERNEL_CACHE")
-    os.environ["REPRO_KERNEL_CACHE"] = str(path)
-    yield path
-    if saved is None:
-        os.environ.pop("REPRO_KERNEL_CACHE", None)
-    else:
-        os.environ["REPRO_KERNEL_CACHE"] = saved
-
-
 @pytest.fixture(scope="module")
 def social():
-    return rmat(10, 16, seed=3, weights=(1, 4))
+    return graph("social")
 
 
 @pytest.fixture(scope="module")
@@ -63,45 +55,23 @@ def social_start(social):
     return int(np.argmax(social.out_degrees()))
 
 
-def run_both(program_name, schedule, graph, args):
-    """Run native and the scalar oracle; return (native, oracle, program)."""
-    source = ALL_PROGRAMS[program_name]
-    oracle_prog = compile_program(source, schedule)
-    native_prog = compile_program(source, schedule.with_(execution="native"))
-    oracle = oracle_prog.run(args, graph=graph, vectorize=False)
-    native = native_prog.run(args, graph=graph)
-    return native, oracle, native_prog
+def sssp_oracle(schedule, g, start):
+    return vectors(oracle_run(Cell("sssp", schedule, args=(str(start),)), g).globals)
 
-
-def assert_vectors_identical(native, oracle):
-    compared = 0
-    for name, value in oracle.globals.items():
-        if not isinstance(value, np.ndarray):
-            continue
-        np.testing.assert_array_equal(
-            native.globals[name], value, err_msg=f"vector {name!r} diverged"
-        )
-        compared += 1
-    assert compared, "program produced no output vectors to compare"
-
-
-# ---------------------------------------------------------------------------
-# The differential matrix (ISSUE: SSSP / wBFS / widest-path × lazy / eager)
-# ---------------------------------------------------------------------------
 
 MATRIX = [
-    ("sssp", Schedule(priority_update="lazy", delta=4)),
-    ("sssp", Schedule(priority_update="eager_no_fusion", delta=4)),
-    ("sssp", Schedule(priority_update="eager_with_fusion", delta=4)),
-    ("sssp", Schedule(priority_update="lazy", delta=4, direction="DensePull")),
+    ("sssp", Schedule(priority_update="lazy", delta=3)),
+    ("sssp", Schedule(priority_update="eager_no_fusion", delta=3)),
+    ("sssp", Schedule(priority_update="eager_with_fusion", delta=3)),
+    ("sssp", Schedule(priority_update="lazy", delta=3, direction="DensePull")),
     ("wbfs", Schedule(priority_update="lazy", delta=1)),
     ("wbfs", Schedule(priority_update="eager_no_fusion", delta=1)),
-    ("widest", Schedule(priority_update="lazy", delta=2)),
-    ("widest", Schedule(priority_update="eager_no_fusion", delta=2)),
-    ("kcore", Schedule(priority_update="lazy_constant_sum", num_buckets=64)),
-    ("ppsp", Schedule(priority_update="eager_with_fusion", delta=4)),
+    ("widest", Schedule(priority_update="lazy", delta=3)),
+    ("widest", Schedule(priority_update="eager_no_fusion", delta=3)),
+    ("kcore", Schedule(priority_update="lazy_constant_sum")),
+    ("ppsp", Schedule(priority_update="eager_with_fusion", delta=3)),
     # Unsorted lazy buckets under an early exit.
-    ("ppsp", Schedule(priority_update="lazy", delta=4)),
+    ("ppsp", Schedule(priority_update="lazy", delta=3)),
 ]
 
 
@@ -109,28 +79,34 @@ def _matrix_params():
     """Every row at two threads (the atomic path) and at one thread (the
     serial kernel: no atomic RMW, no parallel region).  The two-thread row
     keeps the row's plain id."""
+    hub = int(np.argmax(graph("social").out_degrees()))
+    args = {"kcore": (), "ppsp": (str(hub), str((hub + 7) % graph("social").num_vertices))}
     for name, schedule in MATRIX:
         tag = schedule.priority_update
         if schedule.direction != "SparsePush":
             tag += f"-{schedule.direction}"
         for threads, suffix in ((2, ""), (1, "-1thread")):
             yield pytest.param(
-                name,
-                schedule.with_(num_threads=threads),
+                Cell(
+                    name,
+                    schedule.with_(num_threads=threads),
+                    "native",
+                    graph="social_symmetric" if name == "kcore" else "social",
+                    args=args.get(name, ("hub",)),
+                ),
                 id=f"{name}-{tag}{suffix}",
             )
 
 
-@needs_toolchain
-@pytest.mark.parametrize("name,schedule", _matrix_params())
-def test_native_matches_scalar_oracle(name, schedule, social, social_start):
-    args = ["prog", "-", str(social_start)]
-    if name == "ppsp":
-        args.append(str((social_start + 7) % social.num_vertices))
-    graph = social.symmetrized() if name == "kcore" else social
-    native, oracle, program = run_both(name, schedule, graph, args)
-    assert program.native_fallback_reason is None
-    assert_vectors_identical(native, oracle)
+PARAMS = list(_matrix_params())
+
+#: This slice's cells; the generated matrix does not run them again.
+CELLS = [param.values[0] for param in PARAMS]
+
+
+@pytest.mark.parametrize("cell", PARAMS)
+def test_native_matches_scalar_oracle(cell):
+    check(cell)
 
 
 EXAMPLES = sorted(
@@ -147,13 +123,11 @@ def test_every_example_native_matches_oracle(example, social, social_start):
     base = compile_program(source, None).schedule
     graph = social.symmetrized() if "kcore" in example.stem else social
     args = ["prog", "-", str(social_start)]
-    oracle = compile_program(source, base).run(
-        args, graph=graph, vectorize=False
-    )
+    oracle = compile_program(source, base).run(args, graph=graph, vectorize=False)
     native_prog = compile_program(source, base.with_(execution="native"))
     native = native_prog.run(args, graph=graph)
     assert native_prog.native_fallback_reason is None
-    assert_vectors_identical(native, oracle)
+    assert_same_vectors(vectors(native.globals), vectors(oracle.globals), example.stem)
 
 
 @needs_toolchain
@@ -161,23 +135,18 @@ def test_repeated_runs_and_graph_swap(social, social_start):
     """Per-process kernel state (transpose caches, queue globals) must be
     re-derived on every entry call, including for a different graph."""
     schedule = Schedule(
-        priority_update="lazy", delta=4, direction="DensePull"
+        priority_update="lazy", delta=4, direction="DensePull", execution="native"
     )
-    args = ["prog", "-", str(social_start)]
-    native1, oracle1, program = run_both("sssp", schedule, social, args)
-    assert_vectors_identical(native1, oracle1)
-    # Same compiled program object, different graph: the run-stamped
-    # transpose must be rebuilt, not reused.
+    program = compile_program(ALL_PROGRAMS["sssp"], schedule)
     other = rmat(9, 16, seed=7, weights=(1, 4))
     other_start = int(np.argmax(other.out_degrees()))
-    oracle_prog = compile_program(ALL_PROGRAMS["sssp"], schedule)
-    args2 = ["prog", "-", str(other_start)]
-    oracle2 = oracle_prog.run(args2, graph=other, vectorize=False)
-    native2 = program.run(args2, graph=other)
-    assert_vectors_identical(native2, oracle2)
-    # And back to the first graph — still identical.
-    native3 = program.run(args, graph=social)
-    assert_vectors_identical(native3, oracle1)
+    # Same compiled program object, different graph, then back: the
+    # run-stamped transpose must be rebuilt, not reused.
+    for g, start in ((social, social_start), (other, other_start), (social, social_start)):
+        assert_same_vectors(
+            vectors(program.run(["prog", "-", str(start)], graph=g).globals),
+            sssp_oracle(schedule, g, start),
+        )
 
 
 @needs_toolchain
@@ -197,7 +166,7 @@ def test_second_invocation_hits_kernel_cache(social, social_start, monkeypatch):
 
     monkeypatch.setattr(build_mod.subprocess, "run", no_subprocess)
     second = program.run(args, graph=social)
-    assert_vectors_identical(second, first)
+    assert_same_vectors(vectors(second.globals), vectors(first.globals))
 
 
 @needs_toolchain
@@ -211,10 +180,10 @@ def test_native_runs_from_graph_file(tmp_path, social, social_start):
     program = compile_program(ALL_PROGRAMS["sssp"], schedule)
     from_file = program.run(["prog", str(graph_file), str(social_start)])
     assert program.native_fallback_reason is None
-    oracle = compile_program(
-        ALL_PROGRAMS["sssp"], schedule.with_(execution="serial")
-    ).run(["prog", "-", str(social_start)], graph=social, vectorize=False)
-    assert_vectors_identical(from_file, oracle)
+    assert_same_vectors(
+        vectors(from_file.globals),
+        sssp_oracle(schedule, social, social_start),
+    )
 
 
 @needs_toolchain
@@ -277,10 +246,9 @@ def test_no_toolchain_falls_back_with_n101(
     assert "toolchain" in program.native_fallback_reason
     assert "N101" in capsys.readouterr().err
     # The fallback is the serial vectorized Python path: same fixpoint.
-    oracle = compile_program(
-        ALL_PROGRAMS["sssp"], schedule.with_(execution="serial")
-    ).run(args, graph=social, vectorize=False)
-    assert_vectors_identical(result, oracle)
+    assert_same_vectors(
+        vectors(result.globals), sssp_oracle(schedule, social, social_start)
+    )
 
 
 def test_unordered_program_falls_back_with_n101(social, social_start, capsys):

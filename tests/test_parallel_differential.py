@@ -1,13 +1,14 @@
-"""Differential tests: the parallel execution engine vs the sequential oracle.
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): the parallel
+execution engine vs the sequential oracle.
 
 Every compiled program run under ``execution="parallel"`` (real
 ``concurrent.futures`` workers driving the produce/commit round protocol)
 must produce output vectors **bit-identical** to the scalar reference
 interpreter (``vectorize=False``) run from the same inputs, and every
 deterministic ``RuntimeStats`` counter of the *serial vectorized* run (the
-scalar interpreter's per-edge counters are its own) — for the deterministic
-strategies (eager, eager+fusion, lazy, lazy-constant-sum).  The relaxed (Galois-style)
-strategy commits in completion order, so only its *outputs* are pinned (the
+scalar interpreter's per-edge counters are its own) — :func:`check` asserts
+both for every ``parallel`` cell.  The relaxed (Galois-style) strategy
+commits in completion order, so only its *outputs* are pinned (the
 algorithms it supports converge to a unique fixpoint); its work counters
 are allowed to differ.
 
@@ -23,137 +24,63 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ppsp, sssp, widest_path
-from repro.backend.program import compile_program
-from repro.graph.generators import rmat, road_grid
-from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.schedule import Schedule
+
+from .oracle_matrix import Cell, check, graph
 
 pytestmark = pytest.mark.slow
 
 WORKERS = (1, 2, 4, 8)
 
-# ----------------------------------------------------------------------
-# Inputs (module-scoped: built once).
-# ----------------------------------------------------------------------
 
-
-@pytest.fixture(scope="module")
-def weighted():
-    return rmat(8, 8, seed=3, weights=(1, 4))
-
-
-@pytest.fixture(scope="module")
-def unweighted():
-    return rmat(8, 8, seed=3, weights=None)
-
-
-@pytest.fixture(scope="module")
-def symmetric(unweighted):
-    return unweighted.symmetrized()
-
-
-@pytest.fixture(scope="module")
-def road():
-    return road_grid(12, 12, seed=5)
-
-
-def _heuristic_extern(ctx, dst_vertex):
-    coords = ctx.globals["edges"].coordinates
-    h = ctx.globals["h"]
-    d = np.abs(coords - coords[int(dst_vertex)]).sum(axis=1)
-    h[:] = d.astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-# Core differential driver.
-# ----------------------------------------------------------------------
-
-
-def run_pair(source, schedule, args, graph, externs=None, sanitize=False):
-    """Run the scalar oracle, the serial vectorized run and the parallel
-    engine (optionally sanitized) from identical inputs."""
-    oracle_prog = compile_program(source, schedule)
-    oracle, serial = (
-        oracle_prog.run(
-            list(args), graph=graph, extern_functions=externs, vectorize=vectorize
-        )
-        for vectorize in (False, True)
-    )
-    parallel_prog = compile_program(
-        source, schedule.with_(execution="parallel", sanitize=sanitize)
-    )
-    parallel = parallel_prog.run(
-        list(args), graph=graph, extern_functions=externs, vectorize=True
-    )
-    return oracle, serial, parallel
-
-
-def assert_bit_identical(oracle, serial, parallel, workers):
-    for name, value in oracle.globals.items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(value, parallel.globals[name]), (
-                f"vector {name} diverged at {workers} workers"
-            )
-    assert serial.stats.deterministic_dict() == parallel.stats.deterministic_dict(), (
-        f"stats diverged at {workers} workers"
-    )
-    # The engine's own profile must be coherent: one barrier per recorded
-    # parallel round, and no parallel rounds at one worker (inline fallback).
-    assert parallel.stats.execution == "parallel"
-    assert parallel.stats.barrier_waits == parallel.stats.parallel_rounds
-    if workers == 1:
-        assert parallel.stats.parallel_rounds == 0
-
-
-# (program, strategy, graph fixture, extra args, externs?) — six algorithms,
+# (program, strategy, graph family, args) — six algorithms,
 # each under every strategy its operators support.  A* runs with a
 # Manhattan heuristic that is *not* admissible on this grid, so its run has
 # priority inversions (asserted below): an update that lands below the
 # current bucket freezes ``est`` at the first such offer in scalar order,
 # and the batch kernel must commit that one, not the chunk's best.
 CASES = [
-    ("sssp", "lazy", "weighted", ["0"], None),
-    ("sssp", "eager_no_fusion", "weighted", ["0"], None),
-    ("sssp", "eager_with_fusion", "weighted", ["0"], None),
-    ("sssp", "lazy", "unweighted", ["0"], None),
-    ("ppsp", "lazy", "weighted", ["0", "99"], None),
-    ("ppsp", "eager_with_fusion", "weighted", ["0", "99"], None),
-    ("widest", "lazy", "weighted", ["0"], None),
-    ("widest", "eager_no_fusion", "weighted", ["0"], None),
-    ("widest", "eager_with_fusion", "weighted", ["0"], None),
-    ("wbfs", "lazy", "weighted", ["0"], None),
-    ("wbfs", "eager_with_fusion", "unweighted", ["0"], None),
-    ("kcore", "lazy", "symmetric", [], None),
-    ("kcore", "lazy_constant_sum", "symmetric", [], None),
-    ("kcore", "eager_no_fusion", "symmetric", [], None),
-    ("astar", "lazy", "road", ["0", "100"], _heuristic_extern),
-    ("astar", "eager_no_fusion", "road", ["0", "100"], _heuristic_extern),
+    ("sssp", "lazy", "weighted", ("0",)),
+    ("sssp", "eager_no_fusion", "weighted", ("0",)),
+    ("sssp", "eager_with_fusion", "weighted", ("0",)),
+    ("sssp", "lazy", "unweighted", ("0",)),
+    ("ppsp", "lazy", "weighted", ("0", "99")),
+    ("ppsp", "eager_with_fusion", "weighted", ("0", "99")),
+    ("widest", "lazy", "weighted", ("0",)),
+    ("widest", "eager_no_fusion", "weighted", ("0",)),
+    ("widest", "eager_with_fusion", "weighted", ("0",)),
+    ("wbfs", "lazy", "weighted", ("0",)),
+    ("wbfs", "eager_with_fusion", "unweighted", ("0",)),
+    ("kcore", "lazy", "symmetric", ()),
+    ("kcore", "lazy_constant_sum", "symmetric", ()),
+    ("kcore", "eager_no_fusion", "symmetric", ()),
+    ("astar", "lazy", "road", ("0", "100")),
+    ("astar", "eager_no_fusion", "road", ("0", "100")),
+]
+
+
+def _cell(program, strategy, family, args, workers):
+    delta = 1 if program in ("kcore", "wbfs") else 3
+    schedule = Schedule(priority_update=strategy, delta=delta, num_threads=workers)
+    return Cell(program, schedule, "parallel", graph=family, args=args,
+                heuristic="manhattan" if program == "astar" else "")
+
+
+#: This slice's cells; the generated matrix does not run them again.
+CELLS = [_cell(*case, workers) for case in CASES for workers in WORKERS] + [
+    Cell("kcore", Schedule(priority_update=strategy, num_threads=workers), "parallel")
+    for strategy in ("lazy", "lazy_constant_sum")
+    for workers in (2, 4, 8)
 ]
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize(
-    "program,strategy,graph_fixture,extra_args,extern",
-    CASES,
-    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CASES],
+    "program,strategy,family,args", CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CASES]
 )
-def test_parallel_matches_oracle(
-    program, strategy, graph_fixture, extra_args, extern, workers, request
-):
-    graph = request.getfixturevalue(graph_fixture)
-    delta = 1 if program in ("kcore", "widest") else 3
-    schedule = Schedule(
-        priority_update=strategy, delta=delta, num_threads=workers
-    )
-    externs = {"computeHeuristic": extern} if extern else None
-    oracle, serial, parallel = run_pair(
-        ALL_PROGRAMS[program],
-        schedule,
-        ["prog", "-", *extra_args],
-        graph,
-        externs=externs,
-    )
-    assert_bit_identical(oracle, serial, parallel, workers)
+def test_parallel_matches_oracle(program, strategy, family, args, workers):
+    cell = _cell(program, strategy, family, args, workers)
+    oracle, parallel = check(cell)
     if program == "astar":
         inversions = [q.priority_inversions for q in oracle.context.queues]
         assert inversions[0] > 0
@@ -161,8 +88,9 @@ def test_parallel_matches_oracle(
     if program == "widest":
         # The library's widest path shares the Δ-stepping relaxer, so it
         # must honour execution="parallel" too (it used to stay serial).
-        serial = widest_path(graph, 0, schedule)
-        threaded = widest_path(graph, 0, schedule.with_(execution="parallel"))
+        g = graph(family)
+        serial = widest_path(g, 0, cell.schedule.with_(execution="serial"))
+        threaded = widest_path(g, 0, cell.schedule)
         assert np.array_equal(serial.distances, threaded.distances)
         assert serial.stats.deterministic_dict() == threaded.stats.deterministic_dict()
         assert (threaded.stats.parallel_rounds > 0) == (workers > 1)
@@ -177,14 +105,11 @@ def test_parallel_matches_oracle(
 
 
 @pytest.mark.parametrize("workers", (1, 4))
-def test_sanitized_parallel_matches_oracle(weighted, workers):
+def test_sanitized_parallel_matches_oracle(workers):
     schedule = Schedule(
         priority_update="eager_with_fusion", delta=3, num_threads=workers
     )
-    oracle, serial, sanitized = run_pair(
-        ALL_PROGRAMS["sssp"], schedule, ["prog", "-", "0"], weighted, sanitize=True
-    )
-    assert_bit_identical(oracle, serial, sanitized, workers)
+    _, sanitized = check(Cell("sssp", schedule, "sanitized-parallel"))
     sanitizer = sanitized.context.sanitizer
     assert sanitizer is not None
     assert len(sanitizer.log) > 0
@@ -199,11 +124,9 @@ def test_sanitized_parallel_matches_oracle(weighted, workers):
 
 @pytest.mark.parametrize("workers", (2, 4, 8))
 @pytest.mark.parametrize("strategy", ("lazy", "lazy_constant_sum"))
-def test_lazy_round_and_relaxation_invariant(symmetric, strategy, workers):
+def test_lazy_round_and_relaxation_invariant(strategy, workers):
     schedule = Schedule(priority_update=strategy, num_threads=workers)
-    oracle, _, parallel = run_pair(
-        ALL_PROGRAMS["kcore"], schedule, ["prog", "-"], symmetric
-    )
+    oracle, parallel = check(Cell("kcore", schedule, "parallel"))
     assert oracle.stats.rounds == parallel.stats.rounds
     assert oracle.stats.relaxations == parallel.stats.relaxations
     assert oracle.stats.buffer_appends == parallel.stats.buffer_appends
@@ -221,7 +144,8 @@ def test_lazy_round_and_relaxation_invariant(symmetric, strategy, workers):
 
 
 @pytest.mark.parametrize("workers", (1, 2, 4, 8))
-def test_relaxed_parallel_is_admissible_sssp(weighted, workers):
+def test_relaxed_parallel_is_admissible_sssp(workers):
+    weighted = graph("weighted")
     reference = sssp(weighted, 0, Schedule(delta=3, num_threads=workers))
     relaxed = sssp(
         weighted,
@@ -234,7 +158,8 @@ def test_relaxed_parallel_is_admissible_sssp(weighted, workers):
 
 
 @pytest.mark.parametrize("workers", (2, 4))
-def test_relaxed_parallel_is_admissible_ppsp(weighted, workers):
+def test_relaxed_parallel_is_admissible_ppsp(workers):
+    weighted = graph("weighted")
     reference = ppsp(weighted, 0, 99, Schedule(delta=3, num_threads=workers))
     relaxed = ppsp(
         weighted,

@@ -1,4 +1,5 @@
-"""Adversarial and randomized stress tests for the parallel engine.
+"""Slice of the oracle matrix (``tests/oracle_matrix.py``): adversarial
+and randomized stress for the parallel engine.
 
 Three layers of defense:
 
@@ -30,22 +31,20 @@ from hypothesis import strategies as st
 
 from repro.backend.program import compile_program
 from repro.graph.builder import from_edges
-from repro.graph.generators import path_graph, star_graph
 from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.analysis.diagnostics import Severity, lint_program
 from repro.midend.schedule import Schedule
 
-from .test_parallel_differential import assert_bit_identical, run_pair
+from .oracle_matrix import Cell, check
 
 pytestmark = pytest.mark.slow
 
 
-def assert_parallel_matches_oracle(source, schedule, args, graph):
-    """The differential suite's contract: outputs against the scalar oracle,
-    counters against the serial vectorized run."""
-    oracle, serial, parallel = run_pair(source, schedule, args, graph)
-    assert_bit_identical(oracle, serial, parallel, schedule.num_threads)
-    return oracle, parallel
+def check_sssp(family, strategy, delta, workers, g=None):
+    """Outputs against the scalar oracle, counters against the serial
+    vectorized run (both inside :func:`check`)."""
+    schedule = Schedule(priority_update=strategy, delta=delta, num_threads=workers)
+    return check(Cell("sssp", schedule, "parallel", graph=family), g)
 
 
 # ----------------------------------------------------------------------
@@ -60,57 +59,25 @@ class TestAdversarialTopologies:
         """One hub, hundreds of leaves: the first round is one giant
         frontier, every later round is empty-ish — exercises both the
         fan-out partition and the empty-chunk skip."""
-        graph = star_graph(257, weight=2, symmetric=True)
-        assert_parallel_matches_oracle(
-            ALL_PROGRAMS["sssp"],
-            Schedule(priority_update=strategy, delta=2, num_threads=workers),
-            ["prog", "-", "0"],
-            graph,
-        )
+        check_sssp("star", strategy, 2, workers)
 
     def test_chain(self, strategy, workers):
         """A directed path: every frontier is exactly one vertex, so every
         round must take the single-chunk inline fast path and record zero
         parallel rounds of overhead."""
-        graph = path_graph(96, weight=3)
-        _, parallel = assert_parallel_matches_oracle(
-            ALL_PROGRAMS["sssp"],
-            Schedule(priority_update=strategy, delta=4, num_threads=workers),
-            ["prog", "-", "0"],
-            graph,
-        )
+        _, parallel = check_sssp("chain", strategy, 4, workers)
         assert parallel.stats.parallel_rounds == 0
 
     def test_duplicate_heavy_multigraph(self, strategy, workers):
         """Many parallel edges between the same endpoints: one commit sees
         the same destination dozens of times, stressing the dedup/ordering
         guarantees of the batch relaxation."""
-        edges = []
-        for u in range(8):
-            for v in range(8):
-                if u != v:
-                    for w in (1, 1, 2, 2, 3):
-                        edges.append((u, v, w))
-        graph = from_edges(8, edges)
-        assert_parallel_matches_oracle(
-            ALL_PROGRAMS["sssp"],
-            Schedule(priority_update=strategy, delta=1, num_threads=workers),
-            ["prog", "-", "0"],
-            graph,
-        )
+        check_sssp("multigraph", strategy, 1, workers)
 
     def test_zero_weight_edges(self, strategy, workers):
         """Zero-weight edges keep relaxed vertices inside the current
         bucket — the same-priority cascade where eager fusion churns."""
-        edges = [(v, v + 1, 0) for v in range(30)]
-        edges += [(v, (v * 7 + 3) % 31, 2) for v in range(31)]
-        graph = from_edges(31, edges)
-        assert_parallel_matches_oracle(
-            ALL_PROGRAMS["sssp"],
-            Schedule(priority_update=strategy, delta=2, num_threads=workers),
-            ["prog", "-", "0"],
-            graph,
-        )
+        check_sssp("zero_weight", strategy, 2, workers)
 
 
 # ----------------------------------------------------------------------
@@ -144,12 +111,7 @@ def test_fuzz_parallel_matches_oracle(edges, strategy, workers, delta):
     graph = from_edges(24, [(u, v, w) for u, v, w in edges if u != v])
     if graph.num_edges == 0:
         return
-    assert_parallel_matches_oracle(
-        ALL_PROGRAMS["sssp"],
-        Schedule(priority_update=strategy, delta=delta, num_threads=workers),
-        ["prog", "-", "0"],
-        graph,
-    )
+    check_sssp("", strategy, delta, workers, graph)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -169,13 +131,8 @@ def test_fuzz_kcore_constant_sum(seed, workers):
     ]
     if not edges:
         return
-    graph = from_edges(n, edges).symmetrized()
-    assert_parallel_matches_oracle(
-        ALL_PROGRAMS["kcore"],
-        Schedule(priority_update="lazy_constant_sum", num_threads=workers),
-        ["prog", "-"],
-        graph,
-    )
+    schedule = Schedule(priority_update="lazy_constant_sum", num_threads=workers)
+    check(Cell("kcore", schedule, "parallel"), from_edges(n, edges).symmetrized())
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) on core invariants.
 
 These cover the load-bearing equivalences of the paper's design:
-lazy ≡ eager bucketing on arbitrary monotone update sequences, Δ-stepping ≡
-Dijkstra for every strategy and Δ on random weighted graphs, the histogram
-transform ≡ serialized clamped decrements, and structural invariants of the
-substrate (partitioning, edge gathering, dedup).
+lazy ≡ eager bucketing on arbitrary monotone update sequences, the library's
+Δ-stepping and peeling ≡ the scalar oracle ≡ Dijkstra / peeling for every
+strategy and Δ on random graphs (the ``library`` slice of
+``tests/oracle_matrix.py``, which checks every oracle run against the
+reference implementation), pull ≡ push, the histogram transform ≡
+serialized clamped decrements, and structural invariants of the substrate
+(partitioning, edge gathering, dedup).
 """
 
 import numpy as np
@@ -12,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import dijkstra_reference, kcore, kcore_reference, sssp
+from repro.algorithms import dijkstra_reference, sssp
 from repro.buckets import EagerBucketQueue, LazyBucketQueue
 from repro.graph import GraphBuilder
 from repro.graph.properties import INT_MAX
 from repro.midend import Schedule
 from repro.runtime import VirtualThreadPool, gather_out_edges
+
+from .oracle_matrix import Cell, check
 
 pytestmark = pytest.mark.slow
 
@@ -44,7 +49,7 @@ def build_graph(edges):
 
 
 # ----------------------------------------------------------------------
-# Δ-stepping vs Dijkstra on random graphs
+# The library's Δ-stepping vs the scalar oracle and Dijkstra
 # ----------------------------------------------------------------------
 
 
@@ -55,27 +60,24 @@ def build_graph(edges):
     strategy=st.sampled_from(["lazy", "eager_no_fusion", "eager_with_fusion"]),
 )
 def test_sssp_equals_dijkstra(edges, delta, strategy):
-    graph = build_graph(edges)
-    reference = dijkstra_reference(graph, 0)
-    result = sssp(
-        graph, 0, Schedule(priority_update=strategy, delta=delta, num_threads=3)
-    )
-    assert np.array_equal(result.distances, reference)
+    schedule = Schedule(priority_update=strategy, delta=delta, num_threads=3)
+    check(Cell("sssp", schedule, "library"), build_graph(edges))
 
 
 @settings(max_examples=25, deadline=None)
 @given(edges=edge_lists)
 def test_sssp_pull_equals_push(edges):
     graph = build_graph(edges)
-    push = sssp(graph, 0, Schedule(priority_update="lazy", delta=4))
-    pull = sssp(
-        graph, 0, Schedule(priority_update="lazy", delta=4, direction="DensePull")
+    push, pull = (
+        sssp(graph, 0, Schedule(priority_update="lazy", delta=4, direction=direction))
+        for direction in ("SparsePush", "DensePull")
     )
     assert np.array_equal(push.distances, pull.distances)
+    assert np.array_equal(push.distances, dijkstra_reference(graph, 0))
 
 
 # ----------------------------------------------------------------------
-# k-core strategies agree with the peeling oracle
+# k-core strategies agree with the scalar oracle and the peeling reference
 # ----------------------------------------------------------------------
 
 
@@ -85,10 +87,8 @@ def test_sssp_pull_equals_push(edges):
     strategy=st.sampled_from(["lazy_constant_sum", "lazy", "eager_no_fusion"]),
 )
 def test_kcore_equals_reference(edges, strategy):
-    graph = build_graph(edges).symmetrized()
-    reference = kcore_reference(graph)
-    result = kcore(graph, Schedule(priority_update=strategy, num_threads=3))
-    assert np.array_equal(result.coreness, reference)
+    schedule = Schedule(priority_update=strategy, num_threads=3)
+    check(Cell("kcore", schedule, "library"), build_graph(edges).symmetrized())
 
 
 # ----------------------------------------------------------------------

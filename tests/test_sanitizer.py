@@ -13,6 +13,7 @@ summaries the midend proved.  Three layers are covered here:
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from repro.graph import rmat, road_grid
 from repro.lang.programs import ALL_PROGRAMS
 from repro.midend import Schedule
 from repro.runtime.sanitizer import SanitizedVector, Sanitizer, SanitizerError
+
+from .oracle_matrix import Cell, check, run
 
 
 def _sanitized(name, sanitizer, data):
@@ -175,30 +178,17 @@ class TestScopeRules:
         assert sanitizer.log == []
 
 
-def _heuristic_extern(ctx, dst_vertex):
-    coords = ctx.globals["edges"].coordinates
-    h = ctx.globals["h"]
-    d = np.abs(coords - coords[int(dst_vertex)]).sum(axis=1)
-    h[:] = d.astype(np.int64)
-
-
-# (program, schedule, graph fixture, args, externs?) — all six paper
-# algorithms, each under a strategy its operators support.
+# (program, schedule, args) — all six paper algorithms, each under a
+# strategy its operators support; A* on the road grid with the Manhattan
+# heuristic.
 DIFF_CASES = [
-    ("sssp", Schedule(priority_update="eager_with_fusion", delta=3),
-     "diff_graph", ["0"], None),
-    ("sssp", Schedule(priority_update="lazy", delta=4),
-     "diff_graph", ["0"], None),
-    ("wbfs", Schedule(priority_update="eager_with_fusion", delta=3),
-     "diff_graph", ["0"], None),
-    ("ppsp", Schedule(priority_update="eager_with_fusion", delta=3),
-     "diff_graph", ["0", "40"], None),
-    ("widest", Schedule(priority_update="eager_no_fusion", delta=2),
-     "diff_graph", ["0"], None),
-    ("kcore", Schedule(priority_update="lazy_constant_sum"),
-     "diff_graph", [], None),
-    ("astar", Schedule(priority_update="eager_no_fusion"),
-     "road_graph", ["0", "100"], _heuristic_extern),
+    ("sssp", Schedule(priority_update="eager_with_fusion", delta=3), ("0",)),
+    ("sssp", Schedule(priority_update="lazy", delta=4), ("0",)),
+    ("wbfs", Schedule(priority_update="eager_with_fusion", delta=3), ("0",)),
+    ("ppsp", Schedule(priority_update="eager_with_fusion", delta=3), ("0", "40")),
+    ("widest", Schedule(priority_update="eager_no_fusion", delta=2), ("0",)),
+    ("kcore", Schedule(priority_update="lazy_constant_sum"), ()),
+    ("astar", Schedule(priority_update="eager_no_fusion"), ("0", "100")),
 ]
 
 
@@ -217,31 +207,19 @@ def diff_graph():
     return rmat(7, 6, seed=11).symmetrized()
 
 
-@pytest.fixture(scope="module")
-def road_graph():
-    return road_grid(12, 12, seed=5)
-
-
 class TestSanitizerDifferential:
     @pytest.mark.parametrize(
-        "name,schedule,graph_fixture,args,extern",
-        DIFF_CASES,
-        ids=[f"{c[0]}-{c[1].priority_update}" for c in DIFF_CASES],
+        "name,schedule,args", DIFF_CASES, ids=[f"{c[0]}-{c[1].priority_update}" for c in DIFF_CASES]
     )
-    def test_bit_identical_with_sanitizer(
-        self, request, name, schedule, graph_fixture, args, extern
-    ):
-        graph = request.getfixturevalue(graph_fixture)
-        externs = {"computeHeuristic": extern} if extern else None
-        plain = _run(name, schedule, args, graph, externs=externs)
-        checked = _run(
-            name, schedule.with_(sanitize=True), args, graph, externs=externs
-        )
-        for vec_name, value in plain.globals.items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(
-                    value, checked.globals[vec_name]
-                ), vec_name
+    def test_bit_identical_with_sanitizer(self, diff_graph, name, schedule, args):
+        """The ``sanitized`` slice of the oracle matrix: outputs equal the
+        scalar oracle, counters equal the uninstrumented run, and real
+        apply scopes were validated."""
+        astar = name == "astar"
+        cell = Cell(name, schedule, "sanitized", args=args, heuristic="manhattan" if astar else "")
+        g = None if astar else diff_graph
+        _, checked = check(cell, g)
+        _, plain = run(replace(cell, execution="vectorized"), g)
         assert plain.stats.rounds == checked.stats.rounds
         assert plain.stats.relaxations == checked.stats.relaxations
         sanitizer = checked.context.sanitizer

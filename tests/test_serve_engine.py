@@ -28,6 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.schedule import Schedule
+from repro.obs import last_run_path
 from repro.serve.cache import CacheEntry, ResultCache
 from repro.serve.engine import Backpressure, QuerySpec, ServeEngine
 
@@ -359,4 +360,88 @@ class TestMutation:
         assert np.array_equal(
             entry.vectors["dist"], oracle_vector("sssp", make_graph(), source=4)
         )
+        engine.close()
+
+
+class TestMutationIsATransaction:
+    """``/mutate`` is all-or-nothing: one fault injected per step."""
+
+    def warm(self, engine, *sources):
+        async def scenario():
+            for source in sources:
+                await engine.query(spec(source=source))  # one session each
+            await engine.query(spec("ppsp", source=0, target=7))  # compiled
+
+        asyncio.run(scenario())
+
+    def absent_edges(self, graph, count):
+        neighbors = set(graph.out_neighbors(0).tolist())
+        return [v for v in range(1, graph.num_vertices) if v not in neighbors][:count]
+
+    def test_failing_batch_changes_nothing(self):
+        """Step 1, applying the script: the second batch removes an edge
+        that does not exist, after the first batch applied cleanly."""
+        engine = ServeEngine(make_graph())
+        self.warm(engine, 0)
+        graph, keys = engine.graph, set(engine.cache._entries)
+        num_edges = graph.num_edges
+        sessions = dict(engine._sessions)
+        edges = [s.graph.num_edges for s in sessions.values()]
+        added, absent = self.absent_edges(graph, 2)
+        with pytest.raises(GraphError):
+            asyncio.run(engine.mutate(f"add 0 {added} 2\nflush\nremove 0 {absent}"))
+        assert engine.graph is graph and graph.num_edges == num_edges
+        assert engine.epoch == 0
+        assert set(engine.cache._entries) == keys
+        assert engine._sessions == sessions
+        assert [s.graph.num_edges for s in sessions.values()] == edges
+        entry, how = asyncio.run(engine.query(spec(source=0)))
+        assert how == "cache"
+        assert np.array_equal(entry.vectors["dist"], oracle_vector("sssp", make_graph(), source=0))
+        engine.close()
+
+    @pytest.mark.parametrize("step", ["resume", "repopulate"])
+    def test_failing_session_is_dropped(self, step, monkeypatch):
+        """Step 2, resuming sessions (and step 3, repopulating the cache):
+        the session that fails is dropped, the others and the new graph,
+        epoch and cache commit together."""
+        engine = ServeEngine(make_graph())
+        self.warm(engine, 0, 4)
+        broken_key = next(k for k in engine._sessions if k[1] == 4)
+        if step == "resume":
+            def boom(batch):
+                raise RuntimeError("injected resume fault")
+
+            monkeypatch.setattr(engine._sessions[broken_key], "apply", boom)
+        else:
+            put, faults = engine.cache.put, [RuntimeError("injected cache fault")]
+
+            def put_unless_broken(key, entry):
+                if key[1:3] == broken_key[:2] and faults:
+                    raise faults.pop()  # once: the later recompute stores
+                put(key, entry)
+
+            monkeypatch.setattr(engine.cache, "put", put_unless_broken)
+        script = "add 0 9 2\nflush\nupdate 0 9 1"
+
+        async def scenario():
+            summary = await engine.mutate(script)
+            kept = await engine.query(spec(source=0))
+            dropped = await engine.query(spec(source=4))
+            return summary, kept, dropped
+
+        summary, (kept, kept_how), (dropped, dropped_how) = asyncio.run(scenario())
+        assert (summary["epoch"], summary["resumed_sessions"], summary["dropped_sessions"]) == (1, 1, 1)
+        assert (kept_how, dropped_how) == ("cache", "computed")
+        assert "injected" in open(last_run_path()).read()  # the forensics dump
+        from repro.graph.mutations import apply_mutations, parse_mutation_script
+
+        mutated = make_graph()
+        for batch in parse_mutation_script(script):
+            apply_mutations(mutated, batch)
+        assert engine.graph.num_edges == mutated.num_edges
+        for entry, source in ((kept, 0), (dropped, 4)):
+            assert np.array_equal(
+                entry.vectors["dist"], oracle_vector("sssp", mutated, source=source)
+            )
         engine.close()

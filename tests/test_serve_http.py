@@ -97,6 +97,18 @@ class TestRequestParsing:
             parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("length", ["1_0", "+5", "\u0663", " 5x"])
+    def test_non_digit_content_length_rejected(self, length):
+        raw = f"POST /q HTTP/1.1\r\nContent-Length: {length}\r\n\r\n0123456789"
+        with pytest.raises(HTTPError) as caught:
+            parse(raw.encode("utf-8"))
+        assert caught.value.status == 400
+
+    def test_body_shorter_than_content_length_rejected(self):
+        with pytest.raises(HTTPError) as caught:
+            parse(b"POST /q HTTP/1.1\r\nContent-Length: 5\r\n\r\n{")
+        assert caught.value.status == 400
+
     def test_chunked_transfer_encoding_rejected(self):
         with pytest.raises(HTTPError) as excinfo:
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
