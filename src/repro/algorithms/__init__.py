@@ -1,15 +1,16 @@
 """The six ordered algorithms, unordered baselines, and framework presets.
 
-``kcore`` and ``setcover`` are wrappers over the ``KCORE`` / ``SETCOVER``
-DSL programs of :mod:`repro.lang.programs`: they check the schedule and run
-the compiled program.  The shortest-path family (``sssp``, ``wbfs``,
-``ppsp``, ``astar``, ``widest_path``) still drives the hand-written
-extremal engine in :mod:`.common`, which incremental resume and the relaxed
-(Galois) queue also use.
+Every ordered algorithm is a wrapper over its DSL program in
+:mod:`repro.lang.programs`: ``sssp`` / ``wbfs`` / ``ppsp`` / ``astar`` /
+``widest_path`` run ``SSSP`` / ``WBFS`` / ``PPSP`` / ``ASTAR`` / ``WIDEST``,
+``kcore`` and ``setcover`` run ``KCORE`` / ``SETCOVER``.  A wrapper checks
+its arguments and the schedule, then runs the compiled program (memoized by
+:func:`repro.backend.program.cached_program`); no module here builds a
+queue or drives a loop.  The Galois preset is the ``relaxed`` strategy.
 """
 
 from .astar import astar, euclidean_heuristic
-from .common import UNREACHABLE, ShortestPathResult, run_delta_stepping
+from .common import UNREACHABLE, ShortestPathResult
 from .frameworks import ALGORITHMS, FRAMEWORKS, run_framework, supports
 from .kcore import DEFAULT_KCORE_SCHEDULE, KCoreResult, kcore, kcore_reference
 from .ppsp import ppsp
@@ -40,7 +41,6 @@ __all__ = [
     "kcore_reference",
     "greedy_setcover_reference",
     "euclidean_heuristic",
-    "run_delta_stepping",
     "run_framework",
     "supports",
     "ShortestPathResult",

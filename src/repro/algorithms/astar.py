@@ -7,6 +7,8 @@ straight-line distance to the target.  Because road edge weights are the
 rounded-up Euclidean length of the edge (see :func:`repro.graph.road_grid`),
 the straight-line estimate never exceeds any true remaining distance, i.e.
 the heuristic is admissible and the computed path length is exact.
+``astar`` runs the ``ASTAR`` DSL program with the heuristic as its
+``computeHeuristic`` extern.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import numpy as np
 
 from ..errors import GraphError
 from ..graph.csr import CSRGraph
+from ..lang.programs import ASTAR
 from ..midend.schedule import Schedule
-from .common import ShortestPathResult, check_source, run_delta_stepping
+from .common import ShortestPathResult, check_source, run_path_program
 from .sssp import DEFAULT_SSSP_SCHEDULE
 
 __all__ = ["astar", "euclidean_heuristic"]
@@ -37,7 +40,6 @@ def astar(
     target: int,
     schedule: Schedule | None = None,
     heuristic: np.ndarray | None = None,
-    relaxed_ordering: bool = False,
 ) -> ShortestPathResult:
     """A* shortest path from ``source`` to ``target``.
 
@@ -45,15 +47,22 @@ def astar(
     admissible for the result to be exact).  Priority coarsening applies to
     the estimated distances, as in the paper's implementation.
     """
-    if schedule is None:
-        schedule = DEFAULT_SSSP_SCHEDULE
+    check_source(graph, target, "target")
     if heuristic is None:
         heuristic = euclidean_heuristic(graph, target)
-    return run_delta_stepping(
+    heuristic = np.asarray(heuristic, dtype=np.int64)
+    if heuristic.shape != (graph.num_vertices,):
+        raise GraphError("heuristic must have one entry per vertex")
+
+    def compute_heuristic(ctx, _target):
+        ctx.globals["h"][:] = heuristic
+
+    return run_path_program(
+        ASTAR,
+        "dist",
         graph,
+        schedule or DEFAULT_SSSP_SCHEDULE,
         source,
-        schedule,
-        heuristic=heuristic,
-        target=target,
-        relaxed_ordering=relaxed_ordering,
+        target,
+        extern_functions={"computeHeuristic": compute_heuristic},
     )

@@ -9,8 +9,8 @@ Figure 10), and strict ordering is required, so priority coarsening is not
 allowed.
 
 :func:`kcore` checks the schedule and runs :data:`repro.lang.programs.KCORE`
-through :func:`repro.compile_program`; the program's priority vector ``D``
-ends as the coreness.  The schedule picks the Table 7 strategy the compiler
+through :func:`repro.backend.program.cached_program`; the program's priority
+vector ``D`` ends as the coreness.  The schedule picks the Table 7 strategy the compiler
 lowers to: ``lazy_constant_sum`` (the paper's best: one histogram-transformed
 update per distinct neighbour, no atomics), ``lazy`` (buffered per-edge
 atomic decrements) or ``eager_no_fusion`` (every unit decrement an immediate
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.program import compile_program
+from ..backend.program import cached_program
 from ..errors import SchedulingError
 from ..graph.csr import CSRGraph
 from ..lang.programs import KCORE
@@ -68,7 +68,7 @@ def kcore(graph: CSRGraph, schedule: Schedule | None = None) -> KCoreResult:
             "bucket fusion requires priority coarsening and is not "
             "applicable to k-core"
         )
-    result = compile_program(KCORE, schedule).run(["kcore", "-"], graph=graph)
+    result = cached_program(KCORE, schedule).run(["kcore", "-"], graph=graph)
     return KCoreResult(
         coreness=result.globals["D"], stats=result.stats, schedule=schedule
     )

@@ -2,8 +2,9 @@
 over the ``SETCOVER`` DSL program.
 
 :func:`setcover` checks the schedule and runs
-:data:`repro.lang.programs.SETCOVER` through :func:`repro.compile_program`
-with :func:`repro.backend.extern_library.setcover_externs`, where the round
+:data:`repro.lang.programs.SETCOVER` through
+:func:`repro.backend.program.cached_program` with
+:func:`repro.backend.extern_library.setcover_externs`, where the round
 body (re-bucketing by ``floor(log2(uncovered elements))`` and the
 randomized claim round) lives.  Unit costs over a symmetric graph instance:
 every vertex is a set covering its closed neighbourhood and an element.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend.extern_library import collect_setcover_result, setcover_externs
-from ..backend.program import compile_program
+from ..backend.program import cached_program
 from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..lang.programs import SETCOVER
@@ -78,7 +79,7 @@ def setcover(
         )
     if not 0 < retention <= 1:
         raise GraphError("retention must be in (0, 1]")
-    result = compile_program(SETCOVER, schedule).run(
+    result = cached_program(SETCOVER, schedule).run(
         ["setcover", "-"],
         graph=graph,
         extern_functions=setcover_externs(seed, retention),

@@ -1,6 +1,7 @@
 """Single-source shortest paths with Δ-stepping (the paper's running example).
 
-``sssp`` is the public entry point; ``dijkstra_reference`` provides the
+``sssp`` is the public entry point, a wrapper that runs the ``SSSP`` DSL
+program of :mod:`repro.lang.programs`; ``dijkstra_reference`` provides the
 sequential ground truth the test suite verifies every strategy against.
 """
 
@@ -12,8 +13,9 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.properties import INT_MAX
+from ..lang.programs import SSSP
 from ..midend.schedule import Schedule
-from .common import ShortestPathResult, check_source, run_delta_stepping
+from .common import ShortestPathResult, check_source, run_path_program
 
 __all__ = ["sssp", "dijkstra_reference", "DEFAULT_SSSP_SCHEDULE"]
 
@@ -31,22 +33,18 @@ def sssp(
     graph: CSRGraph,
     source: int,
     schedule: Schedule | None = None,
-    relaxed_ordering: bool = False,
 ) -> ShortestPathResult:
     """Compute shortest path distances from ``source`` with Δ-stepping.
 
     Edge weights must be non-negative.  The bucketing strategy, coarsening
     factor Δ, traversal direction, and thread count all come from
-    ``schedule`` (Table 2); the result carries the distances and the
-    execution profile (rounds, synchronizations, simulated time).
-
-    Setting ``relaxed_ordering`` runs the Galois-style approximate-priority
-    emulation instead of strict bucketing.
+    ``schedule`` (Table 2); ``priority_update="relaxed"`` runs the
+    Galois-style approximate priority ordering.  The result carries the
+    distances and the execution profile (rounds, synchronizations,
+    simulated time).
     """
-    if schedule is None:
-        schedule = DEFAULT_SSSP_SCHEDULE
-    return run_delta_stepping(
-        graph, source, schedule, relaxed_ordering=relaxed_ordering
+    return run_path_program(
+        SSSP, "dist", graph, schedule or DEFAULT_SSSP_SCHEDULE, source
     )
 
 

@@ -2,15 +2,17 @@
 
 Section 6.1: wBFS is Δ-stepping specialized to graphs with small positive
 integer weights (the paper uses weights in ``[1, log n)``), with Δ fixed to 1
-so every bucket holds exactly one distance value.
+so every bucket holds exactly one distance value.  ``wbfs`` runs the
+``WBFS`` DSL program (the ``SSSP`` text; only the schedule differs).
 """
 
 from __future__ import annotations
 
 from ..errors import SchedulingError
 from ..graph.csr import CSRGraph
+from ..lang.programs import WBFS
 from ..midend.schedule import Schedule
-from .common import ShortestPathResult, run_delta_stepping
+from .common import ShortestPathResult, run_path_program
 
 __all__ = ["wbfs", "DEFAULT_WBFS_SCHEDULE"]
 
@@ -35,4 +37,4 @@ def wbfs(
         schedule = DEFAULT_WBFS_SCHEDULE
     if schedule.delta != 1:
         raise SchedulingError("wBFS fixes delta to 1 (it is its defining property)")
-    return run_delta_stepping(graph, source, schedule)
+    return run_path_program(WBFS, "dist", graph, schedule, source)

@@ -6,12 +6,13 @@ and SetCover use sums; the shortest-path family uses min).  Widest path is
 the natural sixth-plus-one: maximize, over all paths from the source, the
 minimum edge weight (capacity) along the path.  It is Δ-stepping mirrored —
 buckets are processed from the *highest* capacity down, priorities only
-increase, and priority coarsening applies unchanged — so it is the
-:data:`~repro.algorithms.common.MAX` instance of the one extremal engine
-in :mod:`repro.algorithms.common`, not a copy of it.
+increase, and priority coarsening applies unchanged.  Its DSL program is
+``WIDEST`` in :mod:`repro.lang.programs`, and its value semantics are the
+:data:`~repro.algorithms.common.MAX` side of the min/max mirror.
 
-``widest_path`` runs under the eager (± fusion) and lazy schedules;
-``widest_path_reference`` is the max-heap Dijkstra-variant oracle.
+``widest_path`` runs ``WIDEST`` under the eager (± fusion), lazy and
+relaxed push schedules; ``widest_path_reference`` is the max-heap
+Dijkstra-variant oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import heapq
 
 import numpy as np
 
+from ..errors import SchedulingError
 from ..graph.csr import CSRGraph
+from ..lang.programs import WIDEST
 from ..midend.schedule import Schedule
-from .common import MAX, ShortestPathResult, check_source, resume_extremal
+from .common import MAX, ShortestPathResult, check_source, run_path_program
 
 __all__ = ["widest_path", "widest_path_reference", "DEFAULT_WIDEST_SCHEDULE"]
 
@@ -40,17 +43,12 @@ def widest_path(
     source's own entry is a large "infinite" sentinel; unreachable vertices
     hold 0).  Edge weights must be positive.
     """
-    check_source(graph, source)
-    result = resume_extremal(
-        graph,
-        source,
-        schedule or DEFAULT_WIDEST_SCHEDULE,
-        MAX,
-        MAX.fresh(graph.num_vertices, source),
-        [source],
+    schedule = schedule or DEFAULT_WIDEST_SCHEDULE
+    if schedule.direction != "SparsePush":
+        raise SchedulingError("widest path currently supports push traversal only")
+    return run_path_program(
+        WIDEST, "width", graph, schedule, source, extremum=MAX
     )
-    result.distances = MAX.publish(result.distances)
-    return result
 
 
 def widest_path_reference(graph: CSRGraph, source: int) -> np.ndarray:

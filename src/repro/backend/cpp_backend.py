@@ -30,7 +30,7 @@ backend.
 
 from __future__ import annotations
 
-from ..errors import CompileError
+from ..errors import CompileError, SchedulingError
 from ..lang import ast_nodes as ast
 from ..lang.types import (
     BOOL,
@@ -64,6 +64,11 @@ class _CppEmitter:
         self.program = plan.program
         self.schedule = plan.schedule
         self.out = _Emitter(indent="  ")
+        if self.schedule.is_relaxed:
+            raise SchedulingError(
+                "the relaxed strategy is lowered by the Python runtime only; "
+                "the C++ runtime has strict bucket queues"
+            )
         if self.program.externs:
             raise CompileError(
                 "the C++ backend does not support extern functions; as in "

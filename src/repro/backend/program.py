@@ -8,17 +8,20 @@
     result.stats                 # rounds / syncs / simulated time
 
 ``backend="cpp"`` generates C++ source instead (``program.source_text``).
+:func:`cached_program` memoizes ``compile_program`` per (source, schedule);
+every library wrapper and every incremental or served session runs through it.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..errors import CompileError
+from ..errors import CompileError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..lang.parser import parse
 from ..obs import metrics, note_run
@@ -29,7 +32,7 @@ from ..runtime.stats import RuntimeStats
 from .python_backend import generate_python
 from .runtime_support import Context
 
-__all__ = ["compile_program", "CompiledProgram", "RunResult"]
+__all__ = ["compile_program", "cached_program", "CompiledProgram", "RunResult"]
 
 _RUNS_COMPLETED = metrics.counter("runs.completed")
 _RUNS_FAILED = metrics.counter("runs.failed")
@@ -71,6 +74,7 @@ class CompiledProgram:
         graph: CSRGraph | None = None,
         extern_functions: dict[str, Callable] | None = None,
         vectorize: bool = True,
+        resume: tuple[np.ndarray, object] | None = None,
     ) -> RunResult:
         """Execute the program (Python backend only).
 
@@ -79,12 +83,28 @@ class CompiledProgram:
         reading a file.  ``vectorize=False`` forces the scalar reference
         interpreter even for UDFs the midend classified as vectorizable —
         the oracle the differential tests compare against.
+
+        ``resume=(values, seeds)`` continues a run from a partially
+        converged state: the ordered loop's priority vector is ``values``
+        itself (updated in place, no copy) and the queue starts from
+        ``seeds`` at their current priorities instead of the start vertex.
+        A cold run is the resume seeded with the source; an empty seed set
+        runs no round.
         """
         if self.backend != "python":
             raise CompileError(
                 f"the {self.backend} backend generates source only; "
                 f"compile with backend='python' to run in-process"
             )
+        if resume is not None:
+            if self.plan.schedule.execution == "native":
+                raise SchedulingError(
+                    "native kernels initialise their own vectors and cannot "
+                    "resume; run the resume with execution='serial' or "
+                    "'parallel'"
+                )
+            values, seeds = resume
+            resume = (values, np.asarray(seeds, dtype=np.int64))
         note_run(
             argv=list(args),
             execution=self.plan.schedule.execution,
@@ -127,6 +147,7 @@ class CompiledProgram:
             graph=graph,
             extern_functions=extern_functions,
             vectorize=vectorize,
+            resume=resume,
         )
         try:
             with trace_span(
@@ -159,6 +180,18 @@ class CompiledProgram:
         """Write the generated source to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.source_text)
+
+
+@functools.lru_cache(maxsize=64)
+def cached_program(source: str, schedule: Schedule) -> CompiledProgram:
+    """``compile_program(source, schedule)``, memoized on (source, schedule).
+
+    A compile costs milliseconds — a fifth of a small traversal — so the
+    library wrappers and the sessions share one bounded memo instead of
+    recompiling per call.  A compiled program is reentrant: every run builds
+    its own context.
+    """
+    return compile_program(source, schedule)
 
 
 def compile_program(

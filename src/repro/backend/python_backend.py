@@ -89,6 +89,13 @@ class _PythonEmitter(ast.NodeVisitor):
         self.extern_names = {extern.name for extern in self.program.externs}
         self.function_names = {func.name for func in self.program.functions}
         self.edgeset_name = self._find_edgeset_name()
+        # The ordered loop's priority vector: a resumed run binds it to the
+        # caller's values (``CompiledProgram.run(..., resume=...)``).
+        self.resume_vector = (
+            plan.effects.queue_vector(plan.loop.queue_name)
+            if plan.loop is not None and plan.effects is not None
+            else None
+        )
         self._current_function: str | None = None
 
     # ------------------------------------------------------------------
@@ -172,9 +179,10 @@ class _PythonEmitter(ast.NodeVisitor):
                     raise CompileError(
                         "vector declaration needs an edgeset to size from"
                     )
+                resume = ", resume=True" if const.name == self.resume_vector else ""
                 return (
                     f"{const.name} = ctx.vector({self.edgeset_name}, "
-                    f"{self._expr(init)})"
+                    f"{self._expr(init)}{resume})"
                 )
         return f"{const.name} = {self._expr(const.initializer)}"
 

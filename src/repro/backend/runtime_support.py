@@ -13,36 +13,38 @@ statistics, and the runtime entry points the compiler emits calls to:
 - ``ordered_process_eager`` — the ordered processing operator the eager
   transform substitutes for the whole while loop (Section 5.2).
 
-This module owns *apply kernels*, not loops: the lazy operators are called
-once per round by the generated ``while`` loop, and the eager operator only
-builds the UDF's chunk relaxer and hands it to the one ordered-processing
-loop in :mod:`repro.core.executors` (shared with the hand-written
-algorithms).
+This module owns *apply kernels*, not loops: the lazy and relaxed operators
+are called once per round by the generated ``while`` loop, and the eager
+operator only builds the UDF's chunk relaxer and hands it to the eager
+ordered-processing loop in :mod:`repro.core.executors`.  Every library
+algorithm, incremental resume and served session runs through here: a
+``Context`` built with ``resume=(values, seeds)`` binds the loop's priority
+vector to ``values`` and seeds its queue from ``seeds``.
 
 With ``vectorize=False`` edges are processed one at a time through the
 generated UDF exactly as the emitted C++ would: that run is the *output*
 oracle every batch kernel is tested against, and its per-edge counters are
-its own.  The batch kernels for the extremal updates scatter through the
-same :func:`repro.runtime.frontier.scatter_extremum` as the hand-written
-library and charge what it charges (one priority update per vertex improved
-in a chunk); only the constant-sum kernels still reproduce the scalar
-counters.  Outputs equal the oracle's while no update lands below the
-current bucket (the paper's monotone-priority contract; a run that breaks
-it is reported as ``V102``); the guarded A* kernel replays scalar order
-where it matters and is exact for any heuristic.
+its own.  The batch kernels for the extremal updates scatter through
+:func:`repro.runtime.frontier.scatter_extremum` and charge one priority
+update per vertex improved in a chunk; only the constant-sum kernels still
+reproduce the scalar counters.  Outputs equal the oracle's while no update
+lands below the current bucket (the paper's monotone-priority contract; a
+run that breaks it is reported as ``V102``); the guarded A* kernel replays
+scalar order where it matters and is exact for any heuristic.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable
 
 import numpy as np
 
 from ..buckets.eager import EagerBucketQueue
 from ..buckets.lazy import LazyBucketQueue
+from ..buckets.relaxed import RelaxedPriorityQueue
 from ..core import executors
 from ..errors import (
     CompileError,
@@ -54,6 +56,7 @@ from ..graph.csr import CSRGraph
 from ..graph.io import load_edge_list, load_npz
 from ..graph.properties import INT_MAX
 from ..midend.schedule import Schedule
+from ..midend.transforms.histogram_transform import TRANSFORMED_SUFFIX
 from ..obs import metrics
 from ..obs import span as trace_span
 from ..runtime.frontier import gather_in_edges, gather_out_edges, scatter_extremum
@@ -72,6 +75,9 @@ _APPLY_VECTORIZED = metrics.counter("apply.vectorized_calls")
 _APPLY_SCALAR = metrics.counter("apply.scalar_calls")
 _APPLY_FRONTIER = metrics.histogram("apply.frontier_size")
 
+# The effect scope of every apply while the sanitizer is off.
+_NO_SCOPE = nullcontext()
+
 
 class Context:
     """Execution context for one run of a generated program."""
@@ -83,8 +89,13 @@ class Context:
         graph: CSRGraph | None = None,
         extern_functions: dict[str, Callable] | None = None,
         vectorize: bool = True,
+        resume: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.argv = list(argv)
+        # ``(values, seeds)`` of a resumed run: the queue's priority vector
+        # is bound to ``values`` and the queue seeded from ``seeds``.
+        self.resume = resume
+        self._resume_bound = False
         self.schedule = schedule
         self.graph_override = graph
         self.extern_functions = dict(extern_functions or {})
@@ -153,8 +164,21 @@ class Context:
     def atoi(value: str) -> int:
         return int(value)
 
-    def vector(self, edges: CSRGraph, fill: int) -> np.ndarray:
-        """Allocate a per-vertex int64 vector initialized to ``fill``."""
+    def vector(self, edges: CSRGraph, fill: int, resume: bool = False) -> np.ndarray:
+        """Allocate a per-vertex int64 vector initialized to ``fill``.
+
+        ``resume`` marks the ordered loop's priority vector: a resumed run
+        binds it to the caller's value vector in place instead.
+        """
+        if resume and self.resume is not None:
+            values = self.resume[0]
+            if values.dtype != np.int64 or values.shape != (edges.num_vertices,):
+                raise GraphItError(
+                    "resume values must be an int64 vector with one entry "
+                    "per vertex"
+                )
+            self._resume_bound = True
+            return self._maybe_sanitized(values)
         return self._maybe_sanitized(
             np.full(edges.num_vertices, fill, dtype=np.int64)
         )
@@ -201,7 +225,24 @@ class Context:
                 f"sets delta={delta}"
             )
         initial = None if start_vertex is None or start_vertex < 0 else [start_vertex]
-        if self.schedule.is_eager:
+        if self.resume is not None:
+            if not self._resume_bound:
+                raise CompileError(
+                    "this program cannot resume: its queue's priority vector "
+                    "is not a filled vector declaration"
+                )
+            initial = self.resume[1]
+        if self.schedule.is_relaxed:
+            queue = RelaxedPriorityQueue(
+                priority_vector,
+                direction=direction,
+                delta=delta,
+                allow_coarsening=allow_coarsening,
+                slack=4,
+                stats=self.stats,
+                initial_vertices=initial,
+            )
+        elif self.schedule.is_eager:
             queue = EagerBucketQueue(
                 priority_vector,
                 direction=direction,
@@ -330,21 +371,23 @@ class Context:
         summary (the transform preserves its effects on the priority
         vector), so the suffix is stripped.
         """
-        from ..midend.transforms.histogram_transform import TRANSFORMED_SUFFIX
-
         name = getattr(udf, "__name__", str(udf))
         if name.endswith(TRANSFORMED_SUFFIX):
             name = name[: -len(TRANSFORMED_SUFFIX)]
         return name
 
-    @contextmanager
-    def _effect_scope(self, udf_name: str, frontier=None, edges=None):
-        """Bracket one apply dispatch as a sanitizer scope (no-op when the
-        sanitizer is off).  A dispatch that raises aborts the scope without
-        validating, so the original error surfaces unmasked."""
+    def _effect_scope(self, udf: Callable, frontier=None, edges=None):
+        """Bracket one apply dispatch of ``udf`` as a sanitizer scope (a
+        shared no-op context when the sanitizer is off, so an unsanitized
+        apply pays no scope and no name lookup)."""
         if self.sanitizer is None:
-            yield
-            return
+            return _NO_SCOPE
+        return self._sanitized_scope(self._effect_udf_name(udf), frontier, edges)
+
+    @contextmanager
+    def _sanitized_scope(self, udf_name: str, frontier, edges):
+        """A dispatch that raises aborts the scope without validating, so
+        the original error surfaces unmasked."""
         self.sanitizer.begin_apply(udf_name, frontier=frontier, edges=edges)
         try:
             yield
@@ -376,7 +419,7 @@ class Context:
             frontier=int(len(bucket)),
             vectorized=bool(vectorized),
         ), self._effect_scope(
-            self._effect_udf_name(udf),
+            udf,
             # Pull traversal touches every vertex, so frontier containment
             # does not apply; push writes must stay within the bucket's
             # out-neighborhood.
@@ -472,7 +515,7 @@ class Context:
                         udf(source, destination)
                     work += 1
             self.stats.add_thread_work(thread_id, work)
-        self.stats.end_round(syncs=2)
+        self.stats.end_round(syncs=queue.round_syncs())
 
     def _frontier_mask(self, size: int, bucket: np.ndarray) -> np.ndarray:
         """Context-owned boolean frontier-membership mask.
@@ -521,8 +564,8 @@ class Context:
     # emits a kernel descriptor alongside the scalar closure; these
     # operators execute whole edge streams through numpy.  The sum kinds
     # reproduce the scalar interpreter above exactly, counters included.
-    # The extremal kinds read a chunk snapshot and charge RuntimeStats as
-    # the library's ``make_relaxer`` does; their outputs are bit-identical
+    # The extremal kinds read a chunk snapshot and charge RuntimeStats once
+    # per vertex improved in a chunk; their outputs are bit-identical
     # to the scalar interpreter's under the monotone-priority contract (no
     # update lands below the current bucket), and the guarded A* kind for
     # any heuristic — see ``_relax_stream``.
@@ -555,8 +598,8 @@ class Context:
             )
             self.stats.add_thread_work(thread_id, n + routed)
 
-        self.pool.run_round(chunks, produce, commit, ordered=True)
-        self.stats.end_round(syncs=2)
+        self.pool.run_round(chunks, produce, commit)
+        self.stats.end_round(syncs=queue.round_syncs())
 
     def _apply_pull_vectorized(
         self, edges: CSRGraph, bucket: np.ndarray, kernel: dict, queue
@@ -581,7 +624,7 @@ class Context:
             )
             self.stats.add_thread_work(thread_id, n + routed)
 
-        self.pool.run_round(chunks, produce, commit, ordered=True)
+        self.pool.run_round(chunks, produce, commit)
         self.stats.end_round(syncs=2)
 
     def _dispatch_stream(
@@ -598,8 +641,8 @@ class Context:
 
         Returns the bucket operations to charge on top of the edges
         traversed (the :class:`repro.core.executors.Relaxer` work unit): one
-        per improved vertex for the extremal kinds, routed exactly as the
-        library's relaxer routes them.  The sum kernel charges edges only,
+        per improved vertex for the extremal kinds, routed into the eager
+        thread's bins or the shared buffer.  The sum kernel charges edges only,
         which is what the scalar interpreter it mirrors charges.
         """
         if kernel["kind"] == "sum_const":
@@ -641,9 +684,12 @@ class Context:
         never refused.
         """
         cur = queue.current_order  # None before the first dequeue
-        k_cur = None if cur is None else queue.get_current_priority()
+        k_cur = None if cur is None else queue.value_of_order(cur)
+        if not queue.finalizes:
+            cur = None  # approximate ordering finalizes nothing
+        kind = kernel["kind"]
         vals = self._as_stream(kernel["value"](src, dst, wgt, k_cur), dst.size)
-        if kernel["kind"] == "guarded_write_min":
+        if kind == "guarded_write_min":
             # The scalar guard has no finalized check of its own.
             aux = kernel["aux"]()
             passing = vals < aux[dst]
@@ -664,14 +710,21 @@ class Context:
                 kernel["priority"](dst, k_cur, vals[passing]), dst.size
             )
         pv = queue.priority_vector
-        reduce = np.maximum if kernel["kind"] == "write_max" else np.minimum
-        if cur is not None:
+        reduce = np.maximum if kind == "write_max" else np.minimum
+        # The stream's best offer tells whether any offer is inverted.  An
+        # offer at or past the current bucket cannot improve a vertex whose
+        # bucket was already processed, so only an inverted stream needs
+        # Table 1's refusal filter.
+        if (
+            cur is not None
+            and dst.size
+            and queue.order_of_value(reduce.reduce(vals)) < cur
+        ):
             live = np.asarray(queue.order_of_value(pv[dst])) >= cur
             if not live.all():
                 dst, vals = dst[live], vals[live]
-            # The stream's best offer tells whether any offer is inverted.
             if dst.size and queue.order_of_value(reduce.reduce(vals)) < cur:
-                if kernel["kind"] != "guarded_write_min":
+                if kind != "guarded_write_min":
                     self.inverted_batches += 1
                 inverted = np.asarray(queue.order_of_value(vals)) < cur
                 dst, vals = self._freeze_at_first_inversion(dst, vals, inverted)
@@ -782,7 +835,7 @@ class Context:
         self._note_apply(False, edges.num_edges)
         with trace_span(
             "apply.edges", "runtime", vectorized=False
-        ), self._effect_scope(self._effect_udf_name(udf), edges=edges):
+        ), self._effect_scope(udf, edges=edges):
             # Whole-edgeset apply: every vertex is a legal write target, so
             # only the name-level rules apply (frontier=None).
             weighted = self._udf_arity(udf) == 3
@@ -823,7 +876,7 @@ class Context:
             frontier=int(len(bucket)),
             vectorized=vectorized,
         ), self._effect_scope(
-            self._effect_udf_name(transformed_udf),
+            transformed_udf,
             frontier=bucket,
             edges=edges,
         ):
@@ -852,7 +905,6 @@ class Context:
                 chunks,
                 lambda chunk, thread_id: gather_out_edges(edges, chunk)[1],
                 lambda chunk, thread_id, part: parts.append(part),
-                ordered=True,
             )
             neighbors = (
                 np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
@@ -896,7 +948,6 @@ class Context:
         (:func:`repro.core.executors.run_eager`): rounds, partitioning, the
         bucket-fusion drain and the produce/commit split all live there."""
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
-        effect_name = self._effect_udf_name(udf)
         weighted = not vectorized and self._udf_arity(udf) == 3
         self._note_apply(vectorized, None)
 
@@ -916,7 +967,7 @@ class Context:
                 "runtime",
                 frontier=int(chunk.size),
                 vectorized=bool(vectorized),
-            ), self._effect_scope(effect_name, frontier=chunk, edges=edges):
+            ), self._effect_scope(udf, frontier=chunk, edges=edges):
                 if vectorized:
                     src, dst, wgt = (
                         gather(chunk, thread_id) if prefetched is None else prefetched

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import PriorityQueueError
-from ..graph.properties import INT_MAX
+from ..graph.properties import NULL_PRIORITY_HIGHER, NULL_PRIORITY_LOWER
 from ..obs import metrics
 from ..runtime.stats import RuntimeStats
 
@@ -42,10 +42,6 @@ __all__ = [
     "split_by_order",
 ]
 
-# Null priority sentinels (Section 2's ∅): a vertex with the null priority is
-# not tracked by the queue until an update gives it a real priority.
-NULL_PRIORITY_LOWER = INT_MAX
-NULL_PRIORITY_HIGHER = np.int64(-(2**62))
 
 _DEQUEUES = metrics.counter("bucket.dequeues")
 _FRONTIER_SIZE = metrics.histogram("bucket.frontier_size")
@@ -224,8 +220,15 @@ class AbstractPriorityQueue(ABC):
         return self.order_of_value(int(priority)) < self._cur_order
 
     # The update operators ignore finalized vertices; the relaxed queue,
-    # which finalizes nothing, overrides this.
+    # which finalizes nothing, overrides this (and ``finalizes``, which the
+    # batch kernels read instead of testing the queue's class).
     _is_finalized = finished_vertex
+    finalizes = True
+
+    def round_syncs(self) -> int:
+        """Global synchronizations one lazy apply round costs: the update
+        buffer's reduction and the round barrier (Figure 5)."""
+        return 2
 
     @abstractmethod
     def finished(self) -> bool:

@@ -125,7 +125,7 @@ class LazyBucketQueue(AbstractPriorityQueue):
         actually appended.  Accounting is per *vertex*, not per attempt: only
         fresh (previously unflagged) vertices charge a buffer append, and
         already-flagged vertices count as dedup hits.  This is what every
-        extremal relaxer (library and compiled) and the histogram operator
+        compiled extremal kernel and the histogram operator
         (Figure 10) use: each changed vertex is buffered once per chunk.
         The scalar interpreter charges an append per *attempt* instead;
         only the constant-sum batch kernel still reproduces that, through

@@ -9,8 +9,9 @@ better update arrives.
 
 The emulation keeps order-indexed bins like the eager queue but dequeues a
 bounded *chunk* spanning the ``slack`` smallest orders, without any
-stale-entry filtering and without a per-priority barrier — the executor
-charges one synchronization only when the window of orders moves.  Strict
+stale-entry filtering and without a per-priority barrier — a round costs a
+global synchronization only when the window of orders moves
+(:meth:`RelaxedPriorityQueue.round_syncs`).  Strict
 ordering is unavailable, which is why this queue (like Galois) cannot run
 k-core or SetCover; it raises on ``updatePrioritySum``.
 """
@@ -35,6 +36,8 @@ _WINDOW_ADVANCES = metrics.counter("bucket.window_advances")
 
 class RelaxedPriorityQueue(AbstractPriorityQueue):
     """A relaxed multi-bin queue: approximately ordered, cheaply synchronized."""
+
+    finalizes = False
 
     def __init__(
         self,
@@ -66,11 +69,15 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
         # approximately-ordered work without a per-priority barrier; the only
         # synchronization is when the window of open orders moves or a batch
         # of insertions lands in the shared bins.  One lock guards both.
-        # Under the parallel engine commits are additionally serialized (in
-        # completion order) by the engine's commit lock; this lock keeps the
-        # queue safe for direct library users driving it from real threads.
+        # Under the parallel engine every commit runs on the coordinating
+        # thread; this lock keeps the queue safe for direct users driving it
+        # from real threads.
         self._window_lock = threading.Lock()
         self.window_advances = 0
+        # Sync bookkeeping for round_syncs(): did the last dequeue move the
+        # window, and how many rounds ran since the last charged sync.
+        self._window_moved = False
+        self._rounds_since_sync = 0
         if self._initial_vertices.size:
             orders = np.asarray(
                 self.order_of_value(self.priority_vector[self._initial_vertices])
@@ -93,8 +100,9 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
             window = sorted(self._bins)[: self.slack]
             if self._cur_order != window[0]:
                 # The priority window moved: this is the only point the
-                # relaxed strategy synchronizes at (charged by the executor).
+                # relaxed strategy synchronizes at (charged by round_syncs).
                 self.window_advances += 1
+                self._window_moved = True
                 _WINDOW_ADVANCES.inc()
                 trace_instant(
                     "bucket.window_advance",
@@ -127,6 +135,20 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
                 self._note_dequeue(sp, self._cur_order, members.size)
             return members
 
+    def round_syncs(self) -> int:
+        """Global synchronizations the round just processed costs.
+
+        There is no per-priority barrier: one synchronization when the
+        priority window advanced, and one every 8 rounds for distributed
+        termination detection (Galois' scheduler is cheap but not free).
+        """
+        self._rounds_since_sync += 1
+        if self._window_moved or self._rounds_since_sync >= 8:
+            self._window_moved = False
+            self._rounds_since_sync = 0
+            return 1
+        return 0
+
     def _is_finalized(self, vertex: int) -> bool:
         return False  # no strict order, so nothing is ever final
 
@@ -149,6 +171,11 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
             self.stats.bucket_inserts += int(vertices.size)
             for order, members in split_by_order(vertices, orders):
                 self._bins.setdefault(order, []).append(members)
+
+    def buffer_changed_batch(self, vertices: np.ndarray) -> None:
+        """The lazy apply operator's routing entry: there is no update
+        buffer to reduce, so changed vertices go straight to the bins."""
+        self.insert_changed_batch(vertices)
 
     def _enqueue_changed(self, vertex: int, new_value: int) -> None:
         with self._window_lock:

@@ -64,7 +64,7 @@ from .errors import GraphItError
 from .graph.generators import rmat, road_grid
 from .graph.io import load_edge_list, load_npz, save_edge_list
 from .lang.programs import ALL_PROGRAMS
-from .midend.schedule import Schedule
+from .midend.schedule import PRIORITY_UPDATE_STRATEGIES, Schedule
 
 __all__ = ["main"]
 
@@ -74,7 +74,7 @@ def _add_schedule_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--priority-update",
         default="eager_no_fusion",
-        choices=("eager_with_fusion", "eager_no_fusion", "lazy", "lazy_constant_sum"),
+        choices=PRIORITY_UPDATE_STRATEGIES,
         help="bucket update strategy (configApplyPriorityUpdate)",
     )
     group.add_argument(
@@ -799,12 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_group.add_argument(
         "--priority-update",
         default=None,
-        choices=(
-            "eager_with_fusion",
-            "eager_no_fusion",
-            "lazy",
-            "lazy_constant_sum",
-        ),
+        choices=PRIORITY_UPDATE_STRATEGIES,
     )
     lint_group.add_argument("--delta", type=int, default=1)
     lint_group.add_argument(
@@ -838,12 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_group.add_argument(
         "--priority-update",
         default=None,
-        choices=(
-            "eager_with_fusion",
-            "eager_no_fusion",
-            "lazy",
-            "lazy_constant_sum",
-        ),
+        choices=PRIORITY_UPDATE_STRATEGIES,
     )
     analyze_group.add_argument("--delta", type=int, default=1)
     analyze_group.add_argument(

@@ -1,5 +1,5 @@
 """Core ordered-processing runtime: the compiled form of applyUpdatePriority."""
 
-from .executors import Relaxer, run_eager, run_lazy, run_lazy_pull, run_relaxed
+from .executors import Relaxer, run_eager
 
-__all__ = ["Relaxer", "run_eager", "run_lazy", "run_lazy_pull", "run_relaxed"]
+__all__ = ["Relaxer", "run_eager"]

@@ -27,11 +27,14 @@ Per batch, for a min program (max is mirrored):
 3. **Recompute** each cone member from its boundary: best over in-edges of
    the *new* graph whose tail is outside the cone, identity otherwise.
    Values inside the cone recover through relaxation, not recompute.
-4. **Resume** the scheduled ordered engine (lazy / eager / relaxed — the
-   same executors as a from-scratch run) with the queue seeded at current
-   priorities from the non-identity cone members plus the improving
-   endpoints.  Monotone convergence to the unique fixpoint makes the
-   result bit-exact against a full re-run.
+4. **Resume** the compiled DSL program (``SSSP`` / ``WBFS`` / ``WIDEST``,
+   under the session's schedule — the same program a from-scratch run
+   executes) with its priority vector bound to the converged values and
+   its queue seeded at current priorities from the non-identity cone
+   members plus the improving endpoints
+   (``CompiledProgram.run(..., resume=(values, seeds))``).  Monotone
+   convergence to the unique fixpoint makes the result bit-exact against a
+   full re-run.
 
 k-core is degree-based rather than path-based and uses the capped h-index
 local fixpoint in :mod:`repro.incremental.kcore` instead of steps 1-3.
@@ -43,11 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.common import MAX, MIN, resume_extremal
+from ..algorithms.common import MAX, MIN, check_source
 from ..algorithms.widest_path import DEFAULT_WIDEST_SCHEDULE
+from ..backend.program import cached_program
 from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..graph.mutations import Mutation
+from ..lang.programs import ALL_PROGRAMS
 from ..midend.schedule import Schedule
 from ..obs import metrics, span
 from ..runtime.stats import RuntimeStats
@@ -55,6 +60,9 @@ from ..runtime.stats import RuntimeStats
 __all__ = ["INCREMENTAL_ALGORITHMS", "IncrementalResult", "IncrementalSession"]
 
 INCREMENTAL_ALGORITHMS = ("sssp", "wbfs", "widest_path", "kcore")
+
+# The DSL program behind each path algorithm's runs and resumes.
+_PROGRAMS = {"sssp": "sssp", "wbfs": "wbfs", "widest_path": "widest"}
 
 _BATCHES = metrics.counter("incremental.batches")
 _SEEDS = metrics.histogram("incremental.seeds")
@@ -87,7 +95,7 @@ class IncrementalSession:
         Source vertex for the path algorithms (ignored by k-core).
     schedule:
         Bucketing schedule; the resume uses the same strategy (lazy /
-        eager / relaxed via ``relaxed_ordering``) as the initial run.
+        eager / relaxed) as the initial run.
     """
 
     def __init__(
@@ -96,7 +104,6 @@ class IncrementalSession:
         algorithm: str,
         source: int = 0,
         schedule: Schedule | None = None,
-        relaxed_ordering: bool = False,
     ):
         if algorithm not in INCREMENTAL_ALGORITHMS:
             raise GraphError(
@@ -106,7 +113,6 @@ class IncrementalSession:
         self.graph = graph
         self.algorithm = algorithm
         self.source = int(source)
-        self.relaxed_ordering = bool(relaxed_ordering)
         if schedule is None:
             if algorithm == "kcore":
                 from ..algorithms.kcore import DEFAULT_KCORE_SCHEDULE
@@ -127,9 +133,9 @@ class IncrementalSession:
             # k-core's first peel is the compiled program (native runs its
             # kernel) and its mutations never touch a queue.
             raise SchedulingError(
-                "incremental resume of a path algorithm seeds the interpreted "
-                "engine's queues; native execution cannot resume (use "
-                "execution='serial' or 'parallel')"
+                "incremental resume of a path algorithm seeds the compiled "
+                "program's interpreted queues; native execution cannot "
+                "resume (use execution='serial' or 'parallel')"
             )
         self.schedule = schedule
         # The path algorithms' value semantics (identity, edge offer, which
@@ -196,28 +202,29 @@ class IncrementalSession:
             values, stats = initial_coreness(self.graph, self.schedule)
             self._values = values
             return IncrementalResult(values=values.copy(), stats=stats, incremental=False)
+        check_source(self.graph, self.source)
         # The resume state includes the reverse adjacency: build it once
         # here so no later apply() pays the O(E log E) construction.
         self.graph.ensure_in_base()
         values = self._extremum.fresh(self.graph.num_vertices, self.source)
-        result = self._resume(values, [self.source])
+        stats = self._resume(values, [self.source])
         self._values = values
         return IncrementalResult(
-            values=self._publish(values), stats=result.stats, incremental=False
+            values=self._publish(values), stats=stats, incremental=False
         )
 
-    def _resume(self, values: np.ndarray, seeds, stats: RuntimeStats | None = None):
-        """Drive the scheduled ordered engine from ``seeds`` to the fixpoint."""
-        return resume_extremal(
-            self.graph,
-            self.source,
-            self.schedule,
-            self._extremum,
-            values,
-            seeds,
-            stats=stats,
-            relaxed_ordering=self.relaxed_ordering,
-        )
+    def _resume(self, values: np.ndarray, seeds) -> RuntimeStats:
+        """Run the compiled program from ``seeds`` to the fixpoint, updating
+        ``values`` in place; returns the run's profile."""
+        if self._extremum is MIN and self.graph.has_negative_weights:
+            raise GraphError(
+                "Δ-stepping requires non-negative edge weights (a negative "
+                "weight would violate the monotone-priority contract)"
+            )
+        source_text = ALL_PROGRAMS[_PROGRAMS[self.algorithm]]
+        program = cached_program(source_text, self.schedule)
+        argv = [self.algorithm, "-", str(self.source)]
+        return program.run(argv, graph=self.graph, resume=(values, seeds)).stats
 
     def apply(self, mutations: list[Mutation]) -> IncrementalResult:
         """Apply a mutation batch and resume from a seeded frontier."""
@@ -346,14 +353,13 @@ class IncrementalSession:
                 seeds_mask[endpoint] = True
         seeds = np.flatnonzero(seeds_mask)
 
-        stats = RuntimeStats(num_threads=self.schedule.num_threads)
         with span(
             "incremental.resume",
             "incremental",
             algorithm=self.algorithm,
             seeds=int(seeds.size),
         ):
-            self._resume(vals, seeds, stats)
+            stats = self._resume(vals, seeds)
 
         touched = cone | seeds_mask | (vals != pre_values)
         _BATCHES.inc()

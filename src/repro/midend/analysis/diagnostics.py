@@ -398,7 +398,7 @@ def _dead_knob_rules():
         ),
         (
             "num_buckets",
-            lambda s: s.is_eager,
+            lambda s: not s.is_lazy,
             "num_buckets only applies to the lazy strategies",
         ),
         (

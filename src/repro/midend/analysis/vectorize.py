@@ -42,8 +42,8 @@ program keeps the monotone-priority contract (no update lands below the
 current bucket; a run that breaks it is reported as ``V102``).  The extremal
 kinds scatter through :func:`repro.runtime.frontier.scatter_extremum` with
 chunk-snapshot reads and count one priority update per vertex improved in a
-chunk — the library's counters, not the scalar interpreter's per-edge ones;
-the sum kinds still reproduce the scalar counters exactly.  The guarded
+chunk, not the scalar interpreter's per-edge counts; the sum kinds still
+reproduce the scalar counters exactly.  The guarded
 kind's priority expression is assumed nondecreasing in the written value
 (``new_val + h[dst]``), as the guard itself presumes.  The analysis
 consults the race classification: any UDF with an ``unordered_racy`` write

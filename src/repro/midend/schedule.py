@@ -41,6 +41,7 @@ PRIORITY_UPDATE_STRATEGIES = (
     "eager_no_fusion",
     "lazy",
     "lazy_constant_sum",
+    "relaxed",
 )
 
 TRAVERSAL_DIRECTIONS = ("SparsePush", "DensePull")
@@ -54,6 +55,12 @@ class Schedule:
     ----------
     priority_update:
         Bucket update strategy (``configApplyPriorityUpdate``).
+        ``relaxed`` is Galois' approximate priority ordering: a dequeue
+        takes a chunk spanning the few lowest open orders, nothing is ever
+        finalized, and a global synchronization is charged only when the
+        window of orders moves (or every 8 rounds).  Only the Python
+        runtime lowers it (native execution is refused, ``S003``), only
+        for a min/max update loop, and only with SparsePush traversal.
     delta:
         Priority-coarsening factor Δ (``configApplyPriorityUpdateDelta``).
     bucket_fusion_threshold:
@@ -162,12 +169,14 @@ class Schedule:
                 "cannot be re-seeded (drop --incremental or use "
                 "execution='serial'/'parallel')"
             )
-        if self.is_eager and self.direction != "SparsePush":
+        if (self.is_eager or self.is_relaxed) and self.direction != "SparsePush":
             # Section 4.2: direction optimization combines with the *lazy*
-            # priority update schedules; the eager runtime is push-only.
+            # priority update schedules; the eager and relaxed runtimes are
+            # push-only.
             raise SchedulingError(
-                "eager bucket update requires SparsePush traversal; "
-                "direction optimization is only available with lazy schedules"
+                f"{self.priority_update} bucket update requires SparsePush "
+                "traversal; direction optimization is only available with "
+                "lazy schedules"
             )
 
     # ------------------------------------------------------------------
@@ -178,8 +187,12 @@ class Schedule:
         return self.priority_update in ("eager_with_fusion", "eager_no_fusion")
 
     @property
+    def is_relaxed(self) -> bool:
+        return self.priority_update == "relaxed"
+
+    @property
     def is_lazy(self) -> bool:
-        return not self.is_eager
+        return not (self.is_eager or self.is_relaxed)
 
     @property
     def uses_fusion(self) -> bool:

@@ -253,6 +253,23 @@ def plan_program(
                 f"not eligible: {reasons}"
             )
 
+    # Relaxed ordering finalizes nothing and processes buckets out of order,
+    # so like a resume it is only sound for an extremal min/max fixpoint;
+    # and only the Python runtime has the relaxed queue.
+    if resolved.is_relaxed and queue_names:
+        if resolved.execution == "native":
+            raise SchedulingError(
+                "the relaxed strategy is lowered by the Python runtime only; "
+                "native kernels have strict bucket queues (use "
+                "execution='serial' or 'parallel')"
+            )
+        if incremental_eligibility is None or not incremental_eligibility.eligible:
+            raise SchedulingError(
+                "the relaxed strategy needs an ordered loop whose updates "
+                "are min/max (an extremal fixpoint); sum updates and extern "
+                "bucket processors need strict per-priority synchronization"
+            )
+
     # The bucketing strategy only constrains *ordered* programs; a program
     # without a priority queue ignores it.
     if resolved.is_eager and queue_names:

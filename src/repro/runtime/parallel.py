@@ -19,19 +19,15 @@ on one structural observation about the PR 2 kernels: every round splits into
     statistics) that is cheap relative to ``produce``.
 
 The engine therefore runs all ``produce`` calls concurrently on a worker pool
-and then applies the ``commit`` calls on the coordinating thread:
-
-- **ordered commits** (lazy, lazy-constant-sum, eager): commits run in chunk
-  order after a round barrier.  Because the commit sequence is then *exactly*
-  the sequence the serial engine executes, outputs and every
-  :class:`~repro.runtime.stats.RuntimeStats` counter are bit-identical to the
-  sequential oracle by construction — this is the determinism contract the
-  differential test layer enforces.  The barrier is the paper's Fig. 5
-  synchronization point; the engine records how long the coordinator waited
-  on it (``barrier_wait_time``) and how often (``barrier_waits``).
-- **unordered commits** (relaxed ordering): commits run in completion order
-  under a lock, modelling Galois-style relaxed priority scheduling where
-  priority inversions are allowed and only a fixpoint is guaranteed.
+and then applies the ``commit`` calls on the coordinating thread, in chunk
+order after a round barrier, for every strategy (the relaxed one included).
+Because the commit sequence is then *exactly* the sequence the serial engine
+executes, outputs and every :class:`~repro.runtime.stats.RuntimeStats`
+counter are bit-identical to the sequential oracle by construction — this is
+the determinism contract the differential test layer enforces.  The barrier
+is the paper's Fig. 5 synchronization point; the engine records how long the
+coordinator waited on it (``barrier_wait_time``) and how often
+(``barrier_waits``).
 
 In ``serial`` mode the engine degenerates to the inline loop the runtime has
 always executed — same object code path, zero threads, zero new stats — so
@@ -48,7 +44,7 @@ from __future__ import annotations
 import atexit
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -140,7 +136,6 @@ class ParallelExecutionEngine:
         self.num_workers = int(num_workers)
         self.mode = mode
         self.stats = stats
-        self._commit_lock = threading.Lock()
 
     # -- helpers ---------------------------------------------------------
 
@@ -175,16 +170,13 @@ class ParallelExecutionEngine:
         chunks: Sequence[np.ndarray],
         produce: Produce,
         commit: Commit,
-        ordered: bool = True,
     ) -> None:
         """Run one round: ``produce`` every chunk, then ``commit`` each result.
 
         ``produce(chunk, thread_id)`` must be read-only with respect to
         shared algorithm state; ``commit(chunk, thread_id, payload)`` owns all
-        mutation.  With ``ordered=True`` commits happen in chunk order after a
-        barrier (deterministic; equals the serial schedule).  With
-        ``ordered=False`` commits happen in completion order under a lock
-        (relaxed strategies only).
+        mutation.  Commits happen in chunk order after a barrier
+        (deterministic; equals the serial schedule).
         """
         if not self.is_parallel:
             for thread_id, chunk in enumerate(chunks):
@@ -192,10 +184,7 @@ class ParallelExecutionEngine:
                     continue
                 commit(chunk, thread_id, produce(chunk, thread_id))
             return
-        if ordered:
-            self._run_round_ordered(chunks, produce, commit)
-        else:
-            self._run_round_unordered(chunks, produce, commit)
+        self._run_round_ordered(chunks, produce, commit)
 
     def _run_round_ordered(
         self, chunks: Sequence[np.ndarray], produce: Produce, commit: Commit
@@ -236,43 +225,4 @@ class ParallelExecutionEngine:
                 payload, elapsed = fut.result()
                 worker_times[tid] = worker_times.get(tid, 0.0) + elapsed
                 commit(chunk, tid, payload)
-        self._record(worker_times, barrier_wait, chunks)
-
-    def _run_round_unordered(
-        self, chunks: Sequence[np.ndarray], produce: Produce, commit: Commit
-    ) -> None:
-        work = [(tid, chunk) for tid, chunk in enumerate(chunks) if len(chunk)]
-        if not work:
-            return
-        if len(work) == 1:
-            tid, chunk = work[0]
-            commit(chunk, tid, produce(chunk, tid))
-            return
-        pool = _shared_executor(self.num_workers)
-        worker_times: dict[int, float] = {}
-        times_lock = threading.Lock()
-
-        def produce_and_commit(chunk: np.ndarray, tid: int) -> None:
-            with trace_span(
-                "worker.produce", "parallel", worker=tid, chunk=int(len(chunk))
-            ):
-                start = time.perf_counter()
-                payload = produce(chunk, tid)
-                elapsed = time.perf_counter() - start
-            # Relaxed ordering: commits interleave in completion order; the
-            # lock guards the shared commit path, not a global round order.
-            with trace_span("commit", "parallel", worker=tid, ordered=False):
-                with self._commit_lock:
-                    commit(chunk, tid, payload)
-            with times_lock:
-                worker_times[tid] = worker_times.get(tid, 0.0) + elapsed
-
-        futures = [pool.submit(produce_and_commit, chunk, tid) for tid, chunk in work]
-        barrier_start = time.perf_counter()
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                fut.result()  # propagate worker exceptions
-        barrier_wait = time.perf_counter() - barrier_start
         self._record(worker_times, barrier_wait, chunks)

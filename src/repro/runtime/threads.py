@@ -83,14 +83,13 @@ class VirtualThreadPool:
         chunks: Sequence[np.ndarray],
         produce: Callable[[np.ndarray, int], Any],
         commit: Callable[[np.ndarray, int, Any], None],
-        ordered: bool = True,
     ) -> None:
         """Execute one round's chunks via the execution engine.
 
         See :meth:`ParallelExecutionEngine.run_round` for the produce/commit
         contract.  In serial mode this is exactly the historical inline loop.
         """
-        self.engine.run_round(chunks, produce, commit, ordered=ordered)
+        self.engine.run_round(chunks, produce, commit)
 
     def partition(
         self, items: np.ndarray, degrees: np.ndarray | None = None

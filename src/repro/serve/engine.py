@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..backend.program import CompiledProgram, compile_program
+from ..backend.program import cached_program
 from ..errors import GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..graph.mutations import apply_mutations, parse_mutation_script
@@ -301,8 +301,6 @@ class ServeEngine:
         self._pending = 0
         self._max_sessions = int(max_sessions)
         self._sessions: OrderedDict[tuple, IncrementalSession] = OrderedDict()
-        self._compiled: dict[tuple, CompiledProgram] = {}
-        self._compile_lock = threading.Lock()
         self._state_lock = threading.Lock()
         from concurrent.futures import ThreadPoolExecutor
 
@@ -426,7 +424,7 @@ class ServeEngine:
         )
 
     def _compute_compiled(self, spec: QuerySpec) -> CacheEntry:
-        program = self._compiled_program(spec)
+        program = cached_program(ALL_PROGRAMS[spec.program], spec.schedule)
         argv = [spec.program, self.graph_name]
         if spec.source is not None:
             argv.append(str(spec.source))
@@ -443,15 +441,6 @@ class ServeEngine:
             stats={"rounds": result.stats.rounds},
             engine="compiled",
         )
-
-    def _compiled_program(self, spec: QuerySpec) -> CompiledProgram:
-        key = (spec.program, spec.schedule_key)
-        with self._compile_lock:
-            program = self._compiled.get(key)
-            if program is None:
-                program = compile_program(ALL_PROGRAMS[spec.program], spec.schedule)
-                self._compiled[key] = program
-            return program
 
     def _graph_copy(self) -> CSRGraph:
         # The graph is compacted (init and every mutate do so), so the

@@ -487,7 +487,6 @@ def check_history(
     g: CSRGraph,
     batches,
     source: int = 0,
-    relaxed_ordering: bool = False,
     also: tuple[str, ...] = (),
 ):
     """Converge a session on ``g``, then apply each batch; after the run and
@@ -496,9 +495,7 @@ def check_history(
     in ``also`` run on that rebuild.  ``batches`` may be a callable
     ``session -> iterable`` (a generator that reads the live graph).
     Returns ``(session, per-batch results)``."""
-    session = IncrementalSession(
-        g, algorithm, source=source, schedule=schedule, relaxed_ordering=relaxed_ordering
-    )
+    session = IncrementalSession(g, algorithm, source=source, schedule=schedule)
     session.run()
     program = SESSION_PROGRAMS[algorithm]
     cell = Cell(program, schedule, args=() if program == "kcore" else (str(source),))

@@ -69,7 +69,7 @@ class TestSSSP:
     def test_relaxed_ordering_matches(self, social):
         graph, source, reference = social
         result = sssp(
-            graph, source, Schedule(delta=16, num_threads=4), relaxed_ordering=True
+            graph, source, Schedule(priority_update="relaxed", delta=16, num_threads=4)
         )
         assert np.array_equal(result.distances, reference)
 

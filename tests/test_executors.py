@@ -1,15 +1,19 @@
-"""Direct tests of the ordered-processing executors (repro.core)."""
+"""Direct tests of the eager ordered-processing executor (repro.core).
+
+The lazy and relaxed strategies have no executor: their loop is the
+generated while loop (``tests/test_compiled_resume.py``).
+"""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.common import make_relaxer
-from repro.buckets import EagerBucketQueue, LazyBucketQueue, RelaxedPriorityQueue
-from repro.core.executors import run_eager, run_lazy, run_lazy_pull, run_relaxed
+from repro.buckets import EagerBucketQueue
+from repro.core.executors import run_eager
 from repro.errors import CompileError
 from repro.graph import rmat
 from repro.graph.properties import INT_MAX
 from repro.runtime import RuntimeStats, VirtualThreadPool
+from repro.runtime.frontier import gather_out_edges, scatter_extremum
 
 
 def setup_sssp(graph, source, queue_class, **kwargs):
@@ -18,6 +22,25 @@ def setup_sssp(graph, source, queue_class, **kwargs):
     stats = RuntimeStats(num_threads=kwargs.get("num_threads", 2))
     queue = queue_class(distances, stats=stats, initial_vertices=[source], **kwargs)
     return distances, stats, queue
+
+
+def make_relaxer(graph, distances, queue, stats):
+    """A minimal write-min chunk relaxer, the shape the compiled eager
+    operator hands :func:`run_eager`."""
+
+    def gather(chunk, thread_id):
+        return gather_out_edges(graph, chunk)
+
+    def relax(chunk, thread_id, prefetched):
+        sources, dests, weights = prefetched or gather(chunk, thread_id)
+        stats.relaxations += int(dests.size)
+        offers = distances[sources] + weights
+        changed = scatter_extremum(distances, dests, offers, np.minimum)
+        queue.insert_changed_batch(thread_id, changed)
+        return int(dests.size + changed.size)
+
+    relax.gather = gather
+    return relax
 
 
 @pytest.fixture
@@ -81,62 +104,6 @@ class TestRunEager:
 
         run_eager(graph, queue, relax, pool, stats, should_stop=stop)
         assert stats.rounds <= 2
-
-
-class TestRunLazy:
-    def test_basic(self, graph, source, reference):
-        distances, stats, queue = setup_sssp(graph, source, LazyBucketQueue, delta=8)
-        pool = VirtualThreadPool(2)
-        relax = make_relaxer(graph, distances, queue, stats)
-        run_lazy(graph, queue, relax, pool, stats)
-        assert np.array_equal(distances, reference)
-        assert stats.global_syncs == 2 * stats.rounds
-
-    def test_round_overhead_charged(self, graph, source):
-        def run_with(overhead):
-            distances, stats, queue = setup_sssp(
-                graph, source, LazyBucketQueue, delta=8
-            )
-            pool = VirtualThreadPool(2)
-            relax = make_relaxer(graph, distances, queue, stats)
-            run_lazy(graph, queue, relax, pool, stats, round_overhead=overhead)
-            return stats
-
-        plain = run_with(None)
-        charged = run_with(lambda frontier: 1000)
-        assert charged.total_work > plain.total_work
-
-    def test_pull_variant(self, graph, source, reference):
-        distances, stats, queue = setup_sssp(graph, source, LazyBucketQueue, delta=8)
-        pool = VirtualThreadPool(2)
-        frontier_map = np.zeros(graph.num_vertices, dtype=bool)
-        relax = make_relaxer(
-            graph, distances, queue, stats, frontier_map=frontier_map
-        )
-        run_lazy_pull(graph, queue, relax, pool, stats, frontier_map)
-        assert np.array_equal(distances, reference)
-        # Pull never counts atomics (Figure 9(b)).
-        assert stats.atomic_ops == 0
-
-
-class TestRunRelaxed:
-    def test_basic(self, graph, source, reference):
-        distances, stats, queue = setup_sssp(
-            graph, source, RelaxedPriorityQueue, delta=8
-        )
-        pool = VirtualThreadPool(2)
-        relax = make_relaxer(graph, distances, queue, stats)
-        run_relaxed(graph, queue, relax, pool, stats)
-        assert np.array_equal(distances, reference)
-
-    def test_fewer_syncs_than_rounds(self, graph, source):
-        distances, stats, queue = setup_sssp(
-            graph, source, RelaxedPriorityQueue, delta=8, chunk_size=16
-        )
-        pool = VirtualThreadPool(2)
-        relax = make_relaxer(graph, distances, queue, stats)
-        run_relaxed(graph, queue, relax, pool, stats)
-        assert stats.global_syncs < stats.rounds
 
 
 class TestPartitionEdgeCases:

@@ -37,23 +37,20 @@ from repro.midend.schedule import Schedule
 from .oracle_matrix import check_history
 
 # ---------------------------------------------------------------------------
-# The strategy matrix: (algorithm, label) -> (schedule, relaxed_ordering)
+# The strategy matrix: (algorithm, label) -> schedule
 # ---------------------------------------------------------------------------
 
-STRATEGIES: dict[tuple[str, str], tuple[Schedule, bool]] = {
-    ("sssp", "lazy"): (Schedule(priority_update="lazy", delta=3), False),
-    ("sssp", "eager"): (Schedule(priority_update="eager_no_fusion", delta=3), False),
-    ("sssp", "relaxed"): (
-        Schedule(priority_update="eager_with_fusion", delta=3, bucket_fusion_threshold=64),
-        True,
-    ),
-    ("wbfs", "lazy"): (Schedule(priority_update="lazy", delta=1), False),
-    ("wbfs", "eager"): (Schedule(priority_update="eager_no_fusion", delta=1), False),
-    ("widest_path", "lazy"): (Schedule(priority_update="lazy", delta=8), False),
-    ("widest_path", "fusion"): (Schedule(priority_update="eager_with_fusion", delta=8), False),
-    ("kcore", "lazy"): (Schedule(priority_update="lazy", delta=1), False),
-    ("kcore", "eager"): (Schedule(priority_update="eager_no_fusion", delta=1), False),
-    ("kcore", "histogram"): (Schedule(priority_update="lazy_constant_sum", delta=1), False),
+STRATEGIES: dict[tuple[str, str], Schedule] = {
+    ("sssp", "lazy"): Schedule(priority_update="lazy", delta=3),
+    ("sssp", "eager"): Schedule(priority_update="eager_no_fusion", delta=3),
+    ("sssp", "relaxed"): Schedule(priority_update="relaxed", delta=3),
+    ("wbfs", "lazy"): Schedule(priority_update="lazy", delta=1),
+    ("wbfs", "eager"): Schedule(priority_update="eager_no_fusion", delta=1),
+    ("widest_path", "lazy"): Schedule(priority_update="lazy", delta=8),
+    ("widest_path", "fusion"): Schedule(priority_update="eager_with_fusion", delta=8),
+    ("kcore", "lazy"): Schedule(priority_update="lazy", delta=1),
+    ("kcore", "eager"): Schedule(priority_update="eager_no_fusion", delta=1),
+    ("kcore", "histogram"): Schedule(priority_update="lazy_constant_sum", delta=1),
 }
 
 LAZY = Schedule(priority_update="lazy")
@@ -68,10 +65,8 @@ def make_graph(algorithm: str, seed: int = 3) -> CSRGraph:
 
 
 def history(algorithm: str, label: str, graph: CSRGraph, batches, also=()):
-    schedule, relaxed = STRATEGIES[(algorithm, label)]
-    return check_history(
-        algorithm, schedule, graph, batches, relaxed_ordering=relaxed, also=also
-    )
+    schedule = STRATEGIES[(algorithm, label)]
+    return check_history(algorithm, schedule, graph, batches, also=also)
 
 
 def random_batches(rng, sizes, kinds, unit: bool):

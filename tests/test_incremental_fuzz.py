@@ -124,7 +124,6 @@ def check_fuzz_case(
     ops,
     cuts,
     source: int,
-    relaxed_ordering: bool = False,
 ) -> None:
     unit = symmetric = algorithm == "kcore"
     sizes = []  # of the non-empty batches, which are the ones applied
@@ -141,10 +140,7 @@ def check_fuzz_case(
         build_graph(n, edges, unit=unit, symmetric=symmetric),
         batches,
         source=source % n,
-        relaxed_ordering=relaxed_ordering,
-        # The library entry points take no relaxed flag, so the plain
-        # runner is compared on the strict strategies only.
-        also=() if relaxed_ordering else ("library",),
+        also=("library",),
     )
     for result, size in zip(results, sizes, strict=True):
         # k-core resumes once per mutation (each with its own worklist), so
@@ -167,11 +163,8 @@ def test_fuzz_sssp(strategy, n, edges, ops, cuts, source) -> None:
 def test_fuzz_sssp_relaxed(n, edges, ops, cuts, source) -> None:
     check_fuzz_case(
         "sssp",
-        Schedule(
-            priority_update="eager_with_fusion", delta=2, bucket_fusion_threshold=16
-        ),
+        Schedule(priority_update="relaxed", delta=2),
         n, edges, ops, cuts, source,
-        relaxed_ordering=True,
     )
 
 

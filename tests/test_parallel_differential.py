@@ -137,9 +137,9 @@ def test_lazy_round_and_relaxation_invariant(strategy, workers):
 
 
 # ----------------------------------------------------------------------
-# Relaxed (Galois-style) strategy: commits run in completion order under
-# the engine lock, so stats may differ — but the supported algorithms
-# converge to a unique fixpoint, which must match the oracle.
+# Relaxed (Galois-style) strategy: approximate priority order, so the work
+# differs from a strict strategy's — but the supported algorithms converge
+# to a unique fixpoint, which must match the oracle.
 # ----------------------------------------------------------------------
 
 
@@ -150,8 +150,12 @@ def test_relaxed_parallel_is_admissible_sssp(workers):
     relaxed = sssp(
         weighted,
         0,
-        Schedule(delta=3, num_threads=workers, execution="parallel"),
-        relaxed_ordering=True,
+        Schedule(
+            priority_update="relaxed",
+            delta=3,
+            num_threads=workers,
+            execution="parallel",
+        ),
     )
     assert np.array_equal(relaxed.distances, reference.distances)
     assert relaxed.stats.execution == "parallel"
@@ -165,8 +169,12 @@ def test_relaxed_parallel_is_admissible_ppsp(workers):
         weighted,
         0,
         99,
-        Schedule(delta=3, num_threads=workers, execution="parallel"),
-        relaxed_ordering=True,
+        Schedule(
+            priority_update="relaxed",
+            delta=3,
+            num_threads=workers,
+            execution="parallel",
+        ),
     )
     # Point-to-point with relaxed ordering may do different amounts of
     # wasted work, but the target's distance is the unique shortest path.

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) on core invariants.
 
 These cover the load-bearing equivalences of the paper's design:
-lazy ≡ eager bucketing on arbitrary monotone update sequences, the library's
-Δ-stepping and peeling ≡ the scalar oracle ≡ Dijkstra / peeling for every
+lazy ≡ eager bucketing on arbitrary monotone update sequences, the library
+wrappers' Δ-stepping and peeling ≡ the scalar oracle ≡ Dijkstra / peeling for every
 strategy and Δ on random graphs (the ``library`` slice of
 ``tests/oracle_matrix.py``, which checks every oracle run against the
 reference implementation), pull ≡ push, the histogram transform ≡

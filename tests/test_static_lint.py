@@ -230,13 +230,25 @@ class TestAlgorithmQueues:
         assert [f.split(":")[1] for f in findings] == ["1", "2", "3"], findings
         assert all("L007" in f and "lang/programs.py" in f for f in findings)
 
-    def test_owners_and_compiled_wrappers_are_clean(self, package):
+    def test_no_algorithm_module_owns_a_queue_or_a_loop(self, package):
         (package / "algorithms" / "common.py").write_text(
+            "from ..buckets.lazy import LazyBucketQueue\n"
+            "from ..core.executors import run_eager\n"
+            "from ..core import run_eager as drive\n"
+            "_Q = (LazyBucketQueue, run_eager, drive)\n"
+        )
+        findings = static_lint.lint_paths([package.parent])
+        assert [f.split(":")[1] for f in findings] == ["1", "2", "3"], findings
+        assert all("algorithms/common.py" in f and "L007" in f for f in findings)
+
+    def test_owners_and_compiled_wrappers_are_clean(self, package):
+        # The queue owners are the runtime's: the backend builds queues.
+        (package / "backend" / "runtime_support.py").write_text(
             "from ..buckets.lazy import LazyBucketQueue\n_Q = LazyBucketQueue\n"
         )
         (package / "algorithms" / "_wrapper.py").write_text(
             "from ..backend.program import compile_program\n"
-            "from .common import _Q\n"
+            "from ..backend.runtime_support import _Q\n"
             "_RUN = (compile_program, _Q)\n"
         )
         assert static_lint.lint_paths([package.parent]) == []

@@ -1,13 +1,15 @@
 """Slice of the oracle matrix (``tests/oracle_matrix.py``): vectorized
-batch kernels vs the scalar interpreter and vs the hand-written library.
+batch kernels vs the scalar interpreter and vs the library wrappers.
 
 The UDF vectorization pass promises two things.  **Outputs**: for every
 algorithm whose apply UDF it classifies as vectorizable, running the
 compiled program with ``vectorize=True`` produces the same output vectors,
 whole, as the scalar reference interpreter (``vectorize=False``).
-**Counters**: the extremal family (SSSP, wBFS, PPSP, widest, A*) scatters
-through the library's relax kernel and charges what the library charges, so
-its ``deterministic_dict()`` equals the library run's; only the kernels that
+**Counters**: the extremal family (SSSP, wBFS, PPSP, widest, A*) charges
+one update per vertex improved in a chunk, and the library entry points
+(wrappers over the same programs) must pass schedule, vertices and A*'s
+heuristic through unchanged, so their ``deterministic_dict()`` equals the
+compiled run's; only the kernels that
 are still scalar-exact (k-core's sums, and the Bellman-Ford fallback) keep
 the full :class:`RuntimeStats` dump of the scalar interpreter.  These tests
 sweep the six evaluated algorithms across the bucketing strategies ×
@@ -119,13 +121,13 @@ LIBRARY = {
         (algo, sched)
         for algo in sorted(LIBRARY)
         for sched in sorted(SSSP_SCHEDULES)
-        # The library's widest path supports push traversal only.
+        # The widest-path wrapper supports push traversal only.
         if (algo, sched) != ("widest", "lazy_pull")
     ],
 )
 def test_compiled_counters_equal_library(algo, sched):
-    """One relax kernel, one accounting: a vectorized compiled run charges
-    every deterministic counter (work lists included) as the library does."""
+    """The library wrapper is the compiled program: every deterministic
+    counter (work lists included) equals a direct compiled run's."""
     library, targeted, overrides = LIBRARY[algo]
     schedule = SSSP_SCHEDULES[sched].with_(**overrides)
     g = graph({"astar": "road", "wbfs": "unweighted"}.get(algo, "heavy"))

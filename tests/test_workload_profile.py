@@ -103,7 +103,7 @@ class TestProfileShape:
 
         source = int(np.argmax(graph.out_degrees()))
         result = sssp(
-            graph, source, Schedule(delta=3, num_threads=4), relaxed_ordering=True
+            graph, source, Schedule(priority_update="relaxed", delta=3, num_threads=4)
         )
         profile = workload_profile(result.stats)
         assert profile["frontier"]["per_round"] == []

@@ -34,11 +34,12 @@ each has bitten real compiler code:
   return) and sorted once, at pop; a hash-and-sort per round is how the
   bucket layer came to cost more than the relax kernels.  Runs alongside
   L004.
-- ``L007`` ``repro.buckets`` imported by an algorithm — a module under
-  ``repro/algorithms/`` other than :data:`QUEUE_OWNERS` that builds its own
-  queue is a second, hand-written copy of a DSL program; k-core and
-  SetCover each had one beside ``lang/programs.py`` until they became
-  wrappers over the compiled program.  Runs alongside L004.
+- ``L007`` ``repro.buckets`` or ``repro.core.executors`` imported by an
+  algorithm — a module under ``repro/algorithms/`` that builds its own
+  queue or drives an ordered loop is a second, hand-written copy of a DSL
+  program; k-core, SetCover and then the shortest-path family each had one
+  beside ``lang/programs.py`` until they became wrappers over the compiled
+  program.  Runs alongside L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -76,7 +77,7 @@ DEAD_NAME_ALLOWLIST = {
     "graph/io.py:save_dimacs": _USER_INPUT,
     "algorithms/widest_path.py:widest_path": (
         "library entry point of the updatePriorityMax extension; serve and "
-        "the CLI reach the same engine through IncrementalSession"
+        "the CLI run the same WIDEST program through IncrementalSession"
     ),
     "algorithms/widest_path.py:widest_path_reference": (
         "reference oracle the widest-path tests compare against"
@@ -107,10 +108,10 @@ ENV_ALLOWLIST = {
 }
 _ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 
-# L007: the only ``algorithms/`` modules that may construct a bucket queue —
-# the shortest-path engine the incremental resume and the Galois relaxed
-# queue still drive, and the framework presets built on it.
-QUEUE_OWNERS = ("common.py", "frameworks.py")
+# L007: the packages that build bucket queues and drive ordered loops.  No
+# ``algorithms/`` module may import them: every ordered algorithm is a
+# wrapper over its compiled DSL program.
+_LOOP_MODULES = (["repro", "buckets"], ["repro", "core"])
 
 
 def _finding(path: Path, node: ast.AST, code: str, message: str) -> str:
@@ -394,25 +395,24 @@ def check_algorithm_queues(package: Path) -> list[str]:
     """L007 over ``algorithms/`` of the ``repro`` package at ``package``."""
     findings = []
     for file in sorted((package / "algorithms").glob("*.py")):
-        if file.name in QUEUE_OWNERS:
-            continue
         try:
             tree = ast.parse(file.read_text(), filename=str(file))
         except SyntaxError:
             continue  # lint_file reports it as L000
         for node in ast.walk(tree):
             if any(
-                path[:2] == ["repro", "buckets"]
+                path[: len(module)] == module
                 for path in _imported_modules(node, ["repro", "algorithms"])
+                for module in _LOOP_MODULES
             ):
                 findings.append(
                     _finding(
                         file,
                         node,
                         "L007",
-                        "an algorithm module builds its own bucket queue; "
-                        "write the algorithm in lang/programs.py and wrap "
-                        "compile_program instead",
+                        "an algorithm module builds its own bucket queue or "
+                        "ordered loop; write the algorithm in "
+                        "lang/programs.py and wrap compile_program instead",
                     )
                 )
     return findings
