@@ -200,8 +200,15 @@ class _CppEmitter:
                     f"{self._cpp_type(declared)} {const.name}"
                     f"{self._global_scalar_init(const)};"
                 )
-        out.line(f"int64_t delta = {self.schedule.delta};")
+        out.line(f"int64_t delta = {self._schedule_number('delta')};")
         out.line()
+
+    def _schedule_number(self, name: str) -> str:
+        """How the code reads a schedule number (``delta``,
+        ``bucket_fusion_threshold``, ``num_buckets``): a literal here; the
+        native emitter names a run parameter instead, so one kernel serves
+        every value."""
+        return str(getattr(self.schedule, name))
 
     def _global_scalar_init(self, const: ast.ConstDecl) -> str:
         if const.initializer is None:
@@ -384,7 +391,7 @@ class _CppEmitter:
         self.out.line(
             f"{target} = new LazyPriorityQueue({self._pv_name}.data(), "
             f"{self.edgeset_name}.num_nodes, delta, {start_text}, "
-            f"{self.schedule.num_buckets}, {self._dir_sign_text}, "
+            f"{self._schedule_number('num_buckets')}, {self._dir_sign_text}, "
             f"{self._null_literal});"
         )
 
@@ -706,7 +713,7 @@ class _CppEmitter:
             self.plan.dependence.needs_deduplication
         )
         fusion = self.schedule.uses_fusion
-        threshold = self.schedule.bucket_fusion_threshold
+        threshold = self._schedule_number("bucket_fusion_threshold")
 
         out.line("// --- eager ordered processing operator (Figure 9(c)) ---")
         out.line("{")
@@ -863,7 +870,7 @@ class _CppEmitter:
             self.plan.dependence.needs_deduplication
         )
         fusion = self.schedule.uses_fusion
-        threshold = self.schedule.bucket_fusion_threshold
+        threshold = self._schedule_number("bucket_fusion_threshold")
 
         out.line(
             "// --- eager ordered processing operator "

@@ -26,33 +26,62 @@ update buckets", Section 5.1).  It provides:
 The eager structure needs no runtime class: as in Figure 9(c) the compiler
 emits its thread-local ``local_bins`` inline in the generated main.
 
-Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional).  The thread
-count is part of the schedule, so one thread means serial code:
-``detectSerial()`` sets ``gSerial`` when ``omp_get_max_threads() == 1`` (always
-without OpenMP), every atomic helper then does a plain load and store, and
-every emitted ``#pragma omp parallel`` carries ``if(!gSerial)`` so no
-parallel region is entered.  At two or more threads the helpers are the
-relaxed atomics.
+The text is kept in pieces.  :data:`CPP_RUNTIME`, the standalone program's
+runtime, is all of them.  :func:`native_runtime` leaves out what only the
+standalone ``main`` uses — the edge-list loader ``WGraph::Load``, the
+``dumpVector`` output dump and the stream and string headers behind them —
+and includes ``<map>`` / ``<iostream>`` only when the kernel needs them, so
+a kernel build does not parse headers it never uses.
+
+Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional).  The
+thread count is known only at run time (the standalone program takes
+OpenMP's default; a native kernel takes ``num_threads`` from its
+run-parameter block), so one thread means serial code chosen at run time:
+``detectSerial()`` sets ``gSerial`` when ``omp_get_max_threads() == 1``
+(always without OpenMP), every atomic helper then does a plain load and
+store, and every emitted ``#pragma omp parallel`` carries ``if(!gSerial)``
+so no parallel region is entered.  At two or more threads the helpers are
+the relaxed atomics.
 """
 
-CPP_RUNTIME = r"""
-// ---- embedded repro runtime (generated; do not edit) -------------------
-#include <algorithm>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <limits>
-#include <map>
-#include <memory>
-#include <sstream>
-#include <string>
-#include <vector>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+__all__ = ["CPP_RUNTIME", "native_runtime"]
 
+_BANNER = (
+    "// ---- embedded repro runtime (generated; do not edit) "
+    "-------------------\n"
+)
+_END = (
+    "// ---- end embedded runtime "
+    "------------------------------------------------\n"
+)
+
+#: Every header the standalone program includes, in include order.
+_HEADERS = (
+    "algorithm",
+    "cstdint",
+    "cstdlib",
+    "cstring",
+    "fstream",
+    "iostream",
+    "limits",
+    "map",
+    "memory",
+    "sstream",
+    "string",
+    "vector",
+)
+#: Headers that only the standalone program's file and stream I/O
+#: (``WGraph::Load``, ``dumpVector``) needs.
+_IO_HEADERS = ("fstream", "iostream", "sstream", "string")
+
+
+def _piece(text: str) -> str:
+    """A runtime piece written as a raw string that opens with a newline."""
+    return text[1:]
+
+
+_CORE = _piece(
+    r"""
 using NodeID = int64_t;
 using WeightT = int64_t;
 static const int64_t kIntMax = std::numeric_limits<int64_t>::max();
@@ -135,6 +164,12 @@ struct WGraph {
     return Neighborhood{this, indptr[v], indptr[v + 1]};
   }
 
+"""
+)
+
+# A member of WGraph: spliced between _CORE and _BODY.
+_LOAD = _piece(
+    r"""
   // Loads "src dst [weight]" lines; '#'/'%' open comments.
   static WGraph Load(const std::string &path) {
     std::ifstream in(path);
@@ -187,6 +222,11 @@ struct WGraph {
     return g;
   }
 
+"""
+)
+
+_BODY = _piece(
+    r"""
   std::vector<int64_t> OutDegrees() const {
     std::vector<int64_t> result(num_nodes);
     for (int64_t v = 0; v < num_nodes; v++) result[v] = out_degree(v);
@@ -527,6 +567,11 @@ inline WGraph TransposeGraph(const WGraph &g) {
   return t;
 }
 
+"""
+)
+
+_DUMP = _piece(
+    r"""
 // Template so the same dump works for std::vector and the native OutVec view.
 template <typename Vec>
 static void dumpVector(std::ostream &out, const char *name,
@@ -535,5 +580,29 @@ static void dumpVector(std::ostream &out, const char *name,
   for (size_t i = 0; i < values.size(); i++) out << ' ' << values[i];
   out << '\n';
 }
-// ---- end embedded runtime ------------------------------------------------
 """
+)
+
+
+def _includes(headers) -> str:
+    lines = "".join(f"#include <{header}>\n" for header in headers)
+    return lines + "#ifdef _OPENMP\n#include <omp.h>\n#endif\n\n"
+
+
+CPP_RUNTIME = (
+    "\n" + _BANNER + _includes(_HEADERS) + _CORE + _LOAD + _BODY + _DUMP + _END
+)
+
+
+def native_runtime(uses_map: bool, uses_print: bool) -> str:
+    """The runtime of a native kernel translation unit: no loader, no
+    output dump, no stream or string headers; ``<map>`` only for a
+    map-binned eager region, ``<iostream>`` only for a ``print``."""
+    headers = [
+        header
+        for header in _HEADERS
+        if not (header in _IO_HEADERS or header == "map")
+        or (header == "map" and uses_map)
+        or (header == "iostream" and uses_print)
+    ]
+    return "\n" + _BANNER + _includes(headers) + _CORE + _BODY + _END

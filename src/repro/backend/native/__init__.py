@@ -8,8 +8,10 @@ The pipeline behind ``Schedule(execution="native")`` /
    caller-owned output buffers,
 2. :mod:`.toolchain` — discover a C++ compiler (``$REPRO_NATIVE_CXX``,
    ``g++``, ``clang++``, ``c++``; OpenMP optional),
-3. :mod:`.build` — compile into a content-addressed on-disk kernel cache
-   (repeat queries spawn no compiler at all),
+3. :mod:`.build` — compile into a content-addressed on-disk kernel cache,
+   one kernel per (program, strategy, direction): Δ, the fusion threshold,
+   ``num_buckets`` and the thread count are run parameters, so repeat
+   queries and new values of those spawn no compiler at all,
 4. :mod:`.runner` — load via ctypes and execute zero-copy on numpy buffers.
 
 Machines without any toolchain degrade gracefully: the dispatcher catches

@@ -8,7 +8,7 @@ exporting one ``extern "C"`` entry point instead::
         const int64_t *weights, int64_t num_nodes, int64_t num_edges,
         const int64_t *args, int64_t num_args,
         int64_t **out_vectors, int64_t num_out_vectors,
-        int64_t num_threads);
+        const int64_t *params, int64_t num_params);
 
 - The graph arrives as *borrowed* CSR arrays (``WGraph::Borrow`` — the
   runner passes numpy buffers straight through ctypes, zero copies).
@@ -18,8 +18,16 @@ exporting one ``extern "C"`` entry point instead::
 - Every global vector constant becomes an ``OutVec`` view bound to a
   caller-allocated buffer in declaration order, so all writes land directly
   in the caller's numpy arrays — no output marshalling either.
-- Returns 0 on success; 2/3 signal an out-buffer/argument arity mismatch
-  (defense against a stale cached kernel meeting a newer runner).
+- ``params`` is the run-parameter block, :data:`RUN_PARAMETERS` in order:
+  ``num_threads``, ``delta``, ``bucket_fusion_threshold``, ``num_buckets``.
+  These schedule numbers are read at run time, never written into the
+  text, and the ``// schedule:`` header names only the fields that shape
+  the code (:data:`CODE_SHAPE_FIELDS`).  So the kernel, and the cache key
+  that hashes its text, is one per (program, strategy, direction): a Δ
+  sweep builds once.
+- Returns 0 on success; 2/3/4 signal an out-buffer / argument /
+  run-parameter arity mismatch (defense against a stale cached kernel
+  meeting a newer runner).
 
 Companion exports ``repro_native_abi_version``, ``repro_native_num_outputs``
 and ``repro_native_num_args_required`` let the runner validate a kernel
@@ -31,7 +39,6 @@ analysis version part of the kernel-cache key.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from ...errors import CompileError
@@ -43,11 +50,18 @@ from ...lang.types import (
 )
 from ...midend.transforms.lowering import CompilationPlan
 from ..cpp_backend import PARALLEL_FOR, _CppEmitter
-from ..cpp_runtime import CPP_RUNTIME
+from ..cpp_runtime import native_runtime
 
-__all__ = ["ABI_VERSION", "generate_native_cpp"]
+__all__ = ["ABI_VERSION", "RUN_PARAMETERS", "generate_native_cpp"]
 
-ABI_VERSION = 1
+ABI_VERSION = 2
+
+#: The run-parameter block, in ABI order: Schedule fields passed per call.
+RUN_PARAMETERS = ("num_threads", "delta", "bucket_fusion_threshold", "num_buckets")
+
+#: The Schedule fields that change the kernel's code, and so its cache key.
+#: Every other field is a run parameter or is refused natively.
+CODE_SHAPE_FIELDS = ("priority_update", "direction")
 
 # Native-only runtime support appended after the shared embedded runtime.
 NATIVE_SUPPORT = r"""
@@ -112,17 +126,24 @@ class _NativeEmitter(_CppEmitter):
     def emit(self) -> str:
         out = self.out
         out.line("// Generated by repro.backend.native.abi — do not edit.")
-        # The thread count is a run-time argument, so it stays out of the
-        # text: one cached kernel serves every thread count.
         shown = ", ".join(
-            f"{f.name}={getattr(self.schedule, f.name)!r}"
-            for f in dataclasses.fields(self.schedule)
-            if f.name != "num_threads"
+            f"{name}={getattr(self.schedule, name)!r}"
+            for name in CODE_SHAPE_FIELDS
         )
         out.line(f"// schedule: {shown}")
         out.line(f"// abi_version: {ABI_VERSION}")
         self._emit_effect_summary_comment()
-        out._lines.append(CPP_RUNTIME)
+        out._lines.append(
+            native_runtime(
+                # The higher_first eager region bins into a std::map.
+                uses_map=self.schedule.is_eager and not self._dir_lower,
+                uses_print=any(
+                    isinstance(node, ast.Print)
+                    for function in self.program.functions
+                    for node in ast.walk(function)
+                ),
+            )
+        )
         out._lines.append(NATIVE_SUPPORT)
         self._emit_globals()
         self._emit_functions()
@@ -141,6 +162,9 @@ class _NativeEmitter(_CppEmitter):
         )
         self.out.line(f"// effect_summary: {summary}")
 
+    def _schedule_number(self, name: str) -> str:
+        return "delta" if name == "delta" else f"__repro_{name}"
+
     def _emit_globals(self) -> None:
         out = self.out
         for const in self.program.constants:
@@ -157,7 +181,9 @@ class _NativeEmitter(_CppEmitter):
                     f"{self._cpp_type(declared)} {const.name}"
                     f"{self._global_scalar_init(const)};"
                 )
-        out.line(f"int64_t delta = {self.schedule.delta};")
+        # Run parameters other than the thread count: set on every entry.
+        for name in RUN_PARAMETERS[1:]:
+            out.line(f"int64_t {self._schedule_number(name)} = 0;")
         # Run stamp: lets per-call-site statics (e.g. the pull-direction
         # transpose) invalidate between entry invocations on new graphs.
         out.line("uint64_t __repro_run_id = 0;")
@@ -207,11 +233,15 @@ class _NativeEmitter(_CppEmitter):
         out.line("    int64_t __repro_num_nodes, int64_t __repro_num_edges,")
         out.line("    const int64_t *__repro_args, int64_t __repro_num_args,")
         out.line("    int64_t **__repro_out, int64_t __repro_num_out,")
-        out.line("    int64_t __repro_num_threads) {")
+        out.line("    const int64_t *__repro_params, int64_t __repro_num_params) {")
         out.push()
         out.line(f"if (__repro_num_out != {num_outputs}) return 2;")
         out.line(f"if (__repro_num_args < {required_args}) return 3;")
+        out.line(f"if (__repro_num_params != {len(RUN_PARAMETERS)}) return 4;")
         out.line("__repro_run_id++;")
+        out.line("const int64_t __repro_num_threads = __repro_params[0];")
+        for index, name in enumerate(RUN_PARAMETERS[1:], start=1):
+            out.line(f"{self._schedule_number(name)} = __repro_params[{index}];")
         out.line("#ifdef _OPENMP")
         out.line(
             "if (__repro_num_threads > 0) "

@@ -1,11 +1,14 @@
 """Compile native kernels into shared libraries, with a disk cache.
 
 The cache key is the sha256 of everything that determines the binary: the
-generated source (which already embeds the schedule and the effect-summary
-JSON), the compiler path + version line, and the exact flag set.  A repeated
-(program, schedule) pair therefore maps to the same ``.so`` and pays zero
-compile cost — ``build_kernel`` returns without spawning any subprocess on
-a cache hit, which the tests assert directly.
+generated source (which embeds the effect-summary JSON and the schedule
+fields that shape code, ``priority_update`` and ``direction``), the
+compiler path + version line, and the exact flag set.  Δ, the fusion
+threshold, ``num_buckets`` and the thread count are run parameters that
+never reach the text, so the key is one per (program, strategy, direction,
+toolchain): every schedule that differs only in those numbers maps to the
+same ``.so`` and pays zero compile cost — ``build_kernel`` returns without
+spawning any subprocess on a cache hit, which the tests assert directly.
 
 Layout (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro/kernels``)::
 
@@ -47,11 +50,12 @@ def kernel_cache_dir() -> Path:
 
 
 def kernel_key(source_text: str, toolchain: Toolchain) -> str:
-    """The cache key: program hash × schedule hash × compiler version.
+    """The cache key: program × strategy × direction × toolchain.
 
-    The schedule is part of the generated source (it changes the emitted
-    code shape and is stamped in the header comment), so hashing the source
-    covers both program and schedule.
+    The strategy and direction shape the emitted code and are stamped in
+    its header comment, so hashing the source covers program and code
+    shape.  The schedule's numbers are run parameters and are not in the
+    source, so they are not in the key either.
     """
     digest = hashlib.sha256()
     digest.update(source_text.encode("utf-8"))

@@ -14,6 +14,11 @@ that into the ``N101`` fallback onto the vectorized Python kernels.  Real
 failures (a kernel build error, a nonzero status from a freshly validated
 kernel) raise loudly instead.
 
+A warm run does no code generation: each compiled program memoises its
+kernel text, cache key and run-parameter block on first use, and a loaded
+library is found by its path in the kernel cache directory, so a changed
+``$REPRO_KERNEL_CACHE`` still builds into the new directory.
+
 By design the native path returns **output vectors only**: RuntimeStats
 (rounds, buffer traffic, simulated time) are defined by the interpreter's
 bucket structures and are not emulated in native code, so ``result.stats``
@@ -24,7 +29,9 @@ tracing is on.
 from __future__ import annotations
 
 import ctypes
+import threading
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +42,9 @@ from ...lang.types import VectorType
 from ...obs import metrics
 from ...obs import span as trace_span
 from ...runtime.stats import RuntimeStats
-from .abi import ABI_VERSION, generate_native_cpp
-from .build import build_kernel
-from .toolchain import discover_toolchain
+from .abi import ABI_VERSION, RUN_PARAMETERS, generate_native_cpp
+from .build import build_kernel, kernel_cache_dir, kernel_key
+from .toolchain import Toolchain, discover_toolchain
 
 __all__ = ["NativeUnavailable", "execute_native", "native_output_names"]
 
@@ -46,9 +53,35 @@ _EXECUTE_US = metrics.histogram("native.execute_us")
 
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
+
+@dataclass(frozen=True)
+class _Kernel:
+    """What a compiled program needs to find and call its kernel."""
+
+    toolchain: Toolchain
+    text: str
+    key: str
+    #: The run-parameter block (``RUN_PARAMETERS`` of the schedule).
+    params: np.ndarray
+    names: list[str]
+
+
+@dataclass(frozen=True)
+class _Library:
+    """A loaded kernel and what its probes reported at load time."""
+
+    cdll: ctypes.CDLL
+    abi_version: int
+    num_outputs: int
+    num_args_required: int
+    #: The kernel keeps its state in globals, and ctypes releases the GIL
+    #: during the call, so one call at a time per library.
+    lock: threading.Lock
+
+
 # dlopen handles, keyed by library path (dlopen is refcounted, but caching
 # keeps repeated queries from piling up handles).
-_loaded_libraries: dict[str, ctypes.CDLL] = {}
+_loaded_libraries: dict[str, _Library] = {}
 
 
 class NativeUnavailable(GraphItError):
@@ -68,10 +101,7 @@ def native_output_names(plan) -> list[str]:
     ]
 
 
-def _load_library(path: str) -> ctypes.CDLL:
-    library = _loaded_libraries.get(path)
-    if library is not None:
-        return library
+def _load_library(path: str) -> _Library:
     with trace_span("native.load", "native", path=path):
         library = ctypes.CDLL(path)
         entry = library.repro_native_run
@@ -86,17 +116,22 @@ def _load_library(path: str) -> ctypes.CDLL:
             ctypes.c_int64,  # num_args
             ctypes.POINTER(_INT64_P),  # out_vectors
             ctypes.c_int64,  # num_out_vectors
-            ctypes.c_int64,  # num_threads
+            _INT64_P,  # run-parameter block
+            ctypes.c_int64,  # num_params
         ]
-        for probe in (
+        probes = []
+        for name in (
             "repro_native_abi_version",
             "repro_native_num_outputs",
             "repro_native_num_args_required",
         ):
-            getattr(library, probe).restype = ctypes.c_int64
-            getattr(library, probe).argtypes = []
-    _loaded_libraries[path] = library
-    return library
+            probe = getattr(library, name)
+            probe.restype = ctypes.c_int64
+            probe.argtypes = []
+            probes.append(int(probe()))
+    loaded = _Library(library, *probes, lock=threading.Lock())
+    _loaded_libraries[path] = loaded
+    return loaded
 
 
 def _as_int64_pointer(array: np.ndarray):
@@ -124,6 +159,27 @@ def generate_for_plan(plan) -> str:
             raise NativeUnavailable(str(exc)) from exc
 
 
+def _kernel_for(program, toolchain: Toolchain) -> _Kernel:
+    """``program``'s kernel record, generated on its first native run (and
+    again only if the toolchain changed)."""
+    kernel = program._native_kernel
+    if kernel is None or kernel.toolchain != toolchain:
+        text = generate_for_plan(program.plan)
+        schedule = program.plan.schedule
+        kernel = _Kernel(
+            toolchain=toolchain,
+            text=text,
+            key=kernel_key(text, toolchain),
+            params=np.array(
+                [getattr(schedule, name) for name in RUN_PARAMETERS],
+                dtype=np.int64,
+            ),
+            names=native_output_names(program.plan),
+        )
+        program._native_kernel = kernel
+    return kernel
+
+
 def execute_native(program, args, graph: CSRGraph | None = None):
     """Build (or cache-hit), load, and run the native kernel for ``program``.
 
@@ -140,18 +196,20 @@ def execute_native(program, args, graph: CSRGraph | None = None):
             "no C++ toolchain found (tried $REPRO_NATIVE_CXX, g++, clang++, "
             "c++)"
         )
-    source_text = generate_for_plan(program.plan)
-    library_path = build_kernel(source_text, toolchain)
-    library = _load_library(str(library_path))
+    kernel = _kernel_for(program, toolchain)
+    library_path = str(kernel_cache_dir() / f"{kernel.key}.so")
+    library = _loaded_libraries.get(library_path)
+    if library is None:
+        library = _load_library(str(build_kernel(kernel.text, toolchain)))
 
     # The marshalling/ABI-validation phase between build and kernel entry:
     # spanned so ``repro profile --execution native`` attributes dispatch
     # cost instead of folding it invisibly into the gap between spans.
-    with trace_span("native.dispatch", "native", kernel=str(library_path)):
-        abi = int(library.repro_native_abi_version())
-        if abi != ABI_VERSION:
+    with trace_span("native.dispatch", "native", kernel=library_path):
+        if library.abi_version != ABI_VERSION:
             raise NativeUnavailable(
-                f"kernel ABI version {abi} does not match runner {ABI_VERSION}"
+                f"kernel ABI version {library.abi_version} does not match "
+                f"runner {ABI_VERSION}"
             )
 
         if graph is None:
@@ -167,18 +225,17 @@ def execute_native(program, args, graph: CSRGraph | None = None):
         weights = np.ascontiguousarray(graph.weights, dtype=np.int64)
         int_args = _parse_int_args(args)
 
-        required = int(library.repro_native_num_args_required())
+        required = library.num_args_required
         if int_args.size < required:
             raise GraphItError(
                 f"program needs {required} integer argument(s) after the "
                 f"graph path, got {int_args.size}"
             )
 
-        names = native_output_names(program.plan)
-        declared_outputs = int(library.repro_native_num_outputs())
-        if declared_outputs != len(names):
+        names = kernel.names
+        if library.num_outputs != len(names):
             raise NativeUnavailable(
-                f"kernel declares {declared_outputs} outputs, plan has "
+                f"kernel declares {library.num_outputs} outputs, plan has "
                 f"{len(names)}"
             )
         outputs = [
@@ -194,11 +251,11 @@ def execute_native(program, args, graph: CSRGraph | None = None):
         "native.execute",
         "native",
         argv=list(args),
-        kernel=str(library_path),
+        kernel=library_path,
         num_threads=int(program.plan.schedule.num_threads),
-    ):
+    ), library.lock:
         status = int(
-            library.repro_native_run(
+            library.cdll.repro_native_run(
                 _as_int64_pointer(indptr),
                 _as_int64_pointer(indices),
                 _as_int64_pointer(weights),
@@ -208,15 +265,16 @@ def execute_native(program, args, graph: CSRGraph | None = None):
                 ctypes.c_int64(int_args.size),
                 out_pointers,
                 ctypes.c_int64(len(outputs)),
-                ctypes.c_int64(program.plan.schedule.num_threads),
+                _as_int64_pointer(kernel.params),
+                ctypes.c_int64(kernel.params.size),
             )
         )
     _EXECUTIONS.inc()
     _EXECUTE_US.observe(int((time.perf_counter() - execute_start) * 1e6))
     if status != 0:
         raise GraphItError(
-            f"native kernel returned status {status} "
-            f"(2 = output arity mismatch, 3 = missing arguments)"
+            f"native kernel returned status {status} (2 = output arity "
+            f"mismatch, 3 = missing arguments, 4 = run-parameter block size)"
         )
 
     program_globals: dict[str, object] = dict(zip(names, outputs))

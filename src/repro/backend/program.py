@@ -63,6 +63,9 @@ class CompiledProgram:
     _entry: Callable | None = field(default=None, repr=False)
     #: Why the last native-mode run fell back to Python (None = it didn't).
     native_fallback_reason: str | None = field(default=None, repr=False)
+    #: The native kernel's text, cache key and run parameters, set by the
+    #: first native run so later runs do no code generation.
+    _native_kernel: object | None = field(default=None, repr=False)
 
     @property
     def schedule(self) -> Schedule:

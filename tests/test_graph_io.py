@@ -1,10 +1,13 @@
 """Unit tests for graph serialization (edge list, DIMACS, npz)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graph import (
+    CSRGraph,
     from_edges,
     load_dimacs,
     load_edge_list,
@@ -110,4 +113,42 @@ def test_npz_roundtrip_with_coordinates(tmp_path):
     path = tmp_path / "road.npz"
     save_npz(graph, path)
     loaded = load_npz(path)
+    assert np.array_equal(loaded.coordinates, graph.coordinates)
+
+
+@pytest.mark.parametrize("coordinates", [False, True], ids=["plain", "coordinates"])
+def test_npz_entries_are_stored_not_deflated(tmp_path, coordinates):
+    graph = road_grid(3, 4, seed=2)
+    if not coordinates:
+        graph = CSRGraph(graph.indptr, graph.indices, graph.weights)
+    path = tmp_path / "graph.npz"
+    save_npz(graph, path)
+    with zipfile.ZipFile(path) as archive:
+        entries = archive.infolist()
+    expected = {"indptr", "indices", "weights"} | ({"coordinates"} if coordinates else set())
+    assert {entry.filename.removesuffix(".npy") for entry in entries} == expected
+    assert all(entry.compress_type == zipfile.ZIP_STORED for entry in entries)
+    loaded = load_npz(path)
+    assert np.array_equal(loaded.indptr, graph.indptr)
+    assert np.array_equal(loaded.indices, graph.indices)
+    assert np.array_equal(loaded.weights, graph.weights)
+    assert loaded.has_coordinates == coordinates
+
+
+def test_compressed_npz_still_loads(tmp_path):
+    graph = road_grid(3, 4, seed=2)
+    path = tmp_path / "compressed.npz"
+    np.savez_compressed(
+        path,
+        indptr=graph.indptr,
+        indices=graph.indices,
+        weights=graph.weights,
+        coordinates=graph.coordinates,
+    )
+    with zipfile.ZipFile(path) as archive:
+        assert all(e.compress_type == zipfile.ZIP_DEFLATED for e in archive.infolist())
+    loaded = load_npz(path)
+    assert np.array_equal(loaded.indptr, graph.indptr)
+    assert np.array_equal(loaded.indices, graph.indices)
+    assert np.array_equal(loaded.weights, graph.weights)
     assert np.array_equal(loaded.coordinates, graph.coordinates)

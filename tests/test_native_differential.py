@@ -10,6 +10,9 @@ the same machines get the runtime's graceful ``N101`` degradation, which
 has its own tests below that run everywhere.
 """
 
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +20,28 @@ import pytest
 
 from repro.backend import compile_program
 from repro.backend.native import (
+    ABI_VERSION,
     NativeUnavailable,
     discover_toolchain,
+    execute_native,
     generate_native_cpp,
+    kernel_cache_dir,
+    kernel_key,
     native_output_names,
     reset_toolchain_cache,
 )
-from repro.errors import SchedulingError
+from repro.backend.native.abi import RUN_PARAMETERS
+from repro.backend.native.runner import generate_for_plan
+from repro.errors import CompileError, GraphItError, SchedulingError
 from repro.graph import from_edges, rmat
 from repro.lang import ALL_PROGRAMS
+from repro.lang.parser import parse
 from repro.midend import Schedule
+from repro.midend.analysis.diagnostics import _dead_knob_rules
+from repro.midend.transforms.lowering import plan_program
 
 from .oracle_matrix import (
+    DOMAINS,
     HAS_CXX,
     Cell,
     assert_same_vectors,
@@ -290,7 +303,7 @@ def test_generated_source_embeds_effect_summary():
         ALL_PROGRAMS["sssp"], Schedule(priority_update="lazy", delta=4)
     )
     text = generate_native_cpp(program.plan)
-    assert "abi_version: 1" in text
+    assert f"abi_version: {ABI_VERSION}" in text
     assert "effect_summary:" in text
     assert 'extern "C" int64_t repro_native_run(' in text
     assert "repro_native_abi_version" in text
@@ -345,3 +358,226 @@ def test_toolchain_probe_is_cached(monkeypatch):
 
     monkeypatch.setattr(tc_mod.subprocess, "run", no_probe)
     assert discover_toolchain() is first
+
+
+# ---------------------------------------------------------------------------
+# One build per (program, strategy, direction)
+# ---------------------------------------------------------------------------
+
+
+#: Programs the native lowering never accepts: unordered, or needing externs.
+NEVER_NATIVE = ("bellman_ford", "astar", "setcover")
+
+
+def _native_text(program: str, schedule: Schedule) -> str | None:
+    """The native kernel text, or None when the native lowering refuses."""
+    try:
+        return generate_for_plan(plan_program(parse(ALL_PROGRAMS[program]), schedule))
+    except GraphItError:
+        return None
+
+
+def _code_shapes(program: str):
+    """``(schedule, text)`` for every strategy x direction the native
+    lowering accepts for ``program``, at Schedule's default numbers."""
+    for strategy in DOMAINS["priority_update"]:
+        for direction in DOMAINS["direction"]:
+            try:
+                schedule = Schedule(
+                    priority_update=strategy, direction=direction, execution="native"
+                )
+            except SchedulingError:
+                continue
+            text = _native_text(program, schedule)
+            if text is not None:
+                yield schedule, text
+
+
+def _assert_text_ignores(program: str, schedule: Schedule, text: str, knob: str) -> int:
+    """The kernel text is byte-identical at every DOMAINS value of ``knob``
+    the lowering accepts; returns how many values were compared."""
+    compared = 0
+    for value in DOMAINS[knob]:
+        try:
+            varied = schedule.with_(**{knob: value})
+        except SchedulingError:
+            continue
+        varied_text = _native_text(program, varied)
+        if varied_text is None:
+            continue  # e.g. Δ > 1 on a queue that disallows coarsening
+        assert varied_text == text, f"{program} {schedule.priority_update}: {knob}={value!r}"
+        compared += 1
+    return compared
+
+
+def test_abi_is_version_two():
+    assert ABI_VERSION == 2
+    assert RUN_PARAMETERS == ("num_threads", "delta", "bucket_fusion_threshold", "num_buckets")
+    lazy = {
+        delta: _native_text("sssp", Schedule(priority_update="lazy", delta=delta, execution="native"))
+        for delta in (8, 512)
+    }
+    assert lazy[8] is not None and lazy[8] == lazy[512]
+
+
+@pytest.mark.parametrize("program", sorted(ALL_PROGRAMS))
+def test_run_parameters_do_not_reach_native_text(program):
+    """Δ, the fusion threshold, num_buckets and the thread count are run
+    parameters: one kernel text per (program, strategy, direction)."""
+    shapes = list(_code_shapes(program))
+    if program in NEVER_NATIVE:
+        assert not shapes
+        return
+    assert shapes
+    for schedule, text in shapes:
+        for knob in RUN_PARAMETERS:
+            assert _assert_text_ignores(program, schedule, text, knob) >= 1
+
+
+@pytest.mark.parametrize("program", sorted(ALL_PROGRAMS))
+def test_knobs_dead_natively_do_not_reach_native_text(program):
+    """Every knob S002 calls dead under a native schedule leaves the kernel
+    text (and so the kernel cache key) byte-identical, so changing it never
+    costs a compiler run.  The knobs come from S002's own table."""
+    dead_seen = set()
+    for schedule, text in _code_shapes(program):
+        for knob, is_dead, _ in _dead_knob_rules():
+            if is_dead(schedule):
+                dead_seen.add(knob)
+                _assert_text_ignores(program, schedule, text, knob)
+    if program not in NEVER_NATIVE:
+        assert {"chunk_size", "parallelization"} <= dead_seen
+
+
+def test_no_coarsening_refusal_still_fires():
+    """k-core's queue disallows coarsening: Δ stays out of the kernel text,
+    yet a Δ other than 1 is still refused, natively and on the fallback."""
+    for strategy in ("lazy", "lazy_constant_sum"):
+        schedule = Schedule(priority_update=strategy, delta=2, execution="native")
+        plan = plan_program(parse(ALL_PROGRAMS["kcore"]), schedule)
+        with pytest.raises(CompileError, match="disallows coarsening"):
+            generate_native_cpp(plan)
+    program = compile_program(
+        ALL_PROGRAMS["kcore"],
+        Schedule(priority_update="lazy_constant_sum", delta=2, execution="native"),
+    )
+    with pytest.raises(SchedulingError, match="disallows coarsening"):
+        program.run(["prog", "-"], graph=graph("social_symmetric"))
+    assert "disallows coarsening" in program.native_fallback_reason
+
+
+@pytest.fixture
+def fresh_kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache and a probed toolchain, so every compiler
+    subprocess from here on is a kernel build."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
+    toolchain = discover_toolchain()
+    assert toolchain is not None
+    return toolchain
+
+
+@needs_toolchain
+def test_schedule_number_sweep_builds_one_kernel_per_strategy(fresh_kernel_cache, monkeypatch):
+    """A Δ sweep over both SSSP code shapes, plus the fusion threshold and
+    num_buckets, spawns exactly two compiler subprocesses; every answer is
+    bit-exact against the scalar oracle at its own schedule."""
+    import repro.backend.native.build as build_mod
+
+    builds = []
+    real_run = build_mod.subprocess.run
+
+    def spy(command, *args, **kwargs):
+        builds.append(command)
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(build_mod.subprocess, "run", spy)
+    schedules = [
+        Schedule(priority_update=strategy, delta=delta, num_threads=1)
+        for delta in (1, 2, 3, 8, 512)
+        for strategy in ("lazy", "eager_with_fusion")
+    ]
+    schedules += [
+        Schedule(priority_update="eager_with_fusion", delta=3, bucket_fusion_threshold=t)
+        for t in (1, 1000)
+    ]
+    schedules += [Schedule(priority_update="lazy", delta=3, num_buckets=b) for b in (1, 128)]
+    for schedule in schedules:
+        check(Cell("sssp", schedule, "native", graph="social", args=("hub",)))
+    assert len(builds) == 2, builds
+    assert len(list(kernel_cache_dir().glob("*.so"))) == 2
+
+
+_ABI_V1_KERNEL = """
+#include <cstdint>
+extern "C" int64_t repro_native_abi_version() { return 1; }
+extern "C" int64_t repro_native_num_outputs() { return 1; }
+extern "C" int64_t repro_native_num_args_required() { return 1; }
+extern "C" int64_t repro_native_run(
+    const int64_t *, const int64_t *, const int64_t *, int64_t, int64_t,
+    const int64_t *, int64_t, int64_t **, int64_t, int64_t num_threads) {
+  return 99;  // a call would surface as status 99
+}
+"""
+
+
+@needs_toolchain
+def test_stale_abi_v1_kernel_is_never_called(fresh_kernel_cache, tmp_path, social, social_start):
+    """An ABI-v1 library sitting at the kernel's cache key is reported as
+    NativeUnavailable (the N101 fallback), never called."""
+    toolchain = fresh_kernel_cache
+    schedule = Schedule(priority_update="lazy", delta=3, execution="native")
+    program = compile_program(ALL_PROGRAMS["sssp"], schedule)
+    key = kernel_key(generate_native_cpp(program.plan), toolchain)
+    source = tmp_path / "v1.cpp"
+    source.write_text(_ABI_V1_KERNEL)
+    kernel_cache_dir().mkdir(parents=True)
+    subprocess.run(
+        [toolchain.cxx, *toolchain.flags, "-o", str(kernel_cache_dir() / f"{key}.so"), str(source)],
+        check=True,
+    )
+    args = ["prog", "-", str(social_start)]
+    with pytest.raises(NativeUnavailable, match="ABI version 1"):
+        execute_native(program, args, graph=social)
+    result = program.run(args, graph=social)
+    assert "ABI version 1" in program.native_fallback_reason
+    assert_same_vectors(vectors(result.globals), sssp_oracle(schedule, social, social_start))
+
+
+@needs_toolchain
+def test_one_kernel_shared_by_concurrent_schedules(social, social_start):
+    """Schedules that differ only in Δ share one loaded kernel, whose state
+    is global; ctypes drops the GIL during the call, so concurrent runs
+    from several threads must still each see their own Δ and queue."""
+    args = ["prog", "-", str(social_start)]
+    programs = [
+        compile_program(
+            ALL_PROGRAMS["sssp"],
+            Schedule(priority_update="lazy", delta=delta, num_threads=1, execution="native"),
+        )
+        for delta in (1, 3, 64, 512)
+    ]
+    expected = sssp_oracle(programs[0].schedule, social, social_start)
+    programs[0].run(args, graph=social)  # build once, before the threads race
+    failures = []
+
+    def worker(program):
+        try:
+            for _ in range(10):
+                got = vectors(program.run(args, graph=social).globals)
+                assert_same_vectors(got, expected, f"delta={program.schedule.delta}")
+        except Exception as exc:  # pragma: no cover - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(p,)) for p in programs * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert len({p._native_kernel.key for p in programs}) == 1
