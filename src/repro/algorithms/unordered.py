@@ -15,7 +15,6 @@ from ..graph.csr import CSRGraph
 from ..graph.properties import INT_MAX
 from ..runtime.frontier import gather_out_edges
 from ..runtime.stats import RuntimeStats
-from ..runtime.threads import VirtualThreadPool
 from .common import ShortestPathResult, check_source
 from .kcore import KCoreResult
 
@@ -44,7 +43,6 @@ def bellman_ford(
     check_source(graph, source)
     n = graph.num_vertices
     stats = RuntimeStats(num_threads=num_threads)
-    pool = VirtualThreadPool(num_threads)
     distances = np.full(n, INT_MAX, dtype=np.int64)
     distances[source] = 0
     degrees = graph.out_degrees()
@@ -52,28 +50,17 @@ def bellman_ford(
 
     while frontier.size:
         stats.begin_round()
-        next_parts: list[np.ndarray] = []
-        chunks = pool.partition(frontier, degrees=degrees[frontier])
-        for thread_id, chunk in enumerate(chunks):
-            if chunk.size == 0:
-                continue
-            sources, dests, weights = gather_out_edges(graph, chunk)
-            stats.relaxations += int(sources.size)
-            stats.atomic_ops += int(dests.size)
-            candidates = distances[sources] + weights
-            old = distances[dests].copy()
-            np.minimum.at(distances, dests, candidates)
-            changed = np.unique(dests[distances[dests] < old])
-            next_parts.append(changed)
-            work = int(sources.size) + int(changed.size)
-            work += frontier_overhead * int(chunk.size)
-            stats.add_thread_work(thread_id, work)
+        stats.charge(degrees[frontier] + 1 + frontier_overhead)
+        # Every offer reads the distances of the round's start (a
+        # synchronous round, not an ordered one).
+        sources, dests, weights = gather_out_edges(graph, frontier)
+        stats.relaxations += int(sources.size)
+        stats.atomic_ops += int(dests.size)
+        candidates = distances[sources] + weights
+        old = distances[dests].copy()
+        np.minimum.at(distances, dests, candidates)
+        frontier = np.unique(dests[distances[dests] < old])
         stats.end_round(syncs=1)
-        frontier = (
-            np.unique(np.concatenate(next_parts))
-            if next_parts
-            else np.empty(0, dtype=np.int64)
-        )
 
     return ShortestPathResult(
         distances=distances,
@@ -98,6 +85,7 @@ def unordered_kcore(graph: CSRGraph, num_threads: int = 8) -> KCoreResult:
     n = graph.num_vertices
     stats = RuntimeStats(num_threads=num_threads)
     sources, dests, _ = graph.edge_list()
+    out_degrees = graph.out_degrees()
     alive = np.ones(n, dtype=bool)
     coreness = np.zeros(n, dtype=np.int64)
     k = 0
@@ -109,10 +97,8 @@ def unordered_kcore(graph: CSRGraph, num_threads: int = 8) -> KCoreResult:
         live_edges = alive[sources] & alive[dests]
         stats.relaxations += int(sources.size)
         degrees = np.bincount(sources[live_edges], minlength=n).astype(np.int64)
-        scan_work = int(sources.size) + remaining
-        per_thread = scan_work // num_threads + 1
-        for thread_id in range(num_threads):
-            stats.add_thread_work(thread_id, per_thread)
+        # The scan reads every edge; a live vertex costs one more unit.
+        stats.charge(out_degrees + alive)
         peelable = alive & (degrees <= k)
         count = int(np.count_nonzero(peelable))
         if count:

@@ -81,6 +81,8 @@ def setcover_externs(seed: int = 0, retention: float = 0.5) -> dict:
             graph, bucket, covered
         )
         stats.relaxations += int(elements.size)
+        # A set's work is its uncovered closed neighbourhood, plus one.
+        ctx.charge(counts)
         exhausted = bucket[counts == 0]
         if exhausted.size:
             queue.remove_batch(exhausted)
@@ -116,10 +118,6 @@ def setcover_externs(seed: int = 0, retention: float = 0.5) -> dict:
                 # Losers stay at their bucket and retry next round with
                 # fresh random ranks (lazy reinsertion).
                 queue.requeue_batch(losers)
-        work = int(elements.size) + int(bucket.size)
-        per_thread = work // ctx.pool.num_threads + 1
-        for thread_id in range(ctx.pool.num_threads):
-            stats.add_thread_work(thread_id, per_thread)
         stats.end_round(syncs=2)
 
     return {"initRatios": init_ratios, "processBucket": process_bucket}

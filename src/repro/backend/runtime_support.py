@@ -16,7 +16,11 @@ statistics, and the runtime entry points the compiler emits calls to:
 This module owns *apply kernels*, not loops: the lazy and relaxed operators
 are called once per round by the generated ``while`` loop, and the eager
 operator only builds the UDF's chunk relaxer and hands it to the eager
-ordered-processing loop in :mod:`repro.core.executors`.  Every library
+ordered-processing loop in :mod:`repro.core.executors`.  The interpreter
+runs one chunk per round: every operator relaxes its whole frontier in one
+kernel call and charges each vertex's degree + 1 to the cost model
+(:meth:`Context.charge`); virtual threads are the cost model's split
+(:mod:`repro.runtime.threads`), whatever the thread knobs say.  Every library
 algorithm, incremental resume and served session runs through here: a
 ``Context`` built with ``resume=(values, seeds)`` binds the loop's priority
 vector to ``values`` and seeds its queue from ``seeds``.
@@ -61,9 +65,9 @@ from ..obs import metrics
 from ..obs import span as trace_span
 from ..runtime.frontier import gather_in_edges, gather_out_edges, scatter_extremum
 from ..runtime.histogram import histogram_counts
+from ..runtime.parallel import ParallelExecutionEngine
 from ..runtime.sanitizer import SanitizedVector, Sanitizer
 from ..runtime.stats import RuntimeStats
-from ..runtime.threads import VirtualThreadPool
 
 __all__ = ["Context", "INT_MAX"]
 
@@ -77,6 +81,27 @@ _APPLY_FRONTIER = metrics.histogram("apply.frontier_size")
 
 # The effect scope of every apply while the sanitizer is off.
 _NO_SCOPE = nullcontext()
+
+
+def _accepted_offers(current, dst, vals, reduce) -> np.ndarray:
+    """Mask of the offers a scalar loop over the stream accepts: an offer
+    wins when it beats its vertex's ``current`` value and every earlier
+    offer to that vertex under ``reduce`` (strictly, so a tie loses)."""
+    if reduce is np.maximum:
+        # ``~`` reverses int64 order without overflow.
+        vals, current = ~vals, ~current
+    n = dst.size
+    # By vertex, then value, then stream position: an offer is a running
+    # record when no offer sorted before it in its vertex's run came earlier.
+    order = np.lexsort((np.arange(n), vals, dst))
+    run = np.cumsum(np.r_[False, dst[order][1:] != dst[order][:-1]])
+    # Offset each run below the previous one so a running minimum of
+    # positions restarts per vertex.
+    ranked = order + (run[-1] - run) * n
+    earliest = np.minimum.accumulate(ranked)
+    record = np.empty(n, dtype=bool)
+    record[order] = np.r_[True, ranked[1:] < earliest[:-1]]
+    return record & (vals < current)
 
 
 class Context:
@@ -100,19 +125,15 @@ class Context:
         self.graph_override = graph
         self.extern_functions = dict(extern_functions or {})
         self.stats = RuntimeStats(num_threads=schedule.num_threads)
-        # Real-parallel execution drives the GIL-releasing batch kernels, so
+        # The thread engine prefetches the batch kernels' edge gathers, so
         # it requires the vectorized path: under ``vectorize=False`` (the
-        # scalar differential-testing oracle) the pool silently degrades to
-        # the serial engine — the oracle stays single-threaded by definition.
+        # scalar differential-testing oracle) it degrades to serial — the
+        # oracle stays single-threaded by definition.
         effective_execution = schedule.execution if vectorize else "serial"
         self.stats.execution = effective_execution
-        self.pool = VirtualThreadPool(
-            schedule.num_threads,
-            schedule.parallelization,
-            schedule.chunk_size,
-            execution=effective_execution,
+        self.engine = ParallelExecutionEngine(
+            schedule.num_threads, effective_execution, self.stats
         )
-        self.pool.bind_stats(self.stats)
         self.queues: list = []
         # Extern functions receive the context; generated vectors are
         # published here so externs can reach them by name.
@@ -248,7 +269,6 @@ class Context:
                 direction=direction,
                 delta=delta,
                 allow_coarsening=allow_coarsening,
-                num_threads=self.schedule.num_threads,
                 stats=self.stats,
                 initial_vertices=initial,
             )
@@ -458,6 +478,13 @@ class Context:
         if frontier_size is not None:
             _APPLY_FRONTIER.observe(frontier_size)
 
+    def charge(self, degrees: np.ndarray) -> None:
+        """Charge one relax call to the cost model: each vertex costs its
+        degree + 1, split across the schedule's virtual threads."""
+        self.stats.charge(
+            degrees + 1, self.schedule.parallelization, self.schedule.chunk_size
+        )
+
     def _udf_arity(self, udf: Callable) -> int:
         """Number of positional parameters ``udf`` accepts.
 
@@ -494,28 +521,25 @@ class Context:
     def _apply_push(
         self, edges: CSRGraph, bucket: np.ndarray, udf: Callable, queue
     ) -> None:
-        weighted = self._udf_arity(udf) == 3
         self.stats.begin_round()
-        degrees = edges.out_degrees()
-        chunks = self.pool.partition(bucket, degrees=degrees[bucket])
-        eager = isinstance(queue, EagerBucketQueue)
-        for thread_id, chunk in enumerate(chunks):
-            if chunk.size == 0:
-                continue
-            if eager:
-                queue.set_thread(thread_id)
-            work = 0
-            for source in chunk.tolist():
-                for destination, weight in edges.out_edges(source):
-                    self.stats.relaxations += 1
-                    self.stats.atomic_ops += 1
-                    if weighted:
-                        udf(source, destination, weight)
-                    else:
-                        udf(source, destination)
-                    work += 1
-            self.stats.add_thread_work(thread_id, work)
+        self.charge(edges.out_degrees()[bucket])
+        self._scalar_push(edges, bucket, udf, atomic=True)
         self.stats.end_round(syncs=queue.round_syncs())
+
+    def _scalar_push(
+        self, edges: CSRGraph, sources: np.ndarray, udf: Callable, atomic: bool
+    ) -> None:
+        """Run ``udf`` on every out-edge of ``sources``, one edge at a time."""
+        weighted = self._udf_arity(udf) == 3
+        for source in sources.tolist():
+            for destination, weight in edges.out_edges(source):
+                self.stats.relaxations += 1
+                if atomic:
+                    self.stats.atomic_ops += 1
+                if weighted:
+                    udf(source, destination, weight)
+                else:
+                    udf(source, destination)
 
     def _frontier_mask(self, size: int, bucket: np.ndarray) -> np.ndarray:
         """Context-owned boolean frontier-membership mask.
@@ -537,24 +561,19 @@ class Context:
         weighted = self._udf_arity(udf) == 3
         on_frontier = self._frontier_mask(edges.num_vertices, bucket)
         self.stats.begin_round()
-        all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
-        chunks = self.pool.partition(all_vertices, degrees=edges.in_degrees())
-        for thread_id, chunk in enumerate(chunks):
-            work = 0
-            for destination in chunk.tolist():
-                sources = edges.in_neighbors(destination)
-                weights = edges.in_weights(destination)
-                for source, weight in zip(sources.tolist(), weights.tolist()):
-                    work += 1
-                    self.stats.relaxations += 1
-                    if not on_frontier[source]:
-                        continue
-                    # Pull direction: no atomics needed (Figure 9(b)).
-                    if weighted:
-                        udf(source, destination, weight)
-                    else:
-                        udf(source, destination)
-            self.stats.add_thread_work(thread_id, work)
+        self.charge(edges.in_degrees())
+        for destination in range(edges.num_vertices):
+            sources = edges.in_neighbors(destination)
+            weights = edges.in_weights(destination)
+            for source, weight in zip(sources.tolist(), weights.tolist()):
+                self.stats.relaxations += 1
+                if not on_frontier[source]:
+                    continue
+                # Pull direction: no atomics needed (Figure 9(b)).
+                if weighted:
+                    udf(source, destination, weight)
+                else:
+                    udf(source, destination)
         self.stats.end_round(syncs=2)
 
     # ------------------------------------------------------------------
@@ -574,31 +593,18 @@ class Context:
         self, edges: CSRGraph, bucket: np.ndarray, kernel: dict, queue
     ) -> None:
         self.stats.begin_round()
-        degrees = edges.out_degrees()
-        chunks = self.pool.partition(bucket, degrees=degrees[bucket])
+        self.charge(edges.out_degrees()[bucket])
         eager = isinstance(queue, EagerBucketQueue)
 
-        def produce(chunk: np.ndarray, thread_id: int):
-            # Pure CSR topology/weight gather — safe to run on real worker
-            # threads concurrently (numpy releases the GIL here).
-            return gather_out_edges(edges, chunk)
-
-        def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
+        def commit(chunk: np.ndarray, prefetched) -> None:
             # All mutation (priority writes, queue inserts, stats) happens
-            # here; the engine replays commits in chunk order, so the
-            # committed sequence equals the serial engine's bit-for-bit.
-            if eager:
-                queue.set_thread(thread_id)
+            # here, after the read-only gather.
             src, dst, wgt = prefetched
-            n = int(dst.size)
-            self.stats.relaxations += n
-            self.stats.atomic_ops += n
-            routed = self._dispatch_stream(
-                kernel, queue, src, dst, wgt, thread_id, eager
-            )
-            self.stats.add_thread_work(thread_id, n + routed)
+            self.stats.relaxations += int(dst.size)
+            self.stats.atomic_ops += int(dst.size)
+            self._dispatch_stream(kernel, queue, src, dst, wgt, eager)
 
-        self.pool.run_round(chunks, produce, commit)
+        self.engine.run(bucket, lambda chunk: gather_out_edges(edges, chunk), commit)
         self.stats.end_round(syncs=queue.round_syncs())
 
     def _apply_pull_vectorized(
@@ -606,25 +612,20 @@ class Context:
     ) -> None:
         on_frontier = self._frontier_mask(edges.num_vertices, bucket)
         self.stats.begin_round()
+        self.charge(edges.in_degrees())
         all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
-        chunks = self.pool.partition(all_vertices, degrees=edges.in_degrees())
 
-        def produce(chunk: np.ndarray, thread_id: int):
-            return gather_in_edges(edges, chunk)
-
-        def commit(chunk: np.ndarray, thread_id: int, prefetched) -> None:
+        def commit(chunk: np.ndarray, prefetched) -> None:
             src, dst, wgt = prefetched
-            n = int(dst.size)
-            self.stats.relaxations += n
+            self.stats.relaxations += int(dst.size)
             # Pull direction: only edges whose source is on the frontier run
             # the UDF (and no atomics, Figure 9(b)).
             mask = on_frontier[src]
-            routed = self._dispatch_stream(
-                kernel, queue, src[mask], dst[mask], wgt[mask], thread_id, False
-            )
-            self.stats.add_thread_work(thread_id, n + routed)
+            self._dispatch_stream(kernel, queue, src[mask], dst[mask], wgt[mask], False)
 
-        self.pool.run_round(chunks, produce, commit)
+        self.engine.run(
+            all_vertices, lambda chunk: gather_in_edges(edges, chunk), commit
+        )
         self.stats.end_round(syncs=2)
 
     def _dispatch_stream(
@@ -634,30 +635,25 @@ class Context:
         src: np.ndarray,
         dst: np.ndarray,
         wgt: np.ndarray,
-        thread_id: int,
         eager: bool,
-    ) -> int:
-        """Run one chunk's edge stream through its batch kernel.
-
-        Returns the bucket operations to charge on top of the edges
-        traversed (the :class:`repro.core.executors.Relaxer` work unit): one
-        per improved vertex for the extremal kinds, routed into the eager
-        thread's bins or the shared buffer.  The sum kernel charges edges only,
-        which is what the scalar interpreter it mirrors charges.
-        """
+    ) -> None:
+        """Run one relax call's edge stream through its batch kernel: the
+        extremal kinds route each improved vertex into the eager bins or
+        the lazy buffer."""
         if kernel["kind"] == "sum_const":
-            self._run_sum_stream(kernel, queue, dst, thread_id, eager)
-            return 0
+            self._run_sum_stream(kernel, queue, dst, eager)
+            return
         if dst.size == 0:
-            return 0
-        improved = self._relax_stream(kernel, queue, src, dst, wgt)
+            return
+        improved, values = self._relax_stream(kernel, queue, src, dst, wgt)
         if improved.size:
             self.stats.priority_updates += int(improved.size)
-            if eager:
-                queue.insert_changed_batch(thread_id, improved)
+            if values is not None:
+                queue.insert_updates(improved, values)
+            elif eager:
+                queue.insert_changed_batch(improved)
             else:
                 queue.buffer_changed_batch(improved)
-        return int(improved.size)
 
     # -- shared batch helpers ------------------------------------------
     @staticmethod
@@ -669,9 +665,13 @@ class Context:
         return out.astype(np.int64, copy=False)
 
     # -- stream processors ---------------------------------------------
-    def _relax_stream(self, kernel, queue, src, dst, wgt) -> np.ndarray:
-        """``updatePriorityMin`` / ``Max`` over an edge stream; returns the
-        sorted distinct vertices whose priority improved.
+    def _relax_stream(self, kernel, queue, src, dst, wgt):
+        """``updatePriorityMin`` / ``Max`` over an edge stream; returns
+        ``(the sorted distinct vertices whose priority improved, None)``, or
+        on a queue that finalizes nothing ``(vertices, values)`` of every
+        update the scalar loop makes, in stream order: approximate ordering
+        keeps one bucket entry per update, stale copies included, so only
+        that sequence reproduces its bins.
 
         What is the DSL operator's contract, not the kernel's, happens here:
         the UDF's value expression evaluated over the whole stream, the A*
@@ -699,11 +699,13 @@ class Context:
             # so every read sees the writes scalar order puts before it.
             cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
             if cuts.size and np.isin(dst[passing], src).any():
-                parts = [
+                vertices, values = zip(*(
                     self._relax_stream(kernel, queue, *part)
                     for part in zip(*(np.split(a, cuts) for a in (src, dst, wgt)))
-                ]
-                return np.unique(np.concatenate(parts))
+                ))
+                if queue.finalizes:
+                    return np.unique(np.concatenate(vertices)), None
+                return np.concatenate(vertices), np.concatenate(values)
             scatter_extremum(aux, dst, vals, np.minimum)
             dst = dst[passing]
             vals = self._as_stream(
@@ -728,7 +730,12 @@ class Context:
                     self.inverted_batches += 1
                 inverted = np.asarray(queue.order_of_value(vals)) < cur
                 dst, vals = self._freeze_at_first_inversion(dst, vals, inverted)
-        return scatter_extremum(pv, dst, vals, reduce)
+        if queue.finalizes:
+            return scatter_extremum(pv, dst, vals, reduce), None
+        accepted = _accepted_offers(pv[dst], dst, vals, reduce)
+        dst, vals = dst[accepted], vals[accepted]
+        scatter_extremum(pv, dst, vals, reduce)
+        return dst, vals
 
     @staticmethod
     def _freeze_at_first_inversion(dst, vals, inverted):
@@ -750,7 +757,7 @@ class Context:
             np.concatenate([vals[keep], vals[hit[first]]]),
         )
 
-    def _run_sum_stream(self, kernel, queue, dst, thread_id, eager) -> None:
+    def _run_sum_stream(self, kernel, queue, dst, eager) -> None:
         """Batch ``updatePrioritySum(dst, c, getCurrentPriority())``.
 
         Each destination appearing ``count`` times takes ``s = min(count,
@@ -820,7 +827,7 @@ class Context:
                 if below:
                     queue.priority_inversions += below
                     orders = np.maximum(orders, cur)
-            queue.insert_batch_at(thread_id, rep_v, orders)
+            queue.insert_batch_at(rep_v, orders)
         else:
             queue.buffer_attempts_batch(rep_v)
 
@@ -838,21 +845,10 @@ class Context:
         ), self._effect_scope(udf, edges=edges):
             # Whole-edgeset apply: every vertex is a legal write target, so
             # only the name-level rules apply (frontier=None).
-            weighted = self._udf_arity(udf) == 3
             self.stats.begin_round()
+            self.charge(edges.out_degrees())
             all_vertices = np.arange(edges.num_vertices, dtype=np.int64)
-            chunks = self.pool.partition(all_vertices, degrees=edges.out_degrees())
-            for thread_id, chunk in enumerate(chunks):
-                work = 0
-                for source in chunk.tolist():
-                    for destination, weight in edges.out_edges(source):
-                        self.stats.relaxations += 1
-                        if weighted:
-                            udf(source, destination, weight)
-                        else:
-                            udf(source, destination)
-                        work += 1
-                self.stats.add_thread_work(thread_id, work)
+            self._scalar_push(edges, all_vertices, udf, atomic=False)
             self.stats.end_round(syncs=1)
 
     # ------------------------------------------------------------------
@@ -893,24 +889,12 @@ class Context:
         kernel: dict | None,
     ) -> None:
         self.stats.begin_round()
-        if self.pool.is_parallel:
-            # Gather each worker's share of the bucket's neighbours
-            # concurrently; the histogram (np.unique) is order-insensitive,
-            # so chunked concatenation reproduces the serial counts exactly.
-            chunks = self.pool.partition(
-                bucket, degrees=edges.out_degrees()[bucket]
-            )
-            parts: list[np.ndarray] = []
-            self.pool.run_round(
-                chunks,
-                lambda chunk, thread_id: gather_out_edges(edges, chunk)[1],
-                lambda chunk, thread_id, part: parts.append(part),
-            )
-            neighbors = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-        else:
-            _, neighbors, _ = gather_out_edges(edges, bucket)
+        self.charge(edges.out_degrees()[bucket])
+        neighbors = self.engine.run(
+            bucket,
+            lambda chunk: gather_out_edges(edges, chunk)[1],
+            lambda chunk, neighbors: neighbors,
+        )
         self.stats.relaxations += int(neighbors.size)
         # The transformed UDF's own ``priority > k`` guard, applied before
         # binning: a neighbour already peeled (at or below k) is never counted.
@@ -926,10 +910,6 @@ class Context:
                     changed.append(vertex)
                     self.stats.priority_updates += 1
             queue.buffer_changed_batch(np.array(changed, dtype=np.int64))
-        work = int(neighbors.size) + int(vertices.size)
-        per_thread = work // self.pool.num_threads + 1
-        for thread_id in range(self.pool.num_threads):
-            self.stats.add_thread_work(thread_id, per_thread)
         self.stats.end_round(syncs=2)
 
     # ------------------------------------------------------------------
@@ -944,51 +924,37 @@ class Context:
         fusion_threshold: int = 0,
         kernel: dict | None = None,
     ) -> None:
-        """Build the UDF's chunk relaxer and hand it to the shared eager loop
-        (:func:`repro.core.executors.run_eager`): rounds, partitioning, the
-        bucket-fusion drain and the produce/commit split all live there."""
+        """Build the UDF's relaxer and hand it to the shared eager loop
+        (:func:`repro.core.executors.run_eager`): rounds, the bucket-fusion
+        drain and the produce/commit split live there."""
         vectorized = self._use_kernel(kernel, _PRIORITY_KINDS)
-        weighted = not vectorized and self._udf_arity(udf) == 3
         self._note_apply(vectorized, None)
+        degrees = edges.out_degrees()
 
-        def gather(chunk: np.ndarray, thread_id: int):
-            # Pure CSR gather (runs on worker threads under the parallel
+        def gather(chunk: np.ndarray):
+            # Pure CSR gather (runs on the worker thread under the parallel
             # engine).  The scalar interpreter walks edges itself and never
-            # runs on workers: the pool is serial whenever vectorize=False.
+            # runs on the worker: the engine is serial whenever vectorize=False.
             return gather_out_edges(edges, chunk) if vectorized else None
 
-        def relax(chunk: np.ndarray, thread_id: int, prefetched) -> int:
-            queue.set_thread(thread_id)
-            # Each chunk (initial relaxation or fused local bucket) is its
-            # own sanitizer scope: writes must stay within the chunk's
-            # out-neighborhood.
+        def relax(chunk: np.ndarray, prefetched) -> None:
+            # Each relax call (a round's frontier or a fused local bucket)
+            # is its own sanitizer scope: writes must stay within the
+            # chunk's out-neighborhood.
             with trace_span(
                 "apply.push",
                 "runtime",
                 frontier=int(chunk.size),
                 vectorized=bool(vectorized),
             ), self._effect_scope(udf, frontier=chunk, edges=edges):
-                if vectorized:
-                    src, dst, wgt = (
-                        gather(chunk, thread_id) if prefetched is None else prefetched
-                    )
-                    work = int(dst.size)
-                    self.stats.relaxations += work
-                    self.stats.atomic_ops += work
-                    return work + self._dispatch_stream(
-                        kernel, queue, src, dst, wgt, thread_id, True
-                    )
-                work = 0
-                for source in chunk.tolist():
-                    for destination, weight in edges.out_edges(source):
-                        self.stats.relaxations += 1
-                        self.stats.atomic_ops += 1
-                        if weighted:
-                            udf(source, destination, weight)
-                        else:
-                            udf(source, destination)
-                        work += 1
-                return work
+                self.charge(degrees[chunk])
+                if not vectorized:
+                    self._scalar_push(edges, chunk, udf, atomic=True)
+                    return
+                src, dst, wgt = gather(chunk) if prefetched is None else prefetched
+                self.stats.relaxations += int(dst.size)
+                self.stats.atomic_ops += int(dst.size)
+                self._dispatch_stream(kernel, queue, src, dst, wgt, True)
 
         relax.gather = gather
         with trace_span(
@@ -998,5 +964,5 @@ class Context:
             vectorized=bool(vectorized),
         ):
             executors.run_eager(
-                edges, queue, relax, self.pool, self.stats, fusion_threshold, stop_condition
+                queue, relax, self.engine, self.stats, fusion_threshold, stop_condition
             )

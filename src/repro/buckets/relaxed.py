@@ -161,21 +161,17 @@ class RelaxedPriorityQueue(AbstractPriorityQueue):
             "matching Galois' limitation described in the paper"
         )
 
-    def insert_changed_batch(self, vertices: np.ndarray) -> None:
-        """Batch insertion of already-updated vertices (vectorized path)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return
-        orders = np.asarray(self.order_of_value(self.priority_vector[vertices]))
+    def insert_updates(self, vertices: np.ndarray, values: np.ndarray) -> None:
+        """One bucket entry per priority update, in update order (``vertices``
+        may repeat): the bins the scalar path's one insert per update leaves,
+        stale copies included."""
+        orders = np.asarray(self.order_of_value(values))
         with self._window_lock:
             self.stats.bucket_inserts += int(vertices.size)
             for order, members in split_by_order(vertices, orders):
-                self._bins.setdefault(order, []).append(members)
-
-    def buffer_changed_batch(self, vertices: np.ndarray) -> None:
-        """The lazy apply operator's routing entry: there is no update
-        buffer to reduce, so changed vertices go straight to the bins."""
-        self.insert_changed_batch(vertices)
+                # Dequeue pops a bin's newest entry first: one chunk in
+                # reverse update order pops like the scalar singletons.
+                self._bins.setdefault(order, []).append(members[::-1].copy())
 
     def _enqueue_changed(self, vertex: int, new_value: int) -> None:
         with self._window_lock:

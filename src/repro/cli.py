@@ -98,13 +98,19 @@ def _add_schedule_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("SparsePush", "DensePull"),
         help="edge traversal direction (configApplyDirection)",
     )
-    group.add_argument("--threads", type=int, default=8, help="virtual threads")
+    group.add_argument(
+        "--threads",
+        type=int,
+        default=8,
+        help="OpenMP threads under native execution; the cost model's "
+        "virtual threads otherwise",
+    )
     group.add_argument(
         "--execution",
         default="serial",
         choices=("serial", "parallel", "native"),
-        help="run virtual-thread partitions inline (serial, the bit-exact "
-        "oracle), on real worker threads (parallel), or as a compiled "
+        help="run each round inline (serial, the bit-exact oracle), with "
+        "its edge gather on a worker thread (parallel), or as a compiled "
         "shared-library kernel (native; falls back to serial vectorized "
         "Python with an N101 note when no C++ toolchain is available) "
         "(configExecution)",

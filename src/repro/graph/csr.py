@@ -10,14 +10,15 @@ Loaded graphs are mutable through a small delta overlay: ``add_edge``,
 ``remove_edge`` and ``update_weight`` (single or batched) record pending
 inserts per source and a removal mask over base edge slots instead of
 rebuilding the arrays per call.  The overlay compacts back into contiguous
-CSR lazily — on the first whole-array read after a mutation batch, or
-eagerly once the overlay crosses a size threshold — so a batch of k
-mutations costs one rebuild, not k.  Point readers (``out_neighbors``,
-``out_edges``, ``out_degree``, ``num_edges``) answer through the overlay
-without forcing compaction.  Every mutation bumps ``mutation_version`` and
-drops the memoized in-CSR and degree arrays, so no consumer can observe a
-stale cache.  The vertex set is fixed: mutations may only reference
-existing vertex ids.
+CSR on an explicit :meth:`CSRGraph.compact`, or eagerly once it crosses a
+size threshold — so a batch of k mutations costs one rebuild, not k.  Reads
+never compact: point readers (``out_neighbors``, ``out_edges``,
+``out_degree``, ``num_edges``) answer through the overlay, and whole-array
+readers (``indptr`` / ``indices`` / ``weights``, ``edge_list``,
+``in_csr``) see a folded read-only copy.  Every mutation bumps
+``mutation_version`` and drops the memoized folded, in-CSR and degree
+arrays, so no consumer can observe a stale cache.  The vertex set is
+fixed: mutations may only reference existing vertex ids.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = ["CSRGraph", "COMPACTION_THRESHOLD"]
 
 
 # Pending overlay edges tolerated before compaction happens eagerly at
-# mutation time (instead of lazily on the next whole-array read).
+# mutation time (instead of on an explicit ``compact()``).
 COMPACTION_THRESHOLD = 4096
 
 
@@ -115,6 +116,9 @@ class CSRGraph:
         # mask and append pending inserts.  Only compaction (which
         # replaces the base arrays) invalidates it.
         self._in_base: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The arrays a whole-array read sees while the overlay is pending
+        # (read-only; dropped by the next mutation).
+        self._folded: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -146,21 +150,35 @@ class CSRGraph:
 
     @property
     def indptr(self) -> np.ndarray:
-        """Out-adjacency offsets (compacts any pending overlay first)."""
-        self._compact()
-        return self._indptr
+        """Out-adjacency offsets, overlay included (see :meth:`_view`)."""
+        return self._view()[0]
 
     @property
     def indices(self) -> np.ndarray:
-        """Out-edge destinations (compacts any pending overlay first)."""
-        self._compact()
-        return self._indices
+        """Out-edge destinations, overlay included (see :meth:`_view`)."""
+        return self._view()[1]
 
     @property
     def weights(self) -> np.ndarray:
-        """Out-edge weights (compacts any pending overlay first)."""
-        self._compact()
-        return self._weights
+        """Out-edge weights, overlay included (see :meth:`_view`)."""
+        return self._view()[2]
+
+    def _view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR arrays with any pending overlay folded in.
+
+        A read leaves the overlay in place: the folded arrays are a
+        read-only copy kept until the next mutation, so reading a property
+        never throws away the retained in-adjacency an incremental resume
+        relies on.  :meth:`compact` folds the overlay for good.
+        """
+        if not self.has_pending_mutations:
+            return self._indptr, self._indices, self._weights
+        if self._folded is None:
+            folded = self._fold()
+            for array in folded:
+                array.setflags(write=False)
+            self._folded = folded
+        return self._folded
 
     @property
     def coordinates(self) -> np.ndarray | None:
@@ -288,15 +306,15 @@ class CSRGraph:
         Built lazily by a stable counting sort over destinations, so the
         in-neighbors of each vertex appear in order of their source id.
         """
-        self._compact()
         if self._in_csr is None:
+            out_indptr, indices, weights = self._view()
             n = self.num_vertices
-            counts = np.bincount(self._indices, minlength=n).astype(np.int64)
+            counts = np.bincount(indices, minlength=n).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            order = np.argsort(self._indices, kind="stable")
-            sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-            self._in_csr = (indptr, sources[order], self._weights[order])
+            order = np.argsort(indices, kind="stable")
+            sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_indptr))
+            self._in_csr = (indptr, sources[order], weights[order])
         return self._in_csr
 
     # ------------------------------------------------------------------
@@ -419,9 +437,8 @@ class CSRGraph:
 
         Parallel copies are allowed (the graph is a multigraph under
         mutation, exactly as :class:`GraphBuilder` permits duplicates).
-        The insert lands in the overlay; compaction is deferred until a
-        whole-array read or the overlay crosses
-        :data:`COMPACTION_THRESHOLD`.
+        The insert lands in the overlay; compaction is deferred until
+        :meth:`compact` or the overlay crosses :data:`COMPACTION_THRESHOLD`.
         """
         self._check_vertex(src)
         self._check_vertex(dst)
@@ -431,7 +448,7 @@ class CSRGraph:
             self._negative_count += 1
         self._note_mutation()
         if self._pending_count > COMPACTION_THRESHOLD:
-            self._compact()
+            self.compact()
 
     def remove_edge(self, src: int, dst: int) -> None:
         """Remove every copy of the directed edge ``src -> dst``.
@@ -531,6 +548,7 @@ class CSRGraph:
     def _note_mutation(self) -> None:
         """Bump the version and drop every memoized derived structure."""
         self._mutation_version += 1
+        self._folded = None
         self._in_csr = None
         self._out_degrees = None
         self._in_degrees = None
@@ -542,15 +560,28 @@ class CSRGraph:
             self._weights = self._weights.copy()
             self._weights_owned = True
 
-    def _compact(self) -> None:
-        """Fold the overlay back into contiguous CSR arrays.
+    def compact(self) -> None:
+        """Fold the overlay back into contiguous CSR arrays."""
+        if not self.has_pending_mutations:
+            return
+        self._indptr, self._indices, self._weights = self._fold()
+        self._folded = None
+        self._weights_owned = True
+        self._pending = {}
+        self._pending_count = 0
+        self._removed = None
+        self._removed_count = 0
+        # The base arrays just changed wholesale: the retained in-base
+        # index maps stale slots and must be rebuilt on next use.
+        self._in_base = None
+
+    def _fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Base and overlay merged into fresh CSR arrays.
 
         The merge keeps base-slot order first and overlay inserts last
         within each source (stable sort over the source column), so edge
         iteration order stays deterministic across compactions.
         """
-        if not self.has_pending_mutations:
-            return
         n = self.num_vertices
         sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
         indices, weights = self._indices, self._weights
@@ -580,28 +611,20 @@ class CSRGraph:
         counts = np.bincount(sources, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        self._indptr = indptr
-        self._indices = np.ascontiguousarray(indices[order])
-        self._weights = np.ascontiguousarray(weights[order])
-        self._weights_owned = True
-        self._pending = {}
-        self._pending_count = 0
-        self._removed = None
-        self._removed_count = 0
-        # The base arrays just changed wholesale: the retained in-base
-        # index maps stale slots and must be rebuilt on next use.
-        self._in_base = None
+        return (
+            indptr,
+            np.ascontiguousarray(indices[order]),
+            np.ascontiguousarray(weights[order]),
+        )
 
     # ------------------------------------------------------------------
     # Whole-graph transforms
     # ------------------------------------------------------------------
     def edge_list(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All edges as ``(sources, destinations, weights)`` arrays."""
-        self._compact()
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self._indptr)
-        )
-        return sources, self._indices.copy(), self._weights.copy()
+        indptr, indices, weights = self._view()
+        sources = np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(indptr))
+        return sources, indices.copy(), weights.copy()
 
     def reversed(self) -> "CSRGraph":
         """The transpose graph (every edge direction flipped)."""
@@ -635,22 +658,18 @@ class CSRGraph:
 
     def with_weights(self, weights: np.ndarray) -> "CSRGraph":
         """A copy of this graph with the given per-edge weights."""
-        self._compact()
+        indptr, indices, _ = self._view()
         return CSRGraph(
-            self._indptr.copy(),
-            self._indices.copy(),
+            indptr.copy(),
+            indices.copy(),
             np.asarray(weights, dtype=np.int64).copy(),
             coordinates=self._coordinates,
         )
 
     def with_coordinates(self, coordinates: np.ndarray) -> "CSRGraph":
         """A copy of this graph with the given vertex coordinates."""
-        self._compact()
         return CSRGraph(
-            self._indptr.copy(),
-            self._indices.copy(),
-            self._weights.copy(),
-            coordinates=coordinates,
+            *(array.copy() for array in self._view()), coordinates=coordinates
         )
 
     # ------------------------------------------------------------------

@@ -410,20 +410,19 @@ def _dead_knob_rules():
             "execution",
             lambda s: s.execution == "parallel" and s.num_threads == 1,
             "execution=parallel with num_threads=1 never engages the "
-            "thread-backed engine (single-worker rounds fall back to the "
-            "serial inline loop)",
+            "thread engine (a one-thread round runs inline, as in serial)",
         ),
         (
             "num_threads",
             lambda s: s.num_threads == 1 and s.execution == "parallel",
-            "num_threads=1 disables both work partitioning and the parallel "
-            "engine the schedule requests",
+            "num_threads=1 collapses the cost model's work split and disables "
+            "the thread engine the schedule requests",
         ),
         (
             "parallelization",
             lambda s: s.execution == "native",
             "native kernels always use OpenMP dynamic scheduling; the "
-            "parallelization policy only steers the Python runtime",
+            "parallelization policy only steers the interpreter's cost model",
         ),
         (
             "chunk_size",

@@ -74,20 +74,23 @@ class Schedule:
         Edge traversal direction (``configApplyDirection`` from the original
         GraphIt scheduling language).
     parallelization:
-        Load-balancing policy (``configApplyParallelization``).
+        Load-balancing policy (``configApplyParallelization``).  The
+        interpreter runs one chunk per round, so there the policy (like
+        ``num_threads`` and ``chunk_size``) only sets how the cost model
+        splits each relax call's work across its virtual threads.
     num_threads:
-        For the interpreter, the virtual-thread count frontiers are dealt
-        into.  Under ``execution="native"`` it is the OpenMP thread count,
-        and 1 builds serial code: no atomic read-modify-write and no
-        parallel region.
+        For the interpreter, the cost model's virtual-thread count.  Under
+        ``execution="native"`` it is the OpenMP thread count, and 1 builds
+        serial code: no atomic read-modify-write and no parallel region.
     chunk_size:
         Work-chunk granularity for dynamic policies (OpenMP's
         ``schedule(dynamic, 64)``).
     execution:
-        ``serial`` runs the virtual-thread partitions inline (the bit-exact
-        historical behaviour and the differential-test oracle); ``parallel``
-        runs them on real worker threads via the
-        :class:`~repro.runtime.parallel.ParallelExecutionEngine`; ``native``
+        ``serial`` runs each round inline (the differential-test oracle's
+        mode); ``parallel`` runs each round's read-only edge gather on a
+        worker thread via the
+        :class:`~repro.runtime.parallel.ParallelExecutionEngine`, with
+        results identical to serial; ``native``
         compiles the C++ backend into a cached shared library and runs it
         in-process, falling back to serial vectorized execution (with an
         ``N101`` diagnostic) when no C++ toolchain is available

@@ -6,13 +6,13 @@ from .histogram import histogram_counts
 from .parallel import EXECUTION_MODES, ParallelExecutionEngine, shutdown_executors
 from .sanitizer import SanitizedVector, Sanitizer, SanitizerError
 from .stats import DEFAULT_COST_MODEL, CostModel, RuntimeStats
-from .threads import PARALLELIZATION_POLICIES, VirtualThreadPool
+from .threads import PARALLELIZATION_POLICIES, split_work
 
 __all__ = [
     "RuntimeStats",
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "VirtualThreadPool",
+    "split_work",
     "PARALLELIZATION_POLICIES",
     "ParallelExecutionEngine",
     "EXECUTION_MODES",

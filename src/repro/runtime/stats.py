@@ -15,13 +15,19 @@ parallel running time:
 Because the Python interpreter executes everything sequentially, wall-clock
 time alone cannot reflect barrier costs on a 24-core machine; the simulated
 time restores exactly the component the paper's optimizations target (fewer
-rounds, fewer synchronizations, balanced thread work).
+rounds, fewer synchronizations, balanced thread work).  The interpreter runs
+one chunk per round: the per-thread work is the cost model's split of each
+relax call (:meth:`RuntimeStats.charge`, :mod:`repro.runtime.threads`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
+
+import numpy as np
+
+from .threads import split_work
 
 __all__ = [
     "RuntimeStats",
@@ -147,7 +153,7 @@ class RuntimeStats:
     worker_wall_time: dict[int, float] = _stat(
         dict, merge="sum-by-key", kind="wall_clock"
     )
-    _current_work: list[int] | None = field(default=None, repr=False)
+    _current_work: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Round lifecycle
@@ -156,13 +162,20 @@ class RuntimeStats:
         """Open a new global round; per-thread work accumulators reset."""
         if self._current_work is not None:
             raise RuntimeError("begin_round called with a round already open")
-        self._current_work = [0] * self.num_threads
+        self._current_work = np.zeros(self.num_threads, dtype=np.int64)
 
-    def add_thread_work(self, thread_id: int, units: int) -> None:
-        """Charge ``units`` of work to ``thread_id`` in the open round."""
+    def charge(
+        self,
+        costs,
+        policy: str = "dynamic-vertex-parallel",
+        chunk_size: int = 64,
+    ) -> None:
+        """Charge one relax call's per-item work (a vertex costs its degree
+        + 1) to the open round, split across the virtual threads by
+        :func:`~repro.runtime.threads.split_work`."""
         if self._current_work is None:
-            raise RuntimeError("add_thread_work called outside a round")
-        self._current_work[thread_id] += int(units)
+            raise RuntimeError("charge called outside a round")
+        self._current_work += split_work(costs, self.num_threads, policy, chunk_size)
 
     def end_round(self, syncs: int = 1, fused: int = 0) -> None:
         """Close the open round.
@@ -182,8 +195,8 @@ class RuntimeStats:
         self.rounds += 1
         self.fused_rounds += int(fused)
         self.global_syncs += int(syncs)
-        self.max_work_per_round.append(max(self._current_work, default=0))
-        self.total_work_per_round.append(sum(self._current_work))
+        self.max_work_per_round.append(int(self._current_work.max()))
+        self.total_work_per_round.append(int(self._current_work.sum()))
         self._current_work = None
 
     def record_parallel_round(

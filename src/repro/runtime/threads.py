@@ -1,36 +1,29 @@
-"""Deterministic virtual-thread work partitioning.
+"""The cost model's virtual threads.
 
-The eager bucketing runtime is defined in terms of thread-local state (each
-thread owns its local buckets — Figures 6 and 7 of the paper), so the notion
-of "which thread processes which vertex" must exist even though Python
-executes sequentially.  :class:`VirtualThreadPool` deterministically assigns
-frontier vertices to virtual threads using the same policies GraphIt's
-scheduling language exposes through ``configApplyParallelization``:
+The interpreter runs one chunk per round; virtual threads are the cost
+model's split.  :func:`split_work` is the one place that knows how a relax
+call's work divides across ``Schedule.num_threads`` threads under the
+policies GraphIt's ``configApplyParallelization`` exposes:
 
-- ``static-vertex-parallel``: contiguous block partitioning (OpenMP static).
-- ``dynamic-vertex-parallel``: chunks of ``chunk_size`` vertices dealt
+- ``static-vertex-parallel``: contiguous, nearly equal blocks of items
+  (OpenMP static).
+- ``dynamic-vertex-parallel``: chunks of ``chunk_size`` items dealt
   round-robin (OpenMP ``schedule(dynamic, 64)`` under a deterministic
-  serialization).
-- ``edge-aware-dynamic-vertex-parallel``: chunks balanced by out-degree sum,
-  emulating GraphIt's edge-aware load balancing.
+  serialization); a frontier no larger than one chunk is cut into
+  ``num_threads`` chunks instead of landing on one thread.
+- ``edge-aware-dynamic-vertex-parallel``: contiguous blocks of
+  (approximately) equal cost, GraphIt's edge-aware load balancing.
 
-Since PR 3 the pool is no longer purely virtual: constructed with
-``execution="parallel"`` it owns a :class:`ParallelExecutionEngine` that runs
-the per-thread partitions on *real* worker threads (``run_round``), while
-``execution="serial"`` (the default) preserves the historical inline loop
-bit-for-bit.
+Real threads run only on the native path (OpenMP).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
-
 import numpy as np
 
 from ..errors import SchedulingError
-from .parallel import EXECUTION_MODES, ParallelExecutionEngine
 
-__all__ = ["VirtualThreadPool", "PARALLELIZATION_POLICIES", "EXECUTION_MODES"]
+__all__ = ["PARALLELIZATION_POLICIES", "split_work"]
 
 PARALLELIZATION_POLICIES = (
     "static-vertex-parallel",
@@ -39,149 +32,75 @@ PARALLELIZATION_POLICIES = (
 )
 
 
-class VirtualThreadPool:
-    """Partitions work items across a fixed number of virtual threads."""
+def split_work(
+    costs: np.ndarray,
+    num_threads: int,
+    policy: str = "dynamic-vertex-parallel",
+    chunk_size: int = 64,
+) -> np.ndarray:
+    """Each virtual thread's total of ``costs`` (one cost per work item, in
+    frontier order; a vertex costs its degree + 1) under ``policy``."""
+    if num_threads < 1 or chunk_size < 1:
+        raise SchedulingError("num_threads and chunk_size must be positive")
+    if policy not in PARALLELIZATION_POLICIES:
+        raise SchedulingError(
+            f"unknown parallelization policy {policy!r}; "
+            f"expected one of {PARALLELIZATION_POLICIES}"
+        )
+    costs = np.asarray(costs, dtype=np.int64)
+    n = costs.size
+    totals = np.zeros(num_threads, dtype=np.int64)
+    if num_threads == 1 or n <= 1:
+        totals[0] = costs.sum()
+        return totals
+    if policy == "edge-aware-dynamic-vertex-parallel":
+        cumulative = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(costs, out=cumulative[1:])
+        edges = np.concatenate(([0], _edge_aware_bounds(cumulative, num_threads), [n]))
+        return cumulative[edges[1:]] - cumulative[edges[:-1]]
+    if n <= num_threads:
+        # One item per thread under both the static and the dynamic split.
+        totals[:n] = costs
+        return totals
+    if policy == "static-vertex-parallel":
+        # np.array_split's blocks: the first ``n % num_threads`` get one more.
+        index = np.arange(num_threads)
+        starts = index * (n // num_threads) + np.minimum(index, n % num_threads)
+        return np.add.reduceat(costs, starts)
+    if n <= chunk_size:
+        # A frontier no larger than one chunk is cut into num_threads chunks.
+        chunk = -(-n // num_threads)
+        starts = np.arange(0, n, chunk)
+        totals[: starts.size] = np.add.reduceat(costs, starts)
+        return totals
+    chunk_totals = np.add.reduceat(costs, np.arange(0, n, chunk_size))
+    # Chunk i goes to thread i % num_threads.
+    rows = -(-chunk_totals.size // num_threads)
+    dealt = np.zeros(rows * num_threads, dtype=np.int64)
+    dealt[: chunk_totals.size] = chunk_totals
+    return dealt.reshape(rows, num_threads).sum(axis=0)
 
-    def __init__(
-        self,
-        num_threads: int = 8,
-        policy: str = "dynamic-vertex-parallel",
-        chunk_size: int = 64,
-        execution: str = "serial",
-    ):
-        if num_threads < 1:
-            raise SchedulingError("num_threads must be positive")
-        if policy not in PARALLELIZATION_POLICIES:
-            raise SchedulingError(
-                f"unknown parallelization policy {policy!r}; "
-                f"expected one of {PARALLELIZATION_POLICIES}"
-            )
-        if chunk_size < 1:
-            raise SchedulingError("chunk_size must be positive")
-        if execution not in EXECUTION_MODES:
-            raise SchedulingError(
-                f"unknown execution mode {execution!r}; "
-                f"expected one of {EXECUTION_MODES}"
-            )
-        self.num_threads = int(num_threads)
-        self.policy = policy
-        self.chunk_size = int(chunk_size)
-        self.execution = execution
-        self.engine = ParallelExecutionEngine(self.num_threads, execution)
 
-    @property
-    def is_parallel(self) -> bool:
-        """True when rounds run on real worker threads."""
-        return self.engine.is_parallel
-
-    def bind_stats(self, stats) -> None:
-        """Attach a RuntimeStats sink for barrier/wall-time observables."""
-        self.engine.stats = stats
-
-    def run_round(
-        self,
-        chunks: Sequence[np.ndarray],
-        produce: Callable[[np.ndarray, int], Any],
-        commit: Callable[[np.ndarray, int, Any], None],
-    ) -> None:
-        """Execute one round's chunks via the execution engine.
-
-        See :meth:`ParallelExecutionEngine.run_round` for the produce/commit
-        contract.  In serial mode this is exactly the historical inline loop.
-        """
-        self.engine.run_round(chunks, produce, commit)
-
-    def partition(
-        self, items: np.ndarray, degrees: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Split ``items`` into one array per thread.
-
-        Parameters
-        ----------
-        items:
-            The work items (vertex ids) of the current round.
-        degrees:
-            Out-degrees aligned with ``items``; required by (and only used
-            for) the edge-aware policy.
-        """
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            # Uniform empty split for every policy (previously the static and
-            # edge-aware paths could return differently-shaped empties).
-            return [np.empty(0, dtype=np.int64) for _ in range(self.num_threads)]
-        if self.policy == "static-vertex-parallel":
-            return self._partition_static(items)
-        if self.policy == "dynamic-vertex-parallel":
-            return self._partition_chunked(items)
-        if degrees is None:
-            raise SchedulingError(
-                "edge-aware partitioning requires per-item degrees"
-            )
-        return self._partition_edge_aware(items, np.asarray(degrees, dtype=np.int64))
-
-    def _partition_static(self, items: np.ndarray) -> list[np.ndarray]:
-        # np.array_split gives contiguous, nearly equal blocks.
-        return [np.ascontiguousarray(part) for part in np.array_split(items, self.num_threads)]
-
-    def _partition_chunked(self, items: np.ndarray) -> list[np.ndarray]:
-        # Edge case: a chunk_size larger than the frontier used to funnel the
-        # whole round onto thread 0 as one oversized chunk.  Cap the chunk so
-        # such a frontier still spreads across the pool.  Frontiers bigger
-        # than chunk_size keep the historical dealing bit-for-bit.
-        effective_chunk = self.chunk_size
-        if items.size <= self.chunk_size:
-            effective_chunk = max(1, -(-items.size // self.num_threads))
-        parts: list[list[np.ndarray]] = [[] for _ in range(self.num_threads)]
-        for chunk_index, start in enumerate(range(0, items.size, effective_chunk)):
-            thread = chunk_index % self.num_threads
-            parts[thread].append(items[start : start + effective_chunk])
-        return [
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            for chunks in parts
-        ]
-
-    def _partition_edge_aware(
-        self, items: np.ndarray, degrees: np.ndarray
-    ) -> list[np.ndarray]:
-        """Contiguous partition with (approximately) equal degree sums.
-
-        The boundaries are placed where the running degree sum crosses each
-        thread's fair share — GraphIt's edge-aware split.  A single
-        high-degree vertex still binds to one thread (vertices are the unit
-        of work distribution), but the remaining vertices spread so no
-        thread carries a hub *plus* a full share of light vertices.
-        """
-        if degrees.shape != items.shape:
-            raise SchedulingError("degrees must align with items")
-        if items.size == 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(self.num_threads)]
-        # Each vertex costs its degree plus one unit of frontier overhead.
-        costs = degrees + 1
-        cumulative = np.cumsum(costs)
-        total = int(cumulative[-1])
-        # Greedy fair-share boundaries: each thread takes vertices until its
-        # cost reaches (remaining cost) / (remaining threads).  Unlike the
-        # old one-shot searchsorted against the *global* fair share, this
-        # re-balances after a hub vertex blows one thread's budget, so a
-        # degree distribution like [100, 0, 0, 0] across 4 threads yields
-        # [hub], [v1], [v2], [v3] rather than [hub], [], [], [v1 v2 v3] —
-        # and an all-zero-degree frontier (costs all 1) degenerates to an
-        # even contiguous split instead of a skewed one.
-        bounds: list[int] = []
-        start = 0
-        for parts_left in range(self.num_threads, 1, -1):
-            if start >= items.size:
-                bounds.append(start)
-                continue
-            consumed = int(cumulative[start - 1]) if start > 0 else 0
-            fair = (total - consumed) / parts_left
-            end = int(np.searchsorted(cumulative, consumed + fair, side="left")) + 1
-            end = min(max(end, start + 1), items.size)
-            # Never strand remaining threads with nothing while items remain.
-            max_end = items.size - (parts_left - 1)
-            if max_end > start:
-                end = min(end, max_end)
-            bounds.append(end)
+def _edge_aware_bounds(cumulative: np.ndarray, num_threads: int) -> np.ndarray:
+    """Greedy fair-share block ends: each thread takes items until its cost
+    reaches (remaining cost) / (remaining threads), so a hub that blows one
+    thread's budget re-balances the rest ([100, 0, 0, 0] over 4 threads is
+    one item each) and equal costs split evenly."""
+    n = cumulative.size - 1
+    total = int(cumulative[-1])
+    bounds = []
+    start = 0
+    for parts_left in range(num_threads, 1, -1):
+        if start < n:
+            consumed = int(cumulative[start])
+            # The first block end whose cost reaches the fair share (an
+            # integer ceiling, so the search stays on int64).
+            fair = consumed - (consumed - total) // parts_left
+            end = int(cumulative.searchsorted(fair))
+            # At least one item, and never strand the remaining threads.
+            end = min(max(end, start + 1), n)
+            if n - (parts_left - 1) > start:
+                end = min(end, n - (parts_left - 1))
             start = end
-        pieces = np.split(items, bounds)
-        return [np.ascontiguousarray(piece) for piece in pieces]
+        bounds.append(start)
+    return np.asarray(bounds, dtype=np.int64)

@@ -290,7 +290,7 @@ class ServeEngine:
         max_sessions: int = 8,
         workers: int = 2,
     ):
-        graph.indptr  # noqa: B018 — fold any pending overlay before sharing
+        graph.compact()  # fold any pending overlay before sharing
         self.graph = graph
         self.graph_name = graph_name
         self.max_pending = int(max_pending)
@@ -473,7 +473,7 @@ class ServeEngine:
             graph = self._graph_copy()
             for batch in batches:
                 apply_mutations(graph, batch)
-            graph.indptr  # noqa: B018 — compact while no reader can see it
+            graph.compact()  # while no reader can see it
             # Commit point: nothing above touched the served state.
             self.graph = graph
             self.epoch += 1

@@ -251,9 +251,8 @@ class TestLazyBucketQueue:
 class TestEagerBucketQueue:
     def test_immediate_insertion(self):
         priorities = make_priorities([0, INT_MAX])
-        queue = EagerBucketQueue(priorities, num_threads=2)
+        queue = EagerBucketQueue(priorities)
         queue.dequeue_ready_set()
-        queue.set_thread(1)
         assert queue.update_priority_min(1, 4)
         assert queue.stats.bucket_inserts >= 2  # initial + update
         assert queue.dequeue_ready_set().tolist() == [1]
@@ -261,7 +260,7 @@ class TestEagerBucketQueue:
     def test_every_update_costs_an_insert(self):
         # Unlike lazy, eager pays one bucket insertion per improvement.
         priorities = make_priorities([0, INT_MAX])
-        queue = EagerBucketQueue(priorities, num_threads=1)
+        queue = EagerBucketQueue(priorities)
         queue.dequeue_ready_set()
         base = queue.stats.bucket_inserts
         queue.update_priority_min(1, 9)
@@ -270,7 +269,7 @@ class TestEagerBucketQueue:
 
     def test_stale_copies_filtered_at_dequeue(self):
         priorities = make_priorities([0, INT_MAX])
-        queue = EagerBucketQueue(priorities, num_threads=1)
+        queue = EagerBucketQueue(priorities)
         queue.dequeue_ready_set()
         queue.update_priority_min(1, 9)
         queue.update_priority_min(1, 4)
@@ -279,35 +278,33 @@ class TestEagerBucketQueue:
 
     def test_thread_local_bins_gathered_globally(self):
         priorities = make_priorities([0, INT_MAX, INT_MAX])
-        queue = EagerBucketQueue(priorities, num_threads=2)
+        queue = EagerBucketQueue(priorities)
         queue.dequeue_ready_set()
-        queue.set_thread(0)
-        queue.update_priority_min(1, 5)
-        queue.set_thread(1)
         queue.update_priority_min(2, 5)
+        queue.update_priority_min(1, 5)
         assert queue.dequeue_ready_set().tolist() == [1, 2]
 
     def test_pop_local_bucket_respects_threshold(self):
         priorities = make_priorities([0, INT_MAX, INT_MAX, INT_MAX])
-        queue = EagerBucketQueue(priorities, delta=10, num_threads=1)
+        queue = EagerBucketQueue(priorities, delta=10)
         queue.dequeue_ready_set()
         for vertex in (1, 2, 3):
             queue.update_priority_min(vertex, 5)  # current bucket
         # Local bucket of size 3 is too large for threshold 3.
-        assert queue.pop_local_bucket(0, max_size=3) is None
-        popped = queue.pop_local_bucket(0, max_size=10)
+        assert queue.pop_local_bucket(max_size=3) is None
+        popped = queue.pop_local_bucket(max_size=10)
         assert popped.tolist() == [1, 2, 3]
         # Bucket is consumed.
-        assert queue.pop_local_bucket(0, max_size=10) is None
+        assert queue.pop_local_bucket(max_size=10) is None
 
     def test_pop_local_bucket_before_dequeue_rejected(self):
-        queue = EagerBucketQueue(make_priorities([0]), num_threads=1)
+        queue = EagerBucketQueue(make_priorities([0]))
         with pytest.raises(PriorityQueueError):
-            queue.pop_local_bucket(0, 10)
+            queue.pop_local_bucket(10)
 
     def test_priority_inversion_clamped(self):
         priorities = make_priorities([0, 25, 7])
-        queue = EagerBucketQueue(priorities, delta=10, num_threads=1)
+        queue = EagerBucketQueue(priorities, delta=10)
         queue.dequeue_ready_set()  # bucket 0 (vertices 0 and 2)
         queue.dequeue_ready_set()  # bucket 2 (vertex 1)
         # An update mapping below the current bucket is clamped into it.
@@ -317,18 +314,13 @@ class TestEagerBucketQueue:
 
     def test_insert_batch_at(self):
         priorities = make_priorities([5, 5, 5])
-        queue = EagerBucketQueue(priorities, num_threads=1, initial_vertices=[])
-        queue.insert_batch_at(0, np.array([0, 1]), np.array([5, 5]))
+        queue = EagerBucketQueue(priorities, initial_vertices=[])
+        queue.insert_batch_at(np.array([0, 1]), np.array([5, 5]))
         assert queue.dequeue_ready_set().tolist() == [0, 1]
-
-    def test_set_thread_bounds(self):
-        queue = EagerBucketQueue(make_priorities([0]), num_threads=2)
-        with pytest.raises(PriorityQueueError):
-            queue.set_thread(2)
 
     def test_update_sum_moves_single_bucket(self):
         priorities = make_priorities([1, 4])
-        queue = EagerBucketQueue(priorities, num_threads=1)
+        queue = EagerBucketQueue(priorities)
         queue.dequeue_ready_set()  # bucket 1
         queue.update_priority_sum(1, -1, min_threshold=1)
         assert priorities[1] == 3
@@ -387,7 +379,7 @@ class TestUpdatePriorityMax:
 
     def test_eager_scalar_max_updates(self):
         priorities = make_priorities([10, 3])
-        queue = EagerBucketQueue(priorities, direction="higher_first", num_threads=1)
+        queue = EagerBucketQueue(priorities, direction="higher_first")
         queue.dequeue_ready_set()
         assert queue.update_priority_max(1, 8)
         assert queue.dequeue_ready_set().tolist() == [1]
@@ -485,22 +477,22 @@ class TestQueuesOwnTheirArrays:
     @pytest.mark.parametrize("targets", [[5, 5, 5], [5, 9, 700]])
     def test_eager_insert_changed_batch(self, targets):
         priorities = make_priorities([0, INT_MAX, INT_MAX, INT_MAX])
-        queue = EagerBucketQueue(priorities, initial_vertices=[0], num_threads=2)
+        queue = EagerBucketQueue(priorities, initial_vertices=[0])
         queue.dequeue_ready_set()
         changed = np.array([1, 2, 3], dtype=np.int64)
         priorities[changed] = targets
-        queue.insert_changed_batch(1, changed)
+        queue.insert_changed_batch(changed)
         changed[:] = 0
         assert sorted(v for _, r in _drain(queue) for v in r) == [1, 2, 3]
 
     @pytest.mark.parametrize("orders", [[4, 4, 4], [6, 4, 5]])
     def test_eager_insert_batch_at(self, orders):
         priorities = make_priorities([0, 4, 4, 4])
-        queue = EagerBucketQueue(priorities, initial_vertices=[0], num_threads=1)
+        queue = EagerBucketQueue(priorities, initial_vertices=[0])
         queue.dequeue_ready_set()
         vertices = np.array([1, 2, 3], dtype=np.int64)
         at = np.array(orders, dtype=np.int64)
-        queue.insert_batch_at(0, vertices, at)
+        queue.insert_batch_at(vertices, at)
         vertices[:] = 0
         at[:] = 0
         assert sorted(v for _, r in _drain(queue) for v in r) == [1, 2, 3]
@@ -513,8 +505,10 @@ class TestQueuesOwnTheirArrays:
         initial[:] = 4
         changed = np.array([2, 3, 4], dtype=np.int64)
         priorities[changed] = targets
-        queue.insert_changed_batch(changed)
+        values = priorities[changed]
+        queue.insert_updates(changed, values)
         changed[:] = 0
+        values[:] = 0
         assert sorted(v for _, r in _drain(queue) for v in r) == [0, 1, 2, 3, 4]
 
 
@@ -551,7 +545,7 @@ class TestSortFreeQueues:
             return make_priorities([0] + [INT_MAX] * 9)
 
         lazy = LazyBucketQueue(fresh(), initial_vertices=[0], num_open_buckets=4)
-        eager = EagerBucketQueue(fresh(), initial_vertices=[0], num_threads=3)
+        eager = EagerBucketQueue(fresh(), initial_vertices=[0])
         relaxed = RelaxedPriorityQueue(
             fresh(), initial_vertices=[0], slack=1, chunk_size=100
         )
@@ -560,16 +554,16 @@ class TestSortFreeQueues:
             queue.priority_vector[batch] = values
         lazy.buffer_changed_batch(batch[:4])
         lazy.buffer_changed_batch(batch[4:])
-        eager.insert_changed_batch(2, batch[:4])
-        eager.insert_changed_batch(0, batch[4:])
-        relaxed.insert_changed_batch(batch[:4])
-        relaxed.insert_changed_batch(batch[4:])
+        eager.insert_changed_batch(batch[:4])
+        eager.insert_changed_batch(batch[4:])
+        relaxed.insert_updates(batch[:4], values[:4])
+        relaxed.insert_updates(batch[4:], values[4:])
 
         expected = [(1, [1, 6]), (2, [3, 4]), (3, [8]), (40, [5, 7]), (41, [2, 9])]
         assert _drain(lazy) == expected
         assert _drain(eager) == expected
-        # The relaxed queue sorts nothing: same buckets, members in arrival
-        # order, the most recent chunk popped first.
+        # The relaxed queue sorts nothing: same buckets, the most recent
+        # update popped first.
         assert [(o, sorted(r)) for o, r in _drain(relaxed)] == expected
         # 1 initial + 9 changed; the lazy queue pays 4 more to re-bucket
         # its overflow (occupancy: open slots + the overflow bucket).

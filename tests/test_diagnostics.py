@@ -366,8 +366,8 @@ class TestDiagnosticCodes:
         assert diags == []
 
     def test_s002_num_threads_live_under_serial_simulation(self):
-        """num_threads still drives virtual partitioning in serial mode, so
-        configuring it without the parallel engine is not a dead knob."""
+        """num_threads still drives the cost model's work split in serial
+        mode, so configuring it without the thread engine is not a dead knob."""
         scheduling = SchedulingProgram().config_num_threads("s1", 1)
         diags = check_schedule_compat(parse(ALL_PROGRAMS["sssp"]), scheduling)
         assert diags == []

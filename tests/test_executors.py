@@ -1,4 +1,5 @@
-"""Direct tests of the eager ordered-processing executor (repro.core).
+"""Direct tests of the eager ordered-processing executor (repro.core) and of
+the cost model's virtual-thread split it charges through.
 
 The lazy and relaxed strategies have no executor: their loop is the
 generated while loop (``tests/test_compiled_resume.py``).
@@ -9,35 +10,35 @@ import pytest
 
 from repro.buckets import EagerBucketQueue
 from repro.core.executors import run_eager
-from repro.errors import CompileError
 from repro.graph import rmat
 from repro.graph.properties import INT_MAX
-from repro.runtime import RuntimeStats, VirtualThreadPool
+from repro.runtime import ParallelExecutionEngine, RuntimeStats, split_work
 from repro.runtime.frontier import gather_out_edges, scatter_extremum
 
 
 def setup_sssp(graph, source, queue_class, **kwargs):
     distances = np.full(graph.num_vertices, INT_MAX, dtype=np.int64)
     distances[source] = 0
-    stats = RuntimeStats(num_threads=kwargs.get("num_threads", 2))
+    stats = RuntimeStats(num_threads=2)
     queue = queue_class(distances, stats=stats, initial_vertices=[source], **kwargs)
     return distances, stats, queue
 
 
 def make_relaxer(graph, distances, queue, stats):
-    """A minimal write-min chunk relaxer, the shape the compiled eager
-    operator hands :func:`run_eager`."""
+    """A minimal write-min relaxer, the shape the compiled eager operator
+    hands :func:`run_eager`."""
 
-    def gather(chunk, thread_id):
+    def gather(chunk):
         return gather_out_edges(graph, chunk)
 
-    def relax(chunk, thread_id, prefetched):
-        sources, dests, weights = prefetched or gather(chunk, thread_id)
+    def relax(chunk, prefetched):
+        stats.charge(graph.out_degrees()[chunk] + 1)
+        sources, dests, weights = prefetched or gather(chunk)
         stats.relaxations += int(dests.size)
         offers = distances[sources] + weights
-        changed = scatter_extremum(distances, dests, offers, np.minimum)
-        queue.insert_changed_batch(thread_id, changed)
-        return int(dests.size + changed.size)
+        queue.insert_changed_batch(
+            scatter_extremum(distances, dests, offers, np.minimum)
+        )
 
     relax.gather = gather
     return relax
@@ -62,39 +63,21 @@ def reference(graph, source):
 
 class TestRunEager:
     def test_basic(self, graph, source, reference):
-        distances, stats, queue = setup_sssp(
-            graph, source, EagerBucketQueue, delta=8, num_threads=2
-        )
-        pool = VirtualThreadPool(2)
+        distances, stats, queue = setup_sssp(graph, source, EagerBucketQueue, delta=8)
         relax = make_relaxer(graph, distances, queue, stats)
-        run_eager(graph, queue, relax, pool, stats)
+        run_eager(queue, relax, ParallelExecutionEngine(), stats)
         assert np.array_equal(distances, reference)
         assert stats.global_syncs == stats.rounds
 
     def test_fusion_counts_fused_rounds(self, graph, source, reference):
-        distances, stats, queue = setup_sssp(
-            graph, source, EagerBucketQueue, delta=8, num_threads=2
-        )
-        pool = VirtualThreadPool(2)
+        distances, stats, queue = setup_sssp(graph, source, EagerBucketQueue, delta=8)
         relax = make_relaxer(graph, distances, queue, stats)
-        run_eager(graph, queue, relax, pool, stats, fusion_threshold=1000)
+        run_eager(queue, relax, ParallelExecutionEngine(), stats, fusion_threshold=1000)
         assert np.array_equal(distances, reference)
         assert stats.fused_rounds > 0
 
-    def test_thread_count_mismatch_rejected(self, graph, source):
-        distances, stats, queue = setup_sssp(
-            graph, source, EagerBucketQueue, delta=8, num_threads=2
-        )
-        pool = VirtualThreadPool(3)
-        relax = make_relaxer(graph, distances, queue, stats)
-        with pytest.raises(CompileError):
-            run_eager(graph, queue, relax, pool, stats)
-
     def test_stop_condition_halts(self, graph, source):
-        distances, stats, queue = setup_sssp(
-            graph, source, EagerBucketQueue, delta=8, num_threads=2
-        )
-        pool = VirtualThreadPool(2)
+        distances, stats, queue = setup_sssp(graph, source, EagerBucketQueue, delta=8)
         relax = make_relaxer(graph, distances, queue, stats)
         calls = []
 
@@ -102,15 +85,19 @@ class TestRunEager:
             calls.append(1)
             return len(calls) >= 2
 
-        run_eager(graph, queue, relax, pool, stats, should_stop=stop)
+        run_eager(queue, relax, ParallelExecutionEngine(), stats, should_stop=stop)
         assert stats.rounds <= 2
 
 
+def members(totals):
+    """Which items each thread got, when item ``i`` costs ``2**i``."""
+    return [[i for i in range(63) if int(total) >> i & 1] for total in totals]
+
+
 class TestPartitionEdgeCases:
-    """Regression tests for the VirtualThreadPool.partition fixes that came
-    with the real parallel engine: empty frontiers, frontiers smaller than
-    one chunk, and degenerate degree distributions under the edge-aware
-    policy."""
+    """Edge cases of the virtual-thread split: empty frontiers, frontiers
+    smaller than one chunk, and degenerate cost distributions under the
+    edge-aware policy."""
 
     POLICIES = (
         "static-vertex-parallel",
@@ -121,78 +108,52 @@ class TestPartitionEdgeCases:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("threads", (1, 3, 8))
     def test_empty_frontier_uniform_shape(self, policy, threads):
-        pool = VirtualThreadPool(threads, policy)
-        empty = np.empty(0, dtype=np.int64)
-        parts = pool.partition(empty, degrees=empty)
-        assert len(parts) == threads
-        for part in parts:
-            assert part.size == 0
-            assert part.dtype == np.int64
+        totals = split_work(np.empty(0, dtype=np.int64), threads, policy)
+        assert totals.shape == (threads,)
+        assert totals.dtype == np.int64
+        assert not totals.any()
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_partition_preserves_items_in_order(self, policy):
-        items = np.arange(100, 123, dtype=np.int64)
-        degrees = (items * 7) % 5
-        pool = VirtualThreadPool(4, policy, chunk_size=3)
-        parts = pool.partition(items, degrees=degrees)
+        costs = 2 ** np.arange(23, dtype=np.int64)
+        parts = members(split_work(costs, 4, policy, chunk_size=3))
         assert len(parts) == 4
-        assert np.array_equal(np.concatenate(parts), items) or np.array_equal(
-            np.sort(np.concatenate(parts)), items
-        )
-        # No item lost, none duplicated.
-        assert sum(p.size for p in parts) == items.size
+        # No item lost, none duplicated; the contiguous policies keep order.
+        merged = [item for part in parts for item in part]
+        assert sorted(merged) == list(range(23))
+        if policy != "dynamic-vertex-parallel":
+            assert merged == list(range(23))
 
     def test_chunk_size_larger_than_frontier_spreads(self):
-        """A frontier smaller than one chunk used to land entirely on thread
-        0; it must now spread across the pool."""
-        pool = VirtualThreadPool(4, "dynamic-vertex-parallel", chunk_size=1024)
-        items = np.arange(8, dtype=np.int64)
-        parts = pool.partition(items)
-        nonempty = [p for p in parts if p.size]
-        assert len(nonempty) == 4
-        assert max(p.size for p in nonempty) == 2
+        """A frontier smaller than one chunk must spread across the
+        threads, not land on thread 0."""
+        totals = split_work(np.ones(8), 4, "dynamic-vertex-parallel", chunk_size=1024)
+        assert totals.tolist() == [2, 2, 2, 2]
 
     def test_single_item_frontier(self):
-        pool = VirtualThreadPool(4, "dynamic-vertex-parallel", chunk_size=64)
-        parts = pool.partition(np.array([42], dtype=np.int64))
-        assert [p.size for p in parts] == [1, 0, 0, 0]
-        assert parts[0][0] == 42
+        totals = split_work([5], 4, "dynamic-vertex-parallel", chunk_size=64)
+        assert totals.tolist() == [5, 0, 0, 0]
 
     def test_large_frontier_keeps_historical_dealing(self):
-        """Frontiers bigger than chunk_size must keep the historical
-        round-robin dealing bit-for-bit (stats invariance across PRs)."""
-        pool = VirtualThreadPool(2, "dynamic-vertex-parallel", chunk_size=2)
-        items = np.arange(10, dtype=np.int64)
-        parts = pool.partition(items)
-        assert np.array_equal(parts[0], [0, 1, 4, 5, 8, 9])
-        assert np.array_equal(parts[1], [2, 3, 6, 7])
+        """Frontiers bigger than chunk_size are dealt round-robin in
+        chunk_size pieces."""
+        costs = 2 ** np.arange(10, dtype=np.int64)
+        parts = members(split_work(costs, 2, "dynamic-vertex-parallel", chunk_size=2))
+        assert parts == [[0, 1, 4, 5, 8, 9], [2, 3, 6, 7]]
 
     def test_edge_aware_all_zero_degrees_even_split(self):
-        """An all-zero-degree frontier must degenerate to an even contiguous
-        split, not a skewed one."""
-        pool = VirtualThreadPool(4, "edge-aware-dynamic-vertex-parallel")
-        items = np.arange(8, dtype=np.int64)
-        parts = pool.partition(items, degrees=np.zeros(8, dtype=np.int64))
-        assert [p.size for p in parts] == [2, 2, 2, 2]
+        """An all-zero-degree frontier (cost 1 each) must degenerate to an
+        even contiguous split, not a skewed one."""
+        totals = split_work(np.ones(8), 4, "edge-aware-dynamic-vertex-parallel")
+        assert totals.tolist() == [2, 2, 2, 2]
 
     def test_edge_aware_hub_rebalances(self):
         """A hub vertex blowing one thread's budget must not strand the
         remaining threads without work."""
-        pool = VirtualThreadPool(4, "edge-aware-dynamic-vertex-parallel")
-        items = np.arange(4, dtype=np.int64)
-        degrees = np.array([100, 0, 0, 0], dtype=np.int64)
-        parts = pool.partition(items, degrees=degrees)
-        assert [p.size for p in parts] == [1, 1, 1, 1]
+        totals = split_work([101, 1, 1, 1], 4, "edge-aware-dynamic-vertex-parallel")
+        assert totals.tolist() == [101, 1, 1, 1]
 
     def test_edge_aware_fewer_items_than_threads(self):
-        pool = VirtualThreadPool(8, "edge-aware-dynamic-vertex-parallel")
-        items = np.array([5, 9], dtype=np.int64)
-        parts = pool.partition(items, degrees=np.array([3, 4], dtype=np.int64))
-        assert len(parts) == 8
-        assert sum(p.size for p in parts) == 2
-        assert np.array_equal(np.concatenate(parts), items)
-
-    def test_edge_aware_requires_degrees(self):
-        pool = VirtualThreadPool(2, "edge-aware-dynamic-vertex-parallel")
-        with pytest.raises(Exception):
-            pool.partition(np.arange(4, dtype=np.int64))
+        totals = split_work([4, 5], 8, "edge-aware-dynamic-vertex-parallel")
+        assert totals.shape == (8,)
+        assert sorted(totals.tolist()) == [0] * 6 + [4, 5]

@@ -85,14 +85,20 @@ def test_mutations_reject_out_of_range_vertices():
 # ----------------------------------------------------------------------
 
 
-def test_whole_array_read_compacts_lazily():
+def test_whole_array_read_leaves_the_overlay():
     g = _triangle()
     g.add_edge(2, 0, 7)
     g.remove_edge(0, 2)
     assert g.has_pending_mutations
-    indptr = g.indptr  # forces compaction
-    assert not g.has_pending_mutations
+    indptr = g.indptr  # a folded read-only copy; the overlay stays
+    assert g.has_pending_mutations
+    assert not indptr.flags.writeable
     assert list(indptr) == [0, 1, 2, 3]
+    assert list(g.indices) == [1, 2, 0]
+    assert list(g.weights) == [2, 3, 7]
+    g.compact()
+    assert not g.has_pending_mutations
+    assert list(g.indptr) == [0, 1, 2, 3]
     assert list(g.indices) == [1, 2, 0]
     assert list(g.weights) == [2, 3, 7]
 

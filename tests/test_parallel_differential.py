@@ -1,10 +1,10 @@
 """Slice of the oracle matrix (``tests/oracle_matrix.py``): the parallel
 execution engine vs the sequential oracle.
 
-Every compiled program run under ``execution="parallel"`` (real
-``concurrent.futures`` workers driving the produce/commit round protocol)
-must produce output vectors **bit-identical** to the scalar reference
-interpreter (``vectorize=False``) run from the same inputs, and every
+Every compiled program run under ``execution="parallel"`` (the worker
+thread driving the produce/commit round protocol) must produce output
+vectors **bit-identical** to the scalar reference interpreter
+(``vectorize=False``) run from the same inputs, and every
 deterministic ``RuntimeStats`` counter of the *serial vectorized* run (the
 scalar interpreter's per-edge counters are its own) — :func:`check` asserts
 both for every ``parallel`` cell.  The relaxed (Galois-style) strategy
@@ -13,9 +13,9 @@ algorithms it supports converge to a unique fixpoint); its work counters
 are allowed to differ.
 
 The matrix: six algorithms x the strategies each supports x {1, 2, 4, 8}
-workers x weighted/unweighted inputs.  The oracle is recomputed at the same
-``num_threads`` as the parallel run because partitioning (and therefore
-per-round work accounting) follows the thread count.
+threads x weighted/unweighted inputs.  The serial run is recomputed at the
+same ``num_threads`` as the parallel run because the cost model's work split
+(``max_work_per_round``) follows the thread count.
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import dijkstra_reference, sssp
+from repro.backend.runtime_support import _accepted_offers
 from repro.buckets import EagerBucketQueue, LazyBucketQueue
 from repro.graph import GraphBuilder
 from repro.graph.properties import INT_MAX
 from repro.midend import Schedule
-from repro.runtime import VirtualThreadPool, gather_out_edges
+from repro.runtime import gather_out_edges, split_work
 
 from .oracle_matrix import Cell, check
 
@@ -111,10 +112,10 @@ def test_lazy_and_eager_agree_on_final_priorities(updates, delta):
     """Interleave updates with dequeues; both structures must finalize the
     same priorities and process vertices in non-decreasing bucket order."""
 
-    def drive(queue_class, **kwargs):
+    def drive(queue_class):
         priorities = np.full(10, INT_MAX, dtype=np.int64)
         priorities[0] = 0
-        queue = queue_class(priorities, delta=delta, initial_vertices=[0], **kwargs)
+        queue = queue_class(priorities, delta=delta, initial_vertices=[0])
         orders = []
         pending = list(updates)
         while True:
@@ -136,7 +137,7 @@ def test_lazy_and_eager_agree_on_final_priorities(updates, delta):
         return priorities, orders
 
     lazy_priorities, lazy_orders = drive(LazyBucketQueue)
-    eager_priorities, eager_orders = drive(EagerBucketQueue, num_threads=2)
+    eager_priorities, eager_orders = drive(EagerBucketQueue)
     assert np.array_equal(lazy_priorities, eager_priorities)
     assert lazy_orders == sorted(lazy_orders)
     assert eager_orders == sorted(eager_orders)
@@ -182,12 +183,36 @@ def test_histogram_equals_serialized_decrements(targets, floor):
     ),
 )
 def test_partition_is_a_partition(n, threads, chunk, policy):
-    pool = VirtualThreadPool(threads, policy=policy, chunk_size=chunk)
-    items = np.arange(n, dtype=np.int64)
-    parts = pool.partition(items)
-    assert len(parts) == threads
-    merged = np.sort(np.concatenate(parts)) if parts else items
-    assert np.array_equal(merged, items)
+    # Unit costs: every item lands on exactly one thread, and static
+    # blocks differ by at most one item.
+    totals = split_work(np.ones(n, dtype=np.int64), threads, policy, chunk)
+    assert totals.shape == (threads,)
+    assert totals.min() >= 0 and totals.sum() == n
+    if policy == "static-vertex-parallel":
+        assert totals.max() - totals.min() <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offers=st.lists(st.tuples(st.integers(0, 5), st.integers(-4, 9)), max_size=30),
+    maximize=st.booleans(),
+)
+def test_accepted_offers_match_a_scalar_loop(offers, maximize):
+    """The relaxed queue's update sequence: exactly the offers a one-at-a-time
+    loop accepts, in stream order."""
+    current = np.array([3, 0, 8, 5, -2, 4], dtype=np.int64)
+    dst = np.array([v for v, _ in offers], dtype=np.int64)
+    vals = np.array([x for _, x in offers], dtype=np.int64)
+    running = current.copy()
+    expected = []
+    for v, x in offers:
+        better = x > running[v] if maximize else x < running[v]
+        expected.append(better)
+        if better:
+            running[v] = x
+    reduce = np.maximum if maximize else np.minimum
+    accepted = _accepted_offers(current[dst], dst, vals, reduce)
+    assert list(accepted) == expected
 
 
 @settings(max_examples=40, deadline=None)

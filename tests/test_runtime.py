@@ -8,11 +8,11 @@ from repro.graph import rmat
 from repro.runtime import (
     CostModel,
     RuntimeStats,
-    VirtualThreadPool,
     gather_in_edges,
     gather_out_edges,
     gather_segments,
     histogram_counts,
+    split_work,
 )
 
 
@@ -20,8 +20,7 @@ class TestRuntimeStats:
     def test_round_lifecycle(self):
         stats = RuntimeStats(num_threads=2)
         stats.begin_round()
-        stats.add_thread_work(0, 10)
-        stats.add_thread_work(1, 4)
+        stats.charge([10, 4], "static-vertex-parallel")
         stats.end_round(syncs=1)
         assert stats.rounds == 1
         assert stats.max_work_per_round == [10]
@@ -31,7 +30,7 @@ class TestRuntimeStats:
     def test_fused_rounds_do_not_increase_syncs(self):
         stats = RuntimeStats(num_threads=1)
         stats.begin_round()
-        stats.add_thread_work(0, 5)
+        stats.charge([5])
         stats.end_round(syncs=1, fused=3)
         assert stats.rounds == 1
         assert stats.fused_rounds == 3
@@ -46,14 +45,14 @@ class TestRuntimeStats:
     def test_work_outside_round_rejected(self):
         stats = RuntimeStats()
         with pytest.raises(RuntimeError):
-            stats.add_thread_work(0, 1)
+            stats.charge([1])
         with pytest.raises(RuntimeError):
             stats.end_round()
 
     def test_simulated_time_components(self):
         stats = RuntimeStats(num_threads=2)
         stats.begin_round()
-        stats.add_thread_work(0, 100)
+        stats.charge([100])
         stats.end_round(syncs=1)
         model = CostModel(work_unit=1.0, sync=50.0, bucket_insert=0, buffer_op=0, atomic=0)
         assert stats.simulated_time(model) == pytest.approx(150.0)
@@ -70,7 +69,7 @@ class TestRuntimeStats:
         for stats, syncs in ((low, 1), (high, 2)):
             for _ in range(10):
                 stats.begin_round()
-                stats.add_thread_work(0, 5)
+                stats.charge([5])
                 stats.end_round(syncs=syncs)
         assert low.simulated_time() < high.simulated_time()
 
@@ -78,7 +77,7 @@ class TestRuntimeStats:
         a, b = RuntimeStats(num_threads=1), RuntimeStats(num_threads=1)
         for stats in (a, b):
             stats.begin_round()
-            stats.add_thread_work(0, 3)
+            stats.charge([3])
             stats.end_round()
         a.relaxations = 5
         b.relaxations = 7
@@ -89,54 +88,46 @@ class TestRuntimeStats:
 
 
 class TestVirtualThreadPool:
+    """The cost model's virtual threads: ``split_work``'s per-thread totals
+    (item ``i`` costs ``2**i`` where a test reads which items a thread got)."""
+
+    @staticmethod
+    def members(totals):
+        return [[i for i in range(63) if int(total) >> i & 1] for total in totals]
+
     def test_static_partition_covers_items(self):
-        pool = VirtualThreadPool(3, policy="static-vertex-parallel")
-        items = np.arange(10)
-        parts = pool.partition(items)
-        assert len(parts) == 3
-        assert np.array_equal(np.sort(np.concatenate(parts)), items)
+        totals = split_work(2 ** np.arange(10), 3, "static-vertex-parallel")
+        assert self.members(totals) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
 
     def test_dynamic_chunked_round_robin(self):
-        pool = VirtualThreadPool(2, policy="dynamic-vertex-parallel", chunk_size=2)
-        parts = pool.partition(np.arange(8))
-        assert parts[0].tolist() == [0, 1, 4, 5]
-        assert parts[1].tolist() == [2, 3, 6, 7]
+        totals = split_work(2 ** np.arange(8), 2, "dynamic-vertex-parallel", 2)
+        assert self.members(totals) == [[0, 1, 4, 5], [2, 3, 6, 7]]
 
     def test_edge_aware_balances_loads(self):
-        pool = VirtualThreadPool(
-            2, policy="edge-aware-dynamic-vertex-parallel", chunk_size=1
+        # Degrees [100, 1, 1, 1]: the heavy vertex must be alone on its thread.
+        totals = split_work(
+            np.array([101, 2, 2, 2]), 2, "edge-aware-dynamic-vertex-parallel", 1
         )
-        items = np.arange(4)
-        degrees = np.array([100, 1, 1, 1])
-        parts = pool.partition(items, degrees=degrees)
-        # The heavy vertex must be alone on its thread.
-        loads = [degrees[part].sum() for part in parts]
-        assert max(loads) == 100
-
-    def test_edge_aware_requires_degrees(self):
-        pool = VirtualThreadPool(2, policy="edge-aware-dynamic-vertex-parallel")
-        with pytest.raises(SchedulingError):
-            pool.partition(np.arange(4))
+        assert totals.tolist() == [101, 6]
 
     def test_empty_items(self):
-        pool = VirtualThreadPool(4)
-        parts = pool.partition(np.empty(0, dtype=np.int64))
-        assert all(part.size == 0 for part in parts)
+        totals = split_work(np.empty(0, dtype=np.int64), 4)
+        assert totals.tolist() == [0, 0, 0, 0]
 
     def test_deterministic(self):
-        pool = VirtualThreadPool(3, chunk_size=5)
-        items = np.arange(100)
-        a = pool.partition(items)
-        b = pool.partition(items)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        costs = np.arange(100)
+        a = split_work(costs, 3, chunk_size=5)
+        b = split_work(costs, 3, chunk_size=5)
+        assert np.array_equal(a, b)
+        assert a.sum() == costs.sum()
 
     def test_invalid_config(self):
         with pytest.raises(SchedulingError):
-            VirtualThreadPool(0)
+            split_work([1], 0)
         with pytest.raises(SchedulingError):
-            VirtualThreadPool(2, policy="work-stealing")
+            split_work([1], 2, policy="work-stealing")
         with pytest.raises(SchedulingError):
-            VirtualThreadPool(2, chunk_size=0)
+            split_work([1], 2, chunk_size=0)
 
 
 class TestFrontierHelpers:

@@ -81,7 +81,8 @@ class TestQueueConstruction:
         vector[0] = 0
         queue = context.new_priority_queue(True, "lower_first", vector, 0)
         assert isinstance(queue, EagerBucketQueue)
-        assert queue.num_threads == 3
+        # Virtual threads are the cost model's split, not the queue's.
+        assert context.stats.num_threads == 3
 
     def test_coarsening_disallowed_with_nonunit_delta(self, diamond):
         context = make_context(Schedule(priority_update="lazy", delta=4))

@@ -25,8 +25,7 @@ from repro.runtime.stats import (
 def populated_stats() -> RuntimeStats:
     stats = RuntimeStats(num_threads=4)
     stats.begin_round()
-    stats.add_thread_work(0, 10)
-    stats.add_thread_work(3, 7)
+    stats.charge([10, 0, 0, 7], "static-vertex-parallel")
     stats.end_round(syncs=2, fused=1)
     stats.relaxations = 17
     stats.priority_updates = 5
