@@ -16,12 +16,13 @@ exactly what the tool prints.
 
 from __future__ import annotations
 
-from .errors import CompileError, SchedulingError
 from .lang.parser import parse
 from .midend.analysis.effects import (
-    ProgramEffectSummary,
     check_fusion_safety,
+    classify_incremental_eligibility,
+    effects_document,
     fusion_matrix,
+    runtime_summary,
 )
 from .midend.schedule import Schedule
 from .midend.transforms.lowering import plan_program
@@ -29,63 +30,42 @@ from .midend.transforms.lowering import plan_program
 __all__ = ["build_analysis_document", "render_analysis_text"]
 
 
-def _plan_source(source: str, schedule: Schedule | None, filename: str | None):
-    """Compile ``source`` through the midend and return the full plan.
-
-    Schedule resolution mirrors ``repro lint``: with no explicit schedule
-    the program's own inline ``schedule:`` block applies, and programs
-    whose default plan is infeasible (e.g. an extern bucket processor
-    rejecting the eager default) are retried under the lazy strategy they
-    require.
-    """
-    program = parse(source, filename)
-    try:
-        plan = plan_program(program, schedule)
-    except (SchedulingError, CompileError):
-        if schedule is not None:
-            raise
-        plan = plan_program(program, Schedule(priority_update="lazy"))
-    if plan.effects is None:  # pragma: no cover - plan_program always fills it
-        raise CompileError("midend produced no effect summary")
-    return plan
-
-
 def build_analysis_document(
     sources: dict[str, str],
-    schedule: Schedule | None = None,
+    schedule: Schedule | dict[str, Schedule | None] | None = None,
 ) -> dict:
     """The full ``repro analyze`` report over named ``sources``.
 
     ``sources`` maps a display name (file path or built-in name) to DSL
-    text.  Programs are analyzed independently; the fusion matrix covers
-    every unordered pair, plus each program's self-pair when only one
-    program is given.
+    text.  Each program is planned independently under ``schedule`` (or
+    its entry, for a per-name mapping) — with none, under its own (inline
+    block, or the midend's feasible default) — and its facts are rendered
+    under the resolved direction.  The fusion matrix covers every
+    unordered pair, plus each program's self-pair when only one program is
+    given.
     """
     programs: dict[str, dict] = {}
-    summaries: dict[str, ProgramEffectSummary] = {}
+    plans = {}
     for name, source in sources.items():
-        plan = _plan_source(source, schedule, filename=name)
-        effects, resolved = plan.effects, plan.schedule
-        summaries[name] = effects
+        chosen = schedule.get(name) if isinstance(schedule, dict) else schedule
+        plan = plan_program(parse(source, name), chosen)
+        resolved, facts = plan.schedule, plan.facts
+        plans[name] = plan
         programs[name] = {
             "schedule": {
                 "priority_update": resolved.priority_update,
                 "direction": resolved.direction,
                 "delta": resolved.delta,
             },
-            "effects": effects.to_json(),
-            "runtime_summary": effects.runtime_summary(),
-            "incremental": (
-                plan.incremental_eligibility.to_json()
-                if plan.incremental_eligibility is not None
-                else None
-            ),
+            "effects": effects_document(facts, resolved.direction),
+            "runtime_summary": runtime_summary(facts, resolved.direction),
+            "incremental": classify_incremental_eligibility(facts).to_json(),
         }
-    if len(summaries) == 1:
-        ((name, effects),) = summaries.items()
-        fusion = [check_fusion_safety(name, effects, name, effects).to_json()]
+    if len(plans) == 1:
+        ((name, plan),) = plans.items()
+        fusion = [check_fusion_safety(name, plan, name, plan).to_json()]
     else:
-        fusion = [v.to_json() for v in fusion_matrix(summaries)]
+        fusion = [v.to_json() for v in fusion_matrix(plans)]
     return {"programs": programs, "fusion": fusion}
 
 

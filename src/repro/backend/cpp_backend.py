@@ -42,6 +42,7 @@ from ..lang.types import (
     VectorType,
     VertexSetType,
 )
+from ..midend.analysis.races import classify_races
 from ..midend.transforms.lowering import CompilationPlan
 from .cpp_runtime import CPP_RUNTIME
 from .python_backend import _Emitter
@@ -76,12 +77,12 @@ class _CppEmitter:
                 "C++ externs"
             )
         self.edgeset_name = self._find_const(EdgeSetType)
-        if not plan.queue_names:
+        if not plan.facts.queue_names:
             raise CompileError(
                 "the C++ backend supports ordered (priority-queue) programs "
                 "only; compile unordered programs with the Python backend"
             )
-        self.queue_name = next(iter(sorted(plan.queue_names)))
+        self.queue_name = next(iter(sorted(plan.facts.queue_names)))
         self.vector_names = [
             const.name
             for const in self.program.constants
@@ -89,6 +90,12 @@ class _CppEmitter:
         ]
         self._queue_new = self._find_queue_constructor()
         self._pv_name = self._priority_vector_name()
+        # The race classification decides atomicity per site.
+        self._races = (
+            classify_races(plan.facts.loop_udf, plan.schedule)
+            if plan.udf is not None
+            else None
+        )
         # Context flags used during statement emission.
         self._in_eager_region = False
         self._emitting_transformed = False
@@ -299,8 +306,8 @@ class _CppEmitter:
         out = self.out
         if isinstance(statement, ast.While):
             if (
-                self.plan.loop is not None
-                and statement is self.plan.loop.while_stmt
+                self.plan.facts.loop is not None
+                and statement is self.plan.facts.loop.while_stmt
             ):
                 if self.schedule.is_eager:
                     self._emit_eager_region()
@@ -592,17 +599,16 @@ class _CppEmitter:
             isinstance(expression, ast.MethodCall)
             and expression.method.startswith("updatePriority")
             and isinstance(expression.receiver, ast.Name)
-            and expression.receiver.identifier in self.plan.queue_names
+            and expression.receiver.identifier in self.plan.facts.queue_names
         ):
             return expression
         return None
 
     def _race_site(self, node: ast.Node):
         """The race-analysis classification for an AST node, if any."""
-        races = getattr(self.plan, "races", None)
-        if races is None:
+        if self._races is None:
             return None
-        return races.site_for(node)
+        return self._races.site_for(node)
 
     def _emit_priority_update(self, call: ast.MethodCall, mode: str) -> None:
         out = self.out
@@ -701,7 +707,7 @@ class _CppEmitter:
         if not self._dir_lower:
             self._emit_eager_region_higher()
             return
-        loop = self.plan.loop
+        loop = self.plan.facts.loop
         udf = self.plan.udf
         if loop is None or udf is None:
             raise CompileError("eager transform requires the recognized loop")
@@ -709,8 +715,9 @@ class _CppEmitter:
         edgeset = loop.edgeset_name
         src, dst, weight = self._udf_param_names(udf)
         start = self._start_vertex_expr()
-        sum_udf = self.plan.dependence is not None and (
-            self.plan.dependence.needs_deduplication
+        sum_udf = any(
+            access.update.op == "sum"
+            for access in self.plan.facts.loop_udf.priority_updates
         )
         fusion = self.schedule.uses_fusion
         threshold = self._schedule_number("bucket_fusion_threshold")
@@ -852,7 +859,7 @@ class _CppEmitter:
         next-bucket election races on an ``int64_t`` order with ``kIntMax``
         as the no-bucket sentinel.
         """
-        loop = self.plan.loop
+        loop = self.plan.facts.loop
         udf = self.plan.udf
         if loop is None or udf is None:
             raise CompileError("eager transform requires the recognized loop")
@@ -866,8 +873,9 @@ class _CppEmitter:
                 "eager higher_first schedules in the C++ backend; use a "
                 "lazy schedule"
             )
-        sum_udf = self.plan.dependence is not None and (
-            self.plan.dependence.needs_deduplication
+        sum_udf = any(
+            access.update.op == "sum"
+            for access in self.plan.facts.loop_udf.priority_updates
         )
         fusion = self.schedule.uses_fusion
         threshold = self._schedule_number("bucket_fusion_threshold")
@@ -1182,7 +1190,7 @@ class _CppEmitter:
         arguments = [self._expr(a) for a in expression.arguments]
         is_queue = (
             isinstance(receiver_node, ast.Name)
-            and receiver_node.identifier in self.plan.queue_names
+            and receiver_node.identifier in self.plan.facts.queue_names
         )
         if is_queue:
             queue = receiver_node.identifier

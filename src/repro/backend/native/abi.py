@@ -48,6 +48,7 @@ from ...lang.types import (
     PriorityQueueType,
     VectorType,
 )
+from ...midend.analysis.effects import runtime_summary
 from ...midend.transforms.lowering import CompilationPlan
 from ..cpp_backend import PARALLEL_FOR, _CppEmitter
 from ..cpp_runtime import native_runtime
@@ -151,14 +152,9 @@ class _NativeEmitter(_CppEmitter):
         return out.text()
 
     def _emit_effect_summary_comment(self) -> None:
-        effects = self.plan.effects
-        if effects is None:
-            raise CompileError(
-                "native code generation requires a whole-program effect "
-                "summary; this program is unanalyzable"
-            )
         summary = json.dumps(
-            _jsonable(effects.runtime_summary()), sort_keys=True
+            _jsonable(runtime_summary(self.plan.facts, self.schedule.direction)),
+            sort_keys=True,
         )
         self.out.line(f"// effect_summary: {summary}")
 

@@ -31,6 +31,9 @@ from ..lang.types import (
     Type,
     VectorType,
 )
+from ..midend.analysis.effects import runtime_summary
+from ..midend.analysis.races import classify_races
+from ..midend.analysis.vectorize import analyze_vectorization
 from ..midend.transforms.lowering import CompilationPlan
 
 __all__ = ["generate_python"]
@@ -91,11 +94,12 @@ class _PythonEmitter(ast.NodeVisitor):
         self.edgeset_name = self._find_edgeset_name()
         # The ordered loop's priority vector: a resumed run binds it to the
         # caller's values (``CompiledProgram.run(..., resume=...)``).
+        loop = plan.facts.loop
         self.resume_vector = (
-            plan.effects.queue_vector(plan.loop.queue_name)
-            if plan.loop is not None and plan.effects is not None
-            else None
+            plan.facts.queue_vector(loop.queue_name) if loop is not None else None
         )
+        # Batch-kernel classification of every apply UDF (V101 otherwise).
+        self.kernels = analyze_vectorization(plan.facts, plan.schedule)
         self._current_function: str | None = None
 
     # ------------------------------------------------------------------
@@ -112,8 +116,8 @@ class _PythonEmitter(ast.NodeVisitor):
         # Published before main so extern functions can reach the program's
         # vectors (ctx.globals) and queues (ctx.queues) during execution.
         self.out.line(f"ctx.globals.update({{{publish}}})")
-        races = getattr(self.plan, "races", None)
-        if races is not None:
+        if self.plan.udf is not None:
+            races = classify_races(self.plan.facts.loop_udf, self.schedule)
             # Embed the midend's race classification; the context asserts
             # it against the schedule it actually executes under and
             # refuses to run programs with unordered racy writes (R001).
@@ -123,14 +127,11 @@ class _PythonEmitter(ast.NodeVisitor):
                 f"parallelization={races.parallelization!r}, "
                 f"sites={races.summary()!r})"
             )
-        effects = getattr(self.plan, "effects", None)
-        if effects is not None:
-            # Embed the effect analysis's runtime projection (per-UDF
-            # read/write/index contracts); the schedule sanitizer replays
-            # every dynamic vector access against it.
-            self.out.line(
-                f"ctx.declare_effect_summary({effects.runtime_summary()!r})"
-            )
+        # Embed the effect analysis's runtime projection (per-UDF
+        # read/write/index contracts); the schedule sanitizer replays
+        # every dynamic vector access against it.
+        summary = runtime_summary(self.plan.facts, self.schedule.direction)
+        self.out.line(f"ctx.declare_effect_summary({summary!r})")
         # Embed the execution mode the module was compiled under; the
         # context refuses to run it under a different engine (serial vs
         # real worker threads) without recompiling.
@@ -245,8 +246,8 @@ class _PythonEmitter(ast.NodeVisitor):
     def _stmt(self, statement: ast.Stmt) -> None:
         if isinstance(statement, ast.While):
             if (
-                self.plan.loop is not None
-                and statement is self.plan.loop.while_stmt
+                self.plan.facts.loop is not None
+                and statement is self.plan.facts.loop.while_stmt
                 and self.schedule.is_eager
             ):
                 self._emit_eager_replacement()
@@ -363,7 +364,7 @@ class _PythonEmitter(ast.NodeVisitor):
         generated module's vectors and scalars; non-vectorizable UDFs emit
         nothing and the runtime stays on the scalar interpreter.
         """
-        report = self.plan.vectorize.get(udf_name)
+        report = self.kernels.get(udf_name)
         if report is None or report.kernel is None:
             return ""
         kernel = report.kernel
@@ -382,15 +383,15 @@ class _PythonEmitter(ast.NodeVisitor):
         return ", kernel=dict(" + ", ".join(parts) + ")"
 
     def _queue_name(self) -> str:
-        if self.plan.loop is not None:
-            return self.plan.loop.queue_name
-        return next(iter(sorted(self.plan.queue_names)))
+        if self.plan.facts.loop is not None:
+            return self.plan.facts.loop.queue_name
+        return next(iter(sorted(self.plan.facts.queue_names)))
 
     # ------------------------------------------------------------------
     # Eager transform (Section 5.2)
     # ------------------------------------------------------------------
     def _emit_eager_replacement(self) -> None:
-        loop = self.plan.loop
+        loop = self.plan.facts.loop
         threshold = (
             self.schedule.bucket_fusion_threshold if self.schedule.uses_fusion else 0
         )

@@ -60,7 +60,7 @@ import numpy as np
 
 from .autotune import autotune
 from .backend import compile_program
-from .errors import GraphItError
+from .errors import GraphItError, SchedulingError
 from .graph.generators import rmat, road_grid
 from .graph.io import load_edge_list, load_npz, save_edge_list
 from .lang.programs import ALL_PROGRAMS
@@ -211,14 +211,15 @@ def _cmd_run_incremental(args: argparse.Namespace) -> int:
     """
     from .graph.mutations import parse_mutation_script
     from .incremental import IncrementalSession
+    from .midend.analysis.effects import classify_incremental_eligibility
 
     if not args.mutations:
         raise GraphItError("--incremental requires --mutations <script>")
     source = _load_source(args.program)
     schedule = _schedule_from_args(args)
     program = compile_program(source, schedule)
-    verdict = program.plan.incremental_eligibility
-    if verdict is None or not verdict.eligible:  # pragma: no cover - plan gate
+    verdict = classify_incremental_eligibility(program.plan.facts)
+    if not verdict.eligible:  # pragma: no cover - plan gate
         raise GraphItError("program is not eligible for incremental resume")
     if verdict.relaxation_shape == "unrecognized":
         raise GraphItError(
@@ -313,19 +314,8 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .midend.analysis.diagnostics import (
-        Severity,
-        lint_program,
-        render_diagnostic,
-    )
-
-    schedule: Schedule | None = None
-    if args.priority_update is not None:
-        schedule = Schedule(
-            priority_update=args.priority_update,
-            delta=args.delta,
-            direction=args.direction,
-        )
+    from .midend.analysis.diagnostics import Severity, render_diagnostic
+    from .midend.lint import lint_program
 
     as_json = getattr(args, "format", "text") == "json"
     findings: list[dict] = []
@@ -333,12 +323,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     total_warnings = 0
     for name in args.programs:
         source = _load_source(name)
-        diagnostics = lint_program(
-            source,
-            schedule=schedule,
-            filename=name,
-            include_info=args.info,
-        )
+        try:
+            schedule = _flag_schedule(args, source, name)
+        except SchedulingError as error:
+            diagnostics = [_rejected_flags(error, name)]
+        else:
+            diagnostics = lint_program(
+                source,
+                schedule=schedule,
+                filename=name,
+                include_info=args.info,
+            )
         for diagnostic in diagnostics:
             if as_json:
                 findings.append(
@@ -391,16 +386,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analyze import build_analysis_document, render_analysis_text
+    from .midend.analysis.diagnostics import render_diagnostic
 
-    schedule: Schedule | None = None
-    if args.priority_update is not None:
-        schedule = Schedule(
-            priority_update=args.priority_update,
-            delta=args.delta,
-            direction=args.direction,
-        )
     sources = {name: _load_source(name) for name in args.programs}
-    document = build_analysis_document(sources, schedule)
+    schedules = {}
+    for name, source in sources.items():
+        try:
+            schedules[name] = _flag_schedule(args, source, name)
+        except SchedulingError as error:
+            print(render_diagnostic(_rejected_flags(error, name)), file=sys.stderr)
+            return 1
+    document = build_analysis_document(sources, schedules)
     if args.format == "json":
         import json
 
@@ -424,13 +420,51 @@ _SCHEDULE_ARG_DEFAULTS = {
 }
 
 
-def _schedule_with_overrides(base: Schedule, args: argparse.Namespace) -> Schedule:
+# ``lint`` / ``analyze`` take only these three schedule flags.
+_ANALYSIS_ARG_DEFAULTS = {
+    "priority_update": ("priority_update", None),
+    "delta": ("delta", 1),
+    "direction": ("direction", "SparsePush"),
+}
+
+
+def _schedule_with_overrides(
+    base: Schedule, args: argparse.Namespace, flags=_SCHEDULE_ARG_DEFAULTS
+) -> Schedule:
     overrides = {}
-    for arg_name, (field_name, default) in _SCHEDULE_ARG_DEFAULTS.items():
+    for arg_name, (field_name, default) in flags.items():
         value = getattr(args, arg_name)
         if value != default:
             overrides[field_name] = value
     return base.with_(**overrides) if overrides else base
+
+
+def _flag_schedule(args: argparse.Namespace, source: str, name: str):
+    """``lint`` / ``analyze``: the schedule flags the user set, overlaid on
+    the program's own schedule, or ``None`` when none is set.  Raises
+    :class:`SchedulingError` when the result is not a valid schedule."""
+    if all(
+        getattr(args, arg_name) == default
+        for arg_name, (_, default) in _ANALYSIS_ARG_DEFAULTS.items()
+    ):
+        return None
+    try:
+        base = compile_program(source, None).schedule
+    except GraphItError:
+        base = Schedule()  # the program's own rejection is reported as usual
+    return _schedule_with_overrides(base, args, _ANALYSIS_ARG_DEFAULTS)
+
+
+def _rejected_flags(error: SchedulingError, name: str):
+    """A rejected command-line schedule, as a located S003 diagnostic."""
+    from .midend.analysis.diagnostics import Diagnostic, Severity, located_span
+
+    return Diagnostic(
+        code="S003",
+        severity=Severity.ERROR,
+        message=f"the command-line schedule is invalid: {error}",
+        span=located_span(None, name),
+    )
 
 
 def _traced_run(args: argparse.Namespace):

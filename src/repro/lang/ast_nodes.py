@@ -260,9 +260,16 @@ class Program(Node):
 # ----------------------------------------------------------------------
 # Visitor infrastructure
 # ----------------------------------------------------------------------
+#: node class -> its dataclass field names (``fields`` is slow to call per node)
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _child_nodes(node: Node):
-    for f in fields(node):
-        value = getattr(node, f.name)
+    names = _FIELD_NAMES.get(type(node))
+    if names is None:
+        names = _FIELD_NAMES[type(node)] = tuple(f.name for f in fields(node))
+    for name in names:
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):

@@ -1,68 +1,59 @@
-"""Program analyses: UDF priority updates, dependences, loop patterns,
-race/atomicity classification, whole-program effect summaries, and the
-diagnostics engine."""
+"""Program analyses: one facts pass and the verdicts that read it.
 
-from .dependence import DependenceInfo, analyze_dependences
-from .effects import (
-    FusionVerdict,
-    Monotonicity,
-    MonotonicityVerdict,
-    ProgramEffectSummary,
-    UDFEffectSummary,
-    analyze_program_effects,
-    check_fusion_safety,
-    fusion_matrix,
-    summarize_udf,
-)
+:func:`build_facts` walks the program once into a frozen
+:class:`ProgramFacts`; race classification, the effect verdicts
+(monotonicity, fusion, incremental eligibility), the batch-kernel kind and
+the diagnostics engine are all reads of it.
+"""
+
 from .diagnostics import (
     DIAGNOSTIC_CODES,
     Diagnostic,
     Severity,
     check_schedule_compat,
-    lint_program,
     race_diagnostics,
     render_diagnostic,
     validate_ir,
     validate_ir_or_raise,
 )
-from .loop_patterns import OrderedLoopInfo, recognize_ordered_loop
-from .races import RaceClass, RaceReport, WriteSite, analyze_races
-from .udf_analysis import (
-    ConstantSumInfo,
-    PriorityUpdate,
-    analyze_constant_sum,
-    find_priority_updates,
+from .effects import (
+    FusionVerdict,
+    IncrementalEligibility,
+    Monotonicity,
+    MonotonicityVerdict,
+    check_fusion_safety,
+    classify_incremental_eligibility,
+    classify_monotonicity,
+    fusion_matrix,
 )
+from .facts import ProgramFacts, UDFFacts, build_facts
+from .races import RaceClass, RaceReport, WriteSite, classify_races
+from .vectorize import VectorizeReport, analyze_vectorization
 
 __all__ = [
-    "DependenceInfo",
-    "analyze_dependences",
-    "OrderedLoopInfo",
-    "recognize_ordered_loop",
-    "ConstantSumInfo",
-    "PriorityUpdate",
-    "analyze_constant_sum",
-    "find_priority_updates",
-    "RaceClass",
-    "RaceReport",
-    "WriteSite",
-    "analyze_races",
     "DIAGNOSTIC_CODES",
     "Diagnostic",
+    "FusionVerdict",
+    "IncrementalEligibility",
+    "Monotonicity",
+    "MonotonicityVerdict",
+    "ProgramFacts",
+    "RaceClass",
+    "RaceReport",
     "Severity",
+    "UDFFacts",
+    "VectorizeReport",
+    "WriteSite",
+    "analyze_vectorization",
+    "build_facts",
+    "check_fusion_safety",
     "check_schedule_compat",
-    "lint_program",
+    "classify_incremental_eligibility",
+    "classify_monotonicity",
+    "classify_races",
+    "fusion_matrix",
     "race_diagnostics",
     "render_diagnostic",
     "validate_ir",
     "validate_ir_or_raise",
-    "FusionVerdict",
-    "Monotonicity",
-    "MonotonicityVerdict",
-    "ProgramEffectSummary",
-    "UDFEffectSummary",
-    "analyze_program_effects",
-    "check_fusion_safety",
-    "fusion_matrix",
-    "summarize_udf",
 ]

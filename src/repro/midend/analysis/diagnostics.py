@@ -4,46 +4,37 @@ Three layers, all reporting :class:`Diagnostic` records with source spans,
 a severity, and a stable code (``R…`` race analysis, ``V…`` IR validator,
 ``S…`` schedule checker, ``P…``/``T…`` frontend):
 
-1. **Race/atomicity diagnostics** — the projection of
-   :mod:`~repro.midend.analysis.races` onto user-facing findings: an
-   unordered racy write is an ``R001`` error, benign guarded races and
-   dedup requirements are informational notes.
-2. **IR validator** (:func:`validate_ir`) — run between midend passes; it
-   checks the invariants each pass is supposed to preserve (symbols
-   resolved, types intact, lowered constructs only after lowering) and
-   turns silent miscompiles into located errors.
+1. **Race/atomicity diagnostics** — the projection of a
+   :class:`~repro.midend.analysis.races.RaceReport` onto user-facing
+   findings: an unordered racy write is an ``R001`` error, benign guarded
+   races and dedup requirements are informational notes.
+2. **IR validator** (:func:`validate_ir`) — run once on the typed program
+   and once on the transformed UDF lowering introduces; it turns silent
+   miscompiles (unresolved symbols, lost types, misplaced lowering) into
+   located errors.
 3. **Schedule–program compatibility** (:func:`check_schedule_compat`) —
    cross-checks :class:`~repro.midend.schedule.SchedulingProgram` labels
    against the labels that actually occur in the program (the misspelled
    label footgun, ``S001``) and flags knobs that are dead under the chosen
    strategy (``S002``).
 
-:func:`lint_program` runs the full pipeline over DSL source and collects
-everything without stopping at the first failure where possible; it backs
-the ``repro lint`` CLI subcommand.
+:func:`repro.midend.lint.lint_program` runs all three over DSL source.
 """
 
 from __future__ import annotations
 
+import difflib
 import enum
 from dataclasses import dataclass, field, replace
 
-from ...errors import (
-    CompileError,
-    IncrementalityError,
-    IRValidationError,
-    MonotonicityError,
-    ParseError,
-    SchedulingError,
-    TypeCheckError,
-)
+from ...errors import IRValidationError
 from ...lang import ast_nodes as ast
-from ...lang.parser import parse
 from ...lang.span import Span
-from ...lang.typecheck import typecheck
 from ...lang.types import PriorityQueueType
 from ..schedule import Schedule, SchedulingProgram
-from .races import RaceClass, RaceReport, analyze_races
+from ..transforms.histogram_transform import TRANSFORMED_SUFFIX
+from .facts import ProgramFacts, build_facts
+from .races import RaceClass, RaceReport
 
 __all__ = [
     "Severity",
@@ -52,7 +43,6 @@ __all__ = [
     "race_diagnostics",
     "validate_ir",
     "check_schedule_compat",
-    "lint_program",
     "render_diagnostic",
 ]
 
@@ -127,7 +117,7 @@ def render_diagnostic(diagnostic: Diagnostic) -> str:
     )
 
 
-def _sorted(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+def sorted_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(
         diagnostics, key=lambda d: (d.span.line, d.span.column, d.severity, d.code)
     )
@@ -145,7 +135,7 @@ def _fallback_span(file: str | None) -> Span:
     return Span(line=1, column=1, file=file)
 
 
-def _located(span: Span | None, file: str | None) -> Span:
+def located_span(span: Span | None, file: str | None) -> Span:
     """``span`` when it points at real source, else the file's anchor."""
     if span is not None and span.is_known:
         return span.with_file(span.file or file)
@@ -231,97 +221,21 @@ def validate_ir(
     """Check the invariants the midend passes must preserve.
 
     ``stage`` names the pass boundary being validated (one of
-    ``parsed``/``typed``/``planned``/``lowered``).  Returns the violations
-    as diagnostics; :func:`validate_ir_or_raise` is the raising variant the
-    pipeline uses.
+    ``parsed``/``typed``/``planned``/``lowered``).  Before lowering the
+    whole program is checked; at ``lowered`` only what lowering introduced
+    (no midend pass mutates ``program``): the transformed UDF, present iff
+    the histogram schedule asks for it.  Returns the violations as
+    diagnostics; :func:`validate_ir_or_raise` is the raising variant.
     """
     if stage not in _STAGES:
         raise ValueError(f"unknown IR stage {stage!r}; expected one of {_STAGES}")
     file = program.source_file
     found: list[Diagnostic] = []
-
-    # --- main exists -------------------------------------------------
-    if program.function("main") is None:
-        found.append(
-            Diagnostic(
-                code="V002",
-                severity=Severity.ERROR,
-                message="program has no main function",
-                span=_program_anchor(program),
-            )
-        )
-
-    # --- symbols resolved: every Call / apply target names a function
     known_functions = {func.name for func in program.functions}
     known_externs = {extern.name for extern in program.externs}
     callable_names = known_functions | known_externs | _BUILTIN_CALLS
-    for func in program.functions:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) and node.function not in callable_names:
-                found.append(
-                    Diagnostic(
-                        code="V001",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"call to unknown function {node.function!r} "
-                            f"in {func.name!r} (symbol resolution broken "
-                            f"after stage {stage!r})"
-                        ),
-                        span=Span.from_node(node, file=file),
-                    )
-                )
-            if (
-                isinstance(node, ast.MethodCall)
-                and node.method in ("applyUpdatePriority", "apply")
-                and node.arguments
-                and isinstance(node.arguments[0], ast.Name)
-                and node.arguments[0].identifier not in callable_names
-            ):
-                found.append(
-                    Diagnostic(
-                        code="V001",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"{node.method} references unknown function "
-                            f"{node.arguments[0].identifier!r}"
-                        ),
-                        span=Span.from_node(node, file=file),
-                    )
-                )
 
-    # --- types intact: declarations keep their declared types --------
-    for func in program.functions:
-        for name, declared in func.parameters:
-            if declared is None:
-                found.append(
-                    _type_lost(f"parameter {name!r} of {func.name!r}", func, file)
-                )
-        for node in ast.walk(func):
-            if isinstance(node, ast.VarDecl) and node.declared_type is None:
-                found.append(_type_lost(f"var {node.name!r}", node, file))
-    for const in program.constants:
-        if const.declared_type is None:
-            found.append(_type_lost(f"const {const.name!r}", const, file))
-
-    # --- lowered constructs only after lowering ----------------------
-    from ..transforms.histogram_transform import TRANSFORMED_SUFFIX
-
-    stage_index = _STAGES.index(stage)
-    if stage_index < _STAGES.index("lowered"):
-        for func in program.functions:
-            if func.name.endswith(TRANSFORMED_SUFFIX):
-                found.append(
-                    Diagnostic(
-                        code="V003",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"lowered function {func.name!r} present before "
-                            f"the lowering stage (found at {stage!r})"
-                        ),
-                        span=Span.from_node(func, file=file),
-                    )
-                )
-    else:
+    if stage == "lowered":
         if (
             schedule is not None
             and schedule.uses_histogram
@@ -339,14 +253,11 @@ def validate_ir(
                 )
             )
         if transformed_udf is not None:
-            queue_names = {
+            valid_names = callable_names | {
                 const.name
                 for const in program.constants
                 if isinstance(const.declared_type, PriorityQueueType)
-            }
-            valid_names = callable_names | queue_names | {
-                name for name, _ in transformed_udf.parameters
-            }
+            } | {name for name, _ in transformed_udf.parameters}
             for node in ast.walk(transformed_udf):
                 if isinstance(node, ast.Call) and node.function not in valid_names:
                     found.append(
@@ -360,7 +271,76 @@ def validate_ir(
                             span=Span.from_node(node, file=file),
                         )
                     )
-    return _sorted(found)
+        return sorted_diagnostics(found)
+
+    # --- main exists -------------------------------------------------
+    if program.function("main") is None:
+        found.append(
+            Diagnostic(
+                code="V002",
+                severity=Severity.ERROR,
+                message="program has no main function",
+                span=_program_anchor(program),
+            )
+        )
+
+    # --- symbols resolved, types intact, no lowered function yet -----
+    for func in program.functions:
+        if func.name.endswith(TRANSFORMED_SUFFIX):
+            found.append(
+                Diagnostic(
+                    code="V003",
+                    severity=Severity.ERROR,
+                    message=(
+                        f"lowered function {func.name!r} present before "
+                        f"the lowering stage (found at {stage!r})"
+                    ),
+                    span=Span.from_node(func, file=file),
+                )
+            )
+        for name, declared in func.parameters:
+            if declared is None:
+                found.append(
+                    _type_lost(f"parameter {name!r} of {func.name!r}", func, file)
+                )
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and node.function not in callable_names:
+                found.append(
+                    Diagnostic(
+                        code="V001",
+                        severity=Severity.ERROR,
+                        message=(
+                            f"call to unknown function {node.function!r} "
+                            f"in {func.name!r} (symbol resolution broken "
+                            f"after stage {stage!r})"
+                        ),
+                        span=Span.from_node(node, file=file),
+                    )
+                )
+            elif (
+                isinstance(node, ast.MethodCall)
+                and node.method in ("applyUpdatePriority", "apply")
+                and node.arguments
+                and isinstance(node.arguments[0], ast.Name)
+                and node.arguments[0].identifier not in callable_names
+            ):
+                found.append(
+                    Diagnostic(
+                        code="V001",
+                        severity=Severity.ERROR,
+                        message=(
+                            f"{node.method} references unknown function "
+                            f"{node.arguments[0].identifier!r}"
+                        ),
+                        span=Span.from_node(node, file=file),
+                    )
+                )
+            elif isinstance(node, ast.VarDecl) and node.declared_type is None:
+                found.append(_type_lost(f"var {node.name!r}", node, file))
+    for const in program.constants:
+        if const.declared_type is None:
+            found.append(_type_lost(f"const {const.name!r}", const, file))
+    return sorted_diagnostics(found)
 
 
 def _type_lost(what: str, node: ast.Node, file: str | None) -> Diagnostic:
@@ -376,11 +356,16 @@ def validate_ir_or_raise(program: ast.Program, stage: str, **kwargs) -> None:
     """Raise :class:`IRValidationError` on the first validator finding."""
     found = validate_ir(program, stage, **kwargs)
     if found:
-        first = found[0]
-        raise IRValidationError(
-            f"[{first.code}] {first.message} (IR validation at stage {stage!r})",
-            span=first.span,
-        )
+        raise ir_validation_error(found, stage)
+
+
+def ir_validation_error(found: list[Diagnostic], stage: str) -> IRValidationError:
+    """The error a pass boundary raises for the validator's ``found``."""
+    first = found[0]
+    return IRValidationError(
+        f"[{first.code}] {first.message} (IR validation at stage {stage!r})",
+        span=first.span,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -433,29 +418,19 @@ def _dead_knob_rules():
     )
 
 
-def program_labels(program: ast.Program) -> set[str]:
-    """All statement labels (``#s1#``) appearing anywhere in the program."""
-    labels: set[str] = set()
-    for func in program.functions:
-        for node in ast.walk(func):
-            label = getattr(node, "label", None)
-            if label:
-                labels.add(label)
-    return labels
-
-
 def check_schedule_compat(
-    program: ast.Program, scheduling: SchedulingProgram
+    program: ast.Program,
+    scheduling: SchedulingProgram,
+    facts: ProgramFacts | None = None,
 ) -> list[Diagnostic]:
     """Cross-check a scheduling program against the actual program labels."""
     file = program.source_file
-    labels_in_program = program_labels(program)
-    label_spans = _label_spans(program)
+    label_spans = (facts if facts is not None else build_facts(program)).labels
     found: list[Diagnostic] = []
 
     for label in scheduling.labels:
-        if label not in labels_in_program:
-            suggestion = _closest(label, labels_in_program)
+        if label not in label_spans:
+            suggestion = _closest(label, label_spans)
             hint = f"; did you mean {suggestion!r}?" if suggestion else ""
             found.append(
                 Diagnostic(
@@ -465,9 +440,9 @@ def check_schedule_compat(
                         f"schedule configures label {label!r} but no "
                         f"statement in the program carries it"
                         f" (program labels: "
-                        f"{sorted(labels_in_program) or 'none'}){hint}"
+                        f"{sorted(label_spans) or 'none'}){hint}"
                     ),
-                    span=_schedule_command_span(program, label),
+                    span=_schedule_command_span(program, label, label_spans),
                 )
             )
             continue
@@ -486,13 +461,15 @@ def check_schedule_compat(
                             f"parallelization={final.parallelization!r}: "
                             f"{why}"
                         ),
-                        span=label_spans.get(label, _fallback_span(file)),
+                        span=label_spans[label],
                     )
                 )
-    return _sorted(found)
+    return sorted_diagnostics(found)
 
 
-def _schedule_command_span(program: ast.Program, label: str) -> Span:
+def _schedule_command_span(
+    program: ast.Program, label: str, label_spans: dict[str, Span]
+) -> Span:
     """Locate a misspelled label at the inline schedule command naming it.
 
     When the scheduling program was built through the Python API (no inline
@@ -503,8 +480,7 @@ def _schedule_command_span(program: ast.Program, label: str) -> Span:
     for statement in program.schedule:
         if statement.arguments and statement.arguments[0] == label:
             return Span.from_node(statement, file=program.source_file)
-    label_spans = _label_spans(program)
-    suggestion = _closest(label, set(label_spans))
+    suggestion = _closest(label, label_spans)
     if suggestion is not None:
         return label_spans[suggestion]
     if label_spans:
@@ -512,219 +488,7 @@ def _schedule_command_span(program: ast.Program, label: str) -> Span:
     return _program_anchor(program)
 
 
-def _label_spans(program: ast.Program) -> dict[str, Span]:
-    spans: dict[str, Span] = {}
-    for func in program.functions:
-        for node in ast.walk(func):
-            label = getattr(node, "label", None)
-            if label and label not in spans:
-                spans[label] = Span.from_node(node, file=program.source_file)
-    return spans
-
-
-def _closest(candidate: str, pool: set[str]) -> str | None:
+def _closest(candidate: str, pool) -> str | None:
     """Cheap edit-distance-1-ish suggestion for misspelled labels."""
-    import difflib
-
     matches = difflib.get_close_matches(candidate, sorted(pool), n=1, cutoff=0.5)
     return matches[0] if matches else None
-
-
-# ----------------------------------------------------------------------
-# The full pipeline: repro lint
-# ----------------------------------------------------------------------
-def lint_program(
-    source: str,
-    schedule: Schedule | SchedulingProgram | None = None,
-    filename: str | None = None,
-    include_info: bool = False,
-) -> list[Diagnostic]:
-    """Run every analysis over DSL ``source`` and collect diagnostics.
-
-    Never raises for program problems — frontend rejections become located
-    ``P001``/``T001`` diagnostics, midend rejections become ``V003``/
-    ``S003``, and the race/validator/schedule layers contribute their own
-    codes.  ``include_info`` adds the informational race-classification
-    notes (``R002``/``R003``).
-    """
-    found: list[Diagnostic] = []
-
-    try:
-        program = parse(source, filename)
-    except ParseError as error:
-        return [
-            Diagnostic(
-                code="P001",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        ]
-
-    try:
-        typecheck(program)
-    except TypeCheckError as error:
-        found.append(
-            Diagnostic(
-                code="T001",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        )
-        return _sorted(found)
-
-    found.extend(validate_ir(program, "typed"))
-
-    # Resolve the scheduling program (explicit > inline block > default).
-    from ..transforms.lowering import schedule_from_block
-
-    scheduling: SchedulingProgram | None = None
-    resolved: Schedule | SchedulingProgram | None = schedule
-    if isinstance(schedule, SchedulingProgram):
-        scheduling = schedule
-    elif schedule is None and program.schedule:
-        try:
-            scheduling = schedule_from_block(program)
-            resolved = scheduling
-        except SchedulingError as error:
-            found.append(
-                Diagnostic(
-                    code="S003",
-                    severity=Severity.ERROR,
-                    message=str(error),
-                    span=_located(getattr(error, "span", None), filename),
-                )
-            )
-            return _sorted(found)
-    if scheduling is not None:
-        found.extend(check_schedule_compat(program, scheduling))
-
-    # The midend plan: infeasible combinations become located diagnostics.
-    from ..transforms.lowering import plan_program
-
-    plan = None
-    try:
-        try:
-            plan = plan_program(program, resolved)
-        except (SchedulingError, CompileError):
-            if resolved is not None:
-                raise
-            # No schedule was requested: programs whose ordered loop is
-            # eager-ineligible (e.g. SetCover's extern bucket processor)
-            # still lint clean under the lazy strategy they require.
-            plan = plan_program(program, Schedule(priority_update="lazy"))
-            resolved = plan.schedule
-    except MonotonicityError as error:
-        found.append(
-            Diagnostic(
-                code="M001",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        )
-    except IncrementalityError as error:
-        found.append(
-            Diagnostic(
-                code="I001",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        )
-    except SchedulingError as error:
-        found.append(
-            Diagnostic(
-                code="S003",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        )
-    except CompileError as error:
-        found.append(
-            Diagnostic(
-                code="V003",
-                severity=Severity.ERROR,
-                message=str(error),
-                span=_located(getattr(error, "span", None), filename),
-            )
-        )
-
-    # Race analysis over every UDF used by an apply, under its statement's
-    # schedule (the plan covers only the recognized ordered loop).
-    queue_names = {
-        const.name
-        for const in program.constants
-        if isinstance(const.declared_type, PriorityQueueType)
-    }
-    seen: set[str] = set()
-    for udf_name, label in _apply_udfs(program):
-        if udf_name in seen:
-            continue
-        seen.add(udf_name)
-        udf = program.function(udf_name)
-        if udf is None:
-            continue  # V001 already reported by the validator
-        if isinstance(resolved, SchedulingProgram):
-            active = resolved.schedule_for(label or "")
-        elif isinstance(resolved, Schedule):
-            active = resolved
-        elif plan is not None:
-            active = plan.schedule
-        else:
-            active = Schedule()
-        report = analyze_races(udf, queue_names, active, source_file=filename)
-        found.extend(race_diagnostics(report))
-
-    # UDF vectorization classification: every apply UDF that stays on the
-    # scalar interpreter gets an informational V101 with the located reason.
-    if plan is not None:
-        for vec_report in plan.vectorize.values():
-            if vec_report.vectorizable:
-                continue
-            found.append(
-                Diagnostic(
-                    code="V101",
-                    severity=Severity.INFO,
-                    message=(
-                        f"UDF {vec_report.udf_name!r} falls back to the "
-                        f"scalar interpreter: {vec_report.reason}"
-                    ),
-                    span=_located(vec_report.span, filename),
-                )
-            )
-
-    if not include_info:
-        found = [d for d in found if d.severity is not Severity.INFO]
-    return _sorted(_dedup(found))
-
-
-def _apply_udfs(program: ast.Program):
-    """(udf name, statement label) for every apply-style call site."""
-    for func in program.functions:
-        for node in ast.walk(func):
-            if not isinstance(node, (ast.ExprStmt,)):
-                continue
-            expression = node.expression
-            if (
-                isinstance(expression, ast.MethodCall)
-                and expression.method in ("applyUpdatePriority", "apply")
-                and expression.arguments
-                and isinstance(expression.arguments[0], ast.Name)
-            ):
-                yield expression.arguments[0].identifier, node.label
-
-
-def _dedup(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    seen: set[tuple] = set()
-    unique: list[Diagnostic] = []
-    for diagnostic in diagnostics:
-        key = (diagnostic.code, diagnostic.span.line, diagnostic.span.column,
-               diagnostic.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(diagnostic)
-    return unique

@@ -32,10 +32,9 @@ The classification is consumed by both backends: the C++ generator emits
 the classification in the generated module and asserts it at runtime
 against the schedule it executes under.
 
-Since the effect-analysis framework landed, this module no longer walks the
-IR itself: it is a thin projection of the
-:class:`~repro.midend.analysis.effects.UDFEffectSummary` access records
-(which preserve the historical statement-order walk) onto race classes.
+The classification is a read of the UDF's
+:class:`~repro.midend.analysis.facts.UDFFacts`: each shared write's index
+provenance, with the schedule's direction deciding which endpoint is owned.
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ from dataclasses import dataclass, field
 from ...lang import ast_nodes as ast
 from ...lang.span import Span
 from ..schedule import Schedule
-from .effects.model import Access, AccessKind, TargetKind, UDFEffectSummary
-from .udf_analysis import PriorityUpdate
+from .facts import Access, AccessKind, PriorityUpdate, TargetKind, UDFFacts
 
-__all__ = ["RaceClass", "WriteSite", "RaceReport", "analyze_races"]
+__all__ = ["RaceClass", "WriteSite", "RaceReport", "classify_races"]
 
 
 class RaceClass(enum.Enum):
@@ -133,54 +131,36 @@ class RaceReport:
         ]
 
 
-def analyze_races(
-    udf: ast.FuncDecl,
-    queue_names: set[str],
-    schedule: Schedule,
-    source_file: str | None = None,
-) -> RaceReport:
+def classify_races(udf: UDFFacts, schedule: Schedule) -> RaceReport:
     """Classify every shared write in ``udf`` under ``schedule``.
 
-    ``udf`` is an edge UDF with parameters ``(src, dst[, weight])``.  Under
-    push-direction traversal the parallel loop runs over sources, so any
-    write indexed by ``dst`` is cross-thread; under pull it runs over
-    destinations, so ``dst``-indexed writes are thread-owned and
-    ``src``-indexed writes are cross-thread.
+    Under push-direction traversal the parallel loop runs over sources, so
+    any write indexed by the destination is cross-thread; under pull it
+    runs over destinations, so source-indexed writes are cross-thread.
     """
-    from .effects.analysis import summarize_udf
-
-    effect_summary = summarize_udf(
-        udf, queue_names, schedule.direction, source_file
-    )
-    return classify_from_effects(effect_summary, schedule)
-
-
-def classify_from_effects(
-    summary: UDFEffectSummary, schedule: Schedule
-) -> RaceReport:
-    """Project an effect summary onto the race classification."""
     report = RaceReport(
-        udf_name=summary.udf_name,
+        udf_name=udf.name,
         direction=schedule.direction,
         parallelization=schedule.parallelization,
     )
-    for access in summary.accesses:
+    for access in udf.accesses:
         if access.is_local:
             continue  # thread-local: parameters and var declarations
+        owned = access.owned(schedule.direction)
         if access.kind is AccessKind.PRIORITY_UPDATE:
-            report.sites.append(_classify_update(access))
+            report.sites.append(_classify_update(access, owned))
         elif access.target_kind is TargetKind.SCALAR:
             report.sites.append(_classify_scalar(access))
         elif access.target_kind is TargetKind.VECTOR:
-            report.sites.append(_classify_vector(access))
+            report.sites.append(_classify_vector(access, owned))
     return report
 
 
-def _classify_update(access: Access) -> WriteSite:
+def _classify_update(access: Access, owned: bool) -> WriteSite:
     """A priority-update operator: CAS/fetch-add class per target index."""
     update = access.update
     vertex_name = access.index_name
-    if access.owned:
+    if owned:
         return WriteSite(
             node=access.node,
             target=access.rendered,
@@ -250,8 +230,8 @@ def _classify_scalar(access: Access) -> WriteSite:
     )
 
 
-def _classify_vector(access: Access) -> WriteSite:
-    if access.owned:
+def _classify_vector(access: Access, owned: bool) -> WriteSite:
+    if owned:
         return WriteSite(
             node=access.node,
             target=access.rendered,

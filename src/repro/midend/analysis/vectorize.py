@@ -45,10 +45,13 @@ chunk-snapshot reads and count one priority update per vertex improved in a
 chunk, not the scalar interpreter's per-edge counts; the sum kinds still
 reproduce the scalar counters exactly.  The guarded
 kind's priority expression is assumed nondecreasing in the written value
-(``new_val + h[dst]``), as the guard itself presumes.  The analysis
-consults the race classification: any UDF with an ``unordered_racy`` write
-site falls back (such programs are refused at runtime anyway, diagnostic
-``R001``).
+(``new_val + h[dst]``), as the guard itself presumes.  Every fact the
+matchers consult — the priority updates, the queue's order and priority
+vector, the inlineable locals, scalar-global writes and the race
+classification — is a read of the program's
+:class:`~repro.midend.analysis.facts.ProgramFacts`; any UDF with an
+``unordered_racy`` write site falls back (such programs are refused at
+runtime anyway, diagnostic ``R001``).
 
 Batch expressions are rendered as numpy source strings over the stream
 variables ``src``/``dst``/``weight``/``k_cur`` (and ``new_val`` for the
@@ -62,21 +65,11 @@ from dataclasses import dataclass, field
 
 from ...lang import ast_nodes as ast
 from ...lang.span import Span
-from ...lang.types import VectorType
 from ..schedule import Schedule
-from .races import analyze_races
-from .udf_analysis import (
-    PriorityUpdate,
-    analyze_constant_sum,
-    find_priority_updates,
-)
+from .facts import PriorityUpdate, ProgramFacts, TargetKind, UDFFacts
+from .races import classify_races
 
-__all__ = [
-    "VectorKernel",
-    "VectorizeReport",
-    "analyze_vectorization",
-    "analyze_udf_vectorization",
-]
+__all__ = ["VectorKernel", "VectorizeReport", "analyze_vectorization"]
 
 
 @dataclass
@@ -278,75 +271,8 @@ class _ExprClassifier:
 
 
 # ----------------------------------------------------------------------
-# Program context helpers
+# Kind matchers
 # ----------------------------------------------------------------------
-def _program_vectors(program: ast.Program) -> set[str]:
-    return {
-        const.name
-        for const in program.constants
-        if isinstance(const.declared_type, VectorType)
-    }
-
-
-def _program_scalars(program: ast.Program) -> set[str]:
-    vectors = _program_vectors(program)
-    return {
-        const.name
-        for const in program.constants
-        if const.name not in vectors and not _is_structural(const)
-    }
-
-
-def _is_structural(const: ast.ConstDecl) -> bool:
-    from ...lang.types import EdgeSetType, PriorityQueueType
-
-    return isinstance(const.declared_type, (EdgeSetType, PriorityQueueType))
-
-
-def _queue_constructor(
-    program: ast.Program, queue_name: str
-) -> tuple[str, str] | None:
-    """(direction, priority-vector name) from ``q = new priority_queue(...)``."""
-    for func in program.functions:
-        for node in ast.walk(func):
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.target, ast.Name)
-                and node.target.identifier == queue_name
-                and isinstance(node.value, ast.New)
-            ):
-                continue
-            arguments = node.value.arguments
-            if len(arguments) < 3:
-                return None
-            direction = arguments[1]
-            vector = arguments[2]
-            if not (
-                isinstance(direction, ast.StringLiteral)
-                and isinstance(vector, ast.Name)
-            ):
-                return None
-            return direction.value, vector.identifier
-    return None
-
-
-def _inlineable_locals(udf: ast.FuncDecl) -> dict[str, ast.Expr]:
-    """Single-assignment locals with initializers, safe to inline."""
-    assigned: set[str] = set()
-    for node in ast.walk(udf):
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
-            assigned.add(node.target.identifier)
-    inline: dict[str, ast.Expr] = {}
-    for node in ast.walk(udf):
-        if (
-            isinstance(node, ast.VarDecl)
-            and node.initializer is not None
-            and node.name not in assigned
-        ):
-            inline[node.name] = node.initializer
-    return inline
-
-
 def _flat_statements(
     body: list[ast.Stmt],
 ) -> tuple[list[ast.VarDecl], list[ast.Stmt]]:
@@ -361,40 +287,17 @@ def _flat_statements(
     return decls, rest
 
 
-def _check_scalar_global_writes(udf: ast.FuncDecl) -> None:
-    """Any write to a scalar global is a side effect no batch kernel has."""
-    local_names = {name for name, _ in udf.parameters}
-    for node in ast.walk(udf):
-        if isinstance(node, ast.VarDecl):
-            local_names.add(node.name)
-    for node in ast.walk(udf):
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
-            name = node.target.identifier
-            if name not in local_names:
-                raise _Fallback(
-                    f"assigns to the scalar global {name!r}, a side effect "
-                    f"outside every recognized batch pattern",
-                    node.span,
-                )
-
-
-# ----------------------------------------------------------------------
-# Kind matchers
-# ----------------------------------------------------------------------
 def _match_priority_udf(
-    udf: ast.FuncDecl,
-    program: ast.Program,
-    queue_names: set[str],
-    schedule: Schedule,
+    udf: UDFFacts, facts: ProgramFacts, schedule: Schedule
 ) -> VectorKernel:
     """Classify an ``applyUpdatePriority`` UDF, or raise ``_Fallback``."""
-    parameters = [name for name, _ in udf.parameters]
+    parameters = udf.parameters
     if len(parameters) < 2:
         raise _Fallback("edge UDF needs (src, dst[, weight]) parameters")
     src_param, dst_param = parameters[0], parameters[1]
     weight_param = parameters[2] if len(parameters) > 2 else None
 
-    updates = find_priority_updates(udf, queue_names)
+    updates = udf.updates
     if len(updates) != 1:
         raise _Fallback(
             f"contains {len(updates)} priority updates; exactly one is "
@@ -409,28 +312,31 @@ def _match_priority_udf(
             "the priority update does not target the destination parameter",
             Span.from_node(update.call),
         )
-    constructor = _queue_constructor(program, update.queue_name)
-    if constructor is None:
+    queue = facts.queues.get(update.queue_name)
+    if queue is None or queue.order is None or queue.priority_vector is None:
         raise _Fallback(
             f"could not resolve the constructor of queue "
             f"{update.queue_name!r} (direction and priority vector unknown)"
         )
-    direction, priority_vector = constructor
+    direction, priority_vector = queue.order, queue.priority_vector
 
-    vectors = _program_vectors(program)
-    scalars = _program_scalars(program)
-    locals_inline = _inlineable_locals(udf)
-    _check_scalar_global_writes(udf)
+    for access in udf.accesses:
+        if access.target_kind is TargetKind.SCALAR and not access.is_local:
+            raise _Fallback(
+                f"assigns to the scalar global {access.base!r}, a side effect "
+                f"outside every recognized batch pattern",
+                access.node.span,
+            )
 
     def classifier(new_val_name: str | None = None) -> _ExprClassifier:
         return _ExprClassifier(
             src_param,
             dst_param,
             weight_param,
-            locals_inline,
-            vectors,
-            scalars,
-            queue_names,
+            udf.single_assignments,
+            facts.vectors,
+            facts.scalars,
+            facts.queue_names,
             new_val_name=new_val_name,
         )
 
@@ -439,7 +345,7 @@ def _match_priority_udf(
             kind = "sum_hist"
         else:
             kind = "sum_const"
-        info = analyze_constant_sum(udf, queue_names)
+        info = udf.constant_sum
         if info is None:
             raise _Fallback(
                 "updatePrioritySum is not a single constant-difference "
@@ -448,7 +354,7 @@ def _match_priority_udf(
             )
         if info.constant == 0:
             raise _Fallback("constant-sum difference is zero (no-op UDF)")
-        decls, rest = _flat_statements(udf.body)
+        decls, rest = _flat_statements(udf.decl.body)
         if len(rest) != 1 or not isinstance(rest[0], ast.ExprStmt):
             raise _Fallback(
                 "constant-sum UDF has statements beyond the priority update"
@@ -470,7 +376,7 @@ def _match_priority_udf(
             "sentinel breaks the plain batch comparison"
         )
 
-    decls, rest = _flat_statements(udf.body)
+    decls, rest = _flat_statements(udf.decl.body)
     if len(rest) == 1 and isinstance(rest[0], ast.ExprStmt):
         if rest[0].expression is not update.call:
             raise _Fallback("unrecognized statement alongside the update")
@@ -497,7 +403,6 @@ def _match_priority_udf(
             priority_vector,
             classifier,
             dst_param,
-            udf,
         )
     raise _Fallback("UDF body does not match any recognized batch shape")
 
@@ -508,7 +413,6 @@ def _match_guarded(
     priority_vector: str,
     classifier,
     dst_param: str,
-    udf: ast.FuncDecl,
 ) -> VectorKernel:
     """The A* shape: ``if v < aux[dst] { aux[dst] = v; pq.updateMin(dst, p) }``."""
     if update.op != "min":
@@ -604,22 +508,26 @@ def _match_guarded(
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
-def analyze_udf_vectorization(
-    udf: ast.FuncDecl,
-    program: ast.Program,
-    queue_names: set[str],
-    schedule: Schedule,
-    is_priority_apply: bool,
-    source_file: str | None = None,
-) -> VectorizeReport:
-    """Classify one apply UDF; never raises — fallback carries the reason."""
-    span = Span.from_node(udf, file=source_file)
+def analyze_vectorization(
+    facts: ProgramFacts, schedule: Schedule
+) -> dict[str, VectorizeReport]:
+    """Classify every apply UDF under ``schedule``; never raises — a
+    fallback carries its located reason."""
+    reports: dict[str, VectorizeReport] = {}
+    for site in facts.apply_sites:
+        udf = facts.udfs.get(site.udf_name)
+        if udf is None or udf.name in reports:
+            continue  # an unresolved symbol is V001, reported by the validator
+        reports[udf.name] = _classify(udf, facts, schedule, site.priority)
+    return reports
+
+
+def _classify(udf: UDFFacts, facts, schedule, is_priority_apply) -> VectorizeReport:
     # Race gate: only race-free (ordered-safe / seeded-CAS-equivalent)
     # UDFs vectorize.  Unordered racy programs are refused at runtime.
-    report = analyze_races(udf, queue_names, schedule, source_file=source_file)
-    racy = report.racy_sites
+    racy = classify_races(udf, schedule).racy_sites
     if racy:
         first = racy[0]
         return VectorizeReport(
@@ -637,61 +545,17 @@ def analyze_udf_vectorization(
                 "whole-edgeset apply runs in scalar order; only "
                 "priority-queue updates have a batch kernel"
             )
-        kernel = _match_priority_udf(udf, program, queue_names, schedule)
+        kernel = _match_priority_udf(udf, facts, schedule)
     except _Fallback as fallback:
         return VectorizeReport(
             udf_name=udf.name,
             kernel=None,
             reason=fallback.reason,
-            span=fallback.span if fallback.span is not None else span,
+            span=fallback.span if fallback.span is not None else udf.span,
         )
     return VectorizeReport(
         udf_name=udf.name,
         kernel=kernel,
         reason=f"recognized batch shape {kernel.kind!r}",
-        span=span,
+        span=udf.span,
     )
-
-
-def _apply_sites(program: ast.Program):
-    """(udf name, is_priority_apply) for every apply-style call site."""
-    for func in program.functions:
-        for node in ast.walk(func):
-            if not isinstance(node, ast.ExprStmt):
-                continue
-            expression = node.expression
-            if (
-                isinstance(expression, ast.MethodCall)
-                and expression.method in ("applyUpdatePriority", "apply")
-                and expression.arguments
-                and isinstance(expression.arguments[0], ast.Name)
-            ):
-                yield (
-                    expression.arguments[0].identifier,
-                    expression.method == "applyUpdatePriority",
-                )
-
-
-def analyze_vectorization(
-    program: ast.Program,
-    queue_names: set[str],
-    schedule: Schedule,
-    source_file: str | None = None,
-) -> dict[str, VectorizeReport]:
-    """Classify every apply UDF in ``program`` under ``schedule``."""
-    reports: dict[str, VectorizeReport] = {}
-    for udf_name, is_priority in _apply_sites(program):
-        if udf_name in reports:
-            continue
-        udf = program.function(udf_name)
-        if udf is None:
-            continue  # V001 reported by the IR validator
-        reports[udf_name] = analyze_udf_vectorization(
-            udf,
-            program,
-            queue_names,
-            schedule,
-            is_priority_apply=is_priority,
-            source_file=source_file,
-        )
-    return reports

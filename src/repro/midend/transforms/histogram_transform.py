@@ -1,7 +1,7 @@
 """The constant-sum (histogram) UDF transformation — Figure 10.
 
 Given a UDF that qualifies per
-:func:`~repro.midend.analysis.udf_analysis.analyze_constant_sum`, build the
+:attr:`~repro.midend.analysis.facts.UDFFacts.constant_sum`, build the
 transformed function the compiler substitutes: a function of
 ``(vertex, count)`` that applies all of a round's updates to one vertex at
 once,
@@ -20,9 +20,13 @@ their own syntax and tests can inspect the structure directly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ...lang import ast_nodes as ast
 from ...lang.types import INT, ElementType
-from ..analysis.udf_analysis import ConstantSumInfo
+
+if TYPE_CHECKING:  # the analysis imports this module's naming convention
+    from ..analysis.facts import ConstantSumInfo
 
 __all__ = ["build_transformed_udf", "TRANSFORMED_SUFFIX"]
 

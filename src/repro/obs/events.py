@@ -77,15 +77,9 @@ SPAN_NAMES: dict[str, str] = {
     "typecheck": "compiler",
     "midend": "compiler",
     "midend.validate_ir": "compiler",
-    "midend.recognize_loop": "compiler",
+    "midend.facts": "compiler",
     "midend.resolve_schedule": "compiler",
-    "midend.effects": "compiler",
-    "midend.dependence": "compiler",
-    "midend.races": "compiler",
-    "midend.constant_sum": "compiler",
     "midend.histogram_transform": "compiler",
-    "midend.incremental_eligibility": "compiler",
-    "midend.vectorize": "compiler",
     "codegen.python": "compiler",
     "codegen.cpp": "compiler",
     "load_module": "compiler",

@@ -21,7 +21,7 @@ from repro.graph import rmat
 from repro.graph.mutations import Mutation
 from repro.incremental import IncrementalSession
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import lint_program
+from repro.midend.lint import lint_program
 
 # program -> (value semantics, Δ, output vector)
 PATH_PROGRAMS = {

@@ -31,14 +31,14 @@ from repro.midend.analysis import (
     DIAGNOSTIC_CODES,
     RaceClass,
     Severity,
-    analyze_constant_sum,
-    analyze_races,
+    build_facts,
     check_schedule_compat,
-    lint_program,
+    classify_races,
     render_diagnostic,
     validate_ir,
     validate_ir_or_raise,
 )
+from repro.midend.lint import lint_program
 from repro.midend.transforms import plan_program
 
 from .oracle_matrix import Cell, check
@@ -52,13 +52,11 @@ assert RACY_SSSP != ALL_PROGRAMS["sssp"]
 
 
 def _udf(name, source):
-    return parse(source).function(name)
+    return build_facts(parse(source)).udfs[name]
 
 
-def _race_report(source, udf_name, schedule, queue_names=("pq",)):
-    return analyze_races(
-        _udf(udf_name, source), set(queue_names), schedule
-    )
+def _race_report(source, udf_name, schedule):
+    return classify_races(_udf(udf_name, source), schedule)
 
 
 # ======================================================================
@@ -143,9 +141,7 @@ class TestRaceAnalysis:
         assert "benign race" in stores[0].reason
 
     def test_bellman_ford_constant_store_is_benign(self):
-        report = analyze_races(
-            _udf("relax", ALL_PROGRAMS["bellman_ford"]), set(), Schedule()
-        )
+        report = _race_report(ALL_PROGRAMS["bellman_ford"], "relax", Schedule())
         scalar = [s for s in report.sites if s.target == "changed"]
         assert len(scalar) == 1
         assert scalar[0].race_class is RaceClass.BENIGN
@@ -164,9 +160,9 @@ class TestRaceAnalysis:
 
     def test_plan_carries_race_report(self):
         plan = plan_program(parse(ALL_PROGRAMS["sssp"]), Schedule())
-        assert plan.races is not None
-        assert plan.races.udf_name == "updateEdge"
-        assert plan.needs_atomics
+        races = classify_races(plan.facts.loop_udf, plan.schedule)
+        assert races.udf_name == "updateEdge"
+        assert races.needs_atomics
 
 
 # ======================================================================
@@ -174,7 +170,7 @@ class TestRaceAnalysis:
 # ======================================================================
 class TestConstantSumNegatives:
     def _info(self, source):
-        return analyze_constant_sum(_udf("apply_f", source), {"pq"})
+        return _udf("apply_f", source).constant_sum
 
     def test_kcore_baseline_qualifies(self):
         assert self._info(ALL_PROGRAMS["kcore"]) is not None

@@ -12,10 +12,12 @@ from repro.analyze import build_analysis_document, render_analysis_text
 from repro.errors import CompileError, SchedulingError
 from repro.lang.parser import parse
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import Severity, lint_program
+from repro.midend.analysis.diagnostics import Severity
+from repro.midend.lint import lint_program
 from repro.midend.analysis.effects import (
     check_fusion_safety,
     fusion_matrix,
+    runtime_summary,
 )
 from repro.midend.schedule import Schedule
 from repro.midend.transforms.lowering import plan_program
@@ -29,11 +31,10 @@ NON_MONOTONE = ALL_PROGRAMS["kcore"].replace(
 assert NON_MONOTONE != ALL_PROGRAMS["kcore"]
 
 
-def _effects(name):
+def _plan(name):
     # Lazy is the one strategy every built-in admits (setcover's extern
     # bucket processing rejects the eager default).
-    plan = plan_program(parse(ALL_PROGRAMS[name]), Schedule(priority_update="lazy"))
-    return plan.effects
+    return plan_program(parse(ALL_PROGRAMS[name]), Schedule(priority_update="lazy"))
 
 
 def _effects_json(name, source=None):
@@ -43,8 +44,7 @@ def _effects_json(name, source=None):
 
 class TestEffectSummaries:
     def test_sssp_read_write_sets(self):
-        effects = _effects("sssp")
-        udf = effects.udfs["updateEdge"]
+        udf = _plan("sssp").facts.udfs["updateEdge"]
         assert udf.read_set() == {"dist"}
         assert udf.write_set() == set()
         assert udf.scalar_write_set() == set()
@@ -54,7 +54,8 @@ class TestEffectSummaries:
         assert updates[0].provenance.value == "dst"
 
     def test_runtime_summary_folds_queue_onto_priority_vector(self):
-        summary = _effects("sssp").runtime_summary()
+        plan = _plan("sssp")
+        summary = runtime_summary(plan.facts, plan.schedule.direction)
         contract = summary["updateEdge"]
         # The priority update targets queue pq whose vector is dist, so
         # the runtime projection must list dist on both sides.
@@ -110,35 +111,35 @@ class TestMonotonicity:
 class TestFusionSafety:
     def test_sssp_wbfs_fusable(self):
         verdict = check_fusion_safety(
-            "sssp", _effects("sssp"), "wbfs", _effects("wbfs")
+            "sssp", _plan("sssp"), "wbfs", _plan("wbfs")
         )
         assert verdict.fusable
         assert verdict.reasons == []
 
     def test_order_mismatch_blocks(self):
         verdict = check_fusion_safety(
-            "sssp", _effects("sssp"), "widest", _effects("widest")
+            "sssp", _plan("sssp"), "widest", _plan("widest")
         )
         assert not verdict.fusable
         assert any("processing-order" in r for r in verdict.reasons)
 
     def test_discipline_mismatch_blocks(self):
         verdict = check_fusion_safety(
-            "sssp", _effects("sssp"), "kcore", _effects("kcore")
+            "sssp", _plan("sssp"), "kcore", _plan("kcore")
         )
         assert not verdict.fusable
         assert any("update-discipline" in r for r in verdict.reasons)
 
     def test_extern_processing_blocks(self):
         verdict = check_fusion_safety(
-            "setcover", _effects("setcover"), "sssp", _effects("sssp")
+            "setcover", _plan("setcover"), "sssp", _plan("sssp")
         )
         assert not verdict.fusable
         assert any("extern" in r for r in verdict.reasons)
 
     def test_fusion_matrix_covers_all_pairs(self):
-        summaries = {n: _effects(n) for n in ("sssp", "wbfs", "widest")}
-        verdicts = fusion_matrix(summaries)
+        plans = {n: _plan(n) for n in ("sssp", "wbfs", "widest")}
+        verdicts = fusion_matrix(plans)
         pairs = {tuple(v.to_json()["pair"]) for v in verdicts}
         assert pairs == {
             ("sssp", "wbfs"),

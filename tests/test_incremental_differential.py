@@ -31,7 +31,8 @@ from repro.graph.generators import rmat
 from repro.graph.mutations import Mutation, parse_mutation_script
 from repro.incremental import IncrementalSession
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import Severity, lint_program
+from repro.midend.analysis.diagnostics import Severity
+from repro.midend.lint import lint_program
 from repro.midend.schedule import Schedule
 
 from .oracle_matrix import check_history
@@ -309,21 +310,22 @@ class TestIncrementalEligibility:
 
     def test_plan_carries_verdict_without_request(self) -> None:
         from repro.lang.parser import parse
+        from repro.midend.analysis import classify_incremental_eligibility
         from repro.midend.transforms.lowering import plan_program
 
         plan = plan_program(
             parse(ALL_PROGRAMS["kcore"]), Schedule(priority_update="lazy")
         )
-        verdict = plan.incremental_eligibility
-        assert verdict is not None and not verdict.eligible
+        verdict = classify_incremental_eligibility(plan.facts)
+        assert not verdict.eligible
         assert any("history" in reason for reason in verdict.reasons)
 
         plan = plan_program(
             parse(ALL_PROGRAMS["sssp"]),
             Schedule(priority_update="lazy", incremental=True),
         )
-        verdict = plan.incremental_eligibility
-        assert verdict is not None and verdict.eligible
+        verdict = classify_incremental_eligibility(plan.facts)
+        assert verdict.eligible
         assert verdict.kind == "min"
         assert verdict.relaxation_shape == "dist_plus_weight"
 

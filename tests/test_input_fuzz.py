@@ -23,7 +23,7 @@ from repro.errors import GraphItError
 from repro.graph.io import load_dimacs, load_edge_list, load_npz
 from repro.graph.mutations import parse_mutation_script
 from repro.lang import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import lint_program
+from repro.midend.lint import lint_program
 from repro.serve.http import HTTPError, read_request
 
 pytestmark = pytest.mark.slow

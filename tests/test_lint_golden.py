@@ -27,7 +27,7 @@ from repro.analyze import build_analysis_document
 from repro.errors import GraphItError
 from repro.lang import ALL_PROGRAMS
 from repro.midend import PRIORITY_UPDATE_STRATEGIES, Schedule
-from repro.midend.analysis.diagnostics import lint_program
+from repro.midend.lint import lint_program
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "lint"

@@ -6,12 +6,7 @@ from repro.errors import CompileError, SchedulingError
 from repro.lang import ALL_PROGRAMS, parse
 from repro.lang import ast_nodes as ast
 from repro.midend import Schedule, SchedulingProgram
-from repro.midend.analysis import (
-    analyze_constant_sum,
-    analyze_dependences,
-    find_priority_updates,
-    recognize_ordered_loop,
-)
+from repro.midend.analysis import build_facts, classify_races
 from repro.midend.transforms import (
     build_transformed_udf,
     plan_program,
@@ -21,6 +16,10 @@ from repro.midend.transforms import (
 
 def _program(name: str) -> ast.Program:
     return parse(ALL_PROGRAMS[name])
+
+
+def _udf_facts(program: ast.Program, udf_name: str):
+    return build_facts(program).udfs[udf_name]
 
 
 class TestScheduleObject:
@@ -114,7 +113,7 @@ class TestSchedulingProgram:
 class TestLoopRecognition:
     def test_sssp_plain_loop(self):
         program = _program("sssp")
-        info = recognize_ordered_loop(program.function("main"), {"pq"})
+        info = build_facts(program).loop
         assert info is not None
         assert info.bucket_name == "bucket"
         assert info.udf_name == "updateEdge"
@@ -125,14 +124,14 @@ class TestLoopRecognition:
 
     def test_ppsp_early_exit_loop(self):
         program = _program("ppsp")
-        info = recognize_ordered_loop(program.function("main"), {"pq"})
+        info = build_facts(program).loop
         assert info is not None
         assert info.stop_condition is not None
         assert info.done_variable == "done"
 
     def test_setcover_extern_loop(self):
         program = _program("setcover")
-        info = recognize_ordered_loop(program.function("main"), {"pq"})
+        info = build_facts(program).loop
         assert info is not None
         assert info.extern_processor == "processBucket"
         assert not info.eager_eligible
@@ -143,7 +142,7 @@ class TestLoopRecognition:
             "var n : int = bucket.getVertexSetSize();\n        delete bucket;",
         )
         program = parse(source)
-        info = recognize_ordered_loop(program.function("main"), {"pq"})
+        info = build_facts(program).loop
         assert info is None
 
     def test_non_matching_loop_ignored(self):
@@ -151,13 +150,13 @@ class TestLoopRecognition:
             "element Vertex end\nconst pq : priority_queue{Vertex}(int);\n"
             "func main()\n var x : int = 0;\n while x < 3\n x = x + 1;\n end\nend"
         )
-        assert recognize_ordered_loop(program.function("main"), {"pq"}) is None
+        assert build_facts(program).loop is None
 
 
 class TestUdfAnalysis:
     def test_find_min_update(self):
         program = _program("sssp")
-        updates = find_priority_updates(program.function("updateEdge"), {"pq"})
+        updates = _udf_facts(program, "updateEdge").updates
         assert len(updates) == 1
         assert updates[0].op == "min"
         assert isinstance(updates[0].vertex_arg, ast.Name)
@@ -165,7 +164,7 @@ class TestUdfAnalysis:
 
     def test_three_argument_form_preserves_old_value(self):
         program = _program("sssp")
-        update = find_priority_updates(program.function("updateEdge"), {"pq"})[0]
+        update = _udf_facts(program, "updateEdge").updates[0]
         # Figure 3 passes (dst, dist[dst], new_dist); the value is the last,
         # and the old-value read is preserved so the race analysis can seed
         # the CAS loop from it instead of an extra atomic load.
@@ -181,14 +180,14 @@ class TestUdfAnalysis:
             "pq.updatePriorityMin(dst, new_dist);",
         )
         program = parse(source)
-        update = find_priority_updates(program.function("updateEdge"), {"pq"})[0]
+        update = _udf_facts(program, "updateEdge").updates[0]
         assert update.op == "min"
         assert not update.has_old_value
         assert update.old_arg is None
 
     def test_constant_sum_detected_for_kcore(self):
         program = _program("kcore")
-        info = analyze_constant_sum(program.function("apply_f"), {"pq"})
+        info = _udf_facts(program, "apply_f").constant_sum
         assert info is not None
         assert info.constant == -1
         assert info.vertex_param == "dst"
@@ -196,7 +195,7 @@ class TestUdfAnalysis:
 
     def test_constant_sum_rejected_for_min_udf(self):
         program = _program("sssp")
-        assert analyze_constant_sum(program.function("updateEdge"), {"pq"}) is None
+        assert _udf_facts(program, "updateEdge").constant_sum is None
 
     def test_constant_sum_requires_literal_difference(self):
         source = ALL_PROGRAMS["kcore"].replace(
@@ -204,38 +203,41 @@ class TestUdfAnalysis:
             "var d : int = 0 - 1;\n    pq.updatePrioritySum(dst, d, k);",
         )
         program = parse(source)
-        assert analyze_constant_sum(program.function("apply_f"), {"pq"}) is None
+        assert _udf_facts(program, "apply_f").constant_sum is None
 
 
 class TestDependenceAnalysis:
     def test_push_needs_atomics(self):
-        program = _program("sssp")
-        info = analyze_dependences(program.function("updateEdge"), {"pq"})
+        udf = _udf_facts(_program("sssp"), "updateEdge")
+        info = classify_races(udf, Schedule())
         assert info.needs_atomics
         assert not info.needs_deduplication
 
     def test_pull_needs_no_atomics(self):
-        program = _program("sssp")
-        info = analyze_dependences(
-            program.function("updateEdge"), {"pq"}, direction="DensePull"
+        udf = _udf_facts(_program("sssp"), "updateEdge")
+        info = classify_races(
+            udf, Schedule(priority_update="lazy", direction="DensePull")
         )
         assert not info.needs_atomics
 
     def test_kcore_needs_dedup(self):
-        program = _program("kcore")
-        info = analyze_dependences(program.function("apply_f"), {"pq"})
-        assert info.needs_deduplication
+        udf = _udf_facts(_program("kcore"), "apply_f")
+        assert classify_races(udf, Schedule()).needs_deduplication
 
     def test_direct_vector_write_counts(self):
-        program = _program("astar")
-        info = analyze_dependences(program.function("updateEdge"), {"pq"})
-        assert "dist" in info.destination_writes
+        udf = _udf_facts(_program("astar"), "updateEdge")
+        destination_writes = [
+            access.base
+            for access in udf.write_accesses
+            if access.provenance.value == "dst"
+        ]
+        assert "dist" in destination_writes
 
 
 class TestHistogramTransform:
     def test_transformed_shape_matches_figure10(self):
         program = _program("kcore")
-        info = analyze_constant_sum(program.function("apply_f"), {"pq"})
+        info = _udf_facts(program, "apply_f").constant_sum
         transformed = build_transformed_udf(program.function("apply_f"), info)
         assert transformed.name == "apply_f_transformed"
         assert [name for name, _ in transformed.parameters] == ["vertex", "count"]
@@ -254,7 +256,7 @@ class TestPlanProgram:
     def test_sssp_plan_lazy(self):
         plan = plan_program(_program("sssp"), Schedule(priority_update="lazy"))
         assert plan.schedule.is_lazy
-        assert plan.dependence.needs_atomics
+        assert classify_races(plan.facts.loop_udf, plan.schedule).needs_atomics
         assert plan.transformed_udf is None
 
     def test_kcore_plan_histogram(self):
@@ -279,15 +281,15 @@ class TestPlanProgram:
         plan = plan_program(
             parse("func main()\nend"), Schedule(priority_update="lazy")
         )
-        assert plan.queue_names == set()
-        assert plan.loop is None
+        assert plan.facts.queue_names == set()
+        assert plan.facts.loop is None
 
     def test_queue_less_program_ignores_strategy(self):
         plan = plan_program(
             parse("func main()\nend"),
             Schedule(priority_update="eager_no_fusion"),
         )
-        assert plan.loop is None
+        assert plan.facts.loop is None
 
     def test_queued_program_with_unrecognized_loop_rejects_eager(self):
         source = (

@@ -128,7 +128,7 @@ class TestTracerMechanics:
             "lex",
             "parse",
             "typecheck",
-            "midend.vectorize",
+            "midend.facts",
             "codegen.python",
             "program.run",
             "bucket.advance",

@@ -9,7 +9,9 @@ from repro.backend import compile_program
 from repro.graph import rmat
 from repro.lang import ALL_PROGRAMS
 from repro.midend import Schedule
-from repro.midend.analysis.diagnostics import DIAGNOSTIC_CODES, lint_program
+from repro.midend.analysis import analyze_vectorization
+from repro.midend.analysis.diagnostics import DIAGNOSTIC_CODES
+from repro.midend.lint import lint_program
 
 LAZY = Schedule(priority_update="lazy")
 
@@ -19,8 +21,9 @@ PLAIN_RELAX = ALL_PROGRAMS["bellman_ford"].replace("            changed = 1;\n",
 assert PLAIN_RELAX != ALL_PROGRAMS["bellman_ford"]
 
 
-def reports_for(name, schedule=LAZY):
-    return compile_program(ALL_PROGRAMS[name], schedule).plan.vectorize
+def reports_for(name, schedule=LAZY, source=None):
+    plan = compile_program(source or ALL_PROGRAMS[name], schedule).plan
+    return analyze_vectorization(plan.facts, plan.schedule)
 
 
 class TestClassification:
@@ -150,7 +153,7 @@ class TestDiagnostics:
             "new_dist + h[dst])", "new_dist + h[dst] + weight - weight)"
         )
         assert source != ALL_PROGRAMS["astar"]
-        report = compile_program(source, LAZY).plan.vectorize["updateEdge"]
+        report = reports_for("astar", source=source)["updateEdge"]
         assert not report.vectorizable
         assert "reads the source or the edge weight" in report.reason
         assert report.span.line is not None
