@@ -20,10 +20,11 @@ from .lang.parser import parse
 from .midend.analysis.effects import (
     check_fusion_safety,
     classify_incremental_eligibility,
-    effects_document,
+    classify_monotonicity,
     fusion_matrix,
     runtime_summary,
 )
+from .midend.analysis.facts import ProgramFacts
 from .midend.schedule import Schedule
 from .midend.transforms.lowering import plan_program
 
@@ -57,7 +58,7 @@ def build_analysis_document(
                 "direction": resolved.direction,
                 "delta": resolved.delta,
             },
-            "effects": effects_document(facts, resolved.direction),
+            "effects": _effects_document(facts, resolved.direction),
             "runtime_summary": runtime_summary(facts, resolved.direction),
             "incremental": classify_incremental_eligibility(facts).to_json(),
         }
@@ -67,6 +68,66 @@ def build_analysis_document(
     else:
         fusion = [v.to_json() for v in fusion_matrix(plans)]
     return {"programs": programs, "fusion": fusion}
+
+
+def _effects_document(facts: ProgramFacts, direction: str) -> dict:
+    """The facts of one program rendered under one traversal direction."""
+    loop = facts.loop
+    return {
+        "direction": direction,
+        "queues": {
+            name: {
+                "queue": info.name,
+                "order": info.order,
+                "priority_vector": info.priority_vector,
+                "allow_coarsening": info.allow_coarsening,
+            }
+            for name, info in sorted(facts.queues.items())
+        },
+        "ordered_loop": {
+            "recognized": loop is not None,
+            "udf": loop.udf_name if loop is not None else None,
+            "queue": loop.queue_name if loop is not None else None,
+            "extern_processing": (
+                loop is not None and loop.extern_processor is not None
+            ),
+        },
+        "udfs": {
+            name: {
+                "udf": name,
+                "direction": direction,
+                "parameters": list(udf.parameters),
+                "owned_param": udf.owned_param(direction),
+                "reads": sorted(udf.read_set()),
+                "writes": sorted(udf.write_set()),
+                "scalar_writes": sorted(udf.scalar_write_set()),
+                "accesses": [
+                    {
+                        "kind": access.kind.value,
+                        "target": access.target_kind.value,
+                        "base": access.base,
+                        "rendered": access.rendered,
+                        "index": access.index_name,
+                        "provenance": access.provenance.value,
+                        "owned": access.owned(direction),
+                        "must": access.must,
+                        "guarded_monotonic": access.guarded_monotonic,
+                        "line": access.span.line,
+                    }
+                    for access in udf.write_accesses
+                ],
+                "def_use": {
+                    local: {
+                        "defs": udf.defs.get(local, []),
+                        "uses": udf.uses.get(local, []),
+                    }
+                    for local in sorted(set(udf.defs) | set(udf.uses))
+                },
+            }
+            for name, udf in sorted(facts.udfs.items())
+        },
+        "monotonicity": [m.to_json() for m in classify_monotonicity(facts)],
+    }
 
 
 def render_analysis_text(document: dict) -> str:

@@ -314,7 +314,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .midend.analysis.diagnostics import Severity, render_diagnostic
+    from .midend.diagnostics import Severity, render_diagnostic
     from .midend.lint import lint_program
 
     as_json = getattr(args, "format", "text") == "json"
@@ -386,7 +386,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analyze import build_analysis_document, render_analysis_text
-    from .midend.analysis.diagnostics import render_diagnostic
+    from .midend.diagnostics import render_diagnostic
 
     sources = {name: _load_source(name) for name in args.programs}
     schedules = {}
@@ -457,7 +457,7 @@ def _flag_schedule(args: argparse.Namespace, source: str, name: str):
 
 def _rejected_flags(error: SchedulingError, name: str):
     """A rejected command-line schedule, as a located S003 diagnostic."""
-    from .midend.analysis.diagnostics import Diagnostic, Severity, located_span
+    from .midend.diagnostics import Diagnostic, Severity, located_span
 
     return Diagnostic(
         code="S003",

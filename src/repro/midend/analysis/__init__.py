@@ -1,59 +1,9 @@
 """Program analyses: one facts pass and the verdicts that read it.
 
-:func:`build_facts` walks the program once into a frozen
-:class:`ProgramFacts`; race classification, the effect verdicts
-(monotonicity, fusion, incremental eligibility), the batch-kernel kind and
-the diagnostics engine are all reads of it.
+:mod:`.facts` walks the program once into a frozen ``ProgramFacts``; race
+classification (:mod:`.races`), the effect verdicts (:mod:`.effects`:
+monotonicity, fusion, incremental eligibility) and the batch-kernel kind
+(:mod:`.vectorize`) are reads of it, as are the diagnostics engine
+(:mod:`repro.midend.diagnostics`) and ``repro lint`` (:mod:`repro.midend.lint`).
+The package imports nothing of the midend but the schedule.
 """
-
-from .diagnostics import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    Severity,
-    check_schedule_compat,
-    race_diagnostics,
-    render_diagnostic,
-    validate_ir,
-    validate_ir_or_raise,
-)
-from .effects import (
-    FusionVerdict,
-    IncrementalEligibility,
-    Monotonicity,
-    MonotonicityVerdict,
-    check_fusion_safety,
-    classify_incremental_eligibility,
-    classify_monotonicity,
-    fusion_matrix,
-)
-from .facts import ProgramFacts, UDFFacts, build_facts
-from .races import RaceClass, RaceReport, WriteSite, classify_races
-from .vectorize import VectorizeReport, analyze_vectorization
-
-__all__ = [
-    "DIAGNOSTIC_CODES",
-    "Diagnostic",
-    "FusionVerdict",
-    "IncrementalEligibility",
-    "Monotonicity",
-    "MonotonicityVerdict",
-    "ProgramFacts",
-    "RaceClass",
-    "RaceReport",
-    "Severity",
-    "UDFFacts",
-    "VectorizeReport",
-    "WriteSite",
-    "analyze_vectorization",
-    "build_facts",
-    "check_fusion_safety",
-    "check_schedule_compat",
-    "classify_incremental_eligibility",
-    "classify_monotonicity",
-    "classify_races",
-    "fusion_matrix",
-    "race_diagnostics",
-    "render_diagnostic",
-    "validate_ir",
-    "validate_ir_or_raise",
-]

@@ -13,9 +13,8 @@ Every function here is a projection of a
   (min/max) fixpoint can be re-seeded.
 - :func:`check_fusion_safety` decides whether two programs' ordered
   traversals may share one fused traversal.
-- :func:`effects_document` and :func:`runtime_summary` render the facts
-  under one traversal direction, for ``repro analyze`` and for the runtime
-  schedule sanitizer.
+- :func:`runtime_summary` renders the facts under one traversal direction
+  as the contract the runtime schedule sanitizer checks.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "check_fusion_safety",
     "classify_incremental_eligibility",
     "classify_monotonicity",
-    "effects_document",
     "fusion_matrix",
     "runtime_summary",
 ]
@@ -566,26 +564,3 @@ def runtime_summary(facts: ProgramFacts, direction: str) -> dict:
             "write_index": {k: sorted(v) for k, v in sorted(write_index.items())},
         }
     return out
-
-
-def effects_document(facts: ProgramFacts, direction: str) -> dict:
-    """The ``effects`` section of a ``repro analyze`` report."""
-    loop = facts.loop
-    return {
-        "direction": direction,
-        "queues": {
-            name: info.to_json() for name, info in sorted(facts.queues.items())
-        },
-        "ordered_loop": {
-            "recognized": loop is not None,
-            "udf": loop.udf_name if loop is not None else None,
-            "queue": loop.queue_name if loop is not None else None,
-            "extern_processing": (
-                loop is not None and loop.extern_processor is not None
-            ),
-        },
-        "udfs": {
-            name: udf.to_json(direction) for name, udf in sorted(facts.udfs.items())
-        },
-        "monotonicity": [m.to_json() for m in classify_monotonicity(facts)],
-    }

@@ -1,25 +1,16 @@
 """The midend's one analysis pass: every fact about a program, derived once.
 
-:func:`build_facts` walks each function of a program once and freezes what
-the compiler's questions need (Sections 4–5 of the paper) into one
-:class:`ProgramFacts`:
+:func:`build_facts` walks each function once and freezes into one
+:class:`ProgramFacts` what the compiler's questions (Sections 4–5) need:
+the ordered loop (Section 5.2) and every labelled apply site; each apply
+UDF's priority updates and constant-sum shape (Section 5.1, Figure 10);
+every access to shared state in statement order, with its index
+provenance and monotonic guard; single-assignment locals and def-use
+chains; each queue's processing order and priority vector.
 
-- the recognized ordered-processing loop (Section 5.2) and every apply
-  site, with its statement label;
-- each apply UDF's priority updates (queue, operator, old-value use) and
-  its constant-sum shape (Section 5.1, Figure 10);
-- every access to shared state, in statement order, with its index
-  provenance (src / dst / local / constant), the guards it sits under and
-  whether one of them is a monotonic test against its own target;
-- the UDF's single-assignment locals and def-use chains;
-- each priority queue's processing order and priority vector.
-
-Only one bit of all this depends on the schedule: which edge endpoint the
-parallel loop owns (the source under push traversal, the destination under
-pull).  It is applied when a fact is read (:meth:`Access.owned`), so one
-set of facts serves every direction and every per-label schedule.  Race
-classification, monotonicity, fusion, incremental eligibility, the batch
-kernel kind and the lint diagnostics are all reads of these facts.
+Only one bit depends on the schedule: which edge endpoint the parallel
+loop owns.  It is applied when a fact is read (:meth:`Access.owned`), so
+one set of facts serves every direction and every per-label schedule.
 """
 
 from __future__ import annotations
@@ -32,21 +23,7 @@ from ...lang import ast_nodes as ast
 from ...lang.span import Span
 from ...lang.types import EdgeSetType, PriorityQueueType, VectorType
 
-__all__ = [
-    "Access",
-    "AccessKind",
-    "ApplySite",
-    "ConstantSumInfo",
-    "IndexProvenance",
-    "OrderedLoopInfo",
-    "PriorityUpdate",
-    "ProgramFacts",
-    "QueueInfo",
-    "TargetKind",
-    "UDFFacts",
-    "build_facts",
-    "constant_value",
-]
+__all__ = ["ProgramFacts", "UDFFacts", "build_facts"]
 
 _UPDATE_METHODS = {
     "updatePriorityMin": "min",
@@ -131,8 +108,6 @@ class Access:
     provenance: IndexProvenance = IndexProvenance.UNKNOWN
     #: must-write (unconditional) vs may-write (guarded or inside a loop)
     must: bool = True
-    #: guard expressions the access sits under, outermost first
-    guards: tuple[ast.Expr, ...] = ()
     #: the guard comparison reading the write's own target (the
     #: A*/Bellman-Ford test-and-set idiom), if any
     guard: ast.BinaryOp | None = None
@@ -154,20 +129,6 @@ class Access:
             return self.provenance is IndexProvenance.DST
         return self.provenance is IndexProvenance.SRC
 
-    def to_json(self, direction: str) -> dict:
-        return {
-            "kind": self.kind.value,
-            "target": self.target_kind.value,
-            "base": self.base,
-            "rendered": self.rendered,
-            "index": self.index_name,
-            "provenance": self.provenance.value,
-            "owned": self.owned(direction),
-            "must": self.must,
-            "guarded_monotonic": self.guarded_monotonic,
-            "line": self.span.line,
-        }
-
 
 @dataclass(frozen=True)
 class QueueInfo:
@@ -179,15 +140,6 @@ class QueueInfo:
     #: the property vector the queue tracks priorities in
     priority_vector: str | None = None
     allow_coarsening: bool | None = None
-    span: Span = Span()
-
-    def to_json(self) -> dict:
-        return {
-            "queue": self.name,
-            "order": self.order,
-            "priority_vector": self.priority_vector,
-            "allow_coarsening": self.allow_coarsening,
-        }
 
 
 @dataclass(frozen=True)
@@ -243,7 +195,6 @@ class UDFFacts:
     parameters: tuple[str, ...]
     src_param: str
     dst_param: str
-    local_names: frozenset[str]
     #: every priority update on a known queue, in pre-order
     updates: tuple[PriorityUpdate, ...]
     #: write-side accesses in statement order (``then`` before ``else``)
@@ -293,28 +244,11 @@ class UDFFacts:
             if a.target_kind is TargetKind.SCALAR
         }
 
-    def to_json(self, direction: str) -> dict:
-        return {
-            "udf": self.name,
-            "direction": direction,
-            "parameters": list(self.parameters),
-            "owned_param": self.owned_param(direction),
-            "reads": sorted(self.read_set()),
-            "writes": sorted(self.write_set()),
-            "scalar_writes": sorted(self.scalar_write_set()),
-            "accesses": [a.to_json(direction) for a in self.write_accesses],
-            "def_use": {
-                name: {"defs": self.defs.get(name, []), "uses": self.uses.get(name, [])}
-                for name in sorted(set(self.defs) | set(self.uses))
-            },
-        }
-
 
 @dataclass(frozen=True)
 class ProgramFacts:
     """Everything the midend knows about one program, schedule-free."""
 
-    source_file: str | None
     queue_names: frozenset[str]
     queues: dict[str, QueueInfo]
     #: program constants that are property vectors / plain scalars
@@ -409,7 +343,6 @@ def build_facts(program: ast.Program) -> ProgramFacts:
                 entry["order"] = arguments[1].value
             if len(arguments) > 2 and isinstance(arguments[2], ast.Name):
                 entry["priority_vector"] = arguments[2].identifier
-            entry["span"] = Span.from_node(assign, file=file)
         apply_sites.extend(walk.apply_sites)
 
     udfs: dict[str, UDFFacts] = {}
@@ -420,7 +353,6 @@ def build_facts(program: ast.Program) -> ProgramFacts:
 
     main = walks.get("main")
     return ProgramFacts(
-        source_file=file,
         queue_names=queue_names,
         queues={name: QueueInfo(**entry) for name, entry in queue_fields.items()},
         vectors=vectors,
@@ -505,19 +437,15 @@ class _FunctionWalk:
         self._expr(expression)
         if len(self.updates) > count and self.updates[count].call is expression:
             update = self.updates[count]
-            vertex = update.vertex_arg
             self.accesses.append(
-                Access(
-                    node=expression,
-                    kind=AccessKind.PRIORITY_UPDATE,
-                    target_kind=TargetKind.QUEUE,
-                    base=update.queue_name,
+                self._access(
+                    expression,
+                    AccessKind.PRIORITY_UPDATE,
+                    TargetKind.QUEUE,
+                    update.queue_name,
+                    update.vertex_arg,
                     rendered=f"priority({update.queue_name})",
-                    span=Span.from_node(expression, file=self.file),
-                    index_name=vertex.identifier if isinstance(vertex, ast.Name) else None,
-                    provenance=self._provenance(vertex),
                     must=not guards and loops == 0,
-                    guards=guards,
                     update=update,
                 )
             )
@@ -537,22 +465,20 @@ class _FunctionWalk:
 
     def _assign(self, assign: ast.Assign, guards, loops) -> None:
         target = assign.target
-        span = Span.from_node(assign, file=self.file)
         must = not guards and loops == 0
         if isinstance(target, ast.Name):
             name = target.identifier
             if name in self.local_names:
                 self._define(name, assign.line)
             self.accesses.append(
-                Access(
-                    node=assign,
-                    kind=AccessKind.WRITE,
-                    target_kind=TargetKind.SCALAR,
-                    base=name,
+                self._access(
+                    assign,
+                    AccessKind.WRITE,
+                    TargetKind.SCALAR,
+                    name,
+                    None,
                     rendered=name,
-                    span=span,
                     must=must,
-                    guards=guards,
                     constant_store=isinstance(
                         assign.value, (ast.IntLiteral, ast.BoolLiteral)
                     ),
@@ -573,19 +499,14 @@ class _FunctionWalk:
                 else "<expr>"
             )
             index = target.index
-            index_name = index.identifier if isinstance(index, ast.Name) else None
             self.accesses.append(
-                Access(
-                    node=assign,
-                    kind=AccessKind.WRITE,
-                    target_kind=TargetKind.VECTOR,
-                    base=base_name,
-                    rendered=f"{base_name}[{index_name or '<expr>'}]",
-                    span=span,
-                    index_name=index_name,
-                    provenance=self._provenance(index),
+                self._access(
+                    assign,
+                    AccessKind.WRITE,
+                    TargetKind.VECTOR,
+                    base_name,
+                    index,
                     must=must,
-                    guards=guards,
                     guard=_monotonic_guard(guards, base_name, index),
                 )
             )
@@ -606,18 +527,13 @@ class _FunctionWalk:
         elif isinstance(expression, ast.Index):
             base = expression.base
             if isinstance(base, ast.Name):
-                index = expression.index
-                index_name = index.identifier if isinstance(index, ast.Name) else None
                 self.reads.append(
-                    Access(
-                        node=expression,
-                        kind=AccessKind.READ,
-                        target_kind=TargetKind.VECTOR,
-                        base=base.identifier,
-                        rendered=f"{base.identifier}[{index_name or '<expr>'}]",
-                        span=Span.from_node(expression, file=self.file),
-                        index_name=index_name,
-                        provenance=self._provenance(index),
+                    self._access(
+                        expression,
+                        AccessKind.READ,
+                        TargetKind.VECTOR,
+                        base.identifier,
+                        expression.index,
                     )
                 )
             self._expr(base)
@@ -640,6 +556,21 @@ class _FunctionWalk:
         elif isinstance(expression, (ast.Call, ast.New)):
             for argument in expression.arguments:
                 self._expr(argument)
+
+    def _access(self, node, kind, target_kind, base, index, rendered=None, **rest):
+        """An access to ``base`` through ``index`` (``None`` for a scalar)."""
+        index_name = index.identifier if isinstance(index, ast.Name) else None
+        return Access(
+            node=node,
+            kind=kind,
+            target_kind=target_kind,
+            base=base,
+            rendered=rendered or f"{base}[{index_name or '<expr>'}]",
+            span=Span.from_node(node, file=self.file),
+            index_name=index_name,
+            provenance=self._provenance(index),
+            **rest,
+        )
 
     def _owner(self, identifier: str) -> None:
         self.name_owners.setdefault(identifier, []).append(self._statement)
@@ -675,7 +606,6 @@ class _FunctionWalk:
             parameters=self.parameters,
             src_param=self.src,
             dst_param=self.dst,
-            local_names=self.local_names,
             updates=tuple(self.updates),
             accesses=tuple(self.accesses),
             reads=tuple(self.reads),

@@ -1,40 +1,28 @@
-"""Race/atomicity analysis for ``applyUpdatePriority`` UDFs.
+"""Race/atomicity classification of apply UDFs (Section 5.1, Figure 9).
 
-The paper's compiler silently decides which writes inside an edge UDF need
-atomic lowering (the ``atomicWriteMin``/``fetch_add`` of Figure 9) and which
-may stay plain.  This module makes that decision explicit and auditable:
-every write to shared state — a vertex property vector, a shared scalar
-global, or the priority queue itself — is classified under the *active
-schedule's* traversal direction and parallelization policy into one of four
-:class:`RaceClass`es:
+Every write to shared state — a vertex property vector, a shared scalar
+global, or the priority queue itself — is classified under the schedule's
+traversal direction into one of four :class:`RaceClass`es:
 
 ``BENIGN``
-    The write cannot race (thread-owned index under the traversal
-    direction, or an idempotent constant store), or it races benignly (a
-    guarded monotonic test-and-set whose lost updates are re-established
-    by a following priority update).
+    The write cannot race (thread-owned index, or an idempotent constant
+    store), or races benignly (a guarded monotonic test-and-set whose lost
+    updates a following priority update re-establishes).
 ``NEEDS_CAS``
-    A min/max priority update on a shared vertex: the backend must lower it
-    to a compare-exchange loop (``atomicWriteMin``/``atomicWriteMax``).
+    A min/max priority update on a shared vertex: a compare-exchange loop
+    (``atomicWriteMin``/``atomicWriteMax``).
 ``NEEDS_DEDUP``
-    A sum priority update: the backend must lower it to a clamped
-    ``fetch_add`` *and* deduplicate bucket insertions (processing a vertex
-    twice is incorrect for k-core-style UDFs — Section 5.1).
+    A sum priority update: a clamped ``fetch_add`` *and* deduplicated
+    bucket insertions (processing a vertex twice is incorrect for k-core).
 ``UNORDERED_RACY``
-    A plain, unguarded write to shared state that two threads may perform
-    concurrently with differing values: a correctness bug under the chosen
-    parallel schedule.  The diagnostics engine reports these as ``R001``
-    errors; the Python backend refuses to run them.
+    A plain, unguarded cross-thread write: a correctness bug, reported as
+    ``R001``; the Python backend refuses to run it.
 
-The classification is consumed by both backends: the C++ generator emits
-``compare_exchange``/``fetch_add`` only for sites classified ``NEEDS_CAS``/
-``NEEDS_DEDUP`` (no unconditional atomics), and the Python backend embeds
-the classification in the generated module and asserts it at runtime
-against the schedule it executes under.
-
-The classification is a read of the UDF's
-:class:`~repro.midend.analysis.facts.UDFFacts`: each shared write's index
-provenance, with the schedule's direction deciding which endpoint is owned.
+The C++ generator emits atomics only for ``NEEDS_CAS``/``NEEDS_DEDUP``
+sites; the Python backend embeds the classification and asserts it at run
+time.  It is a read of each access's index provenance in the UDF's
+:class:`~repro.midend.analysis.facts.UDFFacts`, the direction deciding
+which endpoint is owned.
 """
 
 from __future__ import annotations
@@ -132,137 +120,82 @@ class RaceReport:
 
 
 def classify_races(udf: UDFFacts, schedule: Schedule) -> RaceReport:
-    """Classify every shared write in ``udf`` under ``schedule``.
-
-    Under push-direction traversal the parallel loop runs over sources, so
-    any write indexed by the destination is cross-thread; under pull it
-    runs over destinations, so source-indexed writes are cross-thread.
-    """
+    """Classify every shared write in ``udf`` under ``schedule``: push
+    traversal owns sources (destination-indexed writes cross threads),
+    pull owns destinations."""
     report = RaceReport(
         udf_name=udf.name,
         direction=schedule.direction,
         parallelization=schedule.parallelization,
     )
-    for access in udf.accesses:
-        if access.is_local:
-            continue  # thread-local: parameters and var declarations
-        owned = access.owned(schedule.direction)
-        if access.kind is AccessKind.PRIORITY_UPDATE:
-            report.sites.append(_classify_update(access, owned))
-        elif access.target_kind is TargetKind.SCALAR:
-            report.sites.append(_classify_scalar(access))
-        elif access.target_kind is TargetKind.VECTOR:
-            report.sites.append(_classify_vector(access, owned))
+    for access in udf.write_accesses:
+        race_class, reason = _classify(access, access.owned(schedule.direction))
+        update = access.update
+        report.sites.append(
+            WriteSite(
+                node=access.node,
+                target=access.rendered,
+                race_class=race_class,
+                reason=reason,
+                span=access.span,
+                update=update,
+                cas_seed=(
+                    update.old_arg if race_class is RaceClass.NEEDS_CAS else None
+                ),
+            )
+        )
     return report
 
 
-def _classify_update(access: Access, owned: bool) -> WriteSite:
-    """A priority-update operator: CAS/fetch-add class per target index."""
-    update = access.update
-    vertex_name = access.index_name
-    if owned:
-        return WriteSite(
-            node=access.node,
-            target=access.rendered,
-            race_class=RaceClass.BENIGN,
-            reason=(
-                f"update indexed by {vertex_name!r} is thread-owned under "
+def _classify(access: Access, owned: bool) -> tuple[RaceClass, str]:
+    index = access.index_name
+    if access.kind is AccessKind.PRIORITY_UPDATE:
+        update = access.update
+        if owned:
+            return RaceClass.BENIGN, (
+                f"update indexed by {index!r} is thread-owned under "
                 f"this traversal direction; plain write suffices"
-            ),
-            span=access.span,
-            update=update,
-        )
-    if update.op == "sum":
-        return WriteSite(
-            node=access.node,
-            target=access.rendered,
-            race_class=RaceClass.NEEDS_DEDUP,
-            reason=(
-                f"sum update indexed by {vertex_name or 'a non-parameter'}"
+            )
+        if update.op == "sum":
+            return RaceClass.NEEDS_DEDUP, (
+                f"sum update indexed by {index or 'a non-parameter'}"
                 f" crosses threads: clamped fetch_add plus bucket "
                 f"deduplication required (Section 5.1)"
-            ),
-            span=access.span,
-            update=update,
-        )
-    seed = update.old_arg
-    return WriteSite(
-        node=access.node,
-        target=access.rendered,
-        race_class=RaceClass.NEEDS_CAS,
-        reason=(
+            )
+        return RaceClass.NEEDS_CAS, (
             f"{update.op} update indexed by "
-            f"{vertex_name or 'a non-parameter'} crosses threads: "
+            f"{index or 'a non-parameter'} crosses threads: "
             f"compare_exchange loop required"
             + (
                 "; CAS seeded from the UDF's read of the old priority"
-                if seed is not None
+                if update.old_arg is not None
                 else ""
             )
-        ),
-        span=access.span,
-        update=update,
-        cas_seed=seed,
-    )
-
-
-def _classify_scalar(access: Access) -> WriteSite:
-    if access.constant_store:
-        return WriteSite(
-            node=access.node,
-            target=access.rendered,
-            race_class=RaceClass.BENIGN,
-            reason=(
+        )
+    if access.target_kind is TargetKind.SCALAR:
+        if access.constant_store:
+            return RaceClass.BENIGN, (
                 "constant store to shared scalar is idempotent "
                 "(every thread writes the same value)"
-            ),
-            span=access.span,
-        )
-    return WriteSite(
-        node=access.node,
-        target=access.rendered,
-        race_class=RaceClass.UNORDERED_RACY,
-        reason=(
+            )
+        return RaceClass.UNORDERED_RACY, (
             "non-constant write to shared scalar from a parallel UDF; "
             "the last writer wins nondeterministically"
-        ),
-        span=access.span,
-    )
-
-
-def _classify_vector(access: Access, owned: bool) -> WriteSite:
+        )
     if owned:
-        return WriteSite(
-            node=access.node,
-            target=access.rendered,
-            race_class=RaceClass.BENIGN,
-            reason=(
-                f"indexed by the thread-owned parameter {access.index_name!r} "
-                f"under this traversal direction"
-            ),
-            span=access.span,
+        return RaceClass.BENIGN, (
+            f"indexed by the thread-owned parameter {index!r} "
+            f"under this traversal direction"
         )
     # Any other index — the foreign parameter, or a local holding an
     # arbitrary vertex id (which can alias it) — crosses threads.
     if access.guarded_monotonic:
-        return WriteSite(
-            node=access.node,
-            target=access.rendered,
-            race_class=RaceClass.BENIGN,
-            reason=(
-                "benign race: guarded monotonic test-and-set "
-                "(a lost update is re-established by the following "
-                "priority update / later relaxation)"
-            ),
-            span=access.span,
+        return RaceClass.BENIGN, (
+            "benign race: guarded monotonic test-and-set "
+            "(a lost update is re-established by the following "
+            "priority update / later relaxation)"
         )
-    return WriteSite(
-        node=access.node,
-        target=access.rendered,
-        race_class=RaceClass.UNORDERED_RACY,
-        reason=(
-            f"unguarded write to shared vertex property {access.rendered!r} "
-            f"indexed across threads; needs an atomic or a guard"
-        ),
-        span=access.span,
+    return RaceClass.UNORDERED_RACY, (
+        f"unguarded write to shared vertex property {access.rendered!r} "
+        f"indexed across threads; needs an atomic or a guard"
     )

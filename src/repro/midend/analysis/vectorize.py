@@ -1,62 +1,30 @@
-"""UDF vectorization analysis: batch-kernel classification of apply UDFs.
+"""Batch-kernel classification of apply UDFs (UDF vectorization).
 
-The scalar Python interpreter executes every apply UDF one edge at a time;
-the GraphIt compilers win by specializing restricted UDF shapes into fused
-traversal kernels.  This pass is the Python substrate's version of that
-specialization decision: it pattern-matches the UDF shapes of the paper's
-evaluated algorithms in the typed AST and classifies each apply UDF as
-
-``vectorizable(kind, operands)``
-    The backend may emit a *batch kernel descriptor* for the UDF — numpy
-    expressions over whole edge streams — and the runtime executes the
-    apply with vectorized scatter-reduces instead of a per-edge closure.
-``scalar_fallback``
-    The UDF stays on the scalar interpreter (the oracle path).  Fallback is
-    never an error: the analysis attaches a located reason, surfaced by
-    ``repro lint`` as the informational ``V101`` diagnostic.
-
-Recognized kinds (the six evaluated algorithms):
+The scalar interpreter runs an apply UDF one edge at a time; like the
+GraphIt compilers, this pass specializes the UDF shapes of the paper's
+evaluated algorithms into batch kernels — numpy expressions over whole
+edge streams, executed with vectorized scatter-reduces:
 
 ``write_min`` / ``write_max``
-    A single ``updatePriorityMin``/``Max`` on the destination whose new
-    value is a pure batch expression (SSSP, wBFS, PPSP, widest path).
+    One ``updatePriorityMin``/``Max`` on the destination whose new value
+    is a pure batch expression (SSSP, wBFS, PPSP, widest path).
 ``guarded_write_min``
-    The A* idiom: a guarded monotonic min-write to an auxiliary vector
-    followed by an ``updatePriorityMin`` whose priority is derived from the
+    The A* idiom: a guarded monotonic min-write to an auxiliary vector,
+    then an ``updatePriorityMin`` whose priority is derived from the
     written value and destination-indexed reads.
-``sum_const``
-    A single constant-difference ``updatePrioritySum`` clamped at the
-    current priority (k-core under the plain lazy/eager schedules).
-``sum_hist``
-    The same UDF under ``lazy_constant_sum``: the Figure 10 histogram
-    operator runs one batch update per (vertex, count) pair.
+``sum_const`` / ``sum_hist``
+    One constant-difference ``updatePrioritySum`` clamped at the current
+    priority (k-core), under the plain schedules / ``lazy_constant_sum``.
 
-A whole-edgeset ``edges.apply`` UDF always falls back: it has no queue
-whose rounds could give a batch a snapshot to read, so it runs in scalar
-order.
-
-The contract the runtime upholds for every vectorizable kind is
-*bit-identical outputs* versus the scalar interpreter — for the sum kinds
-and the guarded kind always, for ``write_min`` / ``write_max`` while the
-program keeps the monotone-priority contract (no update lands below the
-current bucket; a run that breaks it is reported as ``V102``).  The extremal
-kinds scatter through :func:`repro.runtime.frontier.scatter_extremum` with
-chunk-snapshot reads and count one priority update per vertex improved in a
-chunk, not the scalar interpreter's per-edge counts; the sum kinds still
-reproduce the scalar counters exactly.  The guarded
-kind's priority expression is assumed nondecreasing in the written value
-(``new_val + h[dst]``), as the guard itself presumes.  Every fact the
-matchers consult — the priority updates, the queue's order and priority
-vector, the inlineable locals, scalar-global writes and the race
-classification — is a read of the program's
-:class:`~repro.midend.analysis.facts.ProgramFacts`; any UDF with an
-``unordered_racy`` write site falls back (such programs are refused at
-runtime anyway, diagnostic ``R001``).
-
-Batch expressions are rendered as numpy source strings over the stream
-variables ``src``/``dst``/``weight``/``k_cur`` (and ``new_val`` for the
-guarded kind's priority expression), closing over the generated module's
-globals — the Python backend embeds them verbatim in the kernel descriptor.
+Anything else — a whole-edgeset ``edges.apply``, an ``unordered_racy``
+write (R001) — stays on the scalar interpreter, with a located reason that
+``repro lint`` reports as ``V101``.  Outputs are bit-identical to the
+scalar interpreter (``write_min``/``write_max`` while no update lands below
+the current bucket, else ``V102``).  Every fact the matchers consult is a
+read of the program's :class:`~repro.midend.analysis.facts.ProgramFacts`;
+batch expressions are rendered as numpy source over the stream variables
+``src``/``dst``/``weight``/``k_cur`` (and ``new_val``), which the Python
+backend embeds verbatim in the kernel descriptor.
 """
 
 from __future__ import annotations
@@ -126,23 +94,15 @@ class _ExprClassifier:
     """
 
     def __init__(
-        self,
-        src_param: str,
-        dst_param: str,
-        weight_param: str | None,
-        locals_inline: dict[str, ast.Expr],
-        vector_names: set[str],
-        scalar_names: set[str],
-        queue_names: set[str],
-        new_val_name: str | None = None,
+        self, udf: UDFFacts, facts: ProgramFacts, new_val_name: str | None = None
     ):
-        self.src_param = src_param
-        self.dst_param = dst_param
-        self.weight_param = weight_param
-        self.locals_inline = locals_inline
-        self.vector_names = vector_names
-        self.scalar_names = scalar_names
-        self.queue_names = queue_names
+        self.src_param = udf.src_param
+        self.dst_param = udf.dst_param
+        self.weight_param = udf.parameters[2] if len(udf.parameters) > 2 else None
+        self.locals_inline = udf.single_assignments
+        self.vector_names = facts.vectors
+        self.scalar_names = facts.scalars
+        self.queue_names = facts.queue_names
         self.new_val_name = new_val_name
         self.reads_at_dst: set[str] = set()
         # First sub-expression that depends on the edge (source or weight).
@@ -294,8 +254,7 @@ def _match_priority_udf(
     parameters = udf.parameters
     if len(parameters) < 2:
         raise _Fallback("edge UDF needs (src, dst[, weight]) parameters")
-    src_param, dst_param = parameters[0], parameters[1]
-    weight_param = parameters[2] if len(parameters) > 2 else None
+    dst_param = parameters[1]
 
     updates = udf.updates
     if len(updates) != 1:
@@ -329,16 +288,7 @@ def _match_priority_udf(
             )
 
     def classifier(new_val_name: str | None = None) -> _ExprClassifier:
-        return _ExprClassifier(
-            src_param,
-            dst_param,
-            weight_param,
-            udf.single_assignments,
-            facts.vectors,
-            facts.scalars,
-            facts.queue_names,
-            new_val_name=new_val_name,
-        )
+        return _ExprClassifier(udf, facts, new_val_name)
 
     if update.op == "sum":
         if schedule.uses_histogram:

@@ -27,14 +27,14 @@ import difflib
 import enum
 from dataclasses import dataclass, field, replace
 
-from ...errors import IRValidationError
-from ...lang import ast_nodes as ast
-from ...lang.span import Span
-from ...lang.types import PriorityQueueType
-from ..schedule import Schedule, SchedulingProgram
-from ..transforms.histogram_transform import TRANSFORMED_SUFFIX
-from .facts import ProgramFacts, build_facts
-from .races import RaceClass, RaceReport
+from ..errors import IRValidationError
+from ..lang import ast_nodes as ast
+from ..lang.span import Span
+from ..lang.types import PriorityQueueType
+from .analysis.facts import ProgramFacts, build_facts
+from .analysis.races import RaceClass, RaceReport
+from .schedule import Schedule, SchedulingProgram
+from .transforms.histogram_transform import TRANSFORMED_SUFFIX
 
 __all__ = [
     "Severity",

@@ -18,7 +18,7 @@ from ..errors import (
 )
 from ..lang.parser import parse
 from ..lang.typecheck import typecheck
-from .analysis.diagnostics import (
+from .diagnostics import (
     Diagnostic,
     Severity,
     check_schedule_compat,

@@ -30,7 +30,7 @@ from ...lang import ast_nodes as ast
 from ...obs import span as trace_span
 from ...lang.symbols import SymbolTable
 from ...lang.typecheck import typecheck
-from ..analysis.diagnostics import validate_ir_or_raise
+from ..diagnostics import validate_ir_or_raise
 from ..analysis.effects import classify_incremental_eligibility, classify_monotonicity
 from ..analysis.facts import ProgramFacts, build_facts
 from ..schedule import Schedule, SchedulingProgram

@@ -59,7 +59,7 @@ from repro.incremental import IncrementalSession
 from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
 from repro.midend import Schedule
-from repro.midend.analysis.diagnostics import _dead_knob_rules
+from repro.midend.diagnostics import _dead_knob_rules
 from repro.midend.schedule import (
     EXECUTION_MODES,
     PRIORITY_UPDATE_STRATEGIES,

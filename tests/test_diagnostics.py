@@ -27,17 +27,16 @@ from repro.lang import ALL_PROGRAMS, parse
 from repro.lang import ast_nodes as ast
 from repro.lang.span import Span
 from repro.midend import Schedule, SchedulingProgram
-from repro.midend.analysis import (
+from repro.midend.diagnostics import (
     DIAGNOSTIC_CODES,
-    RaceClass,
     Severity,
-    build_facts,
     check_schedule_compat,
-    classify_races,
     render_diagnostic,
     validate_ir,
     validate_ir_or_raise,
 )
+from repro.midend.analysis.facts import build_facts
+from repro.midend.analysis.races import RaceClass, classify_races
 from repro.midend.lint import lint_program
 from repro.midend.transforms import plan_program
 

@@ -12,7 +12,7 @@ from repro.analyze import build_analysis_document, render_analysis_text
 from repro.errors import CompileError, SchedulingError
 from repro.lang.parser import parse
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import Severity
+from repro.midend.diagnostics import Severity
 from repro.midend.lint import lint_program
 from repro.midend.analysis.effects import (
     check_fusion_safety,

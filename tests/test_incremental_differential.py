@@ -31,7 +31,7 @@ from repro.graph.generators import rmat
 from repro.graph.mutations import Mutation, parse_mutation_script
 from repro.incremental import IncrementalSession
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import Severity
+from repro.midend.diagnostics import Severity
 from repro.midend.lint import lint_program
 from repro.midend.schedule import Schedule
 
@@ -310,7 +310,7 @@ class TestIncrementalEligibility:
 
     def test_plan_carries_verdict_without_request(self) -> None:
         from repro.lang.parser import parse
-        from repro.midend.analysis import classify_incremental_eligibility
+        from repro.midend.analysis.effects import classify_incremental_eligibility
         from repro.midend.transforms.lowering import plan_program
 
         plan = plan_program(

@@ -6,7 +6,8 @@ from repro.errors import CompileError, SchedulingError
 from repro.lang import ALL_PROGRAMS, parse
 from repro.lang import ast_nodes as ast
 from repro.midend import Schedule, SchedulingProgram
-from repro.midend.analysis import build_facts, classify_races
+from repro.midend.analysis.facts import build_facts
+from repro.midend.analysis.races import classify_races
 from repro.midend.transforms import (
     build_transformed_udf,
     plan_program,

@@ -37,7 +37,7 @@ from repro.graph import from_edges, rmat
 from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
 from repro.midend import Schedule
-from repro.midend.analysis.diagnostics import _dead_knob_rules
+from repro.midend.diagnostics import _dead_knob_rules
 from repro.midend.transforms.lowering import plan_program
 
 from .oracle_matrix import (
@@ -313,7 +313,7 @@ def test_dead_knobs_under_native_flagged():
     """parallelization / chunk_size only steer the Python runtime; under
     execution=native they are dead and lint says so (S002)."""
     from repro.lang.parser import parse
-    from repro.midend.analysis.diagnostics import check_schedule_compat
+    from repro.midend.diagnostics import check_schedule_compat
     from repro.midend.schedule import SchedulingProgram
 
     scheduling = (

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.backend.program import compile_program
 from repro.graph.builder import from_edges
 from repro.lang.programs import ALL_PROGRAMS
-from repro.midend.analysis.diagnostics import Severity
+from repro.midend.diagnostics import Severity
 from repro.midend.lint import lint_program
 from repro.midend.schedule import Schedule
 

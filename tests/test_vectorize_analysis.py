@@ -9,8 +9,8 @@ from repro.backend import compile_program
 from repro.graph import rmat
 from repro.lang import ALL_PROGRAMS
 from repro.midend import Schedule
-from repro.midend.analysis import analyze_vectorization
-from repro.midend.analysis.diagnostics import DIAGNOSTIC_CODES
+from repro.midend.analysis.vectorize import analyze_vectorization
+from repro.midend.diagnostics import DIAGNOSTIC_CODES
 from repro.midend.lint import lint_program
 
 LAZY = Schedule(priority_update="lazy")
