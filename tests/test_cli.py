@@ -275,6 +275,35 @@ class TestLintJson:
             assert entry["span"]["line"] >= 1
             assert entry["span"]["column"] >= 1
 
+    def test_lone_delta_flag_is_applied(self, capsys):
+        import json
+
+        assert main(["lint", "--delta", "0", "sssp", "--format", "json"]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert finding["code"] == "S003" and "delta" in finding["message"]
+        assert finding["span"] == {"file": "sssp", "line": 1, "column": 1}
+
+    def test_rejected_flag_schedule_is_a_located_s003(self, capsys):
+        import json
+
+        argv = ["lint", "--priority-update", "eager_with_fusion"]
+        argv += ["--direction", "DensePull", "sssp", "--format", "json"]
+        assert main(argv) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["ok"] is False and document["errors"] == 1
+        assert [d["code"] for d in document["diagnostics"]] == ["S003"]
+
+    def test_lone_direction_flag_overlays_the_inline_schedule(self, capsys):
+        # kcore_peel.gt schedules lazy_constant_sum inline; under pull its
+        # sum update is thread-owned, so the dedup note (R003) goes away.
+        from pathlib import Path
+
+        path = str(Path(__file__).parent.parent / "examples" / "kcore_peel.gt")
+        assert main(["lint", "--info", path]) == 0
+        assert "R003" in capsys.readouterr().out
+        assert main(["lint", "--info", "--direction", "DensePull", path]) == 0
+        assert "R003" not in capsys.readouterr().out
+
 
 class TestAnalyze:
     def test_json_document(self, capsys):
@@ -320,6 +349,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "non-monotone" in err
         assert "bucket fusion would be unsound" in err
+
+    def test_lone_delta_flag_is_applied(self, capsys):
+        import json
+
+        assert main(["analyze", "--delta", "4", "sssp", "--format", "json"]) == 0
+        schedule = json.loads(capsys.readouterr().out)["programs"]["sssp"]["schedule"]
+        assert schedule == {
+            "priority_update": "eager_no_fusion",
+            "direction": "SparsePush",
+            "delta": 4,
+        }
+
+    def test_rejected_flag_schedule_is_a_located_s003(self, capsys):
+        assert main(["analyze", "--delta", "0", "sssp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sssp:1:1: error[S003]:")
 
 
 class TestRunSanitize:

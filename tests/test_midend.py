@@ -341,3 +341,65 @@ class TestPlanProgram:
         )
         with pytest.raises(SchedulingError):
             schedule_from_block(parse(source))
+
+
+class TestOnePass:
+    """Planning walks each function once, builds each UDF's facts once and
+    validates the whole program once; ``repro lint`` plans once on top."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from collections import Counter
+
+        from repro.midend import diagnostics, lint
+        from repro.midend.analysis import facts
+        from repro.midend.transforms import lowering
+
+        counts = Counter()
+
+        def spy(owner, attribute, key):
+            real = getattr(owner, attribute)
+
+            def counted(*args, **kwargs):
+                counts[key(*args, **kwargs)] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, counted)
+
+        spy(facts._FunctionWalk, "__init__", lambda walk, func, *_: ("walk", func.name))
+        spy(facts._FunctionWalk, "udf_facts", lambda walk: ("facts", walk.func.name))
+        for module in (diagnostics, lint):
+            spy(
+                module,
+                "validate_ir",
+                lambda program, stage="typed", **_: ("validate", stage),
+            )
+        for module in (lowering, lint):
+            spy(module, "plan_with_facts", lambda *_: ("plan",))
+        return counts
+
+    def _assert_once(self, counts, run, name):
+        program = _program(name)
+        udfs = set(build_facts(program).udfs)
+        counts.clear()
+        run()
+        assert counts == {
+            **{("walk", func.name): 1 for func in program.functions},
+            **{("facts", udf): 1 for udf in udfs},
+            ("validate", "typed"): 1,
+            ("validate", "lowered"): 1,
+            ("plan",): 1,
+        }
+
+    @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+    def test_plan_derives_each_fact_once(self, counts, name):
+        self._assert_once(counts, lambda: plan_program(_program(name)), name)
+
+    @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+    def test_lint_plans_once(self, counts, name):
+        from repro.midend.lint import lint_program
+
+        source = ALL_PROGRAMS[name]
+        self._assert_once(
+            counts, lambda: lint_program(source, include_info=True), name
+        )

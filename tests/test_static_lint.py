@@ -254,6 +254,45 @@ class TestAlgorithmQueues:
         assert static_lint.lint_paths([package.parent]) == []
 
 
+class TestMidendCycles:
+    @pytest.fixture
+    def package(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        analysis = package / "midend" / "analysis"
+        analysis.mkdir(parents=True)
+        for directory in (package, package / "midend", analysis):
+            (directory / "__init__.py").write_text("")
+        return package
+
+    def test_flags_a_cycle_hidden_in_a_function_local_import(self, package):
+        (package / "midend" / "analysis" / "summary.py").write_text(
+            "from .proofs import prove\n_P = prove\n"
+        )
+        (package / "midend" / "analysis" / "proofs.py").write_text(
+            "def prove():\n"
+            "    from .summary import _P\n"
+            "    return _P\n"
+        )
+        findings = static_lint.lint_paths([package.parent])
+        assert len(findings) == 1, findings
+        assert "L008" in findings[0] and "proofs.py:2:" in findings[0]
+        assert (
+            "repro.midend.analysis.proofs -> repro.midend.analysis.summary"
+            " -> repro.midend.analysis.proofs" in findings[0]
+        )
+
+    def test_type_checking_imports_and_one_way_edges_are_clean(self, package):
+        (package / "midend" / "plan.py").write_text(
+            "from .analysis import facts\n_F = facts\n"
+        )
+        (package / "midend" / "analysis" / "facts.py").write_text(
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from ..plan import _F\n"
+        )
+        assert static_lint.lint_paths([package.parent]) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint_snippet(tmp_path, "def f(:\n")

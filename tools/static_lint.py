@@ -40,6 +40,12 @@ each has bitten real compiler code:
   program; k-core, SetCover and then the shortest-path family each had one
   beside ``lang/programs.py`` until they became wrappers over the compiled
   program.  Runs alongside L004.
+- ``L008`` import cycle inside ``repro.midend`` — counting function-local
+  imports, which is how two cycles hid there (the effect analysis and its
+  monotonicity proofs; the diagnostics engine and the planner) while each
+  analysis re-derived the facts the others had.  An import names the module
+  it imports; ``if TYPE_CHECKING:`` imports never run and do not count.
+  Runs alongside L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -107,6 +113,9 @@ ENV_ALLOWLIST = {
     "REPRO_NATIVE_CXX": "path of the C++ compiler that builds native kernels",
 }
 _ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
+
+# L008: the package whose modules may not import each other in a cycle.
+_ACYCLIC_PACKAGE = ("repro", "midend")
 
 # L007: the packages that build bucket queues and drive ordered loops.  No
 # ``algorithms/`` module may import them: every ordered algorithm is a
@@ -418,6 +427,74 @@ def check_algorithm_queues(package: Path) -> list[str]:
     return findings
 
 
+def check_midend_cycles(package: Path) -> list[str]:
+    """L008 over ``midend/`` of the ``repro`` package at ``package``."""
+    root = package.parent
+    modules: dict[tuple[str, ...], Path] = {}
+    for file in sorted(package.joinpath(*_ACYCLIC_PACKAGE[1:]).rglob("*.py")):
+        parts = file.relative_to(root).with_suffix("").parts
+        modules[parts[:-1] if parts[-1] == "__init__" else parts] = file
+    # module -> {imported module: the first import statement naming it}
+    edges: dict[tuple[str, ...], dict[tuple[str, ...], ast.AST]] = {}
+    for name, file in modules.items():
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        package_parts = list(name if file.name == "__init__.py" else name[:-1])
+        skipped = _type_checking_imports(tree)
+        targets = edges.setdefault(name, {})
+        for node in ast.walk(tree):
+            if node in skipped:
+                continue
+            from_names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            for path in _imported_modules(node, package_parts):
+                # ``from package import module`` names the module.
+                for target in [tuple(path + [n]) for n in from_names] + [tuple(path)]:
+                    if target in modules and target != name:
+                        targets.setdefault(target, node)
+                        break
+    findings = []
+    reported: set[tuple[str, ...]] = set()
+    for start in sorted(edges):
+        cycle = _cycle_through(start, edges)
+        if cycle is None or reported & set(cycle):
+            continue
+        reported.update(cycle)
+        chain = " -> ".join(".".join(m) for m in cycle + [start])
+        findings.append(
+            _finding(
+                modules[start],
+                edges[start][cycle[1]],
+                "L008",
+                f"import cycle inside repro.midend: {chain}; derive the "
+                f"shared fact once in the module both read",
+            )
+        )
+    return findings
+
+
+def _cycle_through(start, edges) -> list | None:
+    """The shortest import path ``start -> ... -> start``, if any."""
+    paths = {start: [start]}
+    frontier = [start]
+    while frontier:
+        following = []
+        for module in frontier:
+            for target in edges.get(module, {}):
+                if target == start:
+                    return paths[module]
+                if target not in paths:
+                    paths[target] = paths[module] + [target]
+                    following.append(target)
+        frontier = following
+    return None
+
+
 def lint_file(path: Path) -> list[str]:
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -444,6 +521,7 @@ def lint_paths(paths: list[Path]) -> list[str]:
             findings += check_env_reads(root / "repro")
             findings += check_bucket_sorts(root / "repro")
             findings += check_algorithm_queues(root / "repro")
+            findings += check_midend_cycles(root / "repro")
     return findings
 
 
