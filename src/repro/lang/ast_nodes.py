@@ -9,6 +9,7 @@ analyses and transforms are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Any
 
 from .span import Span
@@ -260,15 +261,14 @@ class Program(Node):
 # ----------------------------------------------------------------------
 # Visitor infrastructure
 # ----------------------------------------------------------------------
-#: node class -> its dataclass field names (``fields`` is slow to call per node)
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+@cache
+def _field_names(node_class: type) -> tuple[str, ...]:
+    # ``dataclasses.fields`` is too slow to call once per visited node.
+    return tuple(f.name for f in fields(node_class))
 
 
 def _child_nodes(node: Node):
-    names = _FIELD_NAMES.get(type(node))
-    if names is None:
-        names = _FIELD_NAMES[type(node)] = tuple(f.name for f in fields(node))
-    for name in names:
+    for name in _field_names(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
             yield value

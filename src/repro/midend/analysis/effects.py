@@ -406,7 +406,9 @@ class FusionVerdict:
         }
 
 
-def check_fusion_safety(first_name: str, first, second_name: str, second) -> FusionVerdict:
+def check_fusion_safety(
+    first_name: str, first, second_name: str, second
+) -> FusionVerdict:
     """Decide whether two planned programs may share one traversal.
 
     ``first`` and ``second`` are compilation plans (facts + schedule).

@@ -739,7 +739,9 @@ def _all_statements(body: list[ast.Stmt]):
             yield from _all_statements(statement.else_body)
 
 
-def _match_loop(loop: ast.While, main: _FunctionWalk, queue_names) -> OrderedLoopInfo | None:
+def _match_loop(
+    loop: ast.While, main: _FunctionWalk, queue_names
+) -> OrderedLoopInfo | None:
     condition = _match_condition(loop.condition, queue_names)
     if condition is None:
         return None

@@ -20,13 +20,9 @@ their own syntax and tests can inspect the structure directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ...lang import ast_nodes as ast
 from ...lang.types import INT, ElementType
-
-if TYPE_CHECKING:  # the analysis imports this module's naming convention
-    from ..analysis.facts import ConstantSumInfo
+from ..analysis.facts import ConstantSumInfo
 
 __all__ = ["build_transformed_udf", "TRANSFORMED_SUFFIX"]
 
