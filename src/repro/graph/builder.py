@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import GraphError
-from .csr import CSRGraph
+from .csr import CSRGraph, stable_order
 
 __all__ = ["GraphBuilder", "from_edges"]
 
@@ -114,10 +114,12 @@ class GraphBuilder:
             sources, dests, weights = sources[keep], dests[keep], weights[keep]
 
         # Stable sort by (source, dest) so parallel edges are adjacent and the
-        # "first" dedup mode sees them in insertion order.  One fused int64
-        # key (vertex ids fit in 31 bits: a larger graph does not fit in this
-        # process) sorts in about half the time of a two-key lexsort.
-        order = np.argsort(sources * self._num_vertices + dests, kind="stable")
+        # "first" dedup mode sees them in insertion order.  The key is one
+        # fused int64 ``source * n + dest`` (vertex ids fit in 31 bits: a
+        # larger graph does not fit in this process), ordered by one packed
+        # in-place sort (``stable_order``) rather than a stable argsort.
+        n = self._num_vertices
+        order = stable_order(sources * n + dests, n * n)
         # One array at a time: each unsorted copy is freed before the next
         # sorted one is made (set-up is where the process peaks in memory).
         sources = sources[order]

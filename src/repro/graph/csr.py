@@ -19,6 +19,15 @@ readers (``indptr`` / ``indices`` / ``weights``, ``edge_list``,
 ``mutation_version`` and drops the memoized folded, in-CSR and degree
 arrays, so no consumer can observe a stale cache.  The vertex set is
 fixed: mutations may only reference existing vertex ids.
+
+Each graph object owns its overlay, not its arrays.  Base arrays are never
+written in place (compaction replaces them, and weights are copied before
+their first write), so :meth:`CSRGraph.share` hands another graph
+read-only views of them, and the in-base index, in O(1).
+
+Every index over random keys (the builder's ``(source, dest)`` order, the
+in-CSR, the in-base index) is built by :func:`stable_order`, one packed
+in-place sort that returns exactly the stable argsort's permutation.
 """
 
 from __future__ import annotations
@@ -29,12 +38,36 @@ import numpy as np
 
 from ..errors import GraphError
 
-__all__ = ["CSRGraph", "COMPACTION_THRESHOLD"]
+__all__ = ["CSRGraph", "COMPACTION_THRESHOLD", "stable_order"]
 
 
 # Pending overlay edges tolerated before compaction happens eagerly at
 # mutation time (instead of on an explicit ``compact()``).
 COMPACTION_THRESHOLD = 4096
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Exactly ``np.argsort(keys, kind="stable")``, by one packed sort.
+
+    ``keys`` are non-negative integers below ``bound``.  Each is packed
+    with its position as ``key << shift | position``: the packed keys are
+    distinct, so one unstable in-place sort puts them in the stable order
+    of the keys, and masking off the key leaves the positions.  Random
+    keys sort several times faster this way than through a stable
+    argsort.  When key and position bits together exceed 63, this falls
+    back to the stable argsort.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    shift = max(keys.size - 1, 0).bit_length()
+    if max(bound - 1, 0).bit_length() + shift > 63:
+        return np.argsort(keys, kind="stable")
+    # A fresh array, not the caller's buffer: packing in place raised the
+    # set-up peak through allocator reuse.
+    packed = np.left_shift(keys, shift)
+    packed |= np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << shift) - 1
+    return packed
 
 
 class CSRGraph:
@@ -90,6 +123,23 @@ class CSRGraph:
                     f"coordinates must have shape ({num_vertices}, 2), got {coordinates.shape}"
                 )
 
+        self._adopt(
+            indptr,
+            indices,
+            weights,
+            coordinates,
+            negative_count=int(np.count_nonzero(weights < 0)),
+        )
+
+    def _adopt(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        coordinates: np.ndarray | None,
+        negative_count: int,
+    ) -> None:
+        """Take validated base arrays with an empty overlay."""
         self._indptr = indptr
         self._indices = indices
         self._weights = weights
@@ -110,7 +160,7 @@ class CSRGraph:
         # Live count of negative-weight edges, maintained through every
         # mutation so the executors' non-negativity guard costs O(1)
         # instead of an O(E) scan (which would also force compaction).
-        self._negative_count = int(np.count_nonzero(weights < 0))
+        self._negative_count = negative_count
         # Base in-adjacency (indptr, sources, base-slot order), kept valid
         # across overlay mutations: queries filter through the removal
         # mask and append pending inserts.  Only compaction (which
@@ -179,6 +229,31 @@ class CSRGraph:
                 array.setflags(write=False)
             self._folded = folded
         return self._folded
+
+    def share(self) -> "CSRGraph":
+        """A new graph over read-only views of this graph's arrays.
+
+        Costs O(1) in the edge count: nothing is copied or validated, and
+        the built in-base index (:meth:`ensure_in_base`) is reused.  The
+        new graph has its own empty overlay, so mutating either graph
+        never shows in the other: base arrays are never written in place,
+        and a weight write copies the weights first on whichever graph
+        makes it.  The in-CSR is not shared, because it embeds weights.
+        A pending overlay on this graph is shared folded (and then the
+        in-base index is not, as it maps this graph's base slots).
+        """
+        arrays = []
+        for array in self._view():
+            view = array.view()
+            view.setflags(write=False)
+            arrays.append(view)
+        shared = object.__new__(CSRGraph)
+        shared._adopt(*arrays, self._coordinates, self._negative_count)
+        if not self.has_pending_mutations:
+            shared._in_base = self._in_base
+        # The views alias this graph's weights: its next write must copy.
+        self._weights_owned = False
+        return shared
 
     @property
     def coordinates(self) -> np.ndarray | None:
@@ -303,8 +378,9 @@ class CSRGraph:
     def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The in-adjacency as ``(indptr, indices, weights)``.
 
-        Built lazily by a stable counting sort over destinations, so the
-        in-neighbors of each vertex appear in order of their source id.
+        Built lazily by one stable sort over destinations
+        (:func:`stable_order`), so the in-neighbors of each vertex appear
+        in order of their source id.
         """
         if self._in_csr is None:
             out_indptr, indices, weights = self._view()
@@ -312,7 +388,7 @@ class CSRGraph:
             counts = np.bincount(indices, minlength=n).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            order = np.argsort(indices, kind="stable")
+            order = stable_order(indices, n)
             sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_indptr))
             self._in_csr = (indptr, sources[order], weights[order])
         return self._in_csr
@@ -329,7 +405,8 @@ class CSRGraph:
         overlay-aware view.  Mutations never write ``indptr``/``indices``
         in place (a compaction replaces them wholesale), so the references
         double as stable snapshots; only ``update_weight`` writes through
-        the weights array.
+        the weights array (copying it first unless this graph already
+        owns a private copy).
         """
         return self._indptr, self._indices, self._weights
 
@@ -387,9 +464,12 @@ class CSRGraph:
             counts = np.bincount(self._indices, minlength=n).astype(np.int64)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            order = np.argsort(self._indices, kind="stable")
+            order = stable_order(self._indices, n)
             sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-            self._in_base = (indptr, sources[order], order)
+            in_base = (indptr, sources[order], order)
+            for array in in_base:  # shared between graphs by share()
+                array.setflags(write=False)
+            self._in_base = in_base
         return self._in_base
 
     def in_edges_of(self, v: int) -> tuple[np.ndarray, np.ndarray]:

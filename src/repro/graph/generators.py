@@ -131,33 +131,34 @@ def road_grid(
     coords += rng.uniform(-0.25, 0.25, size=coords.shape)
     coords *= coordinate_scale
 
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
+    # Horizontal edges in row 0 plus all vertical edges form a spanning
+    # tree ("comb"); other horizontals are optional.  Edges are listed in
+    # the order of a row-major scan that emits, at each vertex, its right
+    # then its down edge.
+    ids = np.arange(n, dtype=np.int64).reshape(rows, cols)
+    row0 = ids[0]
+    # Row 0 interleaves right and down edges per column.
+    head_src = np.stack([row0, row0], axis=1)
+    head_dst = np.stack([row0 + 1, row0 + cols], axis=1)
+    head_keep = np.stack(
+        [np.arange(cols) + 1 < cols, np.full(cols, rows > 1)], axis=1
+    )
+    comb_src = ids[1:-1].ravel()  # down edges of rows 1 .. rows-2
+    optional_src = ids[1:, :-1].ravel()  # right edges of rows 1 .. rows-1
 
-    spanning: list[tuple[int, int]] = []
-    optional: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            v = vid(r, c)
-            if c + 1 < cols:
-                # Horizontal edges in row 0 plus all vertical edges form a
-                # spanning tree ("comb"); other horizontals are optional.
-                (spanning if r == 0 else optional).append((v, vid(r, c + 1)))
-            if r + 1 < rows:
-                spanning.append((v, vid(r + 1, c)))
+    keep_mask = rng.random(optional_src.size) >= drop_fraction
+    kept_src = optional_src[keep_mask]
+    sources = np.concatenate([head_src[head_keep], comb_src, kept_src])
+    dests = np.concatenate([head_dst[head_keep], comb_src + cols, kept_src + 1])
 
-    keep_mask = rng.random(len(optional)) >= drop_fraction
-    edges = spanning + [e for e, keep in zip(optional, keep_mask) if keep]
-
-    num_diagonals = int(diagonal_fraction * len(edges))
-    for _ in range(num_diagonals):
-        r = int(rng.integers(0, rows - 1)) if rows > 1 else 0
-        c = int(rng.integers(0, cols - 1)) if cols > 1 else 0
-        if rows > 1 and cols > 1:
-            edges.append((vid(r, c), vid(r + 1, c + 1)))
-
-    sources = np.array([e[0] for e in edges], dtype=np.int64)
-    dests = np.array([e[1] for e in edges], dtype=np.int64)
+    if rows > 1 and cols > 1:
+        # One (row, column) draw per diagonal, in the stream order of a
+        # scalar draw of the row then the column.
+        num_diagonals = int(diagonal_fraction * sources.size)
+        cells = rng.integers(0, [rows - 1, cols - 1], size=(num_diagonals, 2))
+        diagonal_src = cells[:, 0] * cols + cells[:, 1]
+        sources = np.concatenate([sources, diagonal_src])
+        dests = np.concatenate([dests, diagonal_src + cols + 1])
     deltas = coords[sources] - coords[dests]
     # ceil keeps straight-line distance an admissible A* heuristic:
     # every edge weight is >= the Euclidean distance between its endpoints.

@@ -22,14 +22,18 @@ The request path, in order:
 4. **Execute**: under the read lock, on a worker thread.
 
 Mutations (``POST /mutate``) take the write lock and are all-or-nothing.
-The whole script is applied to a copy of the served graph first, so a
-batch that fails leaves graph, epoch, cache and sessions as they were.
-Then the copy (compacted while no reader can observe it) replaces the
-served graph, the epoch bumps (invalidating the whole cache), and every
-live incremental session resumes on its own graph copy (sessions mutate
-their graph on ``apply``, so sharing the served graph would double-apply
-every batch).  A session whose resume fails is dropped rather than left
-half-applied; the others repopulate the cache at the new epoch.
+The whole script is applied to a share of the served graph first
+(:meth:`~repro.graph.csr.CSRGraph.share`: read-only views of its arrays
+under an overlay of its own), so a batch that fails leaves graph, epoch,
+cache and sessions as they were.  Then the share (compacted, and its
+in-edge index built, while no reader can observe it) replaces the served
+graph, the epoch bumps (invalidating the whole cache), and every live
+incremental session resumes on its own graph.  A session's graph is a
+share of the graph served when the session started: it shares the arrays
+and the in-edge index of that epoch, and applies each batch to its own
+overlay, so no batch is applied twice and no session copies the CSR.  A
+session whose resume fails is dropped rather than left half-applied; the
+others repopulate the cache at the new epoch.
 """
 
 from __future__ import annotations
@@ -261,9 +265,10 @@ class ServeEngine:
     Parameters
     ----------
     graph:
-        The served CSR graph.  Compacted once up front so concurrent
-        readers never race on lazy overlay compaction; thereafter it is
-        only mutated (and re-compacted) under the write lock.
+        The served CSR graph.  Compacted, and its in-edge index built,
+        once up front so concurrent readers never race on lazy overlay
+        compaction or on building the index; thereafter a ``/mutate``
+        replaces it under the write lock, and nothing mutates it.
     graph_name:
         Display name used in responses and as the compiled programs'
         ``argv[1]``.
@@ -291,6 +296,7 @@ class ServeEngine:
         workers: int = 2,
     ):
         graph.compact()  # fold any pending overlay before sharing
+        graph.ensure_in_base()  # every session of the epoch shares it
         self.graph = graph
         self.graph_name = graph_name
         self.max_pending = int(max_pending)
@@ -404,7 +410,7 @@ class ServeEngine:
             session = self._sessions.get(session_key)
         if session is None:
             session = IncrementalSession(
-                self._graph_copy(),
+                self.graph.share(),
                 _SESSION_ALGORITHMS[spec.program],
                 source=int(spec.source or 0),
                 schedule=spec.schedule,
@@ -442,17 +448,6 @@ class ServeEngine:
             engine="compiled",
         )
 
-    def _graph_copy(self) -> CSRGraph:
-        # The graph is compacted (init and every mutate do so), so the
-        # property reads below are pure; the copy hands the session arrays
-        # it may scribble on without perturbing concurrent readers.
-        return CSRGraph(
-            self.graph.indptr.copy(),
-            self.graph.indices.copy(),
-            self.graph.weights.copy(),
-            self.graph.coordinates,
-        )
-
     # ------------------------------------------------------------------
     # Mutation path
     # ------------------------------------------------------------------
@@ -470,10 +465,11 @@ class ServeEngine:
     def _mutate_locked(self, batches: list) -> dict:
         total = sum(len(batch) for batch in batches)
         with span("serve.mutate", "serve", batches=len(batches), mutations=total):
-            graph = self._graph_copy()
+            graph = self.graph.share()
             for batch in batches:
                 apply_mutations(graph, batch)
             graph.compact()  # while no reader can see it
+            graph.ensure_in_base()
             # Commit point: nothing above touched the served state.
             self.graph = graph
             self.epoch += 1

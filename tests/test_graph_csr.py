@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import CSRGraph, from_edges
+from repro.graph import CSRGraph, from_edges, rmat
+from repro.graph.csr import stable_order
 
 
 def test_basic_counts(diamond_graph):
@@ -144,3 +147,137 @@ def test_single_vertex_no_edges():
     assert lone.num_vertices == 1
     assert lone.out_degree(0) == 0
     assert lone.in_degree(0) == 0
+
+
+class TestStableOrder:
+    """``stable_order`` is exactly ``argsort(kind="stable")``."""
+
+    @staticmethod
+    def check(keys, bound):
+        keys = np.asarray(keys, dtype=np.int64)
+        order = stable_order(keys, bound)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == np.int64
+        assert np.array_equal(order, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 1 << 40).flatmap(
+            lambda bound: st.tuples(
+                st.just(bound), st.lists(st.integers(0, bound - 1), max_size=300)
+            )
+        )
+    )
+    def test_matches_stable_argsort(self, case):
+        bound, keys = case
+        self.check(keys, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=500))
+    def test_heavy_ties(self, keys):
+        self.check(keys, 4)
+
+    def test_empty_and_single(self):
+        self.check([], 10)
+        self.check([7], 10)
+        self.check([0], 1)
+
+    def test_keys_at_bound_minus_one(self):
+        bound = 1 << 20
+        self.check([bound - 1, 0, bound - 1, 5, bound - 1], bound)
+
+    def test_wide_keys_fall_back(self):
+        # 62 key bits + 3 position bits do not fit in 63: packing would
+        # overflow, so only the fallback gets these right.
+        bound = 1 << 62
+        keys = [bound - 1, 3, bound - 1, bound - 2, 3, 0]
+        self.check(keys, bound)
+
+    def test_random_keys_at_scale(self):
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 5000, size=100_000)
+        self.check(keys, 5000)
+
+
+class TestShare:
+    """``share()``: read-only views, own overlay, one in-base index."""
+
+    @staticmethod
+    def make():
+        graph = rmat(6, 8, seed=3, weights=(1, 50))
+        graph.ensure_in_base()
+        return graph
+
+    @staticmethod
+    def snapshot(graph):
+        return [a.copy() for a in (*graph.base_csr(), *graph.ensure_in_base())]
+
+    def assert_unchanged(self, graph, before):
+        after = [*graph.base_csr(), *graph.ensure_in_base()]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_views_are_read_only(self):
+        shared = self.make().share()
+        for array in (shared.indptr, shared.indices, shared.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        for array in shared.ensure_in_base():
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_shares_arrays_and_in_base(self):
+        graph = self.make()
+        shared = graph.share()
+        assert shared.ensure_in_base() is graph.ensure_in_base()
+        for mine, theirs in zip(shared.base_csr(), graph.base_csr()):
+            assert np.shares_memory(mine, theirs)
+        assert shared.coordinates is graph.coordinates
+        assert shared.num_edges == graph.num_edges
+        assert not shared.has_pending_mutations
+
+    def test_update_weight_on_share_copies(self):
+        graph = self.make()
+        before = self.snapshot(graph)
+        shared = graph.share()
+        src, dst = 0, int(graph.out_neighbors(0)[0])
+        shared.update_weight(src, dst, 999)
+        assert 999 in shared.out_weights(src)
+        assert 999 not in graph.out_weights(src)
+        self.assert_unchanged(graph, before)
+
+    def test_update_weight_on_source_copies(self):
+        # The source owns writable weights; after share() its next write
+        # must not show through the views it handed out.
+        graph = self.make()
+        graph.update_weight(0, int(graph.out_neighbors(0)[0]), 7)
+        shared = graph.share()
+        before = self.snapshot(shared)
+        graph.update_weight(0, int(graph.out_neighbors(0)[0]), 998)
+        assert 998 not in shared.out_weights(0)
+        self.assert_unchanged(shared, before)
+
+    def test_add_remove_compact_leave_source_untouched(self):
+        graph = self.make()
+        before = self.snapshot(graph)
+        in_base = graph.ensure_in_base()
+        shared = graph.share()
+        sources, dests, _ = graph.edge_list()
+        shared.add_edge(1, 2, 5)
+        shared.remove_edge(int(sources[0]), int(dests[0]))
+        assert shared.num_edges == graph.num_edges
+        tails, _ = shared.in_edges_of(2)
+        assert 1 in tails
+        shared.compact()
+        assert shared.ensure_in_base() is not in_base
+        assert graph.ensure_in_base() is in_base
+        self.assert_unchanged(graph, before)
+        assert not graph.has_pending_mutations
+
+    def test_share_of_pending_overlay_is_folded(self):
+        graph = self.make()
+        graph.add_edge(1, 2, 5)
+        shared = graph.share()
+        assert shared.num_edges == graph.num_edges
+        assert not shared.has_pending_mutations
+        assert np.array_equal(shared.indices, graph.indices)
+        assert shared.ensure_in_base() is not graph.ensure_in_base()

@@ -445,3 +445,46 @@ class TestMutationIsATransaction:
                 entry.vectors["dist"], oracle_vector("sssp", mutated, source=source)
             )
         engine.close()
+
+
+class TestSharedGraph:
+    """Sessions share the served graph: one in-edge index per epoch."""
+
+    def test_in_base_built_once_per_epoch(self, monkeypatch):
+        builds: list[int] = []
+        original = CSRGraph.ensure_in_base
+
+        def spy(graph):
+            if graph._in_base is None:
+                builds.append(graph.num_edges)
+            return original(graph)
+
+        monkeypatch.setattr(CSRGraph, "ensure_in_base", spy)
+        engine = ServeEngine(make_graph())
+        served = engine.graph
+        weights = served.weights.copy()
+        sources = [0, 3, 4, 9]
+
+        async def misses():
+            for source in sources:
+                _, how = await engine.query(spec(source=source))
+                assert how == "computed"
+
+        asyncio.run(misses())
+        assert len(engine._sessions) == len(sources)
+        assert len(builds) == 1
+        hub = int(np.argmax(served.out_degrees()))
+        neighbor = int(served.out_neighbors(hub)[0])
+        summary = asyncio.run(
+            engine.mutate(f"add 0 9 2\nupdate {hub} {neighbor} 3")
+        )
+        assert summary["resumed_sessions"] == len(sources)
+        assert len(builds) == 2
+        # The pre-mutation graph the sessions started from is unchanged.
+        assert np.array_equal(served.weights, weights)
+        for session in engine._sessions.values():
+            assert np.array_equal(
+                session.values,
+                oracle_vector("sssp", engine.graph, source=session.source),
+            )
+        engine.close()
