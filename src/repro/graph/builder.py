@@ -116,8 +116,7 @@ class GraphBuilder:
         # Stable sort by (source, dest) so parallel edges are adjacent and the
         # "first" dedup mode sees them in insertion order.  The key is one
         # fused int64 ``source * n + dest`` (vertex ids fit in 31 bits: a
-        # larger graph does not fit in this process), ordered by one packed
-        # in-place sort (``stable_order``) rather than a stable argsort.
+        # larger graph does not fit in this process).
         n = self._num_vertices
         order = stable_order(sources * n + dests, n * n)
         # One array at a time: each unsorted copy is freed before the next

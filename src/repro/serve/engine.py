@@ -469,7 +469,7 @@ class ServeEngine:
             for batch in batches:
                 apply_mutations(graph, batch)
             graph.compact()  # while no reader can see it
-            graph.ensure_in_base()
+            graph.ensure_in_base()  # likewise: no reader ever builds it
             # Commit point: nothing above touched the served state.
             self.graph = graph
             self.epoch += 1

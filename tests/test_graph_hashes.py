@@ -19,7 +19,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.graph import (
     erdos_renyi,
@@ -129,11 +128,3 @@ def test_graph_construction_matches_golden(tmp_path):
     )
     assert not drifted and document.keys() == golden.keys(), drifted
 
-
-@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 2), (7, 3), (3, 9)])
-def test_road_grid_small_shapes_are_connected_grids(shape):
-    rows, cols = shape
-    graph = road_grid(rows, cols, seed=0)
-    assert graph.num_vertices == rows * cols
-    assert graph.coordinates.shape == (rows * cols, 2)
-    assert graph.is_symmetric()
