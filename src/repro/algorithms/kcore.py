@@ -42,6 +42,8 @@ class KCoreResult:
     coreness: np.ndarray
     stats: RuntimeStats
     schedule: Schedule | None
+    #: What computed it (:attr:`repro.backend.program.RunResult.execution`).
+    execution: str = "serial"
 
     @property
     def degeneracy(self) -> int:
@@ -70,7 +72,10 @@ def kcore(graph: CSRGraph, schedule: Schedule | None = None) -> KCoreResult:
         )
     result = cached_program(KCORE, schedule).run(["kcore", "-"], graph=graph)
     return KCoreResult(
-        coreness=result.globals["D"], stats=result.stats, schedule=schedule
+        coreness=result.globals["D"],
+        stats=result.stats,
+        schedule=schedule,
+        execution=result.execution,
     )
 
 

@@ -15,8 +15,10 @@ Layout (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro/kernels``)::
     <key>.cpp   the generated source (kept for debugging)
     <key>.so    the compiled kernel
 
-Writes are atomic (temp file + ``os.replace``) so concurrent builds of the
-same kernel race benignly.
+Writes are atomic (temp file + ``os.replace``), so builds of the same
+kernel from several processes race benignly; within one process a per-key
+lock (:func:`kernel_lock`) makes the first caller build and every other
+caller wait for its result, so one kernel is compiled once per process.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
+import threading
 import time
 from pathlib import Path
 
@@ -32,12 +35,17 @@ from ...obs import metrics
 from ...obs import span as trace_span
 from .toolchain import Toolchain
 
-__all__ = ["kernel_cache_dir", "kernel_key", "build_kernel"]
+__all__ = ["kernel_cache_dir", "kernel_key", "kernel_lock", "build_kernel"]
 
 _CACHE_HITS = metrics.counter("native.cache_hits")
 _CACHE_MISSES = metrics.counter("native.cache_misses")
 _BUILDS = metrics.counter("native.builds")
 _COMPILE_US = metrics.histogram("native.compile_us")
+
+# One lock per kernel key, created on first use and never dropped (one per
+# kernel the process ever runs).
+_key_locks: dict[str, threading.RLock] = {}
+_key_locks_guard = threading.Lock()
 
 
 def kernel_cache_dir() -> Path:
@@ -68,12 +76,23 @@ def kernel_key(source_text: str, toolchain: Toolchain) -> str:
     return digest.hexdigest()[:32]
 
 
+def kernel_lock(key: str) -> threading.RLock:
+    """The lock serializing the build (and the runner's load) of ``key``.
+
+    Reentrant, so the runner can hold it around ``build_kernel`` + load."""
+    with _key_locks_guard:
+        lock = _key_locks.get(key)
+        if lock is None:
+            lock = _key_locks[key] = threading.RLock()
+        return lock
+
+
 def build_kernel(source_text: str, toolchain: Toolchain) -> Path:
     """Return the path of the compiled kernel, building it on a cache miss."""
     cache = kernel_cache_dir()
     key = kernel_key(source_text, toolchain)
     library = cache / f"{key}.so"
-    with trace_span("native.compile", "native") as sp:
+    with kernel_lock(key), trace_span("native.compile", "native") as sp:
         hit = library.exists()
         sp["cache_hit"] = hit
         sp["key"] = key

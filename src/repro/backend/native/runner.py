@@ -43,7 +43,7 @@ from ...obs import metrics
 from ...obs import span as trace_span
 from ...runtime.stats import RuntimeStats
 from .abi import ABI_VERSION, RUN_PARAMETERS, generate_native_cpp
-from .build import build_kernel, kernel_cache_dir, kernel_key
+from .build import build_kernel, kernel_cache_dir, kernel_key, kernel_lock
 from .toolchain import Toolchain, discover_toolchain
 
 __all__ = ["NativeUnavailable", "execute_native", "native_output_names"]
@@ -79,8 +79,8 @@ class _Library:
     lock: threading.Lock
 
 
-# dlopen handles, keyed by library path (dlopen is refcounted, but caching
-# keeps repeated queries from piling up handles).
+# dlopen handles, keyed by library path: one ``_Library`` (and so one call
+# lock) per kernel, since the kernel's state is process-global.
 _loaded_libraries: dict[str, _Library] = {}
 
 
@@ -200,7 +200,12 @@ def execute_native(program, args, graph: CSRGraph | None = None):
     library_path = str(kernel_cache_dir() / f"{kernel.key}.so")
     library = _loaded_libraries.get(library_path)
     if library is None:
-        library = _load_library(str(build_kernel(kernel.text, toolchain)))
+        # Threads that miss together build and load once: the first one
+        # in builds, the others wait and then find its library.
+        with kernel_lock(kernel.key):
+            library = _loaded_libraries.get(library_path)
+            if library is None:
+                library = _load_library(str(build_kernel(kernel.text, toolchain)))
 
     # The marshalling/ABI-validation phase between build and kernel entry:
     # spanned so ``repro profile --execution native`` attributes dispatch
@@ -287,4 +292,6 @@ def execute_native(program, args, graph: CSRGraph | None = None):
     )
     context.stats = stats
     context.globals.update(program_globals)
-    return RunResult(globals=program_globals, stats=stats, context=context)
+    return RunResult(
+        globals=program_globals, stats=stats, context=context, execution="native"
+    )

@@ -18,6 +18,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 
 from ...obs import metrics
@@ -31,6 +32,7 @@ _PROBE_CANDIDATES = ("g++", "clang++", "c++")
 
 # One-shot probe memo: False = not probed yet (None is a valid probe result).
 _cached: "Toolchain | None | bool" = False
+_probe_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -92,28 +94,31 @@ def discover_toolchain() -> Toolchain | None:
     global _cached
     if _cached is not False:
         return _cached
-    _PROBES.inc()
-    with trace_span("native.toolchain", "native") as sp:
-        override = os.environ.get("REPRO_NATIVE_CXX")
-        candidates = (override,) if override else _PROBE_CANDIDATES
-        found: Toolchain | None = None
-        for candidate in candidates:
-            if candidate is None:
-                continue
-            resolved = shutil.which(candidate)
-            if resolved is None:
-                continue
-            version = _compiler_version(resolved)
-            if version is None:
-                continue
-            found = Toolchain(
-                cxx=resolved,
-                version=version,
-                openmp=_supports_openmp(resolved),
-            )
-            break
-        sp["toolchain"] = found.describe() if found else "none"
-    _cached = found
+    with _probe_lock:  # threads that ask together share one probe
+        if _cached is not False:
+            return _cached
+        _PROBES.inc()
+        with trace_span("native.toolchain", "native") as sp:
+            override = os.environ.get("REPRO_NATIVE_CXX")
+            candidates = (override,) if override else _PROBE_CANDIDATES
+            found: Toolchain | None = None
+            for candidate in candidates:
+                if candidate is None:
+                    continue
+                resolved = shutil.which(candidate)
+                if resolved is None:
+                    continue
+                version = _compiler_version(resolved)
+                if version is None:
+                    continue
+                found = Toolchain(
+                    cxx=resolved,
+                    version=version,
+                    openmp=_supports_openmp(resolved),
+                )
+                break
+            sp["toolchain"] = found.describe() if found else "none"
+        _cached = found
     return found
 
 

@@ -45,6 +45,9 @@ class RunResult:
     globals: dict[str, object]
     stats: RuntimeStats
     context: Context
+    #: What computed the run: ``"native"``, or the interpreter's mode
+    #: (``"serial"`` after an N101 fallback from native).
+    execution: str
 
     def vector(self, name: str) -> np.ndarray:
         value = self.globals.get(name)
@@ -61,8 +64,12 @@ class CompiledProgram:
     backend: str
     source_text: str
     _entry: Callable | None = field(default=None, repr=False)
-    #: Why the last native-mode run fell back to Python (None = it didn't).
+    #: Why native-mode runs fall back to Python (None = they don't).
     native_fallback_reason: str | None = field(default=None, repr=False)
+    #: ``(toolchain,)`` of the probe the fallback was decided under: later
+    #: runs under the same probe go straight to the interpreter, with no
+    #: kernel generation and no second N101.
+    _native_refusal: tuple | None = field(default=None, repr=False)
     #: The native kernel's text, cache key and run parameters, set by the
     #: first native run so later runs do no code generation.
     _native_kernel: object | None = field(default=None, repr=False)
@@ -115,35 +122,39 @@ class CompiledProgram:
             delta=self.plan.schedule.delta,
         )
         if self.plan.schedule.execution == "native":
-            from .native import NativeUnavailable, execute_native
+            from .native import NativeUnavailable, discover_toolchain, execute_native
 
-            try:
-                # The span makes the native path visible to ``repro
-                # profile``: it is the top-level phase the compile/cache/
-                # dispatch/execute spans nest under, like the Python path's
-                # program.run span below.
-                with trace_span(
-                    "program.run", "runtime", argv=list(args), execution="native"
-                ):
-                    result = execute_native(self, args, graph=graph)
-            except NativeUnavailable as exc:
-                # The documented degradation ladder: no toolchain (or an
-                # unlowerable program shape) falls back to the vectorized
-                # Python kernels.  The Python engine treats the "native"
-                # mode as serial, so the fallback is the PR-2 serial
-                # vectorized path.
-                self.native_fallback_reason = exc.reason
-                print(
-                    "N101: native execution unavailable; falling back to "
-                    f"vectorized Python: {exc.reason}",
-                    file=sys.stderr,
-                )
-            except Exception:
-                _RUNS_FAILED.inc()
-                raise
-            else:
-                _RUNS_COMPLETED.inc()
-                return result
+            toolchain = discover_toolchain()
+            if self._native_refusal != (toolchain,):
+                try:
+                    # The span makes the native path visible to ``repro
+                    # profile``: it is the top-level phase the compile/
+                    # cache/dispatch/execute spans nest under, like the
+                    # Python path's program.run span below.
+                    with trace_span(
+                        "program.run", "runtime", argv=list(args), execution="native"
+                    ):
+                        result = execute_native(self, args, graph=graph)
+                except NativeUnavailable as exc:
+                    # The documented degradation ladder: no toolchain (or an
+                    # unlowerable program shape) falls back to the
+                    # vectorized Python kernels.  The Python engine treats
+                    # the "native" mode as serial, so the fallback is the
+                    # serial vectorized path.
+                    self.native_fallback_reason = exc.reason
+                    self._native_refusal = (toolchain,)
+                    print(
+                        "N101: native execution unavailable; falling back to "
+                        f"vectorized Python: {exc.reason}",
+                        file=sys.stderr,
+                    )
+                except Exception:
+                    _RUNS_FAILED.inc()
+                    raise
+                else:
+                    self.native_fallback_reason = self._native_refusal = None
+                    _RUNS_COMPLETED.inc()
+                    return result
         context = Context(
             argv=args,
             schedule=self.plan.schedule,
@@ -175,8 +186,12 @@ class CompiledProgram:
                 file=sys.stderr,
             )
         context.globals.update(program_globals)
+        execution = self.plan.schedule.execution
         return RunResult(
-            globals=program_globals, stats=context.stats, context=context
+            globals=program_globals,
+            stats=context.stats,
+            context=context,
+            execution="serial" if execution == "native" else execution,
         )
 
     def write(self, path: str) -> None:

@@ -29,9 +29,10 @@ Per batch, for a min program (max is mirrored):
    Values inside the cone recover through relaxation, not recompute.
 4. **Resume** the compiled DSL program (``SSSP`` / ``WBFS`` / ``WIDEST``,
    under the session's schedule — the same program a from-scratch run
-   executes) with its priority vector bound to the converged values and
-   its queue seeded at current priorities from the non-identity cone
-   members plus the improving endpoints
+   executes; a native session resumes it serially, since a native kernel
+   cannot be seeded) with its priority vector bound to the converged
+   values and its queue seeded at current priorities from the
+   non-identity cone members plus the improving endpoints
    (``CompiledProgram.run(..., resume=(values, seeds))``).  Monotone
    convergence to the unique fixpoint makes the result bit-exact against a
    full re-run.
@@ -42,7 +43,7 @@ local fixpoint in :mod:`repro.incremental.kcore` instead of steps 1-3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +62,10 @@ __all__ = ["INCREMENTAL_ALGORITHMS", "IncrementalResult", "IncrementalSession"]
 
 INCREMENTAL_ALGORITHMS = ("sssp", "wbfs", "widest_path", "kcore")
 
-# The DSL program behind each path algorithm's runs and resumes.
+# The DSL program behind each path algorithm's runs and resumes, and the
+# global vector its native cold run returns.
 _PROGRAMS = {"sssp": "sssp", "wbfs": "wbfs", "widest_path": "widest"}
+_VECTORS = {"sssp": "dist", "wbfs": "dist", "widest_path": "width"}
 
 _BATCHES = metrics.counter("incremental.batches")
 _SEEDS = metrics.histogram("incremental.seeds")
@@ -95,7 +98,9 @@ class IncrementalSession:
         Source vertex for the path algorithms (ignored by k-core).
     schedule:
         Bucketing schedule; the resume uses the same strategy (lazy /
-        eager / relaxed) as the initial run.
+        eager / relaxed) as the initial run.  Under ``execution="native"``
+        the cold run executes the native kernel (its output vector is the
+        resume state) and every resume runs the same program serially.
     """
 
     def __init__(
@@ -129,15 +134,11 @@ class IncrementalSession:
                 )
         if algorithm == "wbfs" and schedule.delta != 1:
             raise SchedulingError("wBFS fixes delta to 1 (it is its defining property)")
-        if schedule.execution == "native" and algorithm != "kcore":
-            # k-core's first peel is the compiled program (native runs its
-            # kernel) and its mutations never touch a queue.
-            raise SchedulingError(
-                "incremental resume of a path algorithm seeds the compiled "
-                "program's interpreted queues; native execution cannot "
-                "resume (use execution='serial' or 'parallel')"
-            )
         self.schedule = schedule
+        #: What computed the current values: ``"native"`` after a native
+        #: cold run, else the interpreter's mode (every resume is
+        #: interpreted).
+        self.execution: str | None = None
         # The path algorithms' value semantics (identity, edge offer, which
         # way "better" points); k-core is degree-based and has none.
         self._extremum = {"kcore": None, "widest_path": MAX}.get(algorithm, MIN)
@@ -199,32 +200,74 @@ class IncrementalSession:
         if self.algorithm == "kcore":
             from .kcore import initial_coreness
 
-            values, stats = initial_coreness(self.graph, self.schedule)
+            values, stats, self.execution = initial_coreness(self.graph, self.schedule)
             self._values = values
             return IncrementalResult(values=values.copy(), stats=stats, incremental=False)
         check_source(self.graph, self.source)
         # The resume state includes the reverse adjacency: build it once
         # here so no later apply() pays the O(E log E) construction.
         self.graph.ensure_in_base()
-        values = self._extremum.fresh(self.graph.num_vertices, self.source)
-        stats = self._resume(values, [self.source])
+        if self.schedule.execution == "native":
+            values, stats = self._native_run()
+        else:
+            values = self._extremum.fresh(self.graph.num_vertices, self.source)
+            stats = self._resume(values, [self.source])
         self._values = values
         return IncrementalResult(
             values=self._publish(values), stats=stats, incremental=False
         )
 
-    def _resume(self, values: np.ndarray, seeds) -> RuntimeStats:
-        """Run the compiled program from ``seeds`` to the fixpoint, updating
-        ``values`` in place; returns the run's profile."""
+    def _native_run(self) -> tuple[np.ndarray, RuntimeStats]:
+        """The cold run on the native kernel, as resume state.
+
+        The kernel converges to the fixpoint the interpreter reaches, so
+        its output vector is the state an interpreted cold run leaves, with
+        one exception: WIDEST fills ``width`` with 0, not the internal
+        identity, so a bottleneck of at most 0 reads 0.  Those entries are
+        reset to the identity and re-derived by a resume from the tails of
+        the edges entering them (none when every weight is positive: the
+        reached set is then closed under out-edges)."""
+        self._check_weights()
+        result = self._program(self.schedule).run(self._argv(), graph=self.graph)
+        values = result.globals[_VECTORS[self.algorithm]]
+        stats = result.stats
+        if self._extremum is MAX:
+            identity = self._extremum.identity
+            values[values == 0] = identity
+            src, dst, _ = self.graph.edge_list()
+            tails = src[(values[src] != identity) & (values[dst] == identity)]
+            if tails.size:
+                self._resume(values, np.unique(tails))
+        self.execution = result.execution
+        return values, stats
+
+    def _check_weights(self) -> None:
         if self._extremum is MIN and self.graph.has_negative_weights:
             raise GraphError(
                 "Δ-stepping requires non-negative edge weights (a negative "
                 "weight would violate the monotone-priority contract)"
             )
-        source_text = ALL_PROGRAMS[_PROGRAMS[self.algorithm]]
-        program = cached_program(source_text, self.schedule)
-        argv = [self.algorithm, "-", str(self.source)]
-        return program.run(argv, graph=self.graph, resume=(values, seeds)).stats
+
+    def _program(self, schedule: Schedule):
+        return cached_program(ALL_PROGRAMS[_PROGRAMS[self.algorithm]], schedule)
+
+    def _argv(self) -> list[str]:
+        return [self.algorithm, "-", str(self.source)]
+
+    def _resume(self, values: np.ndarray, seeds) -> RuntimeStats:
+        """Run the compiled program from ``seeds`` to the fixpoint, updating
+        ``values`` in place; returns the run's profile.  A native session
+        resumes the same program interpreted (serially): native kernels
+        initialise their own vectors and cannot be seeded."""
+        self._check_weights()
+        schedule = self.schedule
+        if schedule.execution == "native":
+            schedule = replace(schedule, execution="serial")
+        self.execution = schedule.execution
+        result = self._program(schedule).run(
+            self._argv(), graph=self.graph, resume=(values, seeds)
+        )
+        return result.stats
 
     def apply(self, mutations: list[Mutation]) -> IncrementalResult:
         """Apply a mutation batch and resume from a seeded frontier."""
@@ -385,4 +428,5 @@ class IncrementalSession:
     def _apply_kcore(self, mutations: list[Mutation]) -> IncrementalResult:
         from .kcore import apply_kcore_batch
 
+        self.execution = "serial"  # the local fixpoint runs in Python
         return apply_kcore_batch(self, mutations)

@@ -48,7 +48,7 @@ def initial_coreness(graph: CSRGraph, schedule: Schedule):
     from ..algorithms.kcore import kcore
 
     result = kcore(graph, schedule)
-    return np.asarray(result.coreness, dtype=np.int64), result.stats
+    return np.asarray(result.coreness, dtype=np.int64), result.stats, result.execution
 
 
 def _h_index(values: np.ndarray) -> int:

@@ -32,6 +32,8 @@ class CacheEntry:
     vectors: dict[str, np.ndarray]
     stats: dict[str, int] = field(default_factory=dict)
     engine: str = "compiled"  # "compiled" | "incremental"
+    #: What computed the vectors: "native", or the interpreter's mode.
+    execution: str = "serial"
 
 
 class ResultCache:

@@ -19,7 +19,13 @@ The request path, in order:
    :class:`Backpressure` (the server turns that into ``429 Retry-After``).
    An admitted query is never dropped — it holds its slot until it
    completes or fails.
-4. **Execute**: under the read lock, on a worker thread.
+4. **Execute**: under the read lock, on a worker thread.  A query that
+   does not pin ``execution`` computes on the native kernel with one
+   thread (see :func:`_base_schedule`); a new session takes the kernel's
+   vector as its resume state, and every resume after a ``/mutate`` runs
+   the interpreter.  Without a compiler the miss falls back to the
+   interpreter (``N101``, once per program), and the answer says so:
+   :attr:`~repro.serve.cache.CacheEntry.execution` names what computed it.
 
 Mutations (``POST /mutate``) take the write lock and are all-or-nothing.
 The whole script is applied to a share of the served graph first
@@ -176,7 +182,7 @@ class QuerySpec:
                 raise GraphError(f"schedule knob {name!r} must be a string")
             knobs[name] = value
         try:
-            schedule = replace(Schedule(), **knobs)
+            schedule = _base_schedule(knobs)
         except (TypeError, ValueError) as error:
             raise GraphError(f"bad schedule: {error}")
         schedule_key = tuple(sorted(knobs.items()))
@@ -187,6 +193,22 @@ class QuerySpec:
             schedule_key=schedule_key,
             schedule=schedule,
         )
+
+
+#: The base of a query that does not pin ``execution``: the native kernel
+#: with one thread (requests already run in parallel across the workers).
+_NATIVE_BASE = Schedule(execution="native", num_threads=1)
+
+
+def _base_schedule(knobs: dict) -> Schedule:
+    """The query's schedule: ``knobs`` over the native base, or over the
+    interpreter's default when they pin ``execution`` or ask for what only
+    the interpreter lowers (the relaxed strategy)."""
+    if "execution" not in knobs:
+        schedule = replace(_NATIVE_BASE, **knobs)
+        if not schedule.is_relaxed:
+            return schedule
+    return replace(Schedule(), **knobs)
 
 
 def _int_param(params: dict, name: str) -> int | None:
@@ -211,6 +233,12 @@ def _parse_schedule_text(text: str) -> dict:
             raise GraphError(f"bad schedule setting {part!r}; expected knob=value")
         knobs[name.strip()] = value.strip()
     return knobs
+
+
+def _rounds(stats, execution: str) -> dict:
+    """The response's stats: the interpreter's round count, or nothing for
+    a native run (its kernel keeps no counters)."""
+    return {} if execution == "native" else {"rounds": stats.rounds}
 
 
 class _RWLock:
@@ -393,10 +421,7 @@ class ServeEngine:
             program=spec.program,
             source=-1 if spec.source is None else spec.source,
         ):
-            if (
-                spec.program in _SESSION_ALGORITHMS
-                and spec.schedule.execution != "native"
-            ):
+            if spec.program in _SESSION_ALGORITHMS:
                 try:
                     return self._compute_session(spec)
                 except SchedulingError:
@@ -416,7 +441,7 @@ class ServeEngine:
                 schedule=spec.schedule,
             )
             result = session.run()
-            stats = {"rounds": result.stats.rounds}
+            stats = _rounds(result.stats, session.execution)
             with self._state_lock:
                 self._sessions[session_key] = session
                 while len(self._sessions) > self._max_sessions:
@@ -427,6 +452,7 @@ class ServeEngine:
             vectors={spec.vector: session.values.copy()},
             stats=stats,
             engine="incremental",
+            execution=session.execution,
         )
 
     def _compute_compiled(self, spec: QuerySpec) -> CacheEntry:
@@ -444,8 +470,9 @@ class ServeEngine:
             )
         return CacheEntry(
             vectors={spec.vector: vector},
-            stats={"rounds": result.stats.rounds},
+            stats=_rounds(result.stats, result.execution),
             engine="compiled",
+            execution=result.execution,
         )
 
     # ------------------------------------------------------------------
@@ -490,6 +517,7 @@ class ServeEngine:
                         CacheEntry(
                             vectors={SERVABLE_PROGRAMS[program]: session.values.copy()},
                             engine="incremental",
+                            execution=session.execution,
                         ),
                     )
                 except Exception as error:  # noqa: BLE001 — the mutation stands

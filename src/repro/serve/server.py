@@ -232,6 +232,7 @@ class QueryServer:
             "target": spec.target,
             "vector": spec.vector,
             "engine": entry.engine,
+            "execution": entry.execution,
             "served": how,
             "epoch": self.engine.epoch,
         }

@@ -16,10 +16,13 @@ Coverage axes:
   disconnecting deletions, mutations at the source).
 
 The I001 eligibility gate (schedules requesting incremental resume on
-non-extremal programs) is tested at the bottom.
+non-extremal programs) is tested near the bottom, then native sessions:
+a native cold run with interpreted resumes must equal a serial session.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from repro.midend.diagnostics import Severity
 from repro.midend.lint import lint_program
 from repro.midend.schedule import Schedule
 
-from .oracle_matrix import check_history
+from .oracle_matrix import HAS_CXX, check_history
 
 # ---------------------------------------------------------------------------
 # The strategy matrix: (algorithm, label) -> schedule
@@ -333,9 +336,81 @@ class TestIncrementalEligibility:
         with pytest.raises(SchedulingError, match="native"):
             Schedule(execution="native", incremental=True)
 
-    def test_session_rejects_native_schedule(self) -> None:
-        graph = from_edges(3, [(0, 1, 1)])
-        schedule = Schedule(priority_update="lazy")
-        object.__setattr__(schedule, "execution", "native")
-        with pytest.raises(SchedulingError, match="native"):
-            IncrementalSession(graph, "sssp", source=0, schedule=schedule)
+
+# ---------------------------------------------------------------------------
+# 8. Native sessions: a native cold run seeds interpreted resumes
+# ---------------------------------------------------------------------------
+
+NATIVE_CASES = {
+    "sssp-lazy": ("sssp", Schedule(priority_update="lazy", delta=3), (1, 4)),
+    "sssp-eager_with_fusion": (
+        "sssp", Schedule(priority_update="eager_with_fusion", delta=3), (1, 4)
+    ),
+    "wbfs": ("wbfs", Schedule(priority_update="lazy", delta=1), (1, 4)),
+    "widest": ("widest_path", Schedule(priority_update="lazy", delta=8), (1, 4)),
+    # Zero weights: the kernel's width reads 0 where the interpreter keeps
+    # its identity or a zero bottleneck, which the session re-derives.
+    "widest-zero-weights": (
+        "widest_path", Schedule(priority_update="lazy", delta=8), (0, 4)
+    ),
+}
+
+
+def native_pair(case: str):
+    """A serial session and its native twin over copies of one graph,
+    driven through the stats golden's three-batch script."""
+    from . import test_stats_golden as golden
+
+    algorithm, schedule, weights = NATIVE_CASES[case]
+    native = replace(schedule, execution="native", num_threads=1)
+    sessions = [
+        IncrementalSession(
+            rmat(10, 16, seed=0, weights=weights), algorithm, golden.SOURCE, s
+        )
+        for s in (schedule, native)
+    ]
+    return sessions, parse_mutation_script(golden.MUTATION_SCRIPT)
+
+
+def assert_same_state(serial: IncrementalSession, native: IncrementalSession) -> None:
+    np.testing.assert_array_equal(native.values, serial.values)
+    np.testing.assert_array_equal(native._values, serial._values)
+
+
+@pytest.mark.skipif(not HAS_CXX, reason="no C++ toolchain")
+@pytest.mark.parametrize("case", sorted(NATIVE_CASES))
+def test_native_session_matches_serial(case: str) -> None:
+    (serial, native), batches = native_pair(case)
+    serial.run()
+    native.run()
+    assert native.execution == "native"
+    assert_same_state(serial, native)
+    for batch in batches:
+        serial.apply(batch)
+        native.apply(batch)
+        assert native.execution == "serial"
+        assert_same_state(serial, native)
+
+
+def test_native_session_without_toolchain_falls_back(monkeypatch, capsys) -> None:
+    """No compiler: the cold run takes the N101 fallback, once."""
+    from repro.backend.native import reset_toolchain_cache
+    from repro.backend.program import cached_program
+
+    cached_program.cache_clear()  # no program remembers an earlier refusal
+    reset_toolchain_cache()
+    monkeypatch.setenv("REPRO_NATIVE_CXX", "/nonexistent/repro-no-cxx")
+    try:
+        for case in ("sssp-lazy", "widest-zero-weights"):
+            (serial, native), batches = native_pair(case)
+            serial.run()
+            native.run()
+            assert native.execution == "serial"
+            assert_same_state(serial, native)
+            for batch in batches:
+                serial.apply(batch)
+                native.apply(batch)
+                assert_same_state(serial, native)
+    finally:
+        reset_toolchain_cache()
+    assert capsys.readouterr().err.count("N101") == 2  # one per program

@@ -13,6 +13,7 @@ has its own tests below that run everywhere.
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -581,3 +582,105 @@ def test_one_kernel_shared_by_concurrent_schedules(social, social_start):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     assert len({p._native_kernel.key for p in programs}) == 1
+
+
+@needs_toolchain
+def test_concurrent_cold_build_compiles_and_loads_once(
+    fresh_kernel_cache, monkeypatch, social, social_start
+):
+    """Two threads missing one kernel together: one g++ run, one loaded
+    library, and both get the oracle's answer."""
+    import repro.backend.native.build as build_mod
+    import repro.backend.native.runner as runner_mod
+
+    builds, paths, loads = [], [], []
+    real_run, real_build = build_mod.subprocess.run, runner_mod.build_kernel
+    real_load = runner_mod._load_library
+
+    def spy_run(command, *args, **kwargs):
+        builds.append(command)
+        time.sleep(0.2)  # hold the window in which the other thread misses
+        return real_run(command, *args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        paths.append(real_build(*args, **kwargs))
+        return paths[-1]
+
+    def spy_load(path):
+        loads.append(real_load(path))
+        return loads[-1]
+
+    monkeypatch.setattr(build_mod.subprocess, "run", spy_run)
+    monkeypatch.setattr(runner_mod, "build_kernel", spy_build)
+    monkeypatch.setattr(runner_mod, "_load_library", spy_load)
+    schedule = Schedule(priority_update="lazy", delta=3, num_threads=1, execution="native")
+    program = compile_program(ALL_PROGRAMS["sssp"], schedule)
+    args = ["prog", "-", str(social_start)]
+    barrier = threading.Barrier(2)
+    results, failures = [], []
+
+    def cold_run():
+        barrier.wait()
+        try:
+            results.append(vectors(execute_native(program, args, graph=social).globals))
+        except Exception as exc:  # pragma: no cover - reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=cold_run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not failures, failures
+    assert len(builds) == 1 and len(set(paths)) == 1
+    assert len(loads) == 1
+    assert runner_mod._loaded_libraries[str(paths[0])] is loads[0]
+    expected = sssp_oracle(schedule, social, social_start)
+    for got in results:
+        assert_same_vectors(got, expected)
+
+
+@needs_toolchain
+def test_refused_program_reports_n101_once(monkeypatch, social, social_start, capsys):
+    """A program native cannot lower generates C++ and prints N101 on its
+    first run only; later runs go straight to the interpreter."""
+    import repro.backend.native.runner as runner_mod
+
+    generated = []
+    real_generate = runner_mod.generate_native_cpp
+
+    def spy(plan):
+        generated.append(plan)
+        return real_generate(plan)
+
+    monkeypatch.setattr(runner_mod, "generate_native_cpp", spy)
+    program = compile_program(ALL_PROGRAMS["bellman_ford"], Schedule(execution="native"))
+    for _ in range(3):
+        result = program.run(["prog", "-", str(social_start)], graph=social)
+        assert result.execution == "serial"
+    assert capsys.readouterr().err.count("N101") == 1
+    assert len(generated) == 1
+    assert program.native_fallback_reason is not None
+
+
+@needs_toolchain
+def test_refusal_is_retried_under_a_new_toolchain(monkeypatch, social, social_start, capsys):
+    """A fallback for want of a compiler holds only while the probe says
+    so: once a compiler is found the same program runs natively."""
+    schedule = Schedule(priority_update="lazy", delta=3, num_threads=1, execution="native")
+    program = compile_program(ALL_PROGRAMS["sssp"], schedule)
+    args = ["prog", "-", str(social_start)]
+    reset_toolchain_cache()
+    monkeypatch.setenv("REPRO_NATIVE_CXX", "/nonexistent/repro-no-cxx")
+    try:
+        assert program.run(args, graph=social).execution == "serial"
+        assert program.run(args, graph=social).execution == "serial"
+        assert capsys.readouterr().err.count("N101") == 1
+        monkeypatch.delenv("REPRO_NATIVE_CXX")
+        reset_toolchain_cache()
+        result = program.run(args, graph=social)
+    finally:
+        reset_toolchain_cache()
+    assert result.execution == "native"
+    assert program.native_fallback_reason is None
+    assert_same_vectors(vectors(result.globals), sssp_oracle(schedule, social, social_start))

@@ -11,7 +11,9 @@ implements them:
   drops an accepted request;
 * ``mutate`` bumps the epoch, invalidates the cache, and repopulates it
   from resumed incremental sessions — with values bit-matching a solo
-  run on the post-mutation graph.
+  run on the post-mutation graph;
+* a query that does not pin ``execution`` computes its miss natively,
+  and its session resumes through the interpreter.
 """
 
 from __future__ import annotations
@@ -22,15 +24,18 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backend.program import compile_program
+from repro.backend.program import CompiledProgram, compile_program
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.lang.programs import ALL_PROGRAMS
 from repro.midend.schedule import Schedule
 from repro.obs import last_run_path
+from repro.serve import ServeClient, start_in_thread
 from repro.serve.cache import CacheEntry, ResultCache
 from repro.serve.engine import Backpressure, QuerySpec, ServeEngine
+
+from .oracle_matrix import HAS_CXX
 
 
 def make_graph(scale: int = 8) -> CSRGraph:
@@ -488,3 +493,117 @@ class TestSharedGraph:
                 oracle_vector("sssp", engine.graph, source=session.source),
             )
         engine.close()
+
+
+@pytest.mark.skipif(not HAS_CXX, reason="no C++ toolchain")
+class TestNativeMisses:
+    """A query that does not pin ``execution`` computes its miss on the
+    native kernel with one thread; sessions resume through the
+    interpreter."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every compiled run: (schedule's execution, resumed?, what ran it)."""
+        import repro.backend.native as native
+
+        runs: list[tuple] = []
+        original_run = CompiledProgram.run
+        original_native = native.execute_native
+
+        def spy_run(program, *args, **kwargs):
+            result = original_run(program, *args, **kwargs)
+            resumed = kwargs.get("resume") is not None
+            runs.append((program.schedule.execution, resumed, result.execution))
+            return result
+
+        def spy_native(*args, **kwargs):
+            runs.append("execute_native")
+            return original_native(*args, **kwargs)
+
+        monkeypatch.setattr(CompiledProgram, "run", spy_run)
+        monkeypatch.setattr(native, "execute_native", spy_native)
+        return runs
+
+    def test_sssp_miss_runs_natively_and_resumes_interpreted(self, runs):
+        engine = ServeEngine(make_graph())
+        serial = spec(source=3, schedule={"execution": "serial"})
+
+        async def scenario():
+            native_entry, how = await engine.query(spec(source=3))
+            assert how == "computed"
+            assert runs == ["execute_native", ("native", False, "native")]
+            pinned, _ = await engine.query(serial)
+            del runs[:]
+            await engine.mutate("add 3 9 1\nupdate 3 9 2")
+            assert runs and all(run == ("serial", True, "serial") for run in runs)
+            after, how = await engine.query(spec(source=3))
+            assert how == "cache"
+            pinned_after, _ = await engine.query(serial)
+            return native_entry, pinned, after, pinned_after
+
+        native_entry, pinned, after, pinned_after = asyncio.run(scenario())
+        assert native_entry.execution == "native" and native_entry.stats == {}
+        assert pinned.execution == "serial" and "rounds" in pinned.stats
+        assert after.execution == "serial"
+        assert np.array_equal(native_entry.vectors["dist"], pinned.vectors["dist"])
+        assert np.array_equal(after.vectors["dist"], pinned_after.vectors["dist"])
+        engine.close()
+
+    def test_kcore_runs_natively(self, runs):
+        graph = make_graph().symmetrized()
+        engine = ServeEngine(graph)
+        entry, _ = asyncio.run(engine.query(spec("kcore", source=None)))
+        assert entry.execution == "native" and entry.stats == {}
+        assert runs == ["execute_native", ("native", False, "native")]
+        assert np.array_equal(entry.vectors["D"], oracle_vector("kcore", graph))
+        engine.close()
+
+    def test_relaxed_query_runs_on_the_interpreter(self, runs):
+        relaxed = spec(source=3, schedule={"priority_update": "relaxed"})
+        assert relaxed.schedule.execution == "serial"
+        engine = ServeEngine(make_graph())
+        entry, _ = asyncio.run(engine.query(relaxed))
+        assert entry.execution == "serial" and "rounds" in entry.stats
+        assert "execute_native" not in runs
+        assert np.array_equal(
+            entry.vectors["dist"], oracle_vector("sssp", make_graph(), source=3)
+        )
+        engine.close()
+
+    def test_response_names_what_computed_it(self):
+        handle = start_in_thread(make_graph(), graph_name="rmat8")
+        try:
+            with ServeClient(*handle.address) as client:
+                native = client.query("sssp", source=3, full=True).raise_for_status().json()
+                relaxed = client.query(
+                    "sssp", source=3, full=True, schedule={"priority_update": "relaxed"}
+                ).raise_for_status().json()
+        finally:
+            handle.stop()
+        assert native["execution"] == "native" and "stats" not in native
+        assert relaxed["execution"] == "serial" and relaxed["stats"]["rounds"] > 0
+        assert native["values"] == relaxed["values"]
+
+
+def test_default_miss_without_toolchain_falls_back(monkeypatch):
+    """No compiler: a default query still answers, from the interpreter."""
+    from repro.backend.native import reset_toolchain_cache
+
+    reset_toolchain_cache()
+    monkeypatch.setenv("REPRO_NATIVE_CXX", "/nonexistent/repro-no-cxx")
+    engine = ServeEngine(make_graph())
+    try:
+
+        async def scenario():
+            sssp, _ = await engine.query(spec(source=3))
+            kcore, _ = await engine.query(spec("kcore", source=None))
+            return sssp, kcore
+
+        sssp, kcore = asyncio.run(scenario())
+    finally:
+        engine.close()
+        reset_toolchain_cache()
+    assert sssp.execution == kcore.execution == "serial"
+    assert "rounds" in sssp.stats and "rounds" in kcore.stats
+    assert np.array_equal(sssp.vectors["dist"], oracle_vector("sssp", make_graph(), source=3))
+    assert np.array_equal(kcore.vectors["D"], oracle_vector("kcore", make_graph()))
