@@ -1,8 +1,12 @@
-"""C++ code generator.
+"""C++ code generator: one emitter, whose output is the native kernel.
 
-Produces a single self-contained translation unit (embedded runtime +
-generated program) that compiles with ``g++ -O2 -std=c++17 -fopenmp``.  The
-three code shapes of Figure 9 are reproduced:
+:func:`generate_native_cpp` lowers a plan to one translation unit (embedded
+runtime + generated program) exporting a stable ``extern "C"`` entry point
+(the ABI of :mod:`repro.backend.native.abi`) that compiles with ``g++ -O2
+-std=c++17 -fopenmp``.  :func:`generate_cpp`, the standalone program, is
+that same text followed by a fixed driver (``cpp_runtime.driver``) that
+loads an edge list, calls the entry point and dumps every global vector to
+``$REPRO_OUTPUT``.  The three code shapes of Figure 9 are reproduced:
 
 - **lazy / SparsePush** — the user's while loop survives; the apply lowers
   to an OpenMP loop over the frontier whose body is the UDF with a
@@ -15,20 +19,21 @@ three code shapes of Figure 9 are reproduced:
   processing operator: an OpenMP parallel region with thread-local
   ``local_bins``, the GAPBS-style two-slot shared frontier, and, under
   fusion, the threshold-gated inner while loop of Figure 7 (Figure 9(c)).
+  One skeleton serves both queue directions; only the bin structure (a
+  dense array for ``lower_first``, a sorted map of negative orders for
+  ``higher_first``), the bin index type and sentinel, the fusion head, the
+  next-bucket scan and the take-next step differ.
 
 ``lazy_constant_sum`` additionally emits the Figure 10 transformed function
 and a histogram-based apply.
 
 Programs using extern functions (A*, SetCover) are rejected — as in the
 paper's artifact those require hand-written C++ extern functions.
-
-Every generated main ends by dumping each global int vector to the file
-named by ``$REPRO_OUTPUT`` (default ``repro_output.txt``), one line per
-vector — the hook the differential tests use to compare against the Python
-backend.
 """
 
 from __future__ import annotations
+
+import json
 
 from ..errors import CompileError, SchedulingError
 from ..lang import ast_nodes as ast
@@ -42,21 +47,66 @@ from ..lang.types import (
     VectorType,
     VertexSetType,
 )
+from ..midend.analysis.effects import runtime_summary
 from ..midend.analysis.races import classify_races
 from ..midend.transforms.lowering import CompilationPlan
-from .cpp_runtime import CPP_RUNTIME
+from .cpp_runtime import driver, kernel_runtime
 from .python_backend import _Emitter
 
-__all__ = ["generate_cpp"]
+__all__ = ["ABI_VERSION", "RUN_PARAMETERS", "generate_cpp", "generate_native_cpp"]
+
+ABI_VERSION = 2
+
+#: The run-parameter block, in ABI order: Schedule fields passed per call.
+RUN_PARAMETERS = ("num_threads", "delta", "bucket_fusion_threshold", "num_buckets")
+
+#: The Schedule fields that change the kernel's code, and so its cache key.
+#: Every other field is a run parameter or is refused natively.
+CODE_SHAPE_FIELDS = ("priority_update", "direction")
 
 # Every emitted region is guarded by the runtime's one-thread bit, so a
 # one-thread kernel never enters a parallel region (cpp_runtime.py).
 PARALLEL_FOR = "#pragma omp parallel for schedule(dynamic, 64) if(!gSerial)"
 
 
-def generate_cpp(plan: CompilationPlan) -> str:
-    """Generate C++ source for ``plan``."""
+def generate_native_cpp(plan: CompilationPlan) -> str:
+    """The native kernel for ``plan``: the only C++ the compiler emits."""
     return _CppEmitter(plan).emit()
+
+
+def generate_cpp(plan: CompilationPlan) -> str:
+    """The standalone program for ``plan``: the kernel plus the driver,
+    which runs it at OpenMP's default thread count and ``plan``'s Δ,
+    fusion threshold and bucket count."""
+    schedule = plan.schedule
+    return generate_native_cpp(plan) + driver(
+        [
+            const.name
+            for const in plan.program.constants
+            if isinstance(const.declared_type, VectorType)
+        ],
+        plan.facts.vertex_arguments,
+        [0] + [getattr(schedule, name) for name in RUN_PARAMETERS[1:]],
+    )
+
+
+def _schedule_number(name: str) -> str:
+    """The kernel global a run parameter (``delta``,
+    ``bucket_fusion_threshold``, ``num_buckets``) is read from, so one
+    kernel serves every value."""
+    return "delta" if name == "delta" else f"__repro_{name}"
+
+
+def _jsonable(value):
+    """Deterministic JSON form for the embedded effect summary (sets become
+    sorted lists)."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+    if isinstance(value, (set, frozenset)):
+        return sorted(str(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 class _CppEmitter:
@@ -144,6 +194,10 @@ class _CppEmitter:
         self._dir_lower = direction.value in ("lower_first", "lower")
         self._dir_sign_text = "1" if self._dir_lower else "-1"
         self._null_literal = "kIntMax" if self._dir_lower else "kNullHigher"
+        # The eager region's bin index and its no-bucket sentinel.
+        self._bin_type, self._bin_sentinel = (
+            ("size_t", "kMaxBin") if self._dir_lower else ("int64_t", "kIntMax")
+        )
         if not self._dir_lower and self.schedule.uses_histogram:
             raise CompileError(
                 "lazy_constant_sum requires a lower_first queue in the C++ "
@@ -181,12 +235,34 @@ class _CppEmitter:
     # ------------------------------------------------------------------
     def emit(self) -> str:
         out = self.out
-        out.line("// Generated by repro.backend.cpp_backend — do not edit.")
-        out.line(f"// schedule: {self.schedule}")
-        out._lines.append(CPP_RUNTIME)
+        # The banner names the module that documents the ABI this text
+        # implements; the kernel cache key hashes every byte of it.
+        out.line("// Generated by repro.backend.native.abi — do not edit.")
+        shown = ", ".join(
+            f"{name}={getattr(self.schedule, name)!r}"
+            for name in CODE_SHAPE_FIELDS
+        )
+        out.line(f"// schedule: {shown}")
+        out.line(f"// abi_version: {ABI_VERSION}")
+        summary = json.dumps(
+            _jsonable(runtime_summary(self.plan.facts, self.schedule.direction)),
+            sort_keys=True,
+        )
+        out.line(f"// effect_summary: {summary}")
+        out._lines.append(
+            kernel_runtime(
+                # The higher_first eager region bins into a std::map.
+                uses_map=self.schedule.is_eager and not self._dir_lower,
+                uses_print=any(
+                    isinstance(node, ast.Print)
+                    for function in self.program.functions
+                    for node in ast.walk(function)
+                ),
+            )
+        )
         self._emit_globals()
         self._emit_functions()
-        self._emit_main()
+        self._emit_entry()
         return out.text()
 
     def _emit_globals(self) -> None:
@@ -196,7 +272,7 @@ class _CppEmitter:
             if isinstance(declared, EdgeSetType):
                 out.line(f"WGraph {const.name};")
             elif isinstance(declared, VectorType):
-                out.line(f"std::vector<int64_t> {const.name};")
+                out.line(f"OutVec {const.name};")
             elif isinstance(declared, PriorityQueueType):
                 if self.schedule.is_lazy:
                     out.line(f"LazyPriorityQueue *{const.name} = nullptr;")
@@ -207,15 +283,13 @@ class _CppEmitter:
                     f"{self._cpp_type(declared)} {const.name}"
                     f"{self._global_scalar_init(const)};"
                 )
-        out.line(f"int64_t delta = {self._schedule_number('delta')};")
+        # Run parameters other than the thread count: set on every entry.
+        for name in RUN_PARAMETERS[1:]:
+            out.line(f"int64_t {_schedule_number(name)} = 0;")
+        # Run stamp: lets per-call-site statics (the pull-direction
+        # transpose) invalidate between entry invocations on new graphs.
+        out.line("uint64_t __repro_run_id = 0;")
         out.line()
-
-    def _schedule_number(self, name: str) -> str:
-        """How the code reads a schedule number (``delta``,
-        ``bucket_fusion_threshold``, ``num_buckets``): a literal here; the
-        native emitter names a run parameter instead, so one kernel serves
-        every value."""
-        return str(getattr(self.schedule, name))
 
     def _global_scalar_init(self, const: ast.ConstDecl) -> str:
         if const.initializer is None:
@@ -245,24 +319,99 @@ class _CppEmitter:
         out.line()
 
     # ------------------------------------------------------------------
-    # main
+    # The extern "C" entry point: main's body over the ABI parameters
     # ------------------------------------------------------------------
-    def _emit_main(self) -> None:
+    def _required_args(self) -> int:
+        """How many integer arguments (argv[2:]) the program reads."""
+        main = self.program.function("main")
+        highest = 1
+        for node in ast.walk(main):
+            if (
+                isinstance(node, ast.Index)
+                and isinstance(node.base, ast.Name)
+                and node.base.identifier == "argv"
+                and isinstance(node.index, ast.IntLiteral)
+            ):
+                highest = max(highest, node.index.value)
+        return highest - 1
+
+    def _emit_entry(self) -> None:
         main = self.program.function("main")
         if main is None:
             raise CompileError("program has no main function")
         out = self.out
-        out.line("int main(int argc, char *argv[]) {")
+        num_outputs = len(self.vector_names)
+        required_args = self._required_args()
+        out.line(
+            "extern \"C\" int64_t repro_native_abi_version() "
+            f"{{ return {ABI_VERSION}; }}"
+        )
+        out.line(
+            "extern \"C\" int64_t repro_native_num_outputs() "
+            f"{{ return {num_outputs}; }}"
+        )
+        out.line(
+            "extern \"C\" int64_t repro_native_num_args_required() "
+            f"{{ return {required_args}; }}"
+        )
+        out.line()
+        out.line("extern \"C\" int64_t repro_native_run(")
+        out.line("    const int64_t *__repro_indptr,")
+        out.line("    const int64_t *__repro_indices,")
+        out.line("    const int64_t *__repro_weights,")
+        out.line("    int64_t __repro_num_nodes, int64_t __repro_num_edges,")
+        out.line("    const int64_t *__repro_args, int64_t __repro_num_args,")
+        out.line("    int64_t **__repro_out, int64_t __repro_num_out,")
+        out.line("    const int64_t *__repro_params, int64_t __repro_num_params) {")
         out.push()
-        out.line("(void)argc;")
+        out.line(f"if (__repro_num_out != {num_outputs}) return 2;")
+        out.line(f"if (__repro_num_args < {required_args}) return 3;")
+        out.line(f"if (__repro_num_params != {len(RUN_PARAMETERS)}) return 4;")
+        out.line("__repro_run_id++;")
+        out.line("const int64_t __repro_num_threads = __repro_params[0];")
+        for index, name in enumerate(RUN_PARAMETERS[1:], start=1):
+            out.line(f"{_schedule_number(name)} = __repro_params[{index}];")
+        out.line("#ifdef _OPENMP")
+        out.line(
+            "if (__repro_num_threads > 0) "
+            "omp_set_num_threads((int)__repro_num_threads);"
+        )
+        out.line("#endif")
+        out.line("(void)__repro_num_threads;")
         out.line("detectSerial();")
+        self._emit_entry_reset()
+        for index, name in enumerate(self.vector_names):
+            out.line(f"{name}.bind(__repro_out[{index}], __repro_num_nodes);")
         self._emit_const_initializers()
+        # The program body runs inside a void lambda so the DSL's bare
+        # `return` statements keep their meaning; the entry's own status
+        # code is returned afterwards.
+        out.line("auto __repro_main = [&]() {")
+        out.push()
         for statement in main.body:
             self._stmt(statement)
-        self._emit_output_dump()
+        out.pop()
+        out.line("};")
+        out.line("__repro_main();")
         out.line("return 0;")
         out.pop()
         out.line("}")
+
+    def _emit_entry_reset(self) -> None:
+        """Re-initialize mutable globals: the entry may be invoked many
+        times in one process (that is the point of the kernel cache)."""
+        out = self.out
+        for const in self.program.constants:
+            declared = const.declared_type
+            if isinstance(declared, PriorityQueueType):
+                if self.schedule.is_lazy:
+                    out.line(
+                        f"if ({const.name}) {{ delete {const.name}; "
+                        f"{const.name} = nullptr; }}"
+                    )
+            elif not isinstance(declared, (EdgeSetType, VectorType)):
+                init = self._global_scalar_init(const).lstrip(" =")
+                out.line(f"{const.name} = {init};")
 
     def _emit_const_initializers(self) -> None:
         out = self.out
@@ -270,34 +419,32 @@ class _CppEmitter:
             declared = const.declared_type
             init = const.initializer
             if isinstance(declared, EdgeSetType):
-                if init is None:
-                    continue
-                out.line(f"{const.name} = {self._expr(init)};")
+                # The graph arrives through the ABI: the path argument
+                # (argv[1]) is subsumed by the borrowed CSR arrays.
+                out.line(
+                    f"{const.name} = WGraph::Borrow(__repro_indptr, "
+                    f"__repro_indices, __repro_weights, __repro_num_nodes, "
+                    f"__repro_num_edges);"
+                )
             elif isinstance(declared, VectorType):
                 if init is None:
-                    continue
-                if (
+                    out.line(f"{const.name}.assign(__repro_num_nodes, 0);")
+                elif (
                     isinstance(init, ast.MethodCall)
                     and init.method == "getOutDegrees"
                 ):
+                    # In place: the view is already bound to the caller's
+                    # buffer, so no temporary vector is built and copied.
                     receiver = self._expr(init.receiver)
-                    out.line(f"{const.name} = {receiver}.OutDegrees();")
+                    out.line(
+                        f"for (NodeID __v = 0; __v < {receiver}.num_nodes; "
+                        f"__v++) {const.name}[__v] = {receiver}.out_degree(__v);"
+                    )
                 else:
                     out.line(
-                        f"{const.name}.assign({self.edgeset_name}.num_nodes, "
+                        f"{const.name}.assign(__repro_num_nodes, "
                         f"{self._expr(init)});"
                     )
-
-    def _emit_output_dump(self) -> None:
-        out = self.out
-        out.line("{")
-        out.push()
-        out.line('const char *__path = std::getenv("REPRO_OUTPUT");')
-        out.line('std::ofstream __out(__path ? __path : "repro_output.txt");')
-        for name in self.vector_names:
-            out.line(f'dumpVector(__out, "{name}", {name});')
-        out.pop()
-        out.line("}")
 
     # ------------------------------------------------------------------
     # Statements
@@ -398,7 +545,7 @@ class _CppEmitter:
         self.out.line(
             f"{target} = new LazyPriorityQueue({self._pv_name}.data(), "
             f"{self.edgeset_name}.num_nodes, delta, {start_text}, "
-            f"{self._schedule_number('num_buckets')}, {self._dir_sign_text}, "
+            f"{_schedule_number('num_buckets')}, {self._dir_sign_text}, "
             f"{self._null_literal});"
         )
 
@@ -465,18 +612,26 @@ class _CppEmitter:
         src, dst, weight = self._udf_param_names(udf)
         out.line("{")
         out.push()
+        # Run-stamped statics: built once per entry invocation, rebuilt
+        # when a later invocation brings a new graph.
+        out.line("static WGraph __transposed;")
+        out.line("static std::vector<uint8_t> __frontier_map;")
+        out.line("static uint64_t __transposed_run = 0;")
+        out.line("if (__transposed_run != __repro_run_id) {")
+        out.push()
+        out.line(f"__transposed = TransposeGraph({edgeset});")
+        out.line(f"__frontier_map.assign({edgeset}.num_nodes, 0);")
+        out.line("__transposed_run = __repro_run_id;")
+        out.pop()
+        out.line("}")
         out.line(
-            f"static WGraph __transposed = TransposeGraph({edgeset});"
-        )
-        out.line(
-            f"static std::vector<uint8_t> __frontier_map({edgeset}.num_nodes, 0);"
-        )
-        out.line(
-            f"std::fill(__frontier_map.begin(), __frontier_map.end(), 0);"
+            "std::fill(__frontier_map.begin(), __frontier_map.end(), 0);"
         )
         out.line(f"for (NodeID __v : {bucket}) __frontier_map[__v] = 1;")
         out.line(PARALLEL_FOR)
-        out.line(f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++) {{")
+        out.line(
+            f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++) {{"
+        )
         out.push()
         out.line(f"for (WNode __wn : __transposed.out_neigh({dst})) {{")
         out.push()
@@ -675,58 +830,81 @@ class _CppEmitter:
                 f"if ({tracking}) {self.queue_name}->bufferVertex({vertex});"
             )
             return
-        # Eager: immediate insertion into this thread's local bins
-        # (Figure 9(c), lines 22-26).
+        # Eager: immediate insertion into this thread's local bins, never
+        # below the current one (Figure 9(c), lines 22-26).
         out.line(f"if ({tracking}) {{")
         out.push()
+        out.line(f"{self._bin_type} __dest_bin = {self._bin_of(new_value)};")
+        out.line("if (__dest_bin < curr_bin_index) __dest_bin = curr_bin_index;")
         if self._dir_lower:
-            out.line(f"size_t __dest_bin = (size_t)({new_value} / delta);")
-            out.line(
-                "if (__dest_bin < curr_bin_index) __dest_bin = curr_bin_index;"
-            )
             out.line(
                 "if (__dest_bin >= local_bins.size()) "
                 "local_bins.resize(__dest_bin + 1);"
             )
-            out.line(f"local_bins[__dest_bin].push_back({vertex});")
-        else:
-            # higher_first works in order space: orders are negative, so the
-            # bins are a sorted map instead of a dense array.
-            out.line(
-                f"int64_t __dest_order = -floorDiv({new_value}, delta);"
-            )
-            out.line("if (__dest_order < curr_order) __dest_order = curr_order;")
-            out.line(f"local_bins[__dest_order].push_back({vertex});")
+        out.line(f"local_bins[__dest_bin].push_back({vertex});")
         out.pop()
         out.line("}")
 
     # ------------------------------------------------------------------
     # Eager ordered-processing region (Section 5.2, Figure 9(c))
     # ------------------------------------------------------------------
+    def _bin_of(self, priority: str) -> str:
+        """The eager bin index of a priority: its bucket for lower_first;
+        for higher_first its order ``-floorDiv(p, delta)``, which is
+        negative and unbounded below."""
+        if self._dir_lower:
+            return f"(size_t)({priority} / delta)"
+        return f"-floorDiv({priority}, delta)"
+
+    def _priority_of(self, bin_index: str) -> str:
+        """The lowest priority (in processing order) of a bin."""
+        if self._dir_lower:
+            return f"(int64_t){bin_index} * delta"
+        return f"-{bin_index} * delta"
+
     def _emit_eager_region(self) -> None:
-        if not self._dir_lower:
-            self._emit_eager_region_higher()
-            return
+        """The two-slot shared frontier protocol over thread-local bins.
+
+        lower_first bins are a dense array indexed by bucket with
+        ``kMaxBin`` as the no-bucket sentinel; higher_first bins are a
+        sorted ``std::map`` keyed by (negative) order, and the next-bucket
+        election races on an ``int64_t`` with ``kIntMax`` as the sentinel.
+        """
         loop = self.plan.facts.loop
         udf = self.plan.udf
         if loop is None or udf is None:
             raise CompileError("eager transform requires the recognized loop")
+        lower = self._dir_lower
         out = self.out
         edgeset = loop.edgeset_name
         src, dst, weight = self._udf_param_names(udf)
         start = self._start_vertex_expr()
+        if start is None and not lower:
+            raise CompileError(
+                "the all-vertices priority queue form is not supported with "
+                "eager higher_first schedules in the C++ backend; use a "
+                "lazy schedule"
+            )
         sum_udf = any(
             access.update.op == "sum"
             for access in self.plan.facts.loop_udf.priority_updates
         )
-        fusion = self.schedule.uses_fusion
-        threshold = self._schedule_number("bucket_fusion_threshold")
+        index_type, sentinel = self._bin_type, self._bin_sentinel
 
-        out.line("// --- eager ordered processing operator (Figure 9(c)) ---")
+        out.line(
+            "// --- eager ordered processing operator (Figure 9(c)"
+            + ("" if lower else ", higher_first")
+            + ") ---"
+        )
         out.line("{")
         out.push()
-        self._emit_eager_frontier(edgeset)
-        out.line("size_t shared_indexes[2] = {kMaxBin, kMaxBin};")
+        # The shared frontier, |E| + 1 slots per query.  Uninitialised: a
+        # slot is read only below a tail that a copy into it advanced.
+        out.line(
+            f"std::unique_ptr<NodeID[]> frontier("
+            f"new NodeID[{edgeset}.num_edges() + 1]);"
+        )
+        out.line(f"{index_type} shared_indexes[2] = {{{sentinel}, {sentinel}}};")
         out.line("size_t frontier_tails[2] = {0, 0};")
         out.line("bool stop_flag = false;")
         if sum_udf:
@@ -737,25 +915,28 @@ class _CppEmitter:
             out.line(f"frontier[0] = {self._expr(start)};")
             out.line("frontier_tails[0] = 1;")
             out.line(
-                f"shared_indexes[0] = (size_t)({self._pv_name}"
-                f"[{self._expr(start)}] / delta);"
+                "shared_indexes[0] = "
+                f"{self._bin_of(f'{self._pv_name}[{self._expr(start)}]')};"
             )
         out.line("#pragma omp parallel if(!gSerial)")
         out.line("{")
         out.push()
-        out.line("std::vector<std::vector<NodeID>> local_bins(0);")
+        if lower:
+            out.line("std::vector<std::vector<NodeID>> local_bins(0);")
+        else:
+            out.line("std::map<int64_t, std::vector<NodeID>> local_bins;")
         if start is None:
             self._emit_eager_prebinning(edgeset)
         out.line("size_t iter = 0;")
-        out.line("while (shared_indexes[iter & 1] != kMaxBin) {")
+        out.line(f"while (shared_indexes[iter & 1] != {sentinel}) {{")
         out.push()
-        out.line("size_t &curr_bin_index = shared_indexes[iter & 1];")
-        out.line("size_t &next_bin_index = shared_indexes[(iter + 1) & 1];")
+        out.line(f"{index_type} &curr_bin_index = shared_indexes[iter & 1];")
+        out.line(f"{index_type} &next_bin_index = shared_indexes[(iter + 1) & 1];")
         out.line("size_t &curr_frontier_tail = frontier_tails[iter & 1];")
         out.line("size_t &next_frontier_tail = frontier_tails[(iter + 1) & 1];")
         out.line("if (stop_flag) break;")
         out.line(
-            "const int64_t curr_priority = (int64_t)curr_bin_index * delta;"
+            f"const int64_t curr_priority = {self._priority_of('curr_bin_index')};"
         )
         out.line("(void)curr_priority;")
         # The relaxation lambda: the transformed UDF writing into this
@@ -782,19 +963,32 @@ class _CppEmitter:
         self._emit_eager_guard(sum_udf)
         out.pop()
         out.line("}")
-        if fusion:
+        if self.schedule.uses_fusion:
+            threshold = _schedule_number("bucket_fusion_threshold")
             out.line(
                 "// bucket fusion (Figure 7): drain this thread's current "
                 "local bucket"
             )
-            out.line(
-                f"while (curr_bin_index < local_bins.size() && "
-                f"!local_bins[curr_bin_index].empty() && "
-                f"local_bins[curr_bin_index].size() < {threshold}) {{"
-            )
-            out.push()
+            if lower:
+                out.line(
+                    f"while (curr_bin_index < local_bins.size() && "
+                    f"!local_bins[curr_bin_index].empty() && "
+                    f"local_bins[curr_bin_index].size() < {threshold}) {{"
+                )
+                out.push()
+                current = "local_bins[curr_bin_index]"
+            else:
+                out.line("while (true) {")
+                out.push()
+                out.line("auto __fuse_it = local_bins.find(curr_bin_index);")
+                out.line(
+                    f"if (__fuse_it == local_bins.end() || "
+                    f"__fuse_it->second.empty() || "
+                    f"__fuse_it->second.size() >= {threshold}) break;"
+                )
+                current = "__fuse_it->second"
             out.line("std::vector<NodeID> fused;")
-            out.line("fused.swap(local_bins[curr_bin_index]);")
+            out.line(f"fused.swap({current});")
             out.line("for (NodeID u : fused) {")
             out.push()
             self._emit_eager_guard(sum_udf)
@@ -802,12 +996,25 @@ class _CppEmitter:
             out.line("}")
             out.pop()
             out.line("}")
-        out.line("for (size_t b = curr_bin_index; b < local_bins.size(); b++) {")
-        out.push()
-        out.line(
-            "if (!local_bins[b].empty()) { atomicMinSize(&next_bin_index, b); "
-            "break; }"
-        )
+        # Elect the next bucket: this thread's first non-empty bin at or
+        # after the current one.
+        if lower:
+            out.line("for (size_t b = curr_bin_index; b < local_bins.size(); b++) {")
+            out.push()
+            out.line(
+                "if (!local_bins[b].empty()) { atomicMinSize(&next_bin_index, b); "
+                "break; }"
+            )
+        else:
+            out.line(
+                "for (auto __it = local_bins.lower_bound(curr_bin_index); "
+                "__it != local_bins.end(); ++__it) {"
+            )
+            out.push()
+            out.line(
+                "if (!__it->second.empty()) { "
+                "atomicMinInt64(&next_bin_index, __it->first); break; }"
+            )
         out.pop()
         out.line("}")
         out.line("#pragma omp barrier")
@@ -816,192 +1023,42 @@ class _CppEmitter:
         out.push()
         if loop.stop_condition is not None:
             out.line(
-                "if (next_bin_index != kMaxBin && "
+                f"if (next_bin_index != {sentinel} && "
                 f"({self._stop_condition_text(loop.stop_condition)})) "
                 "stop_flag = true;"
             )
-        out.line("curr_bin_index = kMaxBin;")
+        out.line(f"curr_bin_index = {sentinel};")
         out.line("curr_frontier_tail = 0;")
         out.pop()
         out.line("}")
-        out.line(
-            "if (next_bin_index < local_bins.size() && "
-            "!local_bins[next_bin_index].empty()) {"
-        )
-        out.push()
+        # Take the elected bin: append this thread's share of it to the
+        # next frontier.
+        if lower:
+            out.line(
+                "if (next_bin_index < local_bins.size() && "
+                "!local_bins[next_bin_index].empty()) {"
+            )
+            out.push()
+            bin_text = "local_bins[next_bin_index]"
+        else:
+            out.line("auto __next_it = local_bins.find(next_bin_index);")
+            out.line(
+                "if (__next_it != local_bins.end() && "
+                "!__next_it->second.empty()) {"
+            )
+            out.push()
+            bin_text = "__next_it->second"
         out.line(
             "size_t copy_start = __atomic_fetch_add(&next_frontier_tail, "
-            "local_bins[next_bin_index].size(), __ATOMIC_RELAXED);"
+            f"{bin_text}.size(), __ATOMIC_RELAXED);"
         )
         out.line(
-            "std::copy(local_bins[next_bin_index].begin(), "
-            "local_bins[next_bin_index].end(), frontier.get() + copy_start);"
-        )
-        out.line("local_bins[next_bin_index].resize(0);")
-        out.pop()
-        out.line("}")
-        out.line("iter++;")
-        out.line("#pragma omp barrier")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-
-    def _emit_eager_region_higher(self) -> None:
-        """The eager operator for ``higher_first`` queues.
-
-        Same two-slot shared frontier protocol as the lower_first region,
-        but in *order space*: priorities map to ``-floorDiv(p, delta)``,
-        which is negative and unbounded below, so thread-local bins are a
-        sorted ``std::map`` keyed by order instead of a dense array, and the
-        next-bucket election races on an ``int64_t`` order with ``kIntMax``
-        as the no-bucket sentinel.
-        """
-        loop = self.plan.facts.loop
-        udf = self.plan.udf
-        if loop is None or udf is None:
-            raise CompileError("eager transform requires the recognized loop")
-        out = self.out
-        edgeset = loop.edgeset_name
-        src, dst, weight = self._udf_param_names(udf)
-        start = self._start_vertex_expr()
-        if start is None:
-            raise CompileError(
-                "the all-vertices priority queue form is not supported with "
-                "eager higher_first schedules in the C++ backend; use a "
-                "lazy schedule"
-            )
-        sum_udf = any(
-            access.update.op == "sum"
-            for access in self.plan.facts.loop_udf.priority_updates
-        )
-        fusion = self.schedule.uses_fusion
-        threshold = self._schedule_number("bucket_fusion_threshold")
-
-        out.line(
-            "// --- eager ordered processing operator "
-            "(Figure 9(c), higher_first) ---"
-        )
-        out.line("{")
-        out.push()
-        self._emit_eager_frontier(edgeset)
-        out.line("int64_t shared_orders[2] = {kIntMax, kIntMax};")
-        out.line("size_t frontier_tails[2] = {0, 0};")
-        out.line("bool stop_flag = false;")
-        if sum_udf:
-            out.line(
-                f"std::vector<uint8_t> processed({edgeset}.num_nodes, 0);"
-            )
-        out.line(f"frontier[0] = {self._expr(start)};")
-        out.line("frontier_tails[0] = 1;")
-        out.line(
-            f"shared_orders[0] = -floorDiv({self._pv_name}"
-            f"[{self._expr(start)}], delta);"
-        )
-        out.line("#pragma omp parallel if(!gSerial)")
-        out.line("{")
-        out.push()
-        out.line("std::map<int64_t, std::vector<NodeID>> local_bins;")
-        out.line("size_t iter = 0;")
-        out.line("while (shared_orders[iter & 1] != kIntMax) {")
-        out.push()
-        out.line("int64_t &curr_order = shared_orders[iter & 1];")
-        out.line("int64_t &next_order = shared_orders[(iter + 1) & 1];")
-        out.line("size_t &curr_frontier_tail = frontier_tails[iter & 1];")
-        out.line("size_t &next_frontier_tail = frontier_tails[(iter + 1) & 1];")
-        out.line("if (stop_flag) break;")
-        out.line("const int64_t curr_priority = -curr_order * delta;")
-        out.line("(void)curr_priority;")
-        out.line(f"auto relax = [&](NodeID {src}) {{")
-        out.push()
-        out.line(f"for (WNode __wn : {edgeset}.out_neigh({src})) {{")
-        out.push()
-        out.line(f"NodeID {dst} = __wn.v;")
-        if weight is not None:
-            out.line(f"WeightT {weight} = __wn.weight;")
-        out.line(f"(void){dst};")
-        self._in_eager_region = True
-        self._emit_udf_body(udf, mode="eager")
-        self._in_eager_region = False
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("};")
-        out.line("#pragma omp for nowait schedule(dynamic, 64)")
-        out.line("for (size_t i = 0; i < curr_frontier_tail; i++) {")
-        out.push()
-        out.line("NodeID u = frontier[i];")
-        self._emit_eager_guard(sum_udf)
-        out.pop()
-        out.line("}")
-        if fusion:
-            out.line(
-                "// bucket fusion (Figure 7): drain this thread's current "
-                "local bucket"
-            )
-            out.line("while (true) {")
-            out.push()
-            out.line("auto __fuse_it = local_bins.find(curr_order);")
-            out.line(
-                f"if (__fuse_it == local_bins.end() || "
-                f"__fuse_it->second.empty() || "
-                f"__fuse_it->second.size() >= {threshold}) break;"
-            )
-            out.line("std::vector<NodeID> fused;")
-            out.line("fused.swap(__fuse_it->second);")
-            out.line("for (NodeID u : fused) {")
-            out.push()
-            self._emit_eager_guard(sum_udf)
-            out.pop()
-            out.line("}")
-            out.pop()
-            out.line("}")
-        out.line(
-            "for (auto __it = local_bins.lower_bound(curr_order); "
-            "__it != local_bins.end(); ++__it) {"
-        )
-        out.push()
-        out.line(
-            "if (!__it->second.empty()) { "
-            "atomicMinInt64(&next_order, __it->first); break; }"
-        )
-        out.pop()
-        out.line("}")
-        out.line("#pragma omp barrier")
-        out.line("#pragma omp single nowait")
-        out.line("{")
-        out.push()
-        if loop.stop_condition is not None:
-            out.line(
-                "if (next_order != kIntMax && "
-                f"({self._stop_condition_text(loop.stop_condition)})) "
-                "stop_flag = true;"
-            )
-        out.line("curr_order = kIntMax;")
-        out.line("curr_frontier_tail = 0;")
-        out.pop()
-        out.line("}")
-        out.line("{")
-        out.push()
-        out.line("auto __next_it = local_bins.find(next_order);")
-        out.line(
-            "if (__next_it != local_bins.end() && "
-            "!__next_it->second.empty()) {"
-        )
-        out.push()
-        out.line(
-            "size_t copy_start = __atomic_fetch_add(&next_frontier_tail, "
-            "__next_it->second.size(), __ATOMIC_RELAXED);"
-        )
-        out.line(
-            "std::copy(__next_it->second.begin(), __next_it->second.end(), "
+            f"std::copy({bin_text}.begin(), {bin_text}.end(), "
             "frontier.get() + copy_start);"
         )
-        out.line("local_bins.erase(__next_it);")
-        out.pop()
-        out.line("}")
+        out.line(
+            f"{bin_text}.resize(0);" if lower else "local_bins.erase(__next_it);"
+        )
         out.pop()
         out.line("}")
         out.line("iter++;")
@@ -1012,14 +1069,6 @@ class _CppEmitter:
         out.line("}")
         out.pop()
         out.line("}")
-
-    def _emit_eager_frontier(self, edgeset: str) -> None:
-        """The shared frontier, |E| + 1 slots per query.  Uninitialised: a
-        slot is read only below a tail that a copy into it advanced."""
-        self.out.line(
-            f"std::unique_ptr<NodeID[]> frontier("
-            f"new NodeID[{edgeset}.num_edges() + 1]);"
-        )
 
     def _emit_eager_prebinning(self, edgeset: str) -> None:
         """k-core style initialization: every tracked vertex starts in a
@@ -1065,32 +1114,26 @@ class _CppEmitter:
 
     def _emit_eager_guard(self, sum_udf: bool) -> None:
         """The stale-entry guard before relaxing a popped vertex."""
-        out = self.out
-        if not self._dir_lower:
-            if sum_udf:
-                out.line(
-                    f"if (-floorDiv({self._pv_name}[u], delta) == curr_order "
-                    f"&& CASByte(&processed[u], 0, 1)) relax(u);"
-                )
-            else:
-                # The GAPBS check in order space: still in the current (or a
-                # later) bucket.
-                out.line(
-                    f"if (-floorDiv({self._pv_name}[u], delta) >= curr_order) "
-                    f"relax(u);"
-                )
-            return
+        priority = f"{self._pv_name}[u]"
         if sum_udf:
             # Strict ordering with peel-once semantics (k-core).
-            out.line(
-                f"if ({self._pv_name}[u] / delta == (int64_t)curr_bin_index "
+            bin_index, current = (
+                (f"{priority} / delta", "(int64_t)curr_bin_index")
+                if self._dir_lower
+                else (self._bin_of(priority), "curr_bin_index")
+            )
+            self.out.line(
+                f"if ({bin_index} == {current} "
                 f"&& CASByte(&processed[u], 0, 1)) relax(u);"
             )
-        else:
+        elif self._dir_lower:
             # The GAPBS check: still in the current (or a later) bucket.
-            out.line(
-                f"if ({self._pv_name}[u] >= delta * (int64_t)curr_bin_index) "
-                f"relax(u);"
+            self.out.line(
+                f"if ({priority} >= delta * (int64_t)curr_bin_index) relax(u);"
+            )
+        else:
+            self.out.line(
+                f"if ({self._bin_of(priority)} >= curr_bin_index) relax(u);"
             )
 
     def _stop_condition_text(self, condition: ast.Expr) -> str:
@@ -1098,14 +1141,9 @@ class _CppEmitter:
         ``getCurrentPriority`` means the bin about to be processed."""
         saved = self._in_eager_region
         self._in_eager_region = False
-        next_priority = (
-            "((int64_t)next_bin_index * delta)"
-            if self._dir_lower
-            else "(-next_order * delta)"
-        )
         try:
             return self._expr(condition).replace(
-                "__CURRENT_PRIORITY__", next_priority
+                "__CURRENT_PRIORITY__", f"({self._priority_of('next_bin_index')})"
             )
         finally:
             self._in_eager_region = saved
@@ -1153,7 +1191,9 @@ class _CppEmitter:
         if isinstance(expression, ast.Index):
             base = expression.base
             if isinstance(base, ast.Name) and base.identifier == "argv":
-                return f"argv[{self._expr(expression.index)}]"
+                # argv[1], the graph path, is subsumed by the CSR arrays;
+                # the integer arguments argv[2:] arrive as args[0:].
+                return f"__repro_args[({self._expr(expression.index)}) - 2]"
             if isinstance(base, ast.MethodCall) and base.method == "priorityVector":
                 return f"{self._pv_name}[{self._expr(expression.index)}]"
             return f"{self._expr(base)}[{self._expr(expression.index)}]"
@@ -1171,11 +1211,15 @@ class _CppEmitter:
 
     def _call(self, expression: ast.Call) -> str:
         name = expression.function
-        arguments = ", ".join(self._expr(a) for a in expression.arguments)
         if name == "load":
-            return f"WGraph::Load({arguments})"
+            raise CompileError(
+                "load(...) outside the edgeset initializer is not supported "
+                "by the native backend"
+            )
         if name == "atoi":
-            return f"atoll({arguments})"
+            # argv slots are already int64 in the ABI's args array.
+            return self._expr(expression.arguments[0])
+        arguments = ", ".join(self._expr(a) for a in expression.arguments)
         if name == "max":
             return f"std::max<int64_t>({arguments})"
         if name == "min":

@@ -1,17 +1,16 @@
-"""The C++ runtime embedded into every generated translation unit.
+"""The C++ runtime of every generated kernel, and the standalone driver.
 
-The generated program is a single self-contained ``.cpp`` file: this text is
-prepended verbatim, playing the role of the runtime library the paper's
-compiler links against ("We built runtime libraries to manage the buffer and
-update buckets", Section 5.1).  It provides:
+The compiler emits one C++ text per (program, strategy, direction): the
+native kernel of :func:`repro.backend.cpp_backend.generate_native_cpp`.
+:func:`kernel_runtime` is prepended to it verbatim, playing the role of the
+runtime library the paper's compiler links against ("We built runtime
+libraries to manage the buffer and update buckets", Section 5.1).  It
+provides:
 
-- ``WGraph``: CSR graph over *borrowable* pointer views.  The adjacency is
-  addressed through raw pointers so the same struct serves two storage
-  modes: the edge-list text loader (the format written by
-  :func:`repro.graph.io.save_edge_list`) fills owning ``std::vector``
-  stores, while ``WGraph::Borrow`` wraps caller-owned CSR arrays without
-  copying — the zero-copy path the native shared-library ABI uses to run
-  directly on numpy buffers,
+- ``WGraph``: CSR graph over *borrowable* pointer views.
+  ``WGraph::Borrow`` wraps caller-owned CSR arrays without copying (the
+  runner passes numpy buffers, the driver its loader's vectors), and
+  ``TransposeGraph`` fills the owning stores for the pull direction,
 - the atomic vocabulary of Figure 9 (``atomicWriteMin``, clamped
   fetch-add, byte CAS for dedup flags, ``fetchAdd`` for slot counters),
 - ``LazyPriorityQueue``: the lazy bucket structure with a materialized
@@ -21,30 +20,32 @@ update buckets", Section 5.1).  It provides:
   bucket orders), parameterized by a direction sign and a null-priority
   sentinel, so one implementation serves both ``lower_first`` (SSSP,
   k-core) and ``higher_first`` (widest path) programs — mirroring
-  ``repro.buckets.interface``.
+  ``repro.buckets.interface``,
+- ``OutVec``: the view a global vector constant binds to the caller's
+  output buffer.
 
 The eager structure needs no runtime class: as in Figure 9(c) the compiler
-emits its thread-local ``local_bins`` inline in the generated main.
+emits its thread-local ``local_bins`` inline.  ``<map>`` is included only
+for a map-binned eager region and ``<iostream>`` only for a ``print``, so a
+kernel build does not parse headers it never uses.
 
-The text is kept in pieces.  :data:`CPP_RUNTIME`, the standalone program's
-runtime, is all of them.  :func:`native_runtime` leaves out what only the
-standalone ``main`` uses — the edge-list loader ``WGraph::Load``, the
-``dumpVector`` output dump and the stream and string headers behind them —
-and includes ``<map>`` / ``<iostream>`` only when the kernel needs them, so
-a kernel build does not parse headers it never uses.
+:func:`driver` is the rest of the standalone program (``generate_cpp``):
+an edge-list loader, a ``main`` that calls ``repro_native_run``, and the
+output dump.  Only the output names, the vertex-argument slots and the
+run-parameter values differ between programs.
 
 Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional).  The
-thread count is known only at run time (the standalone program takes
-OpenMP's default; a native kernel takes ``num_threads`` from its
-run-parameter block), so one thread means serial code chosen at run time:
-``detectSerial()`` sets ``gSerial`` when ``omp_get_max_threads() == 1``
-(always without OpenMP), every atomic helper then does a plain load and
-store, and every emitted ``#pragma omp parallel`` carries ``if(!gSerial)``
-so no parallel region is entered.  At two or more threads the helpers are
-the relaxed atomics.
+thread count is known only at run time (a kernel takes ``num_threads``
+from its run-parameter block; the driver passes 0, which keeps OpenMP's
+default and so honours ``OMP_NUM_THREADS``), so one thread means serial
+code chosen at run time: ``detectSerial()`` sets ``gSerial`` when
+``omp_get_max_threads() == 1`` (always without OpenMP), every atomic
+helper then does a plain load and store, and every emitted ``#pragma omp
+parallel`` carries ``if(!gSerial)`` so no parallel region is entered.  At
+two or more threads the helpers are the relaxed atomics.
 """
 
-__all__ = ["CPP_RUNTIME", "native_runtime"]
+__all__ = ["driver", "kernel_runtime"]
 
 _BANNER = (
     "// ---- embedded repro runtime (generated; do not edit) "
@@ -55,24 +56,8 @@ _END = (
     "------------------------------------------------\n"
 )
 
-#: Every header the standalone program includes, in include order.
-_HEADERS = (
-    "algorithm",
-    "cstdint",
-    "cstdlib",
-    "cstring",
-    "fstream",
-    "iostream",
-    "limits",
-    "map",
-    "memory",
-    "sstream",
-    "string",
-    "vector",
-)
-#: Headers that only the standalone program's file and stream I/O
-#: (``WGraph::Load``, ``dumpVector``) needs.
-_IO_HEADERS = ("fstream", "iostream", "sstream", "string")
+#: The headers every kernel includes, in include order.
+_HEADERS = ("algorithm", "cstdint", "cstdlib", "cstring", "limits", "memory", "vector")
 
 
 def _piece(text: str) -> str:
@@ -80,7 +65,7 @@ def _piece(text: str) -> str:
     return text[1:]
 
 
-_CORE = _piece(
+_RUNTIME = _piece(
     r"""
 using NodeID = int64_t;
 using WeightT = int64_t;
@@ -164,69 +149,6 @@ struct WGraph {
     return Neighborhood{this, indptr[v], indptr[v + 1]};
   }
 
-"""
-)
-
-# A member of WGraph: spliced between _CORE and _BODY.
-_LOAD = _piece(
-    r"""
-  // Loads "src dst [weight]" lines; '#'/'%' open comments.
-  static WGraph Load(const std::string &path) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cannot open graph file: " << path << std::endl;
-      std::exit(1);
-    }
-    std::vector<NodeID> sources, dests;
-    std::vector<WeightT> edge_weights;
-    NodeID max_id = -1;
-    std::string line;
-    NodeID declared_nodes = -1;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#' || line[0] == '%') {
-        // Honour the "# vertices=N ..." header written by save_edge_list so
-        // trailing isolated vertices are preserved.
-        size_t pos = line.find("vertices=");
-        if (pos != std::string::npos)
-          declared_nodes = atoll(line.c_str() + pos + 9);
-        continue;
-      }
-      std::istringstream row(line);
-      NodeID s, d;
-      WeightT w = 1;
-      if (!(row >> s >> d)) continue;
-      row >> w;
-      sources.push_back(s);
-      dests.push_back(d);
-      edge_weights.push_back(w);
-      max_id = std::max(max_id, std::max(s, d));
-    }
-    WGraph g;
-    g.num_nodes = std::max(max_id + 1, declared_nodes);
-    g.num_edges_ = (int64_t)sources.size();
-    std::vector<int64_t> degree(g.num_nodes, 0);
-    for (NodeID s : sources) degree[s]++;
-    g.indptr_store.assign(g.num_nodes + 1, 0);
-    for (int64_t v = 0; v < g.num_nodes; v++)
-      g.indptr_store[v + 1] = g.indptr_store[v] + degree[v];
-    g.indices_store.resize(g.num_edges_);
-    g.weights_store.resize(g.num_edges_);
-    std::vector<int64_t> cursor(g.indptr_store.begin(),
-                                g.indptr_store.end() - 1);
-    for (size_t e = 0; e < sources.size(); e++) {
-      int64_t slot = cursor[sources[e]]++;
-      g.indices_store[slot] = dests[e];
-      g.weights_store[slot] = edge_weights[e];
-    }
-    g.adopt();
-    return g;
-  }
-
-"""
-)
-
-_BODY = _piece(
-    r"""
   std::vector<int64_t> OutDegrees() const {
     std::vector<int64_t> result(num_nodes);
     for (int64_t v = 0; v < num_nodes; v++) result[v] = out_degree(v);
@@ -570,39 +492,190 @@ inline WGraph TransposeGraph(const WGraph &g) {
 """
 )
 
-_DUMP = _piece(
+
+_OUT_VEC = r"""
+// ---- native ABI support --------------------------------------------------
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+// A vector *view* over a caller-owned output buffer: global vector
+// constants bind to these so every priority/result write lands directly in
+// the caller's numpy array (zero-copy outputs).  Capacity is the graph's
+// vertex count, guaranteed by the runner.
+struct OutVec {
+  int64_t *ptr = nullptr;
+  size_t n = 0;
+
+  void bind(int64_t *p, int64_t size) { ptr = p; n = (size_t)size; }
+  size_t size() const { return n; }
+  int64_t *data() { return ptr; }
+  const int64_t *data() const { return ptr; }
+  int64_t &operator[](size_t i) { return ptr[i]; }
+  const int64_t &operator[](size_t i) const { return ptr[i]; }
+
+  void assign(int64_t size, int64_t value) {
+    n = (size_t)size;
+    for (size_t i = 0; i < n; i++) ptr[i] = value;
+  }
+
+  OutVec &operator=(const std::vector<int64_t> &values) {
+    n = values.size();
+    for (size_t i = 0; i < n; i++) ptr[i] = values[i];
+    return *this;
+  }
+};
+// ---- end native ABI support ----------------------------------------------
+"""
+
+
+def kernel_runtime(uses_map: bool, uses_print: bool) -> str:
+    """The runtime of a kernel translation unit: ``<map>`` only for a
+    map-binned eager region, ``<iostream>`` only for a ``print``."""
+    headers = sorted(
+        _HEADERS + ("map",) * uses_map + ("iostream",) * uses_print
+    )
+    includes = "".join(f"#include <{header}>\n" for header in headers)
+    includes += "#ifdef _OPENMP\n#include <omp.h>\n#endif\n\n"
+    return "\n" + _BANNER + includes + _RUNTIME + _END + "\n" + _OUT_VEC
+
+
+_DRIVER = _piece(
     r"""
-// Template so the same dump works for std::vector and the native OutVec view.
-template <typename Vec>
-static void dumpVector(std::ostream &out, const char *name,
-                       const Vec &values) {
+// ---- standalone driver: load an edge list, run the kernel, dump vectors ---
+#include <fstream>
+#include <iostream>
+#include <sstream>
+#include <string>
+
+// Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
+// and returns a borrowed view of them.  The "# vertices=N" header written by
+// save_edge_list keeps trailing isolated vertices.
+static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
+                           std::vector<NodeID> &indices,
+                           std::vector<WeightT> &weights) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "error: cannot open graph file: " << path << std::endl;
+    std::exit(1);
+  }
+  std::vector<NodeID> sources, dests;
+  std::vector<WeightT> edge_weights;
+  NodeID max_id = -1, declared_nodes = -1;
+  std::string line;
+  for (int64_t lineno = 1; std::getline(in, line); lineno++) {
+    if (line.empty() || line[0] == '#' || line[0] == '%') {
+      size_t pos = line.find("vertices=");
+      if (pos != std::string::npos)
+        declared_nodes = atoll(line.c_str() + pos + 9);
+      continue;
+    }
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    std::istringstream row(line);
+    NodeID s = -1, d = -1;
+    WeightT w = 1;
+    if (!(row >> s >> d) || s < 0 || d < 0) {
+      std::cerr << "error: " << path << ":" << lineno
+                << ": expected 'src dst [weight]' with vertex ids >= 0, got '"
+                << line << "'" << std::endl;
+      std::exit(1);
+    }
+    row >> w;
+    sources.push_back(s);
+    dests.push_back(d);
+    edge_weights.push_back(w);
+    max_id = std::max(max_id, std::max(s, d));
+  }
+  const int64_t n = std::max(max_id + 1, declared_nodes);
+  const int64_t m = (int64_t)sources.size();
+  indptr.assign(n + 1, 0);
+  for (NodeID s : sources) indptr[s + 1]++;
+  for (int64_t v = 0; v < n; v++) indptr[v + 1] += indptr[v];
+  indices.resize(m);
+  weights.resize(m);
+  std::vector<int64_t> cursor(indptr.begin(), indptr.end() - 1);
+  for (int64_t e = 0; e < m; e++) {
+    int64_t slot = cursor[sources[e]]++;
+    indices[slot] = dests[e];
+    weights[slot] = edge_weights[e];
+  }
+  return WGraph::Borrow(indptr.data(), indices.data(), weights.data(), n, m);
+}
+
+static void dumpVector(std::ostream &out, const std::string &name,
+                       const std::vector<int64_t> &values) {
   out << name;
-  for (size_t i = 0; i < values.size(); i++) out << ' ' << values[i];
+  for (int64_t value : values) out << ' ' << value;
   out << '\n';
+}
+
+// Runs the kernel on the graph argv[1] with the integer arguments argv[2:]
+// and writes each output vector to $REPRO_OUTPUT (default
+// repro_output.txt), one "name v0 v1 ..." line each.  An argument the
+// program uses as a vertex must lie in [0, n).
+static int runDriver(int argc, char *argv[],
+                     const std::vector<std::string> &outputs,
+                     const std::vector<int> &vertex_args,
+                     const std::vector<int64_t> &params) {
+  if (argc < 2) {
+    std::cerr << "usage: " << argv[0] << " <graph.el> [integer arguments]"
+              << std::endl;
+    return 1;
+  }
+  std::vector<int64_t> indptr;
+  std::vector<NodeID> indices;
+  std::vector<WeightT> weights;
+  WGraph g = LoadEdgeList(argv[1], indptr, indices, weights);
+  std::vector<int64_t> args;
+  for (int i = 2; i < argc; i++) args.push_back(atoll(argv[i]));
+  for (int k : vertex_args) {
+    if (k < argc && (args[k - 2] < 0 || args[k - 2] >= g.num_nodes)) {
+      std::cerr << "error: argv[" << k << "] = " << args[k - 2]
+                << " out of range for a " << g.num_nodes << "-vertex graph"
+                << std::endl;
+      return 1;
+    }
+  }
+  std::vector<std::vector<int64_t>> values(
+      outputs.size(), std::vector<int64_t>(g.num_nodes));
+  std::vector<int64_t *> out;
+  for (std::vector<int64_t> &value : values) out.push_back(value.data());
+  int64_t status = repro_native_run(
+      g.indptr, g.indices, g.weights, g.num_nodes, g.num_edges(), args.data(),
+      (int64_t)args.size(), out.data(), (int64_t)out.size(), params.data(),
+      (int64_t)params.size());
+  if (status == 3) {
+    std::cerr << "error: program needs " << repro_native_num_args_required()
+              << " integer argument(s) after the graph path, got "
+              << args.size() << std::endl;
+    return 1;
+  }
+  if (status != 0) {
+    std::cerr << "error: kernel returned status " << status
+              << (status == 2 ? " (output arity mismatch)"
+                              : " (run-parameter block size mismatch)")
+              << std::endl;
+    return 1;
+  }
+  const char *path = std::getenv("REPRO_OUTPUT");
+  std::ofstream file(path ? path : "repro_output.txt");
+  for (size_t i = 0; i < outputs.size(); i++)
+    dumpVector(file, outputs[i], values[i]);
+  return 0;
 }
 """
 )
 
 
-def _includes(headers) -> str:
-    lines = "".join(f"#include <{header}>\n" for header in headers)
-    return lines + "#ifdef _OPENMP\n#include <omp.h>\n#endif\n\n"
-
-
-CPP_RUNTIME = (
-    "\n" + _BANNER + _includes(_HEADERS) + _CORE + _LOAD + _BODY + _DUMP + _END
-)
-
-
-def native_runtime(uses_map: bool, uses_print: bool) -> str:
-    """The runtime of a native kernel translation unit: no loader, no
-    output dump, no stream or string headers; ``<map>`` only for a
-    map-binned eager region, ``<iostream>`` only for a ``print``."""
-    headers = [
-        header
-        for header in _HEADERS
-        if not (header in _IO_HEADERS or header == "map")
-        or (header == "map" and uses_map)
-        or (header == "iostream" and uses_print)
-    ]
-    return "\n" + _BANNER + _includes(headers) + _CORE + _BODY + _END
+def driver(outputs, vertex_args, params) -> str:
+    """The standalone program's tail after the kernel: the fixed driver,
+    then a ``main`` naming the output vectors, the argv slots used as
+    vertices and the run-parameter block."""
+    names = ", ".join(f'"{name}"' for name in outputs)
+    slots = ", ".join(str(slot) for slot in vertex_args)
+    block = ", ".join(str(value) for value in params)
+    return (
+        "\n" + _DRIVER + "\nint main(int argc, char *argv[]) {\n"
+        f"  return runDriver(argc, argv, {{{names}}}, {{{slots}}}, {{{block}}});\n"
+        "}\n"
+    )

@@ -3,7 +3,7 @@
 The pipeline behind ``Schedule(execution="native")`` /
 ``repro run --execution native``:
 
-1. :mod:`.abi` — emit a shared-library variant of the generated C++ with a
+1. :mod:`.abi` — the generated C++ (the one text the compiler emits) with a
    stable ``extern "C"`` entry point over borrowed CSR arrays and
    caller-owned output buffers,
 2. :mod:`.toolchain` — discover a C++ compiler (``$REPRO_NATIVE_CXX``,

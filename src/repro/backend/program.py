@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import CompileError, SchedulingError
+from ..errors import CompileError, GraphError, SchedulingError
 from ..graph.csr import CSRGraph
 from ..lang.parser import parse
 from ..obs import metrics, note_run
@@ -30,7 +30,7 @@ from ..midend.schedule import Schedule, SchedulingProgram
 from ..midend.transforms.lowering import CompilationPlan, plan_program
 from ..runtime.stats import RuntimeStats
 from .python_backend import generate_python
-from .runtime_support import Context
+from .runtime_support import Context, load_graph_file
 
 __all__ = ["compile_program", "cached_program", "CompiledProgram", "RunResult"]
 
@@ -121,6 +121,7 @@ class CompiledProgram:
             priority_update=self.plan.schedule.priority_update,
             delta=self.plan.schedule.delta,
         )
+        graph = self._check_vertex_arguments(args, graph)
         if self.plan.schedule.execution == "native":
             from .native import NativeUnavailable, discover_toolchain, execute_native
 
@@ -193,6 +194,29 @@ class CompiledProgram:
             context=context,
             execution="serial" if execution == "native" else execution,
         )
+
+    def _check_vertex_arguments(self, args: list[str], graph: CSRGraph | None):
+        """Refuse, before anything runs, an ``atoi(argv[k])`` that ``main``
+        uses as a vertex but that lies outside [0, n): the interpreter
+        would raise an IndexError and a native kernel would read out of
+        bounds.  Returns ``graph``, loaded from ``args[1]`` when it was
+        ``None`` and a vertex argument needs its size."""
+        slots = [k for k in self.plan.facts.vertex_arguments if k < len(args)]
+        if not slots:
+            return graph
+        if graph is None:
+            graph = load_graph_file(args[1])
+        n = graph.num_vertices
+        for k in slots:
+            try:
+                value = int(args[k])
+            except (TypeError, ValueError):
+                continue  # the program's own atoi reports it
+            if not 0 <= value < n:
+                raise GraphError(
+                    f"argv[{k}] = {value} out of range for a {n}-vertex graph"
+                )
+        return graph
 
     def write(self, path: str) -> None:
         """Write the generated source to ``path``."""

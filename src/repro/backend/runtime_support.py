@@ -104,6 +104,15 @@ def _accepted_offers(current, dst, vals, reduce) -> np.ndarray:
     return record & (vals < current)
 
 
+def load_graph_file(path: str) -> CSRGraph:
+    """A graph file loaded by extension (.npz or edge-list text)."""
+    if not isinstance(path, str):
+        raise GraphItError("load() expects a path string")
+    if os.path.splitext(path)[1] == ".npz":
+        return load_npz(path)
+    return load_edge_list(path)
+
+
 class Context:
     """Execution context for one run of a generated program."""
 
@@ -174,12 +183,7 @@ class Context:
         otherwise a file loaded by extension (.npz or edge-list text)."""
         if self.graph_override is not None:
             return self.graph_override
-        if not isinstance(path, str):
-            raise GraphItError("load() expects a path string")
-        extension = os.path.splitext(path)[1]
-        if extension == ".npz":
-            return load_npz(path)
-        return load_edge_list(path)
+        return load_graph_file(path)
 
     @staticmethod
     def atoi(value: str) -> int:

@@ -260,6 +260,9 @@ class ProgramFacts:
     udfs: dict[str, UDFFacts]
     #: statement label -> span of its first occurrence
     labels: dict[str, Span]
+    #: argv slots whose ``atoi`` value ``main`` uses as a vertex (a vector
+    #: index or the queue's start vertex), ascending
+    vertex_arguments: tuple[int, ...] = ()
 
     def queue_vector(self, queue_name: str) -> str | None:
         info = self.queues.get(queue_name)
@@ -361,7 +364,45 @@ def build_facts(program: ast.Program) -> ProgramFacts:
         apply_sites=tuple(apply_sites),
         udfs=udfs,
         labels=labels,
+        vertex_arguments=_vertex_arguments(main, vectors) if main is not None else (),
     )
+
+
+def _vertex_arguments(main: "_FunctionWalk", vectors: frozenset[str]) -> tuple[int, ...]:
+    """The argv slots ``k`` whose ``atoi(argv[k])`` indexes a vector or
+    starts the queue in ``main``, directly or through a local that the
+    value initialises and nothing reassigns."""
+    initializers = {
+        decl.name: decl.initializer
+        for decl in main.declarations
+        if decl.initializer is not None and main.definition_counts[decl.name] == 1
+    }
+    indexes = [access.node.index for access in main.reads if access.base in vectors]
+    indexes += [
+        access.node.target.index
+        for access in main.accesses
+        if access.target_kind is TargetKind.VECTOR and access.base in vectors
+    ]
+    indexes += [
+        assign.value.arguments[3]
+        for assign in main.queue_constructors
+        if len(assign.value.arguments) > 3
+    ]
+    slots = set()
+    for index in indexes:
+        if isinstance(index, ast.Name):
+            index = initializers.get(index.identifier, index)
+        if (
+            isinstance(index, ast.Call)
+            and index.function == "atoi"
+            and len(index.arguments) == 1
+            and isinstance(argument := index.arguments[0], ast.Index)
+            and isinstance(argument.base, ast.Name)
+            and argument.base.identifier == "argv"
+            and isinstance(argument.index, ast.IntLiteral)
+        ):
+            slots.add(argument.index.value)
+    return tuple(sorted(slots))
 
 
 class _FunctionWalk:

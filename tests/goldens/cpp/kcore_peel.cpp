@@ -1,18 +1,15 @@
-// Generated by repro.backend.cpp_backend — do not edit.
-// schedule: Schedule(priority_update='lazy_constant_sum', delta=1, bucket_fusion_threshold=1000, num_buckets=64, direction='SparsePush', parallelization='dynamic-vertex-parallel', num_threads=8, chunk_size=64, execution='serial', sanitize=False, incremental=False)
+// Generated by repro.backend.native.abi — do not edit.
+// schedule: priority_update='lazy_constant_sum', direction='SparsePush'
+// abi_version: 2
+// effect_summary: {"apply_f": {"racy": [], "reads": ["D"], "write_index": {"D": ["dst"]}, "writes": ["D"]}}
 
 // ---- embedded repro runtime (generated; do not edit) -------------------
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <vector>
 #ifdef _OPENMP
 #include <omp.h>
@@ -98,58 +95,6 @@ struct WGraph {
 
   Neighborhood out_neigh(NodeID v) const {
     return Neighborhood{this, indptr[v], indptr[v + 1]};
-  }
-
-  // Loads "src dst [weight]" lines; '#'/'%' open comments.
-  static WGraph Load(const std::string &path) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cannot open graph file: " << path << std::endl;
-      std::exit(1);
-    }
-    std::vector<NodeID> sources, dests;
-    std::vector<WeightT> edge_weights;
-    NodeID max_id = -1;
-    std::string line;
-    NodeID declared_nodes = -1;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#' || line[0] == '%') {
-        // Honour the "# vertices=N ..." header written by save_edge_list so
-        // trailing isolated vertices are preserved.
-        size_t pos = line.find("vertices=");
-        if (pos != std::string::npos)
-          declared_nodes = atoll(line.c_str() + pos + 9);
-        continue;
-      }
-      std::istringstream row(line);
-      NodeID s, d;
-      WeightT w = 1;
-      if (!(row >> s >> d)) continue;
-      row >> w;
-      sources.push_back(s);
-      dests.push_back(d);
-      edge_weights.push_back(w);
-      max_id = std::max(max_id, std::max(s, d));
-    }
-    WGraph g;
-    g.num_nodes = std::max(max_id + 1, declared_nodes);
-    g.num_edges_ = (int64_t)sources.size();
-    std::vector<int64_t> degree(g.num_nodes, 0);
-    for (NodeID s : sources) degree[s]++;
-    g.indptr_store.assign(g.num_nodes + 1, 0);
-    for (int64_t v = 0; v < g.num_nodes; v++)
-      g.indptr_store[v + 1] = g.indptr_store[v] + degree[v];
-    g.indices_store.resize(g.num_edges_);
-    g.weights_store.resize(g.num_edges_);
-    std::vector<int64_t> cursor(g.indptr_store.begin(),
-                                g.indptr_store.end() - 1);
-    for (size_t e = 0; e < sources.size(); e++) {
-      int64_t slot = cursor[sources[e]]++;
-      g.indices_store[slot] = dests[e];
-      g.weights_store[slot] = edge_weights[e];
-    }
-    g.adopt();
-    return g;
   }
 
   std::vector<int64_t> OutDegrees() const {
@@ -492,20 +437,49 @@ inline WGraph TransposeGraph(const WGraph &g) {
   return t;
 }
 
-// Template so the same dump works for std::vector and the native OutVec view.
-template <typename Vec>
-static void dumpVector(std::ostream &out, const char *name,
-                       const Vec &values) {
-  out << name;
-  for (size_t i = 0; i < values.size(); i++) out << ' ' << values[i];
-  out << '\n';
-}
 // ---- end embedded runtime ------------------------------------------------
 
+
+// ---- native ABI support --------------------------------------------------
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+// A vector *view* over a caller-owned output buffer: global vector
+// constants bind to these so every priority/result write lands directly in
+// the caller's numpy array (zero-copy outputs).  Capacity is the graph's
+// vertex count, guaranteed by the runner.
+struct OutVec {
+  int64_t *ptr = nullptr;
+  size_t n = 0;
+
+  void bind(int64_t *p, int64_t size) { ptr = p; n = (size_t)size; }
+  size_t size() const { return n; }
+  int64_t *data() { return ptr; }
+  const int64_t *data() const { return ptr; }
+  int64_t &operator[](size_t i) { return ptr[i]; }
+  const int64_t &operator[](size_t i) const { return ptr[i]; }
+
+  void assign(int64_t size, int64_t value) {
+    n = (size_t)size;
+    for (size_t i = 0; i < n; i++) ptr[i] = value;
+  }
+
+  OutVec &operator=(const std::vector<int64_t> &values) {
+    n = values.size();
+    for (size_t i = 0; i < n; i++) ptr[i] = values[i];
+    return *this;
+  }
+};
+// ---- end native ABI support ----------------------------------------------
+
 WGraph edges;
-std::vector<int64_t> D;
+OutVec D;
 LazyPriorityQueue *pq = nullptr;
-int64_t delta = 1;
+int64_t delta = 0;
+int64_t __repro_bucket_fusion_threshold = 0;
+int64_t __repro_num_buckets = 0;
+uint64_t __repro_run_id = 0;
 
 inline int64_t apply_f_transformed(NodeID vertex, int64_t count) {
   int64_t k = pq->getCurrentPriority();
@@ -518,43 +492,191 @@ inline int64_t apply_f_transformed(NodeID vertex, int64_t count) {
   return kIntMax;
 }
 
-int main(int argc, char *argv[]) {
-  (void)argc;
+extern "C" int64_t repro_native_abi_version() { return 2; }
+extern "C" int64_t repro_native_num_outputs() { return 1; }
+extern "C" int64_t repro_native_num_args_required() { return 0; }
+
+extern "C" int64_t repro_native_run(
+    const int64_t *__repro_indptr,
+    const int64_t *__repro_indices,
+    const int64_t *__repro_weights,
+    int64_t __repro_num_nodes, int64_t __repro_num_edges,
+    const int64_t *__repro_args, int64_t __repro_num_args,
+    int64_t **__repro_out, int64_t __repro_num_out,
+    const int64_t *__repro_params, int64_t __repro_num_params) {
+  if (__repro_num_out != 1) return 2;
+  if (__repro_num_args < 0) return 3;
+  if (__repro_num_params != 4) return 4;
+  __repro_run_id++;
+  const int64_t __repro_num_threads = __repro_params[0];
+  delta = __repro_params[1];
+  __repro_bucket_fusion_threshold = __repro_params[2];
+  __repro_num_buckets = __repro_params[3];
+  #ifdef _OPENMP
+  if (__repro_num_threads > 0) omp_set_num_threads((int)__repro_num_threads);
+  #endif
+  (void)__repro_num_threads;
   detectSerial();
-  edges = WGraph::Load(argv[1]);
-  D = edges.OutDegrees();
-  pq = new LazyPriorityQueue(D.data(), edges.num_nodes, delta, -1, 64, 1, kIntMax);
-  std::vector<int64_t> __count(edges.num_nodes, 0);
-  std::vector<NodeID> __touched(edges.num_nodes);
-  size_t __touched_tail = 0;
-  while ((pq->finished() == false)) {
-    std::vector<NodeID> bucket = pq->dequeueReadySet();
-    {
-      const int64_t __k = pq->getCurrentPriority();
-      #pragma omp parallel for schedule(dynamic, 64) if(!gSerial)
-      for (size_t __i = 0; __i < bucket.size(); __i++) {
-        for (WNode __wn : edges.out_neigh(bucket[__i])) {
-          if (D[__wn.v] <= __k) continue;
-          if (fetchAdd(&__count[__wn.v], (int64_t)1) == 0) {
-            size_t __slot = fetchAdd(&__touched_tail, (size_t)1);
-            __touched[__slot] = __wn.v;
+  if (pq) { delete pq; pq = nullptr; }
+  D.bind(__repro_out[0], __repro_num_nodes);
+  edges = WGraph::Borrow(__repro_indptr, __repro_indices, __repro_weights, __repro_num_nodes, __repro_num_edges);
+  for (NodeID __v = 0; __v < edges.num_nodes; __v++) D[__v] = edges.out_degree(__v);
+  auto __repro_main = [&]() {
+    pq = new LazyPriorityQueue(D.data(), edges.num_nodes, delta, -1, __repro_num_buckets, 1, kIntMax);
+    std::vector<int64_t> __count(edges.num_nodes, 0);
+    std::vector<NodeID> __touched(edges.num_nodes);
+    size_t __touched_tail = 0;
+    while ((pq->finished() == false)) {
+      std::vector<NodeID> bucket = pq->dequeueReadySet();
+      {
+        const int64_t __k = pq->getCurrentPriority();
+        #pragma omp parallel for schedule(dynamic, 64) if(!gSerial)
+        for (size_t __i = 0; __i < bucket.size(); __i++) {
+          for (WNode __wn : edges.out_neigh(bucket[__i])) {
+            if (D[__wn.v] <= __k) continue;
+            if (fetchAdd(&__count[__wn.v], (int64_t)1) == 0) {
+              size_t __slot = fetchAdd(&__touched_tail, (size_t)1);
+              __touched[__slot] = __wn.v;
+            }
           }
         }
+        #pragma omp parallel for schedule(dynamic, 64) if(!gSerial)
+        for (size_t __i = 0; __i < __touched_tail; __i++) {
+          NodeID __v = __touched[__i];
+          if (apply_f_transformed(__v, __count[__v]) != kIntMax) pq->bufferVertex(__v);
+          __count[__v] = 0;
+        }
+        __touched_tail = 0;
       }
-      #pragma omp parallel for schedule(dynamic, 64) if(!gSerial)
-      for (size_t __i = 0; __i < __touched_tail; __i++) {
-        NodeID __v = __touched[__i];
-        if (apply_f_transformed(__v, __count[__v]) != kIntMax) pq->bufferVertex(__v);
-        __count[__v] = 0;
-      }
-      __touched_tail = 0;
+      // delete bucket (scope-managed)
     }
-    // delete bucket (scope-managed)
-  }
-  {
-    const char *__path = std::getenv("REPRO_OUTPUT");
-    std::ofstream __out(__path ? __path : "repro_output.txt");
-    dumpVector(__out, "D", D);
-  }
+  };
+  __repro_main();
   return 0;
+}
+
+// ---- standalone driver: load an edge list, run the kernel, dump vectors ---
+#include <fstream>
+#include <iostream>
+#include <sstream>
+#include <string>
+
+// Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
+// and returns a borrowed view of them.  The "# vertices=N" header written by
+// save_edge_list keeps trailing isolated vertices.
+static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
+                           std::vector<NodeID> &indices,
+                           std::vector<WeightT> &weights) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "error: cannot open graph file: " << path << std::endl;
+    std::exit(1);
+  }
+  std::vector<NodeID> sources, dests;
+  std::vector<WeightT> edge_weights;
+  NodeID max_id = -1, declared_nodes = -1;
+  std::string line;
+  for (int64_t lineno = 1; std::getline(in, line); lineno++) {
+    if (line.empty() || line[0] == '#' || line[0] == '%') {
+      size_t pos = line.find("vertices=");
+      if (pos != std::string::npos)
+        declared_nodes = atoll(line.c_str() + pos + 9);
+      continue;
+    }
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    std::istringstream row(line);
+    NodeID s = -1, d = -1;
+    WeightT w = 1;
+    if (!(row >> s >> d) || s < 0 || d < 0) {
+      std::cerr << "error: " << path << ":" << lineno
+                << ": expected 'src dst [weight]' with vertex ids >= 0, got '"
+                << line << "'" << std::endl;
+      std::exit(1);
+    }
+    row >> w;
+    sources.push_back(s);
+    dests.push_back(d);
+    edge_weights.push_back(w);
+    max_id = std::max(max_id, std::max(s, d));
+  }
+  const int64_t n = std::max(max_id + 1, declared_nodes);
+  const int64_t m = (int64_t)sources.size();
+  indptr.assign(n + 1, 0);
+  for (NodeID s : sources) indptr[s + 1]++;
+  for (int64_t v = 0; v < n; v++) indptr[v + 1] += indptr[v];
+  indices.resize(m);
+  weights.resize(m);
+  std::vector<int64_t> cursor(indptr.begin(), indptr.end() - 1);
+  for (int64_t e = 0; e < m; e++) {
+    int64_t slot = cursor[sources[e]]++;
+    indices[slot] = dests[e];
+    weights[slot] = edge_weights[e];
+  }
+  return WGraph::Borrow(indptr.data(), indices.data(), weights.data(), n, m);
+}
+
+static void dumpVector(std::ostream &out, const std::string &name,
+                       const std::vector<int64_t> &values) {
+  out << name;
+  for (int64_t value : values) out << ' ' << value;
+  out << '\n';
+}
+
+// Runs the kernel on the graph argv[1] with the integer arguments argv[2:]
+// and writes each output vector to $REPRO_OUTPUT (default
+// repro_output.txt), one "name v0 v1 ..." line each.  An argument the
+// program uses as a vertex must lie in [0, n).
+static int runDriver(int argc, char *argv[],
+                     const std::vector<std::string> &outputs,
+                     const std::vector<int> &vertex_args,
+                     const std::vector<int64_t> &params) {
+  if (argc < 2) {
+    std::cerr << "usage: " << argv[0] << " <graph.el> [integer arguments]"
+              << std::endl;
+    return 1;
+  }
+  std::vector<int64_t> indptr;
+  std::vector<NodeID> indices;
+  std::vector<WeightT> weights;
+  WGraph g = LoadEdgeList(argv[1], indptr, indices, weights);
+  std::vector<int64_t> args;
+  for (int i = 2; i < argc; i++) args.push_back(atoll(argv[i]));
+  for (int k : vertex_args) {
+    if (k < argc && (args[k - 2] < 0 || args[k - 2] >= g.num_nodes)) {
+      std::cerr << "error: argv[" << k << "] = " << args[k - 2]
+                << " out of range for a " << g.num_nodes << "-vertex graph"
+                << std::endl;
+      return 1;
+    }
+  }
+  std::vector<std::vector<int64_t>> values(
+      outputs.size(), std::vector<int64_t>(g.num_nodes));
+  std::vector<int64_t *> out;
+  for (std::vector<int64_t> &value : values) out.push_back(value.data());
+  int64_t status = repro_native_run(
+      g.indptr, g.indices, g.weights, g.num_nodes, g.num_edges(), args.data(),
+      (int64_t)args.size(), out.data(), (int64_t)out.size(), params.data(),
+      (int64_t)params.size());
+  if (status == 3) {
+    std::cerr << "error: program needs " << repro_native_num_args_required()
+              << " integer argument(s) after the graph path, got "
+              << args.size() << std::endl;
+    return 1;
+  }
+  if (status != 0) {
+    std::cerr << "error: kernel returned status " << status
+              << (status == 2 ? " (output arity mismatch)"
+                              : " (run-parameter block size mismatch)")
+              << std::endl;
+    return 1;
+  }
+  const char *path = std::getenv("REPRO_OUTPUT");
+  std::ofstream file(path ? path : "repro_output.txt");
+  for (size_t i = 0; i < outputs.size(); i++)
+    dumpVector(file, outputs[i], values[i]);
+  return 0;
+}
+
+int main(int argc, char *argv[]) {
+  return runDriver(argc, argv, {"D"}, {}, {0, 1, 1000, 64});
 }

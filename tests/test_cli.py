@@ -120,6 +120,16 @@ class TestRun:
         assert "vector D:" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("execution", ["serial", "native"])
+    def test_run_rejects_out_of_range_vertex(self, tmp_path, capsys, execution):
+        path = tmp_path / "g.el"
+        path.write_text("0 1 4\n1 2 3\n")
+        code = main(["run", "sssp", str(path), "7", "--execution", execution])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: argv[2] = 7 out of range for a 3-vertex graph" in err
+
+
 class TestRunIncremental:
     def test_run_incremental_resumes_per_batch_and_verifies(
         self, graph_file, tmp_path, capsys

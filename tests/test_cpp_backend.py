@@ -6,15 +6,22 @@ graphs as the ``cpp`` slice of the oracle matrix (``tests/oracle_matrix.py``):
 their outputs must equal the scalar oracle's.
 """
 
+import os
+import subprocess
+
 import pytest
 
 from repro.backend import compile_program
+from repro.backend.cpp_backend import _CppEmitter, generate_cpp, generate_native_cpp
 from repro.errors import CompileError
 from repro.graph import rmat, road_grid
 from repro.lang import ALL_PROGRAMS
+from repro.lang.parser import parse
 from repro.midend import Schedule
+from repro.midend.transforms.lowering import plan_program
 
-from .oracle_matrix import Cell, check
+from .oracle_matrix import GXX, Cell, _standalone_binary, check
+from .test_native_differential import _code_shapes
 
 pytestmark = pytest.mark.slow
 
@@ -58,7 +65,10 @@ class TestGeneratedStructure:
     def test_fusion_adds_inner_while(self):
         fused = generate("sssp", Schedule(priority_update="eager_with_fusion", delta=4))
         assert "bucket fusion (Figure 7)" in fused
-        assert "local_bins[curr_bin_index].size() < 1000" in fused
+        # The threshold is a run parameter: the kernel reads its global and
+        # the driver passes the schedule's value (0 threads = OpenMP default).
+        assert "local_bins[curr_bin_index].size() < __repro_bucket_fusion_threshold" in fused
+        assert "runDriver(argc, argv, {\"dist\"}, {2}, {0, 4, 1000, 128});" in fused
 
     def test_histogram_shape(self):
         text = generate("kcore", Schedule(priority_update="lazy_constant_sum"))
@@ -86,7 +96,78 @@ class TestGeneratedStructure:
 
     def test_output_dump_present(self):
         text = generate("sssp", Schedule())
-        assert 'dumpVector(__out, "dist", dist);' in text
+        assert "dumpVector(file, outputs[i], values[i]);" in text
+        assert 'runDriver(argc, argv, {"dist"}, {2},' in text
+
+
+class TestOneEmitter:
+    def test_standalone_program_is_the_kernel_plus_a_driver(self):
+        """The standalone text starts with the native kernel, byte for
+        byte, for every (program, strategy, direction) native accepts."""
+        shapes = 0
+        for name in sorted(ALL_PROGRAMS):
+            for schedule, _ in _code_shapes(name):
+                plan = plan_program(parse(ALL_PROGRAMS[name]), schedule)
+                kernel = generate_native_cpp(plan)
+                assert generate_cpp(plan).startswith(kernel), (name, schedule)
+                shapes += 1
+        assert shapes >= 20
+
+    def test_one_emitter_class(self):
+        assert _CppEmitter.__subclasses__() == []
+
+
+class TestStandaloneInput:
+    """Bad input to the standalone program is refused with a message on
+    stderr and exit 1, and the sanitized build reports nothing."""
+
+    @pytest.fixture(scope="class")
+    def sssp(self):
+        if GXX is None:
+            pytest.skip("g++ not available")
+        return _standalone_binary(
+            "sssp", Schedule(priority_update="lazy", delta=2), True
+        )
+
+    @staticmethod
+    def run(exe, tmp_path, edges: str, *args: str):
+        graph_file = tmp_path / "g.el"
+        graph_file.write_text(edges)
+        env = dict(
+            os.environ,
+            REPRO_OUTPUT=str(tmp_path / "out.txt"),
+            ASAN_OPTIONS="detect_leaks=0",
+        )
+        done = subprocess.run(
+            [str(exe), str(graph_file), *args], env=env, capture_output=True, text=True
+        )
+        assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr
+        return done
+
+    def test_missing_start_argument(self, sssp, tmp_path):
+        done = self.run(sssp, tmp_path, "0 1 4\n1 2 3\n")
+        assert done.returncode == 1
+        assert "needs 1 integer argument(s) after the graph path, got 0" in done.stderr
+
+    def test_negative_vertex_id_in_edge_list(self, sssp, tmp_path):
+        done = self.run(sssp, tmp_path, "0 1 4\n-1 2 4\n", "0")
+        assert done.returncode == 1
+        assert ":2: expected 'src dst [weight]' with vertex ids >= 0" in done.stderr
+
+    def test_malformed_vertex_id_in_edge_list(self, sssp, tmp_path):
+        done = self.run(sssp, tmp_path, "0 x 4\n", "0")
+        assert done.returncode == 1
+        assert "got '0 x 4'" in done.stderr
+
+    def test_out_of_range_start_vertex(self, sssp, tmp_path):
+        done = self.run(sssp, tmp_path, "0 1 4\n1 2 3\n", "7")
+        assert done.returncode == 1
+        assert "argv[2] = 7 out of range for a 3-vertex graph" in done.stderr
+
+    def test_valid_input_still_runs(self, sssp, tmp_path):
+        done = self.run(sssp, tmp_path, "0 1 4\n1 2 3\n", "0")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out.txt").read_text() == "dist 0 4 7\n"
 
 
 class TestCompileAndRun:

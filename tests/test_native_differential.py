@@ -33,7 +33,7 @@ from repro.backend.native import (
 )
 from repro.backend.native.abi import RUN_PARAMETERS
 from repro.backend.native.runner import generate_for_plan
-from repro.errors import CompileError, GraphItError, SchedulingError
+from repro.errors import CompileError, GraphError, GraphItError, SchedulingError
 from repro.graph import from_edges, rmat
 from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
@@ -684,3 +684,20 @@ def test_refusal_is_retried_under_a_new_toolchain(monkeypatch, social, social_st
     assert result.execution == "native"
     assert program.native_fallback_reason is None
     assert_same_vectors(vectors(result.globals), sssp_oracle(schedule, social, social_start))
+
+
+@needs_toolchain
+def test_out_of_range_vertex_is_refused_before_the_kernel(monkeypatch):
+    """A start vertex outside [0, n) is a GraphError before any kernel is
+    generated, built or entered (the kernel would index out of bounds)."""
+    import repro.backend.native.runner as runner_mod
+
+    def refuse(plan):
+        raise AssertionError("the kernel was generated for a refused argument")
+
+    monkeypatch.setattr(runner_mod, "generate_native_cpp", refuse)
+    tiny = from_edges(3, [(0, 1, 4), (1, 2, 3)])
+    for name, argv in (("sssp", ["7"]), ("ppsp", ["0", "3"]), ("widest", ["-1"])):
+        program = compile_program(ALL_PROGRAMS[name], Schedule(execution="native"))
+        with pytest.raises(GraphError, match="out of range for a 3-vertex graph"):
+            program.run(["prog", "-", *argv], graph=tiny)

@@ -144,11 +144,20 @@ SANITIZED = [
     Cell("widest", Schedule(priority_update="eager_no_fusion", delta=2, num_threads=2), "cpp-asan"),
     Cell("kcore", Schedule(priority_update="lazy_constant_sum", num_threads=2), "cpp-asan"),
     Cell("kcore", Schedule(priority_update="lazy", num_threads=1), "cpp-asan"),
+    # The run-stamped transpose statics of the pull direction.
+    Cell("sssp", Schedule(priority_update="lazy", delta=3, direction="DensePull",
+                          num_threads=2), "cpp-asan"),
+    # The prebinning of the all-vertices queue form.
+    Cell("kcore", Schedule(priority_update="eager_no_fusion", num_threads=2), "cpp-asan"),
+    # The map bins of higher_first under fusion.
+    Cell("widest", Schedule(priority_update="eager_with_fusion", delta=2, num_threads=2),
+         "cpp-asan"),
 ]
 
 
 @pytest.mark.parametrize("cell", SANITIZED, ids=lambda cell: cell.id)
 def test_cpp_under_address_and_undefined_sanitizers(cell):
-    """The emitted C++ runs clean under ASan + UBSan (any report aborts the
-    binary) in both kernel modes, and still matches the oracle."""
+    """The emitted C++ — the shipped native kernel plus the standalone
+    driver — runs clean under ASan + UBSan (any report aborts the binary)
+    in both kernel modes, and still matches the oracle."""
     check(cell)

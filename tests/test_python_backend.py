@@ -16,10 +16,12 @@ from repro.backend.extern_library import (
     collect_setcover_result,
     setcover_externs,
 )
-from repro.errors import CompileError
-from repro.graph import rmat, road_grid
+from repro.errors import CompileError, GraphError
+from repro.graph import from_edges, rmat, road_grid
 from repro.lang import ALL_PROGRAMS
+from repro.lang.parser import parse
 from repro.midend import Schedule
+from repro.midend.transforms.lowering import plan_program
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +295,41 @@ class TestUnorderedDSL:
                 Schedule(priority_update="lazy"),
                 backend="cpp",
             )
+
+
+class TestVertexArguments:
+    """An ``atoi(argv[k])`` that ``main`` uses as a vertex must lie in
+    [0, n): ``run`` raises GraphError before anything executes."""
+
+    def test_facts_name_the_vertex_slots(self):
+        slots = {
+            name: plan_program(parse(source), None).facts.vertex_arguments
+            for name, source in ALL_PROGRAMS.items()
+            if name != "setcover"
+        }
+        assert slots["sssp"] == slots["widest"] == (2,)
+        assert slots["ppsp"] == slots["astar"] == (2, 3)
+        assert slots["kcore"] == ()
+
+    @pytest.mark.parametrize("start", ["7", "3", "-1"])
+    def test_start_vertex_out_of_range(self, start):
+        tiny = from_edges(3, [(0, 1, 4), (1, 2, 3)])
+        program = compile_program(ALL_PROGRAMS["sssp"], Schedule())
+        message = rf"argv\[2\] = {start} out of range for a 3-vertex graph"
+        with pytest.raises(GraphError, match=message):
+            program.run(["sssp", "-", start], graph=tiny)
+
+    def test_target_vertex_through_a_local(self):
+        tiny = from_edges(3, [(0, 1, 4), (1, 2, 3)])
+        program = compile_program(ALL_PROGRAMS["ppsp"], Schedule())
+        with pytest.raises(GraphError, match=r"argv\[3\] = 9 out of range"):
+            program.run(["ppsp", "-", "0", "9"], graph=tiny)
+        assert program.run(["ppsp", "-", "0", "2"], graph=tiny).vector("dist")[2] == 7
+
+    def test_graph_loaded_from_the_path_argument(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("0 1 4\n1 2 3\n")
+        program = compile_program(ALL_PROGRAMS["sssp"], Schedule())
+        with pytest.raises(GraphError, match="out of range for a 3-vertex graph"):
+            program.run(["sssp", str(path), "3"])
+        assert program.run(["sssp", str(path), "0"]).vector("dist").tolist() == [0, 4, 7]
