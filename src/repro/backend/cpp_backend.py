@@ -78,15 +78,11 @@ def generate_cpp(plan: CompilationPlan) -> str:
     """The standalone program for ``plan``: the kernel plus the driver,
     which runs it at OpenMP's default thread count and ``plan``'s Δ,
     fusion threshold and bucket count."""
-    schedule = plan.schedule
-    return generate_native_cpp(plan) + driver(
-        [
-            const.name
-            for const in plan.program.constants
-            if isinstance(const.declared_type, VectorType)
-        ],
+    emitter = _CppEmitter(plan)
+    return emitter.emit() + driver(
+        emitter.vector_names,
         plan.facts.vertex_arguments,
-        [0] + [getattr(schedule, name) for name in RUN_PARAMETERS[1:]],
+        [0] + [getattr(plan.schedule, name) for name in RUN_PARAMETERS[1:]],
     )
 
 

@@ -205,6 +205,8 @@ class CompiledProgram:
         if not slots:
             return graph
         if graph is None:
+            if args[1] in ("", "-"):
+                return graph  # no graph: the run itself reports that
             graph = load_graph_file(args[1])
         n = graph.num_vertices
         for k in slots:

@@ -154,10 +154,11 @@ class TestStandaloneInput:
         assert done.returncode == 1
         assert ":2: expected 'src dst [weight]' with vertex ids >= 0" in done.stderr
 
-    def test_malformed_vertex_id_in_edge_list(self, sssp, tmp_path):
-        done = self.run(sssp, tmp_path, "0 x 4\n", "0")
+    @pytest.mark.parametrize("line", ["0 x 4", "1.5 2", "0 1 x", "0 1 2 3"])
+    def test_malformed_line_in_edge_list(self, sssp, tmp_path, line):
+        done = self.run(sssp, tmp_path, f"0 1 4\n{line}\n", "0")
         assert done.returncode == 1
-        assert "got '0 x 4'" in done.stderr
+        assert f":2: expected 'src dst [weight]' with vertex ids >= 0, got '{line}'" in done.stderr
 
     def test_out_of_range_start_vertex(self, sssp, tmp_path):
         done = self.run(sssp, tmp_path, "0 1 4\n1 2 3\n", "7")
@@ -165,9 +166,12 @@ class TestStandaloneInput:
         assert "argv[2] = 7 out of range for a 3-vertex graph" in done.stderr
 
     def test_valid_input_still_runs(self, sssp, tmp_path):
-        done = self.run(sssp, tmp_path, "0 1 4\n1 2 3\n", "0")
+        # Comments, a blank line, CRLF, an unweighted edge (weight 1) and
+        # a header that keeps a trailing isolated vertex.
+        edges = "# vertices=4\n0 1 4\r\n\n% note\n1 2\n"
+        done = self.run(sssp, tmp_path, edges, "0")
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "out.txt").read_text() == "dist 0 4 7\n"
+        assert (tmp_path / "out.txt").read_text() == f"dist 0 4 5 {2**63 - 1}\n"
 
 
 class TestCompileAndRun:
