@@ -37,7 +37,6 @@ import numpy as np
 
 from ...errors import CompileError, GraphItError
 from ...graph.csr import CSRGraph
-from ...graph.io import load_edge_list
 from ...lang.types import VectorType
 from ...obs import metrics
 from ...obs import span as trace_span
@@ -188,7 +187,7 @@ def execute_native(program, args, graph: CSRGraph | None = None):
     globals are the program's output vectors.
     """
     from ..program import RunResult
-    from ..runtime_support import Context
+    from ..runtime_support import Context, load_graph_file
 
     toolchain = discover_toolchain()
     if toolchain is None:
@@ -223,7 +222,7 @@ def execute_native(program, args, graph: CSRGraph | None = None):
                     "native execution needs a graph: pass graph= or a path "
                     "in argv[1]"
                 )
-            graph = load_edge_list(args[1])
+            graph = load_graph_file(args[1])
 
         indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(graph.indices, dtype=np.int64)

@@ -562,7 +562,7 @@ extern "C" int64_t repro_native_run(
 #include <string>
 
 // Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
-// and returns a borrowed view of them.  The "# vertices=N" header written by
+// and returns a borrowed view of them; any other line is an error.  The "# vertices=N" header written by
 // save_edge_list keeps trailing isolated vertices.
 static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
                            std::vector<NodeID> &indices,
@@ -587,13 +587,14 @@ static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
     std::istringstream row(line);
     NodeID s = -1, d = -1;
     WeightT w = 1;
-    if (!(row >> s >> d) || s < 0 || d < 0) {
+    std::string extra;
+    if (!(row >> s >> d) || s < 0 || d < 0 || (!(row >> w) && !row.eof()) ||
+        row >> extra) {
       std::cerr << "error: " << path << ":" << lineno
                 << ": expected 'src dst [weight]' with vertex ids >= 0, got '"
                 << line << "'" << std::endl;
       std::exit(1);
     }
-    row >> w;
     sources.push_back(s);
     dests.push_back(d);
     edge_weights.push_back(w);

@@ -103,7 +103,8 @@ BASE = dict(
 _EXECUTION_FIELDS = ("execution", "sanitize", "incremental")
 
 #: The execution axis: name -> the Schedule fields it sets.  ``cpp`` is the
-#: standalone C++ program built with g++ (``cpp-asan`` with ASan + UBSan),
+#: standalone C++ program (the native kernel plus its driver) built with g++
+#: and run at ``num_threads`` OpenMP threads (``cpp-asan`` with ASan + UBSan),
 #: ``library`` the hand-written entry points (``repro.sssp`` ...).
 EXECUTIONS: dict[str, dict] = {
     "vectorized": dict(execution="serial"),

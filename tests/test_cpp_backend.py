@@ -149,13 +149,10 @@ class TestStandaloneInput:
         assert done.returncode == 1
         assert "needs 1 integer argument(s) after the graph path, got 0" in done.stderr
 
-    def test_negative_vertex_id_in_edge_list(self, sssp, tmp_path):
-        done = self.run(sssp, tmp_path, "0 1 4\n-1 2 4\n", "0")
-        assert done.returncode == 1
-        assert ":2: expected 'src dst [weight]' with vertex ids >= 0" in done.stderr
-
-    @pytest.mark.parametrize("line", ["0 x 4", "1.5 2", "0 1 x", "0 1 2 3"])
-    def test_malformed_line_in_edge_list(self, sssp, tmp_path, line):
+    @pytest.mark.parametrize("line", ["-1 2 4", "0 x 4", "1.5 2", "0 1 x", "0 1 2 3"])
+    def test_bad_edge_list_line(self, sssp, tmp_path, line):
+        """Each is an error: a negative id used to overflow the loader's
+        heap, and the others were silently skipped or misread."""
         done = self.run(sssp, tmp_path, f"0 1 4\n{line}\n", "0")
         assert done.returncode == 1
         assert f":2: expected 'src dst [weight]' with vertex ids >= 0, got '{line}'" in done.stderr

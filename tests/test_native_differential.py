@@ -34,7 +34,7 @@ from repro.backend.native import (
 from repro.backend.native.abi import RUN_PARAMETERS
 from repro.backend.native.runner import generate_for_plan
 from repro.errors import CompileError, GraphError, GraphItError, SchedulingError
-from repro.graph import from_edges, rmat
+from repro.graph import from_edges, rmat, save_npz
 from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
 from repro.midend import Schedule
@@ -701,3 +701,17 @@ def test_out_of_range_vertex_is_refused_before_the_kernel(monkeypatch):
         program = compile_program(ALL_PROGRAMS[name], Schedule(execution="native"))
         with pytest.raises(GraphError, match="out of range for a 3-vertex graph"):
             program.run(["prog", "-", *argv], graph=tiny)
+
+
+@needs_toolchain
+def test_graph_path_loads_by_extension(tmp_path):
+    """argv[1] is read the way the interpreter's load() reads it: an .npz
+    path runs natively, not as edge-list text."""
+    symmetric = graph("social_symmetric")
+    path = tmp_path / "g.npz"
+    save_npz(symmetric, path)
+    schedule = Schedule(priority_update="lazy_constant_sum", execution="native")
+    native = compile_program(ALL_PROGRAMS["kcore"], schedule).run(["kcore", str(path)])
+    assert native.execution == "native"
+    serial = compile_program(ALL_PROGRAMS["kcore"], Schedule()).run(["kcore", "-"], graph=symmetric)
+    np.testing.assert_array_equal(native.vector("D"), serial.vector("D"))
