@@ -549,8 +549,9 @@ _DRIVER = _piece(
 #include <string>
 
 // Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
-// and returns a borrowed view of them; any other line is an error.  The "# vertices=N" header written by
-// save_edge_list keeps trailing isolated vertices.
+// and returns a borrowed view of them; any other line is an error.  The
+// "# vertices=N" header written by save_edge_list keeps trailing isolated
+// vertices.
 static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
                            std::vector<NodeID> &indices,
                            std::vector<WeightT> &weights) {
