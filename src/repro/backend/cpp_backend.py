@@ -249,11 +249,7 @@ class _CppEmitter:
             kernel_runtime(
                 # The higher_first eager region bins into a std::map.
                 uses_map=self.schedule.is_eager and not self._dir_lower,
-                uses_print=any(
-                    isinstance(node, ast.Print)
-                    for function in self.program.functions
-                    for node in ast.walk(function)
-                ),
+                uses_print=self.plan.facts.prints,
             )
         )
         self._emit_globals()
@@ -317,27 +313,13 @@ class _CppEmitter:
     # ------------------------------------------------------------------
     # The extern "C" entry point: main's body over the ABI parameters
     # ------------------------------------------------------------------
-    def _required_args(self) -> int:
-        """How many integer arguments (argv[2:]) the program reads."""
-        main = self.program.function("main")
-        highest = 1
-        for node in ast.walk(main):
-            if (
-                isinstance(node, ast.Index)
-                and isinstance(node.base, ast.Name)
-                and node.base.identifier == "argv"
-                and isinstance(node.index, ast.IntLiteral)
-            ):
-                highest = max(highest, node.index.value)
-        return highest - 1
-
     def _emit_entry(self) -> None:
         main = self.program.function("main")
         if main is None:
             raise CompileError("program has no main function")
         out = self.out
         num_outputs = len(self.vector_names)
-        required_args = self._required_args()
+        required_args = self.plan.facts.num_args_required
         out.line(
             "extern \"C\" int64_t repro_native_abi_version() "
             f"{{ return {ABI_VERSION}; }}"

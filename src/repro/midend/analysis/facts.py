@@ -263,6 +263,10 @@ class ProgramFacts:
     #: argv slots whose ``atoi`` value ``main`` uses as a vertex (a vector
     #: index or the queue's start vertex), ascending
     vertex_arguments: tuple[int, ...] = ()
+    #: whether any function has a ``print`` statement
+    prints: bool = False
+    #: how many integer arguments (``argv[2:]``) ``main`` reads
+    num_args_required: int = 0
 
     def queue_vector(self, queue_name: str) -> str | None:
         info = self.queues.get(queue_name)
@@ -332,9 +336,11 @@ def build_facts(program: ast.Program) -> ProgramFacts:
     labels: dict[str, Span] = {}
     queue_fields: dict[str, dict] = {name: {"name": name} for name in queue_names}
     apply_sites: list[ApplySite] = []
+    prints = False
     for func in program.functions:
         walk = _FunctionWalk(func, queue_names, file)
         walks.setdefault(func.name, walk)
+        prints = prints or walk.prints
         for label, node in walk.labels:
             labels.setdefault(label, Span.from_node(node, file=file))
         for assign in walk.queue_constructors:
@@ -365,7 +371,22 @@ def build_facts(program: ast.Program) -> ProgramFacts:
         udfs=udfs,
         labels=labels,
         vertex_arguments=_vertex_arguments(main, vectors) if main is not None else (),
+        prints=prints,
+        num_args_required=_num_args_required(main) if main is not None else 0,
     )
+
+
+def _num_args_required(main: "_FunctionWalk") -> int:
+    """How many integer arguments ``main`` reads: its highest literal
+    ``argv[k]`` slot, less the graph path ``argv[1]``."""
+    return max(
+        [1]
+        + [
+            access.node.index.value
+            for access in main.reads
+            if access.base == "argv" and isinstance(access.node.index, ast.IntLiteral)
+        ]
+    ) - 1
 
 
 def _vertex_arguments(main: "_FunctionWalk", vectors: frozenset[str]) -> tuple[int, ...]:
@@ -434,6 +455,7 @@ class _FunctionWalk:
         self.uses: dict[str, list[int]] = {}
         self.declarations: list[ast.VarDecl] = []
         self.definition_counts: dict[str, int] = {}
+        self.prints = False
         self._statement = 0
         self._body(func.body, (), 0)
 
@@ -464,6 +486,7 @@ class _FunctionWalk:
             elif isinstance(statement, ast.ExprStmt):
                 self._expr_statement(statement, guards, loops)
             elif isinstance(statement, ast.Print):
+                self.prints = True
                 self._expr(statement.expression)
             elif isinstance(statement, ast.Return) and statement.value is not None:
                 self._expr(statement.value)
