@@ -27,8 +27,8 @@ VARIANTS = {
 FINGERPRINTS = {
     "(a) lazy SparsePush": (
         "new LazyPriorityQueue",
-        "atomicWriteMin(&dist[dst]",
-        "pq->bufferVertex(dst)",
+        "atomicWriteMin<false>(&dist[dst]",
+        "pq->bufferVertex<false>(dst)",
     ),
     "(b) lazy DensePull": ("TransposeGraph", "__frontier_map"),
     "(c) eager": ("local_bins", "shared_indexes", "#pragma omp parallel"),

@@ -27,6 +27,10 @@ loads an edge list, calls the entry point and dumps every global vector to
 ``lazy_constant_sum`` additionally emits the Figure 10 transformed function
 and a histogram-based apply.
 
+Each of these regions is written once and instantiated twice under one
+dispatch on the run's thread mode: serial code and the OpenMP text
+(``cpp_runtime``'s module docstring; DESIGN §11).
+
 Programs using extern functions (A*, SetCover) are rejected — as in the
 paper's artifact those require hand-written C++ extern functions.
 """
@@ -34,6 +38,7 @@ paper's artifact those require hand-written C++ extern functions.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from ..errors import CompileError, SchedulingError
 from ..lang import ast_nodes as ast
@@ -63,10 +68,6 @@ RUN_PARAMETERS = ("num_threads", "delta", "bucket_fusion_threshold", "num_bucket
 #: The Schedule fields that change the kernel's code, and so its cache key.
 #: Every other field is a run parameter or is refused natively.
 CODE_SHAPE_FIELDS = ("priority_update", "direction")
-
-# Every emitted region is guarded by the runtime's one-thread bit, so a
-# one-thread kernel never enters a parallel region (cpp_runtime.py).
-PARALLEL_FOR = "#pragma omp parallel for schedule(dynamic, 64) if(!gSerial)"
 
 
 def generate_native_cpp(plan: CompilationPlan) -> str:
@@ -145,6 +146,8 @@ class _CppEmitter:
         # Context flags used during statement emission.
         self._in_eager_region = False
         self._emitting_transformed = False
+        # The instantiation being emitted (``_instantiate``).
+        self._serial = False
 
     # ------------------------------------------------------------------
     # Plan inspection helpers
@@ -564,119 +567,163 @@ class _CppEmitter:
         return names[0], names[1], names[2]
 
     def _emit_push_apply(self, edgeset: str, bucket: str, udf: ast.FuncDecl) -> None:
-        out = self.out
         src, dst, weight = self._udf_param_names(udf)
-        out.line("{")
-        out.push()
-        out.line(PARALLEL_FOR)
-        out.line(f"for (size_t __i = 0; __i < {bucket}.size(); __i++) {{")
-        out.push()
-        out.line(f"NodeID {src} = {bucket}[__i];")
-        out.line(f"for (WNode __wn : {edgeset}.out_neigh({src})) {{")
-        out.push()
-        out.line(f"NodeID {dst} = __wn.v;")
-        if weight is not None:
-            out.line(f"WeightT {weight} = __wn.weight;")
-        self._emit_udf_body(udf, mode="lazy_push")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
+
+        def body() -> None:
+            self._omp("parallel for schedule(dynamic, 64)")
+            with self._block(f"for (size_t __i = 0; __i < {bucket}.size(); __i++)"):
+                self.out.line(f"NodeID {src} = {bucket}[__i];")
+                with self._out_edges(src, dst, weight):
+                    self._emit_udf_body(udf, mode="lazy_push")
+
+        with self._block():
+            self._hoist_csr(edgeset, weight is not None)
+            self._instantiate(body)
 
     def _emit_pull_apply(self, edgeset: str, bucket: str, udf: ast.FuncDecl) -> None:
         out = self.out
         src, dst, weight = self._udf_param_names(udf)
-        out.line("{")
-        out.push()
-        # Run-stamped statics: built once per entry invocation, rebuilt
-        # when a later invocation brings a new graph.
-        out.line("static WGraph __transposed;")
-        out.line("static std::vector<uint8_t> __frontier_map;")
-        out.line("static uint64_t __transposed_run = 0;")
-        out.line("if (__transposed_run != __repro_run_id) {")
-        out.push()
-        out.line(f"__transposed = TransposeGraph({edgeset});")
-        out.line(f"__frontier_map.assign({edgeset}.num_nodes, 0);")
-        out.line("__transposed_run = __repro_run_id;")
-        out.pop()
-        out.line("}")
-        out.line(
-            "std::fill(__frontier_map.begin(), __frontier_map.end(), 0);"
-        )
-        out.line(f"for (NodeID __v : {bucket}) __frontier_map[__v] = 1;")
-        out.line(PARALLEL_FOR)
-        out.line(
-            f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++) {{"
-        )
-        out.push()
-        out.line(f"for (WNode __wn : __transposed.out_neigh({dst})) {{")
-        out.push()
-        out.line("if (!__frontier_map[__wn.v]) continue;")
-        out.line(f"NodeID {src} = __wn.v;")
-        if weight is not None:
-            out.line(f"WeightT {weight} = __wn.weight;")
-        self._emit_udf_body(udf, mode="lazy_pull")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
+
+        def body() -> None:
+            self._omp("parallel for schedule(dynamic, 64)")
+            with self._block(
+                f"for (NodeID {dst} = 0; {dst} < {edgeset}.num_nodes; {dst}++)"
+            ):
+                with self._out_edges(dst, src, weight):
+                    out.line(f"if (!__frontier_map[{src}]) continue;")
+                    self._emit_udf_body(udf, mode="lazy_pull")
+
+        with self._block():
+            # Run-stamped statics: built once per entry invocation, rebuilt
+            # when a later invocation brings a new graph.
+            out.line("static WGraph __transposed;")
+            out.line("static std::vector<uint8_t> __frontier_map;")
+            out.line("static uint64_t __transposed_run = 0;")
+            with self._block("if (__transposed_run != __repro_run_id)"):
+                out.line(f"__transposed = TransposeGraph({edgeset});")
+                out.line(f"__frontier_map.assign({edgeset}.num_nodes, 0);")
+                out.line("__transposed_run = __repro_run_id;")
+            out.line("std::fill(__frontier_map.begin(), __frontier_map.end(), 0);")
+            out.line(f"for (NodeID __v : {bucket}) __frontier_map[__v] = 1;")
+            self._hoist_csr("__transposed", weight is not None)
+            self._instantiate(body)
 
     def _emit_histogram_scratch(self) -> None:
-        out = self.out
-        out.line(
-            f"std::vector<int64_t> __count({self.edgeset_name}.num_nodes, 0);"
-        )
-        out.line(
-            f"std::vector<NodeID> __touched({self.edgeset_name}.num_nodes);"
-        )
-        out.line("size_t __touched_tail = 0;")
+        nodes = f"{self.edgeset_name}.num_nodes"
+        self.out.line(f"std::vector<int64_t> __count({nodes}, 0);")
+        # One spare slot for the serial count's unconditional store.
+        self.out.line(f"std::vector<NodeID> __touched({nodes} + 1);")
 
     def _emit_histogram_apply(self, edgeset: str, bucket: str) -> None:
         out = self.out
         transformed = self.plan.transformed_udf
         if transformed is None:
             raise CompileError("histogram schedule lacks a transformed UDF")
-        out.line("{")
-        out.push()
-        out.line(
-            f"const int64_t __k = {self.queue_name}->getCurrentPriority();"
-        )
-        out.line(PARALLEL_FOR)
-        out.line(f"for (size_t __i = 0; __i < {bucket}.size(); __i++) {{")
-        out.push()
-        out.line(f"for (WNode __wn : {edgeset}.out_neigh({bucket}[__i])) {{")
-        out.push()
-        # The transformed UDF's own ``priority > k`` guard, applied before
-        # counting: a neighbour already peeled is never counted.
-        out.line(f"if ({self._pv_name}[__wn.v] <= __k) continue;")
-        out.line("if (fetchAdd(&__count[__wn.v], (int64_t)1) == 0) {")
-        out.push()
-        out.line("size_t __slot = fetchAdd(&__touched_tail, (size_t)1);")
-        out.line("__touched[__slot] = __wn.v;")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.line(PARALLEL_FOR)
-        out.line("for (size_t __i = 0; __i < __touched_tail; __i++) {")
-        out.push()
-        out.line("NodeID __v = __touched[__i];")
-        out.line(
-            f"if ({transformed.name}(__v, __count[__v]) != kIntMax) "
-            f"{self.queue_name}->bufferVertex(__v);"
-        )
-        out.line("__count[__v] = 0;")
-        out.pop()
-        out.line("}")
-        out.line("__touched_tail = 0;")
-        out.pop()
-        out.line("}")
+        queue = self.queue_name
+        applied = f"{transformed.name}(__v, __counts[__v]) != kIntMax"
+
+        def body() -> None:
+            out.line("size_t __tail = 0;")
+            self._omp("parallel for schedule(dynamic, 64)")
+            with self._block(f"for (size_t __i = 0; __i < {bucket}.size(); __i++)"):
+                out.line(f"const NodeID __u = {bucket}[__i];")
+                with self._out_edges("__u", "__w", None):
+                    # The transformed UDF's own ``priority > k`` guard: a
+                    # neighbour already peeled is never counted.  Serially
+                    # it is a predicated add, the touched store is
+                    # unconditional and only the tail advance is predicated.
+                    if self._serial:
+                        out.line("const int64_t __c = __counts[__w];")
+                        out.line("const bool __live = __priority[__w] > __k;")
+                        out.line("__counts[__w] = __c + __live;")
+                        out.line("__touched_at[__tail] = __w;")
+                        out.line("__tail += (__c == 0) & __live;")
+                    else:
+                        out.line("if (__priority[__w] <= __k) continue;")
+                        out.line("if (fetchAdd<false>(&__counts[__w], (int64_t)1) == 0)")
+                        out.line("  __touched_at[fetchAdd<false>(&__tail, (size_t)1)] = __w;")
+            if self._serial:
+                # bufferVertex as a predicated dedup-flag append.
+                out.line(f"uint8_t *__flags = {queue}->pending_flags.data();")
+                out.line(f"NodeID *__pending = {queue}->pending.data();")
+                out.line(f"size_t __pending_tail = {queue}->pending_tail;")
+            self._omp("parallel for schedule(dynamic, 64)")
+            with self._block("for (size_t __i = 0; __i < __tail; __i++)"):
+                out.line("const NodeID __v = __touched_at[__i];")
+                if self._serial:
+                    out.line(f"const bool __add = ({applied}) & !__flags[__v];")
+                    out.line("__pending[__pending_tail] = __v;")
+                    out.line("__flags[__v] |= __add;")
+                    out.line("__pending_tail += __add;")
+                else:
+                    out.line(f"if ({applied}) {queue}->bufferVertex<false>(__v);")
+                out.line("__counts[__v] = 0;")
+            if self._serial:
+                out.line(f"{queue}->pending_tail = __pending_tail;")
+
+        with self._block():
+            out.line(f"const int64_t __k = {queue}->getCurrentPriority();")
+            out.line(f"const int64_t *__priority = {self._pv_name}.data();")
+            out.line("int64_t *__counts = __count.data();")
+            out.line("NodeID *__touched_at = __touched.data();")
+            self._hoist_csr(edgeset, False)
+            self._instantiate(body)
+
+    # ------------------------------------------------------------------
+    # One region, two instantiations
+    # ------------------------------------------------------------------
+    def _instantiate(self, emit_body) -> None:
+        """Write a region's body once, instantiated twice under a single
+        dispatch on the run's thread mode: serial code (every helper
+        ``<true>``, no OpenMP construct), then the OpenMP text with the
+        parallel atomics (``<false>``)."""
+        for head, serial in (("if (gSerial) {", True), ("} else {", False)):
+            self.out.line(head)
+            self.out.push()
+            self._serial = serial
+            emit_body()
+            self.out.pop()
+        self.out.line("}")
+
+    @property
+    def _mode(self) -> str:
+        """The thread-mode template argument of the instantiation."""
+        return "<true>" if self._serial else "<false>"
+
+    def _omp(self, directive: str) -> None:
+        """An OpenMP directive, in the parallel instantiation only."""
+        if not self._serial:
+            self.out.line(f"#pragma omp {directive}")
+
+    @contextmanager
+    def _block(self, head: str = ""):
+        """``head {`` ... ``}`` around the lines emitted inside."""
+        self.out.line(f"{head} {{" if head else "{")
+        self.out.push()
+        yield
+        self.out.pop()
+        self.out.line("}")
+
+    def _hoist_csr(self, graph: str, weighted: bool) -> None:
+        """The traversed graph's CSR arrays as loop-invariant locals."""
+        self.out.line(f"const int64_t *__indptr = {graph}.indptr;")
+        self.out.line(f"const NodeID *__indices = {graph}.indices;")
+        if weighted:
+            self.out.line(f"const WeightT *__weights = {graph}.weights;")
+
+    @contextmanager
+    def _out_edges(self, vertex: str, neighbour: str, weight: str | None, csr: str = "__"):
+        """A raw ``indptr`` loop over ``vertex``'s edges, binding
+        ``neighbour`` (and ``weight``): in the hoisted CSR arrays, or in
+        the graph ``csr`` names (``"edges."``)."""
+        with self._block(
+            f"for (int64_t __e = {csr}indptr[{vertex}]; "
+            f"__e < {csr}indptr[{vertex} + 1]; __e++)"
+        ):
+            self.out.line(f"NodeID {neighbour} = {csr}indices[__e];")
+            if weight is not None:
+                self.out.line(f"WeightT {weight} = {csr}weights[__e];")
+            yield
 
     # ------------------------------------------------------------------
     # UDF body lowering
@@ -772,7 +819,7 @@ class _CppEmitter:
                     # extra atomic load.
                     seed = f", {self._expr(site.cas_seed)}"
                 out.line(
-                    f"bool __tracking_var = {op}(&{self._pv_name}[{vertex}], "
+                    f"bool __tracking_var = {op}{self._mode}(&{self._pv_name}[{vertex}], "
                     f"__new_value{seed});"
                 )
             else:
@@ -789,7 +836,7 @@ class _CppEmitter:
             threshold = (
                 self._expr(arguments[2]) if len(arguments) > 2 else "kIntMax"
             )
-            add = "atomicAddClamped" if atomic else "addClamped"
+            add = f"atomicAddClamped{self._mode}" if atomic else "addClamped"
             out.line(
                 f"int64_t __new_value = {add}("
                 f"&{self._pv_name}[{vertex}], {diff}, {threshold});"
@@ -805,7 +852,7 @@ class _CppEmitter:
         out = self.out
         if mode in ("lazy_push", "lazy_pull"):
             out.line(
-                f"if ({tracking}) {self.queue_name}->bufferVertex({vertex});"
+                f"if ({tracking}) {self.queue_name}->bufferVertex{self._mode}({vertex});"
             )
             return
         # Eager: immediate insertion into this thread's local bins, never
@@ -869,226 +916,196 @@ class _CppEmitter:
         )
         index_type, sentinel = self._bin_type, self._bin_sentinel
 
+        def thread_body() -> None:
+            if lower:
+                out.line("std::vector<std::vector<NodeID>> local_bins(0);")
+            else:
+                out.line("std::map<int64_t, std::vector<NodeID>> local_bins;")
+            if start is None:
+                self._emit_eager_prebinning(edgeset)
+            out.line("size_t iter = 0;")
+            with self._block(f"while (shared_indexes[iter & 1] != {sentinel})"):
+                rounds()
+
+        def rounds() -> None:
+            out.line(f"{index_type} &curr_bin_index = shared_indexes[iter & 1];")
+            out.line(f"{index_type} &next_bin_index = shared_indexes[(iter + 1) & 1];")
+            out.line("size_t &curr_frontier_tail = frontier_tails[iter & 1];")
+            out.line("size_t &next_frontier_tail = frontier_tails[(iter + 1) & 1];")
+            out.line("if (stop_flag) break;")
+            out.line(
+                f"const int64_t curr_priority = {self._priority_of('curr_bin_index')};"
+            )
+            out.line("(void)curr_priority;")
+            # The relaxation lambda: the transformed UDF writing into this
+            # thread's local bins.
+            out.line(f"auto relax = [&](NodeID {src}) {{")
+            out.push()
+            # The global graph, not hoisted locals: a reference the lambda
+            # captures would be reloaded through twice after every bin push.
+            with self._out_edges(src, dst, weight, csr=f"{edgeset}."):
+                out.line(f"(void){dst};")
+                self._in_eager_region = True
+                self._emit_udf_body(udf, mode="eager")
+                self._in_eager_region = False
+            out.pop()
+            out.line("};")
+            self._omp("for nowait schedule(dynamic, 64)")
+            with self._block("for (size_t i = 0; i < curr_frontier_tail; i++)"):
+                out.line("NodeID u = frontier[i];")
+                self._emit_eager_guard(sum_udf)
+            if self.schedule.uses_fusion:
+                threshold = _schedule_number("bucket_fusion_threshold")
+                out.line(
+                    "// bucket fusion (Figure 7): drain this thread's current "
+                    "local bucket"
+                )
+                if lower:
+                    out.line(
+                        f"while (curr_bin_index < local_bins.size() && "
+                        f"!local_bins[curr_bin_index].empty() && "
+                        f"local_bins[curr_bin_index].size() < {threshold}) {{"
+                    )
+                    out.push()
+                    current = "local_bins[curr_bin_index]"
+                else:
+                    out.line("while (true) {")
+                    out.push()
+                    out.line("auto __fuse_it = local_bins.find(curr_bin_index);")
+                    out.line(
+                        f"if (__fuse_it == local_bins.end() || "
+                        f"__fuse_it->second.empty() || "
+                        f"__fuse_it->second.size() >= {threshold}) break;"
+                    )
+                    current = "__fuse_it->second"
+                out.line("std::vector<NodeID> fused;")
+                out.line(f"fused.swap({current});")
+                with self._block("for (NodeID u : fused)"):
+                    self._emit_eager_guard(sum_udf)
+                out.pop()
+                out.line("}")
+            # Elect the next bucket: this thread's first non-empty bin at or
+            # after the current one.
+            if lower:
+                with self._block(
+                    "for (size_t b = curr_bin_index; b < local_bins.size(); b++)"
+                ):
+                    out.line(
+                        "if (!local_bins[b].empty()) { "
+                        f"atomicMin{self._mode}(&next_bin_index, b); break; }}"
+                    )
+            else:
+                with self._block(
+                    "for (auto __it = local_bins.lower_bound(curr_bin_index); "
+                    "__it != local_bins.end(); ++__it)"
+                ):
+                    out.line(
+                        "if (!__it->second.empty()) { "
+                        f"atomicMin{self._mode}(&next_bin_index, __it->first); "
+                        "break; }"
+                    )
+            self._omp("barrier")
+            self._omp("single nowait")
+            with self._block():
+                if loop.stop_condition is not None:
+                    out.line(
+                        f"if (next_bin_index != {sentinel} && "
+                        f"({self._stop_condition_text(loop.stop_condition)})) "
+                        "stop_flag = true;"
+                    )
+                out.line(f"curr_bin_index = {sentinel};")
+                out.line("curr_frontier_tail = 0;")
+            # Take the elected bin: append this thread's share of it to the
+            # next frontier.
+            if lower:
+                head = (
+                    "if (next_bin_index < local_bins.size() && "
+                    "!local_bins[next_bin_index].empty())"
+                )
+                bin_text = "local_bins[next_bin_index]"
+            else:
+                out.line("auto __next_it = local_bins.find(next_bin_index);")
+                head = (
+                    "if (__next_it != local_bins.end() && "
+                    "!__next_it->second.empty())"
+                )
+                bin_text = "__next_it->second"
+            with self._block(head):
+                self._emit_frontier_copy(bin_text, "next_frontier_tail")
+                out.line(
+                    f"{bin_text}.resize(0);" if lower else "local_bins.erase(__next_it);"
+                )
+            out.line("iter++;")
+            self._omp("barrier")
+
+        def body() -> None:
+            if self._serial:
+                thread_body()
+                return
+            self._omp("parallel")
+            with self._block():
+                thread_body()
+
         out.line(
             "// --- eager ordered processing operator (Figure 9(c)"
             + ("" if lower else ", higher_first")
             + ") ---"
         )
-        out.line("{")
-        out.push()
-        # The shared frontier, |E| + 1 slots per query.  Uninitialised: a
-        # slot is read only below a tail that a copy into it advanced.
-        out.line(
-            f"std::unique_ptr<NodeID[]> frontier("
-            f"new NodeID[{edgeset}.num_edges() + 1]);"
-        )
-        out.line(f"{index_type} shared_indexes[2] = {{{sentinel}, {sentinel}}};")
-        out.line("size_t frontier_tails[2] = {0, 0};")
-        out.line("bool stop_flag = false;")
-        if sum_udf:
+        with self._block():
+            # The shared frontier, |E| + 1 slots per query.  Uninitialised: a
+            # slot is read only below a tail that a copy into it advanced.
             out.line(
-                f"std::vector<uint8_t> processed({edgeset}.num_nodes, 0);"
+                f"std::unique_ptr<NodeID[]> frontier("
+                f"new NodeID[{edgeset}.num_edges() + 1]);"
             )
-        if start is not None:
-            out.line(f"frontier[0] = {self._expr(start)};")
-            out.line("frontier_tails[0] = 1;")
-            out.line(
-                "shared_indexes[0] = "
-                f"{self._bin_of(f'{self._pv_name}[{self._expr(start)}]')};"
-            )
-        out.line("#pragma omp parallel if(!gSerial)")
-        out.line("{")
-        out.push()
-        if lower:
-            out.line("std::vector<std::vector<NodeID>> local_bins(0);")
-        else:
-            out.line("std::map<int64_t, std::vector<NodeID>> local_bins;")
-        if start is None:
-            self._emit_eager_prebinning(edgeset)
-        out.line("size_t iter = 0;")
-        out.line(f"while (shared_indexes[iter & 1] != {sentinel}) {{")
-        out.push()
-        out.line(f"{index_type} &curr_bin_index = shared_indexes[iter & 1];")
-        out.line(f"{index_type} &next_bin_index = shared_indexes[(iter + 1) & 1];")
-        out.line("size_t &curr_frontier_tail = frontier_tails[iter & 1];")
-        out.line("size_t &next_frontier_tail = frontier_tails[(iter + 1) & 1];")
-        out.line("if (stop_flag) break;")
-        out.line(
-            f"const int64_t curr_priority = {self._priority_of('curr_bin_index')};"
-        )
-        out.line("(void)curr_priority;")
-        # The relaxation lambda: the transformed UDF writing into this
-        # thread's local bins.
-        out.line(f"auto relax = [&](NodeID {src}) {{")
-        out.push()
-        out.line(f"for (WNode __wn : {edgeset}.out_neigh({src})) {{")
-        out.push()
-        out.line(f"NodeID {dst} = __wn.v;")
-        if weight is not None:
-            out.line(f"WeightT {weight} = __wn.weight;")
-        out.line(f"(void){dst};")
-        self._in_eager_region = True
-        self._emit_udf_body(udf, mode="eager")
-        self._in_eager_region = False
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("};")
-        out.line("#pragma omp for nowait schedule(dynamic, 64)")
-        out.line("for (size_t i = 0; i < curr_frontier_tail; i++) {")
-        out.push()
-        out.line("NodeID u = frontier[i];")
-        self._emit_eager_guard(sum_udf)
-        out.pop()
-        out.line("}")
-        if self.schedule.uses_fusion:
-            threshold = _schedule_number("bucket_fusion_threshold")
-            out.line(
-                "// bucket fusion (Figure 7): drain this thread's current "
-                "local bucket"
-            )
-            if lower:
+            out.line(f"{index_type} shared_indexes[2] = {{{sentinel}, {sentinel}}};")
+            out.line("size_t frontier_tails[2] = {0, 0};")
+            out.line("bool stop_flag = false;")
+            if sum_udf:
+                out.line(f"std::vector<uint8_t> processed({edgeset}.num_nodes, 0);")
+            if start is not None:
+                out.line(f"frontier[0] = {self._expr(start)};")
+                out.line("frontier_tails[0] = 1;")
                 out.line(
-                    f"while (curr_bin_index < local_bins.size() && "
-                    f"!local_bins[curr_bin_index].empty() && "
-                    f"local_bins[curr_bin_index].size() < {threshold}) {{"
+                    "shared_indexes[0] = "
+                    f"{self._bin_of(f'{self._pv_name}[{self._expr(start)}]')};"
                 )
-                out.push()
-                current = "local_bins[curr_bin_index]"
-            else:
-                out.line("while (true) {")
-                out.push()
-                out.line("auto __fuse_it = local_bins.find(curr_bin_index);")
-                out.line(
-                    f"if (__fuse_it == local_bins.end() || "
-                    f"__fuse_it->second.empty() || "
-                    f"__fuse_it->second.size() >= {threshold}) break;"
-                )
-                current = "__fuse_it->second"
-            out.line("std::vector<NodeID> fused;")
-            out.line(f"fused.swap({current});")
-            out.line("for (NodeID u : fused) {")
-            out.push()
-            self._emit_eager_guard(sum_udf)
-            out.pop()
-            out.line("}")
-            out.pop()
-            out.line("}")
-        # Elect the next bucket: this thread's first non-empty bin at or
-        # after the current one.
-        if lower:
-            out.line("for (size_t b = curr_bin_index; b < local_bins.size(); b++) {")
-            out.push()
-            out.line(
-                "if (!local_bins[b].empty()) { atomicMinSize(&next_bin_index, b); "
-                "break; }"
-            )
-        else:
-            out.line(
-                "for (auto __it = local_bins.lower_bound(curr_bin_index); "
-                "__it != local_bins.end(); ++__it) {"
-            )
-            out.push()
-            out.line(
-                "if (!__it->second.empty()) { "
-                "atomicMinInt64(&next_bin_index, __it->first); break; }"
-            )
-        out.pop()
-        out.line("}")
-        out.line("#pragma omp barrier")
-        out.line("#pragma omp single nowait")
-        out.line("{")
-        out.push()
-        if loop.stop_condition is not None:
-            out.line(
-                f"if (next_bin_index != {sentinel} && "
-                f"({self._stop_condition_text(loop.stop_condition)})) "
-                "stop_flag = true;"
-            )
-        out.line(f"curr_bin_index = {sentinel};")
-        out.line("curr_frontier_tail = 0;")
-        out.pop()
-        out.line("}")
-        # Take the elected bin: append this thread's share of it to the
-        # next frontier.
-        if lower:
-            out.line(
-                "if (next_bin_index < local_bins.size() && "
-                "!local_bins[next_bin_index].empty()) {"
-            )
-            out.push()
-            bin_text = "local_bins[next_bin_index]"
-        else:
-            out.line("auto __next_it = local_bins.find(next_bin_index);")
-            out.line(
-                "if (__next_it != local_bins.end() && "
-                "!__next_it->second.empty()) {"
-            )
-            out.push()
-            bin_text = "__next_it->second"
-        out.line(
-            "size_t copy_start = __atomic_fetch_add(&next_frontier_tail, "
-            f"{bin_text}.size(), __ATOMIC_RELAXED);"
+            self._instantiate(body)
+
+    def _emit_frontier_copy(self, bin_text: str, tail: str) -> None:
+        """Append ``bin_text`` to the shared frontier at ``tail``."""
+        self.out.line(
+            f"size_t copy_start = fetchAdd{self._mode}(&{tail}, {bin_text}.size());"
         )
-        out.line(
+        self.out.line(
             f"std::copy({bin_text}.begin(), {bin_text}.end(), "
             "frontier.get() + copy_start);"
         )
-        out.line(
-            f"{bin_text}.resize(0);" if lower else "local_bins.erase(__next_it);"
-        )
-        out.pop()
-        out.line("}")
-        out.line("iter++;")
-        out.line("#pragma omp barrier")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
-        out.pop()
-        out.line("}")
 
     def _emit_eager_prebinning(self, edgeset: str) -> None:
         """k-core style initialization: every tracked vertex starts in a
         thread-local bucket for its initial priority."""
         out = self.out
-        out.line("#pragma omp for nowait")
-        out.line(f"for (NodeID v = 0; v < {edgeset}.num_nodes; v++) {{")
-        out.push()
-        out.line(f"if ({self._pv_name}[v] == kIntMax) continue;")
-        out.line(f"size_t b = (size_t)({self._pv_name}[v] / delta);")
-        out.line("if (b >= local_bins.size()) local_bins.resize(b + 1);")
-        out.line("local_bins[b].push_back(v);")
-        out.pop()
-        out.line("}")
-        out.line("for (size_t b = 0; b < local_bins.size(); b++) {")
-        out.push()
-        out.line(
-            "if (!local_bins[b].empty()) { "
-            "atomicMinSize(&shared_indexes[0], b); break; }"
-        )
-        out.pop()
-        out.line("}")
-        out.line("#pragma omp barrier")
-        out.line(
+        self._omp("for nowait")
+        with self._block(f"for (NodeID v = 0; v < {edgeset}.num_nodes; v++)"):
+            out.line(f"if ({self._pv_name}[v] == kIntMax) continue;")
+            out.line(f"size_t b = (size_t)({self._pv_name}[v] / delta);")
+            out.line("if (b >= local_bins.size()) local_bins.resize(b + 1);")
+            out.line("local_bins[b].push_back(v);")
+        with self._block("for (size_t b = 0; b < local_bins.size(); b++)"):
+            out.line(
+                "if (!local_bins[b].empty()) { "
+                f"atomicMin{self._mode}(&shared_indexes[0], b); break; }}"
+            )
+        self._omp("barrier")
+        first = "local_bins[shared_indexes[0]]"
+        with self._block(
             "if (shared_indexes[0] != kMaxBin && "
-            "shared_indexes[0] < local_bins.size() && "
-            "!local_bins[shared_indexes[0]].empty()) {"
-        )
-        out.push()
-        out.line(
-            "size_t copy_start = __atomic_fetch_add(&frontier_tails[0], "
-            "local_bins[shared_indexes[0]].size(), __ATOMIC_RELAXED);"
-        )
-        out.line(
-            "std::copy(local_bins[shared_indexes[0]].begin(), "
-            "local_bins[shared_indexes[0]].end(), "
-            "frontier.get() + copy_start);"
-        )
-        out.line("local_bins[shared_indexes[0]].resize(0);")
-        out.pop()
-        out.line("}")
-        out.line("#pragma omp barrier")
+            f"shared_indexes[0] < local_bins.size() && !{first}.empty())"
+        ):
+            self._emit_frontier_copy(first, "frontier_tails[0]")
+            out.line(f"{first}.resize(0);")
+        self._omp("barrier")
 
     def _emit_eager_guard(self, sum_udf: bool) -> None:
         """The stale-entry guard before relaxing a popped vertex."""
@@ -1102,7 +1119,7 @@ class _CppEmitter:
             )
             self.out.line(
                 f"if ({bin_index} == {current} "
-                f"&& CASByte(&processed[u], 0, 1)) relax(u);"
+                f"&& CASByte{self._mode}(&processed[u], 0, 1)) relax(u);"
             )
         elif self._dir_lower:
             # The GAPBS check: still in the current (or a later) bucket.

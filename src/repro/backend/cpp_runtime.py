@@ -35,14 +35,16 @@ output dump.  Only the output names, the vertex-argument slots and the
 run-parameter values differ between programs.
 
 Compiles with ``g++ -O2 -std=c++17 -fopenmp`` (OpenMP optional).  The
-thread count is known only at run time (a kernel takes ``num_threads``
-from its run-parameter block; the driver passes 0, which keeps OpenMP's
-default and so honours ``OMP_NUM_THREADS``), so one thread means serial
-code chosen at run time: ``detectSerial()`` sets ``gSerial`` when
-``omp_get_max_threads() == 1`` (always without OpenMP), every atomic
-helper then does a plain load and store, and every emitted ``#pragma omp
-parallel`` carries ``if(!gSerial)`` so no parallel region is entered.  At
-two or more threads the helpers are the relaxed atomics.
+thread count is a run parameter (a kernel takes ``num_threads`` from its
+run-parameter block; the driver passes 0, which keeps OpenMP's default and
+so honours ``OMP_NUM_THREADS``), but the thread mode of the code is fixed
+at compile time: every atomic helper and ``bufferVertex`` take it as a
+template parameter, and the emitter instantiates each region's body twice,
+as serial code (``<true>`` helpers, which are a plain load and store, and
+no OpenMP construct) and as the OpenMP text (``<false>``, the relaxed
+atomics).  ``detectSerial()`` sets ``gSerial`` once per run when
+``omp_get_max_threads() == 1`` (always without OpenMP), and each region
+branches on it once.
 """
 
 __all__ = ["driver", "kernel_runtime"]
@@ -83,18 +85,14 @@ inline int64_t floorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-struct WNode {
-  NodeID v;
-  WeightT weight;
-};
-
 struct WGraph {
   int64_t num_nodes = 0;
   int64_t num_edges_ = 0;
   // The adjacency is addressed through raw pointer views so one struct
-  // serves both storage modes: Load/Transpose fill the owning *_store
+  // serves both storage modes: TransposeGraph fills the owning *_store
   // vectors, while Borrow wraps caller-owned CSR arrays (numpy buffers
-  // handed across the native ABI) without copying.
+  // handed across the native ABI, the driver's loaded vectors) without
+  // copying.
   const int64_t *indptr = nullptr;
   const NodeID *indices = nullptr;
   const WeightT *weights = nullptr;
@@ -131,24 +129,6 @@ struct WGraph {
   int64_t num_edges() const { return num_edges_; }
   int64_t out_degree(NodeID v) const { return indptr[v + 1] - indptr[v]; }
 
-  struct Neighborhood {
-    const WGraph *g;
-    int64_t begin_, end_;
-    struct Iter {
-      const WGraph *g;
-      int64_t i;
-      WNode operator*() const { return WNode{g->indices[i], g->weights[i]}; }
-      Iter &operator++() { ++i; return *this; }
-      bool operator!=(const Iter &o) const { return i != o.i; }
-    };
-    Iter begin() const { return Iter{g, begin_}; }
-    Iter end() const { return Iter{g, end_}; }
-  };
-
-  Neighborhood out_neigh(NodeID v) const {
-    return Neighborhood{this, indptr[v], indptr[v + 1]};
-  }
-
   std::vector<int64_t> OutDegrees() const {
     std::vector<int64_t> result(num_nodes);
     for (int64_t v = 0; v < num_nodes; v++) result[v] = out_degree(v);
@@ -157,9 +137,11 @@ struct WGraph {
 };
 
 // ---- atomics (Figure 9's vocabulary) ------------------------------------
-// One thread is serial code: set once per run by detectSerial(), it turns
-// every helper below into a plain load and store and every emitted
-// parallel region off (`#pragma omp parallel ... if(!gSerial)`).
+// One thread is serial code, fixed at compile time: every helper takes the
+// thread mode as a template parameter, and its kSerial instantiation is a
+// plain load and store.  detectSerial() sets gSerial once per run; each
+// emitted region branches on it once, to a serial instantiation of its
+// body (no OpenMP construct) or to the OpenMP one.
 static bool gSerial = true;
 
 inline void detectSerial() {
@@ -170,8 +152,9 @@ inline void detectSerial() {
 #endif
 }
 
+template <bool kSerial>
 inline bool atomicWriteMin(int64_t *addr, int64_t value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (value >= *addr) return false;
     *addr = value;
     return true;
@@ -185,8 +168,9 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value) {
   return false;
 }
 
+template <bool kSerial>
 inline bool atomicWriteMax(int64_t *addr, int64_t value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (value <= *addr) return false;
     *addr = value;
     return true;
@@ -203,8 +187,9 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value) {
 // Seeded overloads: the race analysis preserves the UDF's own read of the
 // old priority (the 3-argument updatePriorityMin form), so the first CAS
 // attempt starts from that value instead of issuing an extra atomic load.
+template <bool kSerial>
 inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
-  if (gSerial) return atomicWriteMin(addr, value);
+  if constexpr (kSerial) return atomicWriteMin<true>(addr, value);
   int64_t old = seed;
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -214,8 +199,9 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
   return false;
 }
 
+template <bool kSerial>
 inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
-  if (gSerial) return atomicWriteMax(addr, value);
+  if constexpr (kSerial) return atomicWriteMax<true>(addr, value);
   int64_t old = seed;
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -225,31 +211,10 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
   return false;
 }
 
-// Clamped fetch-add: priority += diff, not past `clamp`; returns the new
-// value, or kIntMax when nothing changed.
-inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
-  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
-  while (true) {
-    // Already at or past the clamp: the vertex is finalized, do nothing
-    // (mirrors the is-finalized check in the update operators).
-    if (diff < 0 && old <= clamp) return kIntMax;
-    if (diff > 0 && old >= clamp) return kIntMax;
-    int64_t desired = old + diff;
-    if (diff < 0) desired = std::max(desired, clamp);
-    else desired = std::min(desired, clamp);
-    if (desired == old) return kIntMax;
-    if (gSerial) {
-      *addr = desired;
-      return desired;
-    }
-    if (__atomic_compare_exchange_n(addr, &old, desired, false,
-                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-      return desired;
-  }
-}
-
-// Serial clamped add for sites the race analysis proved thread-owned: same
-// semantics as atomicAddClamped without the compare-exchange loop.
+// Clamped add: priority += diff, not past `clamp`; returns the new value,
+// or kIntMax when nothing changed (the vertex is already at or past the
+// clamp, mirroring the is-finalized check in the update operators).  Also
+// the plain form for sites the race analysis proved thread-owned.
 inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
   int64_t old = *addr;
   if (diff < 0 && old <= clamp) return kIntMax;
@@ -262,8 +227,26 @@ inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
   return desired;
 }
 
+template <bool kSerial>
+inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
+  if constexpr (kSerial) return addClamped(addr, diff, clamp);
+  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
+  while (true) {
+    if (diff < 0 && old <= clamp) return kIntMax;
+    if (diff > 0 && old >= clamp) return kIntMax;
+    int64_t desired = old + diff;
+    if (diff < 0) desired = std::max(desired, clamp);
+    else desired = std::min(desired, clamp);
+    if (desired == old) return kIntMax;
+    if (__atomic_compare_exchange_n(addr, &old, desired, false,
+                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+      return desired;
+  }
+}
+
+template <bool kSerial>
 inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (*addr != expected) return false;
     *addr = desired;
     return true;
@@ -272,10 +255,10 @@ inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED);
 }
 
-// Fetch-add for slot counters (histogram counts, buffer tails).
-template <typename T>
+// Fetch-add for slot counters (histogram counts, buffer and frontier tails).
+template <bool kSerial, typename T>
 inline T fetchAdd(T *addr, T value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     T old = *addr;
     *addr = old + value;
     return old;
@@ -283,27 +266,15 @@ inline T fetchAdd(T *addr, T value) {
   return __atomic_fetch_add(addr, value, __ATOMIC_RELAXED);
 }
 
-inline void atomicMinSize(size_t *addr, size_t value) {
-  if (gSerial) {
+// The eager region's next-bucket election: size_t bins for lower_first,
+// signed orders for higher_first (its map-binned orders are negative).
+template <bool kSerial, typename T>
+inline void atomicMin(T *addr, T value) {
+  if constexpr (kSerial) {
     if (value < *addr) *addr = value;
     return;
   }
-  size_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
-  while (value < old) {
-    if (__atomic_compare_exchange_n(addr, &old, value, false,
-                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-      return;
-  }
-}
-
-// Signed variant for the order-space (map-binned) eager region, where bucket
-// orders of higher_first queues are negative and cannot index a dense array.
-inline void atomicMinInt64(int64_t *addr, int64_t value) {
-  if (gSerial) {
-    if (value < *addr) *addr = value;
-    return;
-  }
-  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
+  T old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
                                     __ATOMIC_RELAXED, __ATOMIC_RELAXED))
@@ -315,10 +286,13 @@ inline void atomicMinInt64(int64_t *addr, int64_t value) {
 // Works in *order space*: ascending orders regardless of queue direction.
 // lower_first maps value -> floorDiv(value, delta); higher_first negates so
 // the highest priority gets the smallest order (repro.buckets.interface).
+// A power-of-two delta orders by arithmetic shift, which floors like
+// floorDiv for either sign; any other delta divides.
 struct LazyPriorityQueue {
   int64_t *priorities;
   int64_t num_verts;
   int64_t delta;
+  int shift = -1;
   int64_t cur_order = -1;
   int64_t base = 0;
   int num_open;
@@ -338,8 +312,11 @@ struct LazyPriorityQueue {
                     int64_t null_priority_ = kIntMax)
       : priorities(pv), num_verts(n), delta(delta_), num_open(num_open_),
         dir_sign(dir_sign_), null_priority(null_priority_) {
+    if (delta > 0 && (delta & (delta - 1)) == 0) shift = __builtin_ctzll(delta);
     buckets.assign(num_open, {});
-    pending.assign(n, 0);
+    // One spare slot: the serial histogram appends with an unconditional
+    // store and a predicated tail advance.
+    pending.assign(n + 1, 0);
     pending_flags.assign(n, 0);
     processed_value.assign(n, std::numeric_limits<int64_t>::min());
     if (start >= 0) {
@@ -360,7 +337,7 @@ struct LazyPriorityQueue {
   }
 
   int64_t orderOf(int64_t value) const {
-    return dir_sign * floorDiv(value, delta);
+    return dir_sign * (shift >= 0 ? value >> shift : floorDiv(value, delta));
   }
 
   void rebase(int64_t new_base) {
@@ -373,12 +350,11 @@ struct LazyPriorityQueue {
     else buckets[order - base].push_back(v);
   }
 
-  // Thread-safe buffered bucket update with a dedup-flag CAS (Figure 9(a)).
+  // Buffered bucket update with a dedup-flag CAS (Figure 9(a)).
+  template <bool kSerial>
   void bufferVertex(NodeID v) {
-    if (CASByte(&pending_flags[v], 0, 1)) {
-      size_t slot = fetchAdd(&pending_tail, (size_t)1);
-      pending[slot] = v;
-    }
+    if (CASByte<kSerial>(&pending_flags[v], 0, 1))
+      pending[fetchAdd<kSerial>(&pending_tail, (size_t)1)] = v;
   }
 
   void flushPending() {
@@ -543,10 +519,19 @@ def kernel_runtime(uses_map: bool, uses_print: bool) -> str:
 _DRIVER = _piece(
     r"""
 // ---- standalone driver: load an edge list, run the kernel, dump vectors ---
+#include <cerrno>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+
+// A whole token as one base-10 int64 (no overflow, nothing after it).
+static bool parseInt(const std::string &token, int64_t &value) {
+  char *end = nullptr;
+  errno = 0;
+  value = std::strtoll(token.c_str(), &end, 10);
+  return end != token.c_str() && *end == '\0' && errno == 0;
+}
 
 // Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
 // and returns a borrowed view of them; any other line is an error.  The
@@ -565,19 +550,23 @@ static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
   NodeID max_id = -1, declared_nodes = -1;
   std::string line;
   for (int64_t lineno = 1; std::getline(in, line); lineno++) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') {
+    size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    if (line[first] == '#' || line[first] == '%') {
       size_t pos = line.find("vertices=");
       if (pos != std::string::npos)
         declared_nodes = atoll(line.c_str() + pos + 9);
       continue;
     }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     std::istringstream row(line);
+    std::string field[4];
+    int fields = 0;
+    while (fields < 4 && row >> field[fields]) fields++;
     NodeID s = -1, d = -1;
     WeightT w = 1;
-    std::string extra;
-    if (!(row >> s >> d) || s < 0 || d < 0 || (!(row >> w) && !row.eof()) ||
-        row >> extra) {
+    if (fields < 2 || fields > 3 || !parseInt(field[0], s) ||
+        !parseInt(field[1], d) || s < 0 || d < 0 ||
+        (fields == 3 && !parseInt(field[2], w))) {
       std::cerr << "error: " << path << ":" << lineno
                 << ": expected 'src dst [weight]' with vertex ids >= 0, got '"
                 << line << "'" << std::endl;

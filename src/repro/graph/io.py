@@ -12,6 +12,7 @@ the parser underneath.
 from __future__ import annotations
 
 import os
+import re
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -30,6 +31,10 @@ __all__ = [
     "load_npz",
     "save_npz",
 ]
+
+
+#: The vertex-count header of an edge list (``# vertices=N edges=M``).
+_VERTICES = re.compile(r"vertices=\s*(\d+)")
 
 
 @contextmanager
@@ -55,16 +60,23 @@ def _build(sources, dests, weights, num_vertices, coordinates=None) -> CSRGraph:
 def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> CSRGraph:
     """Load a whitespace-separated edge list: ``src dst [weight]`` per line.
 
-    Lines starting with ``#`` or ``%`` are comments.  When ``num_vertices``
-    is omitted it is inferred as ``max vertex id + 1``.
+    Lines starting with ``#`` or ``%`` are comments; a ``vertices=N`` in one
+    (the header :func:`save_edge_list` writes) declares the vertex count,
+    so trailing isolated vertices survive a round trip.  The count is
+    ``max(max vertex id + 1, N)``, as in the C++ driver's loader; an
+    explicit ``num_vertices`` wins over both.
     """
     sources: list[int] = []
     dests: list[int] = []
     weights: list[int] = []
+    declared = -1
     with _malformed(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("#", "%")):
+                header = _VERTICES.search(line)
+                if header is not None:
+                    declared = int(header.group(1))
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
@@ -73,7 +85,7 @@ def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> 
             dests.append(int(parts[1]))
             weights.append(int(parts[2]) if len(parts) == 3 else 1)
     if num_vertices is None:
-        num_vertices = max(max(sources, default=-1), max(dests, default=-1)) + 1
+        num_vertices = max(max(sources, default=-1) + 1, max(dests, default=-1) + 1, declared)
     with _malformed(path):
         return _build(sources, dests, weights, num_vertices)
 

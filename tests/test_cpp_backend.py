@@ -9,11 +9,12 @@ their outputs must equal the scalar oracle's.
 import os
 import subprocess
 
+import numpy as np
 import pytest
 
 from repro.backend import compile_program
 from repro.backend.cpp_backend import _CppEmitter, generate_cpp, generate_native_cpp
-from repro.errors import CompileError
+from repro.errors import CompileError, GraphItError
 from repro.graph import rmat, road_grid
 from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
@@ -33,12 +34,15 @@ def generate(name: str, schedule: Schedule) -> str:
 class TestGeneratedStructure:
     def test_lazy_sparsepush_shape(self):
         text = generate("sssp", Schedule(priority_update="lazy", delta=4))
-        # Figure 9(a): lazy queue, atomics, dedup-flagged buffering.
+        # Figure 9(a): lazy queue, atomics, dedup-flagged buffering; the
+        # serial instantiation takes the same helpers in their plain form.
         assert "LazyPriorityQueue *pq" in text
         assert "new LazyPriorityQueue(dist.data()" in text
-        assert "atomicWriteMin(&dist[dst]" in text
+        assert "atomicWriteMin<false>(&dist[dst]" in text
+        assert "atomicWriteMin<true>(&dist[dst]" in text
         assert "__tracking_var" in text
-        assert "pq->bufferVertex(dst)" in text
+        assert "pq->bufferVertex<false>(dst)" in text
+        assert "pq->bufferVertex<true>(dst)" in text
         assert "while ((pq->finished() == false))" in text
 
     def test_lazy_densepull_shape(self):
@@ -58,7 +62,8 @@ class TestGeneratedStructure:
         assert "#pragma omp parallel" in text
         assert "local_bins" in text
         assert "shared_indexes" in text
-        assert "atomicWriteMin(&dist[dst]" in text
+        assert "atomicWriteMin<false>(&dist[dst]" in text
+        assert "atomicWriteMin<true>(&dist[dst]" in text
         assert "new LazyPriorityQueue" not in text
         assert "bucket fusion" not in text
 
@@ -74,9 +79,52 @@ class TestGeneratedStructure:
         text = generate("kcore", Schedule(priority_update="lazy_constant_sum"))
         assert "apply_f_transformed(NodeID vertex, int64_t count)" in text
         assert "__touched" in text
-        assert "fetchAdd(&__count" in text
-        # Peeled neighbours are skipped before they are counted.
-        assert "if (D[__wn.v] <= __k) continue;" in text
+        assert "fetchAdd<false>(&__counts[__w], (int64_t)1)" in text
+        # Peeled neighbours are skipped before they are counted: by a
+        # branch in the OpenMP count, by a predicated add in the serial one,
+        # whose touched store is unconditional and whose tail advance and
+        # dedup-flag append are predicated.
+        assert "if (__priority[__w] <= __k) continue;" in text
+        assert "const bool __live = __priority[__w] > __k;" in text
+        assert "__counts[__w] = __c + __live;" in text
+        assert "__tail += (__c == 0) & __live;" in text
+        assert "__pending_tail += __add;" in text
+
+    def test_thread_mode_dispatches_once_per_region(self):
+        """``gSerial`` is read in ``detectSerial()`` and in one dispatch per
+        region, never inside a loop: the serial branch has no OpenMP
+        construct and only ``<true>`` helpers, the other only ``<false>``."""
+        runtime_reads = {
+            "static bool gSerial = true;",
+            "gSerial = omp_get_max_threads() == 1;",
+            "gSerial = true;",
+        }
+        shapes = 0
+        for name in sorted(ALL_PROGRAMS):
+            for schedule, text in _code_shapes(name):
+                runtime, kernel = text.split("// ---- end native ABI support")
+                lines = [line.split("//")[0].rstrip() for line in runtime.splitlines()]
+                assert {line.strip() for line in lines if "gSerial" in line} == runtime_reads
+                lines = [line.split("//")[0].rstrip() for line in kernel.splitlines()]
+                dispatches = [i for i, line in enumerate(lines) if "gSerial" in line]
+                assert len(dispatches) == 1, (name, schedule)
+                for at in dispatches:
+                    assert lines[at].strip() == "if (gSerial) {"
+                    indent = lines[at].index("if")
+                    depth = indent
+                    for line in reversed(lines[:at]):
+                        if line and len(line) - len(line.lstrip()) < depth:
+                            depth = len(line) - len(line.lstrip())
+                            assert not line.lstrip().startswith("for ("), (name, schedule)
+                    branch = lines[at + 1:]
+                    middle = branch.index(" " * indent + "} else {")
+                    end = branch.index(" " * indent + "}", middle)
+                    serial, parallel = branch[:middle], branch[middle + 1:end]
+                    assert not [line for line in serial if "#pragma omp" in line or "<false>" in line]
+                    assert not [line for line in parallel if "<true>" in line]
+                    assert any("#pragma omp" in line for line in parallel)
+                shapes += 1
+        assert shapes >= 20
 
     def test_ppsp_stop_condition_emitted(self):
         text = generate("ppsp", Schedule(priority_update="eager_no_fusion", delta=4))
@@ -85,8 +133,9 @@ class TestGeneratedStructure:
 
     def test_kcore_eager_uses_processed_flags(self):
         text = generate("kcore", Schedule(priority_update="eager_no_fusion"))
-        assert "CASByte(&processed[u], 0, 1)" in text
-        assert "atomicAddClamped" in text
+        assert "CASByte<false>(&processed[u], 0, 1)" in text
+        assert "CASByte<true>(&processed[u], 0, 1)" in text
+        assert "atomicAddClamped<false>" in text
 
     def test_extern_programs_rejected(self):
         with pytest.raises(CompileError):
@@ -169,6 +218,58 @@ class TestStandaloneInput:
         done = self.run(sssp, tmp_path, edges, "0")
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out.txt").read_text() == f"dist 0 4 5 {2**63 - 1}\n"
+
+
+#: Edge-list texts both loaders must agree on: the same k-core vector, or
+#: both refuse.  The first three are test_input_fuzz's edge-list examples.
+GRAPH_FILES = {
+    "non-integer id": b"0 1\n2 x\n",
+    "not utf-8": b"0 1\n\xf7\x90\n",
+    "huge weight": b"0 1 99999999999999999999999\n",
+    "isolated tail": b"# vertices=6 edges=3\n0 1 2\n1 2 3\n2 0 1\n",
+    "comments crlf blanks": b"% note\r\n0 1 2\r\n\r\n# more\r\n1 2 3\r\n\n2 0 1\r\n",
+    "unweighted": b"0 1\n1 2\n2 0\n2 3\n",
+    "indented comments": b"  # vertices=5\n0 1 2\n\t% note\n1 2 3\n",
+    "negative id": b"0 1 2\n-1 2 3\n",
+    "non-integer weight": b"0 1 2.5\n",
+    "extra field": b"0 1 2 3\n",
+    "int64 overflow": b"0 1 9223372036854775808\n",
+}
+
+
+class TestGraphFileContract:
+    """One graph-file contract: ``repro run kcore`` on the interpreter and
+    the standalone k-core program read every file alike."""
+
+    SCHEDULE = Schedule(priority_update="lazy_constant_sum")
+
+    @pytest.fixture(scope="class")
+    def kcore(self):
+        if GXX is None:
+            pytest.skip("g++ not available")
+        return _standalone_binary("kcore", self.SCHEDULE, False)
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_FILES))
+    def test_both_loaders_agree(self, kcore, tmp_path, name):
+        graph_file = tmp_path / "g.el"
+        graph_file.write_bytes(GRAPH_FILES[name])
+        program = compile_program(ALL_PROGRAMS["kcore"], self.SCHEDULE.with_(execution="serial"))
+        try:
+            interpreted = program.run(["kcore", str(graph_file)]).globals["D"]
+        except GraphItError as error:
+            interpreted = error
+        env = dict(os.environ, REPRO_OUTPUT=str(tmp_path / "out.txt"))
+        done = subprocess.run(
+            [str(kcore), str(graph_file)], env=env, capture_output=True, text=True, errors="replace"
+        )
+        if isinstance(interpreted, GraphItError):
+            assert str(interpreted)
+            assert done.returncode == 1 and "error: " in done.stderr, done.stderr
+            return
+        assert done.returncode == 0, done.stderr
+        label, *values = (tmp_path / "out.txt").read_text().split()
+        assert label == "D"
+        np.testing.assert_array_equal(np.array(values, dtype=np.int64), interpreted)
 
 
 class TestCompileAndRun:

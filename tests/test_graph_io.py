@@ -50,6 +50,22 @@ def test_edge_list_explicit_vertex_count(tmp_path):
     assert graph.num_vertices == 10
 
 
+def test_edge_list_vertices_header_keeps_isolated_tail(tmp_path):
+    """save_edge_list's ``# vertices=N`` header survives the reload: a
+    5-vertex graph with edges only among 0-2 used to come back with 3."""
+    path = tmp_path / "g.el"
+    graph = from_edges(5, [(0, 1, 2), (1, 2, 3)])
+    save_edge_list(graph, path)
+    loaded = load_edge_list(path)
+    assert loaded.num_vertices == 5
+    assert np.array_equal(loaded.indptr, graph.indptr)
+    # max(max id + 1, declared), as the C++ driver reads it; an explicit
+    # count still wins.
+    path.write_text("# vertices=2\n0 3\n")
+    assert load_edge_list(path).num_vertices == 4
+    assert load_edge_list(path, num_vertices=7).num_vertices == 7
+
+
 def test_edge_list_malformed_rejected(tmp_path):
     path = tmp_path / "bad.el"
     path.write_text("0 1 2 3\n")

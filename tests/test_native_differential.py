@@ -49,6 +49,7 @@ from .oracle_matrix import (
     check,
     graph,
     oracle_run,
+    run,
     vectors,
 )
 
@@ -121,6 +122,32 @@ CELLS = [param.values[0] for param in PARAMS]
 @pytest.mark.parametrize("cell", PARAMS)
 def test_native_matches_scalar_oracle(cell):
     check(cell)
+
+
+#: The serve workload's rows and graph (4,096 vertices, 97,194 edges).  Its
+#: rounds have more than 64 bucket members, so OpenMP's dynamic schedule
+#: (chunks of 64) splits them across both threads.
+SERVE_ROWS = [
+    ("kcore", Schedule(priority_update="lazy_constant_sum")),
+    ("sssp", Schedule(priority_update="lazy", delta=8)),
+    ("sssp", Schedule(priority_update="eager_with_fusion", delta=8)),
+]
+
+
+@needs_toolchain
+@pytest.mark.parametrize(
+    "name,schedule", SERVE_ROWS, ids=[f"{n}-{s.priority_update}" for n, s in SERVE_ROWS]
+)
+def test_serial_and_openmp_instantiations_on_the_serve_graph(name, schedule):
+    """The kernel's serial (one thread) and OpenMP (two threads)
+    instantiations are both bit-exact against the scalar oracle."""
+    g = rmat(12, 16, weights=(1, 100), seed=0).symmetrized()
+    args = () if name == "kcore" else ("hub",)
+    expected = vectors(oracle_run(Cell(name, schedule, "native", args=args), g).globals)
+    for threads in (1, 2):
+        cell = Cell(name, schedule.with_(num_threads=threads), "native", args=args)
+        actual, _ = run(cell, g)
+        assert_same_vectors(actual, expected, cell.id)
 
 
 EXAMPLES = sorted(
