@@ -32,18 +32,14 @@ inline int64_t floorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-struct WNode {
-  NodeID v;
-  WeightT weight;
-};
-
 struct WGraph {
   int64_t num_nodes = 0;
   int64_t num_edges_ = 0;
   // The adjacency is addressed through raw pointer views so one struct
-  // serves both storage modes: Load/Transpose fill the owning *_store
+  // serves both storage modes: TransposeGraph fills the owning *_store
   // vectors, while Borrow wraps caller-owned CSR arrays (numpy buffers
-  // handed across the native ABI) without copying.
+  // handed across the native ABI, the driver's loaded vectors) without
+  // copying.
   const int64_t *indptr = nullptr;
   const NodeID *indices = nullptr;
   const WeightT *weights = nullptr;
@@ -80,24 +76,6 @@ struct WGraph {
   int64_t num_edges() const { return num_edges_; }
   int64_t out_degree(NodeID v) const { return indptr[v + 1] - indptr[v]; }
 
-  struct Neighborhood {
-    const WGraph *g;
-    int64_t begin_, end_;
-    struct Iter {
-      const WGraph *g;
-      int64_t i;
-      WNode operator*() const { return WNode{g->indices[i], g->weights[i]}; }
-      Iter &operator++() { ++i; return *this; }
-      bool operator!=(const Iter &o) const { return i != o.i; }
-    };
-    Iter begin() const { return Iter{g, begin_}; }
-    Iter end() const { return Iter{g, end_}; }
-  };
-
-  Neighborhood out_neigh(NodeID v) const {
-    return Neighborhood{this, indptr[v], indptr[v + 1]};
-  }
-
   std::vector<int64_t> OutDegrees() const {
     std::vector<int64_t> result(num_nodes);
     for (int64_t v = 0; v < num_nodes; v++) result[v] = out_degree(v);
@@ -106,9 +84,11 @@ struct WGraph {
 };
 
 // ---- atomics (Figure 9's vocabulary) ------------------------------------
-// One thread is serial code: set once per run by detectSerial(), it turns
-// every helper below into a plain load and store and every emitted
-// parallel region off (`#pragma omp parallel ... if(!gSerial)`).
+// One thread is serial code, fixed at compile time: every helper takes the
+// thread mode as a template parameter, and its kSerial instantiation is a
+// plain load and store.  detectSerial() sets gSerial once per run; each
+// emitted region branches on it once, to a serial instantiation of its
+// body (no OpenMP construct) or to the OpenMP one.
 static bool gSerial = true;
 
 inline void detectSerial() {
@@ -119,8 +99,9 @@ inline void detectSerial() {
 #endif
 }
 
+template <bool kSerial>
 inline bool atomicWriteMin(int64_t *addr, int64_t value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (value >= *addr) return false;
     *addr = value;
     return true;
@@ -134,8 +115,9 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value) {
   return false;
 }
 
+template <bool kSerial>
 inline bool atomicWriteMax(int64_t *addr, int64_t value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (value <= *addr) return false;
     *addr = value;
     return true;
@@ -152,8 +134,9 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value) {
 // Seeded overloads: the race analysis preserves the UDF's own read of the
 // old priority (the 3-argument updatePriorityMin form), so the first CAS
 // attempt starts from that value instead of issuing an extra atomic load.
+template <bool kSerial>
 inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
-  if (gSerial) return atomicWriteMin(addr, value);
+  if constexpr (kSerial) return atomicWriteMin<true>(addr, value);
   int64_t old = seed;
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -163,8 +146,9 @@ inline bool atomicWriteMin(int64_t *addr, int64_t value, int64_t seed) {
   return false;
 }
 
+template <bool kSerial>
 inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
-  if (gSerial) return atomicWriteMax(addr, value);
+  if constexpr (kSerial) return atomicWriteMax<true>(addr, value);
   int64_t old = seed;
   while (value > old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
@@ -174,31 +158,10 @@ inline bool atomicWriteMax(int64_t *addr, int64_t value, int64_t seed) {
   return false;
 }
 
-// Clamped fetch-add: priority += diff, not past `clamp`; returns the new
-// value, or kIntMax when nothing changed.
-inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
-  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
-  while (true) {
-    // Already at or past the clamp: the vertex is finalized, do nothing
-    // (mirrors the is-finalized check in the update operators).
-    if (diff < 0 && old <= clamp) return kIntMax;
-    if (diff > 0 && old >= clamp) return kIntMax;
-    int64_t desired = old + diff;
-    if (diff < 0) desired = std::max(desired, clamp);
-    else desired = std::min(desired, clamp);
-    if (desired == old) return kIntMax;
-    if (gSerial) {
-      *addr = desired;
-      return desired;
-    }
-    if (__atomic_compare_exchange_n(addr, &old, desired, false,
-                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-      return desired;
-  }
-}
-
-// Serial clamped add for sites the race analysis proved thread-owned: same
-// semantics as atomicAddClamped without the compare-exchange loop.
+// Clamped add: priority += diff, not past `clamp`; returns the new value,
+// or kIntMax when nothing changed (the vertex is already at or past the
+// clamp, mirroring the is-finalized check in the update operators).  Also
+// the plain form for sites the race analysis proved thread-owned.
 inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
   int64_t old = *addr;
   if (diff < 0 && old <= clamp) return kIntMax;
@@ -211,8 +174,26 @@ inline int64_t addClamped(int64_t *addr, int64_t diff, int64_t clamp) {
   return desired;
 }
 
+template <bool kSerial>
+inline int64_t atomicAddClamped(int64_t *addr, int64_t diff, int64_t clamp) {
+  if constexpr (kSerial) return addClamped(addr, diff, clamp);
+  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
+  while (true) {
+    if (diff < 0 && old <= clamp) return kIntMax;
+    if (diff > 0 && old >= clamp) return kIntMax;
+    int64_t desired = old + diff;
+    if (diff < 0) desired = std::max(desired, clamp);
+    else desired = std::min(desired, clamp);
+    if (desired == old) return kIntMax;
+    if (__atomic_compare_exchange_n(addr, &old, desired, false,
+                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+      return desired;
+  }
+}
+
+template <bool kSerial>
 inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     if (*addr != expected) return false;
     *addr = desired;
     return true;
@@ -221,10 +202,10 @@ inline bool CASByte(uint8_t *addr, uint8_t expected, uint8_t desired) {
                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED);
 }
 
-// Fetch-add for slot counters (histogram counts, buffer tails).
-template <typename T>
+// Fetch-add for slot counters (histogram counts, buffer and frontier tails).
+template <bool kSerial, typename T>
 inline T fetchAdd(T *addr, T value) {
-  if (gSerial) {
+  if constexpr (kSerial) {
     T old = *addr;
     *addr = old + value;
     return old;
@@ -232,27 +213,15 @@ inline T fetchAdd(T *addr, T value) {
   return __atomic_fetch_add(addr, value, __ATOMIC_RELAXED);
 }
 
-inline void atomicMinSize(size_t *addr, size_t value) {
-  if (gSerial) {
+// The eager region's next-bucket election: size_t bins for lower_first,
+// signed orders for higher_first (its map-binned orders are negative).
+template <bool kSerial, typename T>
+inline void atomicMin(T *addr, T value) {
+  if constexpr (kSerial) {
     if (value < *addr) *addr = value;
     return;
   }
-  size_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
-  while (value < old) {
-    if (__atomic_compare_exchange_n(addr, &old, value, false,
-                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-      return;
-  }
-}
-
-// Signed variant for the order-space (map-binned) eager region, where bucket
-// orders of higher_first queues are negative and cannot index a dense array.
-inline void atomicMinInt64(int64_t *addr, int64_t value) {
-  if (gSerial) {
-    if (value < *addr) *addr = value;
-    return;
-  }
-  int64_t old = __atomic_load_n(addr, __ATOMIC_RELAXED);
+  T old = __atomic_load_n(addr, __ATOMIC_RELAXED);
   while (value < old) {
     if (__atomic_compare_exchange_n(addr, &old, value, false,
                                     __ATOMIC_RELAXED, __ATOMIC_RELAXED))
@@ -264,10 +233,13 @@ inline void atomicMinInt64(int64_t *addr, int64_t value) {
 // Works in *order space*: ascending orders regardless of queue direction.
 // lower_first maps value -> floorDiv(value, delta); higher_first negates so
 // the highest priority gets the smallest order (repro.buckets.interface).
+// A power-of-two delta orders by arithmetic shift, which floors like
+// floorDiv for either sign; any other delta divides.
 struct LazyPriorityQueue {
   int64_t *priorities;
   int64_t num_verts;
   int64_t delta;
+  int shift = -1;
   int64_t cur_order = -1;
   int64_t base = 0;
   int num_open;
@@ -287,8 +259,11 @@ struct LazyPriorityQueue {
                     int64_t null_priority_ = kIntMax)
       : priorities(pv), num_verts(n), delta(delta_), num_open(num_open_),
         dir_sign(dir_sign_), null_priority(null_priority_) {
+    if (delta > 0 && (delta & (delta - 1)) == 0) shift = __builtin_ctzll(delta);
     buckets.assign(num_open, {});
-    pending.assign(n, 0);
+    // One spare slot: the serial histogram appends with an unconditional
+    // store and a predicated tail advance.
+    pending.assign(n + 1, 0);
     pending_flags.assign(n, 0);
     processed_value.assign(n, std::numeric_limits<int64_t>::min());
     if (start >= 0) {
@@ -309,7 +284,7 @@ struct LazyPriorityQueue {
   }
 
   int64_t orderOf(int64_t value) const {
-    return dir_sign * floorDiv(value, delta);
+    return dir_sign * (shift >= 0 ? value >> shift : floorDiv(value, delta));
   }
 
   void rebase(int64_t new_base) {
@@ -322,12 +297,11 @@ struct LazyPriorityQueue {
     else buckets[order - base].push_back(v);
   }
 
-  // Thread-safe buffered bucket update with a dedup-flag CAS (Figure 9(a)).
+  // Buffered bucket update with a dedup-flag CAS (Figure 9(a)).
+  template <bool kSerial>
   void bufferVertex(NodeID v) {
-    if (CASByte(&pending_flags[v], 0, 1)) {
-      size_t slot = fetchAdd(&pending_tail, (size_t)1);
-      pending[slot] = v;
-    }
+    if (CASByte<kSerial>(&pending_flags[v], 0, 1))
+      pending[fetchAdd<kSerial>(&pending_tail, (size_t)1)] = v;
   }
 
   void flushPending() {
@@ -522,8 +496,7 @@ extern "C" int64_t repro_native_run(
       frontier[0] = start_vertex;
       frontier_tails[0] = 1;
       shared_indexes[0] = -floorDiv(width[start_vertex], delta);
-      #pragma omp parallel if(!gSerial)
-      {
+      if (gSerial) {
         std::map<int64_t, std::vector<NodeID>> local_bins;
         size_t iter = 0;
         while (shared_indexes[iter & 1] != kIntMax) {
@@ -535,13 +508,13 @@ extern "C" int64_t repro_native_run(
           const int64_t curr_priority = -curr_bin_index * delta;
           (void)curr_priority;
           auto relax = [&](NodeID src) {
-            for (WNode __wn : edges.out_neigh(src)) {
-              NodeID dst = __wn.v;
-              WeightT weight = __wn.weight;
+            for (int64_t __e = edges.indptr[src]; __e < edges.indptr[src + 1]; __e++) {
+              NodeID dst = edges.indices[__e];
+              WeightT weight = edges.weights[__e];
               (void)dst;
               int64_t bottleneck = std::min<int64_t>(width[src], weight);
               int64_t __new_value = bottleneck;
-              bool __tracking_var = atomicWriteMax(&width[dst], __new_value, width[dst]);
+              bool __tracking_var = atomicWriteMax<true>(&width[dst], __new_value, width[dst]);
               if (__tracking_var) {
                 int64_t __dest_bin = -floorDiv(__new_value, delta);
                 if (__dest_bin < curr_bin_index) __dest_bin = curr_bin_index;
@@ -549,28 +522,76 @@ extern "C" int64_t repro_native_run(
               }
             }
           };
-          #pragma omp for nowait schedule(dynamic, 64)
           for (size_t i = 0; i < curr_frontier_tail; i++) {
             NodeID u = frontier[i];
             if (-floorDiv(width[u], delta) >= curr_bin_index) relax(u);
           }
           for (auto __it = local_bins.lower_bound(curr_bin_index); __it != local_bins.end(); ++__it) {
-            if (!__it->second.empty()) { atomicMinInt64(&next_bin_index, __it->first); break; }
+            if (!__it->second.empty()) { atomicMin<true>(&next_bin_index, __it->first); break; }
           }
-          #pragma omp barrier
-          #pragma omp single nowait
           {
             curr_bin_index = kIntMax;
             curr_frontier_tail = 0;
           }
           auto __next_it = local_bins.find(next_bin_index);
           if (__next_it != local_bins.end() && !__next_it->second.empty()) {
-            size_t copy_start = __atomic_fetch_add(&next_frontier_tail, __next_it->second.size(), __ATOMIC_RELAXED);
+            size_t copy_start = fetchAdd<true>(&next_frontier_tail, __next_it->second.size());
             std::copy(__next_it->second.begin(), __next_it->second.end(), frontier.get() + copy_start);
             local_bins.erase(__next_it);
           }
           iter++;
-          #pragma omp barrier
+        }
+      } else {
+        #pragma omp parallel
+        {
+          std::map<int64_t, std::vector<NodeID>> local_bins;
+          size_t iter = 0;
+          while (shared_indexes[iter & 1] != kIntMax) {
+            int64_t &curr_bin_index = shared_indexes[iter & 1];
+            int64_t &next_bin_index = shared_indexes[(iter + 1) & 1];
+            size_t &curr_frontier_tail = frontier_tails[iter & 1];
+            size_t &next_frontier_tail = frontier_tails[(iter + 1) & 1];
+            if (stop_flag) break;
+            const int64_t curr_priority = -curr_bin_index * delta;
+            (void)curr_priority;
+            auto relax = [&](NodeID src) {
+              for (int64_t __e = edges.indptr[src]; __e < edges.indptr[src + 1]; __e++) {
+                NodeID dst = edges.indices[__e];
+                WeightT weight = edges.weights[__e];
+                (void)dst;
+                int64_t bottleneck = std::min<int64_t>(width[src], weight);
+                int64_t __new_value = bottleneck;
+                bool __tracking_var = atomicWriteMax<false>(&width[dst], __new_value, width[dst]);
+                if (__tracking_var) {
+                  int64_t __dest_bin = -floorDiv(__new_value, delta);
+                  if (__dest_bin < curr_bin_index) __dest_bin = curr_bin_index;
+                  local_bins[__dest_bin].push_back(dst);
+                }
+              }
+            };
+            #pragma omp for nowait schedule(dynamic, 64)
+            for (size_t i = 0; i < curr_frontier_tail; i++) {
+              NodeID u = frontier[i];
+              if (-floorDiv(width[u], delta) >= curr_bin_index) relax(u);
+            }
+            for (auto __it = local_bins.lower_bound(curr_bin_index); __it != local_bins.end(); ++__it) {
+              if (!__it->second.empty()) { atomicMin<false>(&next_bin_index, __it->first); break; }
+            }
+            #pragma omp barrier
+            #pragma omp single nowait
+            {
+              curr_bin_index = kIntMax;
+              curr_frontier_tail = 0;
+            }
+            auto __next_it = local_bins.find(next_bin_index);
+            if (__next_it != local_bins.end() && !__next_it->second.empty()) {
+              size_t copy_start = fetchAdd<false>(&next_frontier_tail, __next_it->second.size());
+              std::copy(__next_it->second.begin(), __next_it->second.end(), frontier.get() + copy_start);
+              local_bins.erase(__next_it);
+            }
+            iter++;
+            #pragma omp barrier
+          }
         }
       }
     }
@@ -580,10 +601,19 @@ extern "C" int64_t repro_native_run(
 }
 
 // ---- standalone driver: load an edge list, run the kernel, dump vectors ---
+#include <cerrno>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+
+// A whole token as one base-10 int64 (no overflow, nothing after it).
+static bool parseInt(const std::string &token, int64_t &value) {
+  char *end = nullptr;
+  errno = 0;
+  value = std::strtoll(token.c_str(), &end, 10);
+  return end != token.c_str() && *end == '\0' && errno == 0;
+}
 
 // Loads "src dst [weight]" lines ('#'/'%' open comments) into CSR vectors
 // and returns a borrowed view of them; any other line is an error.  The
@@ -602,19 +632,23 @@ static WGraph LoadEdgeList(const char *path, std::vector<int64_t> &indptr,
   NodeID max_id = -1, declared_nodes = -1;
   std::string line;
   for (int64_t lineno = 1; std::getline(in, line); lineno++) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') {
+    size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    if (line[first] == '#' || line[first] == '%') {
       size_t pos = line.find("vertices=");
       if (pos != std::string::npos)
         declared_nodes = atoll(line.c_str() + pos + 9);
       continue;
     }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     std::istringstream row(line);
+    std::string field[4];
+    int fields = 0;
+    while (fields < 4 && row >> field[fields]) fields++;
     NodeID s = -1, d = -1;
     WeightT w = 1;
-    std::string extra;
-    if (!(row >> s >> d) || s < 0 || d < 0 || (!(row >> w) && !row.eof()) ||
-        row >> extra) {
+    if (fields < 2 || fields > 3 || !parseInt(field[0], s) ||
+        !parseInt(field[1], d) || s < 0 || d < 0 ||
+        (fields == 3 && !parseInt(field[2], w))) {
       std::cerr << "error: " << path << ":" << lineno
                 << ": expected 'src dst [weight]' with vertex ids >= 0, got '"
                 << line << "'" << std::endl;
