@@ -31,8 +31,10 @@ Each of these regions is written once and instantiated twice under one
 dispatch on the run's thread mode: serial code and the OpenMP text
 (``cpp_runtime``'s module docstring; DESIGN §11).
 
-Programs using extern functions (A*, SetCover) are rejected — as in the
-paper's artifact those require hand-written C++ extern functions.
+The emitter renders the plan and derives nothing: the queue, the edgeset,
+the outputs and each site's atomicity come from the plan, and a plan that
+:func:`~repro.midend.transforms.lowering.native_refusal` refuses (externs,
+no queue, relaxed, a higher_first constant-sum, ...) raises its reason.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from ..errors import CompileError, SchedulingError
+from ..errors import CompileError
 from ..lang import ast_nodes as ast
 from ..lang.types import (
     BOOL,
@@ -53,8 +55,8 @@ from ..lang.types import (
     VertexSetType,
 )
 from ..midend.analysis.effects import runtime_summary
-from ..midend.analysis.races import classify_races
-from ..midend.transforms.lowering import CompilationPlan
+from ..midend.analysis.facts import UDFFacts
+from ..midend.transforms.lowering import CompilationPlan, native_refusal
 from .cpp_runtime import driver, kernel_runtime
 from .python_backend import _Emitter
 
@@ -79,9 +81,8 @@ def generate_cpp(plan: CompilationPlan) -> str:
     """The standalone program for ``plan``: the kernel plus the driver,
     which runs it at OpenMP's default thread count and ``plan``'s Δ,
     fusion threshold and bucket count."""
-    emitter = _CppEmitter(plan)
-    return emitter.emit() + driver(
-        emitter.vector_names,
+    return _CppEmitter(plan).emit() + driver(
+        plan.facts.outputs,
         plan.facts.vertex_arguments,
         [0] + [getattr(plan.schedule, name) for name in RUN_PARAMETERS[1:]],
     )
@@ -108,126 +109,34 @@ def _jsonable(value):
 
 class _CppEmitter:
     def __init__(self, plan: CompilationPlan):
+        reason = native_refusal(plan)
+        if reason is not None:
+            raise CompileError(reason)
         self.plan = plan
         self.program = plan.program
         self.schedule = plan.schedule
         self.out = _Emitter(indent="  ")
-        if self.schedule.is_relaxed:
-            raise SchedulingError(
-                "the relaxed strategy is lowered by the Python runtime only; "
-                "the C++ runtime has strict bucket queues"
-            )
-        if self.program.externs:
-            raise CompileError(
-                "the C++ backend does not support extern functions; as in "
-                "the paper's artifact, A* and SetCover need hand-written "
-                "C++ externs"
-            )
-        self.edgeset_name = self._find_const(EdgeSetType)
-        if not plan.facts.queue_names:
-            raise CompileError(
-                "the C++ backend supports ordered (priority-queue) programs "
-                "only; compile unordered programs with the Python backend"
-            )
-        self.queue_name = next(iter(sorted(plan.facts.queue_names)))
-        self.vector_names = [
-            const.name
-            for const in self.program.constants
-            if isinstance(const.declared_type, VectorType)
-        ]
-        self._queue_new = self._find_queue_constructor()
-        self._pv_name = self._priority_vector_name()
-        # The race classification decides atomicity per site.
-        self._races = (
-            classify_races(plan.facts.loop_udf, plan.schedule)
-            if plan.udf is not None
-            else None
-        )
-        # Context flags used during statement emission.
-        self._in_eager_region = False
-        self._emitting_transformed = False
-        # The instantiation being emitted (``_instantiate``).
-        self._serial = False
-
-    # ------------------------------------------------------------------
-    # Plan inspection helpers
-    # ------------------------------------------------------------------
-    def _find_const(self, type_class) -> str | None:
-        for const in self.program.constants:
-            if isinstance(const.declared_type, type_class):
-                return const.name
-        return None
-
-    def _find_queue_constructor(self) -> ast.New | None:
-        main = self.program.function("main")
-        if main is None:
-            return None
-        for node in ast.walk(main):
-            if isinstance(node, ast.New) and isinstance(
-                node.type, PriorityQueueType
-            ):
-                return node
-        return None
-
-    def _priority_vector_name(self) -> str:
-        if self._queue_new is None or len(self._queue_new.arguments) < 3:
-            raise CompileError("cannot locate the priority queue constructor")
-        pv_arg = self._queue_new.arguments[2]
-        if not isinstance(pv_arg, ast.Name):
-            raise CompileError(
-                "the priority queue's priority_vector must be a named vector"
-            )
-        direction = self._queue_new.arguments[1]
-        if not (
-            isinstance(direction, ast.StringLiteral)
-            and direction.value
-            in ("lower_first", "lower", "higher_first", "higher")
-        ):
-            raise CompileError(
-                "the priority queue direction must be the literal "
-                "'lower_first' or 'higher_first'"
-            )
+        queue = plan.queue
+        self.queue_name = queue.name
+        self._pv_name = queue.priority_vector
+        self._start = queue.start_vertex
         # Direction parameters threaded through the generated code: bucket
         # orders ascend in both directions (order space); higher_first
         # negates the coarsened priority and uses the large negative null.
-        self._dir_lower = direction.value in ("lower_first", "lower")
+        self._dir_lower = queue.order == "lower_first"
         self._dir_sign_text = "1" if self._dir_lower else "-1"
         self._null_literal = "kIntMax" if self._dir_lower else "kNullHigher"
         # The eager region's bin index and its no-bucket sentinel.
         self._bin_type, self._bin_sentinel = (
             ("size_t", "kMaxBin") if self._dir_lower else ("int64_t", "kIntMax")
         )
-        if not self._dir_lower and self.schedule.uses_histogram:
-            raise CompileError(
-                "lazy_constant_sum requires a lower_first queue in the C++ "
-                "backend (the histogram transform tracks decrement counts)"
-            )
-        allow = self._queue_new.arguments[0]
-        if (
-            isinstance(allow, ast.BoolLiteral)
-            and allow.value is False
-            and self.schedule.delta != 1
-        ):
-            raise CompileError(
-                "the priority queue disallows coarsening but the schedule "
-                f"sets delta={self.schedule.delta}"
-            )
-        return pv_arg.identifier
-
-    def _start_vertex_expr(self) -> ast.Expr | None:
-        """The constructor's start vertex; None for the all-vertices form."""
-        if self._queue_new is None or len(self._queue_new.arguments) < 4:
-            return None
-        start = self._queue_new.arguments[3]
-        if isinstance(start, ast.IntLiteral) and start.value < 0:
-            return None
-        if (
-            isinstance(start, ast.UnaryOp)
-            and start.operator == "-"
-            and isinstance(start.operand, ast.IntLiteral)
-        ):
-            return None
-        return start
+        # The race report of the UDF being inlined: atomicity per site.
+        self._races = None
+        # Context flags used during statement emission.
+        self._in_eager_region = False
+        self._emitting_transformed = False
+        # The instantiation being emitted (``_instantiate``).
+        self._serial = False
 
     # ------------------------------------------------------------------
     # Top level
@@ -321,7 +230,8 @@ class _CppEmitter:
         if main is None:
             raise CompileError("program has no main function")
         out = self.out
-        num_outputs = len(self.vector_names)
+        outputs = self.plan.facts.outputs
+        num_outputs = len(outputs)
         required_args = self.plan.facts.num_args_required
         out.line(
             "extern \"C\" int64_t repro_native_abi_version() "
@@ -361,7 +271,7 @@ class _CppEmitter:
         out.line("(void)__repro_num_threads;")
         out.line("detectSerial();")
         self._emit_entry_reset()
-        for index, name in enumerate(self.vector_names):
+        for index, name in enumerate(outputs):
             out.line(f"{name}.bind(__repro_out[{index}], __repro_num_nodes);")
         self._emit_const_initializers()
         # The program body runs inside a void lambda so the DSL's bare
@@ -521,11 +431,10 @@ class _CppEmitter:
                 f"operator (thread-local buckets)"
             )
             return
-        start = self._start_vertex_expr()
-        start_text = self._expr(start) if start is not None else "-1"
+        start_text = self._expr(self._start) if self._start is not None else "-1"
         self.out.line(
             f"{target} = new LazyPriorityQueue({self._pv_name}.data(), "
-            f"{self.edgeset_name}.num_nodes, delta, {start_text}, "
+            f"{self.plan.facts.edgeset}.num_nodes, delta, {start_text}, "
             f"{_schedule_number('num_buckets')}, {self._dir_sign_text}, "
             f"{self._null_literal});"
         )
@@ -539,19 +448,10 @@ class _CppEmitter:
             and expression.method in ("applyUpdatePriority", "apply")
         ):
             return False
-        chain = expression.receiver
-        if not (
-            isinstance(chain, ast.MethodCall)
-            and chain.method == "from"
-            and isinstance(chain.receiver, ast.Name)
-        ):
-            raise CompileError("applyUpdatePriority needs edges.from(bucket)")
+        chain = expression.receiver  # edges.from(bucket), as the planner checked
         edgeset = chain.receiver.identifier
         bucket = self._expr(chain.arguments[0])
-        udf_name = expression.arguments[0].identifier
-        udf = self.program.function(udf_name)
-        if udf is None:
-            raise CompileError(f"unknown UDF {udf_name!r}")
+        udf = self.plan.facts.udfs[expression.arguments[0].identifier]
         if self.schedule.uses_histogram:
             self._emit_histogram_apply(edgeset, bucket)
         elif self.schedule.direction == "DensePull":
@@ -560,14 +460,8 @@ class _CppEmitter:
             self._emit_push_apply(edgeset, bucket, udf)
         return True
 
-    def _udf_param_names(self, udf: ast.FuncDecl) -> tuple[str, str, str | None]:
-        names = [name for name, _ in udf.parameters]
-        if len(names) == 2:
-            return names[0], names[1], None
-        return names[0], names[1], names[2]
-
-    def _emit_push_apply(self, edgeset: str, bucket: str, udf: ast.FuncDecl) -> None:
-        src, dst, weight = self._udf_param_names(udf)
+    def _emit_push_apply(self, edgeset: str, bucket: str, udf: UDFFacts) -> None:
+        src, dst, weight = udf.src_param, udf.dst_param, udf.weight_param
 
         def body() -> None:
             self._omp("parallel for schedule(dynamic, 64)")
@@ -580,9 +474,9 @@ class _CppEmitter:
             self._hoist_csr(edgeset, weight is not None)
             self._instantiate(body)
 
-    def _emit_pull_apply(self, edgeset: str, bucket: str, udf: ast.FuncDecl) -> None:
+    def _emit_pull_apply(self, edgeset: str, bucket: str, udf: UDFFacts) -> None:
         out = self.out
-        src, dst, weight = self._udf_param_names(udf)
+        src, dst, weight = udf.src_param, udf.dst_param, udf.weight_param
 
         def body() -> None:
             self._omp("parallel for schedule(dynamic, 64)")
@@ -609,7 +503,7 @@ class _CppEmitter:
             self._instantiate(body)
 
     def _emit_histogram_scratch(self) -> None:
-        nodes = f"{self.edgeset_name}.num_nodes"
+        nodes = f"{self.plan.facts.edgeset}.num_nodes"
         self.out.line(f"std::vector<int64_t> __count({nodes}, 0);")
         # One spare slot for the serial count's unconditional store.
         self.out.line(f"std::vector<NodeID> __touched({nodes} + 1);")
@@ -617,8 +511,6 @@ class _CppEmitter:
     def _emit_histogram_apply(self, edgeset: str, bucket: str) -> None:
         out = self.out
         transformed = self.plan.transformed_udf
-        if transformed is None:
-            raise CompileError("histogram schedule lacks a transformed UDF")
         queue = self.queue_name
         applied = f"{transformed.name}(__v, __counts[__v]) != kIntMax"
 
@@ -728,21 +620,22 @@ class _CppEmitter:
     # ------------------------------------------------------------------
     # UDF body lowering
     # ------------------------------------------------------------------
-    def _emit_udf_body(self, udf: ast.FuncDecl, mode: str) -> None:
+    def _emit_udf_body(self, udf: UDFFacts, mode: str) -> None:
         """Inline the UDF with its priority-update operators lowered.
 
         ``mode`` is ``lazy_push``, ``lazy_pull``, or ``eager``; it selects
-        the bucket-update mechanism and whether writes are atomic (the
-        dependence analysis result — pull needs no atomics).
+        the bucket-update mechanism.  The UDF's race report decides which
+        writes are atomic.
         """
-        for statement in udf.body:
+        self._races = self.plan.races[udf.name]
+        for statement in udf.decl.body:
             self._emit_udf_stmt(statement, mode)
 
     def _emit_udf_stmt(self, statement: ast.Stmt, mode: str) -> None:
         if isinstance(statement, ast.ExprStmt):
-            update = self._match_update_call(statement.expression)
-            if update is not None:
-                self._emit_priority_update(update, mode)
+            site = self._races.site_for(statement.expression)
+            if site is not None and site.update is not None:
+                self._emit_priority_update(site, mode)
                 return
         if isinstance(statement, ast.If):
             self.out.line(f"if ({self._expr(statement.condition)}) {{")
@@ -764,7 +657,7 @@ class _CppEmitter:
             # guarded monotonic test-and-set are all benign without
             # atomics).  Sites it could NOT prove safe are flagged in the
             # generated code; `repro lint` reports them as R001 errors.
-            site = self._race_site(statement)
+            site = self._races.site_for(statement)
             if site is not None and site.race_class.value == "unordered_racy":
                 self.out.line("// R001: unordered racy write (repro lint)")
             self.out.line(
@@ -774,46 +667,20 @@ class _CppEmitter:
             return
         self._stmt(statement)
 
-    def _match_update_call(self, expression: ast.Expr):
-        if (
-            isinstance(expression, ast.MethodCall)
-            and expression.method.startswith("updatePriority")
-            and isinstance(expression.receiver, ast.Name)
-            and expression.receiver.identifier in self.plan.facts.queue_names
-        ):
-            return expression
-        return None
-
-    def _race_site(self, node: ast.Node):
-        """The race-analysis classification for an AST node, if any."""
-        if self._races is None:
-            return None
-        return self._races.site_for(node)
-
-    def _emit_priority_update(self, call: ast.MethodCall, mode: str) -> None:
+    def _emit_priority_update(self, site, mode: str) -> None:
         out = self.out
-        arguments = call.arguments
-        vertex = self._expr(arguments[0])
+        update = site.update
+        vertex = self._expr(update.vertex_arg)
         # The race analysis decides atomicity per site (no unconditional
         # atomics): CAS/fetch-add only where the write crosses threads under
-        # the active schedule.  Without a classification (plans built before
-        # the analysis ran) fall back to the old direction heuristic.
-        site = self._race_site(call)
-        if site is not None:
-            atomic = site.race_class.is_atomic
-        else:
-            atomic = mode != "lazy_pull"
-        if call.method in ("updatePriorityMin", "updatePriorityMax"):
-            new_value = self._expr(arguments[-1])
-            out.line(f"int64_t __new_value = {new_value};")
+        # the active schedule.
+        atomic = site.race_class.is_atomic
+        if update.op in ("min", "max"):
+            out.line(f"int64_t __new_value = {self._expr(update.value_arg)};")
             if atomic:
-                op = (
-                    "atomicWriteMin"
-                    if call.method == "updatePriorityMin"
-                    else "atomicWriteMax"
-                )
+                op = "atomicWriteMin" if update.op == "min" else "atomicWriteMax"
                 seed = ""
-                if site is not None and site.cas_seed is not None:
+                if site.cas_seed is not None:
                     # Seed the CAS loop from the old value the UDF already
                     # read (the preserved 3-argument form) instead of an
                     # extra atomic load.
@@ -823,7 +690,7 @@ class _CppEmitter:
                     f"__new_value{seed});"
                 )
             else:
-                comparison = "<" if call.method == "updatePriorityMin" else ">"
+                comparison = "<" if update.op == "min" else ">"
                 out.line("bool __tracking_var = false;")
                 out.line(
                     f"if (__new_value {comparison} {self._pv_name}[{vertex}]) "
@@ -831,10 +698,12 @@ class _CppEmitter:
                     f"__tracking_var = true; }}"
                 )
             self._emit_bucket_routing(vertex, "__new_value", "__tracking_var", mode)
-        elif call.method == "updatePrioritySum":
-            diff = self._expr(arguments[1])
+        else:
+            diff = self._expr(update.value_arg)
             threshold = (
-                self._expr(arguments[2]) if len(arguments) > 2 else "kIntMax"
+                self._expr(update.threshold_arg)
+                if update.threshold_arg is not None
+                else "kIntMax"
             )
             add = f"atomicAddClamped{self._mode}" if atomic else "addClamped"
             out.line(
@@ -843,8 +712,6 @@ class _CppEmitter:
             )
             out.line("bool __tracking_var = (__new_value != kIntMax);")
             self._emit_bucket_routing(vertex, "__new_value", "__tracking_var", mode)
-        else:  # pragma: no cover
-            raise CompileError(f"unknown update operator {call.method}")
 
     def _emit_bucket_routing(
         self, vertex: str, new_value: str, tracking: str, mode: str
@@ -896,24 +763,13 @@ class _CppEmitter:
         election races on an ``int64_t`` with ``kIntMax`` as the sentinel.
         """
         loop = self.plan.facts.loop
-        udf = self.plan.udf
-        if loop is None or udf is None:
-            raise CompileError("eager transform requires the recognized loop")
+        udf = self.plan.facts.loop_udf
         lower = self._dir_lower
         out = self.out
         edgeset = loop.edgeset_name
-        src, dst, weight = self._udf_param_names(udf)
-        start = self._start_vertex_expr()
-        if start is None and not lower:
-            raise CompileError(
-                "the all-vertices priority queue form is not supported with "
-                "eager higher_first schedules in the C++ backend; use a "
-                "lazy schedule"
-            )
-        sum_udf = any(
-            access.update.op == "sum"
-            for access in self.plan.facts.loop_udf.priority_updates
-        )
+        src, dst, weight = udf.src_param, udf.dst_param, udf.weight_param
+        start = self._start
+        sum_udf = any(access.update.op == "sum" for access in udf.priority_updates)
         index_type, sentinel = self._bin_type, self._bin_sentinel
 
         def thread_body() -> None:

@@ -21,7 +21,7 @@ reporting the ``N101`` info diagnostic.
 
 from .abi import ABI_VERSION, generate_native_cpp
 from .build import build_kernel, kernel_cache_dir, kernel_key
-from .runner import NativeUnavailable, execute_native, native_output_names
+from .runner import NativeUnavailable, execute_native
 from .toolchain import Toolchain, discover_toolchain, reset_toolchain_cache
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "generate_native_cpp",
     "kernel_cache_dir",
     "kernel_key",
-    "native_output_names",
     "reset_toolchain_cache",
 ]

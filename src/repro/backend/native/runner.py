@@ -8,11 +8,12 @@ views to — the kernel's priority/result writes land directly in the arrays
 the :class:`~repro.backend.program.RunResult` hands back.
 
 ``execute_native`` raises :class:`NativeUnavailable` for every *recoverable*
-condition — no toolchain, a program shape the native backend cannot lower,
-a missing effect summary — and the dispatch layer in ``program.py`` turns
-that into the ``N101`` fallback onto the vectorized Python kernels.  Real
-failures (a kernel build error, a nonzero status from a freshly validated
-kernel) raise loudly instead.
+condition — no toolchain, or a plan that
+:func:`~repro.midend.transforms.lowering.native_refusal` refuses — and the
+dispatch layer in ``program.py`` turns that into the ``N101`` fallback onto
+the vectorized Python kernels.  Real failures (an emitter error, a kernel
+build error, a nonzero status from a freshly validated kernel) raise loudly
+instead.
 
 A warm run does no code generation: each compiled program memoises its
 kernel text, cache key and run-parameter block on first use, and a loaded
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...errors import CompileError, GraphItError
+from ...errors import GraphItError
 from ...graph.csr import CSRGraph
-from ...lang.types import VectorType
+from ...midend.transforms.lowering import native_refusal
 from ...obs import metrics
 from ...obs import span as trace_span
 from ...runtime.stats import RuntimeStats
@@ -45,7 +46,7 @@ from .abi import ABI_VERSION, RUN_PARAMETERS, generate_native_cpp
 from .build import build_kernel, kernel_cache_dir, kernel_key, kernel_lock
 from .toolchain import Toolchain, discover_toolchain
 
-__all__ = ["NativeUnavailable", "execute_native", "native_output_names"]
+__all__ = ["NativeUnavailable", "execute_native"]
 
 _EXECUTIONS = metrics.counter("native.executions")
 _EXECUTE_US = metrics.histogram("native.execute_us")
@@ -62,7 +63,7 @@ class _Kernel:
     key: str
     #: The run-parameter block (``RUN_PARAMETERS`` of the schedule).
     params: np.ndarray
-    names: list[str]
+    names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,6 @@ class NativeUnavailable(GraphItError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def native_output_names(plan) -> list[str]:
-    """Global vector constants in declaration order — the ABI output order."""
-    return [
-        const.name
-        for const in plan.program.constants
-        if isinstance(const.declared_type, VectorType)
-    ]
 
 
 def _load_library(path: str) -> _Library:
@@ -149,13 +141,13 @@ def _parse_int_args(args: list[str]) -> np.ndarray:
 
 
 def generate_for_plan(plan) -> str:
-    """Native C++ for ``plan``, mapping unsupported shapes to
-    :class:`NativeUnavailable` (the recoverable category)."""
+    """Native C++ for ``plan``; a plan the lowering refuses raises
+    :class:`NativeUnavailable` before any text is generated."""
+    reason = native_refusal(plan)
+    if reason is not None:
+        raise NativeUnavailable(reason)
     with trace_span("native.codegen", "native"):
-        try:
-            return generate_native_cpp(plan)
-        except CompileError as exc:
-            raise NativeUnavailable(str(exc)) from exc
+        return generate_native_cpp(plan)
 
 
 def _kernel_for(program, toolchain: Toolchain) -> _Kernel:
@@ -173,7 +165,7 @@ def _kernel_for(program, toolchain: Toolchain) -> _Kernel:
                 [getattr(schedule, name) for name in RUN_PARAMETERS],
                 dtype=np.int64,
             ),
-            names=native_output_names(program.plan),
+            names=program.plan.facts.outputs,
         )
         program._native_kernel = kernel
     return kernel

@@ -113,6 +113,11 @@ class CompiledProgram:
                     "resume; run the resume with execution='serial' or "
                     "'parallel'"
                 )
+            if self.plan.resume_vector is None:
+                raise CompileError(
+                    "this program cannot resume: its ordered loop's priority "
+                    "vector is not a filled vector declaration"
+                )
             values, seeds = resume
             resume = (values, np.asarray(seeds, dtype=np.int64))
         note_run(

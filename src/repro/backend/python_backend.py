@@ -21,19 +21,8 @@ from __future__ import annotations
 
 from ..errors import CompileError
 from ..lang import ast_nodes as ast
-from ..lang.types import (
-    BOOL,
-    FLOAT,
-    INT,
-    STRING,
-    EdgeSetType,
-    PriorityQueueType,
-    Type,
-    VectorType,
-)
+from ..lang.types import BOOL, FLOAT, INT, STRING, PriorityQueueType, Type, VectorType
 from ..midend.analysis.effects import runtime_summary
-from ..midend.analysis.races import classify_races
-from ..midend.analysis.vectorize import analyze_vectorization
 from ..midend.transforms.lowering import CompilationPlan
 
 __all__ = ["generate_python"]
@@ -91,15 +80,6 @@ class _PythonEmitter(ast.NodeVisitor):
         self.globals = {const.name for const in self.program.constants}
         self.extern_names = {extern.name for extern in self.program.externs}
         self.function_names = {func.name for func in self.program.functions}
-        self.edgeset_name = self._find_edgeset_name()
-        # The ordered loop's priority vector: a resumed run binds it to the
-        # caller's values (``CompiledProgram.run(..., resume=...)``).
-        loop = plan.facts.loop
-        self.resume_vector = (
-            plan.facts.queue_vector(loop.queue_name) if loop is not None else None
-        )
-        # Batch-kernel classification of every apply UDF (V101 otherwise).
-        self.kernels = analyze_vectorization(plan.facts, plan.schedule)
         self._current_function: str | None = None
 
     # ------------------------------------------------------------------
@@ -116,11 +96,10 @@ class _PythonEmitter(ast.NodeVisitor):
         # Published before main so extern functions can reach the program's
         # vectors (ctx.globals) and queues (ctx.queues) during execution.
         self.out.line(f"ctx.globals.update({{{publish}}})")
-        if self.plan.udf is not None:
-            races = classify_races(self.plan.facts.loop_udf, self.schedule)
-            # Embed the midend's race classification; the context asserts
-            # it against the schedule it actually executes under and
-            # refuses to run programs with unordered racy writes (R001).
+        for races in self.plan.races.values():
+            # Embed the midend's race classification of every apply UDF;
+            # the context asserts it against the schedule it actually
+            # executes under and refuses unordered racy writes (R001).
             self.out.line(
                 f"ctx.declare_race_report(udf={races.udf_name!r}, "
                 f"direction={races.direction!r}, "
@@ -157,12 +136,6 @@ class _PythonEmitter(ast.NodeVisitor):
         self.out.pop()
         return self.out.text()
 
-    def _find_edgeset_name(self) -> str | None:
-        for const in self.program.constants:
-            if isinstance(const.declared_type, EdgeSetType):
-                return const.name
-        return None
-
     # ------------------------------------------------------------------
     # Declarations
     # ------------------------------------------------------------------
@@ -176,13 +149,14 @@ class _PythonEmitter(ast.NodeVisitor):
                 receiver = self._expr(init.receiver)
                 return f"{const.name} = ctx.out_degrees({receiver})"
             if self._is_scalar_expr(init):
-                if self.edgeset_name is None:
+                edgeset = self.plan.facts.edgeset
+                if edgeset is None:
                     raise CompileError(
                         "vector declaration needs an edgeset to size from"
                     )
-                resume = ", resume=True" if const.name == self.resume_vector else ""
+                resume = ", resume=True" if const.name == self.plan.resume_vector else ""
                 return (
-                    f"{const.name} = ctx.vector({self.edgeset_name}, "
+                    f"{const.name} = ctx.vector({edgeset}, "
                     f"{self._expr(init)}{resume})"
                 )
         return f"{const.name} = {self._expr(const.initializer)}"
@@ -196,9 +170,9 @@ class _PythonEmitter(ast.NodeVisitor):
         parameters = ", ".join(name for name, _ in func.parameters)
         self.out.line(f"def {func.name}({parameters}):")
         self.out.push()
-        rebound = self._rebound_globals(func)
+        rebound = self.plan.facts.rebinds.get(func.name)
         if rebound:
-            self.out.line(f"nonlocal {', '.join(sorted(rebound))}")
+            self.out.line(f"nonlocal {', '.join(rebound)}")
         if func.result is not None:
             result_name, result_type = func.result
             self.out.line(f"{result_name} = {self._default_value(result_type)}")
@@ -212,21 +186,6 @@ class _PythonEmitter(ast.NodeVisitor):
             self.out.line(f"return {func.result[0]}")
         self.out.pop()
         self.out.line()
-
-    def _rebound_globals(self, func: ast.FuncDecl) -> set[str]:
-        local_names = {name for name, _ in func.parameters}
-        if func.result is not None:
-            local_names.add(func.result[0])
-        for node in ast.walk(func):
-            if isinstance(node, ast.VarDecl):
-                local_names.add(node.name)
-        rebound: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
-                name = node.target.identifier
-                if name in self.globals and name not in local_names:
-                    rebound.add(name)
-        return rebound
 
     @staticmethod
     def _default_value(declared: Type) -> str:
@@ -322,34 +281,22 @@ class _PythonEmitter(ast.NodeVisitor):
             and expression.method in ("applyUpdatePriority", "apply")
         ):
             return None
+        # ``edges.apply(udf)`` or ``edges.from(bucket).apply*(udf)``, as
+        # the planner checked.
         chain = expression.receiver
-        if isinstance(chain, ast.Name) and expression.method == "apply":
+        udf_name = expression.arguments[0].identifier
+        if isinstance(chain, ast.Name):
             # Whole-edgeset unordered apply (original GraphIt): no frontier,
             # no priority queue involvement.
-            udf = expression.arguments[0].identifier
-            return f"ctx.apply_edges({chain.identifier}, {udf})"
-        if not (
-            isinstance(chain, ast.MethodCall)
-            and chain.method == "from"
-            and isinstance(chain.receiver, ast.Name)
-        ):
-            raise CompileError(
-                "applyUpdatePriority requires an edges.from(bucket) chain"
-            )
+            return f"ctx.apply_edges({chain.identifier}, {udf_name})"
         edgeset = chain.receiver.identifier
         bucket = self._expr(chain.arguments[0])
-        udf_name = expression.arguments[0].identifier
-        queue = self._queue_name()
+        queue = self.plan.queue.name
         if self.schedule.uses_histogram:
-            transformed = self.plan.transformed_udf
-            if transformed is None:
-                raise CompileError(
-                    "histogram schedule without a transformed UDF "
-                    "(midend planning should have rejected this)"
-                )
             return (
                 f"ctx.apply_update_priority_histogram({edgeset}, {bucket}, "
-                f"{transformed.name}, {queue}{self._kernel_arg(udf_name)})"
+                f"{self.plan.transformed_udf.name}, {queue}"
+                f"{self._kernel_arg(udf_name)})"
             )
         return (
             f"ctx.apply_update_priority({edgeset}, {bucket}, {udf_name}, "
@@ -364,7 +311,7 @@ class _PythonEmitter(ast.NodeVisitor):
         generated module's vectors and scalars; non-vectorizable UDFs emit
         nothing and the runtime stays on the scalar interpreter.
         """
-        report = self.kernels.get(udf_name)
+        report = self.plan.kernels.get(udf_name)
         if report is None or report.kernel is None:
             return ""
         kernel = report.kernel
@@ -381,11 +328,6 @@ class _PythonEmitter(ast.NodeVisitor):
             parts.append(f"aux=lambda: {kernel.aux}")
             parts.append(f"priority=lambda dst, k_cur, new_val: {kernel.priority}")
         return ", kernel=dict(" + ", ".join(parts) + ")"
-
-    def _queue_name(self) -> str:
-        if self.plan.facts.loop is not None:
-            return self.plan.facts.loop.queue_name
-        return next(iter(sorted(self.plan.facts.queue_names)))
 
     # ------------------------------------------------------------------
     # Eager transform (Section 5.2)
@@ -502,17 +444,8 @@ class _PythonEmitter(ast.NodeVisitor):
 
     def _new(self, expression: ast.New) -> str:
         if isinstance(expression.type, PriorityQueueType):
-            arguments = expression.arguments
-            if len(arguments) < 3:
-                raise CompileError(
-                    "the priority queue constructor takes (allow_coarsening, "
-                    "direction, priority_vector[, start_vertex])"
-                )
-            rendered = [self._expr(a) for a in arguments[:4]]
-            while len(rendered) < 4:
-                rendered.append("-1")
-            return (
-                "ctx.new_priority_queue("
-                f"{rendered[0]}, {rendered[1]}, {rendered[2]}, {rendered[3]})"
-            )
+            # (allow_coarsening, direction, priority_vector[, start_vertex]),
+            # as the planner checked; no start vertex means every vertex.
+            rendered = [self._expr(a) for a in expression.arguments] + ["-1"]
+            return f"ctx.new_priority_queue({', '.join(rendered[:4])})"
         raise CompileError(f"cannot construct type {expression.type}")

@@ -50,12 +50,7 @@ from ..buckets.eager import EagerBucketQueue
 from ..buckets.lazy import LazyBucketQueue
 from ..buckets.relaxed import RelaxedPriorityQueue
 from ..core import executors
-from ..errors import (
-    CompileError,
-    GraphItError,
-    PriorityQueueError,
-    SchedulingError,
-)
+from ..errors import CompileError, GraphItError, PriorityQueueError
 from ..graph.csr import CSRGraph
 from ..graph.io import load_edge_list, load_npz
 from ..graph.properties import INT_MAX
@@ -129,7 +124,6 @@ class Context:
         # ``(values, seeds)`` of a resumed run: the queue's priority vector
         # is bound to ``values`` and the queue seeded from ``seeds``.
         self.resume = resume
-        self._resume_bound = False
         self.schedule = schedule
         self.graph_override = graph
         self.extern_functions = dict(extern_functions or {})
@@ -202,7 +196,6 @@ class Context:
                     "resume values must be an int64 vector with one entry "
                     "per vertex"
                 )
-            self._resume_bound = True
             return self._maybe_sanitized(values)
         return self._maybe_sanitized(
             np.full(edges.num_vertices, fill, dtype=np.int64)
@@ -243,48 +236,24 @@ class Context:
         priority_vector: np.ndarray,
         start_vertex: int = -1,
     ):
-        delta = self.schedule.delta
-        if not allow_coarsening and delta != 1:
-            raise SchedulingError(
-                "the priority queue disallows coarsening but the schedule "
-                f"sets delta={delta}"
-            )
-        initial = None if start_vertex is None or start_vertex < 0 else [start_vertex]
         if self.resume is not None:
-            if not self._resume_bound:
-                raise CompileError(
-                    "this program cannot resume: its queue's priority vector "
-                    "is not a filled vector declaration"
-                )
             initial = self.resume[1]
+        else:
+            initial = None if start_vertex is None or start_vertex < 0 else [start_vertex]
+        shared = dict(
+            direction=direction,
+            delta=self.schedule.delta,
+            allow_coarsening=allow_coarsening,
+            stats=self.stats,
+            initial_vertices=initial,
+        )
         if self.schedule.is_relaxed:
-            queue = RelaxedPriorityQueue(
-                priority_vector,
-                direction=direction,
-                delta=delta,
-                allow_coarsening=allow_coarsening,
-                slack=4,
-                stats=self.stats,
-                initial_vertices=initial,
-            )
+            queue = RelaxedPriorityQueue(priority_vector, slack=4, **shared)
         elif self.schedule.is_eager:
-            queue = EagerBucketQueue(
-                priority_vector,
-                direction=direction,
-                delta=delta,
-                allow_coarsening=allow_coarsening,
-                stats=self.stats,
-                initial_vertices=initial,
-            )
+            queue = EagerBucketQueue(priority_vector, **shared)
         else:
             queue = LazyBucketQueue(
-                priority_vector,
-                direction=direction,
-                delta=delta,
-                allow_coarsening=allow_coarsening,
-                num_open_buckets=self.schedule.num_buckets,
-                stats=self.stats,
-                initial_vertices=initial,
+                priority_vector, num_open_buckets=self.schedule.num_buckets, **shared
             )
         self.queues.append(queue)
         return queue

@@ -16,7 +16,7 @@ one set of facts serves every direction and every per-label schedule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ...errors import CompileError
 from ...lang import ast_nodes as ast
@@ -31,6 +31,7 @@ _UPDATE_METHODS = {
     "updatePrioritySum": "sum",
 }
 _APPLY_METHODS = ("applyUpdatePriority", "apply")
+_ORDERS = ("lower_first", "higher_first")
 _CURRENT_PRIORITY = ("getCurrentPriority", "get_current_priority")
 _COMPARISONS = ("<", ">", "<=", ">=", "!=", "==")
 
@@ -140,6 +141,10 @@ class QueueInfo:
     #: the property vector the queue tracks priorities in
     priority_vector: str | None = None
     allow_coarsening: bool | None = None
+    #: the constructor's start vertex; ``None`` for the all-vertices form
+    start_vertex: ast.Expr | None = None
+    #: why the constructor is malformed (the planner refuses it)
+    problem: str | None = None
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,11 @@ class ApplySite:
     label: str | None
     #: ``applyUpdatePriority`` (a queue drives it) vs whole-edgeset ``apply``
     priority: bool
+    call: ast.MethodCall | None = None
+    #: the edgeset the chain starts from; ``None`` for a malformed chain
+    edgeset: str | None = None
+    #: the ``from(...)`` argument; ``None`` for a whole-edgeset ``apply``
+    frontier: ast.Expr | None = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,10 @@ class UDFFacts:
     @property
     def name(self) -> str:
         return self.decl.name
+
+    @property
+    def weight_param(self) -> str | None:
+        return self.parameters[2] if len(self.parameters) > 2 else None
 
     def owned_param(self, direction: str) -> str:
         return self.dst_param if direction == "DensePull" else self.src_param
@@ -267,6 +281,12 @@ class ProgramFacts:
     prints: bool = False
     #: how many integer arguments (``argv[2:]``) ``main`` reads
     num_args_required: int = 0
+    #: the first edgeset constant
+    edgeset: str | None = None
+    #: the vector constants in declaration order (the native output order)
+    outputs: tuple[str, ...] = ()
+    #: function name -> the program constants it assigns, sorted
+    rebinds: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def queue_vector(self, queue_name: str) -> str | None:
         info = self.queues.get(queue_name)
@@ -320,11 +340,12 @@ def build_facts(program: ast.Program) -> ProgramFacts:
         for const in program.constants
         if isinstance(const.declared_type, PriorityQueueType)
     )
-    vectors = frozenset(
+    outputs = tuple(
         const.name
         for const in program.constants
         if isinstance(const.declared_type, VectorType)
     )
+    vectors = frozenset(outputs)
     scalars = frozenset(
         const.name
         for const in program.constants
@@ -336,6 +357,8 @@ def build_facts(program: ast.Program) -> ProgramFacts:
     labels: dict[str, Span] = {}
     queue_fields: dict[str, dict] = {name: {"name": name} for name in queue_names}
     apply_sites: list[ApplySite] = []
+    rebinds: dict[str, tuple[str, ...]] = {}
+    constants = {const.name for const in program.constants}
     prints = False
     for func in program.functions:
         walk = _FunctionWalk(func, queue_names, file)
@@ -344,15 +367,18 @@ def build_facts(program: ast.Program) -> ProgramFacts:
         for label, node in walk.labels:
             labels.setdefault(label, Span.from_node(node, file=file))
         for assign in walk.queue_constructors:
-            entry = queue_fields[assign.target.identifier]
-            arguments = assign.value.arguments
-            if arguments and isinstance(arguments[0], ast.BoolLiteral):
-                entry["allow_coarsening"] = arguments[0].value
-            if len(arguments) > 1 and isinstance(arguments[1], ast.StringLiteral):
-                entry["order"] = arguments[1].value
-            if len(arguments) > 2 and isinstance(arguments[2], ast.Name):
-                entry["priority_vector"] = arguments[2].identifier
+            queue_fields[assign.target.identifier] = {
+                "name": assign.target.identifier,
+                **_queue_constructor(assign.value),
+            }
         apply_sites.extend(walk.apply_sites)
+        assigned = {
+            access.base
+            for access in walk.accesses
+            if access.target_kind is TargetKind.SCALAR and not access.is_local
+        }
+        result = {func.result[0]} if func.result is not None else set()
+        rebinds.setdefault(func.name, tuple(sorted(assigned & constants - result)))
 
     udfs: dict[str, UDFFacts] = {}
     for site in apply_sites:
@@ -373,7 +399,52 @@ def build_facts(program: ast.Program) -> ProgramFacts:
         vertex_arguments=_vertex_arguments(main, vectors) if main is not None else (),
         prints=prints,
         num_args_required=_num_args_required(main) if main is not None else 0,
+        edgeset=next(
+            (
+                const.name
+                for const in program.constants
+                if isinstance(const.declared_type, EdgeSetType)
+            ),
+            None,
+        ),
+        outputs=outputs,
+        rebinds=rebinds,
     )
+
+
+def _queue_constructor(new: ast.New) -> dict:
+    """The :class:`QueueInfo` fields of ``new priority_queue(allow_coarsening,
+    direction, priority_vector[, start_vertex])``, or why it is malformed."""
+    arguments = new.arguments
+    if not 3 <= len(arguments) <= 4:
+        return {
+            "problem": "the priority queue constructor takes (allow_coarsening, "
+            "direction, priority_vector[, start_vertex])"
+        }
+    allow, order, vector = arguments[:3]
+    if not isinstance(allow, ast.BoolLiteral):
+        return {
+            "problem": "the priority queue's allow_coarsening must be the "
+            "literal true or false"
+        }
+    if not (isinstance(order, ast.StringLiteral) and order.value in _ORDERS):
+        return {
+            "problem": "the priority queue direction must be the literal "
+            "'lower_first' or 'higher_first'"
+        }
+    if not isinstance(vector, ast.Name):
+        return {
+            "problem": "the priority queue's priority_vector must be a named vector"
+        }
+    start = arguments[3] if len(arguments) == 4 else None
+    if start is not None and (constant_value(start) or 0) < 0:
+        start = None  # a negative start vertex: every vertex
+    return {
+        "allow_coarsening": allow.value,
+        "order": order.value,
+        "priority_vector": vector.identifier,
+        "start_vertex": start,
+    }
 
 
 def _num_args_required(main: "_FunctionWalk") -> int:
@@ -519,11 +590,27 @@ class _FunctionWalk:
             and expression.arguments
             and isinstance(expression.arguments[0], ast.Name)
         ):
+            # ``edges.from(frontier).apply*(udf)``, or ``edges.apply(udf)``.
+            chain = expression.receiver
+            edgeset = frontier = None
+            if isinstance(chain, ast.Name):
+                if expression.method == "apply":
+                    edgeset = chain.identifier
+            elif (
+                isinstance(chain, ast.MethodCall)
+                and chain.method == "from"
+                and isinstance(chain.receiver, ast.Name)
+                and len(chain.arguments) == 1
+            ):
+                edgeset, frontier = chain.receiver.identifier, chain.arguments[0]
             self.apply_sites.append(
                 ApplySite(
                     udf_name=expression.arguments[0].identifier,
                     label=statement.label,
                     priority=expression.method == "applyUpdatePriority",
+                    call=expression,
+                    edgeset=edgeset,
+                    frontier=frontier,
                 )
             )
 

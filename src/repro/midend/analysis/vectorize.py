@@ -35,7 +35,7 @@ from ...lang import ast_nodes as ast
 from ...lang.span import Span
 from ..schedule import Schedule
 from .facts import PriorityUpdate, ProgramFacts, TargetKind, UDFFacts
-from .races import classify_races
+from .races import RaceReport
 
 __all__ = ["VectorKernel", "VectorizeReport", "analyze_vectorization"]
 
@@ -461,23 +461,28 @@ def _match_guarded(
 # Entry point
 # ----------------------------------------------------------------------
 def analyze_vectorization(
-    facts: ProgramFacts, schedule: Schedule
+    facts: ProgramFacts, schedule: Schedule, races: dict[str, RaceReport]
 ) -> dict[str, VectorizeReport]:
-    """Classify every apply UDF under ``schedule``; never raises — a
-    fallback carries its located reason."""
+    """Classify every apply UDF under ``schedule``, given each one's race
+    report under it; never raises — a fallback carries its located
+    reason."""
     reports: dict[str, VectorizeReport] = {}
     for site in facts.apply_sites:
         udf = facts.udfs.get(site.udf_name)
         if udf is None or udf.name in reports:
             continue  # an unresolved symbol is V001, reported by the validator
-        reports[udf.name] = _classify(udf, facts, schedule, site.priority)
+        reports[udf.name] = _classify(
+            udf, facts, schedule, site.priority, races[udf.name]
+        )
     return reports
 
 
-def _classify(udf: UDFFacts, facts, schedule, is_priority_apply) -> VectorizeReport:
+def _classify(
+    udf: UDFFacts, facts, schedule, is_priority_apply, races: RaceReport
+) -> VectorizeReport:
     # Race gate: only race-free (ordered-safe / seeded-CAS-equivalent)
     # UDFs vectorize.  Unordered racy programs are refused at runtime.
-    racy = classify_races(udf, schedule).racy_sites
+    racy = races.racy_sites
     if racy:
         first = racy[0]
         return VectorizeReport(

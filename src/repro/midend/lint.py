@@ -30,7 +30,6 @@ from .diagnostics import (
 )
 from .analysis.facts import build_facts
 from .analysis.races import classify_races
-from .analysis.vectorize import analyze_vectorization
 from .schedule import Schedule, SchedulingProgram
 from .transforms.lowering import plan_with_facts, schedule_from_block
 
@@ -97,7 +96,8 @@ def lint_program(
         found.append(_rejection(code, error, filename))
 
     # Race analysis over every UDF an apply names, under its statement's
-    # schedule (the plan covers only the recognized ordered loop).
+    # own schedule (the plan classifies under the loop label's schedule,
+    # the one the backends run).
     seen: set[str] = set()
     for site in facts.apply_sites:
         udf = facts.udfs.get(site.udf_name)
@@ -115,7 +115,7 @@ def lint_program(
     # Every apply UDF that stays on the scalar interpreter gets an
     # informational V101 with the located reason.
     if plan is not None:
-        for report in analyze_vectorization(facts, plan.schedule).values():
+        for report in plan.kernels.values():
             if report.vectorizable:
                 continue
             found.append(

@@ -10,10 +10,17 @@
    :class:`Schedule`/:class:`SchedulingProgram` argument or from the
    program's inline ``schedule:`` block,
 4. builds the Figure 10 transformed UDF when the ``lazy_constant_sum``
-   strategy is scheduled, and
-5. rejects infeasible combinations (eager without a recognizable loop,
-   histogram without a constant-sum UDF, fusion over a non-monotone
-   update, ...), reading every verdict from the facts.
+   strategy is scheduled,
+5. classifies the races and the batch kernel of every apply-site UDF
+   under the resolved schedule, and
+6. rejects infeasible combinations (a malformed queue constructor or apply
+   chain, Δ ≠ 1 on a queue that disallows coarsening, eager without a
+   recognizable loop, histogram without a constant-sum UDF, fusion over a
+   non-monotone update, ...), reading every verdict from the facts.
+
+The backends only render the plan.  :func:`native_refusal` names why a
+plan cannot lower to a native kernel; the runner asks it before generating
+any text.
 """
 
 from __future__ import annotations
@@ -32,11 +39,19 @@ from ...lang.symbols import SymbolTable
 from ...lang.typecheck import typecheck
 from ..diagnostics import validate_ir_or_raise
 from ..analysis.effects import classify_incremental_eligibility, classify_monotonicity
-from ..analysis.facts import ProgramFacts, build_facts
+from ..analysis.facts import ProgramFacts, QueueInfo, build_facts
+from ..analysis.races import RaceReport, classify_races
+from ..analysis.vectorize import VectorizeReport, analyze_vectorization
 from ..schedule import Schedule, SchedulingProgram
 from .histogram_transform import build_transformed_udf
 
-__all__ = ["CompilationPlan", "plan_program", "plan_with_facts", "schedule_from_block"]
+__all__ = [
+    "CompilationPlan",
+    "native_refusal",
+    "plan_program",
+    "plan_with_facts",
+    "schedule_from_block",
+]
 
 # Maps inline schedule-block commands to SchedulingProgram methods.
 _SCHEDULE_COMMANDS = {
@@ -56,19 +71,24 @@ _SCHEDULE_COMMANDS = {
 
 @dataclass
 class CompilationPlan:
-    """Everything a backend needs to generate code for one program.
-
-    Backends read the analysis results from ``facts``, applying the
-    schedule's direction as they read them.
-    """
+    """Everything a backend needs to generate code for one program: the
+    backends render it and derive nothing of their own."""
 
     program: ast.Program
     table: SymbolTable
     schedule: Schedule
     facts: ProgramFacts
-    #: the ordered loop's UDF (``None`` without one, or for extern loops)
-    udf: ast.FuncDecl | None
+    #: the Figure 10 function (``lazy_constant_sum`` only)
     transformed_udf: ast.FuncDecl | None
+    #: the race classification of every apply-site UDF, by name
+    races: dict[str, RaceReport]
+    #: the batch-kernel classification of every apply-site UDF, by name
+    kernels: dict[str, VectorizeReport]
+    #: the queue the applies drive: the ordered loop's, else the first by name
+    queue: QueueInfo | None
+    #: the priority vector a resumed run binds to the caller's values
+    #: (``None``: the program cannot resume)
+    resume_vector: str | None
 
 
 def schedule_from_block(program: ast.Program) -> SchedulingProgram:
@@ -120,6 +140,16 @@ def plan_with_facts(
         sp["priority_update"] = resolved.priority_update
         sp["delta"] = resolved.delta
         sp["execution"] = resolved.execution
+
+    for info in facts.queues.values():
+        if info.problem is not None:
+            raise CompileError(info.problem)
+    for site in facts.apply_sites:
+        if site.edgeset is None:
+            raise CompileError(
+                f"{site.call.method} requires an edges.from(bucket) chain",
+                span=site.call.span,
+            )
 
     udf: ast.FuncDecl | None = None
     transformed: ast.FuncDecl | None = None
@@ -203,6 +233,22 @@ def plan_with_facts(
                 "replace it with the ordered processing operator"
             )
 
+    for info in facts.queues.values():
+        if info.allow_coarsening is False and resolved.delta != 1:
+            raise SchedulingError(
+                f"the priority queue {info.name!r} disallows coarsening but "
+                f"the schedule sets delta={resolved.delta}"
+            )
+    if (
+        resolved.uses_histogram
+        and transformed is None
+        and any(site.frontier is not None for site in facts.apply_sites)
+    ):
+        raise CompileError(
+            "lazy_constant_sum requires the ordered-processing while loop "
+            "pattern, which was not found in main"
+        )
+
     # No pass mutates ``program``: the post-lowering check covers only the
     # transformed UDF (present iff scheduled, no unresolved symbols).
     with trace_span("midend.validate_ir", "compiler", stage="lowered"):
@@ -210,14 +256,77 @@ def plan_with_facts(
             program, "lowered", schedule=resolved, transformed_udf=transformed
         )
 
+    races = {name: classify_races(info, resolved) for name, info in facts.udfs.items()}
+    queue_name = loop.queue_name if loop is not None else min(facts.queue_names, default=None)
     return CompilationPlan(
         program=program,
         table=table,
         schedule=resolved,
         facts=facts,
-        udf=udf,
         transformed_udf=transformed,
+        races=races,
+        kernels=analyze_vectorization(facts, resolved, races),
+        queue=facts.queues.get(queue_name),
+        resume_vector=_resume_vector(program, facts),
     )
+
+
+def native_refusal(plan: CompilationPlan) -> str | None:
+    """Why ``plan`` cannot lower to a native kernel, or ``None`` when it can.
+
+    The one place the C++ lowering's limits are named: the emitter raises
+    it, the runner turns it into the ``N101`` fallback before generating
+    any text."""
+    queue = plan.queue
+    if plan.schedule.is_relaxed:
+        return (
+            "the relaxed strategy is lowered by the Python runtime only; "
+            "the C++ runtime has strict bucket queues"
+        )
+    if plan.program.externs:
+        return (
+            "the C++ backend does not support extern functions; as in the "
+            "paper's artifact, A* and SetCover need hand-written C++ externs"
+        )
+    if queue is None or queue.priority_vector is None:
+        return (
+            "the C++ backend supports ordered (priority-queue) programs only; "
+            "compile unordered programs with the Python backend"
+        )
+    if any(site.frontier is None for site in plan.facts.apply_sites):
+        return (
+            "the C++ backend applies UDFs to a frontier only "
+            "(edges.from(bucket)); a whole-edgeset apply runs on the Python "
+            "runtime"
+        )
+    if queue.order == "higher_first":
+        if plan.schedule.uses_histogram:
+            return (
+                "lazy_constant_sum requires a lower_first queue in the C++ "
+                "backend (the histogram transform tracks decrement counts)"
+            )
+        if plan.schedule.is_eager and queue.start_vertex is None:
+            return (
+                "the all-vertices priority queue form is not supported with "
+                "eager higher_first schedules in the C++ backend; use a lazy "
+                "schedule"
+            )
+    return None
+
+
+def _resume_vector(program: ast.Program, facts: ProgramFacts) -> str | None:
+    """The ordered loop's priority vector, when its declaration fills it
+    with a scalar (the state a resumed run supplies instead)."""
+    if facts.loop is None or facts.edgeset is None:
+        return None
+    name = facts.queue_vector(facts.loop.queue_name)
+    for const in program.constants:
+        if const.name == name and isinstance(
+            const.initializer,
+            (ast.IntLiteral, ast.FloatLiteral, ast.BoolLiteral, ast.Name),
+        ):
+            return name
+    return None
 
 
 def _resolve_schedule(

@@ -49,6 +49,13 @@ RACY_SSSP = ALL_PROGRAMS["sssp"].replace(
 )
 assert RACY_SSSP != ALL_PROGRAMS["sssp"]
 
+# One more statement in the loop body: the ordered loop is no longer
+# recognized, so the apply UDF is planned as a plain apply site.
+LOOSE_RACY_SSSP = RACY_SSSP.replace(
+    "        delete bucket;\n", "        var rounds : int = 0;\n        delete bucket;\n"
+)
+assert LOOSE_RACY_SSSP != RACY_SSSP
+
 
 def _udf(name, source):
     return build_facts(parse(source)).udfs[name]
@@ -456,6 +463,24 @@ class TestCppAtomicsRaceDriven:
         )
         assert "atomicWriteMin<false>(&dist[dst], __new_value, dist[dst]);" in code
 
+    def test_unrecognized_loop_keeps_the_seeded_cas(self):
+        """The race report covers every apply UDF, not only the recognized
+        loop's: the push region renders the same seeded CAS site."""
+        assert compile_program(LOOSE_RACY_SSSP).plan.facts.loop is None
+        seeded = [
+            line.strip()
+            for line in self._cpp(LOOSE_RACY_SSSP, Schedule(priority_update="lazy")).splitlines()
+            if "atomicWriteMin<" in line
+        ]
+        canonical = self._cpp(ALL_PROGRAMS["sssp"], Schedule(priority_update="lazy"))
+        assert seeded == [
+            line.strip() for line in canonical.splitlines() if "atomicWriteMin<" in line
+        ]
+        assert (
+            "bool __tracking_var = atomicWriteMin<false>(&dist[dst], __new_value, dist[dst]);"
+            in seeded
+        )
+
     def test_pull_min_update_has_no_atomic(self):
         code = self._cpp(
             ALL_PROGRAMS["sssp"],
@@ -520,6 +545,12 @@ class TestPythonRuntimeAssertion:
     def test_racy_program_refused_at_runtime(self):
         program = compile_program(RACY_SSSP)
         with pytest.raises(GraphItError, match="R001"):
+            program.run(["sssp", "-", "0"], graph=self._graph())
+
+    def test_racy_udf_outside_the_recognized_loop_refused(self):
+        program = compile_program(LOOSE_RACY_SSSP)
+        assert program.plan.facts.loop is None
+        with pytest.raises(GraphItError, match="R001: refusing to execute UDF 'updateEdge'"):
             program.run(["sssp", "-", "0"], graph=self._graph())
 
     def test_clean_program_records_report(self):

@@ -343,6 +343,94 @@ class TestPlanProgram:
             schedule_from_block(parse(source))
 
 
+class TestPlanRefusals:
+    """The planner answers what both backends used to re-derive, and
+    refuses a malformed program once, with one message for every backend."""
+
+    BAD_CHAIN = ALL_PROGRAMS["sssp"].replace(
+        "edges.from(bucket).applyUpdatePriority(updateEdge)",
+        "edges.applyUpdatePriority(updateEdge)",
+    )
+
+    def test_malformed_apply_chain_one_message_for_both_backends(self):
+        from repro.backend import compile_program
+
+        assert self.BAD_CHAIN != ALL_PROGRAMS["sssp"]
+        schedule = Schedule(priority_update="lazy")
+        messages = []
+        for backend in ("python", "cpp"):
+            with pytest.raises(CompileError) as caught:
+                compile_program(self.BAD_CHAIN, schedule, backend=backend)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "applyUpdatePriority requires an edges.from(bucket) chain" in messages[0]
+
+    @pytest.mark.parametrize(
+        "constructor, message",
+        [
+            ('(true, "lower", dist, start_vertex)', "direction must be the literal"),
+            ('(true, "lower_first")', "constructor takes"),
+            ("(true, 1, dist, start_vertex)", "direction must be the literal"),
+            ('(1 == 1, "lower_first", dist, start_vertex)', "allow_coarsening must be"),
+        ],
+    )
+    def test_malformed_queue_constructor_refused(self, constructor, message):
+        source = ALL_PROGRAMS["sssp"].replace(
+            '(true, "lower_first", dist, start_vertex)', constructor
+        )
+        assert source != ALL_PROGRAMS["sssp"]
+        with pytest.raises(CompileError, match=message):
+            plan_program(parse(source), Schedule(priority_update="lazy"))
+
+    def test_nonunit_delta_refused_at_compile_time(self, capsys):
+        from repro.backend import compile_program
+
+        schedule = Schedule(priority_update="lazy_constant_sum", delta=2, execution="native")
+        with pytest.raises(SchedulingError, match="'pq' disallows coarsening"):
+            compile_program(ALL_PROGRAMS["kcore"], schedule)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+    def test_plan_classifies_every_apply_udf(self, name):
+        plan = plan_program(_program(name), Schedule(priority_update="lazy"))
+        names = [site.udf_name for site in plan.facts.apply_sites]
+        udfs = [udf for udf in dict.fromkeys(names) if udf in plan.facts.udfs]
+        assert list(plan.races) == udfs
+        assert list(plan.kernels) == udfs
+        for udf in udfs:
+            assert plan.races[udf].summary() == classify_races(
+                plan.facts.udfs[udf], plan.schedule
+            ).summary()
+
+    def test_queue_facts(self):
+        sssp = plan_program(_program("sssp"), Schedule(priority_update="lazy"))
+        assert (sssp.queue.name, sssp.queue.order, sssp.queue.priority_vector) == (
+            "pq",
+            "lower_first",
+            "dist",
+        )
+        assert isinstance(sssp.queue.start_vertex, ast.Name)
+        assert sssp.resume_vector == "dist"
+        assert (sssp.facts.edgeset, sssp.facts.outputs) == ("edges", ("dist",))
+        kcore = plan_program(_program("kcore"), Schedule(priority_update="lazy"))
+        # ``-1``: every vertex starts in the queue; an out-degree vector is
+        # not a filled declaration, so k-core cannot resume.
+        assert kcore.queue.start_vertex is None
+        assert kcore.resume_vector is None
+
+    def test_resume_refused_from_the_plan(self):
+        import numpy as np
+
+        from repro.backend import compile_program
+        from repro.graph import from_edges
+
+        graph = from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)])
+        program = compile_program(ALL_PROGRAMS["kcore"], Schedule(priority_update="lazy"))
+        values = np.zeros(3, dtype=np.int64)
+        with pytest.raises(CompileError, match="cannot resume"):
+            program.run(["kcore", "-"], graph=graph, resume=(values, [0]))
+
+
 class TestOnePass:
     """Planning walks each function once, builds each UDF's facts once and
     validates the whole program once; ``repro lint`` plans once on top."""

@@ -28,10 +28,10 @@ from repro.backend.native import (
     generate_native_cpp,
     kernel_cache_dir,
     kernel_key,
-    native_output_names,
     reset_toolchain_cache,
 )
 from repro.backend.native.abi import RUN_PARAMETERS
+from repro.backend.extern_library import setcover_externs
 from repro.backend.native.runner import generate_for_plan
 from repro.errors import CompileError, GraphError, GraphItError, SchedulingError
 from repro.graph import from_edges, rmat, save_npz
@@ -39,13 +39,15 @@ from repro.lang import ALL_PROGRAMS
 from repro.lang.parser import parse
 from repro.midend import Schedule
 from repro.midend.diagnostics import _dead_knob_rules
-from repro.midend.transforms.lowering import plan_program
+from repro.midend.transforms.lowering import native_refusal, plan_program
 
 from .oracle_matrix import (
     DOMAINS,
     HAS_CXX,
     Cell,
+    _externs,
     assert_same_vectors,
+    cell_argv,
     check,
     graph,
     oracle_run,
@@ -322,7 +324,7 @@ def test_native_output_names_follow_declaration_order():
     program = compile_program(
         ALL_PROGRAMS["widest"], Schedule(priority_update="lazy", delta=2)
     )
-    names = native_output_names(program.plan)
+    names = program.plan.facts.outputs
     assert "width" in names
 
 
@@ -477,21 +479,18 @@ def test_knobs_dead_natively_do_not_reach_native_text(program):
         assert {"chunk_size", "parallelization"} <= dead_seen
 
 
-def test_no_coarsening_refusal_still_fires():
+def test_no_coarsening_refusal_still_fires(capsys):
     """k-core's queue disallows coarsening: Δ stays out of the kernel text,
-    yet a Δ other than 1 is still refused, natively and on the fallback."""
+    yet a Δ other than 1 is refused when the program is planned, for every
+    backend and execution, before any kernel text or N101 fallback."""
     for strategy in ("lazy", "lazy_constant_sum"):
         schedule = Schedule(priority_update=strategy, delta=2, execution="native")
-        plan = plan_program(parse(ALL_PROGRAMS["kcore"]), schedule)
-        with pytest.raises(CompileError, match="disallows coarsening"):
-            generate_native_cpp(plan)
-    program = compile_program(
-        ALL_PROGRAMS["kcore"],
-        Schedule(priority_update="lazy_constant_sum", delta=2, execution="native"),
-    )
-    with pytest.raises(SchedulingError, match="disallows coarsening"):
-        program.run(["prog", "-"], graph=graph("social_symmetric"))
-    assert "disallows coarsening" in program.native_fallback_reason
+        with pytest.raises(SchedulingError, match="disallows coarsening"):
+            plan_program(parse(ALL_PROGRAMS["kcore"]), schedule)
+        for backend in ("python", "cpp"):
+            with pytest.raises(SchedulingError, match="disallows coarsening"):
+                compile_program(ALL_PROGRAMS["kcore"], schedule, backend=backend)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture
@@ -669,8 +668,9 @@ def test_concurrent_cold_build_compiles_and_loads_once(
 
 @needs_toolchain
 def test_refused_program_reports_n101_once(monkeypatch, social, social_start, capsys):
-    """A program native cannot lower generates C++ and prints N101 on its
-    first run only; later runs go straight to the interpreter."""
+    """A program native cannot lower prints N101 on its first run only,
+    without generating any C++ (the plan names the refusal); later runs go
+    straight to the interpreter."""
     import repro.backend.native.runner as runner_mod
 
     generated = []
@@ -686,8 +686,8 @@ def test_refused_program_reports_n101_once(monkeypatch, social, social_start, ca
         result = program.run(["prog", "-", str(social_start)], graph=social)
         assert result.execution == "serial"
     assert capsys.readouterr().err.count("N101") == 1
-    assert len(generated) == 1
-    assert program.native_fallback_reason is not None
+    assert generated == []
+    assert program.native_fallback_reason == native_refusal(program.plan)
 
 
 @needs_toolchain
@@ -742,3 +742,45 @@ def test_graph_path_loads_by_extension(tmp_path):
     assert native.execution == "native"
     serial = compile_program(ALL_PROGRAMS["kcore"], Schedule()).run(["kcore", "-"], graph=symmetric)
     np.testing.assert_array_equal(native.vector("D"), serial.vector("D"))
+
+
+@pytest.mark.parametrize("program", sorted(ALL_PROGRAMS))
+def test_native_refusal_agrees_with_the_emitter(program):
+    """Over every strategy x direction the planner accepts, the plan's
+    ``native_refusal`` is None exactly when the emitter renders a kernel,
+    and an emitter refusal raises that same reason."""
+    accepted = 0
+    for strategy in DOMAINS["priority_update"]:
+        for direction in DOMAINS["direction"]:
+            try:
+                schedule = Schedule(priority_update=strategy, direction=direction)
+                plan = plan_program(parse(ALL_PROGRAMS[program]), schedule)
+            except GraphItError:
+                continue
+            accepted += 1
+            reason = native_refusal(plan)
+            try:
+                generate_native_cpp(plan)
+            except CompileError as error:
+                assert str(error) == reason
+            else:
+                assert reason is None, reason
+            if program in NEVER_NATIVE:
+                assert reason is not None
+    assert accepted
+
+
+@pytest.mark.parametrize("program", NEVER_NATIVE)
+def test_never_native_falls_back_naming_the_refusal(program, capsys):
+    cell = Cell(program, Schedule(priority_update="lazy"), "native")
+    g = graph(cell.graph)
+    compiled_program = compile_program(ALL_PROGRAMS[program], cell.schedule)
+    externs = setcover_externs() if program == "setcover" else _externs(cell)
+    result = compiled_program.run(cell_argv(cell, g), graph=g, extern_functions=externs)
+    reason = native_refusal(compiled_program.plan)
+    assert reason is not None
+    assert compiled_program.native_fallback_reason == reason
+    assert f"N101: native execution unavailable; falling back to vectorized Python: {reason}" in (
+        capsys.readouterr().err
+    )
+    assert result.execution == "serial"

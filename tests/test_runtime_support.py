@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.backend import compile_program
 from repro.backend.runtime_support import Context
 from repro.buckets import EagerBucketQueue, LazyBucketQueue
-from repro.errors import CompileError, GraphItError, SchedulingError
+from repro.errors import CompileError, GraphItError, PriorityQueueError, SchedulingError
 from repro.graph import from_edges, save_edge_list, save_npz
 from repro.graph.properties import INT_MAX
+from repro.lang import ALL_PROGRAMS
 from repro.midend import Schedule
 
 
@@ -85,9 +87,13 @@ class TestQueueConstruction:
         assert context.stats.num_threads == 3
 
     def test_coarsening_disallowed_with_nonunit_delta(self, diamond):
+        # The planner refuses the schedule, so no context is ever built
+        # for it; the bucket queue still guards its own contract.
+        with pytest.raises(SchedulingError, match="disallows coarsening"):
+            compile_program(ALL_PROGRAMS["kcore"], Schedule(priority_update="lazy", delta=4))
         context = make_context(Schedule(priority_update="lazy", delta=4))
         vector = context.vector(diamond, 0)
-        with pytest.raises(SchedulingError):
+        with pytest.raises(PriorityQueueError, match="coarsening disabled"):
             context.new_priority_queue(False, "lower_first", vector, -1)
 
     def test_negative_start_means_all_vertices(self, diamond):

@@ -293,6 +293,40 @@ class TestMidendCycles:
         assert static_lint.lint_paths([package.parent]) == []
 
 
+class TestBackendAnalyses:
+    def test_flags_analyses_inside_backend_only(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "backend" / "native").mkdir(parents=True)
+        (package / "midend").mkdir()
+        for directory in ("", "backend", "backend/native", "midend"):
+            (package / directory / "__init__.py").write_text("")
+        (package / "backend" / "_emit.py").write_text(
+            "from ..lang import ast_nodes as ast\n"
+            "from ..midend.analysis import races\n"
+            "def _emit(plan, main):\n"
+            "    nodes = list(ast.walk(main))\n"
+            "    report = races.classify_races(plan.facts.loop_udf, plan.schedule)\n"
+            "    return nodes, report, plan.races\n"
+        )
+        (package / "backend" / "native" / "_kernel.py").write_text(
+            "from ...midend.analysis.vectorize import analyze_vectorization\n"
+            "def _kernels(plan):\n"
+            "    return analyze_vectorization(plan.facts, plan.schedule)\n"
+        )
+        (package / "midend" / "_planner.py").write_text(
+            "import ast\n"
+            "from .analysis.races import classify_races\n"
+            "def _plan(tree, udf, schedule):\n"
+            "    return list(ast.walk(tree)), classify_races(udf, schedule)\n"
+        )
+        findings = sorted(static_lint.lint_paths([tmp_path / "src"]))
+        assert len(findings) == 3, findings
+        assert all("L009" in f and "lowering.py" in f for f in findings)
+        assert "_emit.py:4:" in findings[0] and "calls walk" in findings[0]
+        assert "_emit.py:5:" in findings[1] and "calls classify_races" in findings[1]
+        assert "_kernel.py:3:" in findings[2] and "calls analyze_vectorization" in findings[2]
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint_snippet(tmp_path, "def f(:\n")

@@ -23,7 +23,8 @@ assert PLAIN_RELAX != ALL_PROGRAMS["bellman_ford"]
 
 def reports_for(name, schedule=LAZY, source=None):
     plan = compile_program(source or ALL_PROGRAMS[name], schedule).plan
-    return analyze_vectorization(plan.facts, plan.schedule)
+    assert plan.kernels == analyze_vectorization(plan.facts, plan.schedule, plan.races)
+    return plan.kernels
 
 
 class TestClassification:

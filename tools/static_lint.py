@@ -2,7 +2,7 @@
 """A dependency-free static linter for the repro source tree.
 
 The container deliberately ships no third-party lint toolchain, so CI runs
-this stdlib-``ast`` checker instead.  Seven rule families, chosen because
+this stdlib-``ast`` checker instead.  Nine rule families, chosen because
 each has bitten real compiler code:
 
 - ``L001`` unused import — an import whose bound name is never referenced
@@ -46,6 +46,12 @@ each has bitten real compiler code:
   analysis re-derived the facts the others had.  An import names the module
   it imports; ``if TYPE_CHECKING:`` imports never run and do not count.
   Runs alongside L004.
+- ``L009`` a backend that analyses the program — a call of ``ast.walk``,
+  ``classify_races`` or ``analyze_vectorization`` under ``repro/backend/``.
+  The planner answers every question the emitters ask; while each backend
+  walked the AST and classified the loop's UDF on its own, a racy UDF
+  outside the recognized loop ran unreported on the interpreter and got an
+  unseeded CAS in C++.  Runs alongside L004.
 
 Findings print as ``file:line:col: error[CODE]: message`` — the same shape
 ``repro lint`` uses, so the GitHub Actions problem matcher annotates both.
@@ -116,6 +122,9 @@ _ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 
 # L008: the package whose modules may not import each other in a cycle.
 _ACYCLIC_PACKAGE = ("repro", "midend")
+
+# L009: the analyses only the planner may run; the backends render its plan.
+_PLANNER_ANALYSES = ("classify_races", "analyze_vectorization")
 
 # L007: the packages that build bucket queues and drive ordered loops.  No
 # ``algorithms/`` module may import them: every ordered algorithm is a
@@ -427,6 +436,38 @@ def check_algorithm_queues(package: Path) -> list[str]:
     return findings
 
 
+def check_backend_analyses(package: Path) -> list[str]:
+    """L009 over ``backend/`` of the ``repro`` package at ``package``."""
+    findings = []
+    for file in sorted((package / "backend").rglob("*.py")):
+        try:
+            tree = ast.parse(file.read_text(), filename=str(file))
+        except SyntaxError:
+            continue  # lint_file reports it as L000
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            name = getattr(function, "id", getattr(function, "attr", None))
+            if name in _PLANNER_ANALYSES or (
+                name == "walk"
+                and isinstance(function, ast.Attribute)
+                and isinstance(function.value, ast.Name)
+                and function.value.id == "ast"
+            ):
+                findings.append(
+                    _finding(
+                        file,
+                        node,
+                        "L009",
+                        f"a backend calls {name}: read the answer from the "
+                        "plan (midend/transforms/lowering.py) instead of "
+                        "analysing the program again",
+                    )
+                )
+    return findings
+
+
 def check_midend_cycles(package: Path) -> list[str]:
     """L008 over ``midend/`` of the ``repro`` package at ``package``."""
     root = package.parent
@@ -522,6 +563,7 @@ def lint_paths(paths: list[Path]) -> list[str]:
             findings += check_bucket_sorts(root / "repro")
             findings += check_algorithm_queues(root / "repro")
             findings += check_midend_cycles(root / "repro")
+            findings += check_backend_analyses(root / "repro")
     return findings
 
 
