@@ -33,8 +33,13 @@ __all__ = [
 ]
 
 
-#: The vertex-count header of an edge list (``# vertices=N edges=M``).
-_VERTICES = re.compile(r"vertices=\s*(\d+)")
+#: The vertex-count header of an edge list (``# vertices=N edges=M``), read
+#: as C's ``atoll`` reads it: no digits count as 0.
+_VERTICES = re.compile(rb"vertices=[ \t\n\v\f\r]*([+-]?[0-9]+)?")
+#: An edge-list field (C's ``isspace`` separates them) and the one form a
+#: field may take: a whole base-10 integer in ASCII, as ``strtoll`` reads it.
+_FIELD = re.compile(rb"[^ \t\n\v\f\r]+")
+_INTEGER = re.compile(rb"[+-]?[0-9]+")
 
 
 @contextmanager
@@ -60,30 +65,35 @@ def _build(sources, dests, weights, num_vertices, coordinates=None) -> CSRGraph:
 def load_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> CSRGraph:
     """Load a whitespace-separated edge list: ``src dst [weight]`` per line.
 
-    Lines starting with ``#`` or ``%`` are comments; a ``vertices=N`` in one
-    (the header :func:`save_edge_list` writes) declares the vertex count,
-    so trailing isolated vertices survive a round trip.  The count is
-    ``max(max vertex id + 1, N)``, as in the C++ driver's loader; an
-    explicit ``num_vertices`` wins over both.
+    Lines whose first character after blanks is ``#`` or ``%`` are
+    comments; a ``vertices=N`` in one (the header :func:`save_edge_list`
+    writes) declares the vertex count, so trailing isolated vertices
+    survive a round trip.  The count is ``max(max vertex id + 1, N)``; an
+    explicit ``num_vertices`` wins over both.  The file is read byte for
+    byte as the C++ driver's loader reads it: lines end at ``\n`` only,
+    and each field is a whole ASCII integer (no ``1_0``, no non-ASCII
+    digits).
     """
     sources: list[int] = []
     dests: list[int] = []
     weights: list[int] = []
     declared = -1
-    with _malformed(path), open(path, "r", encoding="utf-8") as handle:
+    with _malformed(path), open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith(("#", "%")):
-                header = _VERTICES.search(line)
+            head = line.rstrip(b"\n").lstrip(b" \t\r")
+            if not head or head[:1] in (b"#", b"%"):
+                header = _VERTICES.search(head)
                 if header is not None:
-                    declared = int(header.group(1))
+                    declared = int(header.group(1) or 0)
                 continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
+            fields = _FIELD.findall(head)
+            if len(fields) not in (2, 3) or not all(
+                _INTEGER.fullmatch(field) for field in fields
+            ):
                 raise GraphError(f"{path}:{lineno}: expected 'src dst [weight]'")
-            sources.append(int(parts[0]))
-            dests.append(int(parts[1]))
-            weights.append(int(parts[2]) if len(parts) == 3 else 1)
+            sources.append(int(fields[0]))
+            dests.append(int(fields[1]))
+            weights.append(int(fields[2]) if len(fields) == 3 else 1)
     if num_vertices is None:
         num_vertices = max(max(sources, default=-1) + 1, max(dests, default=-1) + 1, declared)
     with _malformed(path):

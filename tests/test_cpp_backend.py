@@ -234,6 +234,7 @@ GRAPH_FILES = {
     "non-integer weight": b"0 1 2.5\n",
     "extra field": b"0 1 2 3\n",
     "int64 overflow": b"0 1 9223372036854775808\n",
+    "digit separator": b"1_0 2\n",
 }
 
 

@@ -66,6 +66,29 @@ def test_edge_list_vertices_header_keeps_isolated_tail(tmp_path):
     assert load_edge_list(path, num_vertices=7).num_vertices == 7
 
 
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "0x1", "+", "1.0", "1e3", "\u00b9"])
+def test_edge_list_fields_are_whole_ascii_integers(tmp_path, field):
+    """A field is read whole as ``[+-]?[0-9]+``, as the C++ driver's
+    ``strtoll`` reads it: ``int()`` read ``1_0`` as vertex 10 (an 11-vertex
+    graph) and accepted non-ASCII digits."""
+    path = tmp_path / "g.el"
+    path.write_text(f"{field} 2\n", encoding="utf-8")
+    with pytest.raises(GraphError, match="g.el:1: expected 'src dst"):
+        load_edge_list(path)
+    path.write_text("+1 -0 +7\n")
+    assert load_edge_list(path).edge_list()[2].tolist() == [7]
+
+
+def test_edge_list_reads_bytes_as_the_driver_does(tmp_path):
+    """Lines end at ``\\n`` only, a comment may hold any bytes, and a
+    ``vertices=`` with no digits declares 0 vertices, as in the driver."""
+    path = tmp_path / "g.el"
+    path.write_bytes(b"# \xff vertices=9\n#vertices=x\n0 1\r\v2\n")
+    graph = load_edge_list(path)
+    assert graph.num_vertices == 2
+    assert graph.edge_list()[2].tolist() == [2]
+
+
 def test_edge_list_malformed_rejected(tmp_path):
     path = tmp_path / "bad.el"
     path.write_text("0 1 2 3\n")

@@ -12,10 +12,13 @@ The ``@example`` cases are inputs that used to escape.
 from __future__ import annotations
 
 import asyncio
+import os
 import re
+import subprocess
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import compile_program
@@ -23,8 +26,11 @@ from repro.errors import GraphItError
 from repro.graph.io import load_dimacs, load_edge_list, load_npz
 from repro.graph.mutations import parse_mutation_script
 from repro.lang import ALL_PROGRAMS
+from repro.midend import Schedule
 from repro.midend.lint import lint_program
 from repro.serve.http import HTTPError, read_request
+
+from .oracle_matrix import GXX, _standalone_binary
 
 pytestmark = pytest.mark.slow
 
@@ -91,13 +97,13 @@ _WORDS = ["add", "remove", "update", "flush", "#", "0", "1", "-1", "2.5", "p sp"
           "a", "v", "c", "99999999999999999999999", "x", "\n", " ", "\t", "nan", "\x00"]
 _TEXT = st.one_of(st.text(max_size=80), st.lists(st.sampled_from(_WORDS), max_size=20).map("".join))
 _LOADERS = {"edge list": load_edge_list, "dimacs": load_dimacs, "npz": load_npz}
+_GRAPH_BYTES = st.one_of(
+    st.binary(max_size=120), _TEXT.map(lambda t: t.encode("utf-8", "replace"))
+)
 
 
 @FUZZ
-@given(
-    content=st.one_of(st.binary(max_size=120), _TEXT.map(lambda t: t.encode("utf-8", "replace"))),
-    loader=st.sampled_from(sorted(_LOADERS)),
-)
+@given(content=_GRAPH_BYTES, loader=st.sampled_from(sorted(_LOADERS)))
 @example(content=b"0 1\n2 x\n", loader="edge list")
 @example(content=b"0 1\n\xf7\x90\n", loader="edge list")
 @example(content=b"0 1 99999999999999999999999\n", loader="edge list")
@@ -113,6 +119,47 @@ def test_graph_files_yield_graph_errors(tmp_path, content, loader):
         _LOADERS[loader](path)
     except GraphItError:
         pass
+
+
+_KCORE = Schedule(priority_update="lazy_constant_sum")
+
+
+@pytest.mark.skipif(GXX is None, reason="g++ not available")
+@FUZZ
+@given(content=_GRAPH_BYTES)
+@example(content=b"1_0 2\n")
+@example(content=b"0 \xd9\xa1\n")
+@example(content=b"# \xff vertices=3\n0 1\r2 0\n")
+def test_edge_list_loaders_agree(tmp_path, content):
+    """``load_edge_list`` (here under ``repro run kcore``'s interpreter) and
+    the standalone k-core program read every edge-list file alike: the same
+    core numbers, or both refuse.  No number may exceed 10^4, so that no
+    example asks either loader for a huge vertex count (a huge ``vertices=``
+    header is still allocated by both); weights past int64 are in
+    ``TestGraphFileContract``'s fixed list."""
+    assume(all(int(run) <= 10**4 for run in re.findall(rb"[0-9]+", content)))
+    path = tmp_path / "g.el"
+    path.write_bytes(content)
+    program = compile_program(ALL_PROGRAMS["kcore"], _KCORE)
+    try:
+        interpreted = program.run(["kcore", str(path)]).globals["D"]
+    except GraphItError:
+        interpreted = None
+    env = dict(os.environ, REPRO_OUTPUT=str(tmp_path / "out.txt"))
+    done = subprocess.run(
+        [str(_standalone_binary("kcore", _KCORE, False)), str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        errors="replace",
+    )
+    if interpreted is None:
+        assert done.returncode == 1 and "error: " in done.stderr, done.stderr
+        return
+    assert done.returncode == 0, done.stderr
+    label, *values = (tmp_path / "out.txt").read_text().split()
+    assert label == "D"
+    np.testing.assert_array_equal(np.array(values, dtype=np.int64), interpreted)
 
 
 @FUZZ
